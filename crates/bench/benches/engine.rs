@@ -1,10 +1,15 @@
 //! Microbenchmarks of the discrete-event core's hot loop — the
-//! dispatch path the zero-allocation refactor optimizes. Three shapes
+//! dispatch path the zero-allocation refactor optimizes. Four shapes
 //! stress different parts of it:
 //!
 //! * `dispatch-only` — a two-component ping-pong: pure pop → handle →
 //!   push traffic with one in-flight event, the floor of per-event
-//!   cost.
+//!   cost through the calendar.
+//! * `zero-delay chain` — a four-component ring with three zero-delay
+//!   hops and one timed hop per round, the dumbbell's per-packet
+//!   pattern (endpoint → bottleneck, link → delay box, demux →
+//!   endpoint): three of four events ride the engine's same-instant
+//!   lane and never touch the calendar.
 //! * `fan-out storm` — one handler emits a burst of events per
 //!   dispatch, exercising the scratch-buffer drain and the calendar
 //!   under load.
@@ -22,9 +27,11 @@ use ebrc_sim::{
     Calendar, Component, ComponentId, Context, Engine, HeapCalendar, Scheduled, WheelCalendar,
 };
 
-/// Forwards every event to a peer — the minimal two-party hot loop.
+/// Forwards every event to a peer after `delay` — the minimal hot
+/// loop.
 struct Forwarder {
     peer: Option<ComponentId>,
+    delay: f64,
     remaining: u64,
 }
 
@@ -33,7 +40,7 @@ impl Component<u32> for Forwarder {
         if self.remaining > 0 {
             self.remaining -= 1;
             let peer = self.peer.expect("forwarder not wired");
-            ctx.send(0.001, peer, ev.wrapping_add(1));
+            ctx.send(self.delay, peer, ev.wrapping_add(1));
         }
     }
 }
@@ -95,14 +102,43 @@ fn bench_dispatch_only(c: &mut Criterion) {
             let mut eng: Engine<u32> = Engine::with_capacity(2, 16);
             let a = eng.add(Box::new(Forwarder {
                 peer: None,
+                delay: 0.001,
                 remaining: EVENTS / 2,
             }));
             let z = eng.add(Box::new(Forwarder {
                 peer: Some(a),
+                delay: 0.001,
                 remaining: EVENTS / 2,
             }));
             eng.get_mut::<Forwarder>(a).peer = Some(z);
             eng.schedule(0.0, a, 0);
+            eng.run_to_completion(u64::MAX);
+            black_box(eng.events_processed())
+        })
+    });
+    g.finish();
+}
+
+fn bench_zero_delay_chain(c: &mut Criterion) {
+    let mut g = c.benchmark_group("engine-core");
+    g.throughput(Throughput::Elements(EVENTS));
+    g.bench_function("zero_delay_chain_3of4_100k", |b| {
+        b.iter(|| {
+            let mut eng: Engine<u32> = Engine::with_capacity(4, 16);
+            let ring: Vec<ComponentId> = [0.0, 0.0, 0.0, 0.001]
+                .into_iter()
+                .map(|delay| {
+                    eng.add(Box::new(Forwarder {
+                        peer: None,
+                        delay,
+                        remaining: EVENTS / 4,
+                    }))
+                })
+                .collect();
+            for (i, &id) in ring.iter().enumerate() {
+                eng.get_mut::<Forwarder>(id).peer = Some(ring[(i + 1) % ring.len()]);
+            }
+            eng.schedule(0.0, ring[0], 0);
             eng.run_to_completion(u64::MAX);
             black_box(eng.events_processed())
         })
@@ -216,7 +252,7 @@ fn bench_calendar_wheel(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().without_plots();
-    targets = bench_dispatch_only, bench_fan_out_storm, bench_timer_heavy,
+    targets = bench_dispatch_only, bench_zero_delay_chain, bench_fan_out_storm, bench_timer_heavy,
         bench_calendar_heap, bench_calendar_wheel
 }
 criterion_main!(benches);

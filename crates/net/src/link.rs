@@ -1,11 +1,10 @@
 //! An output-queued link: queue discipline + serializing transmitter +
 //! propagation delay.
 
-use crate::packet::{FlowId, NetEvent, Packet};
+use crate::packet::{NetEvent, Packet};
 use crate::queue::{AqmQueue, QueueStats};
 use ebrc_dist::Rng;
 use ebrc_sim::{Component, ComponentId, Context};
-use std::collections::HashMap;
 
 /// Aggregate link counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -22,8 +21,9 @@ pub struct LinkStats {
 /// discipline, are serialized at `rate_bps`, and exit after
 /// `prop_delay` toward `next_hop`.
 ///
-/// Per-flow departure and drop counters let experiments compute per-flow
-/// throughput and drop rates at the bottleneck.
+/// Counters are aggregate only ([`LinkStats`], [`QueueStats`],
+/// [`LinkQueue::total_drops`]): the per-packet path keys nothing by
+/// flow, and per-flow throughput and loss are the endpoints' to report.
 pub struct LinkQueue {
     queue: Box<dyn AqmQueue>,
     rate_bps: f64,
@@ -33,10 +33,7 @@ pub struct LinkQueue {
     in_flight: Option<Packet>,
     tx_started: f64,
     stats: LinkStats,
-    departures: HashMap<FlowId, u64>,
-    drops: HashMap<FlowId, u64>,
-    /// Running drop total across all flows — the per-flow map summed
-    /// would be O(flows) per sample, too slow for the trace hook.
+    /// Packets the discipline refused, across all flows.
     total_drops: u64,
 }
 
@@ -59,8 +56,6 @@ impl LinkQueue {
             in_flight: None,
             tx_started: 0.0,
             stats: LinkStats::default(),
-            departures: HashMap::new(),
-            drops: HashMap::new(),
             total_drops: 0,
         }
     }
@@ -84,16 +79,6 @@ impl LinkQueue {
     /// Link counters.
     pub fn link_stats(&self) -> LinkStats {
         self.stats
-    }
-
-    /// Packets of `flow` that left the link.
-    pub fn departures(&self, flow: FlowId) -> u64 {
-        self.departures.get(&flow).copied().unwrap_or(0)
-    }
-
-    /// Packets of `flow` dropped by the discipline.
-    pub fn drops(&self, flow: FlowId) -> u64 {
-        self.drops.get(&flow).copied().unwrap_or(0)
     }
 
     /// Packets dropped across all flows.
@@ -122,20 +107,16 @@ impl LinkQueue {
 impl Component<NetEvent> for LinkQueue {
     fn handle(&mut self, now: f64, event: NetEvent, ctx: &mut Context<NetEvent>) {
         match event {
-            NetEvent::Packet(pkt) => {
-                let flow = pkt.flow;
-                match self.queue.enqueue(pkt, now, &mut self.rng) {
-                    Ok(()) => {
-                        self.start_tx(now, ctx);
-                        ctx.trace_counter("qlen", self.queue.len() as f64);
-                    }
-                    Err(_dropped) => {
-                        *self.drops.entry(flow).or_insert(0) += 1;
-                        self.total_drops += 1;
-                        ctx.trace_counter("drops", self.total_drops as f64);
-                    }
+            NetEvent::Packet(pkt) => match self.queue.enqueue(pkt, now, &mut self.rng) {
+                Ok(()) => {
+                    self.start_tx(now, ctx);
+                    ctx.trace_counter("qlen", self.queue.len() as f64);
                 }
-            }
+                Err(_dropped) => {
+                    self.total_drops += 1;
+                    ctx.trace_counter("drops", self.total_drops as f64);
+                }
+            },
             NetEvent::TxDone => {
                 let pkt = self
                     .in_flight
@@ -144,7 +125,6 @@ impl Component<NetEvent> for LinkQueue {
                 self.stats.transmitted += 1;
                 self.stats.bytes += pkt.size as u64;
                 self.stats.busy_time += now - self.tx_started;
-                *self.departures.entry(pkt.flow).or_insert(0) += 1;
                 let next = self.next_hop.expect("link next hop not wired");
                 ctx.send(self.prop_delay, next, NetEvent::Packet(pkt));
                 self.start_tx(now, ctx);
@@ -158,7 +138,7 @@ impl Component<NetEvent> for LinkQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::PacketKind;
+    use crate::packet::{FlowId, PacketKind};
     use crate::queue::DropTailQueue;
     use crate::sink::Sink;
     use ebrc_sim::Engine;
@@ -220,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn overload_drops_and_counts_per_flow() {
+    fn overload_drops_and_counts() {
         let mut eng: Engine<NetEvent> = Engine::new();
         let link = eng.add(Box::new(LinkQueue::new(
             Box::new(DropTailQueue::new(5)),
@@ -237,12 +217,13 @@ mod tests {
         }
         eng.run_until(10.0);
         let l: &LinkQueue = eng.get(link);
-        assert_eq!(l.departures(FlowId(1)), 6);
-        assert_eq!(l.drops(FlowId(1)), 14);
+        assert_eq!(l.link_stats().transmitted, 6);
+        assert_eq!(l.total_drops(), 14);
+        assert_eq!(l.queue_stats().dropped, 14);
         let s: &Sink = eng.get(sink);
         assert_eq!(s.arrivals.len(), 6);
         // Conservation: transmitted + dropped = offered.
-        assert_eq!(l.link_stats().transmitted + l.drops(FlowId(1)), 20);
+        assert_eq!(l.link_stats().transmitted + l.total_drops(), 20);
     }
 
     #[test]

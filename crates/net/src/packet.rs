@@ -142,6 +142,15 @@ mod tests {
         assert_eq!(net_event_name(&fb), "packet:feedback");
     }
 
+    /// Every pending event is one `Scheduled<NetEvent>` in the lane or
+    /// a calendar bucket; growing a packet payload grows them all.
+    /// Shrink or box the new field instead of raising this bound.
+    #[test]
+    fn scheduled_net_event_stays_within_96_bytes() {
+        let size = std::mem::size_of::<ebrc_sim::Scheduled<NetEvent>>();
+        assert!(size <= 96, "Scheduled<NetEvent> grew to {size} bytes");
+    }
+
     #[test]
     fn data_packet_constructor() {
         let p = Packet::data(FlowId(3), 17, 1500, 2.5);

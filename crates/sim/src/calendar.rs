@@ -1,11 +1,26 @@
 //! Pluggable event calendars: the pending-event set behind the engine.
 //!
-//! The dispatch loop only ever asks three things of its calendar: accept
-//! an event ([`Calendar::push`]), report the earliest pending time
-//! ([`Calendar::next_time`]), and surrender the earliest event
-//! ([`Calendar::pop`]) — where *earliest* means minimal `(time, seq)`,
-//! the total order that makes simultaneous events fire in scheduling
-//! order and replays bit-exact.
+//! The calendar holds the engine's *timed* events — the ones due
+//! strictly after the clock, plus whatever `Engine::schedule` files
+//! from outside a run. Same-instant emissions never reach it; they
+//! wait in the engine's FIFO lane (see [`crate::engine`]). The
+//! dispatch loop asks three things of its calendar, each with a
+//! **single probe** of the structure:
+//!
+//! * accept an event ([`Calendar::push`]);
+//! * surrender the earliest event unless it lies beyond the run's
+//!   horizon ([`Calendar::pop_not_after`]) — one head lookup decides
+//!   both "is it due?" and "which one?", half the work of asking
+//!   [`Calendar::next_time`] and then [`Calendar::pop`];
+//! * report the earliest event's `(time, seq)` key without removing
+//!   it ([`Calendar::next_key`]), so the engine can decide whether a
+//!   same-instant calendar event precedes the lane's front.
+//!
+//! *Earliest* always means minimal `(time, seq)`, the total order that
+//! makes simultaneous events fire in scheduling order and replays
+//! bit-exact. [`Calendar::pop`] and [`Calendar::next_time`] remain as
+//! the unconditional forms for callers outside the engine (benches,
+//! probes, tests).
 //!
 //! Two implementations share that contract:
 //!
@@ -73,9 +88,10 @@ impl<E> Ord for Scheduled<E> {
 /// on that total order, which the `wheel ≡ heap` property tests pin
 /// down over arbitrary interleaved push/pop sequences.
 ///
-/// `next_time` takes `&mut self` deliberately: the wheel locates its
-/// head by advancing a cursor (and migrating overflow events into the
-/// ring), so even a read of the head may reorganize internal state.
+/// The head reads (`next_time`, `next_key`) take `&mut self`
+/// deliberately: the wheel locates its head by advancing a cursor (and
+/// migrating overflow events into the ring), so even a read of the
+/// head may reorganize internal state.
 pub trait Calendar<E> {
     /// Creates a calendar pre-sized for about `events` pending events.
     /// The hint is a performance knob only — any value is correct.
@@ -97,7 +113,20 @@ pub trait Calendar<E> {
 
     /// The delivery time of the event [`Calendar::pop`] would return,
     /// without removing it. `None` when empty.
-    fn next_time(&mut self) -> Option<f64>;
+    fn next_time(&mut self) -> Option<f64> {
+        self.next_key().map(|(time, _)| time)
+    }
+
+    /// The `(time, seq)` key of the event [`Calendar::pop`] would
+    /// return, without removing it. `None` when empty.
+    fn next_key(&mut self) -> Option<(f64, u64)>;
+
+    /// [`Calendar::pop`], unless the earliest event's time lies
+    /// strictly after `horizon` — then the calendar is left untouched
+    /// and the answer is `None`. One probe of the structure serves
+    /// both the comparison and the removal; tell "empty" from "not yet
+    /// due" with [`Calendar::is_empty`].
+    fn pop_not_after(&mut self, horizon: f64) -> Option<Scheduled<E>>;
 
     /// Number of pending events.
     fn len(&self) -> usize;
@@ -132,8 +161,15 @@ impl<E> Calendar<E> for HeapCalendar<E> {
         self.heap.pop()
     }
 
-    fn next_time(&mut self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time)
+    fn next_key(&mut self) -> Option<(f64, u64)> {
+        self.heap.peek().map(|s| (s.time, s.seq))
+    }
+
+    fn pop_not_after(&mut self, horizon: f64) -> Option<Scheduled<E>> {
+        if self.heap.peek()?.time > horizon {
+            return None;
+        }
+        self.heap.pop()
     }
 
     fn len(&self) -> usize {
@@ -537,33 +573,56 @@ impl<E> Calendar<E> for WheelCalendar<E> {
     }
 
     fn pop(&mut self) -> Option<Scheduled<E>> {
+        // `inf > inf` is false, so an infinite horizon holds nothing
+        // back — not even the `+inf` events the wheel tolerates.
+        self.pop_not_after(f64::INFINITY)
+    }
+
+    fn next_key(&mut self) -> Option<(f64, u64)> {
         if self.len() == 0 {
             return None;
         }
-        self.pops_since_rebuild = self.pops_since_rebuild.saturating_add(1);
-        match self.locate() {
-            Location::Head => self.head.pop(),
+        let head = match self.locate() {
+            Location::Head => self.head.peek()?,
+            Location::Bucket(b) => {
+                let bucket = &self.buckets[b];
+                &bucket[Self::bucket_min(bucket)]
+            }
+            Location::Overflow => self.overflow.peek()?,
+        };
+        Some((head.time, head.seq))
+    }
+
+    fn pop_not_after(&mut self, horizon: f64) -> Option<Scheduled<E>> {
+        if self.len() == 0 {
+            return None;
+        }
+        // One `locate()` and (for a small tick) one min-scan answer
+        // both "is the head due?" and "which event is it?".
+        let item = match self.locate() {
+            Location::Head => {
+                if self.head.peek()?.time > horizon {
+                    return None;
+                }
+                self.head.pop()
+            }
             Location::Bucket(b) => {
                 let mi = Self::bucket_min(&self.buckets[b]);
+                if self.buckets[b][mi].time > horizon {
+                    return None;
+                }
                 self.wheel_len -= 1;
                 Some(self.buckets[b].swap_remove(mi))
             }
-            Location::Overflow => self.overflow.pop(),
-        }
-    }
-
-    fn next_time(&mut self) -> Option<f64> {
-        if self.len() == 0 {
-            return None;
-        }
-        match self.locate() {
-            Location::Head => self.head.peek().map(|s| s.time),
-            Location::Bucket(b) => {
-                let mi = Self::bucket_min(&self.buckets[b]);
-                Some(self.buckets[b][mi].time)
+            Location::Overflow => {
+                if self.overflow.peek()?.time > horizon {
+                    return None;
+                }
+                self.overflow.pop()
             }
-            Location::Overflow => self.overflow.peek().map(|s| s.time),
-        }
+        };
+        self.pops_since_rebuild = self.pops_since_rebuild.saturating_add(1);
+        item
     }
 
     fn len(&self) -> usize {
@@ -592,6 +651,10 @@ mod tests {
             out.push((item.time, item.seq));
         }
         out
+    }
+
+    fn key_bits(key: Option<(f64, u64)>) -> Option<(u64, u64)> {
+        key.map(|(t, s)| (t.to_bits(), s))
     }
 
     fn assert_sorted(order: &[(f64, u64)]) {
@@ -638,7 +701,30 @@ mod tests {
             }
             if round % 3 != 0 {
                 for _ in 0..(next() % 3) {
-                    let (a, b) = (wheel.pop(), heap.pop());
+                    // Head reads agree before every removal…
+                    assert_eq!(key_bits(wheel.next_key()), key_bits(heap.next_key()));
+                    assert_eq!(
+                        wheel.next_time().map(f64::to_bits),
+                        heap.next_time().map(f64::to_bits)
+                    );
+                    // …and removals alternate between the plain pop and
+                    // the single-probe form, with horizons on both
+                    // sides of the head (a refusal must leave the
+                    // calendar untouched).
+                    let (a, b) = match next() % 3 {
+                        0 => (wheel.pop(), heap.pop()),
+                        k => {
+                            let horizon = clock + (next() % 600) as f64 / 100.0 * (k - 1) as f64;
+                            let (a, b) =
+                                (wheel.pop_not_after(horizon), heap.pop_not_after(horizon));
+                            if let Some(x) = &a {
+                                assert!(x.time <= horizon, "popped past the horizon");
+                            } else if let Some((t, _)) = wheel.next_key() {
+                                assert!(t > horizon, "held back a due event");
+                            }
+                            (a, b)
+                        }
+                    };
                     match (a, b) {
                         (Some(x), Some(y)) => {
                             assert_eq!((x.time.to_bits(), x.seq), (y.time.to_bits(), y.seq));
@@ -702,10 +788,15 @@ mod tests {
         let mut cal: WheelCalendar<u32> = Calendar::with_capacity(8);
         assert!(cal.is_empty());
         assert_eq!(cal.next_time(), None);
+        assert_eq!(cal.next_key(), None);
         assert!(cal.pop().is_none());
+        assert!(cal.pop_not_after(f64::INFINITY).is_none());
         cal.push(ev(1.0, 0));
         assert_eq!(cal.len(), 1);
-        assert!(cal.pop().is_some());
+        assert_eq!(cal.next_key(), Some((1.0, 0)));
+        assert!(cal.pop_not_after(0.5).is_none(), "not due yet");
+        assert_eq!(cal.len(), 1);
+        assert!(cal.pop_not_after(1.0).is_some(), "the horizon is inclusive");
         assert!(cal.is_empty());
         // Reuse after emptying, at a later clock.
         cal.push(ev(500.0, 1));

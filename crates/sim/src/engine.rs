@@ -1,18 +1,44 @@
-//! The event calendar and dispatch loop.
+//! The dispatch loop: clock, same-instant lane, calendar, components.
+//!
+//! Pending events live in one of two places. An emission whose
+//! delivery time equals the clock (`clock + delay == clock`: a zero
+//! delay, or one so small the clock's `f64` absorbs it) goes to the
+//! **same-instant lane**, a plain FIFO; everything else goes to the
+//! [`Calendar`]. About half of a packet simulation's events are such
+//! zero-delay hops (endpoint → bottleneck, link → delay box, demux →
+//! endpoint), and the lane serves them with a `VecDeque` push and pop
+//! instead of a round trip through the timer wheel.
+//!
+//! **Lane invariant.** Every lane entry's time equals the clock, and
+//! lane seqs ascend front to back — so the front is the lane's
+//! `(time, seq)` minimum. The clock never moves while the lane is
+//! non-empty. The calendar only ever sees strictly-future emissions
+//! and events filed from outside a run by [`Engine::schedule`].
+//!
+//! **Dispatch order.** The next event is the `(time, seq)` minimum of
+//! the lane front and the calendar head. Nothing pending lies before
+//! the clock, so the calendar wins only when its head sits at the
+//! clock's own instant with a smaller `seq` (an older same-time timer,
+//! or an external `schedule(0.0, ..)`); the loop learns that from one
+//! [`Calendar::next_key`] per instant. With the lane empty it takes
+//! the head with one [`Calendar::pop_not_after`] — a single probe that
+//! answers "due before the horizon?" and "which event?" together. The
+//! order is exactly the one a calendar-only engine produces.
 //!
 //! The hot path is allocation-free on the steady state: the engine
 //! owns one reusable *scratch buffer* for the events a handler emits,
 //! lends it to the [`Context`] for the duration of the handler, and
 //! reclaims it afterwards — so dispatching an event touches the heap
-//! only when the calendar or the scratch buffer has to grow past its
-//! high-water mark. [`Engine::with_capacity`] pre-sizes the calendar
-//! and the component slab so their growth happens before the first
-//! event fires; the scratch buffer starts small and grows (once) to
-//! the widest fan-out any handler produces.
+//! only when the calendar, the lane or the scratch buffer has to grow
+//! past its high-water mark. [`Engine::with_capacity`] pre-sizes the
+//! calendar and the component slab so their growth happens before the
+//! first event fires; the scratch buffer and the lane start small and
+//! grow (once) to the widest fan-out any handler produces.
 
 use crate::calendar::{Calendar, Scheduled, WheelCalendar};
 use crate::trace::TraceSink;
 use std::any::Any;
+use std::collections::VecDeque;
 
 /// Panics unless `delay` is a finite, non-negative number of seconds.
 ///
@@ -64,11 +90,12 @@ pub trait Component<E: 'static>: Any + Send {
 /// Event-emission interface handed to a component while it runs.
 ///
 /// The `emitted` buffer is the engine's scratch space on loan: the
-/// engine drains it into the calendar after the handler returns and
-/// keeps the allocation for the next dispatch. The `tracer` slot is
-/// likewise the engine's sink on loan (always `None` unless a sink was
-/// installed), so [`Context::trace_counter`]/[`Context::trace_instant`]
-/// reach the same observer as the dispatch hook.
+/// engine drains it into the lane and the calendar after the handler
+/// returns and keeps the allocation for the next dispatch. The
+/// `tracer` slot is likewise the engine's sink on loan (always `None`
+/// unless a sink was installed), so
+/// [`Context::trace_counter`]/[`Context::trace_instant`] reach the
+/// same observer as the dispatch hook.
 pub struct Context<E> {
     now: f64,
     self_id: ComponentId,
@@ -139,7 +166,7 @@ impl<E: 'static> Context<E> {
 /// Why a budgeted run returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
-    /// The calendar emptied.
+    /// Nothing is pending: the lane and the calendar both emptied.
     Idle,
     /// The next event lies strictly beyond the requested horizon.
     Horizon,
@@ -201,7 +228,12 @@ impl RunOutcome {
     }
 }
 
-/// The discrete-event engine: clock + calendar + components.
+/// The discrete-event engine: clock + same-instant lane + calendar +
+/// components.
+///
+/// The whole pending set — lane included — is owned state, so a run
+/// paused by [`Engine::run_budgeted`] carries it along when the engine
+/// moves to another worker thread.
 ///
 /// Generic over its [`Calendar`] implementation; the default
 /// [`WheelCalendar`] gives O(1) steady-state schedule/pop, and
@@ -213,6 +245,9 @@ impl RunOutcome {
 pub struct Engine<E: 'static, C: Calendar<E> = WheelCalendar<E>> {
     clock: f64,
     seq: u64,
+    /// Events due at exactly `clock`, in ascending `seq` (see the
+    /// module docs for the invariant).
+    lane: VecDeque<Scheduled<E>>,
     queue: C,
     components: Vec<Option<Box<dyn Component<E>>>>,
     /// Reusable emission buffer lent to the [`Context`] per dispatch —
@@ -223,6 +258,20 @@ pub struct Engine<E: 'static, C: Calendar<E> = WheelCalendar<E>> {
     /// like the scratch buffer. `None` (the default) keeps every trace
     /// hook a single inlined branch.
     tracer: Option<Box<dyn TraceSink<E>>>,
+}
+
+impl<E: 'static, C: Calendar<E>> std::fmt::Debug for Engine<E, C> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Engine")
+            .field("clock", &self.clock)
+            .field("seq", &self.seq)
+            .field("processed", &self.processed)
+            .field("lane_len", &self.lane.len())
+            .field("calendar_len", &self.queue.len())
+            .field("components", &self.components.len())
+            .field("traced", &self.tracer.is_some())
+            .finish()
+    }
 }
 
 impl<E: 'static, C: Calendar<E>> Default for Engine<E, C> {
@@ -257,6 +306,7 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
         Self {
             clock: 0.0,
             seq: 0,
+            lane: VecDeque::with_capacity(8),
             queue: calendar,
             components: Vec::with_capacity(components),
             scratch: Vec::with_capacity(8),
@@ -299,12 +349,17 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
         self.processed
     }
 
-    /// Whether the calendar is empty.
+    /// Whether nothing is pending, in the lane or the calendar.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
+        self.lane.is_empty() && self.queue.is_empty()
     }
 
     /// Schedules an event from outside any component (experiment setup).
+    ///
+    /// Always files into the calendar, even at `delay == 0.0` between
+    /// two budgeted slices: the dispatch loop orders the calendar head
+    /// against the lane on `(time, seq)`, so the event fires after
+    /// every same-instant event already pending.
     ///
     /// # Panics
     /// Panics on a negative or non-finite delay, or an unknown target.
@@ -326,7 +381,7 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
         s
     }
 
-    /// Dispatches events until the calendar empties or the next event
+    /// Dispatches events until nothing is pending or the next event
     /// lies strictly beyond `t_end`; the clock finishes at `t_end` (or at
     /// the last event, whichever is later). Returns the number of events
     /// dispatched by this call.
@@ -339,7 +394,7 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
     }
 
     /// The single dispatch loop behind every run entry point: dispatches
-    /// events until the calendar empties, the next event lies strictly
+    /// events until nothing is pending, the next event lies strictly
     /// beyond `limit.horizon`, or `limit.max_events` have been
     /// dispatched by this call — whichever comes first.
     ///
@@ -359,21 +414,48 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
             max_events,
         } = limit;
         let before = self.processed;
+        // Whether the calendar head is known to lie strictly after the
+        // clock. Whatever a handler sends the calendar is strictly
+        // later too, so once learned this holds until the clock moves
+        // — which only a calendar pop does.
+        let mut calendar_is_later = false;
         let reason = loop {
             if self.processed - before >= max_events {
                 break StopReason::Budget;
             }
-            match self.queue.next_time() {
-                None => break StopReason::Idle,
-                Some(head_time) if head_time > t_end => break StopReason::Horizon,
-                Some(_) => {}
-            }
-            let item = self.queue.pop().expect("peeked");
+            let lane_first = match self.lane.front() {
+                None => false,
+                Some(front) if front.time > t_end => break StopReason::Horizon,
+                Some(_) if calendar_is_later => true,
+                Some(front) => match self.queue.next_key() {
+                    // A tie on the instant: scheduling order decides.
+                    Some((time, seq)) if time == front.time => front.seq < seq,
+                    _ => {
+                        calendar_is_later = true;
+                        true
+                    }
+                },
+            };
+            let item = if lane_first {
+                self.lane.pop_front().expect("peeked")
+            } else {
+                calendar_is_later = false;
+                match self.queue.pop_not_after(t_end) {
+                    Some(item) => item,
+                    None if self.queue.is_empty() => break StopReason::Idle,
+                    None => break StopReason::Horizon,
+                }
+            };
             debug_assert!(item.time >= self.clock, "time went backwards");
+            debug_assert!(
+                self.lane.is_empty() || item.time == self.clock,
+                "clock moved while the lane held same-instant events"
+            );
             self.clock = item.time;
             self.dispatch(item);
         };
         if !matches!(reason, StopReason::Budget) && t_end.is_finite() && self.clock < t_end {
+            debug_assert!(self.lane.is_empty(), "clock moved past a non-empty lane");
             self.clock = t_end;
         }
         RunOutcome {
@@ -382,7 +464,7 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
         }
     }
 
-    /// Drains the calendar completely (up to `max_events`), returning
+    /// Drains every pending event (up to `max_events`), returning
     /// the number of events dispatched. Use for scenarios whose sources
     /// stop on their own; the budget guards against the ones that don't.
     ///
@@ -407,10 +489,10 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
             t.on_event(self.clock, ComponentId(item.target), &item.event);
         }
         // Lend the engine's scratch buffer to the context; handlers
-        // emit into it, then the drain below feeds the calendar and
-        // the (empty) buffer returns home — zero steady-state
-        // allocation. The tracer rides along the same way (a pointer
-        // move of a `None` in the untraced default).
+        // emit into it, then the drain below feeds the lane and the
+        // calendar and the (empty) buffer returns home — zero
+        // steady-state allocation. The tracer rides along the same way
+        // (a pointer move of a `None` in the untraced default).
         let mut ctx = Context {
             now: self.clock,
             self_id: ComponentId(item.target),
@@ -428,13 +510,17 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
         let mut emitted = ctx.emitted;
         for (delay, target, event) in emitted.drain(..) {
             assert!(target.0 < self.components.len(), "unknown component");
-            let seq = self.next_seq();
-            self.queue.push(Scheduled {
+            let item = Scheduled {
                 time: self.clock + delay,
-                seq,
+                seq: self.next_seq(),
                 target: target.0,
                 event,
-            });
+            };
+            if item.time == self.clock {
+                self.lane.push_back(item);
+            } else {
+                self.queue.push(item);
+            }
         }
         self.scratch = emitted;
     }
@@ -484,6 +570,19 @@ mod tests {
         }
     }
 
+    /// The `Ping` ids `rec` logged, in arrival order (`u32::MAX` for a
+    /// `Tick`).
+    fn pings(eng: &Engine<Ev>, rec: ComponentId) -> Vec<u32> {
+        eng.get::<Recorder>(rec)
+            .log
+            .iter()
+            .map(|(_, e)| match e {
+                Ev::Ping(n) => *n,
+                Ev::Tick => u32::MAX,
+            })
+            .collect()
+    }
+
     /// Emits a Tick to a peer every `period` until `t_stop`.
     struct Ticker {
         period: f64,
@@ -510,16 +609,7 @@ mod tests {
         eng.schedule(1.0, rec, Ev::Ping(1));
         eng.schedule(2.0, rec, Ev::Ping(2));
         eng.run_until(10.0);
-        let r: &Recorder = eng.get(rec);
-        let order: Vec<u32> = r
-            .log
-            .iter()
-            .map(|(_, e)| match e {
-                Ev::Ping(n) => *n,
-                _ => 0,
-            })
-            .collect();
-        assert_eq!(order, vec![1, 2, 3]);
+        assert_eq!(pings(&eng, rec), vec![1, 2, 3]);
         assert_eq!(eng.now(), 10.0);
     }
 
@@ -531,16 +621,7 @@ mod tests {
             eng.schedule(5.0, rec, Ev::Ping(i));
         }
         eng.run_until(5.0);
-        let r: &Recorder = eng.get(rec);
-        let order: Vec<u32> = r
-            .log
-            .iter()
-            .map(|(_, e)| match e {
-                Ev::Ping(n) => *n,
-                _ => 0,
-            })
-            .collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
+        assert_eq!(pings(&eng, rec), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -777,17 +858,107 @@ mod tests {
         eng.schedule(0.0, fan, Ev::Tick);
         eng.schedule(100.0, fan, Ev::Tick);
         eng.run_until(300.0);
-        let r: &Recorder = eng.get(rec);
-        assert_eq!(r.log.len(), 64);
-        let ids: Vec<u32> = r.log[..32]
-            .iter()
-            .map(|(_, e)| match e {
-                Ev::Ping(n) => *n,
-                _ => u32::MAX,
-            })
-            .collect();
-        assert_eq!(ids, (0..32).collect::<Vec<_>>());
+        let ids = pings(&eng, rec);
+        assert_eq!(ids.len(), 64);
+        assert_eq!(ids[..32], (0..32).collect::<Vec<_>>());
         assert_eq!(eng.events_processed(), 66);
+    }
+
+    /// Forwards each event to `peer` with `delay` — zero for a lane
+    /// hop, tiny for an fp-absorbed one.
+    struct Hop {
+        delay: f64,
+        peer: ComponentId,
+    }
+
+    impl Component<Ev> for Hop {
+        fn handle(&mut self, _now: f64, event: Ev, ctx: &mut Context<Ev>) {
+            ctx.send(self.delay, self.peer, event);
+        }
+    }
+
+    #[test]
+    fn lane_events_count_as_pending_work() {
+        let mut eng = Engine::new();
+        let rec = eng.add(Box::new(Recorder { log: vec![] }));
+        let hop = eng.add(Box::new(Hop {
+            delay: 0.0,
+            peer: rec,
+        }));
+        eng.schedule(1.0, hop, Ev::Ping(1));
+        let out = eng.run_budgeted(RunLimit::events(1));
+        assert_eq!(out.reason, StopReason::Budget);
+        // The only pending event sits in the lane, not the calendar.
+        assert!(!eng.is_idle());
+        assert!(format!("{eng:?}").contains("lane_len: 1"));
+        // A horizon before the clock leaves it there, clock untouched.
+        let out = eng.run_budgeted(RunLimit::until(0.5));
+        assert_eq!((out.events, out.reason), (0, StopReason::Horizon));
+        assert_eq!(eng.now(), 1.0);
+        let out = eng.run_budgeted(RunLimit::until(2.0));
+        assert_eq!((out.events, out.reason), (1, StopReason::Idle));
+        assert!(eng.is_idle());
+        assert_eq!(eng.get::<Recorder>(rec).log, vec![(1.0, Ev::Ping(1))]);
+    }
+
+    #[test]
+    fn same_instant_ties_between_lane_and_calendar_resolve_by_seq() {
+        let mut eng = Engine::new();
+        let rec = eng.add(Box::new(Recorder { log: vec![] }));
+        let hop = eng.add(Box::new(Hop {
+            delay: 0.0,
+            peer: rec,
+        }));
+        // Two timers at one instant: the hop's emission (lane) is
+        // younger than the second timer (calendar), so it fires last.
+        eng.schedule(1.0, hop, Ev::Ping(1));
+        eng.schedule(1.0, rec, Ev::Ping(2));
+        assert_eq!(eng.run_events(1), 1);
+        // Filed from outside while the lane holds Ping(1): same
+        // instant, largest seq — fires after both.
+        eng.schedule(0.0, rec, Ev::Ping(3));
+        eng.run_until(5.0);
+        assert_eq!(pings(&eng, rec), vec![2, 1, 3]);
+        assert!(eng.get::<Recorder>(rec).log.iter().all(|(t, _)| *t == 1.0));
+    }
+
+    #[test]
+    fn fp_absorbed_delays_ride_the_lane_in_order() {
+        let mut eng = Engine::new();
+        let rec = eng.add(Box::new(Recorder { log: vec![] }));
+        let hop = eng.add(Box::new(Hop {
+            delay: 1e-12,
+            peer: rec,
+        }));
+        // At t = 1e7 a picosecond is below the clock's resolution:
+        // the hop's output lands on the same instant, after the timer
+        // scheduled before it.
+        eng.schedule(1e7, hop, Ev::Ping(1));
+        eng.schedule(1e7, rec, Ev::Ping(2));
+        eng.run_until(2e7);
+        assert_eq!(pings(&eng, rec), vec![2, 1]);
+        assert_eq!(eng.get::<Recorder>(rec).log[1].0, 1e7);
+    }
+
+    #[test]
+    fn paused_engine_carries_its_lane_across_threads() {
+        let mut eng = Engine::new();
+        let rec = eng.add(Box::new(Recorder { log: vec![] }));
+        let fan = eng.add(Box::new(FanOut { fan: 3, peer: rec }));
+        let hop = eng.add(Box::new(Hop {
+            delay: 0.0,
+            peer: fan,
+        }));
+        eng.schedule(1.0, hop, Ev::Tick);
+        assert_eq!(eng.run_events(1), 1);
+        assert!(!eng.is_idle());
+        let eng = std::thread::spawn(move || {
+            eng.run_until(10.0);
+            eng
+        })
+        .join()
+        .expect("resumed run");
+        assert_eq!(pings(&eng, rec), vec![0, 1, 2]);
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! the workload is CPU-bound, so threads and reactors would only add
 //! nondeterminism.
 //!
-//! * [`Engine`] owns the clock, the event calendar, and the components.
+//! * [`Engine`] owns the clock, the pending events, and the components.
+//!   Events due at the clock's own instant (zero-delay hops — about
+//!   half of a packet simulation's events) wait in a FIFO *same-instant
+//!   lane*; timed events wait in the calendar, and the dispatch loop
+//!   merges the two on `(time, sequence)`.
 //!   The calendar is pluggable behind the [`Calendar`] trait — the
 //!   default [`WheelCalendar`] is a calendar queue with O(1)
 //!   steady-state schedule/pop (the many-flow scaling path), and
@@ -19,7 +23,7 @@
 //!   nothing else, since the `Any` supertrait provides the downcast
 //!   upcast for free. Components never touch each other directly; they
 //!   emit events through the [`Context`], which the engine drains into
-//!   the calendar after the handler returns. This message-only
+//!   the lane and the calendar after the handler returns. This message-only
 //!   discipline is what makes replays exact.
 //! * The dispatch loop is allocation-free on the steady state: the
 //!   engine lends one reusable scratch buffer to each handler's

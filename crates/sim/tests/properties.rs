@@ -2,9 +2,12 @@
 //! deterministically, exactly once.
 
 use ebrc_sim::{
-    Calendar, Component, Context, Engine, HeapCalendar, RunLimit, StopReason, WheelCalendar,
+    Calendar, Component, ComponentId, Context, Engine, HeapCalendar, RunLimit, StopReason,
+    WheelCalendar,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 struct Recorder {
     log: Vec<(f64, u32)>,
@@ -122,6 +125,119 @@ impl NaiveEngine {
     fn run_events(&mut self, n: u64) {
         self.run_budgeted(f64::INFINITY, n);
     }
+}
+
+/// An event of the random component graphs: `id` mirrors the engine's
+/// private `seq` (see [`Mirror`]), `ttl` bounds the cascade.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    id: u64,
+    ttl: u8,
+}
+
+/// Test-side bookkeeping shared by every node of one graph run.
+///
+/// The engine assigns `seq` in the exact order `schedule`/`send` are
+/// called, so a counter bumped at each of those calls reproduces every
+/// event's `seq` — which lets the log be checked against the full
+/// `(time, seq)` dispatch order rather than time alone.
+#[derive(Default)]
+struct Mirror {
+    next_id: AtomicU64,
+    /// `(time bits, id)` per dispatch; times are non-negative, so the
+    /// bit patterns order like the times.
+    log: Mutex<Vec<(u64, u64)>>,
+}
+
+impl Mirror {
+    fn hop(&self, ttl: u8) -> Hop {
+        Hop {
+            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+            ttl,
+        }
+    }
+}
+
+/// A graph node: logs each arrival, then forwards one hop along every
+/// out-edge until the ttl runs out.
+struct Node {
+    edges: Vec<(f64, ComponentId)>,
+    mirror: Arc<Mirror>,
+}
+
+impl Component<Hop> for Node {
+    fn handle(&mut self, now: f64, ev: Hop, ctx: &mut Context<Hop>) {
+        let mut log = self.mirror.log.lock().expect("log lock");
+        log.push((now.to_bits(), ev.id));
+        if ev.ttl > 0 {
+            for &(delay, target) in &self.edges {
+                ctx.send(delay, target, self.mirror.hop(ev.ttl - 1));
+            }
+        }
+    }
+}
+
+/// One step of a graph run: file an event from outside, or dispatch a
+/// 1–3 event slice.
+#[derive(Debug, Clone)]
+enum GraphOp {
+    Schedule { delay: f64, node: usize, ttl: u8 },
+    Slice(u64),
+}
+
+/// Delays that stress the lane/calendar boundary: exact zeros (lane),
+/// a picosecond (lane at a large clock, calendar at a small one),
+/// quarter-second multiples (distinct paths that land on one instant,
+/// so the calendar holds same-instant events older than the lane's)
+/// and arbitrary positive delays.
+fn arb_delay() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        3 => Just(0.0),
+        1 => Just(1e-12),
+        2 => (1u32..6).prop_map(|k| f64::from(k) * 0.25),
+        2 => 0.001f64..2.0,
+    ]
+}
+
+/// Runs `ops` on a graph of `edges.len()` nodes over calendar `C`,
+/// drains it, and returns the dispatch log plus the number of events
+/// ever scheduled. `start` pre-advances the clock (to 1e7 for the
+/// fp-absorption cases).
+fn run_graph<C: Calendar<Hop>>(
+    edges: &[Vec<(f64, usize)>],
+    ops: &[GraphOp],
+    start: f64,
+) -> (Vec<(u64, u64)>, u64) {
+    let mirror = Arc::new(Mirror::default());
+    let mut eng: Engine<Hop, C> = Engine::with_calendar(C::with_capacity(16), edges.len());
+    let ids: Vec<ComponentId> = edges
+        .iter()
+        .map(|_| {
+            eng.add(Box::new(Node {
+                edges: Vec::new(),
+                mirror: Arc::clone(&mirror),
+            }))
+        })
+        .collect();
+    for (id, out) in ids.iter().zip(edges) {
+        eng.get_mut::<Node>(*id).edges =
+            out.iter().map(|&(d, t)| (d, ids[t % ids.len()])).collect();
+    }
+    eng.run_until(start);
+    for op in ops {
+        match *op {
+            GraphOp::Schedule { delay, node, ttl } => {
+                eng.schedule(delay, ids[node % ids.len()], mirror.hop(ttl));
+            }
+            GraphOp::Slice(n) => {
+                let _ = eng.run_budgeted(RunLimit::events(n));
+            }
+        }
+    }
+    eng.run_to_completion(u64::MAX);
+    assert!(eng.is_idle());
+    let log = std::mem::take(&mut *mirror.log.lock().expect("log lock"));
+    (log, mirror.next_id.load(Ordering::Relaxed))
 }
 
 /// One step of an interleaved workload.
@@ -264,6 +380,41 @@ proptest! {
             );
         }
         prop_assert_eq!(&eng.get::<Echo>(echo).log, &reference.log, "dispatch log diverged");
+    }
+
+    /// Property — the order oracle for the lane + single-probe loop:
+    /// over random component graphs mixing zero-delay chains, positive
+    /// delays, same-instant ties between lane and calendar, events
+    /// filed from outside at the current instant between 1–3 event
+    /// slices, and picosecond delays at `t = 1e7`, every scheduled
+    /// event is dispatched exactly once, the dispatch log is strictly
+    /// increasing in `(time, seq)`, and the wheel and heap engines
+    /// produce the same log.
+    #[test]
+    fn lane_and_calendar_dispatch_in_time_seq_order_exactly_once(
+        edges in proptest::collection::vec(
+            proptest::collection::vec((arb_delay(), 0usize..6), 0..3),
+            1..6,
+        ),
+        ops in proptest::collection::vec(
+            prop_oneof![
+                2 => (arb_delay(), 0usize..6, 0u8..5)
+                    .prop_map(|(delay, node, ttl)| GraphOp::Schedule { delay, node, ttl }),
+                3 => (1u64..4).prop_map(GraphOp::Slice),
+            ],
+            1..40,
+        ),
+        start in prop_oneof![Just(0.0), Just(1e7)],
+    ) {
+        let (wheel, scheduled) = run_graph::<WheelCalendar<Hop>>(&edges, &ops, start);
+        let (heap, _) = run_graph::<HeapCalendar<Hop>>(&edges, &ops, start);
+        prop_assert_eq!(&wheel, &heap, "wheel and heap engines diverged");
+        for w in wheel.windows(2) {
+            prop_assert!(w[0] < w[1], "dispatch order broke (time, seq): {:?}", w);
+        }
+        let mut ids: Vec<u64> = wheel.iter().map(|&(_, id)| id).collect();
+        ids.sort_unstable();
+        prop_assert_eq!(ids, (0..scheduled).collect::<Vec<_>>(), "exactly once");
     }
 
     /// Property: `run_events(n)` is exactly `run_budgeted(∞, n)` — one

@@ -116,7 +116,12 @@ impl TcpSink {
         self.last_echo = (pkt.seq, pkt.sent_at);
         let in_order = pkt.seq == self.cum_ack;
         let had_buffered_gap = !self.out_of_order.is_empty();
-        if pkt.seq >= self.cum_ack {
+        if in_order && !had_buffered_gap {
+            // The common case: nothing buffered, next expected segment.
+            // Skips an insert + remove on an empty set (a tree-node
+            // allocation and free per data packet).
+            self.cum_ack += 1;
+        } else if pkt.seq >= self.cum_ack {
             self.out_of_order.insert(pkt.seq);
             // Advance the cumulative point over any filled prefix.
             while self.out_of_order.remove(&self.cum_ack) {

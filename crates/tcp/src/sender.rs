@@ -441,7 +441,7 @@ mod tests {
             s.recorder().events()
         );
         let l: &LinkQueue = eng.get(link);
-        assert!(l.drops(FlowId(1)) > 10);
+        assert!(l.total_drops() > 10);
         // Utilization should remain decent despite the sawtooth.
         let tput = s.throughput(200.0);
         assert!(tput > 100.0, "throughput {tput} pps on a 167 pps link");
