@@ -6,7 +6,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ebrc_experiments::{find_experiment, Scale, MASTER_SEED};
-use ebrc_runner::{default_threads, run_specs, Pool};
+use ebrc_runner::{default_threads, run_plan, ExecConfig, Pool};
 
 /// A CPU-bound synthetic job: enough work that scheduling overhead is
 /// visible but not dominant.
@@ -53,11 +53,15 @@ fn bench_experiment_grid(c: &mut Criterion) {
         g.bench_function(format!("sims/{threads}-threads"), |b| {
             let pool = Pool::new(threads);
             b.iter(|| {
-                black_box(run_specs(
+                black_box(run_plan(
                     &pool,
                     MASTER_SEED,
-                    black_box(plan.specs()),
+                    black_box(&plan),
+                    None,
+                    None,
+                    ExecConfig::default(),
                     |_, _| {},
+                    |_| {},
                 ))
             })
         });

@@ -53,13 +53,13 @@
 //! without taking down the rest of the sweep.
 
 use ebrc_experiments::{
-    all_experiments, global_plan, plan_run_catalogue_cached, scale_by_name, select_experiments,
-    table_file_name, CatalogueBackend, Experiment, ExperimentFailure, ExperimentReport, Plan,
+    all_experiments, global_plan, plan_run_catalogue_cached, reduce_subscription, scale_by_name,
+    select_experiments, table_file_name, CatalogueBackend, Experiment, ExperimentReport, Plan,
     Scale, SpecOutput, MASTER_SEED,
 };
 use ebrc_runner::{
-    panic_message, run_specs_cached, CacheCounters, DirCache, ExecConfig, OutputCache, Pool,
-    Spec as _, SpecTiming, TraceConfig,
+    run_plan, CacheCounters, DirCache, ExecConfig, OutputCache, Pool, Spec as _, SpecTiming,
+    TraceConfig,
 };
 use ebrc_serve::{
     client, supervise, DispatchConfig, DispatchEvent, Event, FaultKill, ListenAddr, Request,
@@ -504,11 +504,10 @@ fn run_shard(targets: &[String], opts: &Options) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let indices = plan.shard_indices(shard, of);
-    let specs: Vec<_> = indices.iter().map(|&i| plan.specs()[i].clone()).collect();
     let pool = Pool::new(opts.threads);
     eprintln!(
         "# shard {shard}/{of}: {} of {} unique sims, {} thread(s), scale {}",
-        specs.len(),
+        indices.len(),
         plan.unique_len(),
         pool.threads(),
         opts.scale_name,
@@ -517,17 +516,18 @@ fn run_shard(targets: &[String], opts: &Options) -> ExitCode {
     let started = std::time::Instant::now();
     let cache = opts.cache();
     let mut exec = opts.exec();
-    match opts.trace_config(specs.len()) {
+    match opts.trace_config(indices.len()) {
         Ok(tc) => exec.trace = tc,
         Err(e) => {
             eprintln!("# error: {e}");
             return ExitCode::FAILURE;
         }
     }
-    let (results, stats) = run_specs_cached(
+    let (results, stats) = run_plan(
         &pool,
         MASTER_SEED,
-        &specs,
+        &plan,
+        Some(&indices),
         cache.as_ref().map(|c| c as &dyn OutputCache),
         exec,
         |done, total| {
@@ -536,6 +536,7 @@ fn run_shard(targets: &[String], opts: &Options) -> ExitCode {
                 let _ = std::io::stderr().flush();
             }
         },
+        |_| {},
     );
     if show_progress {
         eprintln!();
@@ -544,26 +545,33 @@ fn run_shard(targets: &[String], opts: &Options) -> ExitCode {
         report_cache(stats.cache, c.dir());
     }
 
+    // Executed sims have a timing row; cache hits have none.
+    let cost: HashMap<&str, &SpecTiming> =
+        stats.timings.iter().map(|t| (t.key.as_str(), t)).collect();
     let mut outputs = Vec::new();
     let mut failures = Vec::new();
-    for (idx, result) in indices.iter().zip(results) {
-        let key = plan.specs()[*idx].key();
-        let hash = plan.spec_hashes()[*idx];
-        match result {
-            Ok((out, cost)) => outputs.push(Value::Object(vec![
+    for &idx in &indices {
+        let key = plan.specs()[idx].key();
+        let hash = plan.spec_hashes()[idx];
+        let (events, wall_s) = cost
+            .get(key.as_str())
+            .map_or((0, 0.0), |t| (t.events, t.wall_s));
+        // `run_plan` fills the slot of every index in `only`.
+        match results[idx].as_ref().expect("shard spec has a result") {
+            Ok(out) => outputs.push(Value::Object(vec![
                 ("key".into(), Value::String(key)),
                 ("hash".into(), Value::String(format!("{hash:016x}"))),
                 // Engine events and wall seconds this sim cost (both 0
                 // when it was served from the cache) — the measured
                 // sweep cost a dispatcher can read back per experiment
                 // to balance the next shard assignment.
-                ("events".into(), Value::Number(cost.events as f64)),
-                ("wall_s".into(), Value::Number(cost.wall_s)),
+                ("events".into(), Value::Number(events as f64)),
+                ("wall_s".into(), Value::Number(wall_s)),
                 ("output".into(), out.to_value()),
             ])),
             Err(msg) => failures.push(Value::Object(vec![
                 ("key".into(), Value::String(key)),
-                ("error".into(), Value::String(msg)),
+                ("error".into(), Value::String(msg.clone())),
             ])),
         }
     }
@@ -596,7 +604,7 @@ fn run_shard(targets: &[String], opts: &Options) -> ExitCode {
     eprintln!(
         "# shard {shard}/{of}: wrote {} ({} sims, {} failed, {} engine events) in {:.1?}",
         path.display(),
-        specs.len() - failed,
+        indices.len() - failed,
         failed,
         stats.events,
         started.elapsed(),
@@ -727,30 +735,12 @@ fn merge_shards(targets: &[String], opts: &Options) -> ExitCode {
                     }
                 }
             }
-            let outcome = if failed_specs.is_empty() {
-                catch_unwind(AssertUnwindSafe(|| exp.reduce(opts.scale, &refs))).map_err(|p| {
-                    ExperimentFailure {
-                        id: exp.id().to_string(),
-                        failed_specs: Vec::new(),
-                        phase_error: Some(format!(
-                            "reduce panicked: {}",
-                            panic_message(p.as_ref())
-                        )),
-                    }
-                })
+            let inputs = if failed_specs.is_empty() {
+                Ok(refs)
             } else {
-                Err(ExperimentFailure {
-                    id: exp.id().to_string(),
-                    failed_specs,
-                    phase_error: None,
-                })
+                Err(failed_specs)
             };
-            ExperimentReport {
-                id: exp.id(),
-                title: exp.title(),
-                paper_ref: exp.paper_ref(),
-                outcome,
-            }
+            reduce_subscription(exp.as_ref(), opts.scale, inputs)
         })
         .collect();
     for report in &reports {

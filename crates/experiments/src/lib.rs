@@ -10,7 +10,7 @@
 //! catalogue into one deduplicated plan (shared scenario instances run
 //! once and fan out to every subscriber), which runs sequentially
 //! ([`Experiment::run`]), on a work-stealing pool ([`par_run`],
-//! [`par_run_all`], [`plan_run_catalogue`]), or split across hosts as
+//! [`plan_run_catalogue`]), or split across hosts as
 //! deterministic shards — with byte-identical output every way. The
 //! `repro` binary runs any of it:
 //!
@@ -37,9 +37,10 @@ pub mod service;
 pub mod spec;
 
 pub use registry::{
-    all_experiments, find_experiment, global_plan, par_run, par_run_all, par_run_catalogue,
-    plan_run_catalogue, plan_run_catalogue_cached, replica_seed, scale_by_name, select_experiments,
-    CatalogueRun, Experiment, ExperimentFailure, ExperimentReport, Plan, Scale, MASTER_SEED,
+    all_experiments, find_experiment, global_plan, par_run, plan_run_catalogue,
+    plan_run_catalogue_cached, reduce_subscription, replica_seed, scale_by_name,
+    select_experiments, CatalogueRun, Experiment, ExperimentFailure, ExperimentReport, Plan, Scale,
+    MASTER_SEED,
 };
 pub use series::{table_file_name, Table};
 pub use service::CatalogueBackend;

@@ -21,7 +21,7 @@
 use crate::series::Table;
 use crate::spec::{SimSpec, SpecOutput};
 use ebrc_runner::{
-    panic_message, run_plan_cached, CacheCounters, ExecConfig, OutputCache, Pool, RunStats,
+    panic_message, run_plan, CacheCounters, ExecConfig, OutputCache, Pool, RunStats, SpecFailures,
     SpecTiming, SubscriptionResult,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -230,32 +230,42 @@ pub fn par_run(
     scale: Scale,
     pool: &Pool,
 ) -> Result<Vec<Table>, ExperimentFailure> {
-    let mut reports = par_run_catalogue(vec![exp], scale, pool, |_, _| {});
+    let mut reports = plan_run_catalogue(vec![exp], scale, pool, |_, _| {}, |_| {});
     reports.remove(0).outcome
 }
 
-/// Runs the whole catalogue as one merged plan on the pool. A
-/// panicking spec or reducer marks only the subscribed experiment(s)
-/// failed.
-pub fn par_run_all(
+/// Reduces one experiment from its subscription's inputs — the spec
+/// outputs in reduce order, or the spec failures that spoiled the
+/// subscription — into its report. A panicking reducer fails the
+/// report, not the caller. Shared by the in-process reducer thread
+/// ([`plan_run_catalogue_cached`]) and `repro merge`, so a sweep
+/// reduced from shard artifacts reports exactly what a direct run
+/// does.
+pub fn reduce_subscription(
+    exp: &dyn Experiment,
     scale: Scale,
-    pool: &Pool,
-    progress: impl Fn(usize, usize) + Sync,
-) -> Vec<ExperimentReport> {
-    let experiments = all_experiments();
-    let refs: Vec<&dyn Experiment> = experiments.iter().map(|e| e.as_ref()).collect();
-    par_run_catalogue(refs, scale, pool, progress)
-}
-
-/// [`plan_run_catalogue`] without a streaming sink — for callers that
-/// only want the final reports.
-pub fn par_run_catalogue(
-    experiments: Vec<&dyn Experiment>,
-    scale: Scale,
-    pool: &Pool,
-    progress: impl Fn(usize, usize) + Sync,
-) -> Vec<ExperimentReport> {
-    plan_run_catalogue(experiments, scale, pool, progress, |_| {})
+    inputs: Result<Vec<&SpecOutput>, SpecFailures>,
+) -> ExperimentReport {
+    let failure = |failed_specs, phase_error| ExperimentFailure {
+        id: exp.id().to_string(),
+        failed_specs,
+        phase_error,
+    };
+    let outcome = match inputs {
+        Ok(outputs) => {
+            catch_unwind(AssertUnwindSafe(|| exp.reduce(scale, &outputs))).map_err(|p| {
+                let msg = format!("reduce panicked: {}", panic_message(p.as_ref()));
+                failure(Vec::new(), Some(msg))
+            })
+        }
+        Err(failed_specs) => Err(failure(failed_specs, None)),
+    };
+    ExperimentReport {
+        id: exp.id(),
+        title: exp.title(),
+        paper_ref: exp.paper_ref(),
+        outcome,
+    }
 }
 
 /// A catalogue run's results: per-experiment reports in catalogue
@@ -358,33 +368,11 @@ pub fn plan_run_catalogue_cached(
         s.spawn(move || {
             for res in ready_rx {
                 let ei = exp_for_sub[res.subscription];
-                let exp = experiments[ei];
-                let outcome = match res.outcome {
-                    Ok(outputs) => {
-                        let refs: Vec<&SpecOutput> = outputs.iter().map(|a| a.as_ref()).collect();
-                        catch_unwind(AssertUnwindSafe(|| exp.reduce(scale, &refs))).map_err(|p| {
-                            ExperimentFailure {
-                                id: exp.id().to_string(),
-                                failed_specs: Vec::new(),
-                                phase_error: Some(format!(
-                                    "reduce panicked: {}",
-                                    panic_message(p.as_ref())
-                                )),
-                            }
-                        })
-                    }
-                    Err(failed_specs) => Err(ExperimentFailure {
-                        id: exp.id().to_string(),
-                        failed_specs,
-                        phase_error: None,
-                    }),
+                let inputs = match &res.outcome {
+                    Ok(outputs) => Ok(outputs.iter().map(|a| a.as_ref()).collect()),
+                    Err(failed_specs) => Err(failed_specs.clone()),
                 };
-                let report = ExperimentReport {
-                    id: exp.id(),
-                    title: exp.title(),
-                    paper_ref: exp.paper_ref(),
-                    outcome,
-                };
+                let report = reduce_subscription(experiments[ei], scale, inputs);
                 if report_tx.send((ei, report)).is_err() {
                     break;
                 }
@@ -405,7 +393,7 @@ pub fn plan_run_catalogue_cached(
         // through a mutex — the send is two orders of magnitude cheaper
         // than any spec body.
         let ready_tx = Mutex::new(ready_tx);
-        let (_, run_stats) = run_plan_cached(
+        let (_, run_stats) = run_plan(
             pool,
             MASTER_SEED,
             &plan,
@@ -625,11 +613,12 @@ mod tests {
     fn a_panicking_spec_fails_only_its_subscribers() {
         let good = Fragile { broken_spec: false };
         let bad = Fragile { broken_spec: true };
-        let reports = par_run_catalogue(
+        let reports = plan_run_catalogue(
             vec![&good as &dyn Experiment, &bad as &dyn Experiment],
             Scale::quick(),
             &Pool::new(2),
             |_, _| {},
+            |_| {},
         );
         assert!(reports[0].outcome.is_ok());
         let failure = reports[1].outcome.as_ref().unwrap_err();

@@ -25,16 +25,17 @@ use crate::figures::internet::{site_config, site_table, sites};
 use crate::figures::lab::lab_queues;
 use crate::registry::replica_seed;
 use crate::scenarios::{
-    CounterSnapshot, DumbbellConfig, DumbbellRun, FlowMeasure, ManyFlowConfig, ManyFlowRun,
-    ManyFlowSnapshot, QueueSpec, RunMeasurements,
+    DumbbellConfig, DumbbellRun, FlowMeasure, ManyFlowConfig, ManyFlowRun, QueueSpec,
+    RunMeasurements, Scenario,
 };
 use crate::series::Table;
 use ebrc_core::control::{BasicControl, ComprehensiveControl, ControlConfig};
 use ebrc_core::formula::{AimdFormula, PftkSimplified, PftkStandard, Sqrt, ThroughputFormula};
 use ebrc_core::weights::WeightProfile;
 use ebrc_dist::{IidProcess, LossProcess, MarkovModulated, Rng, ShiftedExponential};
+use ebrc_net::NetEvent;
 use ebrc_runner::{JobCtx, SliceStep, SlicedRun};
-use ebrc_sim::RunLimit;
+use ebrc_sim::{Engine, RunLimit};
 use ebrc_tcp::{AimdFixedLink, EbrcFixedLink, SharedFixedLink};
 use ebrc_tfrc::FormulaKind;
 use serde::Value;
@@ -366,6 +367,27 @@ impl SimSpec {
         }
     }
 
+    /// Builds the scenario of an engine-backed spec (the dumbbell
+    /// families and the many-flow dumbbell) and runs its first slice;
+    /// `None` for the families that run no packet-level scenario.
+    fn start_scenario(&self, ctx: &mut JobCtx, budget: u64) -> Option<SliceStep<SpecOutput>> {
+        if let (Some(cfg), Some((warmup, span))) = (self.dumbbell_config(), self.window()) {
+            let run = DumbbellRun::build(&cfg);
+            return Some(Sliced::start(run, warmup, span, ctx, budget));
+        }
+        if let SimSpec::ManyFlowDumbbell {
+            n,
+            rep,
+            warmup,
+            span,
+        } = *self
+        {
+            let run = ManyFlowRun::build(&manyflow_config(n, rep));
+            return Some(Sliced::start(run, warmup, span, ctx, budget));
+        }
+        None
+    }
+
     /// Order-of-magnitude estimate of the work this spec dispatches —
     /// the planning hint behind `repro list` and `repro plan`, so a
     /// sweep's cost is visible *before* any shard is dispatched (the
@@ -413,16 +435,17 @@ impl SimSpec {
     }
 }
 
-/// Writes a finished trace to the ctx's trace path. Called at the end
-/// of every traced run — monolithic or on the final slice — so the
-/// file lands exactly once, wherever the run happened to finish.
+/// Finishes the engine's installed trace sink, if any, and writes the
+/// bytes to the ctx's trace path. Called on the final slice of a traced
+/// run, so the file lands exactly once, wherever the run happened to
+/// finish.
 ///
 /// # Panics
 /// Panics if the trace file cannot be written: a traced run that
 /// silently dropped its trace would defeat the point of asking for one.
-fn write_trace(bytes: Option<Vec<u8>>, ctx: &JobCtx) {
-    if let (Some(bytes), Some(path)) = (bytes, ctx.trace_path()) {
-        std::fs::write(path, bytes)
+fn write_trace(engine: &mut Engine<NetEvent>, ctx: &JobCtx) {
+    if let (Some(sink), Some(path)) = (ebrc_trace::take_sink(engine), ctx.trace_path()) {
+        std::fs::write(path, sink.finish())
             .unwrap_or_else(|e| panic!("writing trace {}: {e}", path.display()));
     }
 }
@@ -439,30 +462,48 @@ fn saturating_f64_to_u64(x: f64) -> u64 {
     }
 }
 
-/// A dumbbell simulation suspended between event-budget slices: the
-/// built scenario, its measurement window, and which leg of
-/// [`DumbbellRun::measure`] the engine is inside. Resuming drives
+/// A scenario suspended between event-budget slices: the built
+/// scenario, its measurement window, and which leg of the
+/// warm-up–snapshot–span measurement (the shape of
+/// [`DumbbellRun::measure`]) the engine is inside. Resuming drives
 /// [`Engine::run_budgeted`](ebrc_sim::Engine::run_budgeted) with the
-/// same horizons the monolithic path uses, so by the engine's sliced-
-/// execution contract the finished measurements are bit-identical at
-/// any budget — slicing only changes *where* the work runs, never what
-/// it computes.
-struct SlicedDumbbell {
-    run: DumbbellRun,
+/// same horizons `measure` uses, so by the engine's sliced-execution
+/// contract the finished output is bit-identical at any budget —
+/// slicing only changes *where* the work runs, never what it computes.
+struct Sliced<S: Scenario> {
+    run: S,
     warmup: f64,
     span: f64,
-    phase: DumbbellPhase,
+    /// `None` while running to `warmup`; the counters captured there
+    /// while running to `warmup + span`.
+    snapshot: Option<S::Snapshot>,
 }
 
-/// Which `measure` leg a [`SlicedDumbbell`] is inside.
-enum DumbbellPhase {
-    /// Running to `warmup`; counters not yet snapshotted.
-    Warmup,
-    /// Running to `warmup + span`, differencing against the snapshot.
-    Span(CounterSnapshot),
+impl<S: Scenario> Sliced<S> {
+    /// Runs the first slice of a freshly built scenario, traced when
+    /// the ctx asks for a trace.
+    fn start(
+        mut run: S,
+        warmup: f64,
+        span: f64,
+        ctx: &mut JobCtx,
+        budget: u64,
+    ) -> SliceStep<SpecOutput> {
+        assert!(span > 0.0, "measurement span must be positive");
+        if ctx.trace_path().is_some() {
+            run.install_tracer();
+        }
+        let state = Sliced {
+            run,
+            warmup,
+            span,
+            snapshot: None,
+        };
+        Box::new(state).resume(ctx, budget)
+    }
 }
 
-impl SlicedRun for SlicedDumbbell {
+impl<S: Scenario> SlicedRun for Sliced<S> {
     type Output = SpecOutput;
 
     fn resume(mut self: Box<Self>, ctx: &mut JobCtx, budget: u64) -> SliceStep<SpecOutput> {
@@ -470,90 +511,27 @@ impl SlicedRun for SlicedDumbbell {
         // legs, so slice granularity stays uniform even when the
         // warm-up boundary falls mid-slice.
         let mut left = budget.max(1);
-        loop {
-            match self.phase {
-                DumbbellPhase::Warmup => {
-                    let out = self
-                        .run
-                        .engine
-                        .run_budgeted(RunLimit::new(self.warmup, left));
-                    if out.exhausted() {
-                        return SliceStep::Pending(self);
-                    }
-                    left = left.saturating_sub(out.events);
-                    self.phase = DumbbellPhase::Span(self.run.snapshot_counters());
-                    if left == 0 {
-                        return SliceStep::Pending(self);
-                    }
+        let snap = match self.snapshot.take() {
+            Some(snap) => snap,
+            None => {
+                let limit = RunLimit::new(self.warmup, left);
+                let out = self.run.engine_mut().run_budgeted(limit);
+                if out.exhausted() {
+                    return SliceStep::Pending(self);
                 }
-                DumbbellPhase::Span(ref snap) => {
-                    let horizon = self.warmup + self.span;
-                    let out = self.run.engine.run_budgeted(RunLimit::new(horizon, left));
-                    if out.exhausted() {
-                        return SliceStep::Pending(self);
-                    }
-                    let m = self.run.measurements_since(snap, self.span);
-                    ctx.record_events(self.run.engine.events_processed());
-                    write_trace(self.run.take_trace(), ctx);
-                    return SliceStep::Done(SpecOutput::Run(m));
-                }
+                left = left.saturating_sub(out.events);
+                self.run.snapshot()
             }
+        };
+        let limit = RunLimit::new(self.warmup + self.span, left);
+        if self.run.engine_mut().run_budgeted(limit).exhausted() {
+            self.snapshot = Some(snap);
+            return SliceStep::Pending(self);
         }
-    }
-}
-
-/// A many-flow simulation suspended between event-budget slices — the
-/// [`SlicedDumbbell`] pattern over [`ManyFlowRun`], with the same
-/// bit-identity guarantee at any budget.
-struct SlicedManyFlow {
-    run: ManyFlowRun,
-    warmup: f64,
-    span: f64,
-    phase: ManyFlowPhase,
-}
-
-/// Which `measure` leg a [`SlicedManyFlow`] is inside.
-enum ManyFlowPhase {
-    /// Running to `warmup`; counters not yet snapshotted.
-    Warmup,
-    /// Running to `warmup + span`, differencing against the snapshot.
-    Span(ManyFlowSnapshot),
-}
-
-impl SlicedRun for SlicedManyFlow {
-    type Output = SpecOutput;
-
-    fn resume(mut self: Box<Self>, ctx: &mut JobCtx, budget: u64) -> SliceStep<SpecOutput> {
-        let mut left = budget.max(1);
-        loop {
-            match self.phase {
-                ManyFlowPhase::Warmup => {
-                    let out = self
-                        .run
-                        .engine
-                        .run_budgeted(RunLimit::new(self.warmup, left));
-                    if out.exhausted() {
-                        return SliceStep::Pending(self);
-                    }
-                    left = left.saturating_sub(out.events);
-                    self.phase = ManyFlowPhase::Span(self.run.snapshot_counters());
-                    if left == 0 {
-                        return SliceStep::Pending(self);
-                    }
-                }
-                ManyFlowPhase::Span(ref snap) => {
-                    let horizon = self.warmup + self.span;
-                    let out = self.run.engine.run_budgeted(RunLimit::new(horizon, left));
-                    if out.exhausted() {
-                        return SliceStep::Pending(self);
-                    }
-                    let m = self.run.measurements_since(snap, self.span);
-                    ctx.record_events(self.run.engine.events_processed());
-                    write_trace(self.run.take_trace(), ctx);
-                    return SliceStep::Done(SpecOutput::Scalars(m.summary()));
-                }
-            }
-        }
+        let out = self.run.output_since(&snap, self.span);
+        ctx.record_events(self.run.engine_mut().events_processed());
+        write_trace(self.run.engine_mut(), ctx);
+        SliceStep::Done(out)
     }
 }
 
@@ -637,75 +615,27 @@ impl ebrc_runner::Spec for SimSpec {
         self.events_hint()
     }
 
-    /// Dumbbell-family specs run in resumable event-budget slices (the
-    /// engine guarantees bit-identity with the monolithic
-    /// [`SimSpec::run`] path); every other family is cheap enough that
-    /// the default single-slice execution is the right call.
+    /// Scenario-family specs run in resumable event-budget slices;
+    /// every other family is cheap enough that one step running `run`
+    /// whole is the right call.
     fn start_sliced(&self, ctx: &mut JobCtx, budget: u64) -> SliceStep<SpecOutput> {
-        if let (Some(cfg), Some((warmup, span))) = (self.dumbbell_config(), self.window()) {
-            assert!(span > 0.0, "measurement span must be positive");
-            let mut run = DumbbellRun::build(&cfg);
-            if ctx.trace_path().is_some() {
-                run.install_tracer();
-            }
-            let state = SlicedDumbbell {
-                run,
-                warmup,
-                span,
-                phase: DumbbellPhase::Warmup,
-            };
-            return Box::new(state).resume(ctx, budget);
-        }
-        if let SimSpec::ManyFlowDumbbell {
-            n,
-            rep,
-            warmup,
-            span,
-        } = *self
-        {
-            assert!(span > 0.0, "measurement span must be positive");
-            let mut run = ManyFlowRun::build(&manyflow_config(n, rep));
-            if ctx.trace_path().is_some() {
-                run.install_tracer();
-            }
-            let state = SlicedManyFlow {
-                run,
-                warmup,
-                span,
-                phase: ManyFlowPhase::Warmup,
-            };
-            return Box::new(state).resume(ctx, budget);
-        }
-        SliceStep::Done(self.run(ctx))
+        self.start_scenario(ctx, budget)
+            .unwrap_or_else(|| SliceStep::Done(self.run(ctx)))
     }
 
+    /// Scenario-family specs are the sliced run under an unbounded
+    /// budget — one code path at every budget, so there is no
+    /// monolithic variant to keep bit-identical.
     fn run(&self, ctx: &mut JobCtx) -> SpecOutput {
-        if let (Some(cfg), Some((warmup, span))) = (self.dumbbell_config(), self.window()) {
-            let mut run = DumbbellRun::build(&cfg);
-            if ctx.trace_path().is_some() {
-                run.install_tracer();
+        if let Some(mut step) = self.start_scenario(ctx, u64::MAX) {
+            loop {
+                match step {
+                    SliceStep::Done(out) => return out,
+                    SliceStep::Pending(state) => step = state.resume(ctx, u64::MAX),
+                }
             }
-            let out = SpecOutput::Run(run.measure(warmup, span));
-            ctx.record_events(run.engine.events_processed());
-            write_trace(run.take_trace(), ctx);
-            return out;
         }
         match *self {
-            SimSpec::ManyFlowDumbbell {
-                n,
-                rep,
-                warmup,
-                span,
-            } => {
-                let mut run = ManyFlowRun::build(&manyflow_config(n, rep));
-                if ctx.trace_path().is_some() {
-                    run.install_tracer();
-                }
-                let out = SpecOutput::Scalars(run.measure(warmup, span).summary());
-                ctx.record_events(run.engine.events_processed());
-                write_trace(run.take_trace(), ctx);
-                out
-            }
             SimSpec::Audio {
                 p_drop,
                 formula,
@@ -775,7 +705,7 @@ impl ebrc_runner::Spec for SimSpec {
                 }
                 SpecOutput::Scalars(vec![value as f64])
             }
-            _ => unreachable!("dumbbell specs run above"),
+            _ => unreachable!("scenario specs run above"),
         }
     }
 }
@@ -1252,6 +1182,130 @@ mod tests {
         assert_eq!(bt.name, "x/y");
         assert_eq!(bt.rows, vec![vec![1.0, 2.5]]);
         assert_eq!(bs, &[1.0026]);
+    }
+
+    /// What [`DumbbellRun::measure`] / [`ManyFlowRun::measure`] — the
+    /// `run_until`–snapshot–`run_until` bodies that share no code with
+    /// [`Sliced`] — make of a scenario spec: the output, the engine's
+    /// event count, and the trace bytes when `traced`.
+    fn reference(spec: &SimSpec, traced: bool) -> (SpecOutput, u64, Option<Vec<u8>>) {
+        if let (Some(cfg), Some((warmup, span))) = (spec.dumbbell_config(), spec.window()) {
+            let mut run = DumbbellRun::build(&cfg);
+            if traced {
+                run.install_tracer();
+            }
+            let out = SpecOutput::Run(run.measure(warmup, span));
+            return (out, run.engine.events_processed(), run.take_trace());
+        }
+        let SimSpec::ManyFlowDumbbell {
+            n,
+            rep,
+            warmup,
+            span,
+        } = *spec
+        else {
+            panic!("not a scenario spec: {}", spec.key());
+        };
+        let mut run = ManyFlowRun::build(&manyflow_config(n, rep));
+        if traced {
+            run.install_tracer();
+        }
+        let out = SpecOutput::Scalars(run.measure(warmup, span).summary());
+        (out, run.engine.events_processed(), run.take_trace())
+    }
+
+    /// Drives `spec` through `start_sliced`/`resume` to `Done` at one
+    /// budget: the output, the events the ctx recorded, and the number
+    /// of slices. With a trace path, checks that no slice but the last
+    /// writes the file.
+    fn drive(
+        spec: &SimSpec,
+        budget: u64,
+        trace: Option<&std::path::Path>,
+    ) -> (SpecOutput, u64, u64) {
+        let mut ctx = JobCtx::for_label(0, spec.key());
+        if let Some(path) = trace {
+            ctx.set_trace_path(path.to_path_buf());
+        }
+        let mut step = spec.start_sliced(&mut ctx, budget);
+        let mut slices = 1;
+        loop {
+            match step {
+                SliceStep::Done(out) => return (out, ctx.events_processed(), slices),
+                SliceStep::Pending(state) => {
+                    assert!(
+                        trace.is_none_or(|p| !p.exists()),
+                        "trace written before the final slice"
+                    );
+                    slices += 1;
+                    step = state.resume(&mut ctx, budget);
+                }
+            }
+        }
+    }
+
+    fn bits(out: &SpecOutput) -> String {
+        serde_json::to_string(&out.to_value()).unwrap()
+    }
+
+    #[test]
+    fn sliced_runs_match_the_independent_measure_reference_at_every_budget() {
+        let (warmup, span) = (0.5, 1.0);
+        let specs = [
+            SimSpec::Ns2Dumbbell {
+                n: 1,
+                l: 8,
+                rep: 0,
+                probe: None,
+                warmup,
+                span,
+            },
+            SimSpec::BufferSweep {
+                mode: SweepMode::Shared,
+                buffer: 20,
+                seed: 7,
+                warmup,
+                span,
+            },
+            SimSpec::ManyFlowDumbbell {
+                n: 50,
+                rep: 0,
+                warmup,
+                span,
+            },
+        ];
+        let dir = std::env::temp_dir().join(format!("ebrc-sliced-ref-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, spec) in specs.iter().enumerate() {
+            let (want, events, _) = reference(spec, false);
+            let (_, traced_events, want_trace) = reference(spec, true);
+            assert_eq!(events, traced_events, "tracing changed the event count");
+            assert!(events > 1_000, "{}: only {events} events", spec.key());
+            for budget in [1, 257, 250_000, u64::MAX] {
+                let at = format!("{} at budget {budget}", spec.key());
+                let (out, recorded, slices) = drive(spec, budget, None);
+                assert_eq!(bits(&out), bits(&want), "{at}");
+                assert_eq!(recorded, events, "{at}");
+                // Every resume but the last spends exactly `budget`
+                // events across both legs; the last spends what is left
+                // (nothing, when the budget divides the run: the engine
+                // reports an empty budget before it looks at the horizon).
+                assert_eq!(slices, events / budget + 1, "{at}");
+
+                let path = dir.join(format!("spec{i}-budget{budget}.pftrace"));
+                let (out, recorded, traced_slices) = drive(spec, budget, Some(&path));
+                assert_eq!(bits(&out), bits(&want), "traced {at}");
+                assert_eq!((recorded, traced_slices), (events, slices), "traced {at}");
+                let trace = std::fs::read(&path).unwrap();
+                assert_eq!(Some(trace), want_trace, "trace bytes of {at}");
+            }
+            // `run` is the same machine under an unbounded budget.
+            let mut ctx = JobCtx::for_label(0, spec.key());
+            assert_eq!(bits(&spec.run(&mut ctx)), bits(&want));
+            assert_eq!(ctx.events_processed(), events);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use ebrc_experiments::scenarios::{FlowMeasure, RunMeasurements};
 use ebrc_experiments::{SimSpec, SpecOutput, Table};
 use ebrc_runner::{
-    run_specs_cached, stable_hash, CacheCounters, CacheableSpec, DirCache, ExecConfig, OutputCache,
+    run_plan, stable_hash, CacheCounters, CacheableSpec, DirCache, ExecConfig, OutputCache, Plan,
     Pool,
 };
 use ebrc_tfrc::FormulaKind;
@@ -176,24 +176,24 @@ proptest! {
 fn corrupted_entries_re_run_instead_of_poisoning() {
     let cache = DirCache::new(scratch("rerun"));
     let pool = Pool::new(2);
-    let specs = vec![
-        SimSpec::Diagnostic {
-            value: 7,
-            fail: false,
-        },
-        SimSpec::Diagnostic {
-            value: 9,
-            fail: false,
-        },
-    ];
-    let (cold, c0) = run_specs_cached(
-        &pool,
-        0,
-        &specs,
-        Some(&cache),
-        ExecConfig::default(),
-        |_, _| {},
+    let plan = Plan::for_experiment(
+        "rerun",
+        vec![
+            SimSpec::Diagnostic {
+                value: 7,
+                fail: false,
+            },
+            SimSpec::Diagnostic {
+                value: 9,
+                fail: false,
+            },
+        ],
     );
+    let run = || {
+        let exec = ExecConfig::default();
+        run_plan(&pool, 0, &plan, None, Some(&cache), exec, |_, _| {}, |_| {})
+    };
+    let (cold, c0) = run();
     assert_eq!(c0.cache, CacheCounters { hits: 0, misses: 2 });
     // Flip one byte inside the first spec's payload.
     let hash = stable_hash("diag/v7/fail=false");
@@ -203,33 +203,19 @@ fn corrupted_entries_re_run_instead_of_poisoning() {
     bytes[pos] ^= 0x20;
     std::fs::write(cache.entry_path(hash), &bytes).unwrap();
 
-    let (warm, c1) = run_specs_cached(
-        &pool,
-        0,
-        &specs,
-        Some(&cache),
-        ExecConfig::default(),
-        |_, _| {},
-    );
+    let (warm, c1) = run();
     assert_eq!(
         c1.cache,
         CacheCounters { hits: 1, misses: 1 },
         "damaged entry must re-run, intact one must hit"
     );
     for (a, b) in cold.iter().zip(&warm) {
-        let (a, _) = a.as_ref().unwrap();
-        let (b, _) = b.as_ref().unwrap();
+        let a = a.as_ref().unwrap().as_ref().unwrap();
+        let b = b.as_ref().unwrap().as_ref().unwrap();
         assert_eq!(encode(a), encode(b), "reduce inputs diverged");
     }
     // The re-run repaired the entry.
-    let (_, c2) = run_specs_cached(
-        &pool,
-        0,
-        &specs,
-        Some(&cache),
-        ExecConfig::default(),
-        |_, _| {},
-    );
+    let (_, c2) = run();
     assert_eq!(c2.cache, CacheCounters { hits: 2, misses: 0 });
     assert_eq!(c2.events, 0);
     assert!(c2.timings.is_empty(), "hits must not report timings");

@@ -18,7 +18,7 @@ use ebrc_experiments::{
     all_experiments, global_plan, par_run, plan_run_catalogue_cached, table_file_name, Experiment,
     ExperimentReport, Scale, SimSpec, SpecOutput, MASTER_SEED,
 };
-use ebrc_runner::{run_specs, CacheCounters, DirCache, ExecConfig, Pool, Spec as _};
+use ebrc_runner::{run_plan, CacheCounters, DirCache, ExecConfig, Pool, Spec as _};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -99,9 +99,9 @@ fn spec_keys_are_unique_and_collision_free_across_the_catalogue() {
 }
 
 /// Runs the catalogue split into `k` deterministic shards — each shard
-/// executed as a bare spec list, exactly like `repro run --shard` —
-/// then merges the outputs and reduces every experiment. Returns each
-/// experiment's tables, in catalogue order.
+/// executed as a subset of the plan, exactly like `repro run --shard`
+/// — then merges the outputs and reduces every experiment. Returns
+/// each experiment's tables, in catalogue order.
 fn tables_via_shards(scale: Scale, k: usize, pool: &Pool) -> Vec<Vec<ebrc_experiments::Table>> {
     let experiments = all_experiments();
     let refs: Vec<&dyn Experiment> = experiments.iter().map(|e| e.as_ref()).collect();
@@ -109,14 +109,22 @@ fn tables_via_shards(scale: Scale, k: usize, pool: &Pool) -> Vec<Vec<ebrc_experi
     let mut outputs: Vec<Option<SpecOutput>> = (0..plan.unique_len()).map(|_| None).collect();
     for shard in 0..k {
         let indices = plan.shard_indices(shard, k);
-        let specs: Vec<SimSpec> = indices.iter().map(|&i| plan.specs()[i].clone()).collect();
-        for (idx, out) in indices
-            .into_iter()
-            .zip(run_specs(pool, MASTER_SEED, &specs, |_, _| {}))
-        {
+        let (results, _) = run_plan(
+            pool,
+            MASTER_SEED,
+            &plan,
+            Some(&indices),
+            None,
+            ExecConfig::default(),
+            |_, _| {},
+            |_| {},
+        );
+        for (idx, result) in results.into_iter().enumerate() {
+            assert_eq!(result.is_some(), indices.contains(&idx), "shard membership");
+            let Some(result) = result else { continue };
             // Round-trip through the shard interchange encoding, so the
             // test covers exactly what crosses host boundaries.
-            let encoded = out.expect("spec panicked").to_value();
+            let encoded = result.expect("spec panicked").to_value();
             outputs[idx] = Some(SpecOutput::from_value(&encoded).expect("output round-trips"));
         }
     }

@@ -1,25 +1,25 @@
-//! The unit of sweep work: a labelled, seeded, type-erased closure.
+//! The per-spec execution context: a label and its seeded RNG stream.
 //!
-//! A [`Job`] is one point of an experiment grid — scenario × parameter
-//! point × replica — identified by a label such as
-//! `"fig05/L2/n6/rep0"`. The label is the job's *identity*: the runner
-//! hands every body a private stream derived from `(master seed,
-//! label)` via [`ebrc_dist::Rng::from_label`], so any randomness drawn
-//! from [`JobCtx::rng`] is independent of which worker runs the job,
-//! in what order, at what thread count. (A body may instead carry its
-//! own parameter-derived seeds — the decomposed paper figures do, for
+//! Every unit of sweep work — one [`Spec`](crate::Spec) of a plan:
+//! scenario × parameter point × replica — is identified by a label, its
+//! content key (e.g. `"mc/basic/sqrt/tfrc/L8/p=0.01/..."`). The label
+//! is the unit's *identity*: the executor hands every body a [`JobCtx`]
+//! whose private stream is derived from `(master seed, label)` via
+//! [`ebrc_dist::Rng::from_label`], so any randomness drawn from
+//! [`JobCtx::rng`] is independent of which worker runs the body, in
+//! what order, at what thread count. (A body may instead carry its own
+//! parameter-derived seeds — the decomposed paper figures do, for
 //! byte-compatibility with their pre-runner tables — which satisfies
-//! the same contract: randomness must be a pure function of the job's
+//! the same contract: randomness must be a pure function of the unit's
 //! identity, never of scheduling.) That is what makes parallel sweeps
 //! bit-identical to sequential ones.
+//!
+//! The context also carries what a body reports back to the executor
+//! (engine events dispatched) and what the executor asks of the body
+//! (an execution-trace destination).
 
 use ebrc_dist::Rng;
-use std::any::Any;
 use std::path::{Path, PathBuf};
-
-/// Type-erased job result. Reducers recover the concrete type with
-/// [`take`].
-pub type JobOutput = Box<dyn Any + Send>;
 
 /// Per-job execution context handed to the body.
 #[derive(Debug)]
@@ -31,10 +31,8 @@ pub struct JobCtx {
 }
 
 impl JobCtx {
-    /// Builds the context a job (or declarative spec) with this label
-    /// would receive: the label plus its `(master seed, label)` RNG
-    /// stream. Public so the plan executor can hand specs the same
-    /// contract without going through [`Job`].
+    /// Builds the context the spec with this label (its content key)
+    /// receives: the label plus its `(master seed, label)` RNG stream.
     pub fn for_label(master_seed: u64, label: impl Into<String>) -> Self {
         let label = label.into();
         Self {
@@ -86,142 +84,15 @@ impl JobCtx {
     }
 }
 
-/// One schedulable unit of an experiment sweep.
-pub struct Job {
-    label: String,
-    body: Box<dyn FnOnce(&mut JobCtx) -> JobOutput + Send>,
-}
-
-impl std::fmt::Debug for Job {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Job").field("label", &self.label).finish()
-    }
-}
-
-impl Job {
-    /// Wraps a typed closure as a job. The output type is erased here
-    /// and recovered by the experiment's reducer via [`take`].
-    pub fn new<T, F>(label: impl Into<String>, body: F) -> Self
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut JobCtx) -> T + Send + 'static,
-    {
-        Self {
-            label: label.into(),
-            body: Box::new(move |ctx| Box::new(body(ctx)) as JobOutput),
-        }
-    }
-
-    /// The job's label (unique within a sweep; the determinism tests
-    /// enforce uniqueness across the whole catalogue).
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Runs the job body with its label-derived RNG stream.
-    pub fn run(self, master_seed: u64) -> JobOutput {
-        let mut ctx = JobCtx::for_label(master_seed, self.label);
-        (self.body)(&mut ctx)
-    }
-}
-
-/// Recovers a job output's concrete type.
-///
-/// # Panics
-/// Panics with the expected type name if the output was produced by a
-/// job of a different type — a reducer walking its grid out of sync
-/// with `jobs()` is a bug worth failing loudly on.
-pub fn take<T: 'static>(output: JobOutput) -> T {
-    *output.downcast::<T>().unwrap_or_else(|_| {
-        panic!(
-            "job output type mismatch: reducer expected {}",
-            std::any::type_name::<T>()
-        )
-    })
-}
-
-/// Runs a batch of jobs on the pool, returning type-erased outputs in
-/// job order (panics captured per slot).
-pub fn run_jobs(
-    pool: &crate::Pool,
-    master_seed: u64,
-    jobs: Vec<Job>,
-    progress: impl Fn(usize, usize) + Sync,
-) -> Vec<std::thread::Result<JobOutput>> {
-    let tasks: Vec<_> = jobs
-        .into_iter()
-        .map(|job| move || job.run(master_seed))
-        .collect();
-    pool.run_with_progress(tasks, progress)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Pool;
 
     #[test]
-    fn job_rng_depends_only_on_seed_and_label() {
-        let draw = |label: &str| {
-            let job = Job::new(label, |ctx: &mut JobCtx| ctx.rng().next_u64());
-            take::<u64>(job.run(42))
-        };
-        assert_eq!(draw("a/b/rep0"), draw("a/b/rep0"));
-        assert_ne!(draw("a/b/rep0"), draw("a/b/rep1"));
-    }
-
-    #[test]
-    fn job_rng_ignores_execution_order_and_threads() {
-        let labels: Vec<String> = (0..24).map(|i| format!("grid/p{i}/rep0")).collect();
-        let run_at = |threads: usize| -> Vec<u64> {
-            let jobs: Vec<Job> = labels
-                .iter()
-                .map(|l| Job::new(l.clone(), |ctx: &mut JobCtx| ctx.rng().next_u64()))
-                .collect();
-            run_jobs(&Pool::new(threads), 7, jobs, |_, _| {})
-                .into_iter()
-                .map(|r| take::<u64>(r.unwrap()))
-                .collect()
-        };
-        assert_eq!(run_at(1), run_at(8));
-    }
-
-    #[test]
-    fn take_recovers_the_concrete_type() {
-        let job = Job::new("typed", |_: &mut JobCtx| (1.5f64, 2usize));
-        let (a, b) = take::<(f64, usize)>(job.run(0));
-        assert_eq!(a, 1.5);
-        assert_eq!(b, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "type mismatch")]
-    fn take_rejects_the_wrong_type() {
-        let job = Job::new("typed", |_: &mut JobCtx| 1u32);
-        let _ = take::<f64>(job.run(0));
-    }
-
-    #[test]
-    fn run_jobs_preserves_submission_order() {
-        let jobs: Vec<Job> = (0..50usize)
-            .map(|i| Job::new(format!("order/{i}"), move |_: &mut JobCtx| i))
-            .collect();
-        let out = run_jobs(&Pool::new(4), 0, jobs, |_, _| {});
-        for (i, r) in out.into_iter().enumerate() {
-            assert_eq!(take::<usize>(r.unwrap()), i);
-        }
-    }
-
-    #[test]
-    fn panicking_job_is_isolated() {
-        let jobs = vec![
-            Job::new("ok", |_: &mut JobCtx| 1u8),
-            Job::new("boom", |_: &mut JobCtx| -> u8 {
-                panic!("replica diverged")
-            }),
-        ];
-        let mut out = run_jobs(&Pool::new(2), 0, jobs, |_, _| {}).into_iter();
-        assert_eq!(take::<u8>(out.next().unwrap().unwrap()), 1);
-        assert!(out.next().unwrap().is_err());
+    fn ctx_rng_depends_only_on_seed_and_label() {
+        let draw = |seed: u64, label: &str| JobCtx::for_label(seed, label).rng().next_u64();
+        assert_eq!(draw(42, "a/b/rep0"), draw(42, "a/b/rep0"));
+        assert_ne!(draw(42, "a/b/rep0"), draw(42, "a/b/rep1"));
+        assert_ne!(draw(42, "a/b/rep0"), draw(43, "a/b/rep0"));
     }
 }

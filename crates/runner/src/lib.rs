@@ -1,32 +1,34 @@
-//! Deterministic job-graph runner.
+//! Deterministic plan runner.
 //!
 //! The paper's results are Monte-Carlo sweeps over (scenario ×
-//! parameter point × replica). This crate turns each point of such a
-//! sweep into a [`Job`] — a labelled, self-contained closure with its
-//! own RNG stream derived from `(master seed, label)` alone — and
-//! executes job sets on a [`Pool`] of work-stealing workers built from
-//! `std` primitives only (the build environment is offline).
+//! parameter point × replica). This crate executes such a sweep as a
+//! declarative [`Plan`]: each point is a content-hashed [`Spec`],
+//! deduplicated across the experiments that subscribe to it, cut into
+//! deterministic shards for multi-host sweeps, and reduced per
+//! experiment the moment its last spec completes.
+//!
+//! There is one road from a spec to a worker thread. [`run_plan`] is
+//! the only plan executor — whole plan or shard subset, cold or cached,
+//! monolithic or sliced, cancellable, traced: each is an argument
+//! ([`OutputCache`], [`ExecConfig`]), not another entry point — and it
+//! drives every spec through [`Spec::start_sliced`] as a chain of steps
+//! on [`Pool::run_resumable`], the only worker loop, built from `std`
+//! primitives only (the build environment is offline).
 //!
 //! The contract that makes parallelism safe for a *reproduction* is
-//! determinism: results come back in job-submission order, every job's
-//! randomness is a pure function of its label, and a panicking job is
+//! determinism: results land in per-spec slots, every spec's
+//! randomness is a pure function of its key (the [`JobCtx`] stream is
+//! derived from `(master seed, key)` alone), and a panicking spec is
 //! captured per-slot rather than tearing the sweep down. Together this
-//! makes the output of a sweep byte-identical at any thread count —
-//! `--threads 1` and `--threads 8` must (and do) produce the same
-//! tables.
-//!
-//! On top of the closure-based [`Job`] primitive sits the declarative
-//! [`plan`] layer: content-hashed [`Spec`]s deduplicated into a
-//! [`Plan`] with per-experiment subscriptions, deterministic shards for
-//! multi-host sweeps, and completion-driven reduction ([`run_plan`]).
+//! makes the output of a sweep byte-identical at any thread count,
+//! shard count, slice budget or cache temperature — `--threads 1` and
+//! `--threads 8` must (and do) produce the same tables.
 //!
 //! The [`cache`] layer closes the loop for *incremental* re-runs: a
 //! [`DirCache`] stores each completed spec's serialized output under
-//! its content hash, and the cache-aware runners ([`run_plan_cached`],
-//! [`run_specs_cached`]) partition a plan into hits (validated,
-//! loaded, fed straight to subscriptions) and misses (executed, then
-//! written back atomically) — byte-identical to a cold run at any
-//! thread and shard count.
+//! its content hash, and [`run_plan`] partitions a plan into hits
+//! (validated, loaded, fed straight to subscriptions) and misses
+//! (executed, then written back atomically).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,10 +41,9 @@ pub mod pool;
 pub use cache::{
     CacheCounters, CacheEntry, CacheableSpec, DirCache, OutputCache, TempFile, CACHE_FORMAT,
 };
-pub use job::{take, Job, JobCtx, JobOutput};
+pub use job::JobCtx;
 pub use plan::{
-    run_plan, run_plan_cached, run_specs, run_specs_cached, stable_hash, CancelToken, ExecConfig,
-    Plan, RunStats, SliceStep, SlicedRun, Spec, SpecCost, SpecExecution, SpecFailures, SpecResult,
-    SpecTiming, Subscription, SubscriptionResult, TraceConfig, CANCELLED,
+    run_plan, stable_hash, CancelToken, ExecConfig, Plan, RunStats, SliceStep, SlicedRun, Spec,
+    SpecFailures, SpecResult, SpecTiming, Subscription, SubscriptionResult, TraceConfig, CANCELLED,
 };
 pub use pool::{default_threads, panic_message, Pool, ResumableTask, TaskStep};

@@ -18,29 +18,36 @@
 //! parameter-derived seeds), results are bit-identical at any thread
 //! count and any shard count.
 //!
-//! [`run_plan`] executes a plan on a [`Pool`] and fires a callback the
-//! moment the *last* spec of a subscription completes — the hook that
-//! lets callers reduce and spool each experiment while the rest of the
-//! grid is still running.
+//! [`run_plan`] is the one executor: it runs a plan — whole, or the
+//! subset a shard owns — on a [`Pool`] and fires a callback the moment
+//! the *last* spec of a subscription completes — the hook that lets
+//! callers reduce and spool each experiment while the rest of the grid
+//! is still running. Every run mode is an argument to it, not another
+//! entry point: an [`OutputCache`] serves validated hits without
+//! executing them and stores fresh outputs, and [`ExecConfig`] carries
+//! slicing, cancellation and tracing. ([`Plan::run_sequential`] is the
+//! deliberately separate reference the determinism tests compare it
+//! against.)
 //!
 //! Two scheduling layers keep a straggler-heavy grid from serializing:
 //! misses are submitted *longest-first* by [`Spec::cost_hint`] (so the
 //! expensive sims start while the short tail backfills the workers),
-//! and, when [`ExecConfig::slice_events`] is set, a spec that opts into
-//! [`Spec::start_sliced`] runs as a chain of bounded-event slices the
-//! pool can migrate across workers mid-sim. Neither layer moves any
-//! bytes: results land in per-spec slots and reduction is
-//! completion-driven, so tables stay bit-identical to the sequential
-//! path at any thread count, slice budget, or submission order.
+//! and every spec runs through [`Spec::start_sliced`] as a chain of
+//! pool steps — one step when [`ExecConfig::slice_events`] is unset,
+//! bounded-event slices the pool can migrate across workers mid-sim
+//! when it is. Neither layer moves any bytes: results land in per-spec
+//! slots and reduction is completion-driven, so tables stay
+//! bit-identical to the sequential path at any thread count, slice
+//! budget, or submission order.
 
 use crate::cache::{CacheCounters, CacheableSpec, OutputCache};
 use crate::job::JobCtx;
 use crate::pool::{panic_message, Pool, ResumableTask, TaskStep};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Cooperative cancellation for an in-flight sweep.
@@ -91,7 +98,7 @@ pub struct SpecTiming {
     pub slices: u32,
 }
 
-/// Execution accounting of one plan (or spec-list) run: cache
+/// Execution accounting of one plan run: cache
 /// effectiveness plus the discrete-event engine events the *executed*
 /// specs dispatched (cache hits execute nothing, so they contribute
 /// zero — `events` measures this run's compute, not its provenance).
@@ -107,16 +114,6 @@ pub struct RunStats {
     /// Per-spec wall time of every executed (non-panicking) spec —
     /// the straggler table behind the bench's timing report.
     pub timings: Vec<SpecTiming>,
-}
-
-impl RunStats {
-    /// Accumulates another run's stats (for multi-phase sweeps).
-    pub fn absorb(&mut self, other: RunStats) {
-        self.cache.absorb(other.cache);
-        self.events += other.events;
-        self.timings.extend(other.timings);
-        self.timings.sort_by(|a, b| a.key.cmp(&b.key));
-    }
 }
 
 /// Where a traced run writes its per-spec trace files.
@@ -167,13 +164,13 @@ impl TraceConfig {
     }
 }
 
-/// Execution knobs threaded through the cache-aware runners.
+/// Execution knobs of [`run_plan`].
 #[derive(Debug, Clone, Default)]
 pub struct ExecConfig {
     /// When set, specs that support slicing ([`Spec::start_sliced`])
     /// yield back to the pool every `slice_events` engine events, so a
     /// straggler sim migrates to whichever worker frees up first
-    /// instead of pinning one. `None` runs every spec monolithically.
+    /// instead of pinning one. `None` runs every spec in one step.
     /// Output is bit-identical either way.
     pub slice_events: Option<u64>,
     /// When set, the run polls this token at every pool step boundary
@@ -485,8 +482,8 @@ impl<S: Spec> Plan<S> {
 
     /// Runs every unique spec in plan order on the calling thread,
     /// returning outputs parallel to [`Plan::specs`]. Panics propagate —
-    /// this is the simple sequential path for single-experiment runs
-    /// and tests.
+    /// this is the simple sequential path for single-experiment runs,
+    /// and the reference the determinism tests hold [`run_plan`] to.
     pub fn run_sequential(&self, master_seed: u64) -> Vec<S::Output> {
         self.specs
             .iter()
@@ -535,169 +532,44 @@ pub struct SubscriptionResult<S: Spec> {
     pub outcome: Result<Vec<Arc<S::Output>>, SpecFailures>,
 }
 
-/// The cache plumbing a cache-aware run threads through the core: the
-/// store plus the output codec, monomorphized per spec type.
-struct CacheHooks<'a, S: Spec> {
-    cache: &'a dyn OutputCache,
-    encode: fn(&S::Output) -> String,
-    decode: fn(&str) -> Result<S::Output, String>,
-}
-
-/// Executes a plan's unique specs (optionally a subset) on the pool.
+/// Executes a plan's unique specs (optionally a subset) on the pool —
+/// the one executor behind every run mode.
 ///
-/// `on_ready` fires — from the completing worker's thread — as soon as
-/// the last spec a subscription references has finished, with that
+/// The selected specs are partitioned into *hits* — entries loaded from
+/// `cache`, validated against the spec key, decoded, and fed straight
+/// to their subscriptions — and *misses*, which execute on the pool
+/// longest-first (in [`ExecConfig::slice_events`]-bounded slices when
+/// set) and are written back on completion. An invalid entry (corrupt,
+/// truncated, version-skewed, or key-mismatched) reads as a miss and
+/// re-executes; it can never poison a reduce. With `cache: None` every
+/// selected spec is a miss.
+///
+/// `on_ready` fires — from the completing worker's thread, or from the
+/// calling thread for subscriptions served entirely by hits — as soon
+/// as the last spec a subscription references has finished, with that
 /// subscription's outputs in reduce order; subscriptions whose specs
 /// lie partly outside `only` never fire. Per-spec results (shared via
-/// [`Arc`]) are returned for all executed specs, keyed by unique-spec
-/// index; specs outside `only` yield `None`.
-pub fn run_plan<S: Spec>(
-    pool: &Pool,
-    master_seed: u64,
-    plan: &Plan<S>,
-    only: Option<&[usize]>,
-    progress: impl Fn(usize, usize) + Sync,
-    on_ready: impl Fn(SubscriptionResult<S>) + Sync,
-) -> Vec<Option<SpecResult<S>>> {
-    run_plan_core(
-        pool,
-        master_seed,
-        plan,
-        only,
-        None,
-        ExecConfig::default(),
-        progress,
-        on_ready,
-    )
-    .0
-}
-
-/// [`run_plan`] with a content-addressed output cache.
-///
-/// The plan's selected specs are partitioned into *hits* — entries
-/// loaded from the cache, validated against the spec key, decoded, and
-/// fed straight to their subscriptions — and *misses*, which execute
-/// on the pool and are written back on completion. An invalid entry
-/// (corrupt, truncated, version-skewed, or key-mismatched) reads as a
-/// miss and re-executes; it can never poison a reduce. With
-/// `cache: None` this is exactly [`run_plan`] (every spec a miss).
+/// [`Arc`]) are returned keyed by unique-spec index; specs outside
+/// `only` yield `None`. A spec that panics fails only itself (its slot
+/// and its subscribers see the message).
 ///
 /// `progress` counts executed specs only, so a fully warm run reports
 /// zero sims. The returned [`RunStats`] split the selected specs into
-/// hits and misses and total the engine events the misses dispatched.
+/// hits and misses, total the engine events the misses dispatched, and
+/// carry one [`SpecTiming`] row per executed spec.
+///
+/// # Panics
+/// Re-raises, once the pool has drained, the first panic of `on_ready`
+/// or [`OutputCache::store`] on a worker thread (and of `progress`, via
+/// the pool): those are the caller's code failing, not a spec, and a
+/// subscription that silently never fired would be worse.
 #[allow(clippy::too_many_arguments)]
-pub fn run_plan_cached<S: CacheableSpec>(
+pub fn run_plan<S: CacheableSpec>(
     pool: &Pool,
     master_seed: u64,
     plan: &Plan<S>,
     only: Option<&[usize]>,
     cache: Option<&dyn OutputCache>,
-    exec: ExecConfig,
-    progress: impl Fn(usize, usize) + Sync,
-    on_ready: impl Fn(SubscriptionResult<S>) + Sync,
-) -> (Vec<Option<SpecResult<S>>>, RunStats) {
-    let hooks = cache.map(|cache| CacheHooks {
-        cache,
-        encode: S::encode_output,
-        decode: S::decode_output,
-    });
-    run_plan_core(
-        pool,
-        master_seed,
-        plan,
-        only,
-        hooks,
-        exec,
-        progress,
-        on_ready,
-    )
-}
-
-/// One boxed slice step: takes the spec's job context, returns either
-/// the finished output or the parked state of an unfinished run.
-type StepFn<'a, O> = Box<dyn FnOnce(&mut JobCtx) -> SliceStep<O> + Send + 'a>;
-
-/// The per-spec resumable task chain behind the plan and spec-list
-/// executors: each pool step runs one slice (budget-bounded when the
-/// spec supports slicing, the whole run otherwise), accumulating wall
-/// time and slice count across steps, and reports through `finish`
-/// exactly once — on the completing slice or on the slice that
-/// panicked. Panics are caught *here*, not left to the pool's own
-/// capture, because `finish` must still run for a failed spec: it
-/// records the error in the result slot and advances subscription
-/// readiness so reducers learn about the failure.
-#[allow(clippy::too_many_arguments)]
-fn slice_chain<'a, O, F>(
-    idx: usize,
-    mut ctx: JobCtx,
-    step: StepFn<'a, O>,
-    budget: u64,
-    wall_s: f64,
-    slices: u32,
-    cancel: Option<&'a CancelToken>,
-    finish: &'a F,
-) -> ResumableTask<'a, ()>
-where
-    O: Send + 'static,
-    F: Fn(usize, Result<(O, u64), String>, f64, u32) + Sync,
-{
-    Box::new(move || {
-        // The cancellation hook: checked before every slice, so a
-        // cancelled sweep drains in at most one in-flight slice per
-        // worker and queued specs never start at all.
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            finish(idx, Err(CANCELLED.to_string()), wall_s, slices);
-            return TaskStep::Done(());
-        }
-        let started = Instant::now();
-        let out = catch_unwind(AssertUnwindSafe(|| step(&mut ctx)));
-        let wall_s = wall_s + started.elapsed().as_secs_f64();
-        let slices = slices + 1;
-        match out {
-            Err(payload) => {
-                finish(idx, Err(panic_message(payload.as_ref())), wall_s, slices);
-                TaskStep::Done(())
-            }
-            Ok(SliceStep::Done(out)) => {
-                let events = ctx.events_processed();
-                finish(idx, Ok((out, events)), wall_s, slices);
-                TaskStep::Done(())
-            }
-            Ok(SliceStep::Pending(state)) => TaskStep::Yield(slice_chain(
-                idx,
-                ctx,
-                Box::new(move |ctx: &mut JobCtx| state.resume(ctx, budget)),
-                budget,
-                wall_s,
-                slices,
-                cancel,
-                finish,
-            )),
-        }
-    })
-}
-
-/// Submission order for a miss list: longest-first by cost hint,
-/// original order as the tiebreak. Pure scheduling — results land in
-/// index-keyed slots, so output bytes cannot depend on this order.
-fn longest_first<S: Spec>(to_run: Vec<usize>, spec_of: impl Fn(usize) -> S) -> Vec<usize> {
-    let mut hinted: Vec<(usize, u64)> = to_run
-        .into_iter()
-        .map(|i| (i, spec_of(i).cost_hint()))
-        .collect();
-    hinted.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    hinted.into_iter().map(|(i, _)| i).collect()
-}
-
-/// The shared execution core behind [`run_plan`] and
-/// [`run_plan_cached`].
-#[allow(clippy::too_many_arguments)]
-fn run_plan_core<S: Spec>(
-    pool: &Pool,
-    master_seed: u64,
-    plan: &Plan<S>,
-    only: Option<&[usize]>,
-    hooks: Option<CacheHooks<'_, S>>,
     exec: ExecConfig,
     progress: impl Fn(usize, usize) + Sync,
     on_ready: impl Fn(SubscriptionResult<S>) + Sync,
@@ -713,7 +585,7 @@ fn run_plan_core<S: Spec>(
             selected.push(i);
         }
     }
-    let results: Vec<Mutex<Option<SpecResult<S>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let results: Vec<OnceLock<SpecResult<S>>> = (0..n).map(|_| OnceLock::new()).collect();
     let subscribers = plan.subscribers_by_spec();
     // A subscription is ready when its last *distinct* spec completes;
     // subscriptions reaching outside the executed subset never fire.
@@ -737,8 +609,9 @@ fn run_plan_core<S: Spec>(
         let mut outputs = Vec::with_capacity(sub.spec_indices.len());
         let mut failures: Vec<(String, String)> = Vec::new();
         for &idx in &sub.spec_indices {
-            let slot = results[idx].lock().expect("result slot poisoned");
-            match slot.as_ref().expect("subscribed spec complete") {
+            // `gather` runs on a subscription's last decrement, and a
+            // spec decrements only after `complete` filled its slot.
+            match results[idx].get().expect("subscribed spec complete") {
                 Ok(out) => outputs.push(Arc::clone(out)),
                 Err(msg) => {
                     let key = plan.specs()[idx].key();
@@ -755,6 +628,20 @@ fn run_plan_core<S: Spec>(
             } else {
                 Err(failures)
             },
+        }
+    };
+    // Records a spec's result — a hit or a finished run — and fires the
+    // subscriptions it was the last missing piece of.
+    let complete = |idx: usize, result: SpecResult<S>| {
+        // Each selected index is either one hit or one task, and a
+        // task's chain reports exactly once, so the slot is empty.
+        assert!(results[idx].set(result).is_ok(), "spec completed twice");
+        for &si in &subscribers[idx] {
+            if let Some(r) = &remaining[si] {
+                if r.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    on_ready(gather(si));
+                }
+            }
         }
     };
 
@@ -780,27 +667,16 @@ fn run_plan_core<S: Spec>(
     let mut counters = CacheCounters::default();
     for &idx in &selected {
         // A traced run must execute: a cache hit produces no trace.
-        let hit = if exec.trace.is_some() {
-            None
-        } else {
-            hooks.as_ref().and_then(|h| {
-                let text = h
-                    .cache
-                    .load(plan.spec_hashes()[idx], &plan.specs()[idx].key())?;
-                (h.decode)(&text).ok()
-            })
+        let hit = match cache {
+            Some(cache) if exec.trace.is_none() => cache
+                .load(plan.spec_hashes()[idx], &plan.specs()[idx].key())
+                .and_then(|text| S::decode_output(&text).ok()),
+            _ => None,
         };
         match hit {
             Some(out) => {
                 counters.hits += 1;
-                *results[idx].lock().expect("result slot poisoned") = Some(Ok(Arc::new(out)));
-                for &si in &subscribers[idx] {
-                    if let Some(r) = &remaining[si] {
-                        if r.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            on_ready(gather(si));
-                        }
-                    }
-                }
+                complete(idx, Ok(Arc::new(out)));
             }
             None => to_run.push(idx),
         }
@@ -810,45 +686,24 @@ fn run_plan_core<S: Spec>(
     // Longest-first submission: the expensive sims start immediately
     // and the short tail backfills idle workers, instead of a straggler
     // getting dequeued last and serializing the run's finish.
-    let to_run = longest_first(to_run, |i| plan.specs()[i].clone());
+    let to_run = longest_first(to_run, plan.specs());
 
-    let events_total = AtomicU64::new(0);
-    let timings: Mutex<Vec<SpecTiming>> = Mutex::new(Vec::with_capacity(to_run.len()));
     let budget = exec.slice_events.unwrap_or(u64::MAX);
-    let cancel = exec.cancel.clone();
-    let finish =
-        |idx: usize, outcome: Result<(S::Output, u64), String>, wall_s: f64, slices: u32| {
+    let finish = |idx: usize, outcome: Result<S::Output, String>| {
+        if let (Some(cache), Ok(out)) = (cache, &outcome) {
             let key = plan.specs()[idx].key();
-            let result = outcome.map(|(out, events)| {
-                events_total.fetch_add(events, Ordering::Relaxed);
-                timings.lock().expect("timings poisoned").push(SpecTiming {
-                    key: key.clone(),
-                    wall_s,
-                    events,
-                    slices,
-                });
-                if let Some(h) = &hooks {
-                    h.cache
-                        .store(plan.spec_hashes()[idx], &key, &(h.encode)(&out));
-                }
-                Arc::new(out)
-            });
-            *results[idx].lock().expect("result slot poisoned") = Some(result);
-            for &si in &subscribers[idx] {
-                if let Some(r) = &remaining[si] {
-                    if r.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        on_ready(gather(si));
-                    }
-                }
-            }
-        };
-    let tasks: Vec<ResumableTask<()>> = to_run
+            cache.store(plan.spec_hashes()[idx], &key, &S::encode_output(out));
+        }
+        complete(idx, outcome.map(Arc::new));
+    };
+    let tasks: Vec<ResumableTask<Option<SpecTiming>>> = to_run
         .iter()
         .map(|&idx| {
             let spec = plan.specs()[idx].clone();
-            let mut ctx = JobCtx::for_label(master_seed, spec.key());
+            let key = spec.key();
+            let mut ctx = JobCtx::for_label(master_seed, key.clone());
             if let Some(tc) = &exec.trace {
-                ctx.set_trace_path(tc.path_for(&spec.key()));
+                ctx.set_trace_path(tc.path_for(&key));
             }
             slice_chain(
                 idx,
@@ -857,184 +712,113 @@ fn run_plan_core<S: Spec>(
                 budget,
                 0.0,
                 0,
-                cancel.as_ref(),
+                exec.cancel.as_ref(),
                 &finish,
             )
         })
         .collect();
-    pool.run_resumable(tasks, progress);
-
-    let mut timings = timings.into_inner().expect("timings poisoned");
-    timings.sort_by(|a, b| a.key.cmp(&b.key));
-    (
-        results
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("result slot poisoned"))
-            .collect(),
-        RunStats {
-            cache: counters,
-            events: events_total.into_inner(),
-            timings,
-        },
-    )
-}
-
-/// Runs a bare spec list on the pool (no subscriptions — the shard
-/// execution path), returning per-spec results in list order.
-pub fn run_specs<S: Spec>(
-    pool: &Pool,
-    master_seed: u64,
-    specs: &[S],
-    progress: impl Fn(usize, usize) + Sync,
-) -> Vec<Result<S::Output, String>> {
-    let tasks: Vec<_> = specs
-        .iter()
-        .map(|spec| {
-            let spec = spec.clone();
-            move || {
-                let mut ctx = JobCtx::for_label(master_seed, spec.key());
-                spec.run(&mut ctx)
-            }
-        })
-        .collect();
-    pool.run_with_progress(tasks, progress)
-        .into_iter()
-        .map(|r| r.map_err(|p| panic_message(p.as_ref())))
-        .collect()
-}
-
-/// What one executed spec cost on the shard execution path: engine
-/// events, wall-clock seconds, and the number of pool slices the run
-/// took. All zero when the output was served from the cache (nothing
-/// executed).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SpecCost {
-    /// Engine events the run dispatched.
-    pub events: u64,
-    /// Wall-clock seconds across the run's slices.
-    pub wall_s: f64,
-    /// Pool steps the run took (0 = cache hit, 1 = never yielded).
-    pub slices: u32,
-}
-
-/// One spec's result on the shard execution path: the output plus what
-/// producing it cost.
-pub type SpecExecution<S> = Result<(<S as Spec>::Output, SpecCost), String>;
-
-/// [`run_specs`] with a content-addressed output cache — the shard
-/// execution path's warm mode. Hits are loaded and validated; misses
-/// run on the pool longest-first (and sliced, when `exec` says so) and
-/// are written back; `progress` counts executed specs only. With
-/// `cache: None` this is exactly [`run_specs`] plus per-spec cost
-/// accounting.
-pub fn run_specs_cached<S: CacheableSpec>(
-    pool: &Pool,
-    master_seed: u64,
-    specs: &[S],
-    cache: Option<&dyn OutputCache>,
-    exec: ExecConfig,
-    progress: impl Fn(usize, usize) + Sync,
-) -> (Vec<SpecExecution<S>>, RunStats) {
-    let slots: Vec<Mutex<Option<SpecExecution<S>>>> =
-        (0..specs.len()).map(|_| Mutex::new(None)).collect();
-    let mut to_run: Vec<usize> = Vec::new();
-    let mut counters = CacheCounters::default();
-    for (i, spec) in specs.iter().enumerate() {
-        // A traced run must execute: a cache hit produces no trace.
-        let hit = if exec.trace.is_some() {
-            None
-        } else {
-            cache.and_then(|c| {
-                let key = spec.key();
-                let text = c.load(stable_hash(&key), &key)?;
-                S::decode_output(&text).ok()
-            })
-        };
-        match hit {
-            Some(out) => {
-                counters.hits += 1;
-                *slots[i].lock().expect("spec slot poisoned") =
-                    Some(Ok((out, SpecCost::default())));
-            }
-            None => to_run.push(i),
+    let mut timings = Vec::with_capacity(tasks.len());
+    for reported in pool.run_resumable(tasks, progress) {
+        match reported {
+            Ok(timing) => timings.extend(timing),
+            // Spec bodies are caught inside the chain, so this is
+            // `finish` — `on_ready` or the cache's `store` — panicking.
+            Err(payload) => resume_unwind(payload),
         }
     }
-    counters.misses = to_run.len();
-    let to_run = longest_first(to_run, |i| specs[i].clone());
-
-    let events_total = AtomicU64::new(0);
-    let timings: Mutex<Vec<SpecTiming>> = Mutex::new(Vec::with_capacity(to_run.len()));
-    let budget = exec.slice_events.unwrap_or(u64::MAX);
-    let cancel = exec.cancel.clone();
-    let finish = |i: usize, outcome: Result<(S::Output, u64), String>, wall_s: f64, slices: u32| {
-        let result = outcome.map(|(out, events)| {
-            events_total.fetch_add(events, Ordering::Relaxed);
-            let key = specs[i].key();
-            timings.lock().expect("timings poisoned").push(SpecTiming {
-                key: key.clone(),
-                wall_s,
-                events,
-                slices,
-            });
-            if let Some(c) = cache {
-                c.store(stable_hash(&key), &key, &S::encode_output(&out));
-            }
-            (
-                out,
-                SpecCost {
-                    events,
-                    wall_s,
-                    slices,
-                },
-            )
-        });
-        *slots[i].lock().expect("spec slot poisoned") = Some(result);
-    };
-    let tasks: Vec<ResumableTask<()>> = to_run
-        .iter()
-        .map(|&i| {
-            let spec = specs[i].clone();
-            let mut ctx = JobCtx::for_label(master_seed, spec.key());
-            if let Some(tc) = &exec.trace {
-                ctx.set_trace_path(tc.path_for(&spec.key()));
-            }
-            slice_chain(
-                i,
-                ctx,
-                Box::new(move |ctx: &mut JobCtx| spec.start_sliced(ctx, budget)),
-                budget,
-                0.0,
-                0,
-                cancel.as_ref(),
-                &finish,
-            )
-        })
-        .collect();
-    pool.run_resumable(tasks, progress);
-
-    let mut timings = timings.into_inner().expect("timings poisoned");
     timings.sort_by(|a, b| a.key.cmp(&b.key));
     (
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("spec slot poisoned")
-                    .expect("every spec slot filled")
-            })
-            .collect(),
+        results.into_iter().map(OnceLock::into_inner).collect(),
         RunStats {
             cache: counters,
-            events: events_total.into_inner(),
+            events: timings.iter().map(|t| t.events).sum(),
             timings,
         },
     )
+}
+
+/// One boxed slice step: takes the spec's job context, returns either
+/// the finished output or the parked state of an unfinished run.
+type StepFn<'a, O> = Box<dyn FnOnce(&mut JobCtx) -> SliceStep<O> + Send + 'a>;
+
+/// The per-spec resumable task chain behind [`run_plan`]: each pool
+/// step runs one slice (budget-bounded when the spec supports slicing,
+/// the whole run otherwise), accumulating wall time and slice count
+/// across steps, and reports through `finish` exactly once — on the
+/// completing slice, on the slice that panicked, or on the first step
+/// boundary after cancellation. A completed run's task value is its
+/// [`SpecTiming`] row (the ctx's label is the spec's key). Panics are
+/// caught *here*, not left to the pool's own capture, because `finish`
+/// must still run for a failed spec: it records the error in the result
+/// slot and advances subscription readiness so reducers learn about the
+/// failure.
+#[allow(clippy::too_many_arguments)]
+fn slice_chain<'a, O, F>(
+    idx: usize,
+    mut ctx: JobCtx,
+    step: StepFn<'a, O>,
+    budget: u64,
+    wall_s: f64,
+    slices: u32,
+    cancel: Option<&'a CancelToken>,
+    finish: &'a F,
+) -> ResumableTask<'a, Option<SpecTiming>>
+where
+    O: Send + 'static,
+    F: Fn(usize, Result<O, String>) + Sync,
+{
+    Box::new(move || {
+        // The cancellation hook: checked before every slice, so a
+        // cancelled sweep drains in at most one in-flight slice per
+        // worker and queued specs never start at all.
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            finish(idx, Err(CANCELLED.to_string()));
+            return TaskStep::Done(None);
+        }
+        let started = Instant::now();
+        let out = catch_unwind(AssertUnwindSafe(|| step(&mut ctx)));
+        let wall_s = wall_s + started.elapsed().as_secs_f64();
+        let slices = slices + 1;
+        match out {
+            Err(payload) => {
+                finish(idx, Err(panic_message(payload.as_ref())));
+                TaskStep::Done(None)
+            }
+            Ok(SliceStep::Done(out)) => {
+                finish(idx, Ok(out));
+                TaskStep::Done(Some(SpecTiming {
+                    key: ctx.label().to_string(),
+                    wall_s,
+                    events: ctx.events_processed(),
+                    slices,
+                }))
+            }
+            Ok(SliceStep::Pending(state)) => TaskStep::Yield(slice_chain(
+                idx,
+                ctx,
+                Box::new(move |ctx: &mut JobCtx| state.resume(ctx, budget)),
+                budget,
+                wall_s,
+                slices,
+                cancel,
+                finish,
+            )),
+        }
+    })
+}
+
+/// Submission order for a miss list: longest-first by cost hint,
+/// original order as the tiebreak. Pure scheduling — results land in
+/// index-keyed slots, so output bytes cannot depend on this order.
+fn longest_first<S: Spec>(mut to_run: Vec<usize>, specs: &[S]) -> Vec<usize> {
+    to_run.sort_by_cached_key(|&i| (std::cmp::Reverse(specs[i].cost_hint()), i));
+    to_run
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
 
     /// A toy spec: doubles its value; panics on demand.
     #[derive(Debug, Clone, PartialEq)]
@@ -1135,6 +919,8 @@ mod tests {
             0,
             &plan,
             None,
+            None,
+            ExecConfig::default(),
             |_, _| {},
             |res: SubscriptionResult<Toy>| {
                 calls.fetch_add(1, Ordering::Relaxed);
@@ -1163,11 +949,13 @@ mod tests {
         );
         plan.merge(Plan::for_experiment("good", vec![toy("ok", 1)]));
         let outcomes: Mutex<Vec<(usize, bool)>> = Mutex::new(Vec::new());
-        run_plan(
+        let (results, _) = run_plan(
             &Pool::new(2),
             0,
             &plan,
             None,
+            None,
+            ExecConfig::default(),
             |_, _| {},
             |res: SubscriptionResult<Toy>| {
                 let failed = match &res.outcome {
@@ -1185,6 +973,35 @@ mod tests {
         let mut outcomes = outcomes.into_inner().unwrap();
         outcomes.sort_unstable();
         assert_eq!(outcomes, vec![(0, true), (1, false)]);
+        // The failure is isolated per spec in the returned results too.
+        assert_eq!(**results[0].as_ref().unwrap().as_ref().unwrap(), 2);
+        let err = results[1].as_ref().unwrap().as_ref().unwrap_err();
+        assert!(err.contains("toy spec failure"));
+    }
+
+    #[test]
+    #[should_panic(expected = "reducer hook exploded")]
+    fn a_panicking_on_ready_panics_the_run_instead_of_vanishing() {
+        // Subscription 0's callback panics on a worker thread. The run
+        // must re-raise that — not return normally with subscription 1
+        // (which shares spec `a`'s slot and counters) fired and
+        // subscription 0 silently lost.
+        let mut plan = Plan::for_experiment("e1", vec![toy("a", 1), toy("b", 2)]);
+        plan.merge(Plan::for_experiment("e2", vec![toy("a", 1)]));
+        run_plan(
+            &Pool::new(2),
+            0,
+            &plan,
+            None,
+            None,
+            ExecConfig::default(),
+            |_, _| {},
+            |res: SubscriptionResult<Toy>| {
+                if res.subscription == 0 {
+                    panic!("reducer hook exploded");
+                }
+            },
+        );
     }
 
     #[test]
@@ -1192,11 +1009,13 @@ mod tests {
         let mut plan = Plan::for_experiment("wide", vec![toy("a", 1), toy("b", 2)]);
         plan.merge(Plan::for_experiment("narrow", vec![toy("a", 1)]));
         let fired = Mutex::new(Vec::new());
-        let results = run_plan(
+        let (results, _) = run_plan(
             &Pool::new(2),
             0,
             &plan,
             Some(&[0]),
+            None,
+            ExecConfig::default(),
             |_, _| {},
             |res: SubscriptionResult<Toy>| fired.lock().unwrap().push(res.subscription),
         );
@@ -1209,25 +1028,10 @@ mod tests {
     fn sequential_run_matches_pool_run() {
         let plan = Plan::for_experiment("e", (0..7).map(|i| toy("s", i)).collect());
         let seq = plan.run_sequential(0);
-        let par = run_plan(&Pool::new(3), 0, &plan, None, |_, _| {}, |_| {});
+        let (par, _) = run_list(&Pool::new(3), &plan, None, ExecConfig::default(), |_, _| {});
         for (a, b) in seq.iter().zip(par) {
-            assert_eq!(*a, *b.unwrap().unwrap());
+            assert_eq!(*a, b.unwrap());
         }
-    }
-
-    #[test]
-    fn run_specs_reports_per_spec_failures() {
-        let specs = vec![
-            toy("x", 5),
-            Toy {
-                name: "boom",
-                value: 0,
-                fail: true,
-            },
-        ];
-        let out = run_specs(&Pool::new(2), 0, &specs, |_, _| {});
-        assert_eq!(out[0], Ok(10));
-        assert!(out[1].as_ref().unwrap_err().contains("toy spec failure"));
     }
 
     #[test]
@@ -1258,12 +1062,31 @@ mod tests {
         (s.cache, s.events)
     }
 
+    /// Runs the whole plan with no subscription callback, flattening
+    /// the per-spec results to plain values — for tests that assert on
+    /// specs as a list rather than on subscriptions.
+    fn run_list<S: CacheableSpec<Output = u64>>(
+        pool: &Pool,
+        plan: &Plan<S>,
+        cache: Option<&DirCache>,
+        exec: ExecConfig,
+        progress: impl Fn(usize, usize) + Sync,
+    ) -> (Vec<Result<u64, String>>, RunStats) {
+        let cache = cache.map(|c| c as &dyn OutputCache);
+        let (results, stats) = run_plan(pool, 0, plan, None, cache, exec, progress, |_| {});
+        let flat = results
+            .into_iter()
+            .map(|r| r.expect("every spec selected").map(|out| *out))
+            .collect();
+        (flat, stats)
+    }
+
     /// (per-spec results, stats, per-subscription fired outputs).
     type CachedRun = (Vec<Option<SpecResult<Toy>>>, RunStats, Vec<Vec<u64>>);
 
     fn run_cached(plan: &Plan<Toy>, cache: &DirCache) -> CachedRun {
         let fired = Mutex::new(vec![Vec::new(); plan.subscriptions().len()]);
-        let (results, counters) = run_plan_cached(
+        let (results, counters) = run_plan(
             &Pool::new(3),
             0,
             plan,
@@ -1272,8 +1095,10 @@ mod tests {
             ExecConfig::default(),
             |_, _| {},
             |res: SubscriptionResult<Toy>| {
-                let outs: Vec<u64> = res.outcome.unwrap().iter().map(|o| **o).collect();
-                fired.lock().unwrap()[res.subscription] = outs;
+                // A failed subscription leaves its row empty.
+                if let Ok(outs) = res.outcome {
+                    fired.lock().unwrap()[res.subscription] = outs.iter().map(|o| **o).collect();
+                }
             },
         );
         (results, counters, fired.into_inner().unwrap())
@@ -1312,6 +1137,17 @@ mod tests {
         }
         assert_eq!(fired_cold, fired_warm);
         assert_eq!(fired_warm, vec![vec![2, 4], vec![4, 6]]);
+        // Without a cache every spec is a miss, with the cold run's
+        // outputs and per-spec cost rows.
+        let (bare, cb) = run_list(&Pool::new(3), &plan, None, ExecConfig::default(), |_, _| {});
+        assert_eq!(core(&cb), stats(0, 3, 6));
+        assert_eq!(bare, vec![Ok(2), Ok(4), Ok(6)]);
+        let bare_rows: Vec<(&str, u64, u32)> = cb
+            .timings
+            .iter()
+            .map(|t| (t.key.as_str(), t.events, t.slices))
+            .collect();
+        assert_eq!(bare_rows, rows);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -1343,7 +1179,7 @@ mod tests {
         let plan = Plan::for_experiment("e", (0..6).map(|i| toy("s", i)).collect());
         let cache = cache_scratch("subset");
         let shard0 = plan.shard_indices(0, 2);
-        let (results, counters) = run_plan_cached(
+        let (results, counters) = run_plan(
             &Pool::new(2),
             0,
             &plan,
@@ -1357,7 +1193,7 @@ mod tests {
         assert!(results[1].is_none(), "outside the shard");
         assert_eq!(cache.entries().len(), 3);
         // Shard 1 misses everything; a repeat of shard 0 is all hits.
-        let (_, c1) = run_plan_cached(
+        let (_, c1) = run_plan(
             &Pool::new(2),
             0,
             &plan,
@@ -1368,7 +1204,7 @@ mod tests {
             |_| {},
         );
         assert_eq!(core(&c1), stats(0, 3, 9));
-        let (_, c0) = run_plan_cached(
+        let (_, c0) = run_plan(
             &Pool::new(2),
             0,
             &plan,
@@ -1402,51 +1238,6 @@ mod tests {
         let (results, c1, _) = run_cached(&plan, &cache);
         assert_eq!(core(&c1), stats(1, 1, 0));
         assert!(results[1].as_ref().unwrap().is_err());
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    /// `(output, events)` view of a spec-execution list — the
-    /// reproducible part (wall time varies run to run).
-    fn exec_view(out: &[SpecExecution<Toy>]) -> Vec<Result<(u64, u64), String>> {
-        out.iter()
-            .map(|r| {
-                r.as_ref()
-                    .map(|(o, cost)| (*o, cost.events))
-                    .map_err(|e| e.clone())
-            })
-            .collect()
-    }
-
-    #[test]
-    fn run_specs_cached_round_trips_with_counters() {
-        let specs: Vec<Toy> = (0..4).map(|i| toy("rs", i)).collect();
-        let cache = cache_scratch("specs");
-        let pool = Pool::new(2);
-        let exec = ExecConfig::default();
-        let (cold, c0) = run_specs_cached(&pool, 0, &specs, Some(&cache), exec.clone(), |_, _| {});
-        assert_eq!(core(&c0), stats(0, 4, 6));
-        let (warm, c1) = run_specs_cached(&pool, 0, &specs, Some(&cache), exec.clone(), |_, _| {});
-        assert_eq!(core(&c1), stats(4, 0, 0));
-        // Outputs identical; warm per-spec events are zero (nothing
-        // executed), cold ones carry each sim's dispatch count.
-        assert_eq!(
-            exec_view(&cold),
-            vec![Ok((0, 0)), Ok((2, 1)), Ok((4, 2)), Ok((6, 3))]
-        );
-        assert_eq!(
-            exec_view(&warm),
-            vec![Ok((0, 0)), Ok((2, 0)), Ok((4, 0)), Ok((6, 0))]
-        );
-        for r in &warm {
-            assert_eq!(r.as_ref().unwrap().1.slices, 0, "hits take no pool steps");
-        }
-        for r in cold.iter().skip(1) {
-            assert_eq!(r.as_ref().unwrap().1.slices, 1, "monolithic runs: 1 step");
-        }
-        // No cache behaves exactly like run_specs.
-        let (bare, cb) = run_specs_cached(&pool, 0, &specs, None, exec, |_, _| {});
-        assert_eq!(core(&cb), stats(0, 4, 6));
-        assert_eq!(exec_view(&bare), exec_view(&cold));
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -1524,7 +1315,7 @@ mod tests {
                 work: w,
             })
             .collect();
-        let order = longest_first((0..specs.len()).collect(), |i| specs[i].clone());
+        let order = longest_first((0..specs.len()).collect(), &specs);
         assert_eq!(order, vec![1, 4, 0, 2, 3]);
     }
 
@@ -1552,7 +1343,7 @@ mod tests {
         for threads in [1, 2, 8] {
             for budget in [None, Some(1), Some(7), Some(1000)] {
                 let fired = Mutex::new(vec![Vec::new(); plan.subscriptions().len()]);
-                let (results, stats) = run_plan_cached(
+                let (results, stats) = run_plan(
                     &Pool::new(threads),
                     0,
                     &plan,
@@ -1668,15 +1459,15 @@ mod tests {
         // exercises the scheduler, not the host's core count.
         let mut specs = vec![Sleeper { id: 0, ms: 120 }];
         specs.extend((1..13).map(|id| Sleeper { id, ms: 12 }));
+        let plan = Plan::for_experiment("stragglers", specs);
         let exec = ExecConfig::sliced(6);
         let serial_start = Instant::now();
-        let (serial_out, _) =
-            run_specs_cached(&Pool::new(1), 0, &specs, None, exec.clone(), |_, _| {});
+        let (serial_out, _) = run_list(&Pool::new(1), &plan, None, exec.clone(), |_, _| {});
         let serial = serial_start.elapsed();
         let par_start = Instant::now();
-        let (par_out, _) = run_specs_cached(&Pool::new(2), 0, &specs, None, exec, |_, _| {});
+        let (par_out, _) = run_list(&Pool::new(2), &plan, None, exec, |_, _| {});
         let par = par_start.elapsed();
-        assert_eq!(exec_view(&serial_out), exec_view(&par_out));
+        assert_eq!(serial_out, par_out);
         assert!(
             par < serial.mul_f64(0.75),
             "two workers did not beat serial: serial={serial:?} par={par:?}"
@@ -1685,33 +1476,26 @@ mod tests {
 
     #[test]
     fn traced_runs_bypass_the_cache_and_stamp_trace_paths() {
-        let specs: Vec<Toy> = (0..3).map(|i| toy("tr", i)).collect();
+        let plan = Plan::for_experiment("traced", (0..3).map(|i| toy("tr", i)).collect());
         let cache = cache_scratch("trace");
         let pool = Pool::new(2);
         // Warm the cache, then trace: every spec must re-execute (a
         // hit would produce no trace) and write its per-spec file.
-        let (_, c0) = run_specs_cached(
-            &pool,
-            0,
-            &specs,
-            Some(&cache),
-            ExecConfig::default(),
-            |_, _| {},
-        );
+        let (_, c0) = run_list(&pool, &plan, Some(&cache), ExecConfig::default(), |_, _| {});
         assert_eq!(core(&c0), stats(0, 3, 3));
         let dir = std::env::temp_dir().join(format!("ebrc-trace-out-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let tc = TraceConfig::per_spec(&dir);
         let exec = ExecConfig::default().with_trace(tc.clone());
-        let (traced, c1) = run_specs_cached(&pool, 0, &specs, Some(&cache), exec, |_, _| {});
+        let (traced, c1) = run_list(&pool, &plan, Some(&cache), exec, |_, _| {});
         assert_eq!(core(&c1), stats(0, 3, 3), "tracing forces execution");
-        for spec in &specs {
+        for spec in plan.specs() {
             let path = tc.path_for(&spec.key());
             assert_eq!(std::fs::read_to_string(&path).unwrap(), spec.key());
         }
         // Traced outputs are the same computation — identical results.
-        assert_eq!(exec_view(&traced), vec![Ok((0, 0)), Ok((2, 1)), Ok((4, 2))]);
+        assert_eq!(traced, vec![Ok(0), Ok(2), Ok(4)]);
         // A single-file config routes every key to the one destination.
         let single = TraceConfig::single(dir.join("one.pftrace"));
         assert_eq!(single.path_for("a"), single.path_for("b"));
@@ -1723,13 +1507,12 @@ mod tests {
     fn a_cancelled_run_fails_fast_without_executing_or_caching() {
         // A pre-cancelled token: no spec may execute, nothing may be
         // written to the cache, and every slot reports CANCELLED.
-        let specs: Vec<Toy> = (0..4).map(|i| toy("cancel", i)).collect();
+        let plan = Plan::for_experiment("cancelled", (0..4).map(|i| toy("cancel", i)).collect());
         let cache = cache_scratch("cancel");
         let token = CancelToken::new();
         token.cancel();
         let exec = ExecConfig::default().with_cancel(token);
-        let (out, stats) =
-            run_specs_cached(&Pool::new(2), 0, &specs, Some(&cache), exec, |_, _| {});
+        let (out, stats) = run_list(&Pool::new(2), &plan, Some(&cache), exec, |_, _| {});
         assert_eq!(stats.events, 0, "cancelled specs dispatch no events");
         assert!(stats.timings.is_empty(), "cancelled specs record no cost");
         for r in &out {
@@ -1752,14 +1535,18 @@ mod tests {
                 work: 4,
             })
             .collect();
+        let plan = Plan::for_experiment("live", specs);
         let t = token.clone();
         let progress = move |_done: usize, _total: usize| t.cancel();
         let exec = ExecConfig::default().with_cancel(token);
-        let (out, _) = run_specs_cached(&Pool::new(1), 0, &specs, None, exec, progress);
+        let (out, _) = run_list(&Pool::new(1), &plan, None, exec, progress);
         let cancelled = out.iter().filter(|r| r.is_err()).count();
         let finished = out.iter().filter(|r| r.is_ok()).count();
-        assert_eq!(cancelled + finished, specs.len());
-        assert!(cancelled >= specs.len() - 1, "cancellation did not drain");
+        assert_eq!(cancelled + finished, plan.unique_len());
+        assert!(
+            cancelled >= plan.unique_len() - 1,
+            "cancellation did not drain"
+        );
         for r in out.iter().filter(|r| r.is_err()) {
             assert_eq!(r.as_ref().unwrap_err(), CANCELLED);
         }

@@ -1,30 +1,29 @@
 //! A work-stealing thread pool over `std` primitives.
 //!
-//! The pool executes a *static* batch of tasks: indices are dealt
-//! round-robin onto per-worker deques up front, each worker drains its
-//! own deque from the front, and an idle worker steals from the back of
-//! its peers. On the plain [`Pool::run`] path tasks never spawn tasks,
-//! so one full fruitless victim scan means the batch is exhausted and
-//! the worker retires.
+//! The pool has one worker loop, [`Pool::run_resumable`]. A batch of
+//! tasks is dealt round-robin onto per-worker deques up front; each
+//! worker drains its own deque from the front, and an idle worker
+//! steals from the back of its peers. A task runs as a chain of
+//! *steps*: a step either finishes ([`TaskStep::Done`]) or *yields* a
+//! continuation ([`TaskStep::Yield`]), which the pool re-enqueues at
+//! the back of the finishing worker's deque — where an idle peer's
+//! steal picks it up first, so a straggler task migrates across workers
+//! slice by slice instead of pinning one. Because yielded work can
+//! reappear after a worker's scan came up empty, a worker retires only
+//! when the batch-wide completion count reaches the total; until then
+//! an empty-handed worker spins on [`std::thread::yield_now`].
 //!
-//! [`Pool::run_resumable`] relaxes exactly that invariant: a task step
-//! may *yield* a continuation ([`TaskStep::Yield`]) instead of a result,
-//! and the pool re-enqueues it at the back of the finishing worker's
-//! deque — where an idle peer's steal picks it up first, so a straggler
-//! task migrates across workers slice by slice instead of pinning one.
-//! Because yielded work reappears after a worker's scan came up empty,
-//! retirement switches from "one fruitless scan" to "all slots
-//! completed": an empty-handed worker spins on [`std::thread::yield_now`]
-//! until the batch-wide completion count reaches the total.
+//! [`Pool::run`] is the same loop over plain closures, each wrapped as
+//! a task whose only step is `Done`.
 //!
-//! Results are written into per-task slots, so the returned vector is
-//! in task-submission order no matter which worker ran what — the
-//! determinism half of the runner's contract. Panics are caught per
-//! task ([`std::thread::Result`] slots), the fault-isolation half.
+//! Results are returned in task-submission order no matter which worker
+//! ran what — the determinism half of the runner's contract. Panics are
+//! caught per task ([`std::thread::Result`] slots), the fault-isolation
+//! half.
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -61,10 +60,15 @@ pub enum TaskStep<'a, T> {
 /// work and reports [`TaskStep::Done`] or yields a continuation.
 pub type ResumableTask<'a, T> = Box<dyn FnOnce() -> TaskStep<'a, T> + Send + 'a>;
 
+/// A worker's deque: each entry is a task's submission index and its
+/// next step.
+type Queue<'a, T> = Mutex<VecDeque<(usize, ResumableTask<'a, T>)>>;
+
 /// A fixed-width work-stealing pool.
 ///
 /// `Pool` holds no threads between runs — workers are scoped to each
-/// [`Pool::run`] call, so a pool is cheap to create and freely shared.
+/// [`Pool::run_resumable`] call, so a pool is cheap to create and
+/// freely shared.
 #[derive(Debug, Clone, Copy)]
 pub struct Pool {
     threads: usize,
@@ -94,77 +98,16 @@ impl Pool {
     ///
     /// A panicking task yields `Err(payload)` in its slot and does not
     /// affect its neighbours or its worker.
-    pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<std::thread::Result<T>>
+    pub fn run<'a, T, F>(&self, tasks: Vec<F>) -> Vec<std::thread::Result<T>>
     where
         T: Send,
-        F: FnOnce() -> T + Send,
+        F: FnOnce() -> T + Send + 'a,
     {
-        self.run_with_progress(tasks, |_, _| {})
-    }
-
-    /// [`Pool::run`] with a completion callback: `progress(done, total)`
-    /// fires after each task finishes (from the finishing worker's
-    /// thread).
-    pub fn run_with_progress<T, F, P>(
-        &self,
-        tasks: Vec<F>,
-        progress: P,
-    ) -> Vec<std::thread::Result<T>>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-        P: Fn(usize, usize) + Sync,
-    {
-        let total = tasks.len();
-        if total == 0 {
-            return Vec::new();
-        }
-        let workers = self.threads.min(total);
-        // One slot per task for the closure and for its result; a task
-        // is claimed by taking it out of its slot, so it runs at most
-        // once even if an index were ever handed out twice.
-        let task_slots: Vec<Mutex<Option<F>>> =
-            tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let result_slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
-            (0..total).map(|_| Mutex::new(None)).collect();
-        // Deal indices round-robin so neighbouring (often similarly
-        // sized) jobs spread across workers from the start.
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w..total).step_by(workers).collect()))
-            .collect();
-        let done = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queues = &queues;
-                let task_slots = &task_slots;
-                let result_slots = &result_slots;
-                let done = &done;
-                let progress = &progress;
-                scope.spawn(move || {
-                    while let Some(idx) = pop_or_steal(queues, w) {
-                        let task = task_slots[idx]
-                            .lock()
-                            .expect("task slot poisoned")
-                            .take()
-                            .expect("task index dequeued twice");
-                        let result = catch_unwind(AssertUnwindSafe(task));
-                        *result_slots[idx].lock().expect("result slot poisoned") = Some(result);
-                        let finished = done.fetch_add(1, Ordering::AcqRel) + 1;
-                        progress(finished, total);
-                    }
-                });
-            }
-        });
-
-        result_slots
+        let tasks = tasks
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every task slot filled before the scope ends")
-            })
-            .collect()
+            .map(|task| -> ResumableTask<'a, T> { Box::new(move || TaskStep::Done(task())) })
+            .collect();
+        self.run_resumable(tasks, |_, _| {})
     }
 
     /// Executes a batch of resumable tasks, returning results in task
@@ -173,10 +116,16 @@ impl Pool {
     /// re-enqueued at the back of the finishing worker's deque — prime
     /// stealing territory, so a long task's remaining slices migrate to
     /// whichever worker frees up first instead of pinning one.
+    /// `progress(done, total)` fires after each task (not each step)
+    /// finishes, from the finishing worker's thread.
     ///
     /// A panic in any step fails that task's slot (`Err(payload)`)
     /// without disturbing its neighbours; the task's later slices are
     /// simply never scheduled (the continuation died with the step).
+    ///
+    /// # Panics
+    /// Re-raises a panic of `progress` itself once the workers have
+    /// stopped.
     pub fn run_resumable<'a, T, P>(
         &self,
         tasks: Vec<ResumableTask<'a, T>>,
@@ -191,90 +140,96 @@ impl Pool {
             return Vec::new();
         }
         let workers = self.threads.min(total);
-        let task_slots: Vec<Mutex<Option<ResumableTask<'a, T>>>> =
-            tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let result_slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
-            (0..total).map(|_| Mutex::new(None)).collect();
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w..total).step_by(workers).collect()))
-            .collect();
+        // Deal tasks round-robin so neighbouring (often similarly
+        // sized) jobs spread across workers from the start.
+        let mut dealt: Vec<VecDeque<_>> = (0..workers).map(|_| VecDeque::new()).collect();
+        for (idx, task) in tasks.into_iter().enumerate() {
+            dealt[idx % workers].push_back((idx, task));
+        }
+        let queues: Vec<Queue<'a, T>> = dealt.into_iter().map(Mutex::new).collect();
         let done = AtomicUsize::new(0);
 
+        // Each worker keeps the results of the tasks it finished; they
+        // are scattered into submission order once the workers join.
+        let mut results: Vec<Option<std::thread::Result<T>>> = (0..total).map(|_| None).collect();
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queues = &queues;
-                let task_slots = &task_slots;
-                let result_slots = &result_slots;
-                let done = &done;
-                let progress = &progress;
-                scope.spawn(move || loop {
-                    let Some(idx) = pop_or_steal(queues, w) else {
-                        // An empty scan no longer proves the batch is
-                        // drained — a continuation yielded by a peer
-                        // may reappear. Retire only once every slot has
-                        // completed; until then give the running
-                        // workers the core back and rescan.
-                        if done.load(Ordering::Acquire) >= total {
-                            break;
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let (queues, done, progress) = (&queues, &done, &progress);
+                    scope.spawn(move || {
+                        let mut finished = Vec::new();
+                        loop {
+                            let Some((idx, task)) = pop_or_steal(queues, w) else {
+                                // An empty scan does not prove the batch
+                                // is drained — a continuation yielded by
+                                // a peer may reappear. Retire only once
+                                // every task has completed; until then
+                                // give the running workers the core back
+                                // and rescan.
+                                if done.load(Ordering::Acquire) >= total {
+                                    break;
+                                }
+                                std::thread::yield_now();
+                                continue;
+                            };
+                            let result = match catch_unwind(AssertUnwindSafe(task)) {
+                                Ok(TaskStep::Yield(next)) => {
+                                    lock(&queues[w]).push_back((idx, next));
+                                    continue;
+                                }
+                                Ok(TaskStep::Done(value)) => Ok(value),
+                                Err(payload) => Err(payload),
+                            };
+                            finished.push((idx, result));
+                            progress(done.fetch_add(1, Ordering::AcqRel) + 1, total);
                         }
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    let task = task_slots[idx]
-                        .lock()
-                        .expect("task slot poisoned")
-                        .take()
-                        .expect("task index dequeued twice");
-                    match catch_unwind(AssertUnwindSafe(task)) {
-                        Ok(TaskStep::Yield(next)) => {
-                            // Park the continuation in its slot first,
-                            // then publish the index; the queue mutex
-                            // orders this against any thief's take.
-                            *task_slots[idx].lock().expect("task slot poisoned") = Some(next);
-                            queues[w].lock().expect("queue poisoned").push_back(idx);
-                        }
-                        Ok(TaskStep::Done(value)) => {
-                            *result_slots[idx].lock().expect("result slot poisoned") =
-                                Some(Ok(value));
-                            let finished = done.fetch_add(1, Ordering::AcqRel) + 1;
-                            progress(finished, total);
-                        }
-                        Err(payload) => {
-                            *result_slots[idx].lock().expect("result slot poisoned") =
-                                Some(Err(payload));
-                            let finished = done.fetch_add(1, Ordering::AcqRel) + 1;
-                            progress(finished, total);
+                        finished
+                    })
+                })
+                .collect();
+            for handle in handles {
+                match handle.join() {
+                    Ok(finished) => {
+                        for (idx, result) in finished {
+                            results[idx] = Some(result);
                         }
                     }
-                });
+                    // Steps run under `catch_unwind`, so a worker can
+                    // only die in `progress`.
+                    Err(payload) => resume_unwind(payload),
+                }
             }
         });
-
-        result_slots
+        results
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every task slot filled before the scope ends")
-            })
+            // Workers retire only at `done == total`, and `done` counts
+            // tasks whose result was recorded.
+            .map(|slot| slot.expect("every task finished before its worker retired"))
             .collect()
     }
 }
 
+/// Locks a worker's deque.
+fn lock<'q, 'a, T>(
+    queue: &'q Queue<'a, T>,
+) -> std::sync::MutexGuard<'q, VecDeque<(usize, ResumableTask<'a, T>)>> {
+    // Only `push_back`/`pop_*` run under this lock and neither panics,
+    // so the mutex is never poisoned.
+    queue.lock().expect("queue poisoned")
+}
+
 /// Pops from the worker's own deque front, or steals from the back of
-/// the first non-empty peer. `None` means the whole batch is drained.
-fn pop_or_steal(queues: &[Mutex<VecDeque<usize>>], own: usize) -> Option<usize> {
-    if let Some(idx) = queues[own].lock().expect("queue poisoned").pop_front() {
-        return Some(idx);
+/// the first non-empty peer. `None` means every deque is empty right
+/// now.
+fn pop_or_steal<'a, T>(
+    queues: &[Queue<'a, T>],
+    own: usize,
+) -> Option<(usize, ResumableTask<'a, T>)> {
+    if let Some(entry) = lock(&queues[own]).pop_front() {
+        return Some(entry);
     }
     let n = queues.len();
-    for offset in 1..n {
-        let victim = (own + offset) % n;
-        if let Some(idx) = queues[victim].lock().expect("queue poisoned").pop_back() {
-            return Some(idx);
-        }
-    }
-    None
+    (1..n).find_map(|offset| lock(&queues[(own + offset) % n]).pop_back())
 }
 
 #[cfg(test)]
@@ -353,18 +308,6 @@ mod tests {
         let pool = Pool::new(4);
         let out: Vec<std::thread::Result<()>> = pool.run(Vec::<fn()>::new());
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn progress_reaches_total() {
-        let max_seen = AtomicUsize::new(0);
-        let pool = Pool::new(4);
-        let tasks: Vec<_> = (0..20).map(|i| move || i).collect();
-        pool.run_with_progress(tasks, |done, total| {
-            assert!(done <= total);
-            max_seen.fetch_max(done, Ordering::Relaxed);
-        });
-        assert_eq!(max_seen.load(Ordering::Relaxed), 20);
     }
 
     #[test]
@@ -484,6 +427,19 @@ mod tests {
         });
         assert_eq!(max_seen.load(Ordering::Relaxed), 6);
         assert_eq!(calls.load(Ordering::Relaxed), 6, "one callback per task");
+    }
+
+    #[test]
+    #[should_panic(expected = "progress exploded")]
+    fn a_panicking_progress_callback_is_re_raised_with_its_message() {
+        let tasks: Vec<ResumableTask<usize>> = (0..4)
+            .map(|i| -> ResumableTask<usize> { Box::new(move || TaskStep::Done(i)) })
+            .collect();
+        Pool::new(2).run_resumable(tasks, |done, _| {
+            if done == 2 {
+                panic!("progress exploded");
+            }
+        });
     }
 
     #[test]
