@@ -11,8 +11,15 @@
 //! once and fan out to every subscriber), which runs sequentially
 //! ([`Experiment::run`]), on a work-stealing pool ([`par_run`],
 //! [`plan_run_catalogue`]), or split across hosts as
-//! deterministic shards — with byte-identical output every way. The
-//! `repro` binary runs any of it:
+//! deterministic shards — with byte-identical output every way.
+//!
+//! The `repro` command line is this library's [`cli`] module — one
+//! `Result`-returning entry point per subcommand ([`cli::sweep`]:
+//! `list`, `plan`, the direct run; [`cli::shard`]: `run --shard`,
+//! `merge`, `dispatch`; [`cli::remote`]: `serve`, `submit`;
+//! [`cli::cache`]; [`cli::bench`]), all over one plan resolver
+//! ([`resolve`]), one shard-artifact type and one report
+//! printer/spooler — and the `repro` binary is only its `main`:
 //!
 //! ```text
 //! cargo run -p ebrc-experiments --release --bin repro -- list
@@ -29,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod breakdown;
+pub mod cli;
 pub mod figures;
 pub mod registry;
 pub mod scenarios;
@@ -38,7 +46,7 @@ pub mod spec;
 
 pub use registry::{
     all_experiments, find_experiment, global_plan, par_run, plan_run_catalogue,
-    plan_run_catalogue_cached, reduce_subscription, replica_seed, scale_by_name,
+    plan_run_catalogue_cached, reduce_subscription, replica_seed, resolve, scale_by_name,
     select_experiments, CatalogueRun, Experiment, ExperimentFailure, ExperimentReport, Plan, Scale,
     MASTER_SEED,
 };

@@ -11,12 +11,12 @@
 //! it.
 //!
 //! [`plan_run_catalogue`] executes a plan on the pool and reduces each
-//! experiment *the moment its last subscribed spec completes*, handing
-//! finished reports to a dedicated writer thread (the `on_report`
-//! sink) so output spools while the rest of the grid is still
-//! simulating. Tables are byte-identical to the sequential
-//! [`Experiment::run`] at any thread count and any shard count — the
-//! determinism contract the test suite enforces.
+//! experiment *the moment its last subscribed spec completes* on one
+//! consumer thread, which also feeds the `on_report` sink — so output
+//! spools while the rest of the grid is still simulating. Tables are
+//! byte-identical to the sequential [`Experiment::run`] at any thread
+//! count and any shard count — the determinism contract the test suite
+//! enforces.
 
 use crate::series::Table;
 use crate::spec::{SimSpec, SpecOutput};
@@ -25,8 +25,7 @@ use ebrc_runner::{
     SpecTiming, SubscriptionResult,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc};
 
 /// A plan over the catalogue's concrete spec vocabulary.
 pub type Plan = ebrc_runner::Plan<SimSpec>;
@@ -234,31 +233,32 @@ pub fn par_run(
     reports.remove(0).outcome
 }
 
-/// Reduces one experiment from its subscription's inputs — the spec
+/// Reduces one experiment from its subscription's outcome — the spec
 /// outputs in reduce order, or the spec failures that spoiled the
 /// subscription — into its report. A panicking reducer fails the
-/// report, not the caller. Shared by the in-process reducer thread
+/// report, not the caller. Shared by the in-process consumer thread
 /// ([`plan_run_catalogue_cached`]) and `repro merge`, so a sweep
 /// reduced from shard artifacts reports exactly what a direct run
 /// does.
 pub fn reduce_subscription(
     exp: &dyn Experiment,
     scale: Scale,
-    inputs: Result<Vec<&SpecOutput>, SpecFailures>,
+    outcome: &Result<Vec<Arc<SpecOutput>>, SpecFailures>,
 ) -> ExperimentReport {
     let failure = |failed_specs, phase_error| ExperimentFailure {
         id: exp.id().to_string(),
         failed_specs,
         phase_error,
     };
-    let outcome = match inputs {
+    let outcome = match outcome {
         Ok(outputs) => {
+            let outputs: Vec<&SpecOutput> = outputs.iter().map(|a| a.as_ref()).collect();
             catch_unwind(AssertUnwindSafe(|| exp.reduce(scale, &outputs))).map_err(|p| {
                 let msg = format!("reduce panicked: {}", panic_message(p.as_ref()));
                 failure(Vec::new(), Some(msg))
             })
         }
-        Err(failed_specs) => Err(failure(failed_specs, None)),
+        Err(failed_specs) => Err(failure(failed_specs.clone(), None)),
     };
     ExperimentReport {
         id: exp.id(),
@@ -311,10 +311,10 @@ pub fn plan_run_catalogue(
 /// Builds one global plan (specs deduplicated across experiments),
 /// executes its unique specs on the pool — serving any spec whose
 /// validated output already sits in `cache` without executing it, and
-/// writing fresh outputs back — and reduces each experiment on a
-/// dedicated reducer thread the moment its last subscribed spec
-/// completes. Finished reports stream — in completion order — through
-/// `on_report` on a separate writer thread, so callers can spool
+/// writing fresh outputs back — and reduces each experiment on one
+/// consumer thread the moment its last subscribed spec completes.
+/// Finished reports stream — in completion order — through
+/// `on_report` on that same thread, off the pool, so callers can spool
 /// tables to disk while the grid is still running; the returned
 /// reports are in catalogue (argument) order regardless. Tables are
 /// byte-identical whether every output came from the cache, none did,
@@ -352,7 +352,7 @@ pub fn plan_run_catalogue_cached(
     }
 
     // Phase 2: execute the unique specs; reduce on completion; stream
-    // reports through the writer sink.
+    // reports through the sink.
     let mut slots: Vec<Option<ExperimentReport>> = Vec::new();
     for _ in 0..experiments.len() {
         slots.push(None);
@@ -360,39 +360,22 @@ pub fn plan_run_catalogue_cached(
     let mut stats = RunStats::default();
     std::thread::scope(|s| {
         let (ready_tx, ready_rx) = mpsc::channel::<SubscriptionResult<SimSpec>>();
-        let (report_tx, report_rx) = mpsc::channel::<(usize, ExperimentReport)>();
         let experiments = &experiments;
         let exp_for_sub = &exp_for_sub;
 
-        // Reducer: turns completed subscriptions into reports.
-        s.spawn(move || {
+        // Consumer: reduces each completed subscription, hands the
+        // report to the sink, and keeps it for the caller.
+        let consumer = s.spawn(move || {
+            let mut done: Vec<(usize, ExperimentReport)> = Vec::new();
             for res in ready_rx {
                 let ei = exp_for_sub[res.subscription];
-                let inputs = match &res.outcome {
-                    Ok(outputs) => Ok(outputs.iter().map(|a| a.as_ref()).collect()),
-                    Err(failed_specs) => Err(failed_specs.clone()),
-                };
-                let report = reduce_subscription(experiments[ei], scale, inputs);
-                if report_tx.send((ei, report)).is_err() {
-                    break;
-                }
-            }
-        });
-
-        // Writer: hands each finished report to the sink as it lands.
-        let writer = s.spawn(move || {
-            let mut done: Vec<(usize, ExperimentReport)> = Vec::new();
-            for (ei, report) in report_rx {
+                let report = reduce_subscription(experiments[ei], scale, &res.outcome);
                 on_report(&report);
                 done.push((ei, report));
             }
             done
         });
 
-        // The pool: `Sender` is not `Sync`, so completion events go
-        // through a mutex — the send is two orders of magnitude cheaper
-        // than any spec body.
-        let ready_tx = Mutex::new(ready_tx);
         let (_, run_stats) = run_plan(
             pool,
             MASTER_SEED,
@@ -402,15 +385,12 @@ pub fn plan_run_catalogue_cached(
             exec,
             progress,
             |res| {
-                let _ = ready_tx
-                    .lock()
-                    .expect("completion channel poisoned")
-                    .send(res);
+                let _ = ready_tx.send(res);
             },
         );
         stats = run_stats;
         drop(ready_tx);
-        for (ei, report) in writer.join().expect("writer thread panicked") {
+        for (ei, report) in consumer.join().expect("consumer thread panicked") {
             slots[ei] = Some(report);
         }
     });
@@ -512,6 +492,26 @@ pub fn select_experiments(targets: &[String]) -> Result<Vec<Box<dyn Experiment>>
         return Ok(all_experiments());
     }
     Ok(out)
+}
+
+/// [`global_plan`] with a panicking `plan()` turned into an error.
+pub fn try_global_plan(experiments: &[Box<dyn Experiment>], scale: Scale) -> Result<Plan, String> {
+    let refs: Vec<&dyn Experiment> = experiments.iter().map(|e| e.as_ref()).collect();
+    catch_unwind(AssertUnwindSafe(|| global_plan(&refs, scale)))
+        .map_err(|_| "plan construction panicked".to_string())
+}
+
+/// Resolves positional experiment ids at `scale` into the selected
+/// experiments and their merged plan. Every CLI subcommand and the
+/// sweep service resolve through this one function, so they agree on
+/// what a target list means and on the plan's fingerprint.
+pub fn resolve(
+    targets: &[String],
+    scale: Scale,
+) -> Result<(Vec<Box<dyn Experiment>>, Plan), String> {
+    let experiments = select_experiments(targets)?;
+    let plan = try_global_plan(&experiments, scale)?;
+    Ok((experiments, plan))
 }
 
 #[cfg(test)]

@@ -19,13 +19,12 @@
 //!   the client build.
 
 use crate::registry::{
-    global_plan, plan_run_catalogue_cached, scale_by_name, select_experiments, CatalogueRun,
-    ExperimentReport,
+    plan_run_catalogue_cached, resolve, scale_by_name, CatalogueRun, Experiment, ExperimentReport,
+    Scale,
 };
 use crate::series::table_file_name;
 use ebrc_runner::{CancelToken, DirCache, ExecConfig, OutputCache, Pool};
 use ebrc_serve::{Event, EventSink, PlanInfo, ReportChunk, RunSummary, SweepBackend, TableChunk};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -40,28 +39,38 @@ pub struct CatalogueBackend {
     pub slice_events: Option<u64>,
 }
 
-/// A resolved submission: the selected experiments, the scale they run
-/// at, and the deduplicated plan they subscribe to.
-type ResolvedPlan = (Vec<Box<dyn crate::Experiment>>, crate::Scale, crate::Plan);
+impl CatalogueBackend {
+    /// The configured cache, if any.
+    pub fn cache(&self) -> Option<DirCache> {
+        self.cache_dir.as_ref().map(DirCache::new)
+    }
 
-fn resolve_plan(targets: &[String], scale_name: &str) -> Result<ResolvedPlan, String> {
-    let (scale, _) = scale_by_name(scale_name)
-        .ok_or_else(|| format!("unknown scale {scale_name:?} (quick, paper, tiny)"))?;
-    let experiments = select_experiments(targets)?;
-    let refs: Vec<&dyn crate::Experiment> = experiments.iter().map(|e| e.as_ref()).collect();
-    let plan = catch_unwind(AssertUnwindSafe(|| global_plan(&refs, scale)))
-        .map_err(|_| "plan construction panicked".to_string())?;
-    Ok((experiments, scale, plan))
+    /// The execution config every run path shares: sliced when a
+    /// budget is set, monolithic otherwise. Output bytes are identical
+    /// either way — slicing only lets long sims migrate between
+    /// workers.
+    pub fn exec(&self) -> ExecConfig {
+        ExecConfig {
+            slice_events: self.slice_events,
+            ..ExecConfig::default()
+        }
+    }
 }
 
-fn chunk_of(report: &ExperimentReport) -> ReportChunk {
-    match &report.outcome {
-        Ok(tables) => ReportChunk {
-            experiment: report.id.to_string(),
-            title: report.title.to_string(),
-            paper_ref: report.paper_ref.to_string(),
-            error: None,
-            tables: tables
+/// The scale a submission names.
+fn named_scale(name: &str) -> Result<Scale, String> {
+    scale_by_name(name)
+        .map(|(scale, _)| scale)
+        .ok_or_else(|| format!("unknown scale {name:?} (quick, paper, tiny)"))
+}
+
+/// The rendered form of a report: what the daemon streams and what
+/// every `repro` mode prints and spools.
+pub(crate) fn chunk_of(report: &ExperimentReport) -> ReportChunk {
+    let (error, tables) = match &report.outcome {
+        Ok(tables) => (
+            None,
+            tables
                 .iter()
                 .map(|t| TableChunk {
                     name: t.name.clone(),
@@ -70,14 +79,15 @@ fn chunk_of(report: &ExperimentReport) -> ReportChunk {
                     json: t.to_json(),
                 })
                 .collect(),
-        },
-        Err(failure) => ReportChunk {
-            experiment: report.id.to_string(),
-            title: report.title.to_string(),
-            paper_ref: report.paper_ref.to_string(),
-            error: Some(failure.to_string()),
-            tables: vec![],
-        },
+        ),
+        Err(failure) => (Some(failure.to_string()), vec![]),
+    };
+    ReportChunk {
+        experiment: report.id.to_string(),
+        title: report.title.to_string(),
+        paper_ref: report.paper_ref.to_string(),
+        error,
+        tables,
     }
 }
 
@@ -104,7 +114,7 @@ impl OrderedEmitter<'_> {
 
 impl SweepBackend for CatalogueBackend {
     fn resolve(&self, targets: &[String], scale: &str) -> Result<PlanInfo, String> {
-        let (_, _, plan) = resolve_plan(targets, scale)?;
+        let (_, plan) = resolve(targets, named_scale(scale)?)?;
         Ok(PlanInfo {
             fingerprint: format!("{:016x}", plan.fingerprint()),
             unique_sims: plan.unique_len(),
@@ -119,23 +129,18 @@ impl SweepBackend for CatalogueBackend {
         cancel: &CancelToken,
         sink: &dyn EventSink,
     ) -> Result<RunSummary, String> {
-        let (scale, _) = scale_by_name(scale_name)
-            .ok_or_else(|| format!("unknown scale {scale_name:?} (quick, paper, tiny)"))?;
-        let experiments = select_experiments(targets)?;
+        let scale = named_scale(scale_name)?;
+        let (experiments, _) = resolve(targets, scale)?;
         let index_of: std::collections::HashMap<&'static str, usize> = experiments
             .iter()
             .enumerate()
             .map(|(i, e)| (e.id(), i))
             .collect();
-        let refs: Vec<&dyn crate::Experiment> = experiments.iter().map(|e| e.as_ref()).collect();
+        let refs: Vec<&dyn Experiment> = experiments.iter().map(|e| e.as_ref()).collect();
 
         let pool = Pool::new(self.threads);
-        let cache = self.cache_dir.as_ref().map(DirCache::new);
-        let exec = ExecConfig {
-            slice_events: self.slice_events,
-            ..ExecConfig::default()
-        }
-        .with_cancel(cancel.clone());
+        let cache = self.cache();
+        let exec = self.exec().with_cancel(cancel.clone());
 
         let emitter = Mutex::new(OrderedEmitter {
             sink,
@@ -220,10 +225,9 @@ mod tests {
         let b = backend(None);
         let targets = vec!["fig03".to_string(), "fig04".to_string()];
         let info = b.resolve(&targets, "tiny").unwrap();
-        let (_, scale, plan) = resolve_plan(&targets, "tiny").unwrap();
+        let (_, plan) = resolve(&targets, Scale::tiny()).unwrap();
         assert_eq!(info.fingerprint, format!("{:016x}", plan.fingerprint()));
         assert_eq!(info.unique_sims, plan.unique_len());
-        assert!(scale.quick);
         assert!(b.resolve(&targets, "huge").is_err());
         assert!(b
             .resolve(&[String::from("not-an-experiment")], "tiny")

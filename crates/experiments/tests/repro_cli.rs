@@ -73,9 +73,23 @@ fn bad_flags_exit_with_usage() {
         vec!["run", "--shard", "2/2"],
         vec!["run", "--shard", "nope"],
         vec!["plan", "--shards", "0"],
+        // `--trace` where no sim runs in this process would be
+        // silently dropped; it is rejected, naming the flag.
+        vec!["list", "--trace", "t"],
+        vec!["plan", "fig05", "--trace", "t"],
+        vec!["merge", "fig05", "--trace", "t"],
+        vec!["dispatch", "fig05", "--trace", "t"],
+        vec!["serve", "--trace", "t"],
+        vec!["submit", "fig05", "--trace", "t"],
+        vec!["cache", "stats", "--cache-dir", "nowhere", "--trace", "t"],
+        vec!["bench-runner", "--trace", "t"],
     ] {
         let out = repro().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        if args.contains(&"--trace") {
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("--trace records"), "args {args:?}: {err}");
+        }
     }
 }
 

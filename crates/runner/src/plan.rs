@@ -512,6 +512,41 @@ impl<S: Spec> Plan<S> {
             .map(|&i| &outputs[i])
             .collect()
     }
+
+    /// What subscription `subscription`'s reducer receives once every
+    /// spec it references has a result (`result_of(spec index)`): the
+    /// outputs in reduce order, or each failed spec once.
+    pub fn gather<'a>(
+        &self,
+        subscription: usize,
+        result_of: impl Fn(usize) -> &'a SpecResult<S>,
+    ) -> SubscriptionResult<S>
+    where
+        S: 'a,
+    {
+        let sub = &self.subs[subscription];
+        let mut outputs = Vec::with_capacity(sub.spec_indices.len());
+        let mut failures: SpecFailures = Vec::new();
+        for &idx in &sub.spec_indices {
+            match result_of(idx) {
+                Ok(out) => outputs.push(Arc::clone(out)),
+                Err(msg) => {
+                    let key = self.specs[idx].key();
+                    if !failures.iter().any(|(k, _)| *k == key) {
+                        failures.push((key, msg.clone()));
+                    }
+                }
+            }
+        }
+        SubscriptionResult {
+            subscription,
+            outcome: if failures.is_empty() {
+                Ok(outputs)
+            } else {
+                Err(failures)
+            },
+        }
+    }
 }
 
 /// A completed spec's shared output, or the panic message that killed
@@ -604,31 +639,12 @@ pub fn run_plan<S: CacheableSpec>(
         })
         .collect();
 
-    let gather = |sub_idx: usize| -> SubscriptionResult<S> {
-        let sub = &plan.subscriptions()[sub_idx];
-        let mut outputs = Vec::with_capacity(sub.spec_indices.len());
-        let mut failures: Vec<(String, String)> = Vec::new();
-        for &idx in &sub.spec_indices {
-            // `gather` runs on a subscription's last decrement, and a
-            // spec decrements only after `complete` filled its slot.
-            match results[idx].get().expect("subscribed spec complete") {
-                Ok(out) => outputs.push(Arc::clone(out)),
-                Err(msg) => {
-                    let key = plan.specs()[idx].key();
-                    if !failures.iter().any(|(k, _)| *k == key) {
-                        failures.push((key, msg.clone()));
-                    }
-                }
-            }
-        }
-        SubscriptionResult {
-            subscription: sub_idx,
-            outcome: if failures.is_empty() {
-                Ok(outputs)
-            } else {
-                Err(failures)
-            },
-        }
+    // `gather` runs on a subscription's last decrement, and a spec
+    // decrements only after `complete` filled its slot.
+    let gather = |sub_idx: usize| {
+        plan.gather(sub_idx, |idx| {
+            results[idx].get().expect("subscribed spec complete")
+        })
     };
     // Records a spec's result — a hit or a finished run — and fires the
     // subscriptions it was the last missing piece of.
