@@ -397,10 +397,14 @@ impl ManyFlowRun {
     pub fn build(cfg: &ManyFlowConfig) -> Self {
         let nominal_rtt = 2.0 * cfg.one_way_delay;
         let n_total = cfg.n_tfrc + cfg.n_tcp;
-        // 7 components; calendar peak ≈ one pacing timer per flow plus
-        // the in-flight window and the bottleneck backlog.
-        let mut eng: Engine<NetEvent> =
-            Engine::with_capacity(7, 4 * n_total + cfg.buffer_pkts + 64);
+        // 7 components. The calendar holds what is *pending*: one pacing
+        // timer per flow, the data in flight through the forward delay
+        // box (rate × delay) and at most one feedback per flow in the
+        // reverse one. The bottleneck backlog is not: it waits in the
+        // DropTail queue's own `VecDeque`. (10⁴ flows: 57 264 hinted,
+        // 51 826 measured.)
+        let in_flight = (cfg.share_pps * n_total as f64 * cfg.one_way_delay).ceil() as usize;
+        let mut eng: Engine<NetEvent> = Engine::with_capacity(7, 2 * n_total + in_flight + 64);
 
         let bottleneck = eng.add(Box::new(LinkQueue::new(
             Box::new(DropTailQueue::new(cfg.buffer_pkts)),

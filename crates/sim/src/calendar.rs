@@ -34,10 +34,23 @@
 //!   ring's horizon wait in an overflow heap and migrate in as the
 //!   cursor approaches them.
 //!
+//! The ring owns one allocation for its events: a *slab* of slots, each
+//! a pending event plus the index of the next slot in the same bucket.
+//! A bucket is the head of such a chain and its length — eight bytes,
+//! `Copy`, owning nothing — and slots a pop vacates are threaded onto a
+//! free list through the same link and handed to the next push. Ring
+//! memory is therefore O(peak pending set), wherever in the ring those
+//! events happened to land over the run; a ring of growable per-bucket
+//! vectors instead keeps every bucket's high-water capacity forever
+//! (176 MiB for a 5 MiB pending set at 10⁴ flows).
+//!
 //! Determinism is structural, not tuned: any monotone time→bucket
-//! mapping plus an in-bucket `(time, seq)` sort reproduces exactly the
-//! heap's total order, so bucket count and width are pure performance
-//! knobs — the golden corpus cannot move when they change.
+//! mapping plus an in-bucket `(time, seq)` minimum reproduces exactly
+//! the heap's total order, so bucket count and width are pure
+//! performance knobs — the golden corpus cannot move when they change.
+//! The same argument covers where a bucket keeps its events: keys are
+//! unique (`seq` is), so the minimum of a chain is the same event in
+//! whatever order pushes, pops and slot reuse left the chain.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -187,9 +200,10 @@ const CONCENTRATED_BUCKET: usize = 64;
 
 /// Ticks holding at most this many events are served straight from
 /// their bucket by linear min-scan — cheaper than heapifying for the
-/// calibrated steady state of ~2 events per bucket. Bigger ticks (and
-/// ticks that keep receiving same-tick pushes) drain into the `head`
-/// heap and are served at O(log k).
+/// calibrated steady state of a few events per tick (the fit aims at
+/// 2 per bucket; `manyflow_10k` measures 4.4 slots scanned per bucket
+/// pop). Bigger ticks (and ticks that keep receiving same-tick pushes)
+/// drain into the `head` heap and are served at O(log k).
 const SMALL_TICK: usize = 16;
 
 /// Smallest tick width that keeps `time / width` comfortably inside
@@ -200,6 +214,56 @@ fn width_floor(t: f64) -> f64 {
 /// Bucket-count ceiling: beyond this the ring's memory footprint buys
 /// nothing — overflow migration amortizes the rest.
 const MAX_BUCKETS: usize = 1 << 16;
+
+/// The "no slot" link: end of a bucket chain or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One ring bucket: the first slot of its chain and the chain's length.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    len: u32,
+}
+
+const EMPTY: Bucket = Bucket { head: NIL, len: 0 };
+
+/// One slab slot: a [`Scheduled`] event and the link to the next slot
+/// of its chain. The key sits outside the `Option`, so a min-scan reads
+/// `(time, seq)` without testing a tag; only the payload is optional,
+/// `None` marking a slot on the free list (where `next` is the free
+/// link and the key is stale).
+struct Slot<E> {
+    time: f64,
+    seq: u64,
+    target: usize,
+    next: u32,
+    event: Option<E>,
+}
+
+impl<E> Slot<E> {
+    /// The slot's event, leaving the slot vacant; `None` if it was.
+    fn take(&mut self) -> Option<Scheduled<E>> {
+        let event = self.event.take()?;
+        Some(Scheduled {
+            time: self.time,
+            seq: self.seq,
+            target: self.target,
+            event,
+        })
+    }
+}
+
+/// How often each storage path ran, so the tests can prove their
+/// workloads reach the paths they claim to: big ticks drained into
+/// `head`, rebuilds by trigger, pushes served from the free list.
+#[cfg(test)]
+#[derive(Clone, Copy, Default, Debug)]
+struct PathCounts {
+    drains: u64,
+    drift_rebuilds: u64,
+    concentration_rebuilds: u64,
+    slot_reuses: u64,
+}
 
 /// A calendar queue: O(1) steady-state schedule/pop.
 ///
@@ -212,12 +276,17 @@ const MAX_BUCKETS: usize = 1 << 16;
 /// wait in an overflow heap and migrate into the ring as the cursor
 /// sweeps forward.
 ///
-/// Ring buckets are unordered staging: when the cursor reaches a
-/// non-empty tick, its whole bucket is heapified into the small `head`
-/// heap (O(k)) and served in `(time, seq)` order from there —
-/// sub-width-delay events that keep landing on the current tick (a
-/// zero-delay hop chain, a same-time burst) push straight into `head`
-/// at O(log k) instead of forcing a per-pop re-sort of the bucket.
+/// Ring buckets are unordered staging, chained through one slab
+/// (`slots`): a push takes a slot off the free list (or grows the slab
+/// by one) and links it at its bucket's head; a pop unlinks the chain's
+/// `(time, seq)` minimum and frees its slot, so the slab never holds
+/// more slots than the ring's peak population. When the cursor reaches
+/// a tick holding more than [`SMALL_TICK`] events, its whole chain is
+/// heapified into the small `head` heap (O(k)) and served in `(time,
+/// seq)` order from there — sub-width-delay events that keep landing
+/// on the current tick (a zero-delay hop chain, a same-time burst) push
+/// straight into `head` at O(log k) instead of forcing a per-pop
+/// re-scan of the bucket.
 ///
 /// The first head access *calibrates* the ring: bucket count and width
 /// are derived from the pending set (≈2 events per bucket over the
@@ -229,7 +298,12 @@ const MAX_BUCKETS: usize = 1 << 16;
 /// clock — so runs stay deterministic, and the pop order is `(time,
 /// seq)` regardless of the parameters chosen.
 pub struct WheelCalendar<E> {
-    buckets: Vec<Vec<Scheduled<E>>>,
+    buckets: Vec<Bucket>,
+    /// The ring's only event store: every ring event, plus the slots
+    /// pops have vacated since the last rebuild.
+    slots: Vec<Slot<E>>,
+    /// Head of the free list threaded through vacated slots' `next`.
+    free: u32,
     /// `buckets.len() - 1`; bucket index is `tick & mask`.
     mask: u64,
     /// Seconds per tick and its reciprocal (multiplication beats
@@ -258,19 +332,16 @@ pub struct WheelCalendar<E> {
     /// the pending set's span, used to predict whether a rebuild would
     /// actually split a concentrated bucket.
     t_max_seen: f64,
+    #[cfg(test)]
+    paths: PathCounts,
 }
 
 impl<E> WheelCalendar<E> {
-    /// Maps a time to its absolute tick, saturating at the ends.
+    /// Maps a time to its absolute tick, saturating at the ends: the
+    /// cast truncates — `floor`, for the non-negative — sends anything
+    /// below zero to 0 and anything past `u64::MAX` (`+inf` too) there.
     fn raw_tick(&self, time: f64) -> u64 {
-        let t = (time * self.inv_width).floor();
-        if t <= 0.0 {
-            0
-        } else if t >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            t as u64
-        }
+        (time * self.inv_width) as u64
     }
 
     /// First tick *outside* the ring's current window.
@@ -278,10 +349,47 @@ impl<E> WheelCalendar<E> {
         self.cursor.saturating_add(self.buckets.len() as u64)
     }
 
+    /// Files `item` under `tick`: a free slot if a pop left one,
+    /// otherwise one more slab entry, linked at the bucket's head.
+    #[inline]
     fn insert_wheel(&mut self, tick: u64, item: Scheduled<E>) {
-        let b = (tick & self.mask) as usize;
-        self.buckets[b].push(item);
+        let bucket = &mut self.buckets[(tick & self.mask) as usize];
+        let slot = Slot {
+            time: item.time,
+            seq: item.seq,
+            target: item.target,
+            next: bucket.head,
+            event: Some(item.event),
+        };
+        let i = self.free;
+        if i != NIL {
+            let vacant = &mut self.slots[i as usize];
+            self.free = vacant.next;
+            *vacant = slot;
+            bucket.head = i;
+            #[cfg(test)]
+            {
+                self.paths.slot_reuses += 1;
+            }
+        } else {
+            // `NIL` itself must never name a slot.
+            assert!(self.slots.len() < NIL as usize, "calendar slab is full");
+            bucket.head = self.slots.len() as u32;
+            self.slots.push(slot);
+        }
+        bucket.len += 1;
         self.wheel_len += 1;
+    }
+
+    /// Moves chained slot `i` to the free list; returns its event and
+    /// its chain successor (mending the chain is the caller's job).
+    #[inline]
+    fn release(&mut self, i: u32) -> (Scheduled<E>, u32) {
+        let slot = &mut self.slots[i as usize];
+        let item = slot.take().expect("a chained slot holds an event");
+        let next = std::mem::replace(&mut slot.next, self.free);
+        self.free = i;
+        (item, next)
     }
 
     /// Moves every overflow event whose tick has entered the window
@@ -356,12 +464,10 @@ impl<E> WheelCalendar<E> {
             width = 1.0;
         }
 
-        // Every bucket is empty here (fresh wheel, or drained by
-        // `rebuild`) — when the count is unchanged, keep the ring and
-        // its per-bucket allocations instead of reallocating.
-        if self.buckets.len() != n {
-            self.buckets = (0..n).map(|_| Vec::new()).collect();
-        }
+        // The slab is empty here (fresh wheel, or drained by
+        // `rebuild`), so every bucket restarts as an empty chain.
+        self.buckets.clear();
+        self.buckets.resize(n, EMPTY);
         self.mask = n as u64 - 1;
         self.width = width;
         self.inv_width = width.recip();
@@ -389,11 +495,11 @@ impl<E> WheelCalendar<E> {
     /// the escape hatch when the workload has drifted so far off the
     /// calibrated width that pushes mostly land in overflow.
     fn rebuild(&mut self) {
-        for b in &mut self.buckets {
-            for item in b.drain(..) {
-                self.overflow.push(item);
-            }
-        }
+        // Every slot is chained (an event) or free (`None`): draining
+        // the slab empties the ring and leaves no free list to keep.
+        let ring = self.slots.drain(..).filter_map(|mut slot| slot.take());
+        self.overflow.extend(ring);
+        self.free = NIL;
         for item in std::mem::take(&mut self.head) {
             self.overflow.push(item);
         }
@@ -410,7 +516,7 @@ impl<E> WheelCalendar<E> {
     /// giant buckets re-sorted on every pop. The pop-count gate
     /// amortizes the O(pending) rebuild.
     fn bucket_concentrated(&self, b: usize) -> bool {
-        let blen = self.buckets[b].len();
+        let blen = self.buckets[b].len as usize;
         let total = self.len();
         let avg = (total / self.buckets.len()).max(1);
         if blen < CONCENTRATED_BUCKET || blen < avg * 8 || self.pops_since_rebuild < total as u64 {
@@ -418,9 +524,12 @@ impl<E> WheelCalendar<E> {
         }
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for it in &self.buckets[b] {
-            lo = lo.min(it.time);
-            hi = hi.max(it.time);
+        let mut i = self.buckets[b].head;
+        while i != NIL {
+            let slot = &self.slots[i as usize];
+            lo = lo.min(slot.time);
+            hi = hi.max(slot.time);
+            i = slot.next;
         }
         if hi <= lo {
             return false;
@@ -449,16 +558,20 @@ impl<E> WheelCalendar<E> {
             }
             if self.wheel_len > 0 {
                 let b = (self.cursor & self.mask) as usize;
-                if !self.buckets[b].is_empty() {
+                if self.buckets[b].len != 0 {
                     if self.bucket_concentrated(b) {
                         // Refit the width to the pending set as it
                         // looks now. The minimum is finite and lands
                         // back inside the fresh window, so the loop
                         // always finds it.
+                        #[cfg(test)]
+                        {
+                            self.paths.concentration_rebuilds += 1;
+                        }
                         self.rebuild();
                         continue;
                     }
-                    if self.buckets[b].len() <= SMALL_TICK {
+                    if self.buckets[b].len as usize <= SMALL_TICK {
                         // The calibrated common case: a couple of
                         // events in the tick. A linear min-scan beats
                         // any sort or heap shuffle.
@@ -469,10 +582,21 @@ impl<E> WheelCalendar<E> {
                     // O(k) heapify now, O(log k) per pop/push while
                     // the tick drains; same-tick pushes join the heap
                     // directly instead of re-sorting a bucket.
-                    self.wheel_len -= self.buckets[b].len();
+                    let chain = std::mem::replace(&mut self.buckets[b], EMPTY);
+                    self.wheel_len -= chain.len as usize;
                     let mut staging = std::mem::take(&mut self.head).into_vec();
-                    staging.append(&mut self.buckets[b]);
+                    staging.reserve(chain.len as usize);
+                    let mut i = chain.head;
+                    while i != NIL {
+                        let (item, next) = self.release(i);
+                        staging.push(item);
+                        i = next;
+                    }
                     self.head = BinaryHeap::from(staging);
+                    #[cfg(test)]
+                    {
+                        self.paths.drains += 1;
+                    }
                     return Location::Head;
                 }
                 self.cursor += 1;
@@ -500,16 +624,36 @@ impl<E> WheelCalendar<E> {
         }
     }
 
-    /// Index of the bucket's minimal `(time, seq)` event. `Scheduled`'s
-    /// reversed `Ord` makes that the `Ord`-maximal element.
-    fn bucket_min(items: &[Scheduled<E>]) -> usize {
-        let mut mi = 0;
-        for i in 1..items.len() {
-            if items[i] > items[mi] {
-                mi = i;
-            }
+    /// The slot linking to non-empty bucket `b`'s minimal `(time, seq)`
+    /// event (`NIL` at the chain's head), and that event's slot. A
+    /// one-event chain — all a sim with a handful of pending events
+    /// sees — is answered here; longer ones pay for the scan's call.
+    #[inline]
+    fn bucket_min(&self, b: usize) -> (u32, u32) {
+        let head = self.buckets[b].head;
+        if self.slots[head as usize].next == NIL {
+            (NIL, head)
+        } else {
+            self.chain_min(head)
         }
-        mi
+    }
+
+    /// [`Self::bucket_min`] for the chain starting at slot `head`.
+    #[inline(never)]
+    fn chain_min(&self, head: u32) -> (u32, u32) {
+        let mut min = &self.slots[head as usize];
+        let (mut min_prev, mut min_i) = (NIL, head);
+        let (mut prev, mut i) = (head, min.next);
+        while i != NIL {
+            let slot = &self.slots[i as usize];
+            // Pop order: `Scheduled`'s `Ord`, un-reversed.
+            let order = slot.time.total_cmp(&min.time);
+            if order.then_with(|| slot.seq.cmp(&min.seq)).is_lt() {
+                (min_prev, min_i, min) = (prev, i, slot);
+            }
+            (prev, i) = (i, slot.next);
+        }
+        (min_prev, min_i)
     }
 }
 
@@ -526,18 +670,25 @@ enum Location {
 impl<E> Calendar<E> for WheelCalendar<E> {
     fn with_capacity(events: usize) -> Self {
         Self {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            buckets: vec![EMPTY; MIN_BUCKETS],
+            // The hint sizes the slab, where pending events live —
+            // not `overflow`, which `calibrate` consumes. Reserved, not
+            // filled: a page no event reaches is never touched.
+            slots: Vec::with_capacity(events.min(1 << 20)),
+            free: NIL,
             mask: MIN_BUCKETS as u64 - 1,
             width: 1.0,
             inv_width: 1.0,
             cursor: 0,
             wheel_len: 0,
             head: BinaryHeap::new(),
-            overflow: BinaryHeap::with_capacity(events.min(1 << 20)),
+            overflow: BinaryHeap::new(),
             calibrated: false,
             hint: events,
             pops_since_rebuild: u64::MAX,
             t_max_seen: f64::NEG_INFINITY,
+            #[cfg(test)]
+            paths: PathCounts::default(),
         }
     }
 
@@ -568,6 +719,10 @@ impl<E> Calendar<E> for WheelCalendar<E> {
             && self.overflow.len() > 1024
             && self.overflow.len() > 4 * (self.wheel_len + self.head.len())
         {
+            #[cfg(test)]
+            {
+                self.paths.drift_rebuilds += 1;
+            }
             self.rebuild();
         }
     }
@@ -582,15 +737,15 @@ impl<E> Calendar<E> for WheelCalendar<E> {
         if self.len() == 0 {
             return None;
         }
-        let head = match self.locate() {
-            Location::Head => self.head.peek()?,
+        let key = |s: &Scheduled<E>| (s.time, s.seq);
+        match self.locate() {
+            Location::Head => self.head.peek().map(key),
             Location::Bucket(b) => {
-                let bucket = &self.buckets[b];
-                &bucket[Self::bucket_min(bucket)]
+                let slot = &self.slots[self.bucket_min(b).1 as usize];
+                Some((slot.time, slot.seq))
             }
-            Location::Overflow => self.overflow.peek()?,
-        };
-        Some((head.time, head.seq))
+            Location::Overflow => self.overflow.peek().map(key),
+        }
     }
 
     fn pop_not_after(&mut self, horizon: f64) -> Option<Scheduled<E>> {
@@ -607,12 +762,18 @@ impl<E> Calendar<E> for WheelCalendar<E> {
                 self.head.pop()
             }
             Location::Bucket(b) => {
-                let mi = Self::bucket_min(&self.buckets[b]);
-                if self.buckets[b][mi].time > horizon {
+                let (prev, i) = self.bucket_min(b);
+                if self.slots[i as usize].time > horizon {
                     return None;
                 }
+                let (item, next) = self.release(i);
+                match prev {
+                    NIL => self.buckets[b].head = next,
+                    _ => self.slots[prev as usize].next = next,
+                }
+                self.buckets[b].len -= 1;
                 self.wheel_len -= 1;
-                Some(self.buckets[b].swap_remove(mi))
+                Some(item)
             }
             Location::Overflow => {
                 if self.overflow.peek()?.time > horizon {
@@ -633,6 +794,7 @@ impl<E> Calendar<E> for WheelCalendar<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ev(time: f64, seq: u64) -> Scheduled<u32> {
         Scheduled {
@@ -801,5 +963,245 @@ mod tests {
         // Reuse after emptying, at a later clock.
         cal.push(ev(500.0, 1));
         assert_eq!(cal.next_time(), Some(500.0));
+    }
+
+    /// One step of a calendar-level workload. Times are relative to
+    /// the clock — the latest time popped so far — as the engine's are.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// `k` events `gap` apart, the first `delay` after the clock.
+        Push { delay: f64, gap: f64, k: usize },
+        /// Up to `n` removals, every other one through
+        /// `pop_not_after` with a horizon `reach` past the clock.
+        Pop { n: usize, reach: f64 },
+        /// The hold model: `n` times, pop one event and push one up to
+        /// `spread` later — every push finds a slot a pop just vacated.
+        Hold { n: usize, spread: f64 },
+    }
+
+    /// Workloads for the paths `arb_calendar_op` (`tests/properties.rs`,
+    /// ≤ 300 events, bursts of ≤ 5) never reaches: ticks too big to
+    /// serve in place, both rebuild triggers, and slot reuse after each.
+    fn arb_script() -> impl Strategy<Value = Vec<Step>> {
+        const ALL: f64 = 1e9;
+        let push = |delay, gap, k| Step::Push { delay, gap, k };
+        let arm = prop_oneof![
+            3 => (0.0f64..20.0).prop_map(move |d| vec![push(d, 0.0, 1)]),
+            // One instant, more events than `SMALL_TICK`: drains to `head`.
+            2 => (0.0f64..20.0, 17usize..201).prop_map(move |(d, k)| vec![push(d, 0.0, k)]),
+            // A µs-scale population, then second-scale spacing: once
+            // > 1024 events sit beyond the window, overflow outweighs
+            // the ring fourfold and the wheel rebuilds.
+            1 => (1100usize..1500).prop_map(move |k| {
+                vec![push(0.0, 1e-6, 64), Step::Pop { n: 1, reach: ALL }, push(10.0, 1.0, k)]
+            }),
+            // A sparse population fits a wide tick; ≥ 64 distinct times
+            // then land in that one tick, and the cursor bucket is
+            // concentrated the next time it is read.
+            1 => (64usize..200).prop_map(move |k| {
+                vec![push(0.0, 10.0, 10), Step::Pop { n: 1, reach: ALL }, push(0.0, 0.1, k)]
+            }),
+            // Far-future outlier: parks in overflow, migrates in later.
+            1 => (1.0e4f64..1.0e7).prop_map(move |d| vec![push(d, 0.0, 1)]),
+            3 => (0usize..40, 0.0f64..30.0).prop_map(|(n, reach)| vec![Step::Pop { n, reach }]),
+            // Enough pops to re-arm the concentration trigger's
+            // amortization gate after a rebuild.
+            1 => (100usize..600).prop_map(|n| vec![Step::Pop { n, reach: ALL }]),
+            2 => (20usize..200, 0.001f64..20.0)
+                .prop_map(|(n, spread)| vec![Step::Hold { n, spread }]),
+        ];
+        proptest::collection::vec(arm, 1..10).prop_map(|arms| arms.concat())
+    }
+
+    /// The wheel and its oracle, fed the same operations.
+    struct Pair {
+        wheel: WheelCalendar<u32>,
+        heap: HeapCalendar<u32>,
+        seq: u64,
+        clock: f64,
+    }
+
+    impl Pair {
+        fn push(&mut self, time: f64) {
+            self.wheel.push(ev(time, self.seq));
+            self.heap.push(ev(time, self.seq));
+            self.seq += 1;
+        }
+
+        /// Removes the head of both — through `pop_not_after` when a
+        /// horizon is given — checking that they agree on the head key
+        /// first and on the removed event after. `Ok(false)`: nothing
+        /// was removed.
+        fn pop(&mut self, horizon: Option<f64>) -> Result<bool, TestCaseError> {
+            prop_assert_eq!(
+                key_bits(self.wheel.next_key()),
+                key_bits(self.heap.next_key())
+            );
+            let (a, b) = match horizon {
+                Some(h) => (self.wheel.pop_not_after(h), self.heap.pop_not_after(h)),
+                None => (self.wheel.pop(), self.heap.pop()),
+            };
+            let key = |x: &Option<Scheduled<u32>>| key_bits(x.as_ref().map(|x| (x.time, x.seq)));
+            prop_assert_eq!(key(&a), key(&b));
+            prop_assert_eq!(self.wheel.len(), self.heap.len());
+            self.clock = a.as_ref().map_or(self.clock, |x| x.time.max(self.clock));
+            Ok(a.is_some())
+        }
+    }
+
+    thread_local! {
+        /// `[drains, drift rebuilds, concentration rebuilds, slot reuses,
+        /// steps that reused a slot after a drain or rebuild]`, summed
+        /// over the cases of `rewired_path_cases` (which run on the
+        /// calling test's thread).
+        static SEEN: std::cell::Cell<[u64; 5]> = const { std::cell::Cell::new([0; 5]) };
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Not a `#[test]` itself: `wheel_matches_heap_on_the_rewired_paths`
+        // runs the cases, then checks what they reached.
+        fn rewired_path_cases(script in arb_script()) {
+            let mut pair = Pair {
+                wheel: Calendar::with_capacity(0),
+                heap: Calendar::with_capacity(0),
+                seq: 0,
+                clock: 0.0,
+            };
+            let mut reused_after_recycling = 0;
+            for step in &script {
+                let was = pair.wheel.paths;
+                match *step {
+                    Step::Push { delay, gap, k } => {
+                        for j in 0..k {
+                            pair.push(pair.clock + delay + gap * j as f64);
+                        }
+                    }
+                    Step::Pop { n, reach } => {
+                        for j in 0..n {
+                            let horizon = (j % 2 == 1).then_some(pair.clock + reach);
+                            if !pair.pop(horizon)? {
+                                break;
+                            }
+                        }
+                    }
+                    Step::Hold { n, spread } => {
+                        for j in 0..n {
+                            if !pair.pop(None)? {
+                                break;
+                            }
+                            pair.push(pair.clock + spread * (j * 7 % 11) as f64 / 11.0);
+                        }
+                    }
+                }
+                let now = pair.wheel.paths;
+                let recycled = was.drains + was.drift_rebuilds + was.concentration_rebuilds > 0;
+                if recycled && now.slot_reuses > was.slot_reuses {
+                    reused_after_recycling += 1;
+                }
+            }
+            let paths = pair.wheel.paths;
+            prop_assert_eq!(drain(&mut pair.wheel), drain(&mut pair.heap));
+            let case = [
+                paths.drains,
+                paths.drift_rebuilds,
+                paths.concentration_rebuilds,
+                paths.slot_reuses,
+                reused_after_recycling,
+            ];
+            SEEN.with(|seen| seen.set(std::array::from_fn(|i| seen.get()[i] + case[i])));
+        }
+    }
+
+    #[test]
+    fn wheel_matches_heap_on_the_rewired_paths() {
+        rewired_path_cases();
+        let seen = SEEN.with(std::cell::Cell::get);
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "the generator went vacuous: [drains, drift rebuilds, concentration \
+             rebuilds, slot reuses, reuses after recycling] = {seen:?}"
+        );
+    }
+
+    /// The regression test for the 176 MiB: a ring of per-bucket
+    /// vectors retains every bucket's high-water capacity, so a stable
+    /// population that wanders over the whole ring — and overfills a
+    /// bucket now and then — grows storage far past the pending set.
+    /// The slab may not.
+    #[test]
+    fn ring_storage_tracks_the_pending_set() {
+        const POPULATION: usize = 1000;
+        const OPS: usize = 1_000_000;
+        const BURST: usize = 100;
+        let mut cal: WheelCalendar<u32> = Calendar::with_capacity(0);
+        let mut state = 0x2002_5eed_u64;
+        let mut offset = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as f64 / u32::MAX as f64 * 10.0
+        };
+        for seq in 0..POPULATION as u64 {
+            cal.push(ev(offset(), seq));
+        }
+        let mut seq = POPULATION as u64;
+        let mut peak = cal.len();
+        let mut touched = Vec::new();
+        // Pushes one event, noting the bucket it lands in.
+        let mut file = |cal: &mut WheelCalendar<u32>, time: f64| {
+            if touched.len() != cal.buckets.len() {
+                touched = vec![false; cal.buckets.len()];
+            }
+            touched[(cal.raw_tick(time).max(cal.cursor) & cal.mask) as usize] = true;
+            cal.push(ev(time, seq));
+            seq += 1;
+        };
+        for op in 0..OPS {
+            let now = cal.pop().expect("population is stable").time;
+            file(&mut cal, now + offset());
+            if op == OPS / 3 || op == 2 * OPS / 3 {
+                // Overfill one tick a little ahead of the cursor with
+                // distinct times, then pop the surplus back off.
+                let (start, step) = ((cal.cursor + 3) as f64 * cal.width, cal.width / 200.0);
+                for j in 0..BURST {
+                    file(&mut cal, start + step * j as f64);
+                }
+                peak = peak.max(cal.len());
+                for _ in 0..BURST {
+                    cal.pop().expect("surplus");
+                }
+            }
+        }
+        assert_eq!(cal.len(), POPULATION);
+        assert!(touched.iter().all(|&t| t), "the workload skipped a bucket");
+        let overfills = cal.paths.drains + cal.paths.concentration_rebuilds;
+        assert!(
+            overfills >= 2,
+            "the bursts fit a small tick: {:?}",
+            cal.paths
+        );
+        // Buckets are `Copy`, so the slab is all the ring owns.
+        assert!(
+            cal.slots.len() <= peak,
+            "{} slots for a pending set that peaked at {peak}",
+            cal.slots.len()
+        );
+    }
+
+    /// A slot is a `Scheduled` event plus one link. A payload with a
+    /// niche (here a 72-byte stand-in shaped like `ebrc_net::NetEvent`)
+    /// hides the free-slot tag in it; one without pays a word for it.
+    #[test]
+    fn slot_adds_one_link_to_a_scheduled_event() {
+        #[allow(dead_code)]
+        enum NetLike {
+            Packet([u64; 8], u8),
+            TxDone,
+            Timer(u64),
+        }
+        use std::mem::size_of;
+        assert_eq!(size_of::<Scheduled<NetLike>>(), 96);
+        assert!(size_of::<Slot<NetLike>>() <= size_of::<Scheduled<NetLike>>() + 8);
+        assert!(size_of::<Slot<u64>>() <= size_of::<Scheduled<u64>>() + 16);
     }
 }

@@ -30,10 +30,11 @@
 //! lends it to the [`Context`] for the duration of the handler, and
 //! reclaims it afterwards — so dispatching an event touches the heap
 //! only when the calendar, the lane or the scratch buffer has to grow
-//! past its high-water mark. [`Engine::with_capacity`] pre-sizes the
-//! calendar and the component slab so their growth happens before the
-//! first event fires; the scratch buffer and the lane start small and
-//! grow (once) to the widest fan-out any handler produces.
+//! past its high-water mark. [`Engine::with_capacity`] reserves the
+//! wheel's event slab and the component slab up front, so with a hint
+//! that covers the peak pending set neither reallocates once events
+//! fire; the scratch buffer and the lane start small and grow (once) to
+//! the widest fan-out any handler produces.
 
 use crate::calendar::{Calendar, Scheduled, WheelCalendar};
 use crate::trace::TraceSink;
@@ -287,11 +288,12 @@ impl<E: 'static> Engine<E> {
     }
 
     /// Creates an engine pre-sized for `components` registered actors
-    /// and `calendar` in-flight events. Scenario builders that know
-    /// their topology pass hints here so the slab and the calendar
-    /// never reallocate mid-run; the emission scratch buffer starts at
-    /// a few slots and grows once to the widest per-handler fan-out,
-    /// then stays there.
+    /// and `calendar` pending events. Scenario builders that know
+    /// their topology pass hints here: the calendar hint reserves (but
+    /// does not touch) the wheel's event slab, so a hint that covers
+    /// the peak pending set means the calendar never reallocates
+    /// mid-run. The emission scratch buffer starts at a few slots and
+    /// grows once to the widest per-handler fan-out, then stays there.
     pub fn with_capacity(components: usize, calendar: usize) -> Self {
         Self::with_calendar(WheelCalendar::with_capacity(calendar), components)
     }
