@@ -9,6 +9,10 @@ use ebrc_sim::{Component, ComponentId, Context};
 ///
 /// The lab experiments of the paper inserted 25 ms each way with NIST
 /// Net; one `DelayBox` per direction reproduces that.
+///
+/// Without jitter the box is a FIFO pipe — packets leave in the order
+/// they entered — and says so through [`Component::fixed_delay`], so
+/// the engine keeps its packets in flight in a queue, not the calendar.
 pub struct DelayBox {
     delay: f64,
     jitter: f64,
@@ -72,6 +76,11 @@ impl Component<NetEvent> for DelayBox {
             ctx.send(self.delay + extra, next, NetEvent::Packet(pkt));
         }
     }
+
+    /// The base delay, unless jitter makes every packet's its own.
+    fn fixed_delay(&self) -> Option<f64> {
+        (self.jitter == 0.0).then_some(self.delay)
+    }
 }
 
 #[cfg(test)]
@@ -80,7 +89,9 @@ mod tests {
     use crate::packet::{FlowId, Packet};
     use crate::sink::Sink;
     use ebrc_dist::Rng;
-    use ebrc_sim::Engine;
+    use ebrc_sim::{Calendar, Engine, Scheduled, WheelCalendar};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn forwards_after_fixed_delay() {
@@ -121,6 +132,85 @@ mod tests {
             let lat = t - p.sent_at;
             assert!((0.010..0.012).contains(&lat), "latency {lat}");
         }
+    }
+
+    /// A wheel that counts what reaches it.
+    struct CountingCalendar {
+        inner: WheelCalendar<NetEvent>,
+        pushes: Arc<AtomicUsize>,
+    }
+
+    impl Calendar<NetEvent> for CountingCalendar {
+        fn with_capacity(events: usize) -> Self {
+            Self {
+                inner: Calendar::with_capacity(events),
+                pushes: Arc::default(),
+            }
+        }
+        fn push(&mut self, item: Scheduled<NetEvent>) {
+            self.pushes.fetch_add(1, Ordering::Relaxed);
+            self.inner.push(item);
+        }
+        fn pop(&mut self) -> Option<Scheduled<NetEvent>> {
+            self.inner.pop()
+        }
+        fn next_key(&mut self) -> Option<(f64, u64)> {
+            self.inner.next_key()
+        }
+        fn next_is_at(&mut self, time: f64) -> bool {
+            self.inner.next_is_at(time)
+        }
+        fn pop_not_after(&mut self, horizon: f64) -> Option<Scheduled<NetEvent>> {
+            self.inner.pop_not_after(horizon)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+    }
+
+    /// `packets` packets, 1 ms apart, through two boxes in a row (5 ms,
+    /// then 7 ms plus `jitter`) into a sink. Returns the calendar
+    /// pushes beyond the externally scheduled packets themselves.
+    fn pushes_of_a_two_box_pipeline(packets: usize, jitter: f64) -> usize {
+        let calendar = CountingCalendar::with_capacity(0);
+        let pushes = Arc::clone(&calendar.pushes);
+        let mut eng = Engine::with_calendar(calendar, 3);
+        let a = eng.add(Box::new(DelayBox::new(0.005, Rng::seed_from(4))));
+        let b = eng.add(Box::new(
+            DelayBox::new(0.007, Rng::seed_from(5)).with_jitter(jitter),
+        ));
+        let sink = eng.add(Box::new(Sink::new()));
+        eng.get_mut::<DelayBox>(a).set_next_hop(b);
+        eng.get_mut::<DelayBox>(b).set_next_hop(sink);
+        for i in 0..packets {
+            let at = i as f64 * 1e-3;
+            let pkt = Packet::data(FlowId(0), i as u64, 100, at);
+            eng.schedule(at, a, NetEvent::Packet(pkt));
+        }
+        eng.run_until(1.0);
+        assert!(eng.is_idle());
+        let s: &Sink = eng.get(sink);
+        assert_eq!(s.arrivals.len(), packets);
+        for (i, (t, p)) in s.arrivals.iter().enumerate() {
+            assert_eq!(p.seq, i as u64, "a pipe delivers in order");
+            let lat = t - p.sent_at;
+            assert!((0.012 - 1e-12..0.012 + jitter + 1e-12).contains(&lat));
+        }
+        pushes.load(Ordering::Relaxed) - packets
+    }
+
+    #[test]
+    fn zero_jitter_deliveries_never_reach_the_calendar() {
+        assert_eq!(pushes_of_a_two_box_pipeline(50, 0.0), 0);
+    }
+
+    #[test]
+    fn a_jittered_box_declares_no_fixed_delay() {
+        let plain = DelayBox::new(0.007, Rng::seed_from(5));
+        assert_eq!(plain.fixed_delay(), Some(0.007));
+        assert_eq!(plain.with_jitter(1e-4).fixed_delay(), None);
+        // Its deliveries are timed one by one: the calendar's job.
+        assert_eq!(pushes_of_a_two_box_pipeline(50, 1e-4), 50);
     }
 
     #[test]

@@ -1,26 +1,29 @@
 //! Pluggable event calendars: the pending-event set behind the engine.
 //!
-//! The calendar holds the engine's *timed* events — the ones due
-//! strictly after the clock, plus whatever `Engine::schedule` files
-//! from outside a run. Same-instant emissions never reach it; they
-//! wait in the engine's FIFO lane (see [`crate::engine`]). The
-//! dispatch loop asks three things of its calendar, each with a
-//! **single probe** of the structure:
+//! The calendar holds what is neither a same-instant hop nor a
+//! fixed-delay delivery — timers, jittered delays, whatever
+//! `Engine::schedule` files from outside a run; those two kinds of
+//! emission wait in the engine's FIFO lanes (see [`crate::engine`]) and
+//! never reach it. The dispatch loop asks three things of its calendar,
+//! each with a **single probe** of the structure:
 //!
-//! * accept an event ([`Calendar::push`]);
-//! * surrender the earliest event unless it lies beyond the run's
-//!   horizon ([`Calendar::pop_not_after`]) — one head lookup decides
-//!   both "is it due?" and "which one?", half the work of asking
+//! * accept an event ([`Calendar::push`]), new or back from a lost tie;
+//! * surrender the earliest event unless it lies beyond a bound — the
+//!   run's horizon or the earliest lane front
+//!   ([`Calendar::pop_not_after`]): one head lookup decides both "is
+//!   it due?" and "which one?", half the work of asking
 //!   [`Calendar::next_time`] and then [`Calendar::pop`];
-//! * report the earliest event's `(time, seq)` key without removing
-//!   it ([`Calendar::next_key`]), so the engine can decide whether a
-//!   same-instant calendar event precedes the lane's front.
+//! * say whether anything is pending at the clock's own instant
+//!   ([`Calendar::next_is_at`]), once per instant, so the engine learns
+//!   its same-instant events have nothing to be ordered against. Nothing
+//!   precedes the clock, so the wheel answers from the one bucket the
+//!   instant maps to — which the pop before it just walked.
 //!
 //! *Earliest* always means minimal `(time, seq)`, the total order that
 //! makes simultaneous events fire in scheduling order and replays
-//! bit-exact. [`Calendar::pop`] and [`Calendar::next_time`] remain as
-//! the unconditional forms for callers outside the engine (benches,
-//! probes, tests).
+//! bit-exact. [`Calendar::pop`], [`Calendar::next_time`] and
+//! [`Calendar::next_key`] remain as the unconditional forms for callers
+//! outside the engine (benches, probes, tests).
 //!
 //! Two implementations share that contract:
 //!
@@ -133,6 +136,15 @@ pub trait Calendar<E> {
     /// The `(time, seq)` key of the event [`Calendar::pop`] would
     /// return, without removing it. `None` when empty.
     fn next_key(&mut self) -> Option<(f64, u64)>;
+
+    /// Whether an event is pending at exactly `time`, asked by a caller
+    /// who knows that none is pending before it (the engine asks about
+    /// its clock) — so the event would be the head. Cheaper than
+    /// [`Calendar::next_key`] where the head takes finding: the wheel
+    /// looks only where `time` maps to.
+    fn next_is_at(&mut self, time: f64) -> bool {
+        self.next_key().is_some_and(|(head, _)| head == time)
+    }
 
     /// [`Calendar::pop`], unless the earliest event's time lies
     /// strictly after `horizon` — then the calendar is left untouched
@@ -257,7 +269,7 @@ impl<E> Slot<E> {
 /// workloads reach the paths they claim to: big ticks drained into
 /// `head`, rebuilds by trigger, pushes served from the free list.
 #[cfg(test)]
-#[derive(Clone, Copy, Default, Debug)]
+#[derive(Clone, Copy, Default, Debug, PartialEq)]
 struct PathCounts {
     drains: u64,
     drift_rebuilds: u64,
@@ -692,6 +704,11 @@ impl<E> Calendar<E> for WheelCalendar<E> {
         }
     }
 
+    // The engine calls this from two places — every timed emission,
+    // and the rare loser of a same-instant tie — and without the hint
+    // the second costs the first its inlined copy (+35 ns a packet on
+    // the `net.link_pkt_ns` probe, a 96-byte event through the stack).
+    #[inline]
     fn push(&mut self, item: Scheduled<E>) {
         if item.time.is_finite() && item.time > self.t_max_seen {
             self.t_max_seen = item.time;
@@ -746,6 +763,29 @@ impl<E> Calendar<E> for WheelCalendar<E> {
             }
             Location::Overflow => self.overflow.peek().map(key),
         }
+    }
+
+    fn next_is_at(&mut self, time: f64) -> bool {
+        // Nothing precedes `time`, so wherever an event at `time` waits
+        // it is that store's minimum: the top of `head` while a tick is
+        // being served, else somewhere in its tick's bucket or — past
+        // the window, before calibration — the top of `overflow`.
+        if let Some(top) = self.head.peek() {
+            return top.time == time;
+        }
+        let tick = self.raw_tick(time).max(self.cursor);
+        if !self.calibrated || tick >= self.window_end() {
+            return self.overflow.peek().is_some_and(|top| top.time == time);
+        }
+        let mut i = self.buckets[(tick & self.mask) as usize].head;
+        while i != NIL {
+            let slot = &self.slots[i as usize];
+            if slot.time == time {
+                return true;
+            }
+            i = slot.next;
+        }
+        false
     }
 
     fn pop_not_after(&mut self, horizon: f64) -> Option<Scheduled<E>> {
@@ -1003,6 +1043,11 @@ mod tests {
             }),
             // Far-future outlier: parks in overflow, migrates in later.
             1 => (1.0e4f64..1.0e7).prop_map(move |d| vec![push(d, 0.0, 1)]),
+            // The same, then the ring popped empty under it, so the head
+            // is an event the cursor has yet to jump to.
+            1 => (1.0e4f64..1.0e7).prop_map(move |d| {
+                vec![push(d, 0.0, 2), Step::Pop { n: 1500, reach: ALL }]
+            }),
             3 => (0usize..40, 0.0f64..30.0).prop_map(|(n, reach)| vec![Step::Pop { n, reach }]),
             // Enough pops to re-arm the concentration trigger's
             // amortization gate after a rebuild.
@@ -1019,13 +1064,20 @@ mod tests {
         heap: HeapCalendar<u32>,
         seq: u64,
         clock: f64,
+        /// [`Calendar::next_is_at`] questions by where the wheel had to
+        /// look — `[before calibration, head, ring, overflow]` — then
+        /// how many were answered yes, and how many followed a drain
+        /// into `head` or a rebuild directly.
+        asked: [u64; 7],
     }
 
     impl Pair {
-        fn push(&mut self, time: f64) {
+        fn push(&mut self, time: f64) -> Result<(), TestCaseError> {
+            let was = self.wheel.paths;
             self.wheel.push(ev(time, self.seq));
             self.heap.push(ev(time, self.seq));
             self.seq += 1;
+            self.ask_instant(was)
         }
 
         /// Removes the head of both — through `pop_not_after` when a
@@ -1033,6 +1085,7 @@ mod tests {
         /// first and on the removed event after. `Ok(false)`: nothing
         /// was removed.
         fn pop(&mut self, horizon: Option<f64>) -> Result<bool, TestCaseError> {
+            let was = self.wheel.paths;
             prop_assert_eq!(
                 key_bits(self.wheel.next_key()),
                 key_bits(self.heap.next_key())
@@ -1045,16 +1098,55 @@ mod tests {
             prop_assert_eq!(key(&a), key(&b));
             prop_assert_eq!(self.wheel.len(), self.heap.len());
             self.clock = a.as_ref().map_or(self.clock, |x| x.time.max(self.clock));
+            self.ask_instant(was)?;
             Ok(a.is_some())
+        }
+
+        /// After every operation (`was`: the path counts before it),
+        /// asks both calendars about the two instants an engine can ask
+        /// about — its clock, which nothing pending precedes, and the
+        /// head's own time. The wheel must agree with the heap's
+        /// default and stay exactly as it was.
+        fn ask_instant(&mut self, was: PathCounts) -> Result<(), TestCaseError> {
+            let head = self.heap.next_time();
+            for time in [Some(self.clock), head].into_iter().flatten() {
+                let w = &self.wheel;
+                let place = if !w.calibrated {
+                    0
+                } else if !w.head.is_empty() {
+                    1
+                } else if w.raw_tick(time).max(w.cursor) < w.window_end() {
+                    2
+                } else {
+                    3
+                };
+                let before = (w.paths, w.cursor, w.len());
+                let answer = self.wheel.next_is_at(time);
+                prop_assert_eq!(answer, self.heap.next_is_at(time), "at {}", time);
+                prop_assert_eq!(answer, head == Some(time));
+                let w = &self.wheel;
+                prop_assert!(
+                    before == (w.paths, w.cursor, w.len()),
+                    "the question moved the wheel"
+                );
+                self.asked[place] += 1;
+                self.asked[4] += u64::from(answer);
+                self.asked[5] += u64::from(w.paths.drains > was.drains);
+                self.asked[6] += u64::from(
+                    w.paths.drift_rebuilds + w.paths.concentration_rebuilds
+                        > was.drift_rebuilds + was.concentration_rebuilds,
+                );
+            }
+            Ok(())
         }
     }
 
     thread_local! {
         /// `[drains, drift rebuilds, concentration rebuilds, slot reuses,
-        /// steps that reused a slot after a drain or rebuild]`, summed
-        /// over the cases of `rewired_path_cases` (which run on the
-        /// calling test's thread).
-        static SEEN: std::cell::Cell<[u64; 5]> = const { std::cell::Cell::new([0; 5]) };
+        /// steps that reused a slot after a drain or rebuild]`, then
+        /// `Pair::asked`, summed over the cases of `rewired_path_cases`
+        /// (which run on the calling test's thread).
+        static SEEN: std::cell::Cell<[u64; 12]> = const { std::cell::Cell::new([0; 12]) };
     }
 
     proptest! {
@@ -1068,6 +1160,7 @@ mod tests {
                 heap: Calendar::with_capacity(0),
                 seq: 0,
                 clock: 0.0,
+                asked: [0; 7],
             };
             let mut reused_after_recycling = 0;
             for step in &script {
@@ -1075,7 +1168,7 @@ mod tests {
                 match *step {
                     Step::Push { delay, gap, k } => {
                         for j in 0..k {
-                            pair.push(pair.clock + delay + gap * j as f64);
+                            pair.push(pair.clock + delay + gap * j as f64)?;
                         }
                     }
                     Step::Pop { n, reach } => {
@@ -1091,7 +1184,7 @@ mod tests {
                             if !pair.pop(None)? {
                                 break;
                             }
-                            pair.push(pair.clock + spread * (j * 7 % 11) as f64 / 11.0);
+                            pair.push(pair.clock + spread * (j * 7 % 11) as f64 / 11.0)?;
                         }
                     }
                 }
@@ -1110,6 +1203,7 @@ mod tests {
                 paths.slot_reuses,
                 reused_after_recycling,
             ];
+            let case: Vec<u64> = case.into_iter().chain(pair.asked).collect();
             SEEN.with(|seen| seen.set(std::array::from_fn(|i| seen.get()[i] + case[i])));
         }
     }
@@ -1121,7 +1215,9 @@ mod tests {
         assert!(
             seen.iter().all(|&n| n > 0),
             "the generator went vacuous: [drains, drift rebuilds, concentration \
-             rebuilds, slot reuses, reuses after recycling] = {seen:?}"
+             rebuilds, slot reuses, reuses after recycling, instants asked before \
+             calibration, of the head, of the ring, of overflow, answered yes, asked \
+             right after a drain, after a rebuild] = {seen:?}"
         );
     }
 

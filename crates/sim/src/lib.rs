@@ -10,8 +10,10 @@
 //! * [`Engine`] owns the clock, the pending events, and the components.
 //!   Events due at the clock's own instant (zero-delay hops — about
 //!   half of a packet simulation's events) wait in a FIFO *same-instant
-//!   lane*; timed events wait in the calendar, and the dispatch loop
-//!   merges the two on `(time, sequence)`.
+//!   lane*, events sent with a delay a component declared fixed (packets
+//!   in a propagation pipe) in that delay's FIFO lane, the rest — timers
+//!   — in the calendar; the dispatch loop merges them on
+//!   `(time, sequence)`.
 //!   The calendar is pluggable behind the [`Calendar`] trait — the
 //!   default [`WheelCalendar`] is a calendar queue with O(1)
 //!   steady-state schedule/pop (the many-flow scaling path), and
@@ -20,10 +22,11 @@
 //!   `(time, sequence)` order, so simultaneous events fire in
 //!   scheduling order — fully deterministic, whichever backend runs.
 //! * [`Component`] is the behaviour trait: `handle(now, event, ctx)` —
-//!   nothing else, since the `Any` supertrait provides the downcast
-//!   upcast for free. Components never touch each other directly; they
-//!   emit events through the [`Context`], which the engine drains into
-//!   the lane and the calendar after the handler returns. This message-only
+//!   and, for a pipe, the fixed delay it declares — nothing else, since
+//!   the `Any` supertrait provides the downcast upcast for free.
+//!   Components never touch each other directly; they emit events
+//!   through the [`Context`], which the engine drains into the lanes
+//!   and the calendar after the handler returns. This message-only
 //!   discipline is what makes replays exact.
 //! * The dispatch loop is allocation-free on the steady state: the
 //!   engine lends one reusable scratch buffer to each handler's

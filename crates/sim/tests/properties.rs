@@ -6,7 +6,6 @@ use ebrc_sim::{
     WheelCalendar,
 };
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 struct Recorder {
@@ -135,24 +134,47 @@ struct Hop {
     ttl: u8,
 }
 
+/// `ebrc_sim::engine::MAX_DELAY_LANES`, which is private: how many
+/// distinct declared delays get a lane.
+const LANE_CAP: usize = 4;
+
+/// How an event came to be pending, as far as its sender can tell.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Road {
+    /// Filed from outside, or sent with a delay nobody declared.
+    Undeclared,
+    /// Sent with one of the first [`LANE_CAP`] declared delays.
+    Lane,
+    /// Sent with a declared delay that came too late for a lane.
+    PastCap,
+    /// Sent with a declared delay the clock absorbed (`1e-12` at `1e7`).
+    Absorbed,
+}
+
 /// Test-side bookkeeping shared by every node of one graph run.
 ///
 /// The engine assigns `seq` in the exact order `schedule`/`send` are
-/// called, so a counter bumped at each of those calls reproduces every
-/// event's `seq` — which lets the log be checked against the full
-/// `(time, seq)` dispatch order rather than time alone.
+/// called, so counting those calls reproduces every event's `seq` —
+/// which lets the log be checked against the full `(time, seq)`
+/// dispatch order rather than time alone.
 #[derive(Default)]
 struct Mirror {
-    next_id: AtomicU64,
+    /// The distinct positive delays declared to the engine, first come
+    /// first.
+    declared: Vec<f64>,
+    /// Every event ever scheduled, by id.
+    roads: Mutex<Vec<Road>>,
     /// `(time bits, id)` per dispatch; times are non-negative, so the
     /// bit patterns order like the times.
     log: Mutex<Vec<(u64, u64)>>,
 }
 
 impl Mirror {
-    fn hop(&self, ttl: u8) -> Hop {
+    fn hop(&self, ttl: u8, road: Road) -> Hop {
+        let mut roads = self.roads.lock().expect("roads lock");
+        roads.push(road);
         Hop {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+            id: roads.len() as u64 - 1,
             ttl,
         }
     }
@@ -171,9 +193,26 @@ impl Component<Hop> for Node {
         log.push((now.to_bits(), ev.id));
         if ev.ttl > 0 {
             for &(delay, target) in &self.edges {
-                ctx.send(delay, target, self.mirror.hop(ev.ttl - 1));
+                let road = match self.mirror.declared.iter().position(|d| *d == delay) {
+                    None => Road::Undeclared,
+                    Some(_) if now + delay == now => Road::Absorbed,
+                    Some(rank) if rank < LANE_CAP => Road::Lane,
+                    Some(_) => Road::PastCap,
+                };
+                ctx.send(delay, target, self.mirror.hop(ev.ttl - 1, road));
             }
         }
+    }
+}
+
+/// Forwards nothing; exists to declare one [`Component::fixed_delay`].
+struct Declarer(f64);
+
+impl Component<Hop> for Declarer {
+    fn handle(&mut self, _now: f64, _ev: Hop, _ctx: &mut Context<Hop>) {}
+
+    fn fixed_delay(&self) -> Option<f64> {
+        Some(self.0)
     }
 }
 
@@ -199,16 +238,24 @@ fn arb_delay() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Runs `ops` on a graph of `edges.len()` nodes over calendar `C`,
-/// drains it, and returns the dispatch log plus the number of events
-/// ever scheduled. `start` pre-advances the clock (to 1e7 for the
-/// fp-absorption cases).
+/// Runs `ops` on a graph of `edges.len()` nodes over calendar `C`, with
+/// each of `declare` declared to the engine as some component's fixed
+/// delay, drains it, and returns the dispatch log plus the road of
+/// every event ever scheduled. `start` pre-advances the clock (to 1e7
+/// for the fp-absorption cases).
 fn run_graph<C: Calendar<Hop>>(
     edges: &[Vec<(f64, usize)>],
+    declare: &[f64],
     ops: &[GraphOp],
     start: f64,
-) -> (Vec<(u64, u64)>, u64) {
-    let mirror = Arc::new(Mirror::default());
+) -> (Vec<(u64, u64)>, Vec<Road>) {
+    let mut mirror = Mirror::default();
+    for &delay in declare {
+        if delay > 0.0 && !mirror.declared.contains(&delay) {
+            mirror.declared.push(delay);
+        }
+    }
+    let mirror = Arc::new(mirror);
     let mut eng: Engine<Hop, C> = Engine::with_calendar(C::with_capacity(16), edges.len());
     let ids: Vec<ComponentId> = edges
         .iter()
@@ -223,11 +270,15 @@ fn run_graph<C: Calendar<Hop>>(
         eng.get_mut::<Node>(*id).edges =
             out.iter().map(|&(d, t)| (d, ids[t % ids.len()])).collect();
     }
+    for &delay in declare {
+        eng.add(Box::new(Declarer(delay)));
+    }
     eng.run_until(start);
     for op in ops {
         match *op {
             GraphOp::Schedule { delay, node, ttl } => {
-                eng.schedule(delay, ids[node % ids.len()], mirror.hop(ttl));
+                let hop = mirror.hop(ttl, Road::Undeclared);
+                eng.schedule(delay, ids[node % ids.len()], hop);
             }
             GraphOp::Slice(n) => {
                 let _ = eng.run_budgeted(RunLimit::events(n));
@@ -237,7 +288,8 @@ fn run_graph<C: Calendar<Hop>>(
     eng.run_to_completion(u64::MAX);
     assert!(eng.is_idle());
     let log = std::mem::take(&mut *mirror.log.lock().expect("log lock"));
-    (log, mirror.next_id.load(Ordering::Relaxed))
+    let roads = std::mem::take(&mut *mirror.roads.lock().expect("roads lock"));
+    (log, roads)
 }
 
 /// One step of an interleaved workload.
@@ -382,41 +434,6 @@ proptest! {
         prop_assert_eq!(&eng.get::<Echo>(echo).log, &reference.log, "dispatch log diverged");
     }
 
-    /// Property — the order oracle for the lane + single-probe loop:
-    /// over random component graphs mixing zero-delay chains, positive
-    /// delays, same-instant ties between lane and calendar, events
-    /// filed from outside at the current instant between 1–3 event
-    /// slices, and picosecond delays at `t = 1e7`, every scheduled
-    /// event is dispatched exactly once, the dispatch log is strictly
-    /// increasing in `(time, seq)`, and the wheel and heap engines
-    /// produce the same log.
-    #[test]
-    fn lane_and_calendar_dispatch_in_time_seq_order_exactly_once(
-        edges in proptest::collection::vec(
-            proptest::collection::vec((arb_delay(), 0usize..6), 0..3),
-            1..6,
-        ),
-        ops in proptest::collection::vec(
-            prop_oneof![
-                2 => (arb_delay(), 0usize..6, 0u8..5)
-                    .prop_map(|(delay, node, ttl)| GraphOp::Schedule { delay, node, ttl }),
-                3 => (1u64..4).prop_map(GraphOp::Slice),
-            ],
-            1..40,
-        ),
-        start in prop_oneof![Just(0.0), Just(1e7)],
-    ) {
-        let (wheel, scheduled) = run_graph::<WheelCalendar<Hop>>(&edges, &ops, start);
-        let (heap, _) = run_graph::<HeapCalendar<Hop>>(&edges, &ops, start);
-        prop_assert_eq!(&wheel, &heap, "wheel and heap engines diverged");
-        for w in wheel.windows(2) {
-            prop_assert!(w[0] < w[1], "dispatch order broke (time, seq): {:?}", w);
-        }
-        let mut ids: Vec<u64> = wheel.iter().map(|&(_, id)| id).collect();
-        ids.sort_unstable();
-        prop_assert_eq!(ids, (0..scheduled).collect::<Vec<_>>(), "exactly once");
-    }
-
     /// Property: `run_events(n)` is exactly `run_budgeted(∞, n)` — one
     /// dispatch loop behind both entry points.
     #[test]
@@ -535,4 +552,103 @@ proptest! {
             prop_assert_eq!(w.1, h.1, "event diverged at dispatch {}", i);
         }
     }
+}
+
+thread_local! {
+    /// What the cases of `lane_order_cases` (which run on the calling
+    /// test's thread) reached: `[events sent down a lane, sent with a
+    /// declared delay past the lane cap, sent with a declared delay the
+    /// clock absorbed, neighbours in the log at one instant of which
+    /// only the older rode a lane, of which only the younger did]`.
+    static REACHED: std::cell::Cell<[u64; 5]> = const { std::cell::Cell::new([0; 5]) };
+}
+
+proptest! {
+    // Ties between a lane front and the calendar need volume; the
+    // vendored stand-in defaults to 256 cases and reads no environment.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    // Not a `#[test]` itself:
+    // `lane_and_calendar_dispatch_in_time_seq_order_exactly_once` runs
+    // the cases, then checks what they reached.
+    fn lane_order_cases(
+        edges in proptest::collection::vec(
+            proptest::collection::vec((arb_delay(), 0usize..6, any::<bool>()), 0..3),
+            1..6,
+        ),
+        // Declared by components nobody sends through: they take lanes
+        // the edges' own declarations then find gone.
+        decoys in proptest::collection::vec(arb_delay(), 0..6),
+        ops in proptest::collection::vec(
+            prop_oneof![
+                2 => (arb_delay(), 0usize..6, 0u8..5)
+                    .prop_map(|(delay, node, ttl)| GraphOp::Schedule { delay, node, ttl }),
+                3 => (1u64..4).prop_map(GraphOp::Slice),
+            ],
+            1..40,
+        ),
+        start in prop_oneof![Just(0.0), Just(1e7)],
+    ) {
+        let declare: Vec<f64> = decoys
+            .iter()
+            .copied()
+            .chain(edges.iter().flatten().filter(|e| e.2).map(|e| e.0))
+            .collect();
+        let edges: Vec<Vec<(f64, usize)>> = edges
+            .iter()
+            .map(|out| out.iter().map(|&(d, t, _)| (d, t)).collect())
+            .collect();
+        // The reference: the heap, every timed event on it.
+        let (log, _) = run_graph::<HeapCalendar<Hop>>(&edges, &[], &ops, start);
+        let (wheel, _) = run_graph::<WheelCalendar<Hop>>(&edges, &[], &ops, start);
+        prop_assert_eq!(&wheel, &log, "wheel and heap engines diverged");
+        let (heap_lanes, _) = run_graph::<HeapCalendar<Hop>>(&edges, &declare, &ops, start);
+        prop_assert_eq!(&heap_lanes, &log, "declared delays moved the heap engine's order");
+        let (wheel_lanes, roads) = run_graph::<WheelCalendar<Hop>>(&edges, &declare, &ops, start);
+        prop_assert_eq!(&wheel_lanes, &log, "declared delays moved the wheel engine's order");
+        for w in log.windows(2) {
+            prop_assert!(w[0] < w[1], "dispatch order broke (time, seq): {:?}", w);
+        }
+        let mut ids: Vec<u64> = log.iter().map(|&(_, id)| id).collect();
+        ids.sort_unstable();
+        prop_assert_eq!(ids, (0..roads.len() as u64).collect::<Vec<_>>(), "exactly once");
+
+        let sent = |road| roads.iter().filter(|r| **r == road).count() as u64;
+        let tie = |older, younger| {
+            let rode_lane = |i: usize| roads[log[i].1 as usize] == Road::Lane;
+            (1..log.len())
+                .filter(|&i| log[i - 1].0 == log[i].0)
+                .filter(|&i| (rode_lane(i - 1), rode_lane(i)) == (older, younger))
+                .count() as u64
+        };
+        let case = [
+            sent(Road::Lane),
+            sent(Road::PastCap),
+            sent(Road::Absorbed),
+            tie(true, false),
+            tie(false, true),
+        ];
+        REACHED.with(|seen| seen.set(std::array::from_fn(|i| seen.get()[i] + case[i])));
+    }
+}
+
+/// Property — the order oracle for the lanes + single-probe loop: over
+/// random component graphs mixing zero-delay chains, positive delays,
+/// same-instant ties between lanes and calendar, events filed from
+/// outside at the current instant between 1–3 event slices, and
+/// picosecond delays at `t = 1e7`, with a random subset of the edge
+/// delays (and more values than there are lanes) declared as some
+/// component's fixed delay: every scheduled event is dispatched exactly
+/// once, the dispatch log is strictly increasing in `(time, seq)`, and
+/// it is the same log on the wheel and the heap, with the declarations
+/// and without them.
+#[test]
+fn lane_and_calendar_dispatch_in_time_seq_order_exactly_once() {
+    lane_order_cases();
+    let reached = REACHED.with(std::cell::Cell::get);
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "the generator went vacuous: [sent down a lane, past the lane cap, absorbed, \
+         ties only the older rode a lane into, ties only the younger did] = {reached:?}"
+    );
 }
