@@ -1,10 +1,7 @@
 //! Microbenchmarks of the discrete-event core's hot loop — the
-//! dispatch path the zero-allocation refactor optimizes. Four shapes
+//! dispatch path the zero-allocation refactor optimizes. Three shapes
 //! stress different parts of it:
 //!
-//! * `dispatch-only` — a two-component ping-pong: pure pop → handle →
-//!   push traffic with one in-flight event, the floor of per-event
-//!   cost through the calendar.
 //! * `zero-delay chain` — a four-component ring with three zero-delay
 //!   hops and one timed hop per round, the dumbbell's per-packet
 //!   pattern (endpoint → bottleneck, link → delay box, demux →
@@ -17,15 +14,12 @@
 //!   calendar, the shape of a wide dumbbell (every sender and receiver
 //!   holding its own timer).
 //!
-//! The CI-tracked absolute sweep numbers come from
-//! `repro bench-runner` (`BENCH_runner.json`, gated against
-//! `BENCH_baseline.json`); these benches watch the engine's own
-//! overhead in isolation.
+//! These are the engine shapes the ledger (`benchmark/`) has no probe
+//! for yet; the ping-pong floor and the calendar hold model are its
+//! `sim.dispatch_ns` and `sim.*_hold_ns_*` rows.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use ebrc_sim::{
-    Calendar, Component, ComponentId, Context, Engine, HeapCalendar, Scheduled, WheelCalendar,
-};
+use ebrc_sim::{Component, ComponentId, Context, Engine};
 
 /// Forwards every event to a peer after `delay` — the minimal hot
 /// loop.
@@ -93,31 +87,6 @@ impl Component<u32> for Ticker {
 }
 
 const EVENTS: u64 = 100_000;
-
-fn bench_dispatch_only(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine-core");
-    g.throughput(Throughput::Elements(EVENTS));
-    g.bench_function("dispatch_only_100k", |b| {
-        b.iter(|| {
-            let mut eng: Engine<u32> = Engine::with_capacity(2, 16);
-            let a = eng.add(Box::new(Forwarder {
-                peer: None,
-                delay: 0.001,
-                remaining: EVENTS / 2,
-            }));
-            let z = eng.add(Box::new(Forwarder {
-                peer: Some(a),
-                delay: 0.001,
-                remaining: EVENTS / 2,
-            }));
-            eng.get_mut::<Forwarder>(a).peer = Some(z);
-            eng.schedule(0.0, a, 0);
-            eng.run_to_completion(u64::MAX);
-            black_box(eng.events_processed())
-        })
-    });
-    g.finish();
-}
 
 fn bench_zero_delay_chain(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine-core");
@@ -189,70 +158,9 @@ fn bench_timer_heavy(c: &mut Criterion) {
     g.finish();
 }
 
-/// Schedule/pop throughput of a calendar backend under the classic
-/// "hold model": fill to `pending` events, then for each measured
-/// element pop the head and push a replacement a pseudo-random offset
-/// into the future. This is the steady-state shape of a many-flow
-/// dumbbell — a large stable population of pending timers churning at
-/// the head — and the workload where the timer wheel's O(1)
-/// schedule/pop separates from the binary heap's O(log n).
-fn bench_calendar_hold<C: Calendar<u64>>(c: &mut Criterion, label: &str) {
-    const PENDING: usize = 100_000;
-    let mut g = c.benchmark_group("calendar-hold-100k");
-    g.throughput(Throughput::Elements(EVENTS));
-    // Fill once outside the timed loop — the hold model measures the
-    // steady-state schedule/pop churn at a stable population, not the
-    // one-time construction cost.
-    let mut cal = C::with_capacity(PENDING);
-    let mut seq = 0u64;
-    // Deterministic LCG offsets spread the population over ~10
-    // simulated seconds, like staggered per-flow pacing timers.
-    let mut state = 0x2002_5eed_u64;
-    let mut next_offset = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        (state >> 33) as f64 / u32::MAX as f64 * 10.0
-    };
-    for _ in 0..PENDING {
-        cal.push(Scheduled {
-            time: next_offset(),
-            seq,
-            target: 0,
-            event: seq,
-        });
-        seq += 1;
-    }
-    // Touch the head so lazy calibration happens before timing starts.
-    cal.next_time();
-    g.bench_function(label, |b| {
-        b.iter(|| {
-            for _ in 0..EVENTS {
-                let head = cal.pop().expect("population is stable");
-                cal.push(Scheduled {
-                    time: head.time + next_offset(),
-                    seq,
-                    target: 0,
-                    event: seq,
-                });
-                seq += 1;
-            }
-            black_box(cal.len())
-        })
-    });
-    g.finish();
-}
-
-fn bench_calendar_heap(c: &mut Criterion) {
-    bench_calendar_hold::<HeapCalendar<u64>>(c, "heap");
-}
-
-fn bench_calendar_wheel(c: &mut Criterion) {
-    bench_calendar_hold::<WheelCalendar<u64>>(c, "wheel");
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().without_plots();
-    targets = bench_dispatch_only, bench_zero_delay_chain, bench_fan_out_storm, bench_timer_heavy,
-        bench_calendar_heap, bench_calendar_wheel
+    targets = bench_zero_delay_chain, bench_fan_out_storm, bench_timer_heavy
 }
 criterion_main!(benches);

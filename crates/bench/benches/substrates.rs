@@ -1,5 +1,7 @@
-//! Microbenchmarks of the substrate kernels: the costs that determine
-//! how far the reproduction scales.
+//! Microbenchmarks of the analytic kernels the ledger (`benchmark/`)
+//! has no probe for yet: two formulas, the control recursions, convex
+//! closure. Engine dispatch, the queues, `PftkStandard::rate` and the
+//! dumbbell are its `sim.*`, `net.*`, `tfrc.*` and `dumbbell_long` rows.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use ebrc_convex::convex_closure;
@@ -7,83 +9,13 @@ use ebrc_core::control::{BasicControl, ComprehensiveControl, ControlConfig};
 use ebrc_core::formula::{PftkSimplified, PftkStandard, Sqrt, ThroughputFormula};
 use ebrc_core::weights::WeightProfile;
 use ebrc_dist::{IidProcess, Rng, ShiftedExponential};
-use ebrc_experiments::scenarios::{DumbbellConfig, DumbbellRun};
-use ebrc_net::{AqmQueue, DropTailQueue, FlowId, Packet, RedConfig, RedQueue};
-use ebrc_sim::{Component, Context, Engine};
-
-/// Minimal self-scheduling component for raw engine throughput.
-struct Ticker {
-    remaining: u64,
-}
-
-impl Component<u32> for Ticker {
-    fn handle(&mut self, _now: f64, _ev: u32, ctx: &mut Context<u32>) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            ctx.send_self(0.001, 0);
-        }
-    }
-}
-
-fn bench_engine(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine");
-    g.throughput(Throughput::Elements(100_000));
-    g.bench_function("dispatch_100k_events", |b| {
-        b.iter(|| {
-            let mut eng: Engine<u32> = Engine::new();
-            let t = eng.add(Box::new(Ticker { remaining: 100_000 }));
-            eng.schedule(0.0, t, 0);
-            eng.run_until(f64::INFINITY.min(1e6));
-            black_box(eng.events_processed())
-        })
-    });
-    g.finish();
-}
-
-fn bench_queues(c: &mut Criterion) {
-    let mut g = c.benchmark_group("queues");
-    g.throughput(Throughput::Elements(10_000));
-    g.bench_function("droptail_enqueue_dequeue_10k", |b| {
-        b.iter(|| {
-            let mut q = DropTailQueue::new(64);
-            let mut rng = Rng::seed_from(1);
-            for i in 0..10_000u64 {
-                let _ = q.enqueue(Packet::data(FlowId(0), i, 1500, 0.0), 0.0, &mut rng);
-                if i % 2 == 0 {
-                    q.dequeue(0.0);
-                }
-            }
-            black_box(q.stats())
-        })
-    });
-    g.bench_function("red_enqueue_dequeue_10k", |b| {
-        b.iter(|| {
-            let mut q = RedQueue::new(RedConfig::ns2_paper(60.0, 0.0008));
-            let mut rng = Rng::seed_from(2);
-            let mut t = 0.0;
-            for i in 0..10_000u64 {
-                t += 0.0008;
-                let _ = q.enqueue(Packet::data(FlowId(0), i, 1500, t), t, &mut rng);
-                if i % 2 == 0 {
-                    q.dequeue(t);
-                }
-            }
-            black_box(q.stats())
-        })
-    });
-    g.finish();
-}
 
 fn bench_formulas(c: &mut Criterion) {
     let mut g = c.benchmark_group("formulas");
     let sqrt = Sqrt::with_rtt(0.05);
-    let std = PftkStandard::with_rtt(0.05);
     let simp = PftkSimplified::with_rtt(0.05);
     g.bench_function("sqrt_rate", |b| {
         b.iter(|| black_box(sqrt.rate(black_box(0.02))))
-    });
-    g.bench_function("pftk_standard_rate", |b| {
-        b.iter(|| black_box(std.rate(black_box(0.02))))
     });
     g.bench_function("pftk_simplified_rate", |b| {
         b.iter(|| black_box(simp.rate(black_box(0.02))))
@@ -128,23 +60,9 @@ fn bench_convex(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_dumbbell(c: &mut Criterion) {
-    let mut g = c.benchmark_group("dumbbell");
-    g.sample_size(10);
-    g.bench_function("ns2_4flows_20s", |b| {
-        b.iter(|| {
-            let cfg = DumbbellConfig::ns2_paper(2, 8, 42);
-            let mut run = DumbbellRun::build(&cfg);
-            run.engine.run_until(20.0);
-            black_box(run.engine.events_processed())
-        })
-    });
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().without_plots();
-    targets = bench_engine, bench_queues, bench_formulas, bench_controls, bench_convex, bench_dumbbell
+    targets = bench_formulas, bench_controls, bench_convex
 }
 criterion_main!(benches);

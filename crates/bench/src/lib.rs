@@ -1,26 +1,7 @@
-//! Bench support: shared helpers for the figure-regeneration benches.
-//!
-//! The actual benchmarks live in `benches/`:
-//!
-//! * `figures` — one Criterion group per paper artifact (every figure
-//!   and table); each group *prints the regenerated series once* and
-//!   then times the regeneration, so `cargo bench` doubles as the
-//!   reproduction run.
-//! * `substrates` — microbenchmarks of the hot kernels: event
-//!   dispatching, RED enqueue, the control recursions, convex closure.
-//! * `runner` — sweep throughput of the job-graph runner (jobs/sec at
-//!   1 and N workers); the CI-tracked absolute numbers come from
-//!   `repro bench-runner` (BENCH_runner.json).
+//! Criterion micro-benches for the shapes the performance ledger
+//! (`benchmark/`, `BENCHMARK.json`) has no probe for yet; everything
+//! else about speed is a ledger row. The benches live in `benches/`
+//! (`engine`, `substrates`, each listing its shapes) and this crate
+//! has no code of its own — Cargo wants a lib target.
 
 #![forbid(unsafe_code)]
-
-use ebrc_experiments::{Experiment, Scale};
-
-/// Runs an experiment once and prints its tables (called outside the
-/// timing loop so benches also serve as figure regeneration).
-pub fn print_once(e: &dyn Experiment, scale: Scale) {
-    println!("### {} — {} ({})", e.id(), e.title(), e.paper_ref());
-    for t in e.run(scale) {
-        println!("{}", t.render());
-    }
-}

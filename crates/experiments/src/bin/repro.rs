@@ -28,8 +28,6 @@
 //!                                # resident sweep daemon (TCP or unix:PATH)
 //! repro submit all --connect 127.0.0.1:7077      # run a sweep on the daemon
 //! repro submit --connect 127.0.0.1:7077 --shutdown   # stop it
-//! repro bench-runner --bench-json BENCH_runner.json
-//!                                # sweep-throughput benchmark artifact
 //! ```
 //!
 //! Every subcommand is a library entry point: see `ebrc_experiments::cli`.

@@ -19,7 +19,6 @@
 //! | `repro submit <ids>`            | [`remote::submit`]          |
 //! | `repro submit --ping` (etc.)    | [`remote::control`]         |
 //! | `repro cache (stats\|gc\|clear)` | [`cache::command`]          |
-//! | `repro bench-runner`            | [`bench::bench_runner`]     |
 //!
 //! Three pieces are shared by all of them: the plan resolver
 //! ([`crate::resolve`], which the sweep service uses too), the shard
@@ -46,7 +45,6 @@
 //! end-of-run summary and turns the exit code nonzero, without taking
 //! down the rest of the sweep.
 
-pub mod bench;
 pub mod cache;
 pub mod remote;
 pub mod report;
@@ -64,12 +62,11 @@ use std::time::Duration;
 
 /// The flag summary printed with every usage error.
 pub const USAGE: &str = "usage: repro (list | plan | run | merge | dispatch | serve | submit | \
-     cache (stats|gc|clear) | bench-runner | <experiment-id>... | all) \
+     cache (stats|gc|clear) | <experiment-id>... | all) \
      [--scale quick|paper|tiny] [--json] [--out DIR] [--threads N] [--progress] \
      [--trace PATH] [--slice-events N] [--cache-dir DIR] [--keep-plan ID] [--dry-run] [--shard I/K] \
      [--shards K] [--shard-dir DIR] [--workers K] [--timeout-s N] [--retries N] \
-     [--listen ADDR] [--connect ADDR] [--ping] [--server-stats] [--shutdown] \
-     [--bench-json FILE] [--baseline FILE]";
+     [--listen ADDR] [--connect ADDR] [--ping] [--server-stats] [--shutdown]";
 
 /// Why a command did not succeed. The binary prints the message once
 /// and maps the variant to its exit code.
@@ -103,7 +100,6 @@ enum Command {
     Serve,
     Submit,
     Cache,
-    BenchRunner,
 }
 
 impl Command {
@@ -117,7 +113,6 @@ impl Command {
             "serve" => Command::Serve,
             "submit" => Command::Submit,
             "cache" => Command::Cache,
-            "bench-runner" => Command::BenchRunner,
             _ => return None,
         })
     }
@@ -137,8 +132,6 @@ struct Invocation {
     backend: CatalogueBackend,
     progress: bool,
     trace: Option<PathBuf>,
-    bench_json: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     shard: (usize, usize),
     shards: usize,
     shard_dir: PathBuf,
@@ -238,8 +231,6 @@ fn parse(args: &[String]) -> Result<Invocation, CliError> {
         },
         progress: false,
         trace: None,
-        bench_json: None,
-        baseline: None,
         shard: (0, 1),
         shards: 1,
         shard_dir: PathBuf::from("shards"),
@@ -287,8 +278,6 @@ fn parse(args: &[String]) -> Result<Invocation, CliError> {
             "--retries" => inv.dispatch.retries = value(arg, it.next(), |s| s.parse().ok())?,
             "--listen" => inv.listen = value(arg, it.next(), word)?,
             "--connect" => inv.connect = value(arg, it.next(), word)?,
-            "--bench-json" => inv.bench_json = Some(value(arg, it.next(), path)?),
-            "--baseline" => inv.baseline = Some(value(arg, it.next(), path)?),
             s if s.starts_with('-') => return Err(CliError::Usage(format!("unknown flag {s}"))),
             // A subcommand keyword only counts as the *first*
             // positional — `repro fig03 list` must not silently turn
@@ -355,12 +344,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             scale,
             f.dry_run,
         ),
-        Command::BenchRunner => bench::bench_runner(
-            scale,
-            backend,
-            f.bench_json.as_deref(),
-            f.baseline.as_deref(),
-        ),
     }
 }
 
@@ -380,7 +363,7 @@ mod tests {
     #[test]
     fn every_value_flag_rejects_a_missing_or_junk_value() {
         // (flag, a value it accepts, values it must reject)
-        let table: [(&str, &str, &[&str]); 17] = [
+        let table: [(&str, &str, &[&str]); 15] = [
             ("--scale", "tiny", &["warp", ""]),
             ("--threads", "3", &["0", "many", "-1"]),
             ("--slice-events", "50000", &["0", "x"]),
@@ -396,8 +379,6 @@ mod tests {
             ("--retries", "0", &["-1", "x"]),
             ("--listen", "unix:/tmp/s", &[""]),
             ("--connect", "127.0.0.1:1", &[""]),
-            ("--bench-json", "b.json", &[""]),
-            ("--baseline", "base.json", &[""]),
         ];
         for (flag, good, bad) in table {
             assert!(parse_words(&["fig01", flag, good]).is_ok(), "{flag} {good}");
@@ -407,6 +388,12 @@ mod tests {
             }
         }
         assert!(is_usage(&["fig01", "--frobnicate"]));
+        for gone in ["--baseline", "--bench-json"] {
+            assert_eq!(
+                parse_words(&["fig01", gone, "x"]).err(),
+                Some(CliError::Usage(format!("unknown flag {gone}"))),
+            );
+        }
         assert!(is_usage(&[]));
         assert!(is_usage(&["--json"]), "flags alone select nothing");
     }
@@ -459,14 +446,7 @@ mod tests {
             assert!(parse_words(words).is_ok(), "{words:?}");
         }
         for command in [
-            "list",
-            "plan",
-            "merge",
-            "dispatch",
-            "serve",
-            "submit",
-            "cache",
-            "bench-runner",
+            "list", "plan", "merge", "dispatch", "serve", "submit", "cache",
         ] {
             assert!(is_usage(&[command, "--trace", "t"]), "{command} --trace");
         }

@@ -17,7 +17,7 @@
 //! `Result`-returning entry point per subcommand ([`cli::sweep`]:
 //! `list`, `plan`, the direct run; [`cli::shard`]: `run --shard`,
 //! `merge`, `dispatch`; [`cli::remote`]: `serve`, `submit`;
-//! [`cli::cache`]; [`cli::bench`]), all over one plan resolver
+//! [`cli::cache`]), all over one plan resolver
 //! ([`resolve`]), one shard-artifact type and one report
 //! printer/spooler — and the `repro` binary is only its `main`:
 //!

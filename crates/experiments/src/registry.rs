@@ -281,8 +281,8 @@ pub struct CatalogueRun {
     /// warm run — cache hits execute nothing).
     pub events: u64,
     /// Per-executed-spec wall time, event count, and slice count,
-    /// sorted by spec key — the straggler table `repro bench-runner`
-    /// reports (empty on a fully warm run).
+    /// sorted by spec key ([`RunStats::timings`]; empty on a fully
+    /// warm run).
     pub timings: Vec<SpecTiming>,
 }
 

@@ -54,12 +54,21 @@ fn unknown_experiment_exits_nonzero() {
     let out = repro().arg("does-not-exist").output().unwrap();
     assert!(!out.status.success());
     // A subcommand keyword after a target is a stray word, not a
-    // silent command switch — and `all` does not mask it.
-    for args in [vec!["fig03", "list"], vec!["all", "plan"]] {
+    // silent command switch — and `all` does not mask it. A word that
+    // is no subcommand is an id nobody registered.
+    for args in [
+        vec!["fig03", "list"],
+        vec!["all", "plan"],
+        vec!["bench-runner"],
+    ] {
         let out = repro().args(&args).output().unwrap();
         assert!(!out.status.success(), "args {args:?} should fail loudly");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("unknown experiment"), "stderr: {err}");
+        let stray = args.last().unwrap();
+        assert!(
+            err.contains(&format!("unknown experiment '{stray}'; try `repro list`")),
+            "stderr: {err}"
+        );
     }
 }
 
@@ -82,7 +91,6 @@ fn bad_flags_exit_with_usage() {
         vec!["serve", "--trace", "t"],
         vec!["submit", "fig05", "--trace", "t"],
         vec!["cache", "stats", "--cache-dir", "nowhere", "--trace", "t"],
-        vec!["bench-runner", "--trace", "t"],
     ] {
         let out = repro().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "args {args:?}");
@@ -681,38 +689,6 @@ fn submit_against_nothing_fails_cleanly() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("127.0.0.1:1"), "stderr: {err}");
-}
-
-#[test]
-fn bench_runner_writes_the_artifact_with_dedup_counters() {
-    let dir = scratch("bench");
-    let path = dir.join("deep/BENCH_runner.json");
-    let out = repro()
-        .args(["bench-runner", "--scale", "tiny", "--bench-json"])
-        .arg(&path)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = std::fs::read_to_string(&path).unwrap();
-    for field in [
-        "\"jobs\"",
-        "\"unique_sims\"",
-        "\"subscribed_sims\"",
-        "\"deduped_sims\"",
-        "\"cache_hits\"",
-        "\"cache_misses\"",
-        "\"speedup\"",
-        "\"threads\": 1",
-    ] {
-        assert!(text.contains(field), "artifact missing {field}: {text}");
-    }
-    // Without a cache dir every sim is a miss and nothing hits.
-    assert!(text.contains("\"cache_hits\": 0"), "artifact: {text}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// More shard workers than threads must never spawn a 0-thread worker:

@@ -46,14 +46,6 @@ pub struct CacheCounters {
     pub misses: usize,
 }
 
-impl CacheCounters {
-    /// Accumulates another run's counters (for multi-phase sweeps).
-    pub fn absorb(&mut self, other: CacheCounters) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
-}
-
 /// A store of serialized spec outputs keyed by content hash.
 ///
 /// `Sync` because completed workers store entries concurrently. Both

@@ -78,7 +78,7 @@ impl JobCtx {
 
     /// Where this job should write its execution trace, if tracing was
     /// requested. `None` means run untraced (the default, and the only
-    /// path the bench gate ever measures).
+    /// path the ledger gates).
     pub fn trace_path(&self) -> Option<&Path> {
         self.trace_path.as_deref()
     }

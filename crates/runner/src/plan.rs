@@ -112,7 +112,7 @@ pub struct RunStats {
     /// through [`JobCtx::record_events`].
     pub events: u64,
     /// Per-spec wall time of every executed (non-panicking) spec —
-    /// the straggler table behind the bench's timing report.
+    /// what the ledger's `runner.straggler_share` is computed from.
     pub timings: Vec<SpecTiming>,
 }
 

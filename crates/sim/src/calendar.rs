@@ -29,7 +29,7 @@
 //!
 //! * [`HeapCalendar`] — the original `BinaryHeap`, O(log n) per
 //!   operation. Kept as the obviously-correct reference; the property
-//!   tests and the calendar microbench compare the wheel against it.
+//!   tests and the ledger's hold-model probes compare the wheel against it.
 //! * [`WheelCalendar`] — a calendar queue (Brown 1988): a ring of
 //!   buckets, each one *width* seconds wide, with a cursor that sweeps
 //!   forward in time. Steady-state schedule and pop are O(1), which is

@@ -170,7 +170,7 @@ impl<E: 'static> Context<E> {
     /// Records a named numeric sample against the current component on
     /// the installed [`TraceSink`]. A no-op (one inlined `None` check)
     /// when the engine runs untraced — instrumented components cost
-    /// nothing on the bench-gated hot path.
+    /// nothing on the ledger-gated hot path.
     #[inline]
     pub fn trace_counter(&mut self, name: &'static str, value: f64) {
         if let Some(t) = self.tracer.as_deref_mut() {
@@ -338,7 +338,7 @@ impl<E: 'static> Engine<E> {
 impl<E: 'static, C: Calendar<E>> Engine<E, C> {
     /// Creates an engine around an explicit calendar implementation,
     /// pre-sized for `components` registered actors. This is how the
-    /// property tests and benches run the same workload on the heap
+    /// property tests and probes run the same workload on the heap
     /// and the wheel.
     pub fn with_calendar(calendar: C, components: usize) -> Self {
         Self {

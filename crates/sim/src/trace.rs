@@ -8,8 +8,8 @@
 //! [`Context::trace_instant`](crate::Context::trace_instant) — that
 //! reach the same sink. All hooks are behind one `Option<Box<dyn
 //! TraceSink>>` on the engine: when no sink is installed (the default,
-//! and the only configuration the golden corpus and the bench gate
-//! ever see) every hook is an inlined `None` check and the dispatch
+//! and the only configuration the golden corpus and the ledger's gated
+//! runs ever see) every hook is an inlined `None` check and the dispatch
 //! loop is unchanged.
 //!
 //! The sink sees *simulation* time, never wall clock, so a recorded
