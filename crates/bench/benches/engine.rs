@@ -8,8 +8,8 @@
 //!   endpoint): three of four events ride the engine's same-instant
 //!   lane and never touch the calendar.
 //! * `fan-out storm` — one handler emits a burst of events per
-//!   dispatch, exercising the scratch-buffer drain and the calendar
-//!   under load.
+//!   dispatch, exercising `Context::send`'s direct filing and the
+//!   calendar under load.
 //! * `timer-heavy` — many self-scheduling tickers interleaved in one
 //!   calendar, the shape of a wide dumbbell (every sender and receiver
 //!   holding its own timer).
@@ -40,7 +40,7 @@ impl Component<u32> for Forwarder {
 }
 
 /// Emits `fan` events per dispatch toward a sink until `bursts` runs
-/// out — the scratch buffer's stress shape.
+/// out — the widest fan-out a single dispatch files.
 struct Storm {
     fan: u32,
     bursts: u64,

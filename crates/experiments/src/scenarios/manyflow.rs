@@ -235,7 +235,7 @@ impl FlowClass {
                     flow: pkt.flow,
                     seq: 0,
                     size: 40,
-                    kind: PacketKind::Feedback(fb),
+                    kind: PacketKind::Feedback(Box::new(fb)),
                     sent_at: now,
                 }),
             );

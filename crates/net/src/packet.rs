@@ -40,14 +40,24 @@ pub struct FeedbackInfo {
 }
 
 /// What a packet carries.
+///
+/// The two reports are boxed. Every pending event is one
+/// `Scheduled<NetEvent>` in a lane or a calendar slot: inline, the
+/// 48-byte [`AckInfo`] makes each of them 96 bytes; boxed, each fits
+/// one 64-byte cache line (pinned by the size test below). The price
+/// is one small allocation per ACK or feedback, and it is the cheaper
+/// side: on the ledger (`benchmark/`, 2-vCPU host, medians of 4
+/// alternating pairs) boxing took `dumbbell_long`, the ACK-heaviest
+/// workload, from 2.42 to 2.24 s of wall time and `manyflow_10k` from
+/// 1.03 to 0.88 s.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PacketKind {
     /// Payload data.
     Data,
     /// TCP acknowledgment.
-    Ack(AckInfo),
+    Ack(Box<AckInfo>),
     /// TFRC feedback report.
-    Feedback(FeedbackInfo),
+    Feedback(Box<FeedbackInfo>),
 }
 
 /// A simulated packet.
@@ -130,25 +140,27 @@ mod tests {
             flow: FlowId(0),
             seq: 0,
             size: 40,
-            kind: PacketKind::Feedback(FeedbackInfo {
+            kind: PacketKind::Feedback(Box::new(FeedbackInfo {
                 avg_interval: f64::INFINITY,
                 x_recv: 0.0,
                 x_recv_bytes: 0.0,
                 echo_ts: 0.0,
                 events: 0,
-            }),
+            })),
             sent_at: 0.0,
         });
         assert_eq!(net_event_name(&fb), "packet:feedback");
     }
 
-    /// Every pending event is one `Scheduled<NetEvent>` in the lane or
-    /// a calendar bucket; growing a packet payload grows them all.
-    /// Shrink or box the new field instead of raising this bound.
+    /// Every pending event is one `Scheduled<NetEvent>` in a lane or a
+    /// calendar slot; growing a packet payload grows them all. Shrink or
+    /// box the new field instead of raising these bounds.
     #[test]
-    fn scheduled_net_event_stays_within_96_bytes() {
+    fn scheduled_net_event_fits_one_cache_line() {
+        let packet = std::mem::size_of::<Packet>();
+        assert!(packet <= 40, "Packet grew to {packet} bytes");
         let size = std::mem::size_of::<ebrc_sim::Scheduled<NetEvent>>();
-        assert!(size <= 96, "Scheduled<NetEvent> grew to {size} bytes");
+        assert!(size <= 64, "Scheduled<NetEvent> grew to {size} bytes");
     }
 
     #[test]
@@ -167,12 +179,12 @@ mod tests {
             flow: FlowId(0),
             seq: 0,
             size: 40,
-            kind: PacketKind::Ack(AckInfo {
+            kind: PacketKind::Ack(Box::new(AckInfo {
                 cum_ack: 5,
                 sack: vec![(7, 9)],
                 echo_seq: 8,
                 echo_ts: 0.0,
-            }),
+            })),
             sent_at: 0.0,
         };
         assert!(!p.is_data());

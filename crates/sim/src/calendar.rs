@@ -704,11 +704,6 @@ impl<E> Calendar<E> for WheelCalendar<E> {
         }
     }
 
-    // The engine calls this from two places — every timed emission,
-    // and the rare loser of a same-instant tie — and without the hint
-    // the second costs the first its inlined copy (+35 ns a packet on
-    // the `net.link_pkt_ns` probe, a 96-byte event through the stack).
-    #[inline]
     fn push(&mut self, item: Scheduled<E>) {
         if item.time.is_finite() && item.time > self.t_max_seen {
             self.t_max_seen = item.time;
@@ -1285,18 +1280,18 @@ mod tests {
     }
 
     /// A slot is a `Scheduled` event plus one link. A payload with a
-    /// niche (here a 72-byte stand-in shaped like `ebrc_net::NetEvent`)
+    /// niche (here a 40-byte stand-in shaped like `ebrc_net::NetEvent`)
     /// hides the free-slot tag in it; one without pays a word for it.
     #[test]
     fn slot_adds_one_link_to_a_scheduled_event() {
         #[allow(dead_code)]
         enum NetLike {
-            Packet([u64; 8], u8),
+            Packet([u64; 4], u8),
             TxDone,
             Timer(u64),
         }
         use std::mem::size_of;
-        assert_eq!(size_of::<Scheduled<NetLike>>(), 96);
+        assert_eq!(size_of::<Scheduled<NetLike>>(), 64);
         assert!(size_of::<Slot<NetLike>>() <= size_of::<Scheduled<NetLike>>() + 8);
         assert!(size_of::<Slot<u64>>() <= size_of::<Scheduled<u64>>() + 16);
     }

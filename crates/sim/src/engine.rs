@@ -38,17 +38,21 @@
 //! instant, which one [`Calendar::next_is_at`] per instant rules out.
 //! The order is exactly the one a calendar-only engine produces.
 //!
-//! The hot path is allocation-free on the steady state: the engine
-//! owns one reusable *scratch buffer* for the events a handler emits,
-//! lends it to the [`Context`] for the duration of the handler, and
-//! reclaims it afterwards — so dispatching an event touches the heap
-//! only when the calendar, a lane or the scratch buffer has to grow
+//! **Direct filing.** An event moves once, from the [`Context::send`]
+//! that creates it to the `handle` that consumes it: the context
+//! borrows the engine's `seq` counter, lanes and calendar, and `send`
+//! files each emission straight into the queue it waits in, numbered in
+//! emission order. Components stay in their slots while they run; the
+//! context cannot reach them, so none can re-enter.
+//!
+//! The hot path is allocation-free on the steady state: dispatching an
+//! event touches the heap only when the calendar or a lane has to grow
 //! past its high-water mark. [`Engine::with_capacity`] reserves the
 //! wheel's event slab and the component slab up front and
 //! [`Engine::reserve_delay_lane`] a fixed-delay lane, so with hints
 //! that cover the peak of each neither reallocates once events fire;
-//! the scratch buffer and the same-instant lane start small and grow
-//! (once) to the widest fan-out any handler produces.
+//! the same-instant lane starts small and grows (once) to the widest
+//! fan-out any handler produces.
 
 use crate::calendar::{Calendar, Scheduled, WheelCalendar};
 use crate::trace::TraceSink;
@@ -68,6 +72,16 @@ fn check_delay(delay: f64) {
          (time, seq) dispatch order breaks"
     );
     assert!(delay >= 0.0, "negative delay {delay}");
+}
+
+/// The lane for events emitted with exactly `delay`, if declared.
+#[inline]
+fn delay_lane<E>(
+    lanes: &mut [(f64, VecDeque<Scheduled<E>>)],
+    delay: f64,
+) -> Option<&mut VecDeque<Scheduled<E>>> {
+    let lane = lanes.iter_mut().find(|l| l.0 == delay)?;
+    Some(&mut lane.1)
 }
 
 /// Identifies a component registered with an [`Engine`].
@@ -114,32 +128,35 @@ pub trait Component<E: 'static>: Any + Send {
 
 /// Event-emission interface handed to a component while it runs.
 ///
-/// The `emitted` buffer is the engine's scratch space on loan: the
-/// engine drains it into the lanes and the calendar after the handler
-/// returns and keeps the allocation for the next dispatch. The
-/// `tracer` slot is likewise the engine's sink on loan (always `None`
-/// unless a sink was installed), so
+/// It borrows the engine's pending state for one `handle` — the `seq`
+/// counter, the lanes, the calendar — so [`Context::send`] files each
+/// event where it waits (see the module docs), and the engine's tracer
+/// slot (`None` unless a sink was installed), so
 /// [`Context::trace_counter`]/[`Context::trace_instant`] reach the
 /// same observer as the dispatch hook.
-pub struct Context<E> {
+pub struct Context<'a, E> {
     now: f64,
     self_id: ComponentId,
-    emitted: Vec<(f64, ComponentId, E)>,
-    tracer: Option<Box<dyn TraceSink<E>>>,
+    /// Registered components: a target's index must lie below.
+    components: usize,
+    seq: &'a mut u64,
+    lane: &'a mut VecDeque<Scheduled<E>>,
+    delay_lanes: &'a mut [(f64, VecDeque<Scheduled<E>>)],
+    calendar: &'a mut dyn Calendar<E>,
+    tracer: &'a mut Option<Box<dyn TraceSink<E>>>,
 }
 
-impl<E: std::fmt::Debug> std::fmt::Debug for Context<E> {
+impl<E> std::fmt::Debug for Context<'_, E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Context")
             .field("now", &self.now)
             .field("self_id", &self.self_id)
-            .field("emitted", &self.emitted)
             .field("traced", &self.tracer.is_some())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
-impl<E: 'static> Context<E> {
+impl<E: 'static> Context<'_, E> {
     /// Current simulation time in seconds.
     pub fn now(&self) -> f64 {
         self.now
@@ -150,15 +167,32 @@ impl<E: 'static> Context<E> {
         self.self_id
     }
 
-    /// Schedules `event` for `target` after `delay ≥ 0` seconds.
+    /// Schedules `event` for `target` after `delay ≥ 0` seconds: into
+    /// the same-instant lane if the clock absorbs `delay`, else into the
+    /// lane of a declared fixed delay, else into the calendar.
     ///
     /// # Panics
     /// Panics on negative or non-finite delays — an event in the past
     /// would corrupt the clock, and a NaN or infinite time would break
-    /// the `(time, seq)` dispatch order.
+    /// the `(time, seq)` dispatch order — and on an unknown target.
     pub fn send(&mut self, delay: f64, target: ComponentId, event: E) {
         check_delay(delay);
-        self.emitted.push((delay, target, event));
+        assert!(target.0 < self.components, "unknown component");
+        let item = Scheduled {
+            time: self.now + delay,
+            seq: *self.seq,
+            target: target.0,
+            event,
+        };
+        *self.seq += 1;
+        if item.time == self.now {
+            self.lane.push_back(item);
+        } else if let Some(lane) = delay_lane(self.delay_lanes, delay) {
+            debug_assert!(lane.back().is_none_or(|b| b.time <= item.time));
+            lane.push_back(item);
+        } else {
+            self.calendar.push(item);
+        }
     }
 
     /// Schedules `event` for the current component itself (timers).
@@ -282,14 +316,11 @@ pub struct Engine<E: 'static, C: Calendar<E> = WheelCalendar<E>> {
     /// in emission order.
     delay_lanes: Vec<(f64, VecDeque<Scheduled<E>>)>,
     queue: C,
-    components: Vec<Option<Box<dyn Component<E>>>>,
-    /// Reusable emission buffer lent to the [`Context`] per dispatch —
-    /// the steady-state hot loop never allocates.
-    scratch: Vec<(f64, ComponentId, E)>,
+    components: Vec<Box<dyn Component<E>>>,
     processed: u64,
-    /// Opt-in dispatch observer, lent to the [`Context`] per dispatch
-    /// like the scratch buffer. `None` (the default) keeps every trace
-    /// hook a single inlined branch.
+    /// Opt-in dispatch observer, borrowed by the [`Context`] per
+    /// dispatch. `None` (the default) keeps every trace hook a single
+    /// inlined branch.
     tracer: Option<Box<dyn TraceSink<E>>>,
 }
 
@@ -328,8 +359,7 @@ impl<E: 'static> Engine<E> {
     /// their topology pass hints here: the calendar hint reserves (but
     /// does not touch) the wheel's event slab, so a hint that covers
     /// the peak pending set means the calendar never reallocates
-    /// mid-run. The emission scratch buffer starts at a few slots and
-    /// grows once to the widest per-handler fan-out, then stays there.
+    /// mid-run.
     pub fn with_capacity(components: usize, calendar: usize) -> Self {
         Self::with_calendar(WheelCalendar::with_capacity(calendar), components)
     }
@@ -348,7 +378,6 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
             delay_lanes: Vec::new(),
             queue: calendar,
             components: Vec::with_capacity(components),
-            scratch: Vec::with_capacity(8),
             processed: 0,
             tracer: None,
         }
@@ -377,20 +406,13 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
     pub fn add(&mut self, component: Box<dyn Component<E>>) -> ComponentId {
         if let Some(delay) = component.fixed_delay() {
             // A zero delay always lands on the clock's own instant.
-            let new = delay > 0.0 && self.delay_lane(delay).is_none();
+            let new = delay > 0.0 && delay_lane(&mut self.delay_lanes, delay).is_none();
             if new && self.delay_lanes.len() < MAX_DELAY_LANES {
                 self.delay_lanes.push((delay, VecDeque::new()));
             }
         }
-        self.components.push(Some(component));
+        self.components.push(component);
         ComponentId(self.components.len() - 1)
-    }
-
-    /// The lane for events emitted with exactly `delay`, if declared.
-    #[inline]
-    fn delay_lane(&mut self, delay: f64) -> Option<&mut VecDeque<Scheduled<E>>> {
-        let lane = self.delay_lanes.iter_mut().find(|l| l.0 == delay)?;
-        Some(&mut lane.1)
     }
 
     /// Reserves exactly `events` slots in the FIFO lane of the declared
@@ -398,7 +420,7 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
     /// [`Engine::with_capacity`] does for the calendar; unreserved, the
     /// lane doubles its way up. A no-op if nobody declared `delay`.
     pub fn reserve_delay_lane(&mut self, delay: f64, events: usize) {
-        if let Some(lane) = self.delay_lane(delay) {
+        if let Some(lane) = delay_lane(&mut self.delay_lanes, delay) {
             lane.reserve_exact(events);
         }
     }
@@ -597,44 +619,17 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
         if let Some(t) = self.tracer.as_deref_mut() {
             t.on_event(self.clock, ComponentId(item.target), &item.event);
         }
-        // Lend the engine's scratch buffer to the context; handlers
-        // emit into it, then the drain below feeds the lanes and the
-        // calendar and the (empty) buffer returns home — zero
-        // steady-state allocation. The tracer rides along the same way
-        // (a pointer move of a `None` in the untraced default).
         let mut ctx = Context {
             now: self.clock,
             self_id: ComponentId(item.target),
-            emitted: std::mem::take(&mut self.scratch),
-            tracer: self.tracer.take(),
+            components: self.components.len(),
+            seq: &mut self.seq,
+            lane: &mut self.lane,
+            delay_lanes: &mut self.delay_lanes,
+            calendar: &mut self.queue,
+            tracer: &mut self.tracer,
         };
-        // Take the component out so it cannot alias the engine while it
-        // runs; events it emits are buffered in the context.
-        let mut component = self.components[item.target]
-            .take()
-            .expect("component re-entered — a handler scheduled into itself synchronously?");
-        component.handle(self.clock, item.event, &mut ctx);
-        self.components[item.target] = Some(component);
-        self.tracer = ctx.tracer;
-        let mut emitted = ctx.emitted;
-        for (delay, target, event) in emitted.drain(..) {
-            assert!(target.0 < self.components.len(), "unknown component");
-            let item = Scheduled {
-                time: self.clock + delay,
-                seq: self.next_seq(),
-                target: target.0,
-                event,
-            };
-            if item.time == self.clock {
-                self.lane.push_back(item);
-            } else if let Some(lane) = self.delay_lane(delay) {
-                debug_assert!(lane.back().is_none_or(|b| b.time <= item.time));
-                lane.push_back(item);
-            } else {
-                self.queue.push(item);
-            }
-        }
-        self.scratch = emitted;
+        self.components[item.target].handle(self.clock, item.event, &mut ctx);
     }
 
     /// Immutable downcast access to a component's concrete type.
@@ -642,7 +637,7 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
     /// # Panics
     /// Panics if the id is unknown or the type does not match.
     pub fn get<T: Component<E>>(&self, id: ComponentId) -> &T {
-        let component: &dyn Any = &**self.components[id.0].as_ref().expect("component missing");
+        let component: &dyn Any = &*self.components[id.0];
         component
             .downcast_ref::<T>()
             .expect("component type mismatch")
@@ -653,8 +648,7 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
     /// # Panics
     /// Panics if the id is unknown or the type does not match.
     pub fn get_mut<T: Component<E>>(&mut self, id: ComponentId) -> &mut T {
-        let component: &mut dyn Any =
-            &mut **self.components[id.0].as_mut().expect("component missing");
+        let component: &mut dyn Any = &mut *self.components[id.0];
         component
             .downcast_mut::<T>()
             .expect("component type mismatch")
@@ -944,9 +938,8 @@ mod tests {
         );
     }
 
-    /// A component whose handler emits `fan` events at once — the
-    /// scratch buffer must hand every one to the calendar and come back
-    /// empty for the next dispatch.
+    /// A component whose handler emits `fan` events at once, every one
+    /// filed into the calendar from inside the handler.
     struct FanOut {
         fan: u32,
         peer: ComponentId,
@@ -961,12 +954,12 @@ mod tests {
     }
 
     #[test]
-    fn scratch_buffer_survives_fan_out_bursts() {
+    fn fan_out_bursts_land_once_each_in_order() {
         let mut eng = Engine::new();
         let rec = eng.add(Box::new(Recorder { log: vec![] }));
         let fan = eng.add(Box::new(FanOut { fan: 32, peer: rec }));
-        // Two bursts reuse the same scratch allocation; every emission
-        // must land exactly once, in deterministic order.
+        // Two bursts: every emission must land exactly once, in
+        // deterministic order.
         eng.schedule(0.0, fan, Ev::Tick);
         eng.schedule(100.0, fan, Ev::Tick);
         eng.run_until(300.0);
@@ -1275,6 +1268,59 @@ mod tests {
         let bad = eng.add(Box::new(NanEmitter { peer: rec }));
         eng.schedule(1.0, bad, Ev::Tick);
         eng.run_until(2.0);
+    }
+
+    /// Sends `Ping(id)` to `peer` with each `(delay, id)` of its script,
+    /// in order, all from one dispatch.
+    struct Script {
+        sends: Vec<(f64, u32)>,
+        peer: ComponentId,
+    }
+
+    impl Component<Ev> for Script {
+        fn handle(&mut self, _now: f64, _event: Ev, ctx: &mut Context<Ev>) {
+            for &(delay, id) in &self.sends {
+                ctx.send(delay, self.peer, Ev::Ping(id));
+            }
+        }
+    }
+
+    #[test]
+    fn one_dispatch_files_into_every_queue_in_emission_order() {
+        let mut eng = Engine::new();
+        let rec = eng.add(Box::new(Recorder { log: vec![] }));
+        eng.add(Box::new(Pipe {
+            delay: 1.0,
+            peer: rec,
+        }));
+        // Not the declared delay, so the calendar's — but from t = 1 it
+        // rounds onto t = 2, tying with the pipe lane's deliveries.
+        let near = 1.0 + f64::EPSILON;
+        assert_eq!(1.0 + near, 2.0);
+        // Ids are arrival order: the two same-instant hops at t = 1, then
+        // an older timer and the rest by emission at t = 2.
+        let sends = vec![(0.0, 0), (1.0, 3), (near, 4), (0.0, 1), (1.0, 5), (near, 6)];
+        let script = eng.add(Box::new(Script { sends, peer: rec }));
+        eng.schedule(2.0, rec, Ev::Ping(2));
+        eng.schedule(1.0, script, Ev::Tick);
+        assert_eq!(eng.run_events(1), 1);
+        assert_eq!(lens(&eng), (2, vec![2], 3));
+        eng.run_until(5.0);
+        assert_eq!(pings(&eng, rec), (0..7).collect::<Vec<_>>());
+        let times: Vec<f64> = eng.get::<Recorder>(rec).log.iter().map(|e| e.0).collect();
+        assert_eq!(times, [1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown component")]
+    fn context_send_to_an_unknown_component_panics() {
+        let mut eng = Engine::new();
+        let stray = eng.add(Box::new(Hop {
+            delay: 0.5,
+            peer: ComponentId(7),
+        }));
+        eng.schedule(0.0, stray, Ev::Tick);
+        eng.run_until(1.0);
     }
 
     /// A sink that logs everything it observes, for the hook tests.

@@ -25,12 +25,12 @@
 //!   and, for a pipe, the fixed delay it declares — nothing else, since
 //!   the `Any` supertrait provides the downcast upcast for free.
 //!   Components never touch each other directly; they emit events
-//!   through the [`Context`], which the engine drains into the lanes
-//!   and the calendar after the handler returns. This message-only
-//!   discipline is what makes replays exact.
-//! * The dispatch loop is allocation-free on the steady state: the
-//!   engine lends one reusable scratch buffer to each handler's
-//!   [`Context`] and reclaims it afterwards, and
+//!   through the [`Context`], which borrows the engine's lanes and
+//!   calendar and files each event there as it is sent — an event
+//!   moves once, from `send` to `handle`. This message-only discipline
+//!   is what makes replays exact.
+//! * The dispatch loop is allocation-free on the steady state: nothing
+//!   is buffered between a handler and the lanes, and
 //!   [`Engine::with_capacity`] pre-sizes the calendar and component
 //!   slab from scenario-builder hints.
 //! * Components are registered with [`Engine::add`] and recovered after a

@@ -28,8 +28,8 @@ fn follow_up(ev: u32) -> Option<(f64, u32)> {
 }
 
 /// Records deliveries and re-emits per [`follow_up`] — so interleaved
-/// run calls exercise the engine's scratch-buffer reuse, not just
-/// externally scheduled events.
+/// run calls exercise events a handler files through its `Context`,
+/// not just externally scheduled ones.
 struct Echo {
     log: Vec<(f64, u32)>,
 }
@@ -391,7 +391,7 @@ proptest! {
 
     /// Property: under any interleaving of `schedule`, `run_events`,
     /// `run_until`, and `run_budgeted` — including handler-emitted
-    /// follow-ups that reuse the engine's scratch buffer — the real
+    /// follow-ups filed straight into the lanes and calendar — the real
     /// engine's dispatch log, clock, and `events_processed` match the
     /// naive reference engine after every single step.
     #[test]

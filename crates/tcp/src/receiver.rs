@@ -105,7 +105,7 @@ impl TcpSink {
                 flow: self.flow,
                 seq: self.acks_sent,
                 size: ACK_SIZE,
-                kind: PacketKind::Ack(info),
+                kind: PacketKind::Ack(Box::new(info)),
                 sent_at: now,
             }),
         );
@@ -197,7 +197,7 @@ mod tests {
             .arrivals
             .iter()
             .filter_map(|(_, p)| match &p.kind {
-                PacketKind::Ack(a) => Some(a.clone()),
+                PacketKind::Ack(a) => Some(AckInfo::clone(a)),
                 _ => None,
             })
             .collect()

@@ -258,7 +258,7 @@ impl TfrcReceiver {
                 flow: self.flow,
                 seq: 0,
                 size: FEEDBACK_SIZE,
-                kind: PacketKind::Feedback(info),
+                kind: PacketKind::Feedback(Box::new(info)),
                 sent_at: now,
             }),
         );
@@ -312,7 +312,7 @@ mod tests {
             .arrivals
             .iter()
             .filter_map(|(t, p)| match &p.kind {
-                PacketKind::Feedback(f) => Some((*t, *f)),
+                PacketKind::Feedback(f) => Some((*t, **f)),
                 _ => None,
             })
             .collect()
