@@ -91,30 +91,6 @@ impl SampledFunction {
     pub fn points(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
         (0..self.len()).map(move |i| (self.x(i), self.y(i)))
     }
-
-    /// Linear interpolation at an arbitrary `x` inside the interval.
-    ///
-    /// # Panics
-    /// Panics if `x` lies outside `[lo, hi]` (values there are undefined;
-    /// extrapolation would corrupt closure ratios).
-    pub fn interpolate(&self, x: f64) -> f64 {
-        assert!(
-            x >= self.lo - 1e-12 && x <= self.hi + 1e-12,
-            "x = {x} outside [{}, {}]",
-            self.lo,
-            self.hi
-        );
-        let t = ((x - self.lo) / self.step()).clamp(0.0, (self.len() - 1) as f64);
-        let i = (t.floor() as usize).min(self.len() - 2);
-        let frac = t - i as f64;
-        self.values[i] + (self.values[i + 1] - self.values[i]) * frac
-    }
-
-    /// Applies a pointwise transformation, keeping the grid.
-    pub fn map(&self, mut t: impl FnMut(f64, f64) -> f64) -> Self {
-        let values = (0..self.len()).map(|i| t(self.x(i), self.y(i))).collect();
-        Self::from_values(self.lo, self.hi, values)
-    }
 }
 
 #[cfg(test)]
@@ -133,33 +109,9 @@ mod tests {
     }
 
     #[test]
-    fn interpolation_is_exact_on_linear_functions() {
-        let f = SampledFunction::sample(0.0, 10.0, 11, |x| 2.0 * x + 1.0);
-        for &x in &[0.0, 0.25, 3.7, 9.99, 10.0] {
-            assert!((f.interpolate(x) - (2.0 * x + 1.0)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn map_transforms_pointwise() {
-        let f = SampledFunction::sample(0.0, 1.0, 3, |x| x);
-        let g = f.map(|_, y| y * 10.0);
-        assert_eq!(g.values(), &[0.0, 5.0, 10.0]);
-        assert_eq!(g.lo(), 0.0);
-        assert_eq!(g.hi(), 1.0);
-    }
-
-    #[test]
     #[should_panic(expected = "not finite")]
     fn rejects_non_finite_samples() {
         SampledFunction::sample(0.0, 1.0, 3, |x| 1.0 / (x - 0.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn interpolate_out_of_range_panics() {
-        let f = SampledFunction::sample(0.0, 1.0, 3, |x| x);
-        f.interpolate(2.0);
     }
 
     #[test]

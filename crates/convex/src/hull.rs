@@ -77,22 +77,6 @@ pub fn deviation_ratio(g: &SampledFunction) -> f64 {
     r
 }
 
-/// Convenience: the closure and ratio in one call (the pair Figure 2
-/// plots).
-pub fn closure_and_ratio(g: &SampledFunction) -> (SampledFunction, f64) {
-    let closure = convex_closure(g);
-    let mut r: f64 = 1.0;
-    for i in 0..g.len() {
-        let (gv, cv) = (g.y(i), closure.y(i));
-        assert!(
-            gv > 0.0 && cv > 0.0,
-            "deviation ratio needs positive values"
-        );
-        r = r.max(gv / cv);
-    }
-    (closure, r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,13 +138,5 @@ mod tests {
         });
         let r = deviation_ratio(&g);
         assert!(r > 1.0 && r < 1.2, "r = {r}");
-    }
-
-    #[test]
-    fn closure_and_ratio_agree_with_parts() {
-        let g = SampledFunction::sample(0.1, 3.0, 150, |x| x + (3.0 * x).sin().abs());
-        let (c, r) = closure_and_ratio(&g);
-        assert_eq!(c.values(), convex_closure(&g).values());
-        assert!((r - deviation_ratio(&g)).abs() < 1e-15);
     }
 }

@@ -54,25 +54,12 @@ pub fn clamped_g<F: ThroughputFormula + ?Sized>(f: &F, theta_hat: f64) -> f64 {
 pub struct ControlConfig {
     /// Weight profile of the loss-interval estimator.
     pub weights: WeightProfile,
-    /// Number of initial loss events excluded from the recorded trace
-    /// (the estimator is additionally pre-seeded with real draws, so the
-    /// default of zero is usually fine).
-    pub warmup_events: usize,
 }
 
 impl ControlConfig {
-    /// Configuration with the given weights and no warm-up discard.
+    /// Configuration with the given weights.
     pub fn new(weights: WeightProfile) -> Self {
-        Self {
-            weights,
-            warmup_events: 0,
-        }
-    }
-
-    /// Sets the number of discarded warm-up events.
-    pub fn with_warmup(mut self, events: usize) -> Self {
-        self.warmup_events = events;
-        self
+        Self { weights }
     }
 }
 
@@ -193,11 +180,6 @@ impl ControlTrace {
         }
         c.covariance()
     }
-
-    /// Concatenates another trace (replica merging).
-    pub fn extend_from(&mut self, other: &ControlTrace) {
-        self.steps.extend_from_slice(&other.steps);
-    }
 }
 
 /// The basic control (Eq. 3): rate piecewise constant at `f(1/θ̂_n)`.
@@ -213,11 +195,6 @@ impl<F: ThroughputFormula> BasicControl<F> {
         Self { formula, config }
     }
 
-    /// The throughput formula in use.
-    pub fn formula(&self) -> &F {
-        &self.formula
-    }
-
     /// Runs the recursion for `events` loss events, pre-seeding the
     /// estimator with `L` draws from the process.
     pub fn run<P: LossProcess>(
@@ -228,22 +205,20 @@ impl<F: ThroughputFormula> BasicControl<F> {
     ) -> ControlTrace {
         let mut estimator = warm_estimator(&self.config.weights, process, rng);
         let mut steps = Vec::with_capacity(events);
-        for n in 0..events + self.config.warmup_events {
+        for _ in 0..events {
             let theta_hat = estimator.estimate().max(THETA_HAT_FLOOR);
             let x = clamped_rate(&self.formula, theta_hat);
             let theta = process.next_interval(rng);
             let duration = theta / x;
             estimator.push(theta);
-            if n >= self.config.warmup_events {
-                steps.push(StepRecord {
-                    theta,
-                    theta_hat,
-                    theta_hat_next: estimator.estimate().max(THETA_HAT_FLOOR),
-                    x_rate: x,
-                    duration,
-                    v_correction: 0.0,
-                });
-            }
+            steps.push(StepRecord {
+                theta,
+                theta_hat,
+                theta_hat_next: estimator.estimate().max(THETA_HAT_FLOOR),
+                x_rate: x,
+                duration,
+                v_correction: 0.0,
+            });
         }
         ControlTrace::from_steps(steps)
     }
@@ -270,11 +245,6 @@ impl<F: ThroughputFormula> ComprehensiveControl<F> {
         }
     }
 
-    /// The throughput formula in use.
-    pub fn formula(&self) -> &F {
-        &self.formula
-    }
-
     /// Runs the recursion for `events` loss events.
     pub fn run<P: LossProcess>(
         &self,
@@ -285,7 +255,7 @@ impl<F: ThroughputFormula> ComprehensiveControl<F> {
         let mut estimator = warm_estimator(&self.config.weights, process, rng);
         let w1 = self.config.weights.w1();
         let mut steps = Vec::with_capacity(events);
-        for n in 0..events + self.config.warmup_events {
+        for _ in 0..events {
             let theta_hat = estimator.estimate().max(THETA_HAT_FLOOR);
             let x = clamped_rate(&self.formula, theta_hat);
             let tail = estimator.tail_weighted_sum();
@@ -305,16 +275,14 @@ impl<F: ThroughputFormula> ComprehensiveControl<F> {
             };
 
             estimator.push(theta);
-            if n >= self.config.warmup_events {
-                steps.push(StepRecord {
-                    theta,
-                    theta_hat,
-                    theta_hat_next,
-                    x_rate: x,
-                    duration,
-                    v_correction: v,
-                });
-            }
+            steps.push(StepRecord {
+                theta,
+                theta_hat,
+                theta_hat_next,
+                x_rate: x,
+                duration,
+                v_correction: v,
+            });
         }
         ControlTrace::from_steps(steps)
     }
@@ -477,9 +445,6 @@ mod tests {
             fn rate(&self, p: f64) -> f64 {
                 self.0.rate(p)
             }
-            fn name(&self) -> &'static str {
-                "PFTK-simplified (numeric)"
-            }
         }
         let f = PftkSimplified::with_rtt(1.0);
         let cfg = ControlConfig::new(WeightProfile::tfrc(8));
@@ -505,16 +470,6 @@ mod tests {
         let trace = ComprehensiveControl::new(f, cfg).run(&mut process, &mut rng, 500);
         assert!(trace.throughput().is_finite());
         assert!(trace.throughput() > 0.0);
-    }
-
-    #[test]
-    fn warmup_events_are_discarded() {
-        let f = Sqrt::with_rtt(1.0);
-        let cfg = ControlConfig::new(WeightProfile::tfrc(2)).with_warmup(100);
-        let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(50.0, 0.5));
-        let mut rng = Rng::seed_from(10);
-        let trace = BasicControl::new(f, cfg).run(&mut process, &mut rng, 250);
-        assert_eq!(trace.len(), 250);
     }
 
     #[test]

@@ -126,17 +126,6 @@ impl IntervalEstimator {
         base.max(candidate)
     }
 
-    /// The open-interval length beyond which the virtual estimate starts
-    /// increasing: `(θ̂_n − W_n)/w1` (the boundary of the activation set
-    /// `A_t`). Until `θ(t)` exceeds this, the comprehensive control sends
-    /// at the loss-event rate `f(1/θ̂_n)`.
-    ///
-    /// # Panics
-    /// Panics if the history is not yet full.
-    pub fn increase_threshold(&self) -> f64 {
-        (self.estimate() - self.tail_weighted_sum()) / self.profile.w1()
-    }
-
     /// Read-only view of the interval history, most recent first.
     pub fn history(&self) -> impl Iterator<Item = f64> + '_ {
         self.history.iter().copied()
@@ -166,7 +155,6 @@ mod tests {
         let mut e = IntervalEstimator::new(WeightProfile::tfrc(8));
         e.seed(100.0);
         assert_close(e.estimate(), 100.0, 1e-12);
-        assert_close(e.increase_threshold(), 100.0, 1e-9);
     }
 
     #[test]
@@ -186,30 +174,18 @@ mod tests {
             e.push(t);
         }
         let base = e.estimate();
-        // Small open interval: estimate pinned at θ̂_n.
-        assert_close(e.virtual_estimate(0.0), base, 1e-12);
-        assert_close(
-            e.virtual_estimate(e.increase_threshold() * 0.5),
-            base,
-            1e-12,
-        );
-        // Beyond the threshold it grows linearly with slope w1.
-        let th = e.increase_threshold();
+        // The activation threshold (θ̂_n − W_n)/w1: at it the candidate
+        // equals the base.
         let w1 = e.profile().w1();
+        let th = (base - e.tail_weighted_sum()) / w1;
+        assert_close(e.virtual_estimate(th), base, 1e-9);
+        // Below it the estimate stays pinned at θ̂_n.
+        assert_close(e.virtual_estimate(0.0), base, 1e-12);
+        assert_close(e.virtual_estimate(th * 0.5), base, 1e-12);
+        // Beyond it the estimate grows linearly with slope w1.
         let v = e.virtual_estimate(th + 10.0);
         assert_close(v, base + w1 * 10.0, 1e-9);
         assert!(v > base);
-    }
-
-    #[test]
-    fn threshold_consistency() {
-        // At exactly the threshold the candidate equals the base.
-        let mut e = IntervalEstimator::new(WeightProfile::tfrc(8));
-        for t in [50.0, 200.0, 100.0, 80.0, 60.0, 120.0, 90.0, 150.0] {
-            e.push(t);
-        }
-        let th = e.increase_threshold();
-        assert_close(e.virtual_estimate(th), e.estimate(), 1e-9);
     }
 
     #[test]

@@ -50,9 +50,6 @@ pub trait ThroughputFormula: Send + Sync {
     /// small positive `p`, never zero).
     fn rate(&self, p: f64) -> f64;
 
-    /// Human-readable formula name.
-    fn name(&self) -> &'static str;
-
     /// `h(x) = f(1/x)` where `x` is a loss-event interval in packets —
     /// the functional of Theorem 2.
     fn h(&self, x: f64) -> f64 {
@@ -130,10 +127,6 @@ impl ThroughputFormula for Sqrt {
         1.0 / (self.c1 * self.rtt * p.sqrt())
     }
 
-    fn name(&self) -> &'static str {
-        "SQRT"
-    }
-
     fn g_antiderivative(&self, y: f64) -> Option<f64> {
         // g(y) = c1·r·y^{-1/2}  ⇒  G(y) = 2·c1·r·√y.
         Some(2.0 * self.c1 * self.rtt * y.sqrt())
@@ -179,10 +172,6 @@ impl ThroughputFormula for PftkStandard {
         let timeout = self.q * (self.c2 * p.sqrt()).min(1.0) * (p + 32.0 * p.powi(3));
         1.0 / (self.c1 * self.rtt * p.sqrt() + timeout)
     }
-
-    fn name(&self) -> &'static str {
-        "PFTK-standard"
-    }
 }
 
 /// PFTK-simplified (Eq. 7): the TFRC proposed-standard formula.
@@ -215,12 +204,6 @@ impl PftkSimplified {
     pub fn with_rtt(rtt: f64) -> Self {
         Self::new(c1(DEFAULT_B), c2(DEFAULT_B), rtt, 4.0 * rtt)
     }
-
-    /// The loss-event rate below which PFTK-simplified coincides with
-    /// PFTK-standard: `p ≤ 1/c2²`.
-    pub fn agreement_threshold(&self) -> f64 {
-        1.0 / (self.c2 * self.c2)
-    }
 }
 
 impl ThroughputFormula for PftkSimplified {
@@ -228,10 +211,6 @@ impl ThroughputFormula for PftkSimplified {
         check_p(p);
         let timeout = self.q * self.c2 * (p.powf(1.5) + 32.0 * p.powf(3.5));
         1.0 / (self.c1 * self.rtt * p.sqrt() + timeout)
-    }
-
-    fn name(&self) -> &'static str {
-        "PFTK-simplified"
     }
 
     fn g_antiderivative(&self, y: f64) -> Option<f64> {
@@ -269,11 +248,6 @@ impl AimdFormula {
         Self { alpha, beta }
     }
 
-    /// The TCP-like setting `α = 1, β = 1/2`.
-    pub fn tcp_like() -> Self {
-        Self::new(1.0, 0.5)
-    }
-
     /// The coefficient `√(α(1+β)/(2(1−β)))`.
     pub fn coefficient(&self) -> f64 {
         (self.alpha * (1.0 + self.beta) / (2.0 * (1.0 - self.beta))).sqrt()
@@ -284,10 +258,6 @@ impl ThroughputFormula for AimdFormula {
     fn rate(&self, p: f64) -> f64 {
         check_p(p);
         self.coefficient() / p.sqrt()
-    }
-
-    fn name(&self) -> &'static str {
-        "AIMD"
     }
 }
 
@@ -323,7 +293,8 @@ mod tests {
     fn pftk_variants_agree_for_small_p() {
         let std = PftkStandard::with_rtt(1.0);
         let simp = PftkSimplified::with_rtt(1.0);
-        let threshold = simp.agreement_threshold();
+        // PFTK-simplified coincides with PFTK-standard for p ≤ 1/c2².
+        let threshold = 1.0 / (simp.c2 * simp.c2);
         for &p in &[threshold * 0.1, threshold * 0.5, threshold * 0.99] {
             assert_close(std.rate(p), simp.rate(p), 1e-9);
         }
@@ -339,14 +310,14 @@ mod tests {
             Box::new(Sqrt::with_rtt(1.0)),
             Box::new(PftkStandard::with_rtt(1.0)),
             Box::new(PftkSimplified::with_rtt(1.0)),
-            Box::new(AimdFormula::tcp_like()),
+            Box::new(AimdFormula::new(1.0, 0.5)),
         ];
-        for f in &fs {
+        for (i, f) in fs.iter().enumerate() {
             let mut prev = f.rate(1e-4);
             let mut p = 2e-4;
             while p <= 1.0 {
                 let cur = f.rate(p);
-                assert!(cur <= prev + 1e-12, "{} not monotone at p={p}", f.name());
+                assert!(cur <= prev + 1e-12, "formula {i} not monotone at p={p}");
                 prev = cur;
                 p *= 1.3;
             }
@@ -398,7 +369,11 @@ mod tests {
     #[test]
     fn aimd_coefficient_tcp_like() {
         // α = 1, β = 1/2: coefficient = √(1.5/1) = √1.5.
-        assert_close(AimdFormula::tcp_like().coefficient(), 1.5_f64.sqrt(), 1e-12);
+        assert_close(
+            AimdFormula::new(1.0, 0.5).coefficient(),
+            1.5_f64.sqrt(),
+            1e-12,
+        );
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! * [`control`] — exact event-driven recursions of the **basic** control
 //!   (Eq. 3) and the **comprehensive** control (Eq. 4), including the
 //!   closed-form inter-loss durations of Proposition 3;
-//! * [`throughput`] — the Palm throughput expressions (Propositions 1–3)
-//!   and the convexity/covariance decomposition of Equation (8);
+//! * [`throughput`] — the Palm throughput expressions (Propositions 1–3);
 //! * [`theory`] — executable statements of the conditions (F1), (F2),
 //!   (F2c), (C1), (C2), (C3), (V), Theorems 1–2, the Equation (10)
 //!   bound, Proposition 4's overshoot bound, and the Claim 4

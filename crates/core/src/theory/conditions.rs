@@ -119,8 +119,8 @@ mod tests {
         let sqrt = Sqrt::with_rtt(1.0);
         let simp = PftkSimplified::with_rtt(1.0);
         for f in [&sqrt as &dyn ThroughputFormula, &simp] {
-            assert!(condition_f1(f, 0.5, 50.0), "{}", f.name());
-            assert!(condition_f1(f, 2.0, 10.0), "{}", f.name());
+            assert!(condition_f1(f, 0.5, 50.0));
+            assert!(condition_f1(f, 2.0, 10.0));
         }
     }
 

@@ -1,5 +1,4 @@
-//! Palm throughput expressions (Propositions 1–3) and the Equation (8)
-//! decomposition.
+//! Palm throughput expressions (Propositions 1 and 3).
 //!
 //! Proposition 1 gives the basic control's throughput exactly:
 //!
@@ -12,19 +11,11 @@
 //!
 //! The module evaluates these expressions on recorded traces — the
 //! results must agree with the trajectory averages, which the tests (and
-//! property tests) assert — and computes the decomposition the paper
-//! displays after Proposition 1:
-//!
-//! ```text
-//! E[X(0)] = (1 / E[g(θ̂0)]) · 1 / (1 + cov[θ0, g(θ̂0)] / (E[θ0]·E[g(θ̂0)]))
-//! ```
-//!
-//! separating the *convexity* effect (Jensen on the first factor) from
-//! the *covariance* effect (the second factor).
+//! property tests) assert. Evaluated on a comprehensive trace, the
+//! Proposition 1 expression is Proposition 2's lower bound.
 
 use crate::control::{clamped_g, ControlTrace};
 use crate::formula::ThroughputFormula;
-use ebrc_stats::Covariance;
 
 /// Proposition 1: the basic-control throughput evaluated from the
 /// event-indexed pairs `(θ_n, θ̂_n)` of a trace.
@@ -62,63 +53,6 @@ pub fn proposition3_throughput<F: ThroughputFormula + ?Sized>(trace: &ControlTra
         / n;
     let mean_v: f64 = trace.steps().iter().map(|s| s.v_correction).sum::<f64>() / n;
     mean_theta / (mean_weighted - mean_v)
-}
-
-/// Proposition 2's lower bound for the comprehensive control: the
-/// basic-control expression evaluated on the comprehensive trace.
-///
-/// If this bound already exceeds `f(p)`, the comprehensive control is
-/// certainly non-conservative.
-pub fn proposition2_lower_bound<F: ThroughputFormula + ?Sized>(trace: &ControlTrace, f: &F) -> f64 {
-    proposition1_throughput(trace, f)
-}
-
-/// The two factors of the Equation (8) decomposition.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThroughputDecomposition {
-    /// `1 / E[g(θ̂0)]` — the convexity (Jensen) factor: for convex `g`
-    /// this is at most `f(p)` by Jensen's inequality, and the more
-    /// variable `θ̂` is the smaller it gets (Claim 1's second bullet).
-    pub jensen_factor: f64,
-    /// `1 / (1 + cov[θ0, g(θ̂0)] / (E[θ0]·E[g(θ̂0)]))` — the covariance
-    /// factor: equal to 1 when the loss-interval estimator and the next
-    /// interval are uncorrelated.
-    pub covariance_factor: f64,
-}
-
-impl ThroughputDecomposition {
-    /// The product of the factors — equal to the Proposition 1
-    /// throughput by construction.
-    pub fn throughput(&self) -> f64 {
-        self.jensen_factor * self.covariance_factor
-    }
-}
-
-/// Computes the Equation (8) decomposition from a basic-control trace.
-///
-/// # Panics
-/// Panics on an empty trace.
-pub fn decompose<F: ThroughputFormula + ?Sized>(
-    trace: &ControlTrace,
-    f: &F,
-) -> ThroughputDecomposition {
-    assert!(!trace.is_empty(), "empty trace");
-    let n = trace.len() as f64;
-    let mean_theta: f64 = trace.steps().iter().map(|s| s.theta).sum::<f64>() / n;
-    let mean_g: f64 = trace
-        .steps()
-        .iter()
-        .map(|s| clamped_g(f, s.theta_hat))
-        .sum::<f64>()
-        / n;
-    let mut cov = Covariance::new();
-    for s in trace.steps() {
-        cov.push(s.theta, clamped_g(f, s.theta_hat));
-    }
-    ThroughputDecomposition {
-        jensen_factor: 1.0 / mean_g,
-        covariance_factor: 1.0 / (1.0 + cov.population_covariance() / (mean_theta * mean_g)),
-    }
 }
 
 #[cfg(test)]
@@ -175,39 +109,11 @@ mod tests {
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(60.0, 0.95));
         let mut rng = Rng::seed_from(3);
         let trace = ComprehensiveControl::new(f.clone(), cfg).run(&mut process, &mut rng, 5_000);
-        let bound = proposition2_lower_bound(&trace, &f);
+        let bound = proposition1_throughput(&trace, &f);
         assert!(
             trace.throughput() >= bound - 1e-9,
             "throughput {} below bound {bound}",
             trace.throughput()
-        );
-    }
-
-    #[test]
-    fn decomposition_product_equals_prop1() {
-        let (trace, f) = sample_basic(4, 3_000);
-        let d = decompose(&trace, &f);
-        assert_rel(d.throughput(), proposition1_throughput(&trace, &f), 1e-9);
-    }
-
-    #[test]
-    fn jensen_factor_below_f_of_p_for_convex_g() {
-        // Jensen: E[g(θ̂)] ≥ g(E[θ̂]) for convex g, and E[θ̂] = 1/p, so
-        // 1/E[g(θ̂)] ≤ 1/g(1/p) = f(p).
-        let (trace, f) = sample_basic(5, 20_000);
-        let d = decompose(&trace, &f);
-        let p = trace.loss_event_rate();
-        assert!(d.jensen_factor <= f.rate(p) * (1.0 + 1e-9));
-    }
-
-    #[test]
-    fn covariance_factor_near_one_for_iid() {
-        let (trace, f) = sample_basic(6, 50_000);
-        let d = decompose(&trace, &f);
-        assert!(
-            (d.covariance_factor - 1.0).abs() < 0.02,
-            "{}",
-            d.covariance_factor
         );
     }
 }

@@ -100,17 +100,6 @@ impl ShiftedExponential {
             scale: mean * cv,
         }
     }
-
-    /// The deterministic offset `a = m(1 − cv)` — the infimum of the
-    /// support.
-    pub fn shift(&self) -> f64 {
-        self.shift
-    }
-
-    /// The exponential scale `1/λ = m·cv`.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
 }
 
 impl Distribution for ShiftedExponential {
@@ -124,42 +113,6 @@ impl Distribution for ShiftedExponential {
 
     fn cv(&self) -> f64 {
         self.scale / (self.shift + self.scale)
-    }
-}
-
-/// Pure exponential with the given mean — `ShiftedExponential` at
-/// `cv = 1`, provided as its own type for clarity at call sites that
-/// mean "memoryless".
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    mean: f64,
-}
-
-impl Exponential {
-    /// An exponential with the given mean.
-    ///
-    /// # Panics
-    /// Panics unless `mean > 0`.
-    pub fn new(mean: f64) -> Self {
-        assert!(
-            mean > 0.0 && mean.is_finite(),
-            "mean must be positive, got {mean}"
-        );
-        Self { mean }
-    }
-}
-
-impl Distribution for Exponential {
-    fn sample(&self, rng: &mut Rng) -> f64 {
-        rng.exp(self.mean)
-    }
-
-    fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    fn cv(&self) -> f64 {
-        1.0
     }
 }
 
@@ -203,9 +156,8 @@ mod tests {
         let d = ShiftedExponential::from_mean_cv(100.0, 0.25);
         let mut rng = Rng::seed_from(2);
         for _ in 0..10_000 {
-            assert!(d.sample(&mut rng) >= d.shift());
+            assert!(d.sample(&mut rng) >= 75.0);
         }
-        assert_eq!(d.shift(), 75.0);
     }
 
     #[test]
@@ -218,13 +170,5 @@ mod tests {
     #[should_panic(expected = "mean must be positive")]
     fn nonpositive_mean_rejected() {
         ShiftedExponential::from_mean_cv(0.0, 0.5);
-    }
-
-    #[test]
-    fn exponential_is_cv_one() {
-        let e = Exponential::new(3.0);
-        let (m, s) = sample_moments(&e, 200_000, 5);
-        assert!((m - 3.0).abs() < 0.05);
-        assert!((s / m - 1.0).abs() < 0.02);
     }
 }

@@ -8,9 +8,8 @@
 //!   [`Rng::fork`] sub-streams (one master seed per scenario, one
 //!   stream per component);
 //! * [`Distribution`] — sampleable positive laws with known moments:
-//!   [`Deterministic`], [`Exponential`], and the paper's
-//!   [`ShiftedExponential`] parameterized by mean and coefficient of
-//!   variation;
+//!   [`Deterministic`] and the paper's [`ShiftedExponential`]
+//!   parameterized by mean and coefficient of variation;
 //! * [`LossProcess`] — sequences of loss-event intervals `θ_n`:
 //!   [`IidProcess`] (condition (C1) holds exactly),
 //!   [`MarkovModulated`] (predictable phase loss that violates (C1)),
@@ -26,7 +25,7 @@
 //! let mut process = IidProcess::new(d);
 //! let mut rng = Rng::seed_from(7);
 //! let theta = process.next_interval(&mut rng);
-//! assert!(theta >= d.shift());
+//! assert!(theta >= 5.0); // never below the shift m(1 − cv)
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,6 +35,6 @@ pub mod distribution;
 pub mod process;
 pub mod rng;
 
-pub use distribution::{Deterministic, Distribution, Exponential, ShiftedExponential};
+pub use distribution::{Deterministic, Distribution, ShiftedExponential};
 pub use process::{IidProcess, LossProcess, MarkovModulated, Replay, TraceProcess};
 pub use rng::Rng;

@@ -51,11 +51,6 @@ impl<D: Distribution> IidProcess<D> {
     pub fn new(dist: D) -> Self {
         Self { dist }
     }
-
-    /// The underlying interval distribution.
-    pub fn distribution(&self) -> &D {
-        &self.dist
-    }
 }
 
 impl<D: Distribution> LossProcess for IidProcess<D> {
@@ -203,16 +198,6 @@ impl TraceProcess {
             next: 0,
         }
     }
-
-    /// The backing intervals.
-    pub fn intervals(&self) -> &[f64] {
-        &self.intervals
-    }
-
-    /// Mean of the backing trace.
-    pub fn trace_mean(&self) -> f64 {
-        self.intervals.iter().sum::<f64>() / self.intervals.len() as f64
-    }
 }
 
 impl LossProcess for TraceProcess {
@@ -240,7 +225,6 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| p.next_interval(&mut rng)).sum::<f64>() / n as f64;
         assert!((mean - 40.0).abs() / 40.0 < 0.02, "mean {mean}");
-        assert_eq!(p.distribution().mean(), 40.0);
     }
 
     #[test]
@@ -329,7 +313,6 @@ mod tests {
             / (xs.len() - 1) as f64
             / var;
         assert!(lag1.abs() < 0.02, "bootstrap lag-1 autocorr {lag1}");
-        assert_eq!(p.trace_mean(), 5.0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ proptest! {
         let mut sum_sq = 0.0;
         for _ in 0..n {
             let x = d.sample(&mut rng);
-            prop_assert!(x >= d.shift());
+            prop_assert!(x >= mean * (1.0 - cv));
             sum += x;
             sum_sq += x * x;
         }

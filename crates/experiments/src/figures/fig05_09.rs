@@ -18,9 +18,8 @@
 
 use crate::figures::mean;
 use crate::registry::{Experiment, Scale};
-use crate::scenarios::{DumbbellRun, RunMeasurements};
 use crate::series::Table;
-use crate::spec::{ns2_config, SimSpec, SpecOutput};
+use crate::spec::{SimSpec, SpecOutput};
 
 fn n_list(quick: bool) -> Vec<usize> {
     if quick {
@@ -36,14 +35,6 @@ fn l_list(quick: bool) -> Vec<usize> {
     } else {
         vec![2, 4, 8, 16]
     }
-}
-
-/// Runs replica `rep` of the ns-2 scenario for `(n, l)` and returns its
-/// measurements — the direct (spec-less) path kept for unit tests.
-pub fn ns2_run(n: usize, l: usize, rep: usize, scale: Scale, probe: bool) -> RunMeasurements {
-    let cfg = ns2_config(n, l, rep, probe.then_some(5.0));
-    let mut run = DumbbellRun::build(&cfg);
-    run.measure(scale.sim_warmup, scale.sim_span)
 }
 
 /// The shared `(L, N, replica)` spec for one grid point.
@@ -304,12 +295,15 @@ impl Experiment for Fig09 {
 mod tests {
     use super::*;
     use crate::registry::global_plan;
+    use crate::scenarios::DumbbellRun;
+    use crate::spec::ns2_config;
 
     /// Shared quick-scale smoke test covering the Claim 3 ordering.
     #[test]
     fn many_sources_ordering_holds_roughly() {
         let scale = Scale::quick();
-        let m = ns2_run(8, 8, 0, scale, true);
+        let m = DumbbellRun::build(&ns2_config(8, 8, 0, Some(5.0)))
+            .measure(scale.sim_warmup, scale.sim_span);
         let p_tfrc = m.tfrc_mean(|f| f.loss_event_rate);
         let p_tcp = m.tcp_mean(|f| f.loss_event_rate);
         let p_poisson = m.probe_loss_rate.unwrap();

@@ -14,7 +14,7 @@
 use crate::breakdown::Breakdown;
 use crate::figures::mean;
 use crate::registry::{replica_seed, Experiment, Scale};
-use crate::scenarios::{DumbbellConfig, DumbbellRun, QueueSpec, RunMeasurements};
+use crate::scenarios::{DumbbellConfig, QueueSpec};
 use crate::series::Table;
 use crate::spec::{SimSpec, SpecOutput};
 use ebrc_tfrc::FormulaKind;
@@ -92,21 +92,13 @@ pub fn site_config(site: &Site, n: usize, seed: u64, quick: bool) -> DumbbellCon
     cfg.tfrc.sender.formula = FormulaKind::PftkStandard;
     cfg.tfrc.sender.nominal_rtt = site.rtt;
     cfg.tcp.nominal_rtt = site.rtt;
-    // Poisson cross-traffic at the site's background fraction. (An
-    // on/off burst model is available via `onoff_background`, but burst
-    // phases crush TCP into timeout regimes and flip the loss-event
+    // Poisson cross-traffic at the site's background fraction. (On/off
+    // bursts crush TCP into timeout regimes and flip the loss-event
     // comparison away from the paper's measured Internet behaviour —
     // TFRC keeps sampling through bursts while TCP stops — so the
     // smoother Poisson load is the faithful stand-in here.)
     cfg.poisson_probe = Some(site.background * bps / (1500.0 * 8.0));
     cfg
-}
-
-/// Runs one site instance.
-pub fn site_run(site: &Site, n: usize, scale: Scale, seed: u64) -> RunMeasurements {
-    let cfg = site_config(site, n, seed, scale.quick);
-    let mut run = DumbbellRun::build(&cfg);
-    run.measure(scale.sim_warmup, scale.sim_span)
 }
 
 fn pair_list(quick: bool) -> Vec<usize> {
@@ -328,6 +320,7 @@ impl Experiment for Fig12to15 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::DumbbellRun;
 
     #[test]
     fn four_sites_match_table1() {
@@ -342,7 +335,9 @@ mod tests {
     #[test]
     fn kth_site_runs_and_breaks_down() {
         let site = sites()[2]; // KTH: 10 Mb/s — cheap to simulate
-        let m = site_run(&site, 2, Scale::quick(), 1234);
+        let scale = Scale::quick();
+        let cfg = site_config(&site, 2, 1234, scale.quick);
+        let m = DumbbellRun::build(&cfg).measure(scale.sim_warmup, scale.sim_span);
         let b = Breakdown::from_measurements(&m).expect("losses expected");
         assert!(b.p > 0.0 && b.p < 0.3);
         assert!(b.friendliness > 0.05 && b.friendliness < 20.0);

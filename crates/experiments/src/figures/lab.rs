@@ -11,7 +11,7 @@
 use crate::breakdown::Breakdown;
 use crate::figures::mean;
 use crate::registry::{replica_seed, Experiment, Scale};
-use crate::scenarios::{DumbbellConfig, DumbbellRun, QueueSpec, RunMeasurements};
+use crate::scenarios::QueueSpec;
 use crate::series::Table;
 use crate::spec::{SimSpec, SpecOutput};
 use ebrc_net::RedConfig;
@@ -33,13 +33,6 @@ pub fn lab_queues() -> Vec<(&'static str, QueueSpec)> {
         ("droptail100", QueueSpec::DropTail(100)),
         ("red", QueueSpec::Red(RedConfig::lab_paper(mean_pkt_time))),
     ]
-}
-
-/// Runs one lab instance.
-pub fn lab_run(queue: QueueSpec, n: usize, scale: Scale, seed: u64) -> RunMeasurements {
-    let cfg = DumbbellConfig::lab_paper(n, queue, seed);
-    let mut run = DumbbellRun::build(&cfg);
-    run.measure(scale.sim_warmup, scale.sim_span)
 }
 
 /// The `(queue index, N, replica)` grid of Figures 16 and 18–19 (the
@@ -198,11 +191,14 @@ impl Experiment for Fig18to19 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::{DumbbellConfig, DumbbellRun};
 
     #[test]
     fn lab_breakdown_is_sane_on_red() {
         let (_, red) = lab_queues().into_iter().nth(2).unwrap();
-        let m = lab_run(red, 4, Scale::quick(), 5);
+        let scale = Scale::quick();
+        let cfg = DumbbellConfig::lab_paper(4, red, 5);
+        let m = DumbbellRun::build(&cfg).measure(scale.sim_warmup, scale.sim_span);
         let b = Breakdown::from_measurements(&m).expect("losses expected");
         // Lab runs disable the comprehensive control; conservativeness
         // should be visible (≤ about 1).

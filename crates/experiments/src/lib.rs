@@ -9,8 +9,8 @@
 //! fixed, thread-count-independent order. [`global_plan`] merges the
 //! catalogue into one deduplicated plan (shared scenario instances run
 //! once and fan out to every subscriber), which runs sequentially
-//! ([`Experiment::run`]), on a work-stealing pool ([`par_run`],
-//! [`plan_run_catalogue`]), or split across hosts as
+//! ([`Experiment::run`]), on a work-stealing pool
+//! ([`plan_run_catalogue`]), or split across hosts as
 //! deterministic shards — with byte-identical output every way.
 //!
 //! The `repro` command line is this library's [`cli`] module — one
@@ -45,10 +45,9 @@ pub mod service;
 pub mod spec;
 
 pub use registry::{
-    all_experiments, find_experiment, global_plan, par_run, plan_run_catalogue,
-    plan_run_catalogue_cached, reduce_subscription, replica_seed, resolve, scale_by_name,
-    select_experiments, CatalogueRun, Experiment, ExperimentFailure, ExperimentReport, Plan, Scale,
-    MASTER_SEED,
+    all_experiments, find_experiment, global_plan, plan_run_catalogue, plan_run_catalogue_cached,
+    reduce_subscription, replica_seed, resolve, scale_by_name, select_experiments, CatalogueRun,
+    Experiment, ExperimentFailure, ExperimentReport, Plan, Scale, MASTER_SEED,
 };
 pub use series::{table_file_name, Table};
 pub use service::CatalogueBackend;

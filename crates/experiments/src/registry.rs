@@ -32,11 +32,10 @@ pub type Plan = ebrc_runner::Plan<SimSpec>;
 
 /// Master seed of the whole catalogue: the runner derives each spec's
 /// [`JobCtx`](ebrc_runner::JobCtx) stream from `(MASTER_SEED, spec
-/// key)` alone, so the stream never depends on scheduling. (The
-/// decomposed paper figures predate the runner and keep their
-/// historical parameter-derived seeds — equally schedule-independent,
-/// and byte-compatible with the pre-runner tables; new experiments
-/// should draw from `ctx.rng()` instead.)
+/// key)` alone, so the stream never depends on scheduling. Every spec
+/// in the catalogue seeds from its own parameters instead — equally
+/// schedule-independent, and byte-compatible with the pre-runner
+/// tables — so the stream is there for a spec that needs one.
 pub const MASTER_SEED: u64 = 0x2002_5EED;
 
 /// Offsets a scenario's base seed for replica `rep` of a sweep point.
@@ -140,8 +139,8 @@ pub trait Experiment: Sync {
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table>;
 
     /// Regenerates the artifact's data sequentially: runs every unique
-    /// spec in plan order, then reduces. Byte-identical to [`par_run`]
-    /// at any thread count.
+    /// spec in plan order, then reduces. Byte-identical to
+    /// [`plan_run_catalogue`] at any thread count.
     fn run(&self, scale: Scale) -> Vec<Table> {
         let plan = self.plan(scale);
         let outputs = plan.run_sequential(MASTER_SEED);
@@ -203,34 +202,31 @@ pub struct ExperimentReport {
 pub fn global_plan(experiments: &[&dyn Experiment], scale: Scale) -> Plan {
     let mut plan = Plan::new();
     for exp in experiments {
-        let before = plan.subscriptions().len();
-        plan.merge(exp.plan(scale));
-        assert_eq!(
-            plan.subscriptions().len(),
-            before + 1,
-            "{}: plan() must contain exactly one subscription",
-            exp.id()
-        );
-        assert_eq!(
-            plan.subscriptions()[before].id,
-            exp.id(),
-            "{}: plan() subscribed under a different id",
-            exp.id()
-        );
+        merge_subscription(&mut plan, *exp, exp.plan(scale));
     }
     plan
 }
 
-/// Runs one experiment's plan on the pool. The tables are
-/// byte-identical to [`Experiment::run`] regardless of the pool's
-/// thread count.
-pub fn par_run(
-    exp: &dyn Experiment,
-    scale: Scale,
-    pool: &Pool,
-) -> Result<Vec<Table>, ExperimentFailure> {
-    let mut reports = plan_run_catalogue(vec![exp], scale, pool, |_, _| {}, |_| {});
-    reports.remove(0).outcome
+/// Merges `exp`'s own plan `sub` into `plan`.
+///
+/// # Panics
+/// Panics unless `sub` adds exactly one subscription, under `exp.id()`.
+fn merge_subscription(plan: &mut Plan, exp: &dyn Experiment, sub: Plan) {
+    let before = plan.subscriptions().len();
+    plan.merge(sub);
+    let added = &plan.subscriptions()[before..];
+    assert_eq!(
+        added.len(),
+        1,
+        "{}: plan() must contain exactly one subscription",
+        exp.id()
+    );
+    assert_eq!(
+        added[0].id,
+        exp.id(),
+        "{}: plan() subscribed under a different id",
+        exp.id()
+    );
 }
 
 /// Reduces one experiment from its subscription's outcome — the spec
@@ -336,14 +332,7 @@ pub fn plan_run_catalogue_cached(
     for (ei, exp) in experiments.iter().enumerate() {
         match catch_unwind(AssertUnwindSafe(|| exp.plan(scale))) {
             Ok(p) => {
-                let before = plan.subscriptions().len();
-                plan.merge(p);
-                assert_eq!(
-                    plan.subscriptions().len(),
-                    before + 1,
-                    "{}: plan() must contain exactly one subscription",
-                    exp.id()
-                );
+                merge_subscription(&mut plan, *exp, p);
                 exp_for_sub.push(ei);
                 plan_errors.push(None);
             }
@@ -631,12 +620,19 @@ mod tests {
     }
 
     #[test]
-    fn par_run_matches_sequential_run_on_a_test_double() {
+    fn pool_run_matches_sequential_run_on_a_test_double() {
         let exp = Fragile { broken_spec: false };
         let seq = exp.run(Scale::quick());
-        let par = par_run(&exp, Scale::quick(), &Pool::new(4)).unwrap();
+        let reports = plan_run_catalogue(
+            vec![&exp as &dyn Experiment],
+            Scale::quick(),
+            &Pool::new(4),
+            |_, _| {},
+            |_| {},
+        );
+        let par = reports[0].outcome.as_ref().unwrap();
         assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
+        for (a, b) in seq.iter().zip(par) {
             assert_eq!(a.to_json(), b.to_json());
         }
     }

@@ -61,10 +61,6 @@ pub struct DumbbellConfig {
     /// Optional Poisson probe rate in packets/second (the Figure 7
     /// `p''` measurement).
     pub poisson_probe: Option<f64>,
-    /// Optional on/off background load: `(rate_while_on_pps, mean_on_s,
-    /// mean_off_s)` — the bursty cross-traffic of the synthetic Internet
-    /// scenarios.
-    pub onoff_background: Option<(f64, f64, f64)>,
     /// TFRC flow settings.
     pub tfrc: TfrcFlowSpec,
     /// TCP sender settings.
@@ -94,7 +90,6 @@ impl DumbbellConfig {
             n_tfrc: n,
             n_tcp: n,
             poisson_probe: None,
-            onoff_background: None,
             tfrc: TfrcFlowSpec {
                 sender: TfrcSenderConfig::standard(nominal_rtt),
                 window: l,
@@ -124,7 +119,6 @@ impl DumbbellConfig {
             n_tfrc: n,
             n_tcp: n,
             poisson_probe: None,
-            onoff_background: None,
             tfrc: TfrcFlowSpec {
                 sender: tfrc_sender,
                 window: 8,
@@ -169,12 +163,10 @@ impl DumbbellConfig {
             Some(rate) => format!("poisson({rate})"),
             None => "none".to_string(),
         };
-        let onoff = match self.onoff_background {
-            Some((rate, on, off)) => format!("onoff({rate},{on},{off})"),
-            None => "none".to_string(),
-        };
+        // `onoff=none` is constant but part of every existing key:
+        // dropping it would re-address every cache entry and shard.
         format!(
-            "bps={}/queue={}/owd={}/ntfrc={}/ntcp={}/probe={}/onoff={}/\
+            "bps={}/queue={}/owd={}/ntfrc={}/ntcp={}/probe={}/onoff=none/\
              tfrc(pkt={},formula={},rtt={},nominal={},cap={},init={},min={},max={},L={},comp={})/\
              tcp(pkt={},icwnd={},maxcwnd={},dupack={},rto=[{},{}],nominal={},burst={})/\
              seed={}/stagger={}",
@@ -184,7 +176,6 @@ impl DumbbellConfig {
             self.n_tfrc,
             self.n_tcp,
             probe,
-            onoff,
             self.tfrc.sender.packet_size,
             self.tfrc.sender.formula.key_name(),
             rtt_mode,
@@ -238,10 +229,8 @@ impl DumbbellRun {
         // pair per flow and per optional source. The calendar hint
         // covers each flow's in-flight window plus timers, so the heap
         // reaches steady state without reallocating.
-        let components = 5
-            + 2 * (cfg.n_tfrc + cfg.n_tcp)
-            + if cfg.onoff_background.is_some() { 2 } else { 0 }
-            + if cfg.poisson_probe.is_some() { 2 } else { 0 };
+        let components =
+            5 + 2 * (cfg.n_tfrc + cfg.n_tcp) + if cfg.poisson_probe.is_some() { 2 } else { 0 };
         let mut eng: Engine<NetEvent> = Engine::with_capacity(components, 64 * components);
 
         let queue: Box<dyn ebrc_net::AqmQueue> = match &cfg.queue {
@@ -311,23 +300,6 @@ impl DumbbellRun {
             eng.schedule(start, snd, NetEvent::Timer(ebrc_tcp::sender::TIMER_START));
             start += cfg.start_stagger;
             tcp.push((snd, sink));
-        }
-
-        if let Some((rate, mean_on, mean_off)) = cfg.onoff_background {
-            let flow = FlowId(u32::MAX); // background flow id out of band
-            let src = eng.add(Box::new(ebrc_net::OnOffSender::new(
-                flow,
-                rate,
-                1500,
-                mean_on,
-                mean_off,
-                root_rng.fork("onoff"),
-            )));
-            let sink = eng.add(Box::new(ebrc_net::Sink::counting_only()));
-            eng.get_mut::<ebrc_net::OnOffSender>(src)
-                .set_next_hop(bottleneck);
-            eng.get_mut::<Demux>(fwd_demux).route(flow, sink);
-            eng.schedule(0.0, src, NetEvent::Timer(ebrc_net::onoff::TIMER_START));
         }
 
         let probe = cfg.poisson_probe.map(|rate| {

@@ -15,8 +15,8 @@
 
 use ebrc_dist::Rng;
 use ebrc_experiments::{
-    all_experiments, global_plan, par_run, plan_run_catalogue_cached, table_file_name, Experiment,
-    ExperimentReport, Scale, SimSpec, SpecOutput, MASTER_SEED,
+    all_experiments, global_plan, plan_run_catalogue, plan_run_catalogue_cached, table_file_name,
+    Experiment, ExperimentReport, Scale, SimSpec, SpecOutput, MASTER_SEED,
 };
 use ebrc_runner::{run_plan, CacheCounters, DirCache, ExecConfig, Pool, Spec as _};
 use proptest::prelude::*;
@@ -32,7 +32,9 @@ fn tiny(replicas: usize) -> Scale {
 }
 
 fn tables_json(exp: &dyn Experiment, scale: Scale, pool: &Pool) -> Vec<String> {
-    par_run(exp, scale, pool)
+    plan_run_catalogue(vec![exp], scale, pool, |_, _| {}, |_| {})
+        .remove(0)
+        .outcome
         .unwrap_or_else(|e| panic!("{e}"))
         .iter()
         .map(|t| t.to_json())

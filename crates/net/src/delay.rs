@@ -18,7 +18,6 @@ pub struct DelayBox {
     jitter: f64,
     next_hop: Option<ComponentId>,
     rng: ebrc_dist::Rng,
-    forwarded: u64,
 }
 
 impl DelayBox {
@@ -33,7 +32,6 @@ impl DelayBox {
             jitter: 0.0,
             next_hop: None,
             rng,
-            forwarded: 0,
         }
     }
 
@@ -51,16 +49,6 @@ impl DelayBox {
     pub fn set_next_hop(&mut self, id: ComponentId) {
         self.next_hop = Some(id);
     }
-
-    /// The base delay.
-    pub fn delay(&self) -> f64 {
-        self.delay
-    }
-
-    /// Packets forwarded so far.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
 }
 
 impl Component<NetEvent> for DelayBox {
@@ -72,7 +60,6 @@ impl Component<NetEvent> for DelayBox {
             } else {
                 0.0
             };
-            self.forwarded += 1;
             ctx.send(self.delay + extra, next, NetEvent::Packet(pkt));
         }
     }
@@ -108,7 +95,6 @@ mod tests {
         let s: &Sink = eng.get(sink);
         assert_eq!(s.arrivals.len(), 1);
         assert!((s.arrivals[0].0 - 1.025).abs() < 1e-12);
-        assert_eq!(eng.get::<DelayBox>(d).forwarded(), 1);
     }
 
     #[test]
@@ -219,6 +205,5 @@ mod tests {
         let d = eng.add(Box::new(DelayBox::new(0.01, Rng::seed_from(3))));
         eng.schedule(0.0, d, NetEvent::Timer(0));
         eng.run_until(1.0); // must not panic on unwired next hop
-        assert_eq!(eng.get::<DelayBox>(d).forwarded(), 0);
     }
 }

@@ -9,7 +9,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// the scenario builder, never from outside input, so SipHash's
 /// collision resistance buys nothing here and costs its rounds twice
 /// per packet round trip. The Fibonacci multiplier mixes dense ids
-/// (0, 1, 2, …) and the out-of-band `u32::MAX` into the high bits; the
+/// (0, 1, 2, …) and sparse ones like `u32::MAX` into the high bits; the
 /// fold brings them down to the low bits the table indexes by.
 #[derive(Debug, Default, Clone, Copy)]
 struct FlowHasher(u64);
@@ -37,7 +37,6 @@ impl Hasher for FlowHasher {
 pub struct Demux {
     routes: HashMap<FlowId, ComponentId, BuildHasherDefault<FlowHasher>>,
     default_route: Option<ComponentId>,
-    forwarded: u64,
 }
 
 impl Demux {
@@ -59,11 +58,6 @@ impl Demux {
     pub fn default_route(&mut self, target: ComponentId) {
         self.default_route = Some(target);
     }
-
-    /// Packets forwarded so far.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
 }
 
 impl Component<NetEvent> for Demux {
@@ -75,7 +69,6 @@ impl Component<NetEvent> for Demux {
                 .copied()
                 .or(self.default_route)
                 .unwrap_or_else(|| panic!("no route for flow {:?}", pkt.flow));
-            self.forwarded += 1;
             ctx.send(0.0, target, NetEvent::Packet(pkt));
         }
     }
@@ -109,7 +102,6 @@ mod tests {
         eng.run_until(1.0);
         assert_eq!(eng.get::<Sink>(a).count(), 4);
         assert_eq!(eng.get::<Sink>(b).count(), 6);
-        assert_eq!(eng.get::<Demux>(d).forwarded(), 10);
     }
 
     #[test]
@@ -136,9 +128,8 @@ mod tests {
         assert_eq!(eng.get::<Sink>(bank).count(), 8);
     }
 
-    /// The on-off background source of a dumbbell uses the
-    /// out-of-band id `u32::MAX`: neither the link (which keys nothing
-    /// by flow) nor the demux's route table may assume small ids.
+    /// Neither the link (which keys nothing by flow) nor the demux's
+    /// route table may assume small flow ids.
     #[test]
     fn out_of_band_flow_id_crosses_link_and_demux() {
         let mut eng: Engine<NetEvent> = Engine::new();

@@ -29,8 +29,6 @@ pub mod demux;
 pub mod dropper;
 pub mod link;
 pub mod lossrec;
-pub mod monitor;
-pub mod onoff;
 pub mod packet;
 pub mod probe;
 pub mod queue;
@@ -41,9 +39,7 @@ pub use demux::Demux;
 pub use dropper::BernoulliDropper;
 pub use link::{LinkQueue, LinkStats};
 pub use lossrec::LossEventRecorder;
-pub use monitor::{sample_queue, QueueMonitor};
-pub use onoff::OnOffSender;
 pub use packet::{net_event_name, AckInfo, FeedbackInfo, FlowId, NetEvent, Packet, PacketKind};
 pub use probe::{CbrSender, PoissonSender, ProbeSink};
-pub use queue::{AqmQueue, ByteDropTailQueue, DropTailQueue, QueueStats, RedConfig, RedQueue};
+pub use queue::{AqmQueue, DropTailQueue, QueueStats, RedConfig, RedQueue};
 pub use sink::Sink;

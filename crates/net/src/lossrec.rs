@@ -8,22 +8,14 @@
 //! * feed each detected loss with the current time and the cumulative
 //!   count of packets the flow has sent;
 //! * the recorder opens a new event iff the loss falls at least one RTT
-//!   after the start of the previous event;
-//! * completed loss-event intervals `θ_n` (packets between successive
-//!   event starts) and durations `S_n` accumulate for the Palm
-//!   statistics.
+//!   after the start of the previous event.
 
-use ebrc_stats::PointProcessStats;
-
-/// Groups packet losses into loss events and accumulates interval
-/// statistics.
+/// Groups packet losses into loss events and counts them.
 #[derive(Debug, Clone)]
 pub struct LossEventRecorder {
     rtt: f64,
-    current_event_start: Option<(f64, u64)>, // (time, packets_sent at event)
+    current_event_start: Option<f64>,
     events: u64,
-    stats: PointProcessStats,
-    intervals: Vec<f64>,
 }
 
 impl LossEventRecorder {
@@ -37,8 +29,6 @@ impl LossEventRecorder {
             rtt,
             current_event_start: None,
             events: 0,
-            stats: PointProcessStats::new(),
-            intervals: Vec::new(),
         }
     }
 
@@ -52,47 +42,23 @@ impl LossEventRecorder {
         self.rtt = rtt;
     }
 
-    /// Records a packet loss detected at `now`, with `packets_sent` the
-    /// flow's cumulative data-packet count. Returns `true` when the loss
-    /// starts a **new** loss event.
-    pub fn on_loss(&mut self, now: f64, packets_sent: u64) -> bool {
-        match self.current_event_start {
-            Some((start, start_packets)) if now < start + self.rtt => {
-                // Same event: coalesce. (start_packets retained.)
-                let _ = start_packets;
-                false
-            }
-            Some((start, start_packets)) => {
-                // Close the previous interval, open a new event.
-                let theta = packets_sent.saturating_sub(start_packets) as f64;
-                let s = now - start;
-                self.stats.push_interval(s, theta);
-                self.intervals.push(theta);
-                self.current_event_start = Some((now, packets_sent));
-                self.events += 1;
-                true
-            }
-            None => {
-                self.current_event_start = Some((now, packets_sent));
-                self.events += 1;
-                true
-            }
+    /// Records a packet loss detected at `now`. Returns `true` when the
+    /// loss starts a **new** loss event.
+    pub fn on_loss(&mut self, now: f64) -> bool {
+        if self
+            .current_event_start
+            .is_some_and(|start| now < start + self.rtt)
+        {
+            return false; // same event: coalesce
         }
+        self.current_event_start = Some(now);
+        self.events += 1;
+        true
     }
 
     /// Number of loss events seen (including the one still open).
     pub fn events(&self) -> u64 {
         self.events
-    }
-
-    /// Completed loss-event intervals `θ_n` in packets.
-    pub fn intervals(&self) -> &[f64] {
-        &self.intervals
-    }
-
-    /// Palm statistics over the completed intervals.
-    pub fn stats(&self) -> &PointProcessStats {
-        &self.stats
     }
 
     /// Loss-event rate `p = events / packets_sent` over the whole run —
@@ -115,32 +81,18 @@ mod tests {
     #[test]
     fn losses_within_rtt_coalesce() {
         let mut r = LossEventRecorder::new(0.1);
-        assert!(r.on_loss(1.0, 100));
-        assert!(!r.on_loss(1.05, 103));
-        assert!(!r.on_loss(1.09, 105));
-        assert!(r.on_loss(1.2, 150));
+        assert!(r.on_loss(1.0));
+        assert!(!r.on_loss(1.05));
+        assert!(!r.on_loss(1.09));
+        assert!(r.on_loss(1.2));
         assert_eq!(r.events(), 2);
-        assert_eq!(r.intervals(), &[50.0]);
-    }
-
-    #[test]
-    fn intervals_count_packets_between_event_starts() {
-        let mut r = LossEventRecorder::new(0.01);
-        r.on_loss(0.0, 0);
-        r.on_loss(1.0, 200);
-        r.on_loss(3.0, 500);
-        assert_eq!(r.intervals(), &[200.0, 300.0]);
-        let st = r.stats();
-        assert_eq!(st.count(), 2);
-        assert!((st.mean_interval_packets() - 250.0).abs() < 1e-12);
-        assert!((st.mean_inter_event_time() - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn loss_event_rate_per_packet() {
         let mut r = LossEventRecorder::new(0.01);
-        r.on_loss(0.0, 0);
-        r.on_loss(1.0, 100);
+        r.on_loss(0.0);
+        r.on_loss(1.0);
         assert!((r.loss_event_rate(200) - 0.01).abs() < 1e-12);
         assert_eq!(r.loss_event_rate(0), 0.0);
     }
@@ -148,9 +100,9 @@ mod tests {
     #[test]
     fn rtt_update_changes_coalescing() {
         let mut r = LossEventRecorder::new(1.0);
-        r.on_loss(0.0, 0);
-        assert!(!r.on_loss(0.5, 10)); // within 1s window
+        r.on_loss(0.0);
+        assert!(!r.on_loss(0.5)); // within 1s window
         r.set_rtt(0.1);
-        assert!(r.on_loss(0.7, 20)); // beyond the updated window
+        assert!(r.on_loss(0.7)); // beyond the updated window
     }
 }

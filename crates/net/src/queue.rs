@@ -296,79 +296,6 @@ impl AqmQueue for RedQueue {
     }
 }
 
-/// FIFO bounded by *bytes* rather than packets.
-///
-/// Router buffers are physically byte-sized; the paper's lab RED
-/// thresholds are specified in bytes (`U = 62500 B`). With mixed packet
-/// sizes (the audio mode's variable-length packets, ACK/data mixes) a
-/// byte-counted tail-drop behaves differently from a packet-counted
-/// one: small packets keep fitting after large ones stop.
-#[derive(Debug)]
-pub struct ByteDropTailQueue {
-    capacity_bytes: u64,
-    q: VecDeque<Packet>,
-    bytes: u64,
-    stats: QueueStats,
-}
-
-impl ByteDropTailQueue {
-    /// FIFO holding at most `capacity_bytes` of packet payload.
-    ///
-    /// # Panics
-    /// Panics if `capacity_bytes == 0`.
-    pub fn new(capacity_bytes: u64) -> Self {
-        assert!(capacity_bytes > 0, "capacity must be positive");
-        Self {
-            capacity_bytes,
-            q: VecDeque::new(),
-            bytes: 0,
-            stats: QueueStats::default(),
-        }
-    }
-
-    /// Current occupancy in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// The configured capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-}
-
-impl AqmQueue for ByteDropTailQueue {
-    fn enqueue(&mut self, pkt: Packet, _now: f64, _rng: &mut Rng) -> Result<(), Packet> {
-        if self.bytes + pkt.size as u64 > self.capacity_bytes {
-            self.stats.dropped += 1;
-            self.stats.forced_drops += 1;
-            Err(pkt)
-        } else {
-            self.stats.enqueued += 1;
-            self.bytes += pkt.size as u64;
-            self.q.push_back(pkt);
-            Ok(())
-        }
-    }
-
-    fn dequeue(&mut self, _now: f64) -> Option<Packet> {
-        let p = self.q.pop_front();
-        if let Some(pkt) = &p {
-            self.stats.dequeued += 1;
-            self.bytes -= pkt.size as u64;
-        }
-        p
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    fn stats(&self) -> QueueStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,66 +487,5 @@ mod tests {
         let mut c = red_cfg();
         c.min_th = 60.0;
         RedQueue::new(c);
-    }
-}
-
-#[cfg(test)]
-mod byte_queue_tests {
-    use super::*;
-    use crate::packet::{FlowId, Packet};
-
-    fn sized(seq: u64, size: u32) -> Packet {
-        Packet::data(FlowId(0), seq, size, 0.0)
-    }
-
-    #[test]
-    fn byte_capacity_admits_by_size_not_count() {
-        let mut q = ByteDropTailQueue::new(4_000);
-        let mut rng = Rng::seed_from(1);
-        assert!(q.enqueue(sized(0, 1500), 0.0, &mut rng).is_ok());
-        assert!(q.enqueue(sized(1, 1500), 0.0, &mut rng).is_ok());
-        // A third 1500 B packet exceeds 4000 B …
-        assert!(q.enqueue(sized(2, 1500), 0.0, &mut rng).is_err());
-        // … but a 900 B one still fits.
-        assert!(q.enqueue(sized(3, 900), 0.0, &mut rng).is_ok());
-        assert_eq!(q.bytes(), 3_900);
-        assert_eq!(q.len(), 3);
-    }
-
-    #[test]
-    fn byte_accounting_through_dequeue() {
-        let mut q = ByteDropTailQueue::new(10_000);
-        let mut rng = Rng::seed_from(2);
-        for i in 0..5 {
-            q.enqueue(sized(i, 1000), 0.0, &mut rng).unwrap();
-        }
-        assert_eq!(q.bytes(), 5_000);
-        q.dequeue(0.0);
-        q.dequeue(0.0);
-        assert_eq!(q.bytes(), 3_000);
-        assert_eq!(q.len(), 3);
-        let s = q.stats();
-        assert_eq!(s.enqueued, 5);
-        assert_eq!(s.dequeued, 2);
-    }
-
-    #[test]
-    fn conservation_with_mixed_sizes() {
-        let mut q = ByteDropTailQueue::new(6_000);
-        let mut rng = Rng::seed_from(3);
-        let mut dropped = 0u64;
-        for i in 0..200u64 {
-            let size = 200 + ((i * 37) % 1400) as u32;
-            if q.enqueue(sized(i, size), 0.0, &mut rng).is_err() {
-                dropped += 1;
-            }
-            if i % 3 == 0 {
-                q.dequeue(0.0);
-            }
-            assert!(q.bytes() <= 6_000);
-        }
-        let s = q.stats();
-        assert_eq!(s.enqueued, 200 - dropped);
-        assert_eq!(s.enqueued, s.dequeued + q.len() as u64);
     }
 }

@@ -14,8 +14,6 @@ pub struct Sink {
     counting_only: bool,
     count: u64,
     bytes: u64,
-    first_arrival: Option<f64>,
-    last_arrival: Option<f64>,
 }
 
 impl Sink {
@@ -41,15 +39,6 @@ impl Sink {
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
-
-    /// Receive rate in packets/second over the observation span; 0 with
-    /// fewer than two arrivals.
-    pub fn rate(&self) -> f64 {
-        match (self.first_arrival, self.last_arrival) {
-            (Some(a), Some(b)) if b > a => (self.count - 1) as f64 / (b - a),
-            _ => 0.0,
-        }
-    }
 }
 
 impl Component<NetEvent> for Sink {
@@ -57,10 +46,6 @@ impl Component<NetEvent> for Sink {
         if let NetEvent::Packet(pkt) = event {
             self.count += 1;
             self.bytes += pkt.size as u64;
-            if self.first_arrival.is_none() {
-                self.first_arrival = Some(now);
-            }
-            self.last_arrival = Some(now);
             if !self.counting_only {
                 self.arrivals.push((now, pkt));
             }
@@ -90,8 +75,7 @@ mod tests {
         assert_eq!(sink.count(), 5);
         assert_eq!(sink.bytes(), 500);
         assert_eq!(sink.arrivals.len(), 5);
-        // 4 inter-arrivals over 4 seconds.
-        assert!((sink.rate() - 1.0).abs() < 1e-12);
+        assert_eq!(sink.arrivals[4].0, 4.0);
     }
 
     #[test]

@@ -339,6 +339,20 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_entry_reads_as_a_miss() {
+        // Parsed by recursion, 100 000 levels would overflow the stack
+        // and abort the process instead of missing.
+        let cache = DirCache::new(scratch("deep"));
+        let key = "toy/a/v1";
+        let hash = stable_hash(key);
+        cache.store(hash, key, &payload());
+        std::fs::write(cache.entry_path(hash), "[".repeat(100_000)).unwrap();
+        assert_eq!(cache.load(hash, key), None);
+        assert!(!cache.entries()[0].valid);
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
     fn renamed_entries_are_never_served() {
         // An entry copied under another spec's hash (bad sync script,
         // fs corruption) must fail the key-hash consistency check.

@@ -197,12 +197,6 @@ impl ExecConfig {
         self.cancel = Some(token);
         self
     }
-
-    /// This config with tracing per `trace`.
-    pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = Some(trace);
-        self
-    }
 }
 
 /// FNV-1a over the key bytes: a stable, platform-independent 64-bit
@@ -1503,7 +1497,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let tc = TraceConfig::per_spec(&dir);
-        let exec = ExecConfig::default().with_trace(tc.clone());
+        let exec = ExecConfig {
+            trace: Some(tc.clone()),
+            ..ExecConfig::default()
+        };
         let (traced, c1) = run_list(&pool, &plan, Some(&cache), exec, |_, _| {});
         assert_eq!(core(&c1), stats(0, 3, 3), "tracing forces execution");
         for spec in plan.specs() {

@@ -84,11 +84,6 @@ impl Pool {
         Self { threads }
     }
 
-    /// A pool sized to the machine ([`default_threads`]).
-    pub fn with_default_threads() -> Self {
-        Self::new(default_threads())
-    }
-
     /// Configured worker count.
     pub fn threads(&self) -> usize {
         self.threads

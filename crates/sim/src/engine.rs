@@ -157,16 +157,6 @@ impl<E> std::fmt::Debug for Context<'_, E> {
 }
 
 impl<E: 'static> Context<'_, E> {
-    /// Current simulation time in seconds.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// The id of the component currently executing.
-    pub fn self_id(&self) -> ComponentId {
-        self.self_id
-    }
-
     /// Schedules `event` for `target` after `delay ≥ 0` seconds: into
     /// the same-instant lane if the clock absorbs `delay`, else into the
     /// lane of a declared fixed delay, else into the calendar.
@@ -261,7 +251,7 @@ impl RunLimit {
         Self::new(horizon, u64::MAX)
     }
 
-    /// Event bound only — the [`Engine::run_events`] shape.
+    /// Event bound only — the [`Engine::run_to_completion`] shape.
     pub fn events(max_events: u64) -> Self {
         Self::new(f64::INFINITY, max_events)
     }
@@ -396,11 +386,6 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
         self.tracer.take()
     }
 
-    /// Whether a [`TraceSink`] is currently installed.
-    pub fn has_tracer(&self) -> bool {
-        self.tracer.is_some()
-    }
-
     /// Registers a component, returning its id, and opens the FIFO lane
     /// of its [`Component::fixed_delay`], if it declares a new one.
     pub fn add(&mut self, component: Box<dyn Component<E>>) -> ComponentId {
@@ -510,9 +495,8 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
     /// beyond `limit.horizon`, or `limit.max_events` have been
     /// dispatched by this call — whichever comes first.
     ///
-    /// [`Engine::run_until`], [`Engine::run_events`], and
-    /// [`Engine::run_to_completion`] are thin forwarders over this core
-    /// (one bound each); callers that need both bounds — the runner's
+    /// [`Engine::run_until`] and [`Engine::run_to_completion`] are thin
+    /// forwarders over this core (one bound each); callers that need both bounds — the runner's
     /// sliced-run path hands a sim a time horizon *and* an event budget
     /// so one straggler costs a bounded slice of a worker instead of
     /// pinning it — pass a full [`RunLimit`]. On [`StopReason::Budget`]
@@ -603,15 +587,6 @@ impl<E: 'static, C: Calendar<E>> Engine<E, C> {
     /// `run_budgeted(RunLimit::events(max_events))`.
     pub fn run_to_completion(&mut self, max_events: u64) -> u64 {
         self.run_budgeted(RunLimit::events(max_events)).events
-    }
-
-    /// Dispatches at most `n` events (or until idle). Returns the number
-    /// dispatched; the clock stays at the last dispatched event.
-    ///
-    /// Convenience forwarder for `run_budgeted(RunLimit::events(n))` —
-    /// an infinite horizon never moves the clock past the last event.
-    pub fn run_events(&mut self, n: u64) -> u64 {
-        self.run_budgeted(RunLimit::events(n)).events
     }
 
     fn dispatch(&mut self, item: Scheduled<E>) {
@@ -760,41 +735,17 @@ mod tests {
     }
 
     #[test]
-    fn run_events_caps_dispatch_count() {
+    fn event_budget_caps_dispatch_count() {
         let mut eng = Engine::new();
         let rec = eng.add(Box::new(Recorder { log: vec![] }));
         for i in 0..5 {
             eng.schedule(i as f64, rec, Ev::Ping(i));
         }
-        assert_eq!(eng.run_events(3), 3);
+        assert_eq!(eng.run_budgeted(RunLimit::events(3)).events, 3);
         assert_eq!(eng.get::<Recorder>(rec).log.len(), 3);
         assert_eq!(eng.now(), 2.0, "clock stays at the last event");
-        assert_eq!(eng.run_events(10), 2);
+        assert_eq!(eng.run_budgeted(RunLimit::events(10)).events, 2);
         assert_eq!(eng.now(), 4.0, "idle run leaves the clock at the tail");
-    }
-
-    #[test]
-    fn run_events_matches_budgeted_with_infinite_horizon() {
-        let build = || {
-            let mut eng = Engine::new();
-            let rec = eng.add(Box::new(Recorder { log: vec![] }));
-            let ticker = eng.add(Box::new(Ticker {
-                period: 0.25,
-                t_stop: 30.0,
-                peer: rec,
-                fired: 0,
-            }));
-            eng.schedule(0.0, ticker, Ev::Tick);
-            eng
-        };
-        let mut a = build();
-        let mut b = build();
-        assert_eq!(
-            a.run_events(37),
-            b.run_budgeted(RunLimit::events(37)).events
-        );
-        assert_eq!(a.now(), b.now());
-        assert_eq!(a.events_processed(), b.events_processed());
     }
 
     #[test]
@@ -1018,7 +969,7 @@ mod tests {
         // younger than the second timer (calendar), so it fires last.
         eng.schedule(1.0, hop, Ev::Ping(1));
         eng.schedule(1.0, rec, Ev::Ping(2));
-        assert_eq!(eng.run_events(1), 1);
+        assert_eq!(eng.run_budgeted(RunLimit::events(1)).events, 1);
         // Filed from outside while the lane holds Ping(1): same
         // instant, largest seq — fires after both.
         eng.schedule(0.0, rec, Ev::Ping(3));
@@ -1109,7 +1060,7 @@ mod tests {
             peer: rec,
         }));
         eng.schedule(1.0, pipe, Ev::Ping(1));
-        assert_eq!(eng.run_events(1), 1);
+        assert_eq!(eng.run_budgeted(RunLimit::events(1)).events, 1);
         assert_eq!(lens(&eng), (0, vec![1], 0));
         assert!(!eng.is_idle());
         // Short of the delivery: not due, and the clock takes the horizon.
@@ -1134,7 +1085,7 @@ mod tests {
         // own delay: due at t = 2 after the delivery already in the
         // lane and before the one that enters it next.
         eng.schedule(1.0, pipe, Ev::Ping(1));
-        assert_eq!(eng.run_events(1), 1);
+        assert_eq!(eng.run_budgeted(RunLimit::events(1)).events, 1);
         eng.schedule(1.0, rec, Ev::Ping(2));
         eng.schedule(0.0, pipe, Ev::Ping(3));
         eng.run_until(5.0);
@@ -1171,7 +1122,7 @@ mod tests {
         // scheduled before it.
         eng.schedule(1e7, hop, Ev::Ping(1));
         eng.schedule(1e7, rec, Ev::Ping(2));
-        assert_eq!(eng.run_events(1), 1);
+        assert_eq!(eng.run_budgeted(RunLimit::events(1)).events, 1);
         // Declared or not, an absorbed delay is a same-instant hop.
         assert_eq!(lens(&eng), (1, vec![0], 1));
         eng.run_until(2e7);
@@ -1303,7 +1254,7 @@ mod tests {
         let script = eng.add(Box::new(Script { sends, peer: rec }));
         eng.schedule(2.0, rec, Ev::Ping(2));
         eng.schedule(1.0, script, Ev::Tick);
-        assert_eq!(eng.run_events(1), 1);
+        assert_eq!(eng.run_budgeted(RunLimit::events(1)).events, 1);
         assert_eq!(lens(&eng), (2, vec![2], 3));
         eng.run_until(5.0);
         assert_eq!(pings(&eng, rec), (0..7).collect::<Vec<_>>());
@@ -1360,12 +1311,11 @@ mod tests {
         let rec = eng.add(Box::new(Recorder { log: vec![] }));
         let ins = eng.add(Box::new(Instrumented));
         eng.set_tracer(Box::new(LogSink::default()));
-        assert!(eng.has_tracer());
         eng.schedule(1.0, rec, Ev::Ping(1));
         eng.schedule(2.0, ins, Ev::Tick);
         eng.run_until(5.0);
         let sink = eng.take_tracer().expect("tracer installed");
-        assert!(!eng.has_tracer());
+        assert!(eng.take_tracer().is_none());
         let any: Box<dyn std::any::Any> = sink;
         let sink = any.downcast::<LogSink>().expect("concrete sink type");
         assert_eq!(sink.events.len(), 2);

@@ -2,8 +2,7 @@
 //! deterministically, exactly once.
 
 use ebrc_sim::{
-    Calendar, Component, ComponentId, Context, Engine, HeapCalendar, RunLimit, StopReason,
-    WheelCalendar,
+    Calendar, Component, ComponentId, Context, Engine, HeapCalendar, RunLimit, WheelCalendar,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -389,8 +388,8 @@ proptest! {
         prop_assert!(eng.now() >= cut);
     }
 
-    /// Property: under any interleaving of `schedule`, `run_events`,
-    /// `run_until`, and `run_budgeted` — including handler-emitted
+    /// Property: under any interleaving of `schedule`, `run_until`,
+    /// and `run_budgeted` with either bound or both — including handler-emitted
     /// follow-ups filed straight into the lanes and calendar — the real
     /// engine's dispatch log, clock, and `events_processed` match the
     /// naive reference engine after every single step.
@@ -408,7 +407,7 @@ proptest! {
                     reference.schedule(delay, ev);
                 }
                 Op::RunEvents(n) => {
-                    eng.run_events(n);
+                    let _ = eng.run_budgeted(RunLimit::events(n));
                     reference.run_events(n);
                 }
                 Op::RunUntil(t) => {
@@ -432,31 +431,6 @@ proptest! {
             );
         }
         prop_assert_eq!(&eng.get::<Echo>(echo).log, &reference.log, "dispatch log diverged");
-    }
-
-    /// Property: `run_events(n)` is exactly `run_budgeted(∞, n)` — one
-    /// dispatch loop behind both entry points.
-    #[test]
-    fn run_events_equals_budgeted_with_infinite_horizon(
-        delays in proptest::collection::vec(0.0_f64..10.0, 1..40),
-        n in 0u64..50,
-    ) {
-        let build = |ds: &[f64]| {
-            let mut eng: Engine<u32> = Engine::new();
-            let echo = eng.add(Box::new(Echo { log: vec![] }));
-            for (i, d) in ds.iter().enumerate() {
-                eng.schedule(*d, echo, i as u32);
-            }
-            (eng, echo)
-        };
-        let (mut a, ea) = build(&delays);
-        let (mut b, eb) = build(&delays);
-        let na = a.run_events(n);
-        let out = b.run_budgeted(RunLimit::events(n));
-        prop_assert_eq!(na, out.events);
-        prop_assert!(matches!(out.reason, StopReason::Budget | StopReason::Idle));
-        prop_assert_eq!(a.now().to_bits(), b.now().to_bits());
-        prop_assert_eq!(&a.get::<Echo>(ea).log, &b.get::<Echo>(eb).log);
     }
 
     /// Property: chunking one `run_until(t)` into budgeted slices —
@@ -517,8 +491,8 @@ proptest! {
                     heap.schedule(delay, eh, ev);
                 }
                 Op::RunEvents(n) => {
-                    wheel.run_events(n);
-                    heap.run_events(n);
+                    let _ = wheel.run_budgeted(RunLimit::events(n));
+                    let _ = heap.run_budgeted(RunLimit::events(n));
                 }
                 Op::RunUntil(t) => {
                     wheel.run_until(t);

@@ -25,16 +25,14 @@
 ///     let x = i as f64;
 ///     c.push(x, 2.0 * x + 1.0);
 /// }
-/// // Perfectly correlated: correlation 1.
-/// assert!((c.correlation() - 1.0).abs() < 1e-12);
+/// // cov[x, 2x + 1] = 2·var[x], and 0..100 has sample variance 100·101/12.
+/// assert!((c.covariance() - 2.0 * 100.0 * 101.0 / 12.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Covariance {
     n: u64,
     mean_x: f64,
     mean_y: f64,
-    m2_x: f64,
-    m2_y: f64,
     comoment: f64,
 }
 
@@ -50,40 +48,10 @@ impl Covariance {
         let n = self.n as f64;
         let dx = x - self.mean_x;
         self.mean_x += dx / n;
-        self.m2_x += dx * (x - self.mean_x);
         let dy = y - self.mean_y;
         self.mean_y += dy / n;
-        self.m2_y += dy * (y - self.mean_y);
         // Co-moment uses the pre-update x mean (dx) and post-update y mean.
         self.comoment += dx * (y - self.mean_y);
-    }
-
-    /// Builds the accumulator from two equal-length slices.
-    ///
-    /// # Panics
-    /// Panics if the slices differ in length.
-    pub fn from_slices(xs: &[f64], ys: &[f64]) -> Self {
-        assert_eq!(xs.len(), ys.len(), "paired samples must have equal length");
-        let mut c = Self::new();
-        for (&x, &y) in xs.iter().zip(ys) {
-            c.push(x, y);
-        }
-        c
-    }
-
-    /// Number of pairs seen.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of the first coordinate.
-    pub fn mean_x(&self) -> f64 {
-        self.mean_x
-    }
-
-    /// Mean of the second coordinate.
-    pub fn mean_y(&self) -> f64 {
-        self.mean_y
     }
 
     /// Unbiased sample covariance; 0 with fewer than two pairs.
@@ -93,45 +61,6 @@ impl Covariance {
         } else {
             self.comoment / (self.n as f64 - 1.0)
         }
-    }
-
-    /// Population covariance (`n` denominator).
-    pub fn population_covariance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.comoment / self.n as f64
-        }
-    }
-
-    /// Pearson correlation coefficient; 0 when either marginal is degenerate.
-    pub fn correlation(&self) -> f64 {
-        if self.n < 2 || self.m2_x == 0.0 || self.m2_y == 0.0 {
-            0.0
-        } else {
-            self.comoment / (self.m2_x.sqrt() * self.m2_y.sqrt())
-        }
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &Covariance) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let (na, nb) = (self.n as f64, other.n as f64);
-        let n = na + nb;
-        let dx = other.mean_x - self.mean_x;
-        let dy = other.mean_y - self.mean_y;
-        self.comoment += other.comoment + dx * dy * na * nb / n;
-        self.m2_x += other.m2_x + dx * dx * na * nb / n;
-        self.m2_y += other.m2_y + dy * dy * na * nb / n;
-        self.mean_x += dx * nb / n;
-        self.mean_y += dy * nb / n;
-        self.n += other.n;
     }
 }
 
@@ -181,14 +110,6 @@ impl Autocovariance {
         self.lagged[lag - 1].covariance()
     }
 
-    /// Autocorrelation at `lag` (1-based).
-    pub fn correlation_at_lag(&self, lag: usize) -> f64 {
-        if lag == 0 || lag > self.max_lag {
-            return 0.0;
-        }
-        self.lagged[lag - 1].correlation()
-    }
-
     /// `cov[θ0, θ̂0]` given estimator weights, per Equation (11).
     ///
     /// Weights beyond `max_lag` are ignored (they would need longer lags).
@@ -198,11 +119,6 @@ impl Autocovariance {
             .enumerate()
             .map(|(i, &w)| w * self.at_lag(i + 1))
             .sum()
-    }
-
-    /// Largest lag tracked.
-    pub fn max_lag(&self) -> usize {
-        self.max_lag
     }
 }
 
@@ -214,6 +130,14 @@ mod tests {
         assert!((a - b).abs() < tol, "{a} vs {b}");
     }
 
+    fn covariance_of(xs: &[f64], ys: &[f64]) -> Covariance {
+        let mut c = Covariance::new();
+        for (&x, &y) in xs.iter().zip(ys) {
+            c.push(x, y);
+        }
+        c
+    }
+
     #[test]
     fn covariance_of_independent_constants_is_zero() {
         let mut c = Covariance::new();
@@ -221,14 +145,13 @@ mod tests {
             c.push(1.0, 2.0);
         }
         assert_eq!(c.covariance(), 0.0);
-        assert_eq!(c.correlation(), 0.0);
     }
 
     #[test]
     fn covariance_matches_two_pass() {
         let xs: Vec<f64> = (0..500).map(|i| (i as f64 * 0.13).sin()).collect();
         let ys: Vec<f64> = (0..500).map(|i| (i as f64 * 0.07).cos() * 2.0).collect();
-        let c = Covariance::from_slices(&xs, &ys);
+        let c = covariance_of(&xs, &ys);
         let mx = xs.iter().sum::<f64>() / 500.0;
         let my = ys.iter().sum::<f64>() / 500.0;
         let cov = xs
@@ -246,18 +169,7 @@ mod tests {
         for i in 0..100 {
             c.push(i as f64, -(i as f64));
         }
-        assert_close(c.correlation(), -1.0, 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..300).map(|i| (i as f64).sqrt()).collect();
-        let ys: Vec<f64> = (0..300).map(|i| ((i * i) % 17) as f64).collect();
-        let whole = Covariance::from_slices(&xs, &ys);
-        let mut a = Covariance::from_slices(&xs[..100], &ys[..100]);
-        a.merge(&Covariance::from_slices(&xs[100..], &ys[100..]));
-        assert_close(a.covariance(), whole.covariance(), 1e-10);
-        assert_close(a.correlation(), whole.correlation(), 1e-10);
+        assert_close(c.covariance(), -100.0 * 101.0 / 12.0, 1e-9);
     }
 
     #[test]

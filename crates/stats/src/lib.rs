@@ -10,12 +10,9 @@
 //! This crate provides the estimators:
 //!
 //! * [`moments`] — numerically stable running moments (mean, variance,
-//!   skewness, kurtosis, coefficient of variation) via Welford/West updates.
+//!   coefficient of variation) via Welford updates.
 //! * [`cov`] — running covariance and autocovariance at a set of lags.
-//! * [`palm`] — event averages, time averages of piecewise-constant
-//!   trajectories, point-process intensity, and the Palm inversion check.
-//! * [`series`] — warm-up truncation, fixed-count binning (the paper's
-//!   6-bin method), and Student-t confidence intervals.
+//! * [`palm`] — time averages of piecewise-constant trajectories.
 //! * [`summary`] — five-number/quartile summaries used for the box plots of
 //!   Figure 10.
 //!
@@ -27,11 +24,9 @@
 pub mod cov;
 pub mod moments;
 pub mod palm;
-pub mod series;
 pub mod summary;
 
 pub use cov::{Autocovariance, Covariance};
 pub use moments::Moments;
-pub use palm::{EventAverage, PiecewiseConstant, PointProcessStats};
-pub use series::{bin_means, confidence_interval, truncate_warmup, Bins, ConfidenceInterval};
+pub use palm::PiecewiseConstant;
 pub use summary::FiveNumber;

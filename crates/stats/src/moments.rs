@@ -1,14 +1,9 @@
 //! Numerically stable running moments.
 //!
-//! Implements Welford's online algorithm extended to third and fourth
-//! central moments (West/Terriberry updates), so a single pass over a
-//! sample yields mean, variance, skewness and kurtosis without
-//! catastrophic cancellation. The paper leans on these moments: the
-//! shifted-exponential workload of Section V-A.1 is chosen precisely so
-//! that skewness (2) and kurtosis (6) stay constant while `p` and
-//! `cv[θ0]` vary.
+//! Implements Welford's online algorithm, so a single pass over a sample
+//! yields mean and variance without catastrophic cancellation.
 
-/// Running estimator of the first four moments of a scalar sample.
+/// Running estimator of the mean and variance of a scalar sample.
 ///
 /// ```
 /// use ebrc_stats::Moments;
@@ -25,8 +20,6 @@ pub struct Moments {
     n: u64,
     mean: f64,
     m2: f64,
-    m3: f64,
-    m4: f64,
     min: f64,
     max: f64,
 }
@@ -38,8 +31,6 @@ impl Moments {
             n: 0,
             mean: 0.0,
             m2: 0.0,
-            m3: 0.0,
-            m4: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -49,36 +40,16 @@ impl Moments {
     pub fn push(&mut self, x: f64) {
         let n1 = self.n as f64;
         self.n += 1;
-        let n = self.n as f64;
         let delta = x - self.mean;
-        let delta_n = delta / n;
-        let delta_n2 = delta_n * delta_n;
-        let term1 = delta * delta_n * n1;
+        let delta_n = delta / self.n as f64;
         self.mean += delta_n;
-        self.m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * self.m2
-            - 4.0 * delta_n * self.m3;
-        self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
-        self.m2 += term1;
+        self.m2 += delta * delta_n * n1;
         if x < self.min {
             self.min = x;
         }
         if x > self.max {
             self.max = x;
         }
-    }
-
-    /// Adds every observation in `xs`.
-    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, xs: I) {
-        for x in xs {
-            self.push(x);
-        }
-    }
-
-    /// Builds an accumulator from a slice in one call.
-    pub fn from_slice(xs: &[f64]) -> Self {
-        let mut m = Self::new();
-        m.extend(xs.iter().copied());
-        m
     }
 
     /// Number of observations seen.
@@ -97,15 +68,6 @@ impl Moments {
             0.0
         } else {
             self.m2 / (self.n as f64 - 1.0)
-        }
-    }
-
-    /// Population variance (`n` denominator); 0 if empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
         }
     }
 
@@ -132,29 +94,6 @@ impl Moments {
         cv * cv
     }
 
-    /// Sample skewness `m3 / m2^(3/2)` (population form).
-    ///
-    /// The shifted exponential of Section V-A.1 has skewness exactly 2
-    /// regardless of `(x0, a)`.
-    pub fn skewness(&self) -> f64 {
-        if self.n == 0 || self.m2 == 0.0 {
-            return 0.0;
-        }
-        let n = self.n as f64;
-        n.sqrt() * self.m3 / self.m2.powf(1.5)
-    }
-
-    /// Excess kurtosis `m4 / m2² − 3` (population form).
-    ///
-    /// The shifted exponential has excess kurtosis exactly 6.
-    pub fn excess_kurtosis(&self) -> f64 {
-        if self.n == 0 || self.m2 == 0.0 {
-            return 0.0;
-        }
-        let n = self.n as f64;
-        n * self.m4 / (self.m2 * self.m2) - 3.0
-    }
-
     /// Smallest observation; `+inf` if empty.
     pub fn min(&self) -> f64 {
         self.min
@@ -164,40 +103,6 @@ impl Moments {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merges another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &Moments) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let (na, nb) = (self.n as f64, other.n as f64);
-        let n = na + nb;
-        let delta = other.mean - self.mean;
-        let delta2 = delta * delta;
-        let delta3 = delta2 * delta;
-        let delta4 = delta3 * delta;
-        let m2 = self.m2 + other.m2 + delta2 * na * nb / n;
-        let m3 = self.m3
-            + other.m3
-            + delta3 * na * nb * (na - nb) / (n * n)
-            + 3.0 * delta * (na * other.m2 - nb * self.m2) / n;
-        let m4 = self.m4
-            + other.m4
-            + delta4 * na * nb * (na * na - na * nb + nb * nb) / (n * n * n)
-            + 6.0 * delta2 * (na * na * other.m2 + nb * nb * self.m2) / (n * n)
-            + 4.0 * delta * (na * other.m3 - nb * self.m3) / n;
-        self.mean = (na * self.mean + nb * other.mean) / n;
-        self.m2 = m2;
-        self.m3 = m3;
-        self.m4 = m4;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -206,6 +111,14 @@ mod tests {
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} vs {b}");
+    }
+
+    fn moments_of(xs: &[f64]) -> Moments {
+        let mut m = Moments::new();
+        for &x in xs {
+            m.push(x);
+        }
+        m
     }
 
     #[test]
@@ -219,7 +132,7 @@ mod tests {
 
     #[test]
     fn single_sample() {
-        let m = Moments::from_slice(&[3.5]);
+        let m = moments_of(&[3.5]);
         assert_eq!(m.mean(), 3.5);
         assert_eq!(m.variance(), 0.0);
         assert_eq!(m.min(), 3.5);
@@ -229,7 +142,7 @@ mod tests {
     #[test]
     fn matches_two_pass_computation() {
         let xs: Vec<f64> = (0..1000).map(|i| ((i * 37) % 101) as f64 * 0.37).collect();
-        let m = Moments::from_slice(&xs);
+        let m = moments_of(&xs);
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (xs.len() as f64 - 1.0);
         assert_close(m.mean(), mean, 1e-9);
@@ -237,53 +150,9 @@ mod tests {
     }
 
     #[test]
-    fn skewness_of_symmetric_sample_is_zero() {
-        let xs: Vec<f64> = (-500..=500).map(|i| i as f64).collect();
-        let m = Moments::from_slice(&xs);
-        assert_close(m.skewness(), 0.0, 1e-9);
-    }
-
-    #[test]
-    fn kurtosis_of_two_point_mass_is_minus_two() {
-        // A symmetric two-point distribution has excess kurtosis -2.
-        let xs: Vec<f64> = (0..1000)
-            .map(|i| if i % 2 == 0 { -1.0 } else { 1.0 })
-            .collect();
-        let m = Moments::from_slice(&xs);
-        assert_close(m.excess_kurtosis(), -2.0, 1e-9);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..777)
-            .map(|i| (i as f64 * 0.91).sin() * 10.0 + 3.0)
-            .collect();
-        let whole = Moments::from_slice(&xs);
-        let mut a = Moments::from_slice(&xs[..300]);
-        let b = Moments::from_slice(&xs[300..]);
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_close(a.mean(), whole.mean(), 1e-9);
-        assert_close(a.variance(), whole.variance(), 1e-9);
-        assert_close(a.skewness(), whole.skewness(), 1e-9);
-        assert_close(a.excess_kurtosis(), whole.excess_kurtosis(), 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let xs = [1.0, 2.0, 3.0];
-        let mut m = Moments::from_slice(&xs);
-        m.merge(&Moments::new());
-        assert_eq!(m.count(), 3);
-        let mut e = Moments::new();
-        e.merge(&Moments::from_slice(&xs));
-        assert_close(e.mean(), 2.0, 1e-12);
-    }
-
-    #[test]
     fn cv_matches_definition() {
         let xs = [1.0, 3.0, 5.0];
-        let m = Moments::from_slice(&xs);
+        let m = moments_of(&xs);
         assert_close(m.cv(), 2.0 / 3.0, 1e-12);
         assert_close(m.cv_squared(), 4.0 / 9.0, 1e-12);
     }

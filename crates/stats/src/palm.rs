@@ -1,4 +1,4 @@
-//! Event averages, time averages, and point-process intensity.
+//! Time averages of piecewise-constant trajectories.
 //!
 //! The paper's central tool is the Palm inversion formula (Equation 14):
 //!
@@ -9,45 +9,9 @@
 //! i.e. the *time* average of a process equals the loss-event intensity
 //! times the *event* average of the per-cycle integral. The "viewpoint
 //! matters" discussion (Feller / bus-stop paradox) in Section III-B.2 is
-//! exactly the gap between [`PiecewiseConstant::time_average`] and
-//! [`EventAverage`]: a random time observer over-samples long inter-loss
-//! intervals.
-
-use crate::moments::Moments;
-
-/// Accumulator for event (Palm) averages: plain sample means over values
-/// observed *at* event instants.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EventAverage {
-    moments: Moments,
-}
-
-impl EventAverage {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a value observed at an event instant.
-    pub fn push(&mut self, value: f64) {
-        self.moments.push(value);
-    }
-
-    /// Event average `E0_N[·]`.
-    pub fn mean(&self) -> f64 {
-        self.moments.mean()
-    }
-
-    /// Underlying moments (variance, cv, ...).
-    pub fn moments(&self) -> &Moments {
-        &self.moments
-    }
-
-    /// Number of events recorded.
-    pub fn count(&self) -> u64 {
-        self.moments.count()
-    }
-}
+//! exactly the gap between [`PiecewiseConstant::time_average`] and a
+//! plain mean over event instants: a random time observer over-samples
+//! long inter-loss intervals.
 
 /// Time-average accumulator for a piecewise-constant trajectory.
 ///
@@ -59,7 +23,6 @@ impl EventAverage {
 pub struct PiecewiseConstant {
     weighted_sum: f64,
     total_time: f64,
-    segments: u64,
 }
 
 impl PiecewiseConstant {
@@ -81,7 +44,6 @@ impl PiecewiseConstant {
         }
         self.weighted_sum += value * duration;
         self.total_time += duration;
-        self.segments += 1;
     }
 
     /// Time average `E[X(0)]` over all recorded segments; 0 if no time has
@@ -93,117 +55,6 @@ impl PiecewiseConstant {
             self.weighted_sum / self.total_time
         }
     }
-
-    /// Total time covered.
-    pub fn total_time(&self) -> f64 {
-        self.total_time
-    }
-
-    /// Integral `∫ X(s) ds` over all recorded segments.
-    pub fn integral(&self) -> f64 {
-        self.weighted_sum
-    }
-
-    /// Number of segments recorded.
-    pub fn segments(&self) -> u64 {
-        self.segments
-    }
-}
-
-/// Statistics of a point process (the loss events) and the quantities the
-/// paper derives from it.
-///
-/// Tracks inter-event times `S_n`, per-interval packet counts `θ_n`, and
-/// exposes:
-///
-/// * intensity `λ` (events per second),
-/// * loss-event rate `p = 1 / E0[θ0]` (Equation 1),
-/// * expected inter-loss time.
-#[derive(Debug, Clone, Default)]
-pub struct PointProcessStats {
-    inter_event: Moments,
-    interval_packets: Moments,
-}
-
-impl PointProcessStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one completed loss-event interval: `s` seconds during which
-    /// `theta` packets were sent.
-    pub fn push_interval(&mut self, s: f64, theta: f64) {
-        self.inter_event.push(s);
-        self.interval_packets.push(theta);
-    }
-
-    /// Number of completed intervals.
-    pub fn count(&self) -> u64 {
-        self.inter_event.count()
-    }
-
-    /// Loss-event intensity `λ = 1 / E0[S0]` in events per second; 0 when
-    /// no interval has completed.
-    pub fn intensity(&self) -> f64 {
-        let m = self.inter_event.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            1.0 / m
-        }
-    }
-
-    /// Loss-event rate `p = 1 / E0[θ0]` per packet (Equation 1); 0 when no
-    /// interval has completed.
-    pub fn loss_event_rate(&self) -> f64 {
-        let m = self.interval_packets.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            1.0 / m
-        }
-    }
-
-    /// Mean loss-event interval in packets, `E0[θ0] = 1/p`.
-    pub fn mean_interval_packets(&self) -> f64 {
-        self.interval_packets.mean()
-    }
-
-    /// Mean inter-loss time in seconds, `E0[S0]`.
-    pub fn mean_inter_event_time(&self) -> f64 {
-        self.inter_event.mean()
-    }
-
-    /// Moments of the packet-counted intervals (for `cv[θ0]` etc.).
-    pub fn interval_moments(&self) -> &Moments {
-        &self.interval_packets
-    }
-
-    /// Moments of the real-time intervals.
-    pub fn inter_event_moments(&self) -> &Moments {
-        &self.inter_event
-    }
-}
-
-/// Verifies the Palm inversion formula on recorded data: the time average
-/// of the trajectory must equal `E0[∫ cycle X] / E0[S0]`.
-///
-/// Returns the pair `(time_average, palm_ratio)` so tests can assert their
-/// closeness. `cycle_integrals` and `cycle_durations` must be aligned.
-///
-/// # Panics
-/// Panics if the slices differ in length or are empty.
-pub fn palm_inversion_check(
-    trajectory: &PiecewiseConstant,
-    cycle_integrals: &[f64],
-    cycle_durations: &[f64],
-) -> (f64, f64) {
-    assert_eq!(cycle_integrals.len(), cycle_durations.len());
-    assert!(!cycle_integrals.is_empty(), "need at least one cycle");
-    let num: f64 = cycle_integrals.iter().sum::<f64>() / cycle_integrals.len() as f64;
-    let den: f64 = cycle_durations.iter().sum::<f64>() / cycle_durations.len() as f64;
-    (trajectory.time_average(), num / den)
 }
 
 #[cfg(test)]
@@ -220,15 +71,15 @@ mod tests {
         pc.push(10.0, 1.0);
         pc.push(0.0, 9.0);
         assert_close(pc.time_average(), 1.0, 1e-12);
-        assert_eq!(pc.segments(), 2);
     }
 
     #[test]
     fn zero_duration_segments_ignored() {
         let mut pc = PiecewiseConstant::new();
-        pc.push(100.0, 0.0);
-        assert_eq!(pc.segments(), 0);
+        pc.push(f64::INFINITY, 0.0);
         assert_eq!(pc.time_average(), 0.0);
+        pc.push(2.0, 1.0);
+        assert_eq!(pc.time_average(), 2.0);
     }
 
     #[test]
@@ -236,43 +87,24 @@ mod tests {
         // Rate high during short intervals, low during long ones: the time
         // average must be below the event average of the rates.
         let mut pc = PiecewiseConstant::new();
-        let mut ev = EventAverage::new();
         for _ in 0..100 {
             pc.push(10.0, 0.1); // high rate, short interval
-            ev.push(10.0);
             pc.push(1.0, 1.0); // low rate, long interval
-            ev.push(1.0);
         }
-        assert!(pc.time_average() < ev.mean());
-    }
-
-    #[test]
-    fn point_process_rates() {
-        let mut pp = PointProcessStats::new();
-        for _ in 0..50 {
-            pp.push_interval(2.0, 100.0);
-        }
-        assert_close(pp.intensity(), 0.5, 1e-12);
-        assert_close(pp.loss_event_rate(), 0.01, 1e-12);
-        assert_close(pp.mean_interval_packets(), 100.0, 1e-12);
+        let event_average = (10.0 + 1.0) / 2.0;
+        assert!(pc.time_average() < event_average);
     }
 
     #[test]
     fn palm_inversion_on_synthetic_cycles() {
-        // X = 3 on cycles of length 2, X = 1 on cycles of length 4.
+        // X = 3 on cycles of length 2, X = 1 on cycles of length 4: the
+        // time average is E0[∫ cycle X] / E0[S0] = (6 + 4) / (2 + 4).
         let mut pc = PiecewiseConstant::new();
-        let mut integrals = Vec::new();
-        let mut durations = Vec::new();
         for _ in 0..10 {
             pc.push(3.0, 2.0);
-            integrals.push(6.0);
-            durations.push(2.0);
             pc.push(1.0, 4.0);
-            integrals.push(4.0);
-            durations.push(4.0);
         }
-        let (ta, palm) = palm_inversion_check(&pc, &integrals, &durations);
-        assert_close(ta, palm, 1e-12);
+        assert_close(pc.time_average(), 10.0 / 6.0, 1e-12);
     }
 
     #[test]

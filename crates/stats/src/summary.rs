@@ -46,20 +46,6 @@ impl FiveNumber {
             n: xs.len(),
         })
     }
-
-    /// Interquartile range `q3 − q1`.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-
-    /// Renders the box as a compact single-line string, the way the
-    /// reproduction harness prints Figure 10 rows.
-    pub fn render(&self) -> String {
-        format!(
-            "min {:+.4}  q1 {:+.4}  med {:+.4}  q3 {:+.4}  max {:+.4}  (n={})",
-            self.min, self.q1, self.median, self.q3, self.max, self.n
-        )
-    }
 }
 
 /// Type-7 quantile of an already **sorted** sample, `0 <= q <= 1`.
@@ -79,16 +65,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
 }
 
-/// Convenience: sorts a copy and takes the quantile.
-pub fn quantile(samples: &[f64], q: f64) -> f64 {
-    let mut xs = samples.to_vec();
-    xs.sort_by(|a, b| {
-        a.partial_cmp(b)
-            .expect("quantile input must not contain NaN")
-    });
-    quantile_sorted(&xs, q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,7 +82,6 @@ mod tests {
         assert_eq!(s.median, 7.0);
         assert_eq!(s.q3, 7.0);
         assert_eq!(s.max, 7.0);
-        assert_eq!(s.iqr(), 0.0);
     }
 
     #[test]
@@ -117,7 +92,6 @@ mod tests {
         assert_eq!(s.median, 4.0);
         assert_eq!(s.q1, 2.0);
         assert_eq!(s.q3, 6.0);
-        assert_eq!(s.iqr(), 4.0);
     }
 
     #[test]
@@ -136,14 +110,8 @@ mod tests {
 
     #[test]
     fn quantile_endpoints() {
-        let xs = [3.0, 1.0, 2.0];
-        assert_eq!(quantile(&xs, 0.0), 1.0);
-        assert_eq!(quantile(&xs, 1.0), 3.0);
-    }
-
-    #[test]
-    fn render_mentions_sample_size() {
-        let s = FiveNumber::of(&[1.0, 2.0]).unwrap();
-        assert!(s.render().contains("n=2"));
+        let xs = [1.0, 2.0, 3.0];
+        assert_eq!(quantile_sorted(&xs, 0.0), 1.0);
+        assert_eq!(quantile_sorted(&xs, 1.0), 3.0);
     }
 }

@@ -16,7 +16,7 @@
 //!   ratio "does hold, but is somewhat less pronounced" than 16/9.
 
 use ebrc_core::estimator::IntervalEstimator;
-use ebrc_core::formula::{AimdFormula, ThroughputFormula};
+use ebrc_core::formula::ThroughputFormula;
 use ebrc_core::weights::WeightProfile;
 
 /// AIMD sender alone on a fixed-capacity link: analytic sawtooth cycles.
@@ -62,58 +62,33 @@ impl AimdFixedLink {
     pub fn loss_event_rate(&self) -> f64 {
         1.0 / self.packets_per_cycle()
     }
-
-    /// Long-run throughput (average of the ramp).
-    pub fn throughput(&self) -> f64 {
-        0.5 * (1.0 + self.beta) * self.capacity
-    }
 }
 
 /// Equation-based sender alone on the fixed link: the deterministic
 /// comprehensive-control recursion.
 #[derive(Debug)]
-pub struct EbrcFixedLink<F: ThroughputFormula> {
-    formula: F,
-    capacity: f64,
+pub struct EbrcFixedLink {
     estimator: IntervalEstimator,
     theta_at_capacity: f64,
 }
 
-impl<F: ThroughputFormula> EbrcFixedLink<F> {
+impl EbrcFixedLink {
     /// Creates the model; the estimator history is seeded at half the
     /// capacity-interval so the control starts below capacity and ramps
     /// up.
     ///
     /// # Panics
     /// Panics on non-positive capacity.
-    pub fn new(formula: F, weights: WeightProfile, capacity: f64) -> Self {
+    pub fn new<F: ThroughputFormula>(formula: F, weights: WeightProfile, capacity: f64) -> Self {
         assert!(capacity > 0.0, "capacity must be positive");
         // θ* with f(1/θ*) = c, found by bisection (h is increasing).
         let theta_at_capacity = invert_h(&formula, capacity);
         let mut estimator = IntervalEstimator::new(weights);
         estimator.seed(theta_at_capacity / 2.0);
         Self {
-            formula,
-            capacity,
             estimator,
             theta_at_capacity,
         }
-    }
-
-    /// The fixed-point interval `θ* = 1/p` at which the formula yields
-    /// exactly the link capacity.
-    pub fn theta_at_capacity(&self) -> f64 {
-        self.theta_at_capacity
-    }
-
-    /// The formula driving the control.
-    pub fn formula(&self) -> &F {
-        &self.formula
-    }
-
-    /// The link capacity (packets/second).
-    pub fn capacity(&self) -> f64 {
-        self.capacity
     }
 
     /// Runs `events` loss events and returns the loss-event intervals
@@ -139,12 +114,6 @@ impl<F: ThroughputFormula> EbrcFixedLink<F> {
         let intervals = self.run(events);
         let mean = intervals.iter().sum::<f64>() / intervals.len() as f64;
         1.0 / mean
-    }
-
-    /// The analytic fixed-point rate for the AIMD formula (the paper's
-    /// `p = α(1+β)/(2(1−β)c²)`).
-    pub fn analytic_rate(alpha: f64, beta: f64, capacity: f64) -> f64 {
-        ebrc_core::theory::claim4::ebrc_loss_event_rate(alpha, beta, capacity)
     }
 }
 
@@ -269,25 +238,10 @@ impl<F: ThroughputFormula> SharedFixedLink<F> {
     }
 }
 
-/// Convenience: the full Claim 4 comparison for TCP-like parameters.
-///
-/// Returns `(isolated_ratio, shared_ratio)`: the analytic `p'/p` when
-/// each sender runs alone, and the measured ratio when they share.
-pub fn claim4_comparison(capacity: f64) -> (f64, f64) {
-    let alpha = 1.0;
-    let beta = 0.5;
-    let aimd = AimdFixedLink::new(alpha, beta, capacity);
-    let formula = AimdFormula::new(alpha, beta);
-    let mut ebrc = EbrcFixedLink::new(formula.clone(), WeightProfile::tfrc(8), capacity);
-    let isolated = aimd.loss_event_rate() / ebrc.measured_loss_event_rate(5_000);
-    let mut shared = SharedFixedLink::new(aimd, formula, WeightProfile::tfrc(8));
-    let out = shared.run(200.0, 2_000.0);
-    (isolated, out.loss_rate_ratio())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebrc_core::formula::AimdFormula;
     use ebrc_core::theory::claim4;
 
     fn assert_rel(a: f64, b: f64, rel: f64) {
@@ -302,13 +256,12 @@ mod tests {
             claim4::aimd_loss_event_rate(1.0, 0.5, 100.0),
             1e-12,
         );
-        assert_rel(m.throughput(), 75.0, 1e-12);
         assert_rel(m.cycle_duration(), 50.0, 1e-12);
     }
 
     #[test]
     fn ebrc_converges_to_fixed_point() {
-        let formula = AimdFormula::tcp_like();
+        let formula = AimdFormula::new(1.0, 0.5);
         let mut m = EbrcFixedLink::new(formula, WeightProfile::tfrc(8), 100.0);
         let measured = m.measured_loss_event_rate(5_000);
         let analytic = claim4::ebrc_loss_event_rate(1.0, 0.5, 100.0);
@@ -318,7 +271,7 @@ mod tests {
     #[test]
     fn isolated_ratio_is_sixteen_ninths() {
         let aimd = AimdFixedLink::new(1.0, 0.5, 80.0);
-        let formula = AimdFormula::tcp_like();
+        let formula = AimdFormula::new(1.0, 0.5);
         let mut ebrc = EbrcFixedLink::new(formula, WeightProfile::tfrc(8), 80.0);
         let ratio = aimd.loss_event_rate() / ebrc.measured_loss_event_rate(5_000);
         assert_rel(ratio, 16.0 / 9.0, 1e-2);
@@ -330,7 +283,7 @@ mod tests {
         // The paper: "the deviation of the loss-event rates does hold,
         // but it is somewhat less pronounced" when sharing.
         let aimd = AimdFixedLink::new(1.0, 0.5, 100.0);
-        let formula = AimdFormula::tcp_like();
+        let formula = AimdFormula::new(1.0, 0.5);
         let mut shared = SharedFixedLink::new(aimd, formula, WeightProfile::tfrc(8));
         let out = shared.run(200.0, 1_500.0);
         let ratio = out.loss_rate_ratio();
@@ -354,7 +307,7 @@ mod tests {
 
     #[test]
     fn invert_h_roundtrip() {
-        let f = AimdFormula::tcp_like();
+        let f = AimdFormula::new(1.0, 0.5);
         let theta = invert_h(&f, 50.0);
         assert_rel(f.h(theta), 50.0, 1e-9);
     }
@@ -363,7 +316,8 @@ mod tests {
     fn capacity_scaling_leaves_ratio_invariant() {
         for c in [20.0, 200.0] {
             let aimd = AimdFixedLink::new(1.0, 0.5, c);
-            let mut ebrc = EbrcFixedLink::new(AimdFormula::tcp_like(), WeightProfile::tfrc(4), c);
+            let mut ebrc =
+                EbrcFixedLink::new(AimdFormula::new(1.0, 0.5), WeightProfile::tfrc(4), c);
             let ratio = aimd.loss_event_rate() / ebrc.measured_loss_event_rate(3_000);
             assert_rel(ratio, 16.0 / 9.0, 2e-2);
         }

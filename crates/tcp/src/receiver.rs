@@ -59,11 +59,6 @@ impl TcpSink {
         self.received
     }
 
-    /// ACK packets emitted.
-    pub fn acks_sent(&self) -> u64 {
-        self.acks_sent
-    }
-
     /// Current cumulative acknowledgment point.
     pub fn cum_ack(&self) -> u64 {
         self.cum_ack

@@ -29,11 +29,6 @@ impl RtoEstimator {
         }
     }
 
-    /// Default clamps: 200 ms to 60 s.
-    pub fn default_clamps() -> Self {
-        Self::new(0.2, 60.0)
-    }
-
     /// Feeds one RTT measurement (seconds) and resets the backoff.
     ///
     /// # Panics
@@ -87,14 +82,14 @@ mod tests {
 
     #[test]
     fn initial_rto_is_three_seconds() {
-        let e = RtoEstimator::default_clamps();
+        let e = RtoEstimator::new(0.2, 60.0);
         assert_eq!(e.rto(), 3.0);
         assert_eq!(e.srtt(), None);
     }
 
     #[test]
     fn first_sample_seeds_both_moments() {
-        let mut e = RtoEstimator::default_clamps();
+        let mut e = RtoEstimator::new(0.2, 60.0);
         e.sample(0.1);
         assert_eq!(e.srtt(), Some(0.1));
         // rto = srtt + 4·(srtt/2) = 3·srtt.
@@ -103,7 +98,7 @@ mod tests {
 
     #[test]
     fn constant_rtt_converges_to_floor() {
-        let mut e = RtoEstimator::default_clamps();
+        let mut e = RtoEstimator::new(0.2, 60.0);
         for _ in 0..200 {
             e.sample(0.05);
         }
@@ -113,7 +108,7 @@ mod tests {
 
     #[test]
     fn variance_widens_rto() {
-        let mut e = RtoEstimator::default_clamps();
+        let mut e = RtoEstimator::new(0.2, 60.0);
         for i in 0..200 {
             e.sample(if i % 2 == 0 { 0.05 } else { 0.15 });
         }
@@ -122,7 +117,7 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_sample_resets() {
-        let mut e = RtoEstimator::default_clamps();
+        let mut e = RtoEstimator::new(0.2, 60.0);
         e.sample(0.1);
         let base = e.rto();
         e.on_timeout();

@@ -140,13 +140,6 @@ impl SackScoreboard {
         self.retx.insert(seq);
     }
 
-    /// Whether `seq` has ever been retransmitted (Karn's rule).
-    pub fn was_retransmitted(&self, seq: u64) -> bool {
-        // retx is pruned at cum-ack; for Karn we only need the answer
-        // while the packet is outstanding, which is exactly then.
-        self.retx.contains(&seq)
-    }
-
     /// FlightSize (RFC 5681): outstanding data not yet cumulatively or
     /// selectively acknowledged, regardless of loss marks. This is the
     /// quantity `ssthresh` is computed from at a timeout.
@@ -221,8 +214,6 @@ mod tests {
         sb.note_retransmitted(0);
         assert_eq!(sb.pipe(), 3); // retransmitted packet re-enters pipe
         assert_eq!(sb.next_retransmit(), Some(1));
-        assert!(sb.was_retransmitted(0));
-        assert!(!sb.was_retransmitted(1));
     }
 
     #[test]

@@ -176,7 +176,7 @@ impl TcpSender {
     }
 
     fn record_loss_event(&mut self, now: f64) {
-        self.recorder.on_loss(now, self.stats.new_data_sent);
+        self.recorder.on_loss(now);
     }
 
     fn enter_recovery(&mut self, now: f64) {

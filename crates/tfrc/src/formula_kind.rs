@@ -47,15 +47,6 @@ impl FormulaKind {
         }
     }
 
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FormulaKind::Sqrt => "SQRT",
-            FormulaKind::PftkStandard => "PFTK-standard",
-            FormulaKind::PftkSimplified => "PFTK-simplified",
-        }
-    }
-
     /// Stable lowercase identifier — the spelling used in spec content
     /// keys and shard interchange files, so it must never change.
     pub fn key_name(&self) -> &'static str {

@@ -43,7 +43,7 @@
 //! To regenerate the paper's artifacts:
 //!
 //! ```text
-//! cargo run --release -p ebrc-experiments --bin repro -- --list
+//! cargo run --release -p ebrc-experiments --bin repro -- list
 //! cargo run --release -p ebrc-experiments --bin repro -- all
 //! ```
 

@@ -2,15 +2,16 @@
 //! across crates at interactive scale.
 
 use ebrc::core::control::{BasicControl, ComprehensiveControl, ControlConfig};
-use ebrc::core::formula::{c1, c2, PftkSimplified, PftkStandard, Sqrt};
+use ebrc::core::formula::{c1, c2, AimdFormula, PftkSimplified, PftkStandard, Sqrt};
 use ebrc::core::theory::{claim4, prop4_overshoot_bound};
 use ebrc::core::weights::WeightProfile;
 use ebrc::dist::{IidProcess, Rng, ShiftedExponential};
 use ebrc::experiments::breakdown::Breakdown;
-use ebrc::experiments::figures::fig05_09::ns2_run;
 use ebrc::experiments::figures::fig06::audio_point;
 use ebrc::experiments::scenarios::{DumbbellConfig, DumbbellRun, QueueSpec};
+use ebrc::experiments::spec::ns2_config;
 use ebrc::experiments::Scale;
+use ebrc::tcp::{AimdFixedLink, EbrcFixedLink, SharedFixedLink};
 use ebrc::tfrc::FormulaKind;
 
 /// Figure 2 / Proposition 4: the convexity deviation of PFTK-standard
@@ -27,7 +28,13 @@ fn figure2_deviation_ratio() {
 #[test]
 fn claim4_sixteen_ninths() {
     assert!((claim4::loss_event_rate_ratio(0.5) - 16.0 / 9.0).abs() < 1e-12);
-    let (isolated, shared) = ebrc::tcp::aimd::claim4_comparison(100.0);
+    let aimd = AimdFixedLink::new(1.0, 0.5, 100.0);
+    let formula = AimdFormula::new(1.0, 0.5);
+    let mut ebrc = EbrcFixedLink::new(formula.clone(), WeightProfile::tfrc(8), 100.0);
+    let isolated = aimd.loss_event_rate() / ebrc.measured_loss_event_rate(5_000);
+    let shared = SharedFixedLink::new(aimd, formula, WeightProfile::tfrc(8))
+        .run(200.0, 2_000.0)
+        .loss_rate_ratio();
     assert!((isolated - 16.0 / 9.0).abs() < 0.05, "isolated {isolated}");
     assert!(shared > 1.0 && shared < isolated, "shared {shared}");
 }
@@ -91,7 +98,9 @@ fn claim2_audio_sign_flip() {
 /// p''(Poisson), within simulation tolerance.
 #[test]
 fn claim3_loss_event_rate_ordering() {
-    let m = ns2_run(8, 8, 0, Scale::quick(), true);
+    let scale = Scale::quick();
+    let m = DumbbellRun::build(&ns2_config(8, 8, 0, Some(5.0)))
+        .measure(scale.sim_warmup, scale.sim_span);
     let p_tfrc = m.tfrc_valid_mean(|f| f.loss_event_rate);
     let p_tcp = m.tcp_valid_mean(|f| f.loss_event_rate);
     let p_poisson = m.probe_loss_rate.unwrap();
