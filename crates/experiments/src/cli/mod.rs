@@ -31,9 +31,9 @@
 //! or the `EBRC_THREADS` environment variable; default: all cores).
 //! Sims are submitted longest-first by each spec's cost hint, and
 //! `--slice-events N` (or `EBRC_SLICE`) additionally runs dumbbell
-//! sims in resumable N-event slices so a straggler can migrate across
-//! workers mid-run — both are pure scheduling, with output bytes
-//! unchanged.
+//! sims in resumable N-event slices, back to back on one worker, so a
+//! cancel lands within one slice — both are pure scheduling, with
+//! output bytes unchanged.
 //! Each experiment reduces the moment its last subscribed sim
 //! completes, and `--out` spools its tables off the pool while the
 //! rest of the grid is still running. With `--cache-dir DIR` (or the

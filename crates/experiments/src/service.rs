@@ -47,8 +47,8 @@ impl CatalogueBackend {
 
     /// The execution config every run path shares: sliced when a
     /// budget is set, monolithic otherwise. Output bytes are identical
-    /// either way — slicing only lets long sims migrate between
-    /// workers.
+    /// either way — slicing only bounds how long a cancel waits (one
+    /// slice per worker).
     pub fn exec(&self) -> ExecConfig {
         ExecConfig {
             slice_events: self.slice_events,

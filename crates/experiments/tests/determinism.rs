@@ -311,9 +311,8 @@ fn golden_corpus_gates_fresh_warm_cache_and_sharded_runs() {
 
 /// Slicing and cost-model scheduling are pure scheduling: a catalogue
 /// run with a tiny per-slice event budget — forcing every dumbbell sim
-/// through many yields and cross-worker migrations, submitted
-/// longest-first — still reduces to the committed golden bytes at any
-/// thread count.
+/// through many pause/resume cycles, submitted longest-first — still
+/// reduces to the committed golden bytes at any thread count.
 #[test]
 fn sliced_catalogue_runs_match_the_golden_corpus_at_any_thread_count() {
     if std::env::var("UPDATE_GOLDEN").is_ok() {

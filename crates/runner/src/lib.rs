@@ -11,9 +11,10 @@
 //! the only plan executor — whole plan or shard subset, cold or cached,
 //! monolithic or sliced, cancellable, traced: each is an argument
 //! ([`OutputCache`], [`ExecConfig`]), not another entry point — and it
-//! drives every spec through [`Spec::start_sliced`] as a chain of steps
-//! on [`Pool::run_resumable`], the only worker loop, built from `std`
-//! primitives only (the build environment is offline).
+//! runs every spec as one [`Pool`] task that drives
+//! [`Spec::start_sliced`] slice after slice on the worker that took it.
+//! The pool has one worker loop, built from `std` primitives only (the
+//! build environment is offline).
 //!
 //! The contract that makes parallelism safe for a *reproduction* is
 //! determinism: results land in per-spec slots, every spec's
@@ -46,4 +47,4 @@ pub use plan::{
     run_plan, stable_hash, CancelToken, ExecConfig, Plan, RunStats, SliceStep, SlicedRun, Spec,
     SpecFailures, SpecResult, SpecTiming, Subscription, SubscriptionResult, TraceConfig, CANCELLED,
 };
-pub use pool::{default_threads, panic_message, Pool, ResumableTask, TaskStep};
+pub use pool::{default_threads, panic_message, Pool};

@@ -29,20 +29,20 @@
 //! deliberately separate reference the determinism tests compare it
 //! against.)
 //!
-//! Two scheduling layers keep a straggler-heavy grid from serializing:
-//! misses are submitted *longest-first* by [`Spec::cost_hint`] (so the
-//! expensive sims start while the short tail backfills the workers),
-//! and every spec runs through [`Spec::start_sliced`] as a chain of
-//! pool steps — one step when [`ExecConfig::slice_events`] is unset,
-//! bounded-event slices the pool can migrate across workers mid-sim
-//! when it is. Neither layer moves any bytes: results land in per-spec
-//! slots and reduction is completion-driven, so tables stay
-//! bit-identical to the sequential path at any thread count, slice
-//! budget, or submission order.
+//! Misses are submitted *longest-first* by [`Spec::cost_hint`], so the
+//! expensive sims start while the short tail backfills the workers.
+//! Each spec is one pool task that runs [`Spec::start_sliced`] and its
+//! continuations back to back on the worker that took it: one slice
+//! when [`ExecConfig::slice_events`] is unset, bounded-event slices
+//! with a cancellation check between them when it is. A sweep thus
+//! holds at most one engine per worker. Scheduling moves no bytes:
+//! results land in per-spec slots and reduction is completion-driven,
+//! so tables stay bit-identical to the sequential path at any thread
+//! count, slice budget, or submission order.
 
 use crate::cache::{CacheCounters, CacheableSpec, OutputCache};
 use crate::job::JobCtx;
-use crate::pool::{panic_message, Pool, ResumableTask, TaskStep};
+use crate::pool::{panic_message, Pool};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -54,10 +54,10 @@ use std::time::Instant;
 ///
 /// A token is shared between the party that may abort (a daemon whose
 /// client disconnected, a supervisor tearing a sweep down) and the
-/// executors, via [`ExecConfig::cancel`]. Cancellation is checked at
-/// every pool step boundary: specs not yet started and the remaining
-/// slices of sliced specs fail fast with a `"cancelled"` error instead
-/// of executing, so a cancelled sweep drains in at most one slice per
+/// executors, via [`ExecConfig::cancel`]. Cancellation is checked
+/// before every slice: specs not yet started and the remaining slices
+/// of sliced specs fail fast with a `"cancelled"` error instead of
+/// executing, so a cancelled sweep drains in at most one slice per
 /// worker. Cancelled specs are never written to the cache.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
@@ -82,19 +82,19 @@ impl CancelToken {
     }
 }
 
-/// Wall-clock accounting of one *executed* spec, accumulated across
-/// its slices when the sliced path is active. Cache hits execute
-/// nothing and get no timing row.
+/// Wall-clock accounting of one *executed* spec, over all its slices
+/// when the sliced path is active. Cache hits execute nothing and get
+/// no timing row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecTiming {
     /// The spec's content key.
     pub key: String,
-    /// Wall-clock seconds spent executing this spec, summed over its
-    /// slices (each slice may have run on a different worker).
+    /// Wall-clock seconds spent executing this spec, first slice to
+    /// last (they run back to back on one worker).
     pub wall_s: f64,
     /// Engine events the spec's run dispatched.
     pub events: u64,
-    /// Number of pool steps the run took (1 = never yielded).
+    /// Number of slices the run took (1 = ran in one).
     pub slices: u32,
 }
 
@@ -168,14 +168,14 @@ impl TraceConfig {
 #[derive(Debug, Clone, Default)]
 pub struct ExecConfig {
     /// When set, specs that support slicing ([`Spec::start_sliced`])
-    /// yield back to the pool every `slice_events` engine events, so a
-    /// straggler sim migrates to whichever worker frees up first
-    /// instead of pinning one. `None` runs every spec in one step.
-    /// Output is bit-identical either way.
+    /// pause every `slice_events` engine events, and their worker polls
+    /// [`ExecConfig::cancel`] before resuming them. The slices of one
+    /// spec run back to back on one worker. `None` runs every spec in
+    /// one slice. Output is bit-identical either way.
     pub slice_events: Option<u64>,
-    /// When set, the run polls this token at every pool step boundary
-    /// and fails not-yet-started specs (and the remaining slices of
-    /// sliced specs) with [`CANCELLED`] instead of executing them.
+    /// When set, the run polls this token before every slice and fails
+    /// not-yet-started specs (and the remaining slices of sliced specs)
+    /// with [`CANCELLED`] instead of executing them.
     pub cancel: Option<CancelToken>,
     /// When set, every selected spec executes (cache probing is
     /// skipped) with its [`JobCtx`] trace path set, so tracing-aware
@@ -222,8 +222,8 @@ pub fn stable_hash(key: &str) -> u64 {
 pub trait Spec: Clone + Send + Sync {
     /// What running the spec produces. `Sync` because one output is
     /// shared with every subscribed reducer; `'static` because the
-    /// sliced-run path boxes in-flight state (output included) to hand
-    /// it between workers.
+    /// sliced-run path boxes in-flight state (output included) as a
+    /// `'static` trait object.
     type Output: Send + Sync + 'static;
 
     /// Canonical content key (also the human-readable label).
@@ -249,8 +249,8 @@ pub trait Spec: Clone + Send + Sync {
     }
 
     /// Starts a (possibly sliced) execution: runs the first slice under
-    /// an event `budget` and either finishes or returns the resumable
-    /// state for the pool to re-enqueue. The default ignores the budget
+    /// an event `budget` and either finishes or returns the paused state
+    /// for the executor to resume. The default ignores the budget
     /// and runs the spec monolithically — only specs whose work is a
     /// resumable engine loop need to override this, and they must
     /// produce bit-identical output at every budget (the engine's
@@ -264,7 +264,7 @@ pub trait Spec: Clone + Send + Sync {
 
 /// A paused sliced execution: everything a spec needs to continue its
 /// run — engine, measurement phase, accumulated state — boxed so the
-/// pool can hand it to whichever worker is free next.
+/// executor can hold it between slices.
 pub trait SlicedRun: Send {
     /// What the finished run produces (the spec's output type).
     type Output;
@@ -277,7 +277,7 @@ pub trait SlicedRun: Send {
 
 /// One step of a sliced spec execution.
 pub enum SliceStep<O> {
-    /// The budget ran out mid-sim; re-enqueue this state and resume.
+    /// The budget ran out mid-sim; resume this state for the next slice.
     Pending(Box<dyn SlicedRun<Output = O>>),
     /// The run finished.
     Done(O),
@@ -567,8 +567,8 @@ pub struct SubscriptionResult<S: Spec> {
 /// The selected specs are partitioned into *hits* — entries loaded from
 /// `cache`, validated against the spec key, decoded, and fed straight
 /// to their subscriptions — and *misses*, which execute on the pool
-/// longest-first (in [`ExecConfig::slice_events`]-bounded slices when
-/// set) and are written back on completion. An invalid entry (corrupt,
+/// longest-first, one task per spec (in [`ExecConfig::slice_events`]-
+/// bounded slices when set), and are written back on completion. An invalid entry (corrupt,
 /// truncated, version-skewed, or key-mismatched) reads as a miss and
 /// re-executes; it can never poison a reduce. With `cache: None` every
 /// selected spec is a miss.
@@ -582,8 +582,8 @@ pub struct SubscriptionResult<S: Spec> {
 /// `only` yield `None`. A spec that panics fails only itself (its slot
 /// and its subscribers see the message).
 ///
-/// `progress` counts executed specs only, so a fully warm run reports
-/// zero sims. The returned [`RunStats`] split the selected specs into
+/// `progress` fires once per executed spec, never per slice, so a fully
+/// warm run reports zero sims. The returned [`RunStats`] split the selected specs into
 /// hits and misses, total the engine events the misses dispatched, and
 /// carry one [`SpecTiming`] row per executed spec.
 ///
@@ -644,7 +644,7 @@ pub fn run_plan<S: CacheableSpec>(
     // subscriptions it was the last missing piece of.
     let complete = |idx: usize, result: SpecResult<S>| {
         // Each selected index is either one hit or one task, and a
-        // task's chain reports exactly once, so the slot is empty.
+        // task reports exactly once, so the slot is empty.
         assert!(results[idx].set(result).is_ok(), "spec completed twice");
         for &si in &subscribers[idx] {
             if let Some(r) = &remaining[si] {
@@ -706,32 +706,38 @@ pub fn run_plan<S: CacheableSpec>(
         }
         complete(idx, outcome.map(Arc::new));
     };
-    let tasks: Vec<ResumableTask<Option<SpecTiming>>> = to_run
+    let (finish, cancel, trace) = (&finish, exec.cancel.as_ref(), exec.trace.as_ref());
+    // One task per spec: its slices run back to back on the worker that
+    // took it, so at most one run state per worker is ever alive.
+    let tasks: Vec<_> = to_run
         .iter()
         .map(|&idx| {
-            let spec = plan.specs()[idx].clone();
-            let key = spec.key();
-            let mut ctx = JobCtx::for_label(master_seed, key.clone());
-            if let Some(tc) = &exec.trace {
-                ctx.set_trace_path(tc.path_for(&key));
+            move || {
+                let spec = &plan.specs()[idx];
+                let key = spec.key();
+                let mut ctx = JobCtx::for_label(master_seed, key.clone());
+                if let Some(tc) = trace {
+                    ctx.set_trace_path(tc.path_for(&key));
+                }
+                let started = Instant::now();
+                let (outcome, slices) = run_slices(spec, &mut ctx, budget, cancel);
+                let wall_s = started.elapsed().as_secs_f64();
+                let timing = outcome.is_ok().then(|| SpecTiming {
+                    key,
+                    wall_s,
+                    events: ctx.events_processed(),
+                    slices,
+                });
+                finish(idx, outcome);
+                timing
             }
-            slice_chain(
-                idx,
-                ctx,
-                Box::new(move |ctx: &mut JobCtx| spec.start_sliced(ctx, budget)),
-                budget,
-                0.0,
-                0,
-                exec.cancel.as_ref(),
-                &finish,
-            )
         })
         .collect();
     let mut timings = Vec::with_capacity(tasks.len());
-    for reported in pool.run_resumable(tasks, progress) {
+    for reported in pool.run_reporting(tasks, progress) {
         match reported {
             Ok(timing) => timings.extend(timing),
-            // Spec bodies are caught inside the chain, so this is
+            // Spec bodies are caught inside `run_slices`, so this is
             // `finish` — `on_ready` or the cache's `store` — panicking.
             Err(payload) => resume_unwind(payload),
         }
@@ -747,74 +753,40 @@ pub fn run_plan<S: CacheableSpec>(
     )
 }
 
-/// One boxed slice step: takes the spec's job context, returns either
-/// the finished output or the parked state of an unfinished run.
-type StepFn<'a, O> = Box<dyn FnOnce(&mut JobCtx) -> SliceStep<O> + Send + 'a>;
-
-/// The per-spec resumable task chain behind [`run_plan`]: each pool
-/// step runs one slice (budget-bounded when the spec supports slicing,
-/// the whole run otherwise), accumulating wall time and slice count
-/// across steps, and reports through `finish` exactly once — on the
-/// completing slice, on the slice that panicked, or on the first step
-/// boundary after cancellation. A completed run's task value is its
-/// [`SpecTiming`] row (the ctx's label is the spec's key). Panics are
-/// caught *here*, not left to the pool's own capture, because `finish`
-/// must still run for a failed spec: it records the error in the result
-/// slot and advances subscription readiness so reducers learn about the
-/// failure.
-#[allow(clippy::too_many_arguments)]
-fn slice_chain<'a, O, F>(
-    idx: usize,
-    mut ctx: JobCtx,
-    step: StepFn<'a, O>,
+/// Runs one spec's slices back to back (budget-bounded when the spec
+/// supports slicing, the whole run otherwise), polling `cancel` before
+/// each, and returns the output or the failure together with the number
+/// of slices executed. The cancel check before every slice is what makes
+/// a cancelled sweep drain within one slice per worker, with queued
+/// specs never starting at all. Panics are caught here, not left to the
+/// pool's own capture, because the caller must still report a failed
+/// spec: its slot gets the error and its subscribers learn of it.
+fn run_slices<S: Spec>(
+    spec: &S,
+    ctx: &mut JobCtx,
     budget: u64,
-    wall_s: f64,
-    slices: u32,
-    cancel: Option<&'a CancelToken>,
-    finish: &'a F,
-) -> ResumableTask<'a, Option<SpecTiming>>
-where
-    O: Send + 'static,
-    F: Fn(usize, Result<O, String>) + Sync,
-{
-    Box::new(move || {
-        // The cancellation hook: checked before every slice, so a
-        // cancelled sweep drains in at most one in-flight slice per
-        // worker and queued specs never start at all.
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            finish(idx, Err(CANCELLED.to_string()));
-            return TaskStep::Done(None);
-        }
-        let started = Instant::now();
-        let out = catch_unwind(AssertUnwindSafe(|| step(&mut ctx)));
-        let wall_s = wall_s + started.elapsed().as_secs_f64();
-        let slices = slices + 1;
-        match out {
-            Err(payload) => {
-                finish(idx, Err(panic_message(payload.as_ref())));
-                TaskStep::Done(None)
+    cancel: Option<&CancelToken>,
+) -> (Result<S::Output, String>, u32) {
+    let mut slices = 0;
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        let mut state = None;
+        loop {
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                return Err(CANCELLED.to_string());
             }
-            Ok(SliceStep::Done(out)) => {
-                finish(idx, Ok(out));
-                TaskStep::Done(Some(SpecTiming {
-                    key: ctx.label().to_string(),
-                    wall_s,
-                    events: ctx.events_processed(),
-                    slices,
-                }))
+            slices += 1;
+            let step = match state.take() {
+                None => spec.start_sliced(ctx, budget),
+                Some(paused) => SlicedRun::resume(paused, ctx, budget),
+            };
+            match step {
+                SliceStep::Done(out) => return Ok(out),
+                SliceStep::Pending(paused) => state = Some(paused),
             }
-            Ok(SliceStep::Pending(state)) => TaskStep::Yield(slice_chain(
-                idx,
-                ctx,
-                Box::new(move |ctx: &mut JobCtx| state.resume(ctx, budget)),
-                budget,
-                wall_s,
-                slices,
-                cancel,
-                finish,
-            )),
         }
-    })
+    }));
+    let outcome = run.unwrap_or_else(|payload| Err(panic_message(payload.as_ref())));
+    (outcome, slices)
 }
 
 /// Submission order for a miss list: longest-first by cost hint,
@@ -1315,6 +1287,239 @@ mod tests {
         }
     }
 
+    /// What a [`Gauged`] sweep observed: run states alive right now and
+    /// at peak, specs in completion order, and slices executed.
+    #[derive(Default)]
+    struct Gauge {
+        live: AtomicUsize,
+        peak: AtomicUsize,
+        completed: Mutex<Vec<u64>>,
+        slices: AtomicUsize,
+    }
+
+    /// A sliceable toy whose run state is counted by a shared gauge: up
+    /// in `start_sliced`, down on `Done`. With `fail_on_slice: Some(k)`
+    /// its `k`-th slice panics.
+    #[derive(Clone)]
+    struct Gauged {
+        value: u64,
+        work: u64,
+        fail_on_slice: Option<usize>,
+        gauge: Arc<Gauge>,
+    }
+
+    struct GaugedState {
+        value: u64,
+        left: u64,
+        slice: usize,
+        fail_on_slice: Option<usize>,
+        gauge: Arc<Gauge>,
+    }
+
+    impl SlicedRun for GaugedState {
+        type Output = u64;
+        fn resume(mut self: Box<Self>, ctx: &mut JobCtx, budget: u64) -> SliceStep<u64> {
+            self.slice += 1;
+            self.gauge.slices.fetch_add(1, Ordering::Relaxed);
+            if self.fail_on_slice == Some(self.slice) {
+                self.gauge.live.fetch_sub(1, Ordering::Relaxed);
+                panic!("slice {} exploded", self.slice);
+            }
+            let step = self.left.min(budget.max(1));
+            self.left -= step;
+            ctx.record_events(step);
+            if self.left > 0 {
+                return SliceStep::Pending(self);
+            }
+            self.gauge.live.fetch_sub(1, Ordering::Relaxed);
+            self.gauge.completed.lock().unwrap().push(self.value);
+            SliceStep::Done(self.value * 2)
+        }
+    }
+
+    impl Spec for Gauged {
+        type Output = u64;
+        fn key(&self) -> String {
+            format!("gauged/v{}", self.value)
+        }
+        fn run(&self, ctx: &mut JobCtx) -> u64 {
+            match self.start_sliced(ctx, u64::MAX) {
+                SliceStep::Done(out) => out,
+                SliceStep::Pending(_) => unreachable!("an unbounded slice finishes"),
+            }
+        }
+        fn cost_hint(&self) -> u64 {
+            self.work
+        }
+        fn start_sliced(&self, ctx: &mut JobCtx, budget: u64) -> SliceStep<u64> {
+            let live = self.gauge.live.fetch_add(1, Ordering::Relaxed) + 1;
+            self.gauge.peak.fetch_max(live, Ordering::Relaxed);
+            Box::new(GaugedState {
+                value: self.value,
+                left: self.work,
+                slice: 0,
+                fail_on_slice: self.fail_on_slice,
+                gauge: Arc::clone(&self.gauge),
+            })
+            .resume(ctx, budget)
+        }
+    }
+
+    impl CacheableSpec for Gauged {
+        fn encode_output(out: &u64) -> String {
+            format!("{out}")
+        }
+        fn decode_output(text: &str) -> Result<u64, String> {
+            text.parse::<u64>().map_err(|e| e.to_string())
+        }
+    }
+
+    /// `n` gauged specs with repeating, tied amounts of work.
+    fn gauged(n: u64, gauge: &Arc<Gauge>) -> Vec<Gauged> {
+        (0..n)
+            .map(|value| Gauged {
+                value,
+                work: 2 + (value * 7) % 5,
+                fail_on_slice: None,
+                gauge: Arc::clone(gauge),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_sliced_sweep_holds_at_most_one_live_run_per_worker() {
+        for threads in [1, 2, 8] {
+            let gauge = Arc::new(Gauge::default());
+            let plan = Plan::for_experiment("bound", gauged(3 * threads as u64 + 1, &gauge));
+            let (out, stats) = run_list(
+                &Pool::new(threads),
+                &plan,
+                None,
+                ExecConfig::sliced(1),
+                |_, _| {},
+            );
+            assert!(out.iter().all(Result::is_ok));
+            assert!(
+                stats.timings.iter().all(|t| t.slices > 1),
+                "every spec sliced"
+            );
+            let peak = gauge.peak.load(Ordering::Relaxed);
+            assert!(
+                peak <= threads,
+                "{peak} runs alive at once on {threads} workers"
+            );
+            assert_eq!(gauge.live.load(Ordering::Relaxed), 0);
+        }
+    }
+
+    #[test]
+    fn one_worker_completes_specs_in_longest_first_order() {
+        let probe = Arc::new(Gauge::default());
+        let specs = gauged(11, &probe);
+        let expected: Vec<u64> = longest_first((0..specs.len()).collect(), &specs)
+            .into_iter()
+            .map(|i| specs[i].value)
+            .collect();
+        for budget in [None, Some(1), Some(2), Some(3), Some(1000)] {
+            let gauge = Arc::new(Gauge::default());
+            let plan = Plan::for_experiment("order", gauged(11, &gauge));
+            let exec = ExecConfig {
+                slice_events: budget,
+                ..ExecConfig::default()
+            };
+            run_list(&Pool::new(1), &plan, None, exec, |_, _| {});
+            let completed = gauge.completed.lock().unwrap().clone();
+            assert_eq!(completed, expected, "budget={budget:?}");
+        }
+    }
+
+    #[test]
+    fn a_spec_panicking_mid_run_fails_only_its_slot_and_runs_no_later_slice() {
+        for threads in [1, 2] {
+            let gauge = Arc::new(Gauge::default());
+            let boom_gauge = Arc::new(Gauge::default());
+            let specs = gauged(3, &gauge);
+            let boom = Gauged {
+                value: 9,
+                work: 10,
+                fail_on_slice: Some(3),
+                gauge: Arc::clone(&boom_gauge),
+            };
+            let mut plan = Plan::for_experiment("bad", vec![specs[0].clone(), boom]);
+            plan.merge(Plan::for_experiment("good", specs));
+            let failed = Mutex::new(Vec::new());
+            let progress_calls = AtomicUsize::new(0);
+            let (results, stats) = run_plan(
+                &Pool::new(threads),
+                0,
+                &plan,
+                None,
+                None,
+                ExecConfig::sliced(1),
+                |_, _| {
+                    progress_calls.fetch_add(1, Ordering::Relaxed);
+                },
+                |res: SubscriptionResult<Gauged>| {
+                    failed
+                        .lock()
+                        .unwrap()
+                        .push((res.subscription, res.outcome.is_err()));
+                },
+            );
+            let mut failed = failed.into_inner().unwrap();
+            failed.sort_unstable();
+            assert_eq!(failed, vec![(0, true), (1, false)]);
+            assert_eq!(boom_gauge.slices.load(Ordering::Relaxed), 3);
+            let err = results[1].as_ref().unwrap().as_ref().unwrap_err();
+            assert_eq!(err, "slice 3 exploded");
+            for idx in [0, 2, 3] {
+                assert!(results[idx].as_ref().unwrap().is_ok());
+            }
+            assert_eq!(stats.timings.len(), 3, "the failed spec has no row");
+            assert_eq!(progress_calls.load(Ordering::Relaxed), 4);
+        }
+    }
+
+    #[test]
+    fn progress_fires_once_per_spec_not_per_slice() {
+        let gauge = Arc::new(Gauge::default());
+        let plan = Plan::for_experiment("progress", gauged(6, &gauge));
+        let (calls, max_seen) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let (_, stats) = run_list(
+            &Pool::new(3),
+            &plan,
+            None,
+            ExecConfig::sliced(1),
+            |done, total| {
+                assert!(done <= total);
+                calls.fetch_add(1, Ordering::Relaxed);
+                max_seen.fetch_max(done, Ordering::Relaxed);
+            },
+        );
+        let slices: u32 = stats.timings.iter().map(|t| t.slices).sum();
+        assert!(slices > 6, "specs ran sliced");
+        assert_eq!(calls.load(Ordering::Relaxed), 6, "one callback per spec");
+        assert_eq!(max_seen.load(Ordering::Relaxed), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "progress exploded")]
+    fn a_panicking_progress_callback_is_re_raised_with_its_message() {
+        let gauge = Arc::new(Gauge::default());
+        let plan = Plan::for_experiment("progress", gauged(4, &gauge));
+        run_list(
+            &Pool::new(2),
+            &plan,
+            None,
+            ExecConfig::sliced(1),
+            |done, _| {
+                if done == 2 {
+                    panic!("progress exploded");
+                }
+            },
+        );
+    }
+
     #[test]
     fn longest_first_orders_by_descending_hint_with_stable_ties() {
         let specs: Vec<Sliceable> = [(0, 5u64), (1, 9), (2, 5), (3, 0), (4, 9)]
@@ -1462,11 +1667,15 @@ mod tests {
     #[test]
     fn a_single_huge_spec_no_longer_bounds_wall_clock() {
         // One 120 ms straggler + twelve 12 ms sims ≈ 264 ms serial.
-        // Two workers with longest-first + 6 ms slices should land
-        // near max(120, 264/2) ≈ 132 ms; we assert the generous bound
-        // of 75% of the measured serial wall to stay robust under CI
-        // noise. Sleeping sims parallelize even on one core, so this
-        // exercises the scheduler, not the host's core count.
+        // Longest-first starts the straggler at once, and the other
+        // worker drains the short sims, stealing the straggler's
+        // worker's share from the back of its deque: ≈ max(120, 264/2)
+        // = 132 ms. We assert the generous bound of 75% of the
+        // measured serial wall to stay robust under CI noise. Slicing
+        // plays no part — the straggler's 6 ms slices run back to back
+        // on its worker, and the bound holds monolithic too. Sleeping
+        // sims parallelize even on one core, so this exercises the
+        // scheduler, not the host's core count.
         let mut specs = vec![Sleeper { id: 0, ms: 120 }];
         specs.extend((1..13).map(|id| Sleeper { id, ms: 12 }));
         let plan = Plan::for_experiment("stragglers", specs);

@@ -1,20 +1,12 @@
 //! A work-stealing thread pool over `std` primitives.
 //!
-//! The pool has one worker loop, [`Pool::run_resumable`]. A batch of
-//! tasks is dealt round-robin onto per-worker deques up front; each
-//! worker drains its own deque from the front, and an idle worker
-//! steals from the back of its peers. A task runs as a chain of
-//! *steps*: a step either finishes ([`TaskStep::Done`]) or *yields* a
-//! continuation ([`TaskStep::Yield`]), which the pool re-enqueues at
-//! the back of the finishing worker's deque — where an idle peer's
-//! steal picks it up first, so a straggler task migrates across workers
-//! slice by slice instead of pinning one. Because yielded work can
-//! reappear after a worker's scan came up empty, a worker retires only
-//! when the batch-wide completion count reaches the total; until then
-//! an empty-handed worker spins on [`std::thread::yield_now`].
-//!
-//! [`Pool::run`] is the same loop over plain closures, each wrapped as
-//! a task whose only step is `Done`.
+//! The pool has one worker loop. A batch of tasks is dealt round-robin
+//! onto per-worker deques up front; each worker drains its own deque
+//! from the front, and an idle worker steals from the back of its
+//! peers. A task runs to completion on the worker that took it, and no
+//! task can appear after the deal, so a worker whose scan of every
+//! deque comes up empty simply retires: there is nothing to wait for.
+//! At most one task per worker is ever in flight.
 //!
 //! Results are returned in task-submission order no matter which worker
 //! ran what — the determinism half of the runner's contract. Panics are
@@ -46,29 +38,14 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// One step of a resumable task: either the finished value, or the
-/// continuation the pool should re-enqueue and run next.
-pub enum TaskStep<'a, T> {
-    /// The task is finished; its slot gets this value.
-    Done(T),
-    /// The task yielded mid-flight; the pool re-enqueues this closure
-    /// so the next slice can run on whichever worker is free first.
-    Yield(ResumableTask<'a, T>),
-}
-
-/// A boxed task step for [`Pool::run_resumable`]: runs one slice of
-/// work and reports [`TaskStep::Done`] or yields a continuation.
-pub type ResumableTask<'a, T> = Box<dyn FnOnce() -> TaskStep<'a, T> + Send + 'a>;
-
-/// A worker's deque: each entry is a task's submission index and its
-/// next step.
-type Queue<'a, T> = Mutex<VecDeque<(usize, ResumableTask<'a, T>)>>;
+/// A worker's deque: each entry is a task's submission index and the
+/// task.
+type Queue<F> = Mutex<VecDeque<(usize, F)>>;
 
 /// A fixed-width work-stealing pool.
 ///
 /// `Pool` holds no threads between runs — workers are scoped to each
-/// [`Pool::run_resumable`] call, so a pool is cheap to create and
-/// freely shared.
+/// batch, so a pool is cheap to create and freely shared.
 #[derive(Debug, Clone, Copy)]
 pub struct Pool {
     threads: usize,
@@ -93,41 +70,28 @@ impl Pool {
     ///
     /// A panicking task yields `Err(payload)` in its slot and does not
     /// affect its neighbours or its worker.
-    pub fn run<'a, T, F>(&self, tasks: Vec<F>) -> Vec<std::thread::Result<T>>
+    pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<std::thread::Result<T>>
     where
         T: Send,
-        F: FnOnce() -> T + Send + 'a,
+        F: FnOnce() -> T + Send,
     {
-        let tasks = tasks
-            .into_iter()
-            .map(|task| -> ResumableTask<'a, T> { Box::new(move || TaskStep::Done(task())) })
-            .collect();
-        self.run_resumable(tasks, |_, _| {})
+        self.run_reporting(tasks, |_, _| {})
     }
 
-    /// Executes a batch of resumable tasks, returning results in task
-    /// order. Each task runs as a chain of *steps*: a step that returns
-    /// [`TaskStep::Yield`] hands the pool a continuation, which is
-    /// re-enqueued at the back of the finishing worker's deque — prime
-    /// stealing territory, so a long task's remaining slices migrate to
-    /// whichever worker frees up first instead of pinning one.
-    /// `progress(done, total)` fires after each task (not each step)
+    /// [`Pool::run`] with `progress(done, total)` fired after each task
     /// finishes, from the finishing worker's thread.
-    ///
-    /// A panic in any step fails that task's slot (`Err(payload)`)
-    /// without disturbing its neighbours; the task's later slices are
-    /// simply never scheduled (the continuation died with the step).
     ///
     /// # Panics
     /// Re-raises a panic of `progress` itself once the workers have
     /// stopped.
-    pub fn run_resumable<'a, T, P>(
+    pub(crate) fn run_reporting<T, F, P>(
         &self,
-        tasks: Vec<ResumableTask<'a, T>>,
+        tasks: Vec<F>,
         progress: P,
     ) -> Vec<std::thread::Result<T>>
     where
         T: Send,
+        F: FnOnce() -> T + Send,
         P: Fn(usize, usize) + Sync,
     {
         let total = tasks.len();
@@ -141,7 +105,9 @@ impl Pool {
         for (idx, task) in tasks.into_iter().enumerate() {
             dealt[idx % workers].push_back((idx, task));
         }
-        let queues: Vec<Queue<'a, T>> = dealt.into_iter().map(Mutex::new).collect();
+        let queues: Vec<Queue<F>> = dealt.into_iter().map(Mutex::new).collect();
+        // Only a progress count: results travel back through `join`, so
+        // `done` publishes no data and `Relaxed` suffices.
         let done = AtomicUsize::new(0);
 
         // Each worker keeps the results of the tasks it finished; they
@@ -153,30 +119,9 @@ impl Pool {
                     let (queues, done, progress) = (&queues, &done, &progress);
                     scope.spawn(move || {
                         let mut finished = Vec::new();
-                        loop {
-                            let Some((idx, task)) = pop_or_steal(queues, w) else {
-                                // An empty scan does not prove the batch
-                                // is drained — a continuation yielded by
-                                // a peer may reappear. Retire only once
-                                // every task has completed; until then
-                                // give the running workers the core back
-                                // and rescan.
-                                if done.load(Ordering::Acquire) >= total {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                                continue;
-                            };
-                            let result = match catch_unwind(AssertUnwindSafe(task)) {
-                                Ok(TaskStep::Yield(next)) => {
-                                    lock(&queues[w]).push_back((idx, next));
-                                    continue;
-                                }
-                                Ok(TaskStep::Done(value)) => Ok(value),
-                                Err(payload) => Err(payload),
-                            };
-                            finished.push((idx, result));
-                            progress(done.fetch_add(1, Ordering::AcqRel) + 1, total);
+                        while let Some((idx, task)) = pop_or_steal(queues, w) {
+                            finished.push((idx, catch_unwind(AssertUnwindSafe(task))));
+                            progress(done.fetch_add(1, Ordering::Relaxed) + 1, total);
                         }
                         finished
                     })
@@ -189,7 +134,7 @@ impl Pool {
                             results[idx] = Some(result);
                         }
                     }
-                    // Steps run under `catch_unwind`, so a worker can
+                    // Tasks run under `catch_unwind`, so a worker can
                     // only die in `progress`.
                     Err(payload) => resume_unwind(payload),
                 }
@@ -197,29 +142,24 @@ impl Pool {
         });
         results
             .into_iter()
-            // Workers retire only at `done == total`, and `done` counts
-            // tasks whose result was recorded.
+            // Every task was popped by exactly one worker, which recorded
+            // its result before scanning again.
             .map(|slot| slot.expect("every task finished before its worker retired"))
             .collect()
     }
 }
 
 /// Locks a worker's deque.
-fn lock<'q, 'a, T>(
-    queue: &'q Queue<'a, T>,
-) -> std::sync::MutexGuard<'q, VecDeque<(usize, ResumableTask<'a, T>)>> {
-    // Only `push_back`/`pop_*` run under this lock and neither panics,
-    // so the mutex is never poisoned.
+fn lock<F>(queue: &Queue<F>) -> std::sync::MutexGuard<'_, VecDeque<(usize, F)>> {
+    // Only `pop_*` runs under this lock and it cannot panic, so the
+    // mutex is never poisoned.
     queue.lock().expect("queue poisoned")
 }
 
 /// Pops from the worker's own deque front, or steals from the back of
-/// the first non-empty peer. `None` means every deque is empty right
-/// now.
-fn pop_or_steal<'a, T>(
-    queues: &[Queue<'a, T>],
-    own: usize,
-) -> Option<(usize, ResumableTask<'a, T>)> {
+/// the first non-empty peer. `None` means every deque is empty, for
+/// good: the batch was dealt up front.
+fn pop_or_steal<F>(queues: &[Queue<F>], own: usize) -> Option<(usize, F)> {
     if let Some(entry) = lock(&queues[own]).pop_front() {
         return Some(entry);
     }
@@ -331,115 +271,5 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_rejected() {
         let _ = Pool::new(0);
-    }
-
-    /// A resumable task counting down `slices` yields before each one,
-    /// recording which worker-visible step it ran on via the shared log.
-    fn countdown<'a>(
-        id: usize,
-        slices: usize,
-        log: &'a Mutex<Vec<usize>>,
-    ) -> ResumableTask<'a, usize> {
-        Box::new(move || {
-            log.lock().unwrap().push(id);
-            if slices <= 1 {
-                TaskStep::Done(id)
-            } else {
-                TaskStep::Yield(countdown(id, slices - 1, log))
-            }
-        })
-    }
-
-    #[test]
-    fn resumable_tasks_finish_in_slot_order_across_yields() {
-        for threads in [1, 2, 8] {
-            let log = Mutex::new(Vec::new());
-            let tasks: Vec<ResumableTask<usize>> =
-                (0..12).map(|i| countdown(i, 1 + i % 5, &log)).collect();
-            let out = Pool::new(threads).run_resumable(tasks, |_, _| {});
-            let values: Vec<usize> = out.into_iter().map(|r| r.unwrap()).collect();
-            assert_eq!(values, (0..12).collect::<Vec<_>>());
-            // Every slice ran: task i contributes 1 + i % 5 log entries.
-            let expected: usize = (0..12).map(|i| 1 + i % 5).sum();
-            assert_eq!(log.lock().unwrap().len(), expected);
-        }
-    }
-
-    #[test]
-    fn panic_in_a_late_slice_is_captured_per_slot() {
-        fn exploding<'a>(slices: usize) -> ResumableTask<'a, u32> {
-            Box::new(move || {
-                if slices == 0 {
-                    panic!("slice exploded");
-                }
-                TaskStep::Yield(exploding(slices - 1))
-            })
-        }
-        let tasks: Vec<ResumableTask<u32>> = vec![
-            Box::new(|| TaskStep::Done(1)),
-            exploding(3),
-            Box::new(|| TaskStep::Done(3)),
-        ];
-        let out = Pool::new(2).run_resumable(tasks, |_, _| {});
-        assert_eq!(*out[0].as_ref().unwrap(), 1);
-        let err = out[1].as_ref().unwrap_err();
-        assert_eq!(panic_message(err.as_ref()), "slice exploded");
-        assert_eq!(*out[2].as_ref().unwrap(), 3);
-    }
-
-    #[test]
-    fn yielded_continuations_migrate_to_idle_workers() {
-        // One sliced straggler plus nothing else: with two workers the
-        // straggler's slices are stealable, so every slice must run and
-        // at least one steal is possible (we assert completion + count,
-        // not which thread ran what — scheduling is free to vary).
-        let slices_run = AtomicUsize::new(0);
-        fn sliced<'a>(n: usize, ran: &'a AtomicUsize) -> ResumableTask<'a, usize> {
-            Box::new(move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-                if n == 0 {
-                    TaskStep::Done(ran.load(Ordering::Relaxed))
-                } else {
-                    TaskStep::Yield(sliced(n - 1, ran))
-                }
-            })
-        }
-        let out = Pool::new(2).run_resumable(vec![sliced(7, &slices_run)], |_, _| {});
-        assert_eq!(out.len(), 1);
-        assert_eq!(slices_run.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn resumable_progress_counts_tasks_not_slices() {
-        let log = Mutex::new(Vec::new());
-        let max_seen = AtomicUsize::new(0);
-        let calls = AtomicUsize::new(0);
-        let tasks: Vec<ResumableTask<usize>> = (0..6).map(|i| countdown(i, 4, &log)).collect();
-        Pool::new(3).run_resumable(tasks, |done, total| {
-            assert!(done <= total);
-            calls.fetch_add(1, Ordering::Relaxed);
-            max_seen.fetch_max(done, Ordering::Relaxed);
-        });
-        assert_eq!(max_seen.load(Ordering::Relaxed), 6);
-        assert_eq!(calls.load(Ordering::Relaxed), 6, "one callback per task");
-    }
-
-    #[test]
-    #[should_panic(expected = "progress exploded")]
-    fn a_panicking_progress_callback_is_re_raised_with_its_message() {
-        let tasks: Vec<ResumableTask<usize>> = (0..4)
-            .map(|i| -> ResumableTask<usize> { Box::new(move || TaskStep::Done(i)) })
-            .collect();
-        Pool::new(2).run_resumable(tasks, |done, _| {
-            if done == 2 {
-                panic!("progress exploded");
-            }
-        });
-    }
-
-    #[test]
-    fn empty_resumable_batch_returns_empty() {
-        let out: Vec<std::thread::Result<()>> = Pool::new(4).run_resumable(Vec::new(), |_, _| {});
-        assert!(out.is_empty());
     }
 }

@@ -177,12 +177,22 @@ fn field_str(v: &Value, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
+/// Largest count a wire number (an `f64`) carries exactly: 2^53.
+const MAX_EXACT_COUNT: f64 = 9_007_199_254_740_992.0;
+
+/// A count field: an integral number in `0..=2^53`. Anything else —
+/// a fraction, a negative, a value past `f64`'s exact integers — is an
+/// error, never rounded or saturated into some other count.
 fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
+    let n = v
+        .get(key)
         .and_then(Value::as_f64)
-        .filter(|n| n.is_finite() && *n >= 0.0)
-        .map(|n| n as u64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
+        .ok_or_else(|| format!("missing numeric field {key:?}"))?;
+    if n.fract() == 0.0 && (0.0..=MAX_EXACT_COUNT).contains(&n) {
+        Ok(n as u64)
+    } else {
+        Err(format!("field {key:?} is not a count in 0..=2^53: {n}"))
+    }
 }
 
 fn field_usize(v: &Value, key: &str) -> Result<usize, String> {
@@ -499,5 +509,30 @@ mod tests {
         assert!(Request::from_value(&no_type).is_err());
         let bad_done = serde_json::from_str("{\"type\":\"done\",\"executed\":-1}").unwrap();
         assert!(Event::from_value(&bad_done).is_err());
+    }
+
+    #[test]
+    fn count_fields_reject_instead_of_rewriting() {
+        let stats = |events: &str| {
+            let wire = format!(
+                "{{\"type\":\"service_stats\",\"submissions\":1,\"sims_executed\":2,\
+                 \"cache_hits\":3,\"events\":{events}}}"
+            );
+            Event::from_value(&serde_json::from_str(&wire).unwrap())
+        };
+        for bad in ["1.5", "1e30", "-1", "9007199254740994"] {
+            let err = stats(bad).unwrap_err();
+            assert!(err.contains("\"events\""), "{bad}: {err}");
+        }
+        let exact = |events| {
+            Event::Stats(ServiceStats {
+                submissions: 1,
+                sims_executed: 2,
+                cache_hits: 3,
+                events,
+            })
+        };
+        assert_eq!(stats("0").unwrap(), exact(0));
+        assert_eq!(stats("9007199254740992").unwrap(), exact(1 << 53));
     }
 }

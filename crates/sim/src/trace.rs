@@ -18,8 +18,7 @@
 //! so a harness can downcast the sink back out after a run
 //! ([`Engine::take_tracer`](crate::Engine::take_tracer)) and serialize
 //! whatever it accumulated; `Send` keeps a traced engine `Send`, which
-//! the runner's sliced-execution path relies on to migrate parked runs
-//! across workers.
+//! the runner's `SlicedRun` requires of a paused run.
 
 use crate::engine::ComponentId;
 use std::any::Any;
