@@ -15,10 +15,10 @@
 //!        └────────────── [reverse delay] ◄───────────────┘  (ACKs/feedback)
 //! ```
 
+use super::{loss_event_rate, NetCore, Scenario};
 use ebrc_dist::Rng;
 use ebrc_net::{
-    Demux, DropTailQueue, FlowId, LinkQueue, NetEvent, PoissonSender, ProbeSink, RedConfig,
-    RedQueue,
+    Demux, DropTailQueue, FlowId, NetEvent, PoissonSender, ProbeSink, RedConfig, RedQueue,
 };
 use ebrc_sim::{ComponentId, Engine};
 use ebrc_tcp::{TcpSender, TcpSenderConfig, TcpSink};
@@ -212,9 +212,7 @@ pub struct DumbbellRun {
     pub probe: Option<(ComponentId, ComponentId)>,
     /// The bottleneck link.
     pub bottleneck: ComponentId,
-    /// The forward/reverse path hops, in topology order (for named
-    /// trace tracks).
-    hops: [ComponentId; 4],
+    core: NetCore,
     nominal_rtt: f64,
     tfrc_formula: FormulaKind,
 }
@@ -237,27 +235,12 @@ impl DumbbellRun {
             QueueSpec::DropTail(n) => Box::new(DropTailQueue::new(*n)),
             QueueSpec::Red(rc) => Box::new(RedQueue::new(*rc)),
         };
-        let bottleneck = eng.add(Box::new(LinkQueue::new(
-            queue,
-            cfg.bottleneck_bps,
-            0.0,
+        let rngs = [
             root_rng.fork("red"),
-        )));
-        let fwd = eng.add(Box::new(ebrc_net::DelayBox::new(
-            cfg.one_way_delay,
             root_rng.fork("fwd"),
-        )));
-        let fwd_demux = eng.add(Box::new(Demux::new()));
-        let rev = eng.add(Box::new(ebrc_net::DelayBox::new(
-            cfg.one_way_delay,
             root_rng.fork("rev"),
-        )));
-        let rev_demux = eng.add(Box::new(Demux::new()));
-        eng.get_mut::<LinkQueue>(bottleneck).set_next_hop(fwd);
-        eng.get_mut::<ebrc_net::DelayBox>(fwd)
-            .set_next_hop(fwd_demux);
-        eng.get_mut::<ebrc_net::DelayBox>(rev)
-            .set_next_hop(rev_demux);
+        ];
+        let core = NetCore::add(&mut eng, queue, cfg.bottleneck_bps, cfg.one_way_delay, rngs);
 
         let nominal_rtt = 2.0 * cfg.one_way_delay;
         let mut next_flow = 0u32;
@@ -278,10 +261,10 @@ impl DumbbellRun {
                     formula: cfg.tfrc.sender.formula,
                 },
             )));
-            eng.get_mut::<TfrcSender>(snd).set_next_hop(bottleneck);
-            eng.get_mut::<TfrcReceiver>(rcv).set_reverse_hop(rev);
-            eng.get_mut::<Demux>(fwd_demux).route(flow, rcv);
-            eng.get_mut::<Demux>(rev_demux).route(flow, snd);
+            eng.get_mut::<TfrcSender>(snd).set_next_hop(core.bottleneck);
+            eng.get_mut::<TfrcReceiver>(rcv).set_reverse_hop(core.rev);
+            eng.get_mut::<Demux>(core.fwd_demux).route(flow, rcv);
+            eng.get_mut::<Demux>(core.rev_demux).route(flow, snd);
             eng.schedule(start, snd, NetEvent::Timer(ebrc_tfrc::sender::TIMER_START));
             start += cfg.start_stagger;
             tfrc.push((snd, rcv));
@@ -293,10 +276,10 @@ impl DumbbellRun {
             next_flow += 1;
             let snd = eng.add(Box::new(TcpSender::new(flow, cfg.tcp.clone())));
             let sink = eng.add(Box::new(TcpSink::new(flow, 0.1)));
-            eng.get_mut::<TcpSender>(snd).set_next_hop(bottleneck);
-            eng.get_mut::<TcpSink>(sink).set_reverse_hop(rev);
-            eng.get_mut::<Demux>(fwd_demux).route(flow, sink);
-            eng.get_mut::<Demux>(rev_demux).route(flow, snd);
+            eng.get_mut::<TcpSender>(snd).set_next_hop(core.bottleneck);
+            eng.get_mut::<TcpSink>(sink).set_reverse_hop(core.rev);
+            eng.get_mut::<Demux>(core.fwd_demux).route(flow, sink);
+            eng.get_mut::<Demux>(core.rev_demux).route(flow, snd);
             eng.schedule(start, snd, NetEvent::Timer(ebrc_tcp::sender::TIMER_START));
             start += cfg.start_stagger;
             tcp.push((snd, sink));
@@ -312,8 +295,9 @@ impl DumbbellRun {
                 root_rng.fork("probe"),
             )));
             let sink = eng.add(Box::new(ProbeSink::new(nominal_rtt)));
-            eng.get_mut::<PoissonSender>(snd).set_next_hop(bottleneck);
-            eng.get_mut::<Demux>(fwd_demux).route(flow, sink);
+            eng.get_mut::<PoissonSender>(snd)
+                .set_next_hop(core.bottleneck);
+            eng.get_mut::<Demux>(core.fwd_demux).route(flow, sink);
             eng.schedule(0.0, snd, NetEvent::Timer(1));
             (snd, sink)
         });
@@ -323,8 +307,8 @@ impl DumbbellRun {
             tfrc,
             tcp,
             probe,
-            bottleneck,
-            hops: [fwd, fwd_demux, rev, rev_demux],
+            bottleneck: core.bottleneck,
+            core,
             nominal_rtt,
             tfrc_formula: cfg.tfrc.sender.formula,
         }
@@ -335,13 +319,7 @@ impl DumbbellRun {
     /// Record the run, then collect the bytes with
     /// [`DumbbellRun::take_trace`].
     pub fn install_tracer(&mut self) {
-        let mut sink = ebrc_trace::PerfettoSink::new(ebrc_net::net_event_name);
-        sink.register(self.bottleneck, "bottleneck");
-        let [fwd, fwd_demux, rev, rev_demux] = self.hops;
-        sink.register(fwd, "fwd-delay");
-        sink.register(fwd_demux, "fwd-demux");
-        sink.register(rev, "rev-delay");
-        sink.register(rev_demux, "rev-demux");
+        let mut sink = self.core.tracer();
         for (i, (snd, rcv)) in self.tfrc.iter().enumerate() {
             sink.register(*snd, &format!("tfrc-{i}-snd"));
             sink.register(*rcv, &format!("tfrc-{i}-rcv"));
@@ -364,20 +342,9 @@ impl DumbbellRun {
         ebrc_trace::take_sink(&mut self.engine).map(ebrc_trace::PerfettoSink::finish)
     }
 
-    /// Runs to `warmup`, snapshots counters, runs to `warmup + span`,
-    /// and reports steady-state per-flow measurements.
-    ///
-    /// The two run legs may equivalently be driven in event-budgeted
-    /// slices via [`Engine::run_budgeted`] with
-    /// [`DumbbellRun::snapshot_counters`] taken between them — the
-    /// engine guarantees sliced execution is bit-identical, which is
-    /// how the runner's resumable path measures the same bytes.
+    /// [`Scenario::measure`], callable without the trait in scope.
     pub fn measure(&mut self, warmup: f64, span: f64) -> RunMeasurements {
-        assert!(span > 0.0, "measurement span must be positive");
-        self.engine.run_until(warmup);
-        let snap = self.snapshot_counters();
-        self.engine.run_until(warmup + span);
-        self.measurements_since(&snap, span)
+        Scenario::measure(self, warmup, span)
     }
 
     /// Snapshots every flow's cumulative counters — taken at the end of
@@ -429,11 +396,7 @@ impl DumbbellRun {
                 let seen = rcv.inferred_sent() - seen0;
                 FlowMeasure {
                     throughput: sent as f64 / span,
-                    loss_event_rate: if seen > 0 {
-                        events as f64 / seen as f64
-                    } else {
-                        0.0
-                    },
+                    loss_event_rate: loss_event_rate(events, seen),
                     rtt_mean: snd.rtt_moments().mean(),
                     normalized_covariance: rcv.normalized_covariance(),
                     cov_rate_duration: snd.cov_rate_duration(),
@@ -451,11 +414,7 @@ impl DumbbellRun {
                 let events = snd.recorder().events() - ev0;
                 FlowMeasure {
                     throughput: sent as f64 / span,
-                    loss_event_rate: if sent > 0 {
-                        events as f64 / sent as f64
-                    } else {
-                        0.0
-                    },
+                    loss_event_rate: loss_event_rate(events, sent),
                     rtt_mean: snd.rtt_moments().mean(),
                     normalized_covariance: 0.0,
                     cov_rate_duration: 0.0,
@@ -469,12 +428,7 @@ impl DumbbellRun {
             .map(|((_, sink), (ev0, seen0))| {
                 let s: &ProbeSink = self.engine.get(sink);
                 let events = s.recorder().events() - ev0;
-                let seen = s.inferred_sent() - seen0;
-                if seen > 0 {
-                    events as f64 / seen as f64
-                } else {
-                    0.0
-                }
+                loss_event_rate(events, s.inferred_sent() - seen0)
             });
         RunMeasurements {
             tfrc,
@@ -483,6 +437,27 @@ impl DumbbellRun {
             nominal_rtt: self.nominal_rtt,
             tfrc_formula: self.tfrc_formula,
         }
+    }
+}
+
+impl Scenario for DumbbellRun {
+    type Snapshot = CounterSnapshot;
+    type Measurements = RunMeasurements;
+
+    fn engine_mut(&mut self) -> &mut Engine<NetEvent> {
+        &mut self.engine
+    }
+
+    fn snapshot(&self) -> CounterSnapshot {
+        self.snapshot_counters()
+    }
+
+    fn measurements_since(&self, snap: &CounterSnapshot, span: f64) -> RunMeasurements {
+        DumbbellRun::measurements_since(self, snap, span)
+    }
+
+    fn install_tracer(&mut self) {
+        DumbbellRun::install_tracer(self);
     }
 }
 

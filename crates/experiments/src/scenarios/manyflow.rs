@@ -11,9 +11,9 @@
 //! with one [`FlowClass`] *bank* per protocol class — a single
 //! [`Component`] holding N flows' control, pacing, and receiver state
 //! in flat `Vec`s (structure-of-arrays), indexed by flow. The network
-//! core (bottleneck [`LinkQueue`], delay boxes, demuxes) is unchanged,
-//! so packet fate is computed by exactly the code the small scenarios
-//! use.
+//! core (bottleneck link, delay boxes, demuxes) is the one the small
+//! scenarios build, through the same `NetCore`, so packet fate is
+//! computed by exactly their code.
 //!
 //! ```text
 //! TFRC bank ┐                                          ┌→ (default route)
@@ -26,19 +26,21 @@
 //! forward path back to the bank (receiver role: sequence-gap loss
 //! detection with losses within one RTT coalescing into one loss
 //! event, one feedback report per RTT), and feedback packets loop
-//! through the reverse path back to the bank (sender role: the pure
-//! batch update rules of `ebrc_tfrc::batch` / `ebrc_tcp::batch`).
+//! through the reverse path back to the bank (sender role: TFRC flows
+//! run the same rate law as the boxed senders, `ebrc_tfrc::law`; AIMD
+//! flows the round rule of `ebrc_tcp::batch`). One difference from the
+//! boxed receiver remains: the bank reports the mean loss interval
+//! since the flow started, not the `L`-weighted moving average.
 //! No component draws randomness — the only nondeterminism knob is the
 //! start stagger — so runs are bit-identical by construction.
 
+use super::{loss_event_rate, NetCore, Scenario};
 use crate::series::quantile;
-use ebrc_net::{
-    Demux, DropTailQueue, FeedbackInfo, FlowId, LinkQueue, NetEvent, Packet, PacketKind,
-};
+use ebrc_dist::Rng;
+use ebrc_net::{Demux, DropTailQueue, FeedbackInfo, FlowId, NetEvent, Packet, PacketKind};
 use ebrc_sim::{Component, ComponentId, Context, Engine};
 use ebrc_tcp::batch::{round_update, AimdFlowState};
-use ebrc_tfrc::batch::{feedback_update, TfrcFlowState};
-use ebrc_tfrc::FormulaKind;
+use ebrc_tfrc::{FormulaKind, RateLaw, RateState};
 
 /// Which control law a [`FlowClass`] bank runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,7 +63,7 @@ pub struct FlowClass {
     next_hop: Option<ComponentId>,
     reverse_hop: Option<ComponentId>,
     // --- sender role, per flow ---
-    tfrc: Vec<TfrcFlowState>,
+    tfrc: Vec<RateState>,
     aimd: Vec<AimdFlowState>,
     aimd_seen_events: Vec<u64>,
     srtt: Vec<f64>,
@@ -94,6 +96,10 @@ impl FlowClass {
         assert!(max_rate_pps > 0.0, "rate cap must be positive");
         let initial_rate = 2.0 / nominal_rtt;
         let max_cwnd = max_rate_pps * nominal_rtt;
+        let (n_tfrc, n_aimd) = match kind {
+            ClassKind::Tfrc(_) => (n, 0),
+            ClassKind::Aimd => (0, n),
+        };
         Self {
             kind,
             base_flow,
@@ -102,18 +108,9 @@ impl FlowClass {
             max_rate_pps,
             next_hop: None,
             reverse_hop: None,
-            tfrc: match kind {
-                ClassKind::Tfrc(_) => vec![TfrcFlowState::new(initial_rate); n],
-                ClassKind::Aimd => Vec::new(),
-            },
-            aimd: match kind {
-                ClassKind::Tfrc(_) => Vec::new(),
-                ClassKind::Aimd => vec![AimdFlowState::new(2.0, max_cwnd); n],
-            },
-            aimd_seen_events: match kind {
-                ClassKind::Tfrc(_) => Vec::new(),
-                ClassKind::Aimd => vec![0; n],
-            },
+            tfrc: vec![RateState::new(initial_rate); n_tfrc],
+            aimd: vec![AimdFlowState::new(2.0, max_cwnd); n_aimd],
+            aimd_seen_events: vec![0; n_aimd],
             srtt: vec![0.0; n],
             next_seq: vec![0; n],
             sent: vec![0; n],
@@ -125,13 +122,8 @@ impl FlowClass {
     }
 
     /// Flows in the bank.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.srtt.len()
-    }
-
-    /// Whether the bank is empty.
-    pub fn is_empty(&self) -> bool {
-        self.srtt.is_empty()
     }
 
     /// Where data packets go (the bottleneck).
@@ -168,7 +160,7 @@ impl FlowClass {
     /// Flow `i`'s current paced send rate, packets/second.
     fn rate_pps(&self, i: usize) -> f64 {
         match self.kind {
-            ClassKind::Tfrc(_) => self.tfrc[i].rate_pps,
+            ClassKind::Tfrc(_) => self.tfrc[i].rate,
             ClassKind::Aimd => {
                 let rtt = if self.srtt[i] > 0.0 {
                     self.srtt[i]
@@ -242,7 +234,7 @@ impl FlowClass {
         }
     }
 
-    /// Sender role: apply one feedback report through the batch rule.
+    /// Sender role: apply one feedback report through the rate law.
     fn apply_feedback(&mut self, flow: FlowId, fb: &FeedbackInfo, now: f64) {
         let i = (flow.0 - self.base_flow) as usize;
         let sample = now - fb.echo_ts;
@@ -253,18 +245,10 @@ impl FlowClass {
         };
         match self.kind {
             ClassKind::Tfrc(formula) => {
-                let p = if fb.avg_interval.is_finite() && fb.avg_interval > 0.0 {
-                    1.0 / fb.avg_interval
-                } else {
-                    0.0
-                };
-                feedback_update(
-                    &mut self.tfrc[i],
-                    formula,
-                    p,
-                    self.srtt[i],
-                    self.max_rate_pps,
-                );
+                // The bank models no receive rate, so nothing but
+                // `max_rate_pps` caps slow start.
+                let law = RateLaw::new(formula, 0.0, self.max_rate_pps);
+                law.apply(&mut self.tfrc[i], fb.avg_interval, self.srtt[i], 0.0);
             }
             ClassKind::Aimd => {
                 let lost = fb.events > self.aimd_seen_events[i];
@@ -382,9 +366,7 @@ pub struct ManyFlowRun {
     pub tcp_bank: ComponentId,
     /// The bottleneck link.
     pub bottleneck: ComponentId,
-    /// The forward/reverse path hops, in topology order (for named
-    /// trace tracks).
-    hops: [ComponentId; 4],
+    core: NetCore,
     nominal_rtt: f64,
     share_pps: f64,
     formula: FormulaKind,
@@ -408,27 +390,13 @@ impl ManyFlowRun {
         let in_flight = (cfg.share_pps * n_total as f64 * cfg.one_way_delay).ceil() as usize;
         let mut eng: Engine<NetEvent> = Engine::with_capacity(7, n_total + 64);
 
-        let bottleneck = eng.add(Box::new(LinkQueue::new(
+        let core = NetCore::add(
+            &mut eng,
             Box::new(DropTailQueue::new(cfg.buffer_pkts)),
             cfg.bottleneck_bps(),
-            0.0,
-            ebrc_dist::Rng::seed_from(cfg.seed),
-        )));
-        let fwd = eng.add(Box::new(ebrc_net::DelayBox::new(
             cfg.one_way_delay,
-            ebrc_dist::Rng::seed_from(cfg.seed ^ 1),
-        )));
-        let fwd_demux = eng.add(Box::new(Demux::new()));
-        let rev = eng.add(Box::new(ebrc_net::DelayBox::new(
-            cfg.one_way_delay,
-            ebrc_dist::Rng::seed_from(cfg.seed ^ 2),
-        )));
-        let rev_demux = eng.add(Box::new(Demux::new()));
-        eng.get_mut::<LinkQueue>(bottleneck).set_next_hop(fwd);
-        eng.get_mut::<ebrc_net::DelayBox>(fwd)
-            .set_next_hop(fwd_demux);
-        eng.get_mut::<ebrc_net::DelayBox>(rev)
-            .set_next_hop(rev_demux);
+            [cfg.seed, cfg.seed ^ 1, cfg.seed ^ 2].map(Rng::seed_from),
+        );
         eng.reserve_delay_lane(cfg.one_way_delay, in_flight + n_total + 64);
 
         let cap_pps = cfg.cap_share * cfg.share_pps;
@@ -450,12 +418,12 @@ impl ManyFlowRun {
             cap_pps,
         )));
         for bank in [tfrc_bank, tcp_bank] {
-            eng.get_mut::<FlowClass>(bank).set_next_hop(bottleneck);
-            eng.get_mut::<FlowClass>(bank).set_reverse_hop(rev);
+            eng.get_mut::<FlowClass>(bank).set_next_hop(core.bottleneck);
+            eng.get_mut::<FlowClass>(bank).set_reverse_hop(core.rev);
         }
         // TFRC flows ride the O(1) default route; the (10× smaller)
         // AIMD population gets explicit per-flow entries.
-        for demux in [fwd_demux, rev_demux] {
+        for demux in [core.fwd_demux, core.rev_demux] {
             let d = eng.get_mut::<Demux>(demux);
             d.default_route(tfrc_bank);
             for i in 0..cfg.n_tcp {
@@ -480,50 +448,17 @@ impl ManyFlowRun {
             engine: eng,
             tfrc_bank,
             tcp_bank,
-            bottleneck,
-            hops: [fwd, fwd_demux, rev, rev_demux],
+            bottleneck: core.bottleneck,
+            core,
             nominal_rtt,
             share_pps: cfg.share_pps,
             formula: cfg.formula,
         }
     }
 
-    /// Installs a Perfetto trace sink on the engine, with the network
-    /// core and both flow banks registered under named tracks. Record
-    /// the run, then collect the bytes with
-    /// [`ManyFlowRun::take_trace`].
-    pub fn install_tracer(&mut self) {
-        let mut sink = ebrc_trace::PerfettoSink::new(ebrc_net::net_event_name);
-        sink.register(self.bottleneck, "bottleneck");
-        let [fwd, fwd_demux, rev, rev_demux] = self.hops;
-        sink.register(fwd, "fwd-delay");
-        sink.register(fwd_demux, "fwd-demux");
-        sink.register(rev, "rev-delay");
-        sink.register(rev_demux, "rev-demux");
-        sink.register(self.tfrc_bank, "tfrc-bank");
-        sink.register(self.tcp_bank, "tcp-bank");
-        self.engine.set_tracer(Box::new(sink));
-    }
-
-    /// Finishes a trace started by [`ManyFlowRun::install_tracer`] and
-    /// returns the encoded Perfetto bytes (`None` if no tracer was
-    /// installed).
-    pub fn take_trace(&mut self) -> Option<Vec<u8>> {
-        ebrc_trace::take_sink(&mut self.engine).map(ebrc_trace::PerfettoSink::finish)
-    }
-
-    /// Runs to `warmup`, snapshots counters, runs to `warmup + span`,
-    /// and reports the population statistics. Like
-    /// [`DumbbellRun::measure`](super::DumbbellRun::measure), the two
-    /// legs may equivalently be driven in event-budget slices with
-    /// [`ManyFlowRun::snapshot_counters`] between them — sliced
-    /// execution is bit-identical by the engine's contract.
+    /// [`Scenario::measure`], callable without the trait in scope.
     pub fn measure(&mut self, warmup: f64, span: f64) -> ManyFlowMeasurements {
-        assert!(span > 0.0, "measurement span must be positive");
-        self.engine.run_until(warmup);
-        let snap = self.snapshot_counters();
-        self.engine.run_until(warmup + span);
-        self.measurements_since(&snap, span)
+        Scenario::measure(self, warmup, span)
     }
 
     /// Snapshots every flow's cumulative counters at the end of
@@ -555,11 +490,7 @@ impl ManyFlowRun {
                     let seen = b.packets_seen(i) - seen0;
                     ManyFlowMeasure {
                         throughput: sent as f64 / span,
-                        loss_event_rate: if seen > 0 {
-                            events as f64 / seen as f64
-                        } else {
-                            0.0
-                        },
+                        loss_event_rate: loss_event_rate(events, seen),
                         srtt: b.srtt(i),
                     }
                 })
@@ -572,6 +503,31 @@ impl ManyFlowRun {
             share_pps: self.share_pps,
             formula: self.formula,
         }
+    }
+}
+
+impl Scenario for ManyFlowRun {
+    type Snapshot = ManyFlowSnapshot;
+    type Measurements = ManyFlowMeasurements;
+
+    fn engine_mut(&mut self) -> &mut Engine<NetEvent> {
+        &mut self.engine
+    }
+
+    fn snapshot(&self) -> ManyFlowSnapshot {
+        self.snapshot_counters()
+    }
+
+    fn measurements_since(&self, snap: &ManyFlowSnapshot, span: f64) -> ManyFlowMeasurements {
+        ManyFlowRun::measurements_since(self, snap, span)
+    }
+
+    /// Registers the network core, then both flow banks.
+    fn install_tracer(&mut self) {
+        let mut sink = self.core.tracer();
+        sink.register(self.tfrc_bank, "tfrc-bank");
+        sink.register(self.tcp_bank, "tcp-bank");
+        self.engine.set_tracer(Box::new(sink));
     }
 }
 
@@ -761,6 +717,95 @@ mod tests {
             ManyFlowConfig::standard(100, 1).content_key(),
             ManyFlowConfig::standard(200, 1).content_key()
         );
+    }
+
+    /// The boxed sender, the audio sender and a bank flow all update
+    /// through `ebrc_tfrc::RateLaw`. Fed one stream of feedback reports
+    /// (slow start, `θ̂` below one packet, the equation regime, a
+    /// loss-free report after slow start), they set bit-identical rates.
+    /// The bank models no receive rate, so it joins only the stream
+    /// whose reports carry none.
+    #[test]
+    fn boxed_audio_and_bank_senders_set_one_rate_per_report() {
+        use ebrc_net::Sink;
+        use ebrc_tfrc::{AudioTfrcSender, RttMode, TfrcSender, TfrcSenderConfig};
+        const RTT: f64 = 0.4;
+        const NOMINAL_BYTES: f64 = 1000.0;
+        let inf = f64::INFINITY;
+        // (θ̂, delivered packets/second, RTT sample)
+        let stream = [
+            (inf, 0.0, 0.4),
+            (inf, 3.0, 0.5),
+            (inf, 0.0, 0.45),
+            (0.5, 0.0, 0.41),
+            (40.0, 6.0, 0.8),
+            (1e4, 0.0, 0.39),
+            (inf, 9.0, 0.6),
+            (7.0, 0.0, 0.4),
+        ];
+        let rates = |delivered: bool| {
+            let mut eng: Engine<NetEvent> = Engine::new();
+            let sink = eng.add(Box::new(Sink::counting_only()));
+            let cfg = TfrcSenderConfig {
+                formula: FormulaKind::Sqrt,
+                receive_rate_cap: false,
+                ..TfrcSenderConfig::standard(RTT)
+            };
+            let boxed = eng.add(Box::new(TfrcSender::new(FlowId(0), cfg)));
+            let audio = eng.add(Box::new(AudioTfrcSender::new(
+                FlowId(1),
+                0.02,
+                NOMINAL_BYTES,
+                FormulaKind::Sqrt,
+                RttMode::Measured,
+                2.0 / RTT,
+            )));
+            let bank = FlowClass::new(ClassKind::Tfrc(FormulaKind::Sqrt), 2, 1, 1000, RTT, 1e6);
+            let bank = eng.add(Box::new(bank));
+            eng.get_mut::<TfrcSender>(boxed).set_next_hop(sink);
+            eng.get_mut::<AudioTfrcSender>(audio).set_next_hop(sink);
+            for id in [boxed, audio] {
+                eng.schedule(0.0, id, NetEvent::Timer(ebrc_tfrc::sender::TIMER_START));
+            }
+            for (k, &(theta_hat, x_recv, sample)) in stream.iter().enumerate() {
+                let t = 1.0 + k as f64;
+                let x_recv = if delivered { x_recv } else { 0.0 };
+                let fb = FeedbackInfo {
+                    avg_interval: theta_hat,
+                    x_recv,
+                    x_recv_bytes: x_recv * NOMINAL_BYTES,
+                    echo_ts: t - sample,
+                    events: k as u64,
+                };
+                for (id, flow) in [(boxed, 0), (audio, 1), (bank, 2)] {
+                    let pkt = Packet {
+                        flow: FlowId(flow),
+                        seq: 0,
+                        size: 40,
+                        kind: PacketKind::Feedback(Box::new(fb)),
+                        sent_at: t,
+                    };
+                    eng.schedule(t, id, NetEvent::Packet(pkt));
+                }
+            }
+            let mut out = [vec![], vec![], vec![]];
+            for k in 0..stream.len() {
+                eng.run_until(1.5 + k as f64);
+                out[0].push(eng.get::<TfrcSender>(boxed).rate());
+                out[1].push(eng.get::<AudioTfrcSender>(audio).rate());
+                out[2].push(eng.get::<FlowClass>(bank).rate_pps(0));
+            }
+            out
+        };
+
+        let [boxed, audio, _] = rates(true);
+        assert_eq!(boxed, audio);
+        assert_eq!(boxed[..3], [10.0, 6.0, 12.0], "2·x_recv caps slow start");
+        let [boxed, audio, bank] = rates(false);
+        assert_eq!(boxed, audio);
+        assert_eq!(boxed, bank);
+        assert_eq!(boxed[..3], [10.0, 20.0, 40.0], "slow start doubles");
+        assert_eq!(boxed[6], boxed[5], "a loss-free report holds the rate");
     }
 
     #[test]

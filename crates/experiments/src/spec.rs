@@ -3,9 +3,9 @@
 //! A [`SimSpec`] is one fully-serializable simulation description —
 //! scenario × parameter point × replica — with **no closures**: every
 //! parameter that influences the result (including seeds and effort
-//! knobs) is a field, and [`SimSpec::key`] renders them into a
-//! canonical content key. Experiments *subscribe* to specs instead of
-//! owning jobs, so two figures that need the same `(n, L, rep)`
+//! knobs) is a field, and its [`Spec::key`](ebrc_runner::Spec::key)
+//! renders them into a canonical content key. Experiments *subscribe*
+//! to specs instead of owning jobs, so two figures that need the same `(n, L, rep)`
 //! dumbbell instance (Figures 5, 8, and 9's `L = 8` column) hash to the
 //! same spec and the simulation runs once.
 //!
@@ -25,8 +25,8 @@ use crate::figures::internet::{site_config, site_table, sites};
 use crate::figures::lab::lab_queues;
 use crate::registry::replica_seed;
 use crate::scenarios::{
-    DumbbellConfig, DumbbellRun, FlowMeasure, ManyFlowConfig, ManyFlowRun, QueueSpec,
-    RunMeasurements, Scenario,
+    DumbbellConfig, DumbbellRun, FlowMeasure, ManyFlowConfig, ManyFlowMeasurements, ManyFlowRun,
+    QueueSpec, RunMeasurements, Scenario,
 };
 use crate::series::Table;
 use ebrc_core::control::{BasicControl, ComprehensiveControl, ControlConfig};
@@ -355,14 +355,16 @@ impl SimSpec {
         }
     }
 
-    /// The measurement window of a dumbbell-family spec.
+    /// The `(warmup, span)` measurement window of an engine-backed spec
+    /// (the dumbbell families and the many-flow dumbbell).
     fn window(&self) -> Option<(f64, f64)> {
         match *self {
             SimSpec::Ns2Dumbbell { warmup, span, .. }
             | SimSpec::LabDumbbell { warmup, span, .. }
             | SimSpec::SiteDumbbell { warmup, span, .. }
             | SimSpec::CableModem { warmup, span, .. }
-            | SimSpec::BufferSweep { warmup, span, .. } => Some((warmup, span)),
+            | SimSpec::BufferSweep { warmup, span, .. }
+            | SimSpec::ManyFlowDumbbell { warmup, span, .. } => Some((warmup, span)),
             _ => None,
         }
     }
@@ -371,21 +373,15 @@ impl SimSpec {
     /// families and the many-flow dumbbell) and runs its first slice;
     /// `None` for the families that run no packet-level scenario.
     fn start_scenario(&self, ctx: &mut JobCtx, budget: u64) -> Option<SliceStep<SpecOutput>> {
-        if let (Some(cfg), Some((warmup, span))) = (self.dumbbell_config(), self.window()) {
-            let run = DumbbellRun::build(&cfg);
-            return Some(Sliced::start(run, warmup, span, ctx, budget));
-        }
-        if let SimSpec::ManyFlowDumbbell {
-            n,
-            rep,
-            warmup,
-            span,
-        } = *self
-        {
-            let run = ManyFlowRun::build(&manyflow_config(n, rep));
-            return Some(Sliced::start(run, warmup, span, ctx, budget));
-        }
-        None
+        let (warmup, span) = self.window()?;
+        Some(match (self.dumbbell_config(), self) {
+            (Some(cfg), _) => Sliced::start(DumbbellRun::build(&cfg), warmup, span, ctx, budget),
+            (None, &SimSpec::ManyFlowDumbbell { n, rep, .. }) => {
+                let run = ManyFlowRun::build(&manyflow_config(n, rep));
+                Sliced::start(run, warmup, span, ctx, budget)
+            }
+            (None, _) => unreachable!("every windowed spec builds a scenario"),
+        })
     }
 
     /// Order-of-magnitude estimate of the work this spec dispatches —
@@ -528,7 +524,7 @@ impl<S: Scenario> SlicedRun for Sliced<S> {
             self.snapshot = Some(snap);
             return SliceStep::Pending(self);
         }
-        let out = self.run.output_since(&snap, self.span);
+        let out = self.run.measurements_since(&snap, self.span).into();
         ctx.record_events(self.run.engine_mut().events_processed());
         write_trace(self.run.engine_mut(), ctx);
         SliceStep::Done(out)
@@ -821,6 +817,19 @@ pub enum SpecOutput {
     Table(Table),
     /// A finished table plus scalar results (Figure 2's kink instance).
     TableAndScalars(Table, Vec<f64>),
+}
+
+impl From<RunMeasurements> for SpecOutput {
+    fn from(m: RunMeasurements) -> Self {
+        SpecOutput::Run(m)
+    }
+}
+
+/// A many-flow run emits its distribution summary.
+impl From<ManyFlowMeasurements> for SpecOutput {
+    fn from(m: ManyFlowMeasurements) -> Self {
+        SpecOutput::Scalars(m.summary())
+    }
 }
 
 impl SpecOutput {
@@ -1184,34 +1193,32 @@ mod tests {
         assert_eq!(bs, &[1.0026]);
     }
 
-    /// What [`DumbbellRun::measure`] / [`ManyFlowRun::measure`] — the
-    /// `run_until`–snapshot–`run_until` bodies that share no code with
-    /// [`Sliced`] — make of a scenario spec: the output, the engine's
-    /// event count, and the trace bytes when `traced`.
+    /// What [`Scenario::measure`] — the `run_until`–snapshot–`run_until`
+    /// body that shares no code with [`Sliced`] — makes of a scenario
+    /// spec: the output, the engine's event count, and the trace bytes
+    /// when `traced`.
     fn reference(spec: &SimSpec, traced: bool) -> (SpecOutput, u64, Option<Vec<u8>>) {
-        if let (Some(cfg), Some((warmup, span))) = (spec.dumbbell_config(), spec.window()) {
-            let mut run = DumbbellRun::build(&cfg);
+        fn measured<S: Scenario>(
+            mut run: S,
+            (warmup, span): (f64, f64),
+            traced: bool,
+        ) -> (SpecOutput, u64, Option<Vec<u8>>) {
             if traced {
                 run.install_tracer();
             }
-            let out = SpecOutput::Run(run.measure(warmup, span));
-            return (out, run.engine.events_processed(), run.take_trace());
+            let out = run.measure(warmup, span).into();
+            let trace =
+                ebrc_trace::take_sink(run.engine_mut()).map(ebrc_trace::PerfettoSink::finish);
+            (out, run.engine_mut().events_processed(), trace)
         }
-        let SimSpec::ManyFlowDumbbell {
-            n,
-            rep,
-            warmup,
-            span,
-        } = *spec
-        else {
-            panic!("not a scenario spec: {}", spec.key());
-        };
-        let mut run = ManyFlowRun::build(&manyflow_config(n, rep));
-        if traced {
-            run.install_tracer();
+        let window = spec.window().expect("not a scenario spec");
+        match (spec.dumbbell_config(), spec) {
+            (Some(cfg), _) => measured(DumbbellRun::build(&cfg), window, traced),
+            (None, &SimSpec::ManyFlowDumbbell { n, rep, .. }) => {
+                measured(ManyFlowRun::build(&manyflow_config(n, rep)), window, traced)
+            }
+            (None, _) => unreachable!("every windowed spec builds a scenario"),
         }
-        let out = SpecOutput::Scalars(run.measure(warmup, span).summary());
-        (out, run.engine.events_processed(), run.take_trace())
     }
 
     /// Drives `spec` through `start_sliced`/`resume` to `Done` at one

@@ -2,7 +2,7 @@
 //! passes.
 //!
 //! A plan's unique specs are already keyed by content hash (the
-//! [`Spec::key`](crate::Spec::key) contract), so a completed spec's
+//! [`Spec::key`] contract), so a completed spec's
 //! serialized output can be stored under that hash and served to any
 //! later run of the *same* spec — a repeated sweep after a
 //! reducer-only change then executes zero simulations and reduces

@@ -293,7 +293,7 @@ struct PathCounts {
 /// by one) and links it at its bucket's head; a pop unlinks the chain's
 /// `(time, seq)` minimum and frees its slot, so the slab never holds
 /// more slots than the ring's peak population. When the cursor reaches
-/// a tick holding more than [`SMALL_TICK`] events, its whole chain is
+/// a tick holding more than `SMALL_TICK` (16) events, its whole chain is
 /// heapified into the small `head` heap (O(k)) and served in `(time,
 /// seq)` order from there — sub-width-delay events that keep landing
 /// on the current tick (a zero-delay hop chain, a same-time burst) push

@@ -11,6 +11,7 @@
 //! conservative.
 
 use crate::formula_kind::{FormulaKind, RttMode};
+use crate::law::{RateLaw, RateState};
 use ebrc_net::{FlowId, NetEvent, Packet, PacketKind};
 use ebrc_sim::{Component, ComponentId, Context};
 use ebrc_stats::PiecewiseConstant;
@@ -31,19 +32,16 @@ pub struct AudioTfrcSender {
     flow: FlowId,
     tick: f64,
     nominal_packet_bytes: f64,
-    formula: FormulaKind,
+    law: RateLaw,
     rtt_mode: RttMode,
     next_hop: Option<ComponentId>,
-    rate: f64,
-    slow_start: bool,
+    state: RateState,
     srtt: Option<f64>,
     seq: u64,
     started: bool,
     packets_sent: u64,
     rate_trajectory: PiecewiseConstant,
     last_rate_change: f64,
-    min_rate: f64,
-    max_rate: f64,
 }
 
 impl AudioTfrcSender {
@@ -62,24 +60,20 @@ impl AudioTfrcSender {
     ) -> Self {
         assert!(tick > 0.0, "tick must be positive");
         assert!(nominal_packet_bytes > 0.0, "nominal size must be positive");
-        assert!(initial_rate > 0.0, "initial rate must be positive");
         Self {
             flow,
             tick,
             nominal_packet_bytes,
-            formula,
+            law: RateLaw::new(formula, 0.1, 1e9),
             rtt_mode,
             next_hop: None,
-            rate: initial_rate,
-            slow_start: true,
+            state: RateState::new(initial_rate),
             srtt: None,
             seq: 0,
             started: false,
             packets_sent: 0,
             rate_trajectory: PiecewiseConstant::new(),
             last_rate_change: 0.0,
-            min_rate: 0.1,
-            max_rate: 1e9,
         }
     }
 
@@ -95,14 +89,14 @@ impl AudioTfrcSender {
 
     /// Current control rate `X` (nominal packets/second).
     pub fn rate(&self) -> f64 {
-        self.rate
+        self.state.rate
     }
 
     /// Flushes the rate trajectory up to `now`.
     pub fn finish(&mut self, now: f64) {
         if self.started {
             self.rate_trajectory
-                .push(self.rate, (now - self.last_rate_change).max(0.0));
+                .push(self.state.rate, (now - self.last_rate_change).max(0.0));
             self.last_rate_change = now;
         }
     }
@@ -113,27 +107,10 @@ impl AudioTfrcSender {
         self.rate_trajectory.time_average()
     }
 
-    fn set_rate(&mut self, now: f64, new_rate: f64) {
-        let clamped = new_rate.clamp(self.min_rate, self.max_rate);
-        if self.started {
-            self.rate_trajectory
-                .push(self.rate, (now - self.last_rate_change).max(0.0));
-        }
-        self.last_rate_change = now;
-        self.rate = clamped;
-    }
-
-    fn formula_rtt(&self) -> f64 {
-        match self.rtt_mode {
-            RttMode::Fixed(r) => r,
-            RttMode::Measured => self.srtt.unwrap_or(self.tick),
-        }
-    }
-
     fn tick_send(&mut self, now: f64, ctx: &mut Context<NetEvent>) {
         let hop = self.next_hop.expect("audio sender not wired");
         // Length encodes the current rate; at least 1 byte on the wire.
-        let size = (self.rate * self.tick * self.nominal_packet_bytes)
+        let size = (self.state.rate * self.tick * self.nominal_packet_bytes)
             .round()
             .clamp(1.0, u32::MAX as f64) as u32;
         ctx.send(
@@ -170,26 +147,13 @@ impl Component<NetEvent> for AudioTfrcSender {
                             Some(s) => 0.9 * s + 0.1 * sample,
                         });
                     }
-                    let new_rate = if fb.avg_interval.is_finite() {
-                        self.slow_start = false;
-                        let p = (1.0 / fb.avg_interval.max(1e-9)).min(1.0);
-                        self.formula.rate(p, self.formula_rtt())
-                    } else if self.slow_start {
-                        // Double, capped at twice the demonstrated
-                        // delivery rate in nominal-packet units (the
-                        // RFC 3448 X_recv cap, byte-based because the
-                        // wire packets have variable length).
-                        let cap = 2.0 * fb.x_recv_bytes / self.nominal_packet_bytes;
-                        if cap > 0.0 {
-                            (2.0 * self.rate).min(cap)
-                        } else {
-                            // No delivery evidence in this window: hold.
-                            self.rate
-                        }
-                    } else {
-                        self.rate
-                    };
-                    self.set_rate(now, new_rate);
+                    // Close the trajectory segment at the old rate.
+                    self.finish(now);
+                    let rtt = self.rtt_mode.rtt(self.srtt, self.tick);
+                    // Byte-based: the wire packets have variable length.
+                    let recv_rate = fb.x_recv_bytes / self.nominal_packet_bytes;
+                    self.law
+                        .apply(&mut self.state, fb.avg_interval, rtt, recv_rate);
                 }
             }
             _ => {}

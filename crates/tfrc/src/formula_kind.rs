@@ -11,6 +11,17 @@ pub enum RttMode {
     Measured,
 }
 
+impl RttMode {
+    /// The RTT to evaluate the formula with: the fixed one, or the
+    /// measured `srtt` (`fallback` before the first sample).
+    pub(crate) fn rtt(self, srtt: Option<f64>, fallback: f64) -> f64 {
+        match self {
+            RttMode::Fixed(r) => r,
+            RttMode::Measured => srtt.unwrap_or(fallback),
+        }
+    }
+}
+
 /// A throughput-formula selector evaluated with a runtime RTT (TFRC
 /// recomputes `f` as its RTT estimate evolves; `q = 4r` throughout, the
 /// TFRC recommendation).

@@ -16,20 +16,21 @@
 //! * [`audio`] — the Section V-C sender: fixed packet clock, rate
 //!   controlled by modulating packet *lengths* (the Claim 2 / Figure 6
 //!   scenario, `cov[X0, S0] = 0` through a Bernoulli dropper).
-//! * [`batch`] — the rate-update law alone as a pure function over
-//!   `Copy` per-flow state, for many-flow SoA banks.
+//! * [`law`] — the rate-update law as a pure function over `Copy`
+//!   per-flow state: both senders above and the many-flow SoA banks
+//!   call it, so there is one feedback → rate rule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audio;
-pub mod batch;
 pub mod formula_kind;
+pub mod law;
 pub mod receiver;
 pub mod sender;
 
 pub use audio::AudioTfrcSender;
-pub use batch::TfrcFlowState;
 pub use formula_kind::{FormulaKind, RttMode};
+pub use law::{RateLaw, RateState};
 pub use receiver::{TfrcReceiver, TfrcReceiverConfig};
 pub use sender::{TfrcSender, TfrcSenderConfig, TfrcSenderStats};

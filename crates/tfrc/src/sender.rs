@@ -1,6 +1,7 @@
 //! TFRC sender: rate-paced, equation-driven.
 
 use crate::formula_kind::{FormulaKind, RttMode};
+use crate::law::{RateLaw, RateState};
 use ebrc_net::{FeedbackInfo, FlowId, NetEvent, Packet, PacketKind};
 use ebrc_sim::{Component, ComponentId, Context};
 use ebrc_stats::{Covariance, Moments, PiecewiseConstant};
@@ -86,8 +87,7 @@ pub struct TfrcSender {
     flow: FlowId,
     cfg: TfrcSenderConfig,
     next_hop: Option<ComponentId>,
-    rate: f64,
-    slow_start: bool,
+    state: RateState,
     srtt: Option<f64>,
     seq: u64,
     started: bool,
@@ -111,8 +111,7 @@ impl TfrcSender {
             flow,
             cfg,
             next_hop: None,
-            rate,
-            slow_start: true,
+            state: RateState::new(rate),
             srtt: None,
             seq: 0,
             started: false,
@@ -142,7 +141,7 @@ impl TfrcSender {
 
     /// Current send rate in packets/second.
     pub fn rate(&self) -> f64 {
-        self.rate
+        self.state.rate
     }
 
     /// Smoothed RTT, if measured.
@@ -185,30 +184,13 @@ impl TfrcSender {
         }
     }
 
-    fn set_rate(&mut self, now: f64, new_rate: f64) {
-        let clamped = new_rate.clamp(self.cfg.min_rate, self.cfg.max_rate);
-        if self.started {
-            self.rate_trajectory
-                .push(self.rate, (now - self.last_rate_change).max(0.0));
-        }
-        self.last_rate_change = now;
-        self.rate = clamped;
-    }
-
     /// Flushes the rate trajectory up to `now` (call before reading
     /// [`TfrcSender::rate_time_average`]).
     pub fn finish(&mut self, now: f64) {
         if self.started {
             self.rate_trajectory
-                .push(self.rate, (now - self.last_rate_change).max(0.0));
+                .push(self.state.rate, (now - self.last_rate_change).max(0.0));
             self.last_rate_change = now;
-        }
-    }
-
-    fn formula_rtt(&self) -> f64 {
-        match self.cfg.rtt_mode {
-            RttMode::Fixed(r) => r,
-            RttMode::Measured => self.srtt.unwrap_or(self.cfg.nominal_rtt),
         }
     }
 
@@ -231,36 +213,22 @@ impl TfrcSender {
                     .push(self.rate_at_last_event, now - prev);
             }
             self.last_event_time = Some(now);
-            self.rate_at_last_event = self.rate;
+            self.rate_at_last_event = self.state.rate;
         }
         self.last_avg_interval = fb.avg_interval;
 
-        let new_rate = if fb.avg_interval.is_finite() {
-            // Equation-based regime.
-            self.slow_start = false;
-            let p = 1.0 / fb.avg_interval.max(1e-9);
-            let eq = self.cfg.formula.rate(p.min(1.0), self.formula_rtt());
-            if self.cfg.receive_rate_cap && fb.x_recv > 0.0 {
-                eq.min(2.0 * fb.x_recv)
-            } else {
-                eq
-            }
-        } else if self.slow_start {
-            // No loss yet: double per feedback, capped by the network's
-            // demonstrated delivery rate.
-            if fb.x_recv > 0.0 {
-                (2.0 * self.rate).min(2.0 * fb.x_recv)
-            } else {
-                2.0 * self.rate
-            }
-        } else {
-            self.rate
+        // Close the trajectory segment at the old rate, then apply the law.
+        self.finish(now);
+        let law = RateLaw {
+            cap_equation_rate: self.cfg.receive_rate_cap,
+            ..RateLaw::new(self.cfg.formula, self.cfg.min_rate, self.cfg.max_rate)
         };
-        self.set_rate(now, new_rate);
+        let rtt = self.cfg.rtt_mode.rtt(self.srtt, self.cfg.nominal_rtt);
+        law.apply(&mut self.state, fb.avg_interval, rtt, fb.x_recv);
         // Update the rate-at-event if the event rate just changed it
         // (the paper's X_n is the rate set *at* the loss event).
         if fb.events > 0 && Some(now) == self.last_event_time {
-            self.rate_at_last_event = self.rate;
+            self.rate_at_last_event = self.state.rate;
         }
     }
 
@@ -274,7 +242,7 @@ impl TfrcSender {
         self.seq += 1;
         self.stats.packets_sent += 1;
         self.stats.bytes_sent += self.cfg.packet_size as u64;
-        ctx.send_self(1.0 / self.rate, NetEvent::Timer(TIMER_SEND));
+        ctx.send_self(1.0 / self.state.rate, NetEvent::Timer(TIMER_SEND));
     }
 }
 
@@ -294,13 +262,13 @@ impl Component<NetEvent> for TfrcSender {
                 if let PacketKind::Feedback(fb) = &pkt.kind {
                     if self.started {
                         let events_before = self.stats.loss_events;
-                        let rate_before = self.rate;
-                        self.on_feedback(now, &fb.clone());
+                        let rate_before = self.state.rate;
+                        self.on_feedback(now, fb);
                         if self.stats.loss_events > events_before {
                             ctx.trace_instant("loss-event");
                         }
-                        if self.rate != rate_before {
-                            ctx.trace_counter("rate_pps", self.rate);
+                        if self.state.rate != rate_before {
+                            ctx.trace_counter("rate_pps", self.state.rate);
                         }
                     }
                 }
