@@ -15,8 +15,14 @@
 //!   has an elementary antiderivative (SQRT, PFTK-simplified), and by
 //!   numeric quadrature otherwise (PFTK-standard).
 //!
-//! The recursions record everything the theory needs — `θ_n`, `θ̂_n`,
-//!   `X_n`, `S_n`, `V_n` — in a [`ControlTrace`].
+//! Each loss event yields one [`StepRecord`] — `θ_n`, `θ̂_n`, `X_n`,
+//! `S_n`, `V_n` — which the recursion hands to a [`StepSink`]. Two sinks
+//! exist: a [`ControlTrace`] keeps every step for the theory checks that
+//! read them back (`run`), and a [`TraceStats`] keeps only the running
+//! sums and co-moments the long-run statistics need (`run_into`), so a
+//! Monte-Carlo run holds O(1) state however many events it simulates.
+//! Every trace statistic is implemented once, on [`TraceStats`]; a
+//! [`ControlTrace`] folds its steps through one as they arrive.
 
 use crate::estimator::IntervalEstimator;
 use crate::formula::ThroughputFormula;
@@ -82,49 +88,71 @@ pub struct StepRecord {
     pub v_correction: f64,
 }
 
-/// A recorded control trajectory with the statistics the paper's
-/// analysis reads off it.
-#[derive(Debug, Clone, Default)]
-pub struct ControlTrace {
-    steps: Vec<StepRecord>,
+/// Where a control run sends its loss-event steps, one per event in
+/// order.
+pub trait StepSink {
+    /// Takes the next completed loss-event interval.
+    fn record(&mut self, step: StepRecord);
 }
 
-impl ControlTrace {
-    /// Wraps recorded steps.
-    pub fn from_steps(steps: Vec<StepRecord>) -> Self {
-        Self { steps }
-    }
+/// The long-run statistics of a control trajectory, accumulated step by
+/// step in O(1) space: the Palm ratios of Propositions 1 and 3 need
+/// running sums over loss-event cycles, not the cycles themselves.
+#[derive(Debug, Clone)]
+pub struct TraceStats {
+    /// `Σθ_n`, summed in event order.
+    packets: f64,
+    /// `ΣS_n`, summed in event order.
+    time: f64,
+    theta: Moments,
+    theta_hat: Moments,
+    theta_theta_hat: Covariance,
+    rate_duration: Covariance,
+}
 
-    /// The recorded steps.
-    pub fn steps(&self) -> &[StepRecord] {
-        &self.steps
+impl Default for TraceStats {
+    fn default() -> Self {
+        Self::new()
     }
+}
 
-    /// Number of recorded loss events.
-    pub fn len(&self) -> usize {
-        self.steps.len()
+impl StepSink for TraceStats {
+    fn record(&mut self, step: StepRecord) {
+        self.packets += step.theta;
+        self.time += step.duration;
+        self.theta.push(step.theta);
+        self.theta_hat.push(step.theta_hat);
+        self.theta_theta_hat.push(step.theta, step.theta_hat);
+        self.rate_duration.push(step.x_rate, step.duration);
     }
+}
 
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+impl TraceStats {
+    /// An accumulator that has seen no steps.
+    pub fn new() -> Self {
+        Self {
+            packets: 0.0,
+            time: 0.0,
+            theta: Moments::new(),
+            theta_hat: Moments::new(),
+            theta_theta_hat: Covariance::new(),
+            rate_duration: Covariance::new(),
+        }
     }
 
     /// Long-run throughput `x̄ = Σθ / ΣS` in packets per second — the
     /// Palm inversion estimate of `E[X(0)]`.
     pub fn throughput(&self) -> f64 {
-        let packets: f64 = self.steps.iter().map(|s| s.theta).sum();
-        let time: f64 = self.steps.iter().map(|s| s.duration).sum();
-        if time == 0.0 {
+        if self.time == 0.0 {
             0.0
         } else {
-            packets / time
+            self.packets / self.time
         }
     }
 
     /// Loss-event rate `p = 1 / E0[θ0]` (Equation 1).
     pub fn loss_event_rate(&self) -> f64 {
-        let m = self.theta_moments().mean();
+        let m = self.theta.mean();
         if m == 0.0 {
             0.0
         } else {
@@ -140,29 +168,17 @@ impl ControlTrace {
 
     /// Moments of the loss-event intervals `θ_n`.
     pub fn theta_moments(&self) -> Moments {
-        let mut m = Moments::new();
-        for s in &self.steps {
-            m.push(s.theta);
-        }
-        m
+        self.theta
     }
 
     /// Moments of the estimator values `θ̂_n`.
     pub fn theta_hat_moments(&self) -> Moments {
-        let mut m = Moments::new();
-        for s in &self.steps {
-            m.push(s.theta_hat);
-        }
-        m
+        self.theta_hat
     }
 
     /// `cov[θ0, θ̂0]` — condition (C1) of Theorem 1.
     pub fn cov_theta_theta_hat(&self) -> f64 {
-        let mut c = Covariance::new();
-        for s in &self.steps {
-            c.push(s.theta, s.theta_hat);
-        }
-        c.covariance()
+        self.theta_theta_hat.covariance()
     }
 
     /// The normalized covariance `cov[θ0, θ̂0] · p²` reported in
@@ -174,11 +190,58 @@ impl ControlTrace {
 
     /// `cov[X0, S0]` — condition (C2)/(C2c) of Theorem 2.
     pub fn cov_rate_duration(&self) -> f64 {
-        let mut c = Covariance::new();
-        for s in &self.steps {
-            c.push(s.x_rate, s.duration);
+        self.rate_duration.covariance()
+    }
+}
+
+/// A recorded control trajectory: every step, for the theory checks
+/// that read them back, plus the [`TraceStats`] folded from them. It
+/// derefs to those statistics, so `trace.throughput()` and friends are
+/// the accumulator's.
+#[derive(Debug, Clone, Default)]
+pub struct ControlTrace {
+    steps: Vec<StepRecord>,
+    stats: TraceStats,
+}
+
+impl StepSink for ControlTrace {
+    fn record(&mut self, step: StepRecord) {
+        self.stats.record(step);
+        self.steps.push(step);
+    }
+}
+
+impl std::ops::Deref for ControlTrace {
+    type Target = TraceStats;
+
+    fn deref(&self) -> &TraceStats {
+        &self.stats
+    }
+}
+
+impl ControlTrace {
+    /// Wraps recorded steps.
+    pub fn from_steps(steps: Vec<StepRecord>) -> Self {
+        let mut stats = TraceStats::new();
+        for &step in &steps {
+            stats.record(step);
         }
-        c.covariance()
+        Self { steps, stats }
+    }
+
+    /// The recorded steps.
+    pub fn steps(&self) -> &[StepRecord] {
+        &self.steps
+    }
+
+    /// Number of recorded loss events.
+    pub fn len(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Whether the trace is empty.
+    pub fn is_empty(&self) -> bool {
+        self.steps.is_empty()
     }
 }
 
@@ -196,31 +259,43 @@ impl<F: ThroughputFormula> BasicControl<F> {
     }
 
     /// Runs the recursion for `events` loss events, pre-seeding the
-    /// estimator with `L` draws from the process.
+    /// estimator with `L` draws from the process, and records every step.
     pub fn run<P: LossProcess>(
         &self,
         process: &mut P,
         rng: &mut Rng,
         events: usize,
     ) -> ControlTrace {
+        let mut trace = ControlTrace::from_steps(Vec::with_capacity(events));
+        self.run_into(process, rng, events, &mut trace);
+        trace
+    }
+
+    /// [`BasicControl::run`], handing each step to `sink` instead.
+    pub fn run_into<P: LossProcess, S: StepSink>(
+        &self,
+        process: &mut P,
+        rng: &mut Rng,
+        events: usize,
+        sink: &mut S,
+    ) {
         let mut estimator = warm_estimator(&self.config.weights, process, rng);
-        let mut steps = Vec::with_capacity(events);
+        let mut theta_hat = estimator.estimate().max(THETA_HAT_FLOOR);
         for _ in 0..events {
-            let theta_hat = estimator.estimate().max(THETA_HAT_FLOOR);
             let x = clamped_rate(&self.formula, theta_hat);
             let theta = process.next_interval(rng);
-            let duration = theta / x;
             estimator.push(theta);
-            steps.push(StepRecord {
+            let theta_hat_next = estimator.estimate().max(THETA_HAT_FLOOR);
+            sink.record(StepRecord {
                 theta,
                 theta_hat,
-                theta_hat_next: estimator.estimate().max(THETA_HAT_FLOOR),
+                theta_hat_next,
                 x_rate: x,
-                duration,
+                duration: theta / x,
                 v_correction: 0.0,
             });
+            theta_hat = theta_hat_next;
         }
-        ControlTrace::from_steps(steps)
     }
 }
 
@@ -245,16 +320,29 @@ impl<F: ThroughputFormula> ComprehensiveControl<F> {
         }
     }
 
-    /// Runs the recursion for `events` loss events.
+    /// Runs the recursion for `events` loss events and records every
+    /// step.
     pub fn run<P: LossProcess>(
         &self,
         process: &mut P,
         rng: &mut Rng,
         events: usize,
     ) -> ControlTrace {
+        let mut trace = ControlTrace::from_steps(Vec::with_capacity(events));
+        self.run_into(process, rng, events, &mut trace);
+        trace
+    }
+
+    /// [`ComprehensiveControl::run`], handing each step to `sink` instead.
+    pub fn run_into<P: LossProcess, S: StepSink>(
+        &self,
+        process: &mut P,
+        rng: &mut Rng,
+        events: usize,
+        sink: &mut S,
+    ) {
         let mut estimator = warm_estimator(&self.config.weights, process, rng);
         let w1 = self.config.weights.w1();
-        let mut steps = Vec::with_capacity(events);
         for _ in 0..events {
             let theta_hat = estimator.estimate().max(THETA_HAT_FLOOR);
             let x = clamped_rate(&self.formula, theta_hat);
@@ -275,7 +363,7 @@ impl<F: ThroughputFormula> ComprehensiveControl<F> {
             };
 
             estimator.push(theta);
-            steps.push(StepRecord {
+            sink.record(StepRecord {
                 theta,
                 theta_hat,
                 theta_hat_next,
@@ -284,7 +372,6 @@ impl<F: ThroughputFormula> ComprehensiveControl<F> {
                 v_correction: v,
             });
         }
-        ControlTrace::from_steps(steps)
     }
 
     /// `∫_{a}^{b} g(y) dy` with `g = 1/f(1/·)` under the domain clamp:
@@ -478,6 +565,230 @@ mod tests {
         let val = simpson(|x| x * x * x - 2.0 * x + 1.0, 0.0, 2.0, 2);
         assert_close(val, 4.0 - 4.0 + 2.0, 1e-12);
         assert_eq!(simpson(|x| x, 3.0, 3.0, 8), 0.0);
+    }
+
+    /// The recursions and trace statistics as they were when every run
+    /// logged its steps, kept verbatim as the reference the sink-based
+    /// versions must match bit for bit.
+    mod logged {
+        use super::super::*;
+
+        pub fn basic<F: ThroughputFormula, P: LossProcess>(
+            ctl: &BasicControl<F>,
+            process: &mut P,
+            rng: &mut Rng,
+            events: usize,
+        ) -> Vec<StepRecord> {
+            let mut estimator = warm_estimator(&ctl.config.weights, process, rng);
+            let mut steps = Vec::with_capacity(events);
+            for _ in 0..events {
+                let theta_hat = estimator.estimate().max(THETA_HAT_FLOOR);
+                let x = clamped_rate(&ctl.formula, theta_hat);
+                let theta = process.next_interval(rng);
+                let duration = theta / x;
+                estimator.push(theta);
+                steps.push(StepRecord {
+                    theta,
+                    theta_hat,
+                    theta_hat_next: estimator.estimate().max(THETA_HAT_FLOOR),
+                    x_rate: x,
+                    duration,
+                    v_correction: 0.0,
+                });
+            }
+            steps
+        }
+
+        pub fn comprehensive<F: ThroughputFormula, P: LossProcess>(
+            ctl: &ComprehensiveControl<F>,
+            process: &mut P,
+            rng: &mut Rng,
+            events: usize,
+        ) -> Vec<StepRecord> {
+            let mut estimator = warm_estimator(&ctl.config.weights, process, rng);
+            let w1 = ctl.config.weights.w1();
+            let mut steps = Vec::with_capacity(events);
+            for _ in 0..events {
+                let theta_hat = estimator.estimate().max(THETA_HAT_FLOOR);
+                let x = clamped_rate(&ctl.formula, theta_hat);
+                let tail = estimator.tail_weighted_sum();
+                let theta = process.next_interval(rng);
+                let theta_hat_next = (w1 * theta + tail).max(THETA_HAT_FLOOR);
+
+                let base_duration = theta / x;
+                let (duration, v) = if theta_hat_next > theta_hat {
+                    let u = (theta_hat - tail) / (w1 * x);
+                    let b = ctl.integral_of_g(theta_hat, theta_hat_next) / w1;
+                    let s = u + b;
+                    (s, base_duration - s)
+                } else {
+                    (base_duration, 0.0)
+                };
+
+                estimator.push(theta);
+                steps.push(StepRecord {
+                    theta,
+                    theta_hat,
+                    theta_hat_next,
+                    x_rate: x,
+                    duration,
+                    v_correction: v,
+                });
+            }
+            steps
+        }
+
+        pub fn throughput(steps: &[StepRecord]) -> f64 {
+            let packets: f64 = steps.iter().map(|s| s.theta).sum();
+            let time: f64 = steps.iter().map(|s| s.duration).sum();
+            if time == 0.0 {
+                0.0
+            } else {
+                packets / time
+            }
+        }
+
+        pub fn theta_moments(steps: &[StepRecord]) -> Moments {
+            let mut m = Moments::new();
+            for s in steps {
+                m.push(s.theta);
+            }
+            m
+        }
+
+        pub fn theta_hat_moments(steps: &[StepRecord]) -> Moments {
+            let mut m = Moments::new();
+            for s in steps {
+                m.push(s.theta_hat);
+            }
+            m
+        }
+
+        pub fn loss_event_rate(steps: &[StepRecord]) -> f64 {
+            let m = theta_moments(steps).mean();
+            if m == 0.0 {
+                0.0
+            } else {
+                1.0 / m
+            }
+        }
+
+        pub fn cov_theta_theta_hat(steps: &[StepRecord]) -> f64 {
+            let mut c = Covariance::new();
+            for s in steps {
+                c.push(s.theta, s.theta_hat);
+            }
+            c.covariance()
+        }
+
+        pub fn cov_rate_duration(steps: &[StepRecord]) -> f64 {
+            let mut c = Covariance::new();
+            for s in steps {
+                c.push(s.x_rate, s.duration);
+            }
+            c.covariance()
+        }
+    }
+
+    fn step_bits(steps: &[StepRecord]) -> Vec<[u64; 6]> {
+        steps
+            .iter()
+            .map(|s| {
+                [
+                    s.theta,
+                    s.theta_hat,
+                    s.theta_hat_next,
+                    s.x_rate,
+                    s.duration,
+                    s.v_correction,
+                ]
+                .map(f64::to_bits)
+            })
+            .collect()
+    }
+
+    fn moment_bits(m: Moments) -> [u64; 5] {
+        [m.count() as f64, m.mean(), m.variance(), m.min(), m.max()].map(f64::to_bits)
+    }
+
+    fn stat_bits<F: ThroughputFormula>(s: &TraceStats, f: &F) -> Vec<u64> {
+        let mut bits = [
+            s.throughput(),
+            s.loss_event_rate(),
+            s.normalized_throughput(f),
+            s.cov_theta_theta_hat(),
+            s.normalized_covariance(),
+            s.cov_rate_duration(),
+        ]
+        .map(f64::to_bits)
+        .to_vec();
+        bits.extend(moment_bits(s.theta_moments()));
+        bits.extend(moment_bits(s.theta_hat_moments()));
+        bits
+    }
+
+    fn logged_stat_bits<F: ThroughputFormula>(steps: &[StepRecord], f: &F) -> Vec<u64> {
+        let p = logged::loss_event_rate(steps);
+        let mut bits = [
+            logged::throughput(steps),
+            p,
+            logged::throughput(steps) / f.rate(p),
+            logged::cov_theta_theta_hat(steps),
+            logged::cov_theta_theta_hat(steps) * p * p,
+            logged::cov_rate_duration(steps),
+        ]
+        .map(f64::to_bits)
+        .to_vec();
+        bits.extend(moment_bits(logged::theta_moments(steps)));
+        bits.extend(moment_bits(logged::theta_hat_moments(steps)));
+        bits
+    }
+
+    /// A logged run, its streamed statistics and the reference
+    /// recursion agree bit for bit, step by step and statistic by
+    /// statistic.
+    fn assert_same<F: ThroughputFormula>(
+        f: &F,
+        trace: ControlTrace,
+        stats: TraceStats,
+        logged: Vec<StepRecord>,
+    ) {
+        assert_eq!(step_bits(trace.steps()), step_bits(&logged));
+        let expected = logged_stat_bits(&logged, f);
+        assert_eq!(stat_bits(&trace, f), expected);
+        assert_eq!(stat_bits(&stats, f), expected);
+        assert_eq!(stat_bits(&ControlTrace::from_steps(logged), f), expected);
+    }
+
+    #[test]
+    fn sinks_match_the_logged_recursions_bit_for_bit() {
+        fn check<F: ThroughputFormula + Clone>(f: F) {
+            let events = 2_000;
+            let process = || IidProcess::new(ShiftedExponential::from_mean_cv(20.0, 0.9));
+            for l in [1, 2, 8] {
+                for seed in 0..4 {
+                    let cfg = ControlConfig::new(WeightProfile::tfrc(l));
+                    let rng = || Rng::seed_from(seed);
+
+                    let basic = BasicControl::new(f.clone(), cfg.clone());
+                    let mut stats = TraceStats::new();
+                    basic.run_into(&mut process(), &mut rng(), events, &mut stats);
+                    let trace = basic.run(&mut process(), &mut rng(), events);
+                    let logged = logged::basic(&basic, &mut process(), &mut rng(), events);
+                    assert_same(&f, trace, stats, logged);
+
+                    let comp = ComprehensiveControl::new(f.clone(), cfg);
+                    let mut stats = TraceStats::new();
+                    comp.run_into(&mut process(), &mut rng(), events, &mut stats);
+                    let trace = comp.run(&mut process(), &mut rng(), events);
+                    let logged = logged::comprehensive(&comp, &mut process(), &mut rng(), events);
+                    assert_same(&f, trace, stats, logged);
+                }
+            }
+        }
+        check(Sqrt::with_rtt(1.0));
+        check(PftkStandard::with_rtt(1.0));
+        check(PftkSimplified::with_rtt(1.0));
     }
 
     #[test]

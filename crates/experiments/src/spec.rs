@@ -29,7 +29,7 @@ use crate::scenarios::{
     QueueSpec, RunMeasurements, Scenario,
 };
 use crate::series::Table;
-use ebrc_core::control::{BasicControl, ComprehensiveControl, ControlConfig};
+use ebrc_core::control::{BasicControl, ComprehensiveControl, ControlConfig, TraceStats};
 use ebrc_core::formula::{AimdFormula, PftkSimplified, PftkStandard, Sqrt, ThroughputFormula};
 use ebrc_core::weights::WeightProfile;
 use ebrc_dist::{IidProcess, LossProcess, MarkovModulated, Rng, ShiftedExponential};
@@ -391,8 +391,9 @@ impl SimSpec {
     /// afterwards). Dumbbell specs estimate engine events from a busy
     /// bottleneck (packets/sec × ≈8 dispatches per delivered packet
     /// across the topology); the audio spec from its packet clock;
-    /// Monte-Carlo and fixed-link specs report their loss-event counts
-    /// as the cost proxy; analytic tabulations are free.
+    /// Monte-Carlo and isolated fixed-link specs report their loss-event
+    /// counts as the cost proxy, and the shared fixed link its fluid
+    /// steps in those units; analytic tabulations are free.
     ///
     /// All arithmetic saturates: the estimate feeds longest-first
     /// scheduling, and a 10⁴⁺-flow spec that wrapped to a small number
@@ -425,11 +426,23 @@ impl SimSpec {
             SimSpec::Mc { events, .. }
             | SimSpec::PhaseMc { events, .. }
             | SimSpec::Claim4Iso { events, .. } => events as u64,
-            SimSpec::Claim4Shared { t_end, .. } => saturating_f64_to_u64(t_end),
+            SimSpec::Claim4Shared { t_end, .. } => {
+                saturating_f64_to_u64(t_end / FLUID_DT * FLUID_STEP_COST)
+            }
             _ => 0,
         }
     }
 }
+
+/// Integration step of the Claim 4 shared-link fluid model, seconds:
+/// [`SharedFixedLink`]'s default, which the spec keeps.
+const FLUID_DT: f64 = 1e-3;
+
+/// Hint units one shared-link fluid step costs, where a unit is one
+/// Monte-Carlo loss event. Calibrated from `SpecTiming` on the quick
+/// catalogue at one thread: a `claim4/shared` step takes 4.2 ns and an
+/// `mc` loss event 77 ns (medians).
+const FLUID_STEP_COST: f64 = 0.055;
 
 /// Finishes the engine's installed trace sink, if any, and writes the
 /// bytes to the ctx's trace path. Called on the final slice of a traced
@@ -652,14 +665,16 @@ impl ebrc_runner::Spec for SimSpec {
                 let f = Sqrt::with_rtt(1.0);
                 let mut process = MarkovModulated::congestion_oscillation(60.0, 4.0, sojourn);
                 let mut rng = Rng::seed_from(seed);
-                let trace = BasicControl::new(
-                    f.clone(),
-                    ControlConfig::new(WeightProfile::tfrc(8)),
-                )
-                .run(&mut process, &mut rng, events);
+                let mut stats = TraceStats::new();
+                BasicControl::new(f.clone(), ControlConfig::new(WeightProfile::tfrc(8))).run_into(
+                    &mut process,
+                    &mut rng,
+                    events,
+                    &mut stats,
+                );
                 SpecOutput::Scalars(vec![
-                    trace.normalized_throughput(&f),
-                    trace.normalized_covariance(),
+                    stats.normalized_throughput(&f),
+                    stats.normalized_covariance(),
                 ])
             }
             SimSpec::Claim4Iso { beta, events } => {
@@ -766,14 +781,15 @@ fn mc_body(
     ) -> f64 {
         let mut rng = Rng::seed_from(seed);
         let cfg = ControlConfig::new(weights);
+        let mut stats = TraceStats::new();
         match control {
-            ControlLaw::Basic => BasicControl::new(f.clone(), cfg)
-                .run(process, &mut rng, events)
-                .normalized_throughput(f),
+            ControlLaw::Basic => {
+                BasicControl::new(f.clone(), cfg).run_into(process, &mut rng, events, &mut stats)
+            }
             ControlLaw::Comprehensive => ComprehensiveControl::new(f.clone(), cfg)
-                .run(process, &mut rng, events)
-                .normalized_throughput(f),
+                .run_into(process, &mut rng, events, &mut stats),
         }
+        stats.normalized_throughput(f)
     }
     let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(1.0 / p, cv));
     let profile = weights.profile(window);
@@ -1313,6 +1329,21 @@ mod tests {
             assert_eq!(ctx.events_processed(), events);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shared_fluid_link_hints_its_steps_in_mc_event_units() {
+        let spec = |t_end| SimSpec::Claim4Shared { beta: 0.5, t_end };
+        // Quick scale: 1.5 M fluid steps cost as much as 82 500
+        // Monte-Carlo loss events.
+        assert_eq!(spec(1_500.0).events_hint(), 82_500);
+        assert_eq!(spec(10_000.0).events_hint(), 550_000);
+        let link = SharedFixedLink::new(
+            AimdFixedLink::new(1.0, 0.5, 100.0),
+            AimdFormula::new(1.0, 0.5),
+            WeightProfile::tfrc(8),
+        );
+        assert_eq!(link.dt, FLUID_DT);
     }
 
     #[test]

@@ -91,29 +91,26 @@ impl EbrcFixedLink {
         }
     }
 
-    /// Runs `events` loss events and returns the loss-event intervals
-    /// `θ_n` (the comprehensive control triggers an event each time its
-    /// virtual estimate reaches `θ*`, i.e. its rate reaches capacity).
-    pub fn run(&mut self, events: usize) -> Vec<f64> {
+    /// Runs one loss event and returns its interval `θ_n` (the
+    /// comprehensive control triggers an event each time its virtual
+    /// estimate reaches `θ*`, i.e. its rate reaches capacity).
+    fn next_interval(&mut self) -> f64 {
         let w1 = self.estimator.profile().w1();
-        let mut intervals = Vec::with_capacity(events);
-        for _ in 0..events {
-            let tail = self.estimator.tail_weighted_sum();
-            // Open interval needed for the virtual estimate to hit θ*.
-            let theta = ((self.theta_at_capacity - tail) / w1).max(0.0);
-            self.estimator.push(theta);
-            intervals.push(theta);
-        }
-        intervals
+        let tail = self.estimator.tail_weighted_sum();
+        // Open interval needed for the virtual estimate to hit θ*.
+        let theta = ((self.theta_at_capacity - tail) / w1).max(0.0);
+        self.estimator.push(theta);
+        theta
     }
 
     /// Loss-event rate measured over `events` events after a warm-up of
     /// the same length.
     pub fn measured_loss_event_rate(&mut self, events: usize) -> f64 {
-        let _ = self.run(events); // warm-up to the fixed point
-        let intervals = self.run(events);
-        let mean = intervals.iter().sum::<f64>() / intervals.len() as f64;
-        1.0 / mean
+        for _ in 0..events {
+            self.next_interval(); // warm-up to the fixed point
+        }
+        let sum = (0..events).map(|_| self.next_interval()).sum::<f64>();
+        1.0 / (sum / events as f64)
     }
 }
 
@@ -164,6 +161,11 @@ impl SharedOutcome {
 /// follows `f(1/θ̂(t))` with the comprehensive virtual estimate; when the
 /// rate sum reaches `c` both experience a loss event (the AIMD halves,
 /// the equation-based closes its interval).
+///
+/// `θ̂ₙ`, `Wₙ` and `h(θ̂ₙ)` change only at a loss event, so they are
+/// computed once per event. Within an interval `h` is evaluated at the
+/// virtual estimate only while it is active, `w1·θ(t) + Wₙ > θ̂ₙ`; before
+/// that the rate is the cached `h(θ̂ₙ)`.
 #[derive(Debug)]
 pub struct SharedFixedLink<F: ThroughputFormula> {
     aimd: AimdFixedLink,
@@ -192,6 +194,17 @@ impl<F: ThroughputFormula> SharedFixedLink<F> {
     pub fn run(&mut self, warmup: f64, t_end: f64) -> SharedOutcome {
         assert!(t_end > warmup, "t_end must exceed warmup");
         let c = self.aimd.capacity;
+        let w1 = self.estimator.profile().w1();
+        let formula = &self.formula;
+        let cycle = |e: &IntervalEstimator| {
+            let theta_hat = e.estimate();
+            (
+                theta_hat,
+                e.tail_weighted_sum(),
+                formula.h(theta_hat.max(1e-9)),
+            )
+        };
+        let (mut theta_hat, mut tail, mut h_theta_hat) = cycle(&self.estimator);
         let mut x1 = self.aimd.beta * c / 2.0;
         let mut theta_open = 0.0_f64;
         let mut aimd_pkts_run = 0.0;
@@ -206,13 +219,17 @@ impl<F: ThroughputFormula> SharedFixedLink<F> {
                 ebrc_pkts_run = 0.0;
                 events = 0;
             }
-            let x2 = self
-                .formula
-                .h(self.estimator.virtual_estimate(theta_open).max(1e-9));
+            let virtual_estimate = w1 * theta_open + tail;
+            let x2 = if virtual_estimate > theta_hat {
+                formula.h(virtual_estimate.max(1e-9))
+            } else {
+                h_theta_hat
+            };
             if x1 + x2 >= c {
                 // Shared loss event.
                 x1 *= self.aimd.beta;
                 self.estimator.push(theta_open);
+                (theta_hat, tail, h_theta_hat) = cycle(&self.estimator);
                 theta_open = 0.0;
                 if measuring {
                     events += 1;
@@ -303,6 +320,95 @@ mod tests {
             "{}",
             out.ebrc_throughput
         );
+    }
+
+    /// `SharedFixedLink::run` as it was when every 1 ms step recomputed
+    /// `θ̂ₙ`, `Wₙ` and `h`, kept verbatim as the reference the
+    /// once-per-event version must match bit for bit.
+    fn per_step_run<F: ThroughputFormula>(
+        link: &mut SharedFixedLink<F>,
+        warmup: f64,
+        t_end: f64,
+    ) -> SharedOutcome {
+        assert!(t_end > warmup, "t_end must exceed warmup");
+        let c = link.aimd.capacity;
+        let mut x1 = link.aimd.beta * c / 2.0;
+        let mut theta_open = 0.0_f64;
+        let mut aimd_pkts_run = 0.0;
+        let mut ebrc_pkts_run = 0.0;
+        let mut events = 0u64;
+        let mut t = 0.0;
+        let mut measuring = false;
+        while t < t_end {
+            if !measuring && t >= warmup {
+                measuring = true;
+                aimd_pkts_run = 0.0;
+                ebrc_pkts_run = 0.0;
+                events = 0;
+            }
+            let x2 = link
+                .formula
+                .h(link.estimator.virtual_estimate(theta_open).max(1e-9));
+            if x1 + x2 >= c {
+                // Shared loss event.
+                x1 *= link.aimd.beta;
+                link.estimator.push(theta_open);
+                theta_open = 0.0;
+                if measuring {
+                    events += 1;
+                }
+            } else {
+                x1 += link.aimd.alpha * link.dt;
+                theta_open += x2 * link.dt;
+                if measuring {
+                    aimd_pkts_run += x1 * link.dt;
+                    ebrc_pkts_run += x2 * link.dt;
+                }
+                t += link.dt;
+            }
+        }
+        let span = t_end - warmup;
+        SharedOutcome {
+            aimd_loss_rate: events as f64 / aimd_pkts_run.max(1e-12),
+            ebrc_loss_rate: events as f64 / ebrc_pkts_run.max(1e-12),
+            aimd_throughput: aimd_pkts_run / span,
+            ebrc_throughput: ebrc_pkts_run / span,
+            events,
+        }
+    }
+
+    #[test]
+    fn shared_link_matches_the_per_step_loop_bit_for_bit() {
+        let bits = |o: SharedOutcome, link: &SharedFixedLink<AimdFormula>| {
+            let rates = [
+                o.aimd_loss_rate,
+                o.ebrc_loss_rate,
+                o.aimd_throughput,
+                o.ebrc_throughput,
+            ];
+            let history: Vec<u64> = link.estimator.history().map(f64::to_bits).collect();
+            (rates.map(f64::to_bits), o.events, history)
+        };
+        for beta in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9] {
+            for l in [1, 2, 8] {
+                let new = || {
+                    SharedFixedLink::new(
+                        AimdFixedLink::new(1.0, beta, 100.0),
+                        AimdFormula::new(1.0, beta),
+                        WeightProfile::tfrc(l),
+                    )
+                };
+                let (mut fast, mut reference) = (new(), new());
+                let out = fast.run(20.0, 200.0);
+                let expected = per_step_run(&mut reference, 20.0, 200.0);
+                assert!(expected.events > 0, "beta={beta} L={l}: no loss events");
+                assert_eq!(
+                    bits(out, &fast),
+                    bits(expected, &reference),
+                    "beta={beta} L={l}"
+                );
+            }
+        }
     }
 
     #[test]
