@@ -4,7 +4,7 @@
 use super::{CliError, NamedScale, Reporter};
 use crate::registry::resolve;
 use crate::service::CatalogueBackend;
-use ebrc_serve::{client, Event, ListenAddr, Request, Submission};
+use ebrc_serve::{client, Event, ListenAddr, PlanInfo, Request, Submission};
 use std::io::Write as _;
 
 /// `repro serve`: the resident sweep daemon. Binds `listen` (TCP
@@ -66,11 +66,11 @@ pub fn submit(
     // Whether a `\r` progress line is waiting for its newline.
     let mut progressed = false;
     let outcome = client::submit(&addr, submission, |event| match event {
-        Event::Accepted {
+        Event::Accepted(PlanInfo {
             fingerprint,
             unique_sims,
             subscribed_sims,
-        } => {
+        }) => {
             eprintln!(
                 "# submit: accepted at {addr} — plan {fingerprint}, {unique_sims} unique sims \
                  ({subscribed_sims} subscribed), scale {scale_name}",

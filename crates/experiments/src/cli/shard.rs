@@ -6,6 +6,7 @@ use super::{ensure_dir, write_file, CliError, NamedScale, Reporter};
 use crate::registry::{reduce_subscription, resolve, Experiment, Plan, MASTER_SEED};
 use crate::service::{chunk_of, CatalogueBackend};
 use crate::spec::{SimSpec, SpecOutput};
+use ebrc_runner::{parse_hex16, Fields};
 use ebrc_runner::{run_plan, stable_hash, OutputCache, Pool, Spec as _, SpecResult, SpecTiming};
 use ebrc_serve::{supervise, DispatchConfig, DispatchEvent};
 use serde::Value;
@@ -20,9 +21,9 @@ pub struct ShardOutput {
     /// The spec's content key.
     pub key: String,
     /// Engine events and wall seconds this sim cost (both 0 when it
-    /// was served from the cache, or in a pre-accounting artifact) —
-    /// the measured sweep cost a dispatcher can read back per
-    /// experiment to balance the next shard assignment.
+    /// was served from the cache) — the measured sweep cost a
+    /// dispatcher can read back per experiment to balance the next
+    /// shard assignment.
     pub events: u64,
     /// See [`ShardOutput::events`].
     pub wall_s: f64,
@@ -51,14 +52,6 @@ pub struct ShardArtifact {
     pub outputs: Vec<ShardOutput>,
     /// `(spec key, error)` of the sims that failed.
     pub failures: Vec<(String, String)>,
-}
-
-/// A non-negative integer member of a JSON object.
-fn count(v: &Value, key: &str) -> Option<u64> {
-    v[key]
-        .as_f64()
-        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-        .map(|n| n as u64)
 }
 
 /// The unique-spec index `key` has in `plan`.
@@ -108,55 +101,52 @@ impl ShardArtifact {
         ])
     }
 
-    /// Parses [`ShardArtifact::to_value`]'s rendering. The accounting
-    /// fields (`scale`, `events_processed`, per-sim `events` and
-    /// `wall_s`, a failure's `error`) may be absent — older artifacts
-    /// predate them — everything else is required.
+    /// Parses [`ShardArtifact::to_value`]'s rendering. Every member
+    /// is required, and an unknown or duplicated member, a count that
+    /// is not a whole number, a negative wall time, a split with
+    /// `shard >= of`, or an output whose `hash` is not its key's are
+    /// errors.
     pub fn from_value(v: &Value) -> Result<Self, String> {
-        let plan = v["plan"]
-            .as_str()
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or("not a shard artifact (no plan fingerprint)")?;
-        let (Some(shard), Some(of)) = (count(v, "shard"), count(v, "of")) else {
-            return Err("shard artifact without its shard split".into());
-        };
-        let Value::Array(outputs) = &v["outputs"] else {
-            return Err("shard artifact without outputs".into());
-        };
-        let outputs = outputs
-            .iter()
-            .map(|entry| {
-                let output = entry.get("output").ok_or("entry without output")?;
-                Ok(ShardOutput {
-                    key: entry["key"]
-                        .as_str()
-                        .ok_or("entry without key")?
-                        .to_string(),
-                    events: count(entry, "events").unwrap_or(0),
-                    wall_s: entry["wall_s"].as_f64().unwrap_or(0.0),
-                    output: Arc::new(SpecOutput::from_value(output)?),
-                })
+        let mut f = Fields::of(v, "shard artifact")?;
+        let plan = parse_hex16(f.string("plan")?).ok_or("shard artifact: bad plan fingerprint")?;
+        let scale = f.string("scale")?.to_string();
+        let (shard, of) = (f.count("shard")?, f.count("of")?);
+        if shard >= of {
+            return Err(format!("shard artifact: no shard {shard} of {of}"));
+        }
+        let events_processed = f.count("events_processed")?;
+        let outputs = f.array("outputs")?.iter().map(|entry| {
+            let mut o = Fields::of(entry, "output")?;
+            let key = o.string("key")?.to_string();
+            if o.string("hash")? != format!("{:016x}", stable_hash(&key)) {
+                return Err(format!("output {key:?}: hash is not its key's"));
+            }
+            let events = o.count("events")?;
+            let wall_s = o.number("wall_s")?;
+            if !wall_s.is_finite() || wall_s.is_sign_negative() {
+                return Err(format!("output {key:?}: wall_s {wall_s} is not a duration"));
+            }
+            let output = Arc::new(SpecOutput::from_value(o.value("output")?)?);
+            o.done(ShardOutput {
+                key,
+                events,
+                wall_s,
+                output,
             })
-            .collect::<Result<_, String>>()?;
-        // Optional: an artifact without the member had no failures.
-        let failures = match &v["failures"] {
-            Value::Array(failures) => failures.as_slice(),
-            _ => &[],
-        };
-        let failures = failures
-            .iter()
-            .map(|entry| {
-                let key = entry["key"].as_str().ok_or("entry without key")?;
-                let error = entry["error"].as_str().unwrap_or("sim failed");
-                Ok((key.to_string(), error.to_string()))
-            })
-            .collect::<Result<_, String>>()?;
-        Ok(Self {
+        });
+        let outputs = outputs.collect::<Result<_, String>>()?;
+        let failures = f.array("failures")?.iter().map(|entry| {
+            let mut e = Fields::of(entry, "failure")?;
+            let failure = (e.string("key")?.to_string(), e.string("error")?.to_string());
+            e.done(failure)
+        });
+        let failures = failures.collect::<Result<_, String>>()?;
+        f.done(Self {
             plan,
-            scale: v["scale"].as_str().unwrap_or_default().to_string(),
-            shard: shard as usize,
-            of: of as usize,
-            events_processed: count(v, "events_processed").unwrap_or(0),
+            scale,
+            shard,
+            of,
+            events_processed,
             outputs,
             failures,
         })
@@ -188,15 +178,16 @@ impl ShardArtifact {
                 artifact.plan
             ));
         }
-        if shard_of.is_some_and(|split| split != (artifact.shard, artifact.of)) {
-            return Err(format!(
-                "artifact is for a different shard split ({}/{})",
-                artifact.shard, artifact.of
-            ));
+        let (shard, of) = (artifact.shard, artifact.of);
+        if shard_of.is_some_and(|split| split != (shard, of)) {
+            return Err(format!("a different shard split ({shard}/{of})"));
         }
         let keys = artifact.outputs.iter().map(|o| &o.key);
         for key in keys.chain(artifact.failures.iter().map(|(key, _)| key)) {
-            spec_index(plan, key)?;
+            let owner = spec_index(plan, key)? % of;
+            if owner != shard {
+                return Err(format!("spec {key:?} belongs to shard {owner}"));
+            }
         }
         Ok(artifact)
     }
@@ -556,7 +547,12 @@ pub fn dispatch(
 }
 
 #[cfg(test)]
+#[path = "../../../runner/tests/support/arb_value.rs"]
+mod arb_value;
+
+#[cfg(test)]
 mod tests {
+    use super::arb_value::arb_value;
     use super::*;
     use crate::scenarios::{FlowMeasure, RunMeasurements};
     use crate::series::Table;
@@ -681,40 +677,166 @@ mod tests {
         assert!(ShardArtifact::load(&path, &plan, None).is_err());
     }
 
-    /// JSON trees over the artifact's own vocabulary, so a generated
-    /// value gets past the first field lookup and into the nested
-    /// parsers.
-    fn arb_value(depth: u32) -> BoxedStrategy<Value> {
-        const KEYS: [&str; 12] = [
-            "plan", "scale", "shard", "of", "outputs", "failures", "key", "output", "events",
-            "error", "kind", "values",
-        ];
-        const STRINGS: [&str; 6] = ["", "run", "table", "00000000000000ff", "zz", "diag/v0"];
-        let leaf = prop_oneof![
-            Just(Value::Null),
-            any::<bool>().prop_map(Value::Bool),
-            (0u64..u64::MAX).prop_map(|bits| Value::Number(f64::from_bits(bits))),
-            (-3i64..70).prop_map(|n| Value::Number(n as f64)),
-            (0usize..STRINGS.len()).prop_map(|i| Value::String(STRINGS[i].into())),
-        ];
-        if depth == 0 {
-            return leaf.boxed();
-        }
-        let member = (0usize..KEYS.len(), arb_value(depth - 1));
-        prop_oneof![
-            1 => leaf,
-            2 => vec(arb_value(depth - 1), 0..4).prop_map(Value::Array),
-            4 => vec(member, 0..8).prop_map(|fields| {
-                Value::Object(
-                    fields
-                        .into_iter()
-                        .map(|(k, v)| (KEYS[k].to_string(), v))
-                        .collect(),
-                )
-            }),
-        ]
-        .boxed()
+    /// The member or element at `path` (keys, or indices spelled as
+    /// numbers) inside `v`, for hand-editing an artifact's rendering.
+    fn at<'v>(v: &'v mut Value, path: &[&str]) -> &'v mut Value {
+        path.iter().fold(v, |v, step| match v {
+            Value::Object(members) => &mut members.iter_mut().find(|(k, _)| k == step).unwrap().1,
+            Value::Array(items) => &mut items[step.parse::<usize>().unwrap()],
+            _ => panic!("nothing at {step:?}"),
+        })
     }
+
+    /// `artifact`'s file bytes after `edit` has changed its rendering.
+    fn edited(artifact: &ShardArtifact, edit: impl FnOnce(&mut Value)) -> Vec<u8> {
+        let mut v = artifact.to_value();
+        edit(&mut v);
+        serde_json::to_string_pretty(&v).unwrap().into_bytes()
+    }
+
+    #[test]
+    fn a_malformed_table_is_an_error_not_a_panic() {
+        let plan = diagnostic_plan("t", 0..5);
+        let artifact = artifact_of(&plan);
+        let rejected = |bytes: Vec<u8>| ShardArtifact::decode(&bytes, &plan, None).unwrap_err();
+        // A hand-built table output in place of the artifact's own.
+        let hand_built = |columns: Vec<&str>, row: Vec<f64>| {
+            let string = |s: &str| Value::String(s.into());
+            let hex = |x: f64| string(&format!("{:016x}", x.to_bits()));
+            let table = Value::Object(vec![
+                ("name".into(), string("fig/x")),
+                ("caption".into(), string("c")),
+                (
+                    "columns".into(),
+                    Value::Array(columns.into_iter().map(string).collect()),
+                ),
+                (
+                    "rows".into(),
+                    Value::Array(vec![Value::Array(row.into_iter().map(hex).collect())]),
+                ),
+            ]);
+            let output = Value::Object(vec![
+                ("kind".into(), string("table")),
+                ("table".into(), table),
+            ]);
+            edited(&artifact, |v| *at(v, &["outputs", "2", "output"]) = output)
+        };
+        let err = rejected(hand_built(vec!["a", "b", "c", "d"], vec![1.0, 2.0, 3.0]));
+        assert!(
+            err.contains("table \"fig/x\": row width 3 vs 4 columns"),
+            "{err}"
+        );
+        let err = rejected(hand_built(vec![], vec![]));
+        assert!(err.contains("table \"fig/x\" has no columns"), "{err}");
+        // The writer's own table with one float cut from its row.
+        let short = edited(&artifact, |v| {
+            let row = at(v, &["outputs", "2", "output", "table", "rows", "0"]);
+            let Value::Array(row) = row else {
+                panic!("a row is an array")
+            };
+            row.pop();
+        });
+        let err = rejected(short);
+        assert!(err.contains("row width 1 vs 2 columns"), "{err}");
+    }
+
+    #[test]
+    fn a_duplicated_member_is_rejected() {
+        let plan = diagnostic_plan("t", 0..5);
+        let bytes = String::from_utf8(file_bytes(&artifact_of(&plan))).unwrap();
+        let doubled = bytes.replacen("\"shard\": 0,", "\"shard\": 0, \"shard\": 0,", 1);
+        assert_ne!(doubled, bytes);
+        let err = ShardArtifact::decode(doubled.as_bytes(), &plan, None).unwrap_err();
+        assert!(err.contains("\"shard\" appears twice"), "{err}");
+    }
+
+    #[test]
+    fn an_output_hash_that_is_not_its_keys_is_rejected() {
+        let plan = diagnostic_plan("t", 0..5);
+        let other = Value::String(format!("{:016x}", stable_hash("diag/v99/fail=false")));
+        let bytes = edited(&artifact_of(&plan), |v| {
+            *at(v, &["outputs", "1", "hash"]) = other
+        });
+        let err = ShardArtifact::decode(&bytes, &plan, None).unwrap_err();
+        assert!(err.contains("hash is not its key's"), "{err}");
+    }
+
+    #[test]
+    fn entries_from_another_shard_are_rejected() {
+        let plan = diagnostic_plan("t", 0..5);
+        let keys: Vec<String> = plan.specs().iter().map(|s| s.key()).collect();
+        let decode = |artifact: &ShardArtifact| {
+            ShardArtifact::decode(&file_bytes(artifact), &plan, Some((0, 2)))
+        };
+        // Shard 0 of 2 owns the even spec indices only.
+        let mut split = artifact_of(&plan);
+        split.of = 2;
+        let err = decode(&split).unwrap_err();
+        assert!(
+            err.contains(&format!("{:?} belongs to shard 1", keys[1])),
+            "{err}"
+        );
+        split
+            .outputs
+            .retain(|o| o.key != keys[1] && o.key != keys[3]);
+        split.failures = vec![(keys[3].clone(), "boom".into())];
+        let err = decode(&split).unwrap_err();
+        assert!(
+            err.contains(&format!("{:?} belongs to shard 1", keys[3])),
+            "{err}"
+        );
+        split.failures = vec![(keys[4].clone(), "boom".into())];
+        assert!(decode(&split).is_ok());
+        split.shard = 2;
+        let err = ShardArtifact::decode(&file_bytes(&split), &plan, None).unwrap_err();
+        assert!(err.contains("no shard 2 of 2"), "{err}");
+    }
+
+    #[test]
+    fn costs_that_are_not_counts_or_durations_are_rejected() {
+        let plan = diagnostic_plan("t", 0..5);
+        let artifact = artifact_of(&plan);
+        let cases: [(&[&str], f64, &str); 5] = [
+            (
+                &["outputs", "1", "events"],
+                -1.0,
+                "\"events\" is not a count",
+            ),
+            (
+                &["outputs", "1", "events"],
+                1.5,
+                "\"events\" is not a count",
+            ),
+            (
+                &["events_processed"],
+                -3.0,
+                "\"events_processed\" is not a count",
+            ),
+            (
+                &["events_processed"],
+                0.5,
+                "\"events_processed\" is not a count",
+            ),
+            (
+                &["outputs", "1", "wall_s"],
+                -0.1,
+                "wall_s -0.1 is not a duration",
+            ),
+        ];
+        for (path, n, want) in cases {
+            let bytes = edited(&artifact, |v| *at(v, path) = Value::Number(n));
+            let err = ShardArtifact::decode(&bytes, &plan, None).unwrap_err();
+            assert!(err.contains(want), "{path:?} = {n}: {err}");
+        }
+    }
+
+    /// The artifact's own vocabulary, so a generated value gets past
+    /// the first field lookup and into the nested parsers.
+    const KEYS: [&str; 12] = [
+        "plan", "scale", "shard", "of", "outputs", "failures", "key", "output", "events", "error",
+        "kind", "values",
+    ];
+    const STRINGS: [&str; 6] = ["", "run", "table", "00000000000000ff", "zz", "diag/v0"];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
@@ -722,7 +844,7 @@ mod tests {
         /// Nothing but an artifact of this plan loads: arbitrary JSON
         /// is an error, never a panic and never a guess.
         #[test]
-        fn arbitrary_values_never_load(value in arb_value(3)) {
+        fn arbitrary_values_never_load(value in arb_value(3, &KEYS, &STRINGS)) {
             let plan = diagnostic_plan("t", 0..5);
             let _ = ShardArtifact::from_value(&value);
             let text = serde_json::to_string(&value).unwrap();

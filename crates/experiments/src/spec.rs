@@ -34,7 +34,7 @@ use ebrc_core::formula::{AimdFormula, PftkSimplified, PftkStandard, Sqrt, Throug
 use ebrc_core::weights::WeightProfile;
 use ebrc_dist::{IidProcess, LossProcess, MarkovModulated, Rng, ShiftedExponential};
 use ebrc_net::NetEvent;
-use ebrc_runner::{JobCtx, SliceStep, SlicedRun};
+use ebrc_runner::{parse_hex16, Fields, JobCtx, SliceStep, SlicedRun};
 use ebrc_sim::{Engine, RunLimit};
 use ebrc_tcp::{AimdFixedLink, EbrcFixedLink, SharedFixedLink};
 use ebrc_tfrc::FormulaKind;
@@ -935,10 +935,7 @@ impl SpecOutput {
                     ("tcp".into(), flows_to_value(&m.tcp)),
                     (
                         "probe".into(),
-                        match m.probe_loss_rate {
-                            Some(p) => f64_to_value(p),
-                            None => Value::Null,
-                        },
+                        m.probe_loss_rate.map_or(Value::Null, f64_to_value),
                     ),
                     ("nominal_rtt".into(), f64_to_value(m.nominal_rtt)),
                     (
@@ -961,41 +958,25 @@ impl SpecOutput {
 
     /// Parses the shard interchange rendering back into an output.
     pub fn from_value(v: &Value) -> Result<Self, String> {
-        let kind = v
-            .get("kind")
-            .and_then(Value::as_str)
-            .ok_or("output without kind")?;
-        match kind {
-            "run" => {
-                let probe = match v.get("probe") {
-                    None | Some(Value::Null) => None,
-                    Some(p) => Some(value_to_f64(p)?),
-                };
-                let formula = v
-                    .get("formula")
-                    .and_then(Value::as_str)
-                    .and_then(FormulaKind::from_key_name)
-                    .ok_or("run output without a known formula")?;
-                Ok(SpecOutput::Run(RunMeasurements {
-                    tfrc: flows_from_value(v.get("tfrc").ok_or("run without tfrc")?)?,
-                    tcp: flows_from_value(v.get("tcp").ok_or("run without tcp")?)?,
-                    probe_loss_rate: probe,
-                    nominal_rtt: value_to_f64(v.get("nominal_rtt").ok_or("run without rtt")?)?,
-                    tfrc_formula: formula,
-                }))
-            }
-            "scalars" => Ok(SpecOutput::Scalars(floats_from_value(
-                v.get("values").ok_or("scalars without values")?,
-            )?)),
-            "table" => Ok(SpecOutput::Table(table_from_value(
-                v.get("table").ok_or("table output without table")?,
-            )?)),
-            "table+scalars" => Ok(SpecOutput::TableAndScalars(
-                table_from_value(v.get("table").ok_or("output without table")?)?,
-                floats_from_value(v.get("values").ok_or("output without values")?)?,
-            )),
-            other => Err(format!("unknown spec output kind {other:?}")),
-        }
+        let mut f = Fields::of(v, "spec output")?;
+        let output = match f.string("kind")? {
+            "run" => SpecOutput::Run(RunMeasurements {
+                tfrc: flows_from_value(f.array("tfrc")?)?,
+                tcp: flows_from_value(f.array("tcp")?)?,
+                probe_loss_rate: f.or_null("probe", |f, k| value_to_f64(f.value(k)?))?,
+                nominal_rtt: value_to_f64(f.value("nominal_rtt")?)?,
+                tfrc_formula: FormulaKind::from_key_name(f.string("formula")?)
+                    .ok_or("run output without a known formula")?,
+            }),
+            "scalars" => SpecOutput::Scalars(floats_from_value(f.value("values")?)?),
+            "table" => SpecOutput::Table(table_from_value(f.object("table")?)?),
+            "table+scalars" => SpecOutput::TableAndScalars(
+                table_from_value(f.object("table")?)?,
+                floats_from_value(f.value("values")?)?,
+            ),
+            other => return Err(format!("unknown spec output kind {other:?}")),
+        };
+        f.done(output)
     }
 }
 
@@ -1007,9 +988,9 @@ fn f64_to_value(x: f64) -> Value {
 /// Decodes [`f64_to_value`]'s rendering.
 fn value_to_f64(v: &Value) -> Result<f64, String> {
     let s = v.as_str().ok_or("expected a hex float string")?;
-    u64::from_str_radix(s, 16)
+    parse_hex16(s)
         .map(f64::from_bits)
-        .map_err(|e| format!("bad hex float {s:?}: {e}"))
+        .ok_or_else(|| format!("bad hex float {s:?}"))
 }
 
 fn floats_to_value(v: &[f64]) -> Value {
@@ -1041,11 +1022,7 @@ fn flows_to_value(flows: &[FlowMeasure]) -> Value {
     )
 }
 
-fn flows_from_value(v: &Value) -> Result<Vec<FlowMeasure>, String> {
-    let items = match v {
-        Value::Array(items) => items,
-        _ => return Err("expected an array of flows".into()),
-    };
+fn flows_from_value(items: &[Value]) -> Result<Vec<FlowMeasure>, String> {
     items
         .iter()
         .map(|item| {
@@ -1080,32 +1057,28 @@ fn table_to_value(t: &Table) -> Value {
     ])
 }
 
-fn table_from_value(v: &Value) -> Result<Table, String> {
-    let name = v
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or("table without name")?;
-    let caption = v
-        .get("caption")
-        .and_then(Value::as_str)
-        .ok_or("table without caption")?;
-    let columns: Vec<String> = match v.get("columns") {
-        Some(Value::Array(cols)) => cols
-            .iter()
-            .map(|c| c.as_str().map(str::to_string).ok_or("non-string column"))
-            .collect::<Result<_, _>>()?,
-        _ => return Err("table without columns".into()),
-    };
-    let mut t = Table::new(name, caption, columns);
-    match v.get("rows") {
-        Some(Value::Array(rows)) => {
-            for r in rows {
-                t.push_row(floats_from_value(r)?);
-            }
-        }
-        _ => return Err("table without rows".into()),
+/// Reads [`table_to_value`]'s rendering. A table without columns or a
+/// row whose width is not the column count is an error here, before
+/// `Table` would assert on it.
+fn table_from_value(mut f: Fields) -> Result<Table, String> {
+    let name = f.string("name")?;
+    let caption = f.string("caption")?;
+    let columns = f.strings("columns")?;
+    if columns.is_empty() {
+        return Err(format!("table {name:?} has no columns"));
     }
-    Ok(t)
+    let mut t = Table::new(name, caption, columns);
+    for row in f.array("rows")? {
+        let row = floats_from_value(row)?;
+        let (width, want) = (row.len(), t.columns.len());
+        if width != want {
+            return Err(format!(
+                "table {name:?}: row width {width} vs {want} columns"
+            ));
+        }
+        t.push_row(row);
+    }
+    f.done(t)
 }
 
 #[cfg(test)]

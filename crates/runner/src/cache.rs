@@ -26,6 +26,7 @@
 //! observe torn entries; because entries are content-addressed,
 //! last-writer-wins races replace identical bytes.
 
+use crate::fields::{parse_hex16, Fields};
 use crate::plan::{stable_hash, Spec};
 use serde::Value;
 use std::path::{Path, PathBuf};
@@ -123,56 +124,57 @@ impl DirCache {
     /// minus the caller's key comparison.
     fn parse_entry(hash: u64, text: &str) -> Option<(String, String)> {
         let value = serde_json::from_str(text).ok()?;
-        if value.get("format")?.as_f64()? != f64::from(CACHE_FORMAT) {
-            return None;
-        }
-        let key = value.get("key")?.as_str()?;
+        let mut entry = Fields::of(&value, "cache entry").ok()?;
+        let format: u32 = entry.count("format").ok()?;
+        let key = entry.string("key").ok()?;
+        let check = entry.string("check").ok()?;
+        let payload = entry.string("payload").ok()?;
+        entry.done(()).ok()?;
         // The entry must live under its own key's hash — a mismatch
-        // means a renamed file or a hash collision, never serve it.
-        if stable_hash(key) != hash {
-            return None;
-        }
-        let check = value.get("check")?.as_str()?;
-        let payload = value.get("payload")?.as_str()?;
-        // The checksum covers the codec's verbatim bytes.
-        if format!("{:016x}", stable_hash(payload)) != check {
-            return None;
-        }
-        Some((key.to_string(), payload.to_string()))
+        // means a renamed file or a hash collision, never serve it —
+        // and the checksum covers the codec's verbatim bytes.
+        let valid = format == CACHE_FORMAT
+            && stable_hash(key) == hash
+            && format!("{:016x}", stable_hash(payload)) == check;
+        valid.then(|| (key.to_string(), payload.to_string()))
     }
 
     /// Scans the directory for entry files (16-hex-digit `.json`
     /// names), validating each — the substrate for `cache stats` and
     /// `cache gc`. A missing directory is an empty cache.
     pub fn entries(&self) -> Vec<CacheEntry> {
+        let entry_name = |name: &str| parse_hex16(name.strip_suffix(".json")?);
+        // Names are fixed-width lowercase hex: name order is hash order.
+        let found = self.scan(entry_name).into_iter();
+        found
+            .map(|(hash, path, bytes)| {
+                let text = std::fs::read_to_string(path).ok();
+                let parsed = text.and_then(|text| Self::parse_entry(hash, &text));
+                CacheEntry {
+                    hash,
+                    key: parsed.as_ref().map(|(k, _)| k.clone()),
+                    bytes,
+                    valid: parsed.is_some(),
+                }
+            })
+            .collect()
+    }
+
+    /// The directory's files whose names `parse` accepts, with what it
+    /// made of the name, their path and their size, in name order. A
+    /// missing directory has none.
+    fn scan<T>(&self, parse: impl Fn(&str) -> Option<T>) -> Vec<(T, PathBuf, u64)> {
         let Ok(dir) = std::fs::read_dir(&self.dir) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        for entry in dir.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some(stem) = name.strip_suffix(".json") else {
-                continue;
-            };
-            if stem.len() != 16 || !stem.bytes().all(|b| b.is_ascii_hexdigit()) {
-                continue;
-            }
-            let Ok(hash) = u64::from_str_radix(stem, 16) else {
-                continue;
-            };
+        let found = dir.flatten().filter_map(|entry| {
+            let parsed = parse(&entry.file_name().to_string_lossy())?;
             let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
-            let parsed = std::fs::read_to_string(entry.path())
-                .ok()
-                .and_then(|text| Self::parse_entry(hash, &text));
-            out.push(CacheEntry {
-                hash,
-                key: parsed.as_ref().map(|(k, _)| k.clone()),
-                bytes,
-                valid: parsed.is_some(),
-            });
-        }
-        out.sort_by_key(|e| e.hash);
-        out
+            Some((parsed, entry.path(), bytes))
+        });
+        let mut found: Vec<_> = found.collect();
+        found.sort_by(|a, b| a.1.cmp(&b.1));
+        found
     }
 
     /// Removes the entry for `hash`; `true` if a file was deleted.
@@ -186,30 +188,15 @@ impl DirCache {
     /// anything a scan observes is almost certainly a crash residue;
     /// the load path never looks at temp files, they only waste disk.
     pub fn temp_files(&self) -> Vec<TempFile> {
-        let Ok(dir) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
+        let temp_name = |name: &str| {
+            let (stem, pid) = name.split_once(".tmp.")?;
+            let pid_ok = !pid.is_empty() && pid.bytes().all(|b| b.is_ascii_digit());
+            parse_hex16(stem).filter(|_| pid_ok)
         };
-        let mut out = Vec::new();
-        for entry in dir.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some((stem, pid)) = name.split_once(".tmp.") else {
-                continue;
-            };
-            if stem.len() != 16
-                || !stem.bytes().all(|b| b.is_ascii_hexdigit())
-                || pid.is_empty()
-                || !pid.bytes().all(|b| b.is_ascii_digit())
-            {
-                continue;
-            }
-            let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
-            out.push(TempFile {
-                path: entry.path(),
-                bytes,
-            });
-        }
-        out.sort();
-        out
+        let found = self.scan(temp_name).into_iter();
+        found
+            .map(|(_, path, bytes)| TempFile { path, bytes })
+            .collect()
     }
 
     /// Deletes every orphaned temp file, returning how many were
@@ -438,6 +425,19 @@ mod tests {
         std::fs::write(cache.dir().join("notes.txt"), "x").unwrap();
         assert!(cache.temp_files().is_empty());
         assert_eq!(cache.remove_temp_files(), 0);
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn only_the_writers_file_names_are_scanned() {
+        // `store` writes lowercase hex names and `remove` deletes only
+        // those, so an uppercase twin is a stranger to stats and gc.
+        let cache = DirCache::new(scratch("names"));
+        cache.store(stable_hash("toy/a/v1"), "toy/a/v1", &payload());
+        std::fs::write(cache.dir().join("0123456789ABCDEF.json"), "{}").unwrap();
+        std::fs::write(cache.dir().join("0123456789ABCDEF.tmp.1"), "x").unwrap();
+        assert_eq!(cache.entries().len(), 1);
+        assert!(cache.temp_files().is_empty());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

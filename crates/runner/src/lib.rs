@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod fields;
 pub mod job;
 pub mod plan;
 pub mod pool;
@@ -42,6 +43,7 @@ pub mod pool;
 pub use cache::{
     CacheCounters, CacheEntry, CacheableSpec, DirCache, OutputCache, TempFile, CACHE_FORMAT,
 };
+pub use fields::{parse_hex16, Fields};
 pub use job::JobCtx;
 pub use plan::{
     run_plan, stable_hash, CancelToken, ExecConfig, Plan, RunStats, SliceStep, SlicedRun, Spec,

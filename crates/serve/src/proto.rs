@@ -13,6 +13,7 @@
 //! version check — a client built from a different spec vocabulary
 //! cannot receive tables it would mislabel.
 
+use ebrc_runner::Fields;
 use serde::Value;
 
 /// What a client can ask of the daemon.
@@ -44,15 +45,9 @@ pub struct Submission {
 /// What the daemon streams back.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
-    /// The submission resolved against the daemon's catalogue.
-    Accepted {
-        /// Plan fingerprint the daemon computed.
-        fingerprint: String,
-        /// Unique sims after content-hash dedup.
-        unique_sims: usize,
-        /// Subscribed sims before dedup.
-        subscribed_sims: usize,
-    },
+    /// The submission resolved against the daemon's catalogue to this
+    /// plan.
+    Accepted(PlanInfo),
     /// Another sweep holds the executor; this one waits its turn
     /// (FIFO admission — concurrent clients serialize on the shared
     /// cache so overlapping sims are paid for once).
@@ -129,7 +124,7 @@ pub struct RunSummary {
 }
 
 /// What a submission resolves to before execution: the plan identity
-/// a backend derives from targets + scale. Mirrors the fields of
+/// a backend derives from targets + scale, sent back as
 /// [`Event::Accepted`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanInfo {
@@ -155,7 +150,7 @@ pub struct ServiceStats {
 }
 
 // ---------------------------------------------------------------------
-// Value codecs. Hand-rolled both ways; parsers validate every field.
+// Value codecs. Hand-rolled writers; parsers read through `Fields`.
 // ---------------------------------------------------------------------
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
@@ -168,41 +163,6 @@ fn s(text: &str) -> Value {
 
 fn num(n: f64) -> Value {
     Value::Number(n)
-}
-
-fn field_str(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-/// Largest count a wire number (an `f64`) carries exactly: 2^53.
-const MAX_EXACT_COUNT: f64 = 9_007_199_254_740_992.0;
-
-/// A count field: an integral number in `0..=2^53`. Anything else —
-/// a fraction, a negative, a value past `f64`'s exact integers — is an
-/// error, never rounded or saturated into some other count.
-fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    let n = v
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))?;
-    if n.fract() == 0.0 && (0.0..=MAX_EXACT_COUNT).contains(&n) {
-        Ok(n as u64)
-    } else {
-        Err(format!("field {key:?} is not a count in 0..=2^53: {n}"))
-    }
-}
-
-fn field_usize(v: &Value, key: &str) -> Result<usize, String> {
-    field_u64(v, key).map(|n| n as usize)
-}
-
-fn field_f64(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
 }
 
 impl Request {
@@ -221,49 +181,28 @@ impl Request {
                 ("scale", s(&sub.scale)),
                 (
                     "fingerprint",
-                    match &sub.fingerprint {
-                        Some(fp) => s(fp),
-                        None => Value::Null,
-                    },
+                    sub.fingerprint.as_deref().map_or(Value::Null, s),
                 ),
             ]),
         }
     }
 
-    /// Parses a wire value; unknown or malformed requests are errors.
+    /// Parses a wire value; unknown, malformed or extra members are
+    /// errors.
     pub fn from_value(v: &Value) -> Result<Request, String> {
-        match field_str(v, "type")?.as_str() {
-            "ping" => Ok(Request::Ping),
-            "stats" => Ok(Request::Stats),
-            "shutdown" => Ok(Request::Shutdown),
-            "submit" => {
-                let targets = match v.get("targets") {
-                    Some(Value::Array(items)) => items
-                        .iter()
-                        .map(|t| {
-                            t.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| "non-string target".to_string())
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                    _ => return Err("submit without targets array".into()),
-                };
-                let fingerprint = match v.get("fingerprint") {
-                    None | Some(Value::Null) => None,
-                    Some(fp) => Some(
-                        fp.as_str()
-                            .map(str::to_string)
-                            .ok_or("non-string fingerprint")?,
-                    ),
-                };
-                Ok(Request::Submit(Submission {
-                    targets,
-                    scale: field_str(v, "scale")?,
-                    fingerprint,
-                }))
-            }
-            other => Err(format!("unknown request type {other:?}")),
-        }
+        let mut f = Fields::of(v, "request")?;
+        let request = match f.string("type")? {
+            "ping" => Request::Ping,
+            "stats" => Request::Stats,
+            "shutdown" => Request::Shutdown,
+            "submit" => Request::Submit(Submission {
+                targets: f.strings("targets")?,
+                scale: f.string("scale")?.to_string(),
+                fingerprint: f.or_null("fingerprint", Fields::string)?.map(Into::into),
+            }),
+            other => return Err(format!("unknown request type {other:?}")),
+        };
+        f.done(request)
     }
 }
 
@@ -277,31 +216,17 @@ impl RunSummary {
             ("wall_s", num(self.wall_s)),
         ]
     }
-
-    fn parse(v: &Value) -> Result<RunSummary, String> {
-        Ok(RunSummary {
-            executed: field_usize(v, "executed")?,
-            cache_hits: field_usize(v, "cache_hits")?,
-            events: field_u64(v, "events")?,
-            failed: field_usize(v, "failed")?,
-            wall_s: field_f64(v, "wall_s")?,
-        })
-    }
 }
 
 impl Event {
     /// Renders the event for the wire.
     pub fn to_value(&self) -> Value {
         match self {
-            Event::Accepted {
-                fingerprint,
-                unique_sims,
-                subscribed_sims,
-            } => obj(vec![
+            Event::Accepted(plan) => obj(vec![
                 ("type", s("accepted")),
-                ("fingerprint", s(fingerprint)),
-                ("unique_sims", num(*unique_sims as f64)),
-                ("subscribed_sims", num(*subscribed_sims as f64)),
+                ("fingerprint", s(&plan.fingerprint)),
+                ("unique_sims", num(plan.unique_sims as f64)),
+                ("subscribed_sims", num(plan.subscribed_sims as f64)),
             ]),
             Event::Queued => obj(vec![("type", s("queued"))]),
             Event::Running => obj(vec![("type", s("running"))]),
@@ -315,29 +240,10 @@ impl Event {
                 ("experiment", s(&chunk.experiment)),
                 ("title", s(&chunk.title)),
                 ("paper_ref", s(&chunk.paper_ref)),
-                (
-                    "error",
-                    match &chunk.error {
-                        Some(e) => s(e),
-                        None => Value::Null,
-                    },
-                ),
+                ("error", chunk.error.as_deref().map_or(Value::Null, s)),
                 (
                     "tables",
-                    Value::Array(
-                        chunk
-                            .tables
-                            .iter()
-                            .map(|t| {
-                                obj(vec![
-                                    ("name", s(&t.name)),
-                                    ("file_name", s(&t.file_name)),
-                                    ("render", s(&t.render)),
-                                    ("json", s(&t.json)),
-                                ])
-                            })
-                            .collect(),
-                    ),
+                    Value::Array(chunk.tables.iter().map(TableChunk::to_value).collect()),
                 ),
             ]),
             Event::Done(summary) => {
@@ -358,61 +264,76 @@ impl Event {
         }
     }
 
-    /// Parses a wire value; unknown or malformed events are errors.
+    /// Parses a wire value; unknown, malformed or extra members are
+    /// errors.
     pub fn from_value(v: &Value) -> Result<Event, String> {
-        match field_str(v, "type")?.as_str() {
-            "accepted" => Ok(Event::Accepted {
-                fingerprint: field_str(v, "fingerprint")?,
-                unique_sims: field_usize(v, "unique_sims")?,
-                subscribed_sims: field_usize(v, "subscribed_sims")?,
+        let mut f = Fields::of(v, "event")?;
+        let event = match f.string("type")? {
+            "accepted" => Event::Accepted(PlanInfo {
+                fingerprint: f.string("fingerprint")?.to_string(),
+                unique_sims: f.count("unique_sims")?,
+                subscribed_sims: f.count("subscribed_sims")?,
             }),
-            "queued" => Ok(Event::Queued),
-            "running" => Ok(Event::Running),
-            "progress" => Ok(Event::Progress {
-                done: field_usize(v, "done")?,
-                total: field_usize(v, "total")?,
+            "queued" => Event::Queued,
+            "running" => Event::Running,
+            "progress" => Event::Progress {
+                done: f.count("done")?,
+                total: f.count("total")?,
+            },
+            "report" => Event::Report(ReportChunk {
+                experiment: f.string("experiment")?.to_string(),
+                title: f.string("title")?.to_string(),
+                paper_ref: f.string("paper_ref")?.to_string(),
+                error: f.or_null("error", Fields::string)?.map(str::to_string),
+                tables: f
+                    .array("tables")?
+                    .iter()
+                    .map(TableChunk::parse)
+                    .collect::<Result<_, _>>()?,
             }),
-            "report" => {
-                let tables = match v.get("tables") {
-                    Some(Value::Array(items)) => items
-                        .iter()
-                        .map(|t| {
-                            Ok(TableChunk {
-                                name: field_str(t, "name")?,
-                                file_name: field_str(t, "file_name")?,
-                                render: field_str(t, "render")?,
-                                json: field_str(t, "json")?,
-                            })
-                        })
-                        .collect::<Result<Vec<_>, String>>()?,
-                    _ => return Err("report without tables array".into()),
-                };
-                let error = match v.get("error") {
-                    None | Some(Value::Null) => None,
-                    Some(e) => Some(e.as_str().map(str::to_string).ok_or("non-string error")?),
-                };
-                Ok(Event::Report(ReportChunk {
-                    experiment: field_str(v, "experiment")?,
-                    title: field_str(v, "title")?,
-                    paper_ref: field_str(v, "paper_ref")?,
-                    error,
-                    tables,
-                }))
-            }
-            "done" => RunSummary::parse(v).map(Event::Done),
-            "error" => Ok(Event::Error {
-                message: field_str(v, "message")?,
+            "done" => Event::Done(RunSummary {
+                executed: f.count("executed")?,
+                cache_hits: f.count("cache_hits")?,
+                events: f.count("events")?,
+                failed: f.count("failed")?,
+                wall_s: f.number("wall_s")?,
             }),
-            "pong" => Ok(Event::Pong),
-            "service_stats" => Ok(Event::Stats(ServiceStats {
-                submissions: field_u64(v, "submissions")?,
-                sims_executed: field_u64(v, "sims_executed")?,
-                cache_hits: field_u64(v, "cache_hits")?,
-                events: field_u64(v, "events")?,
-            })),
-            "bye" => Ok(Event::Bye),
-            other => Err(format!("unknown event type {other:?}")),
-        }
+            "error" => Event::Error {
+                message: f.string("message")?.to_string(),
+            },
+            "pong" => Event::Pong,
+            "service_stats" => Event::Stats(ServiceStats {
+                submissions: f.count("submissions")?,
+                sims_executed: f.count("sims_executed")?,
+                cache_hits: f.count("cache_hits")?,
+                events: f.count("events")?,
+            }),
+            "bye" => Event::Bye,
+            other => return Err(format!("unknown event type {other:?}")),
+        };
+        f.done(event)
+    }
+}
+
+impl TableChunk {
+    fn to_value(&self) -> Value {
+        obj(vec![
+            ("name", s(&self.name)),
+            ("file_name", s(&self.file_name)),
+            ("render", s(&self.render)),
+            ("json", s(&self.json)),
+        ])
+    }
+
+    fn parse(v: &Value) -> Result<TableChunk, String> {
+        let mut f = Fields::of(v, "table chunk")?;
+        let chunk = TableChunk {
+            name: f.string("name")?.to_string(),
+            file_name: f.string("file_name")?.to_string(),
+            render: f.string("render")?.to_string(),
+            json: f.string("json")?.to_string(),
+        };
+        f.done(chunk)
     }
 }
 
@@ -451,11 +372,11 @@ mod tests {
 
     #[test]
     fn events_round_trip() {
-        round_trip_event(Event::Accepted {
+        round_trip_event(Event::Accepted(PlanInfo {
             fingerprint: "abcd".into(),
             unique_sims: 160,
             subscribed_sims: 169,
-        });
+        }));
         round_trip_event(Event::Queued);
         round_trip_event(Event::Running);
         round_trip_event(Event::Progress { done: 3, total: 9 });
@@ -509,6 +430,14 @@ mod tests {
         assert!(Request::from_value(&no_type).is_err());
         let bad_done = serde_json::from_str("{\"type\":\"done\",\"executed\":-1}").unwrap();
         assert!(Event::from_value(&bad_done).is_err());
+        // Every member is read once: strays and duplicates are errors.
+        for text in [
+            r#"{"type":"ping","extra":1}"#,
+            r#"{"type":"ping","type":"ping"}"#,
+        ] {
+            let v = serde_json::from_str(text).unwrap();
+            assert!(Request::from_value(&v).is_err(), "{text}");
+        }
     }
 
     #[test]

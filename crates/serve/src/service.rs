@@ -288,12 +288,7 @@ fn handle_submit(
             );
         }
     }
-    let accepted = Event::Accepted {
-        fingerprint: info.fingerprint.clone(),
-        unique_sims: info.unique_sims,
-        subscribed_sims: info.subscribed_sims,
-    };
-    if write_value(conn, &accepted.to_value()).is_err() {
+    if write_value(conn, &Event::Accepted(info).to_value()).is_err() {
         return false;
     }
 
@@ -477,7 +472,7 @@ mod tests {
         for events in &streams {
             assert!(matches!(
                 events.first(),
-                Some(Event::Accepted { unique_sims: 3, .. })
+                Some(Event::Accepted(PlanInfo { unique_sims: 3, .. }))
             ));
             let Some(Event::Done(summary)) = events.last() else {
                 panic!("no Done event: {events:?}");
