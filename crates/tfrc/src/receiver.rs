@@ -33,19 +33,6 @@ pub struct TfrcReceiverConfig {
     pub formula: FormulaKind,
 }
 
-impl TfrcReceiverConfig {
-    /// TFRC defaults: `L = 8`, comprehensive on.
-    pub fn standard(rtt: f64) -> Self {
-        Self {
-            weights: WeightProfile::tfrc(8),
-            rtt,
-            comprehensive: true,
-            feedback_period: rtt,
-            formula: FormulaKind::PftkSimplified,
-        }
-    }
-}
-
 /// The receiving endpoint: tracks losses from sequence gaps (the
 /// network is FIFO), groups them into loss events, maintains the last
 /// `L` loss-event intervals, and reports the average interval plus the
@@ -67,9 +54,9 @@ pub struct TfrcReceiver {
     events: u64,
     last_echo_ts: f64,
     started: bool,
-    // Ground-truth (θ_n, θ̂_n) pairs for the covariance statistics.
+    // Ground-truth (θ_n, θ̂_n) pairs for the covariance statistics,
+    // folded into running sums as each interval closes.
     cov: Covariance,
-    intervals: Vec<f64>,
     theta_hat_moments: Moments,
 }
 
@@ -95,7 +82,6 @@ impl TfrcReceiver {
             last_echo_ts: 0.0,
             started: false,
             cov: Covariance::new(),
-            intervals: Vec::new(),
             theta_hat_moments: Moments::new(),
         }
     }
@@ -103,11 +89,6 @@ impl TfrcReceiver {
     /// Wires the first hop of the feedback path.
     pub fn set_reverse_hop(&mut self, id: ComponentId) {
         self.reverse_hop = Some(id);
-    }
-
-    /// Data packets received.
-    pub fn received(&self) -> u64 {
-        self.received
     }
 
     /// Loss events observed.
@@ -129,23 +110,14 @@ impl TfrcReceiver {
         }
     }
 
-    /// Completed loss-event intervals `θ_n`.
-    pub fn intervals(&self) -> &[f64] {
-        &self.intervals
-    }
-
-    /// Empirical `cov[θ0, θ̂0]` over the run (condition (C1)).
-    pub fn cov_theta_theta_hat(&self) -> f64 {
-        self.cov.covariance()
-    }
-
     /// Moments of the estimator values `θ̂_n` sampled at loss events —
     /// Figure 6 (bottom) plots their squared coefficient of variation.
     pub fn theta_hat_moments(&self) -> &Moments {
         &self.theta_hat_moments
     }
 
-    /// The normalized covariance `cov[θ0, θ̂0]·p²` of Figures 5 and 10.
+    /// The normalized covariance `cov[θ0, θ̂0]·p²` of Figures 5 and 10
+    /// (condition (C1)), over the run.
     pub fn normalized_covariance(&self) -> f64 {
         let p = self.loss_event_rate();
         self.cov.covariance() * p * p
@@ -213,7 +185,6 @@ impl TfrcReceiver {
                     self.cov.push(theta, est);
                     self.theta_hat_moments.push(est);
                 }
-                self.intervals.push(theta);
                 self.estimator.push(theta);
                 self.history_len = (self.history_len + 1).min(self.estimator.window());
             }
@@ -506,12 +477,10 @@ mod tests {
         eng.run_until(t);
         let r: &TfrcReceiver = eng.get(rcv);
         // Six gaps were created but the last has no packet after it to
-        // reveal it, so five events are observable.
+        // reveal it, so five events are observable, over the 239
+        // sequence numbers up to the last packet received.
         assert_eq!(r.events(), 5);
-        assert_eq!(r.intervals().len(), 4);
-        // Intervals alternate 50, 30 (plus the dropped packet in each).
-        for w in r.intervals() {
-            assert!((*w - 50.0).abs() < 2.0 || (*w - 30.0).abs() < 2.0, "{w}");
-        }
+        assert_eq!(r.inferred_sent(), 239);
+        assert_eq!(r.loss_event_rate(), 5.0 / 239.0);
     }
 }

@@ -375,10 +375,11 @@ mod tests {
         let (mut eng, _, rcv) = one_flow(1e9, 0.05, rtt, 3, cfg);
         eng.run_until(600.0);
         let r: &TfrcReceiver = eng.get(rcv);
-        // Mean loss-event interval should be near 1/p = 20 packets,
-        // a bit above because in-RTT losses coalesce.
-        let mean: f64 = r.intervals().iter().sum::<f64>() / r.intervals().len().max(1) as f64;
-        assert!(r.intervals().len() > 200, "events {}", r.intervals().len());
+        // Mean loss-event interval (packets per loss event) should be
+        // near 1/p = 20 packets, a bit above because in-RTT losses
+        // coalesce.
+        let mean = 1.0 / r.loss_event_rate();
+        assert!(r.events() > 200, "events {}", r.events());
         assert!((15.0..45.0).contains(&mean), "mean interval {mean}");
     }
 
