@@ -67,8 +67,9 @@ pub struct FlowClass {
     aimd: Vec<AimdFlowState>,
     aimd_seen_events: Vec<u64>,
     srtt: Vec<f64>,
+    /// The next data sequence number per flow — also its count of
+    /// data packets sent.
     next_seq: Vec<u64>,
-    sent: Vec<u64>,
     // --- receiver role, per flow ---
     next_expected: Vec<u64>,
     events: Vec<u64>,
@@ -113,7 +114,6 @@ impl FlowClass {
             aimd_seen_events: vec![0; n_aimd],
             srtt: vec![0.0; n],
             next_seq: vec![0; n],
-            sent: vec![0; n],
             next_expected: vec![0; n],
             events: vec![0; n],
             event_open_until: vec![0.0; n],
@@ -138,7 +138,7 @@ impl FlowClass {
 
     /// Cumulative data packets sent by flow `i`.
     pub fn packets_sent(&self, i: usize) -> u64 {
-        self.sent[i]
+        self.next_seq[i]
     }
 
     /// Cumulative loss events observed for flow `i`.
@@ -177,7 +177,6 @@ impl FlowClass {
     fn send_data(&mut self, i: usize, now: f64, ctx: &mut Context<NetEvent>) {
         let seq = self.next_seq[i];
         self.next_seq[i] += 1;
-        self.sent[i] += 1;
         ctx.send(
             0.0,
             self.next_hop.expect("bank next hop not wired"),

@@ -5,15 +5,31 @@
 //! The fixture is also what a reviewer drags into ui.perfetto.dev to
 //! eyeball the track layout.
 //!
+//! The same fixture is the reader's whole-file fuzz corpus: every
+//! strict prefix, corrupted copies and arbitrary buffers must come back
+//! from `read_trace` as `Ok` or `Err`, never as a panic.
+//!
 //! `UPDATE_GOLDEN=1 cargo test -p ebrc-experiments --test trace_golden`
 //! rewrites the fixture after a deliberate format change.
 
 use ebrc_experiments::scenarios::dumbbell::{DumbbellConfig, DumbbellRun, QueueSpec};
 use ebrc_sim::RunLimit;
+use ebrc_trace::read_trace;
+use proptest::prelude::*;
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trace_tiny.pftrace")
+}
+
+/// The committed fixture's bytes.
+fn golden() -> Vec<u8> {
+    std::fs::read(golden_path()).unwrap_or_else(|e| {
+        panic!(
+            "no golden trace at {} ({e}); run UPDATE_GOLDEN=1",
+            golden_path().display()
+        )
+    })
 }
 
 /// Sim-time horizon of the fixture run: long enough for TFRC feedback
@@ -59,12 +75,7 @@ fn tiny_sim_trace_matches_the_golden_fixture() {
         return;
     }
 
-    let golden = std::fs::read(golden_path()).unwrap_or_else(|e| {
-        panic!(
-            "no golden trace at {} ({e}); run UPDATE_GOLDEN=1",
-            golden_path().display()
-        )
-    });
+    let golden = golden();
     assert_eq!(
         golden, monolithic,
         "trace bytes diverged from the committed fixture \
@@ -94,4 +105,40 @@ fn the_golden_fixture_is_structurally_valid_perfetto() {
     assert!(summary.instants > 0, "instants: {summary:?}");
     // Timestamps are sim-time nanoseconds within the horizon.
     assert!(summary.max_ts.unwrap() <= (HORIZON * 1e9) as u64 + 1);
+}
+
+#[test]
+fn every_strict_prefix_of_the_fixture_reads_without_panicking() {
+    let bytes = golden();
+    let whole = read_trace(&bytes).expect("the fixture itself validates");
+    let mut valid = 0;
+    for n in 0..bytes.len() {
+        // A cut between whole packets may still validate; any other
+        // is an `Err`. Neither may panic.
+        valid += u64::from(read_trace(&bytes[..n]).is_ok());
+    }
+    // The strict prefixes ending on a packet boundary, the empty one
+    // included, number exactly `packets`.
+    assert!(valid <= whole.packets, "{valid} prefixes validate");
+}
+
+proptest! {
+    #[test]
+    fn corrupted_fixture_bytes_never_panic_the_reader(
+        edits in proptest::collection::vec((any::<u64>(), 1u8..255), 1..5),
+    ) {
+        let mut bytes = golden();
+        for (at, flip) in edits {
+            let i = (at % bytes.len() as u64) as usize;
+            bytes[i] ^= flip;
+        }
+        let _ = read_trace(&bytes);
+    }
+
+    #[test]
+    fn arbitrary_buffers_never_panic_the_reader(
+        bytes in proptest::collection::vec(any::<u8>(), 0..257),
+    ) {
+        let _ = read_trace(&bytes);
+    }
 }

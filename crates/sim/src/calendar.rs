@@ -1,4 +1,5 @@
-//! Pluggable event calendars: the pending-event set behind the engine.
+//! The engine's event calendar: the pending-event set behind the
+//! dispatch loop.
 //!
 //! The calendar holds what is neither a same-instant hop nor a
 //! fixed-delay delivery — timers, jittered delays, whatever
@@ -21,21 +22,19 @@
 //!
 //! *Earliest* always means minimal `(time, seq)`, the total order that
 //! makes simultaneous events fire in scheduling order and replays
-//! bit-exact. [`Calendar::pop`], [`Calendar::next_time`] and
-//! [`Calendar::next_key`] remain as the unconditional forms for callers
-//! outside the engine (benches, probes, tests).
+//! bit-exact. Every time is finite and non-negative: `Engine::schedule`
+//! and `Context::send` reject any other delay before it is filed.
 //!
-//! Two implementations share that contract:
-//!
-//! * [`HeapCalendar`] — the original `BinaryHeap`, O(log n) per
-//!   operation. Kept as the obviously-correct reference; the property
-//!   tests and the ledger's hold-model probes compare the wheel against it.
-//! * [`WheelCalendar`] — a calendar queue (Brown 1988): a ring of
-//!   buckets, each one *width* seconds wide, with a cursor that sweeps
-//!   forward in time. Steady-state schedule and pop are O(1), which is
-//!   what keeps 10⁴–10⁵ concurrent flows affordable. Events beyond the
-//!   ring's horizon wait in an overflow heap and migrate in as the
-//!   cursor approaches them.
+//! The engine owns one calendar type, [`WheelCalendar`]: a calendar
+//! queue (Brown 1988) — a ring of buckets, each one *width* seconds
+//! wide, with a cursor that sweeps forward in time. Steady-state
+//! schedule and pop are O(1), which is what keeps 10⁴–10⁵ concurrent
+//! flows affordable. Events beyond the ring's horizon wait in an
+//! overflow heap and migrate in as the cursor approaches them.
+//! [`Calendar`] and [`HeapCalendar`] stay public for two readers only:
+//! the performance ledger's hold-model probes, which time the wheel
+//! against the heap through the trait, and the property tests, which
+//! check the wheel's pop order against the heap's.
 //!
 //! The ring owns one allocation for its events: a *slab* of slots, each
 //! a pending event plus the index of the next slot in the same bucket.
@@ -53,7 +52,7 @@
 //! performance knobs — the golden corpus cannot move when they change.
 //! The same argument covers where a bucket keeps its events: keys are
 //! unique (`seq` is), so the minimum of a chain is the same event in
-//! whatever order pushes, pops and slot reuse left the chain.
+//! whatever order pushes, pops, refits and slot reuse left the chain.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -99,10 +98,10 @@ impl<E> Ord for Scheduled<E> {
 
 /// The pending-event set contract the engine's dispatch loop runs on.
 ///
-/// Implementations must serve events in ascending `(time, seq)` order —
-/// the engine's determinism guarantee rests on every calendar agreeing
-/// on that total order, which the `wheel ≡ heap` property tests pin
-/// down over arbitrary interleaved push/pop sequences.
+/// Implementations must serve events in ascending `(time, seq)` order.
+/// The engine calls [`WheelCalendar`] directly; the trait exists so the
+/// ledger's hold-model probes and the wheel's property tests can drive
+/// the wheel and its [`HeapCalendar`] oracle through one interface.
 ///
 /// The head reads (`next_time`, `next_key`) take `&mut self`
 /// deliberately: the wheel locates its head by advancing a cursor (and
@@ -115,12 +114,8 @@ pub trait Calendar<E> {
     where
         Self: Sized;
 
-    /// Accepts a pending event. The engine only ever pushes finite,
-    /// non-negative times (`Engine::schedule` and `Context::send`
-    /// reject anything else — a NaN would poison the `(time, seq)`
-    /// total order). Implementations still tolerate `±inf`
-    /// structurally, sorting it after every finite time, but must
-    /// never see NaN.
+    /// Accepts a pending event at a finite, non-negative time (a NaN
+    /// would poison the `(time, seq)` total order).
     fn push(&mut self, item: Scheduled<E>);
 
     /// Removes and returns the pending event with the smallest
@@ -165,8 +160,10 @@ pub trait Calendar<E> {
 /// The reference calendar: a binary heap ordered by `(time, seq)`.
 ///
 /// O(log n) per operation with perfect worst-case behavior — the
-/// implementation every alternative calendar must be indistinguishable
-/// from (modulo speed).
+/// implementation the wheel must be indistinguishable from (modulo
+/// speed). No engine runs on it: it is public only as the oracle of the
+/// wheel's property tests and the baseline of the ledger's
+/// `sim.heap_hold_ns_*` probe.
 pub struct HeapCalendar<E> {
     heap: BinaryHeap<Scheduled<E>>,
 }
@@ -206,13 +203,13 @@ impl<E> Calendar<E> for HeapCalendar<E> {
 /// cursor sweeps stay cheap.
 const MIN_BUCKETS: usize = 64;
 /// A bucket this full, holding several times the wheel's average
-/// occupancy, is a calibration miss (see
-/// [`WheelCalendar::seek_bucket`]).
+/// occupancy, is a fitting miss (see
+/// [`WheelCalendar::bucket_concentrated`]).
 const CONCENTRATED_BUCKET: usize = 64;
 
 /// Ticks holding at most this many events are served straight from
 /// their bucket by linear min-scan — cheaper than heapifying for the
-/// calibrated steady state of a few events per tick (the fit aims at
+/// fitted steady state of a few events per tick (the fit aims at
 /// 2 per bucket; `manyflow_10k` measures 4.4 slots scanned per bucket
 /// pop). Bigger ticks (and ticks that keep receiving same-tick pushes)
 /// drain into the `head` heap and are served at O(log k).
@@ -221,7 +218,7 @@ const SMALL_TICK: usize = 16;
 /// Smallest tick width that keeps `time / width` comfortably inside
 /// `u64` for times of magnitude `t`.
 fn width_floor(t: f64) -> f64 {
-    t.abs().max(1.0) * 1e-12
+    t.max(1.0) * 1e-12
 }
 /// Bucket-count ceiling: beyond this the ring's memory footprint buys
 /// nothing — overflow migration amortizes the rest.
@@ -267,13 +264,12 @@ impl<E> Slot<E> {
 
 /// How often each storage path ran, so the tests can prove their
 /// workloads reach the paths they claim to: big ticks drained into
-/// `head`, rebuilds by trigger, pushes served from the free list.
+/// `head`, concentration refits, pushes served from the free list.
 #[cfg(test)]
 #[derive(Clone, Copy, Default, Debug, PartialEq)]
 struct PathCounts {
     drains: u64,
-    drift_rebuilds: u64,
-    concentration_rebuilds: u64,
+    refits: u64,
     slot_reuses: u64,
 }
 
@@ -284,9 +280,8 @@ struct PathCounts {
 /// the earliest tick any pending event may occupy, so the ring covers
 /// the window `[cursor, cursor + n)` and exactly one tick maps to each
 /// bucket within it — the cursor's bucket holds only the current
-/// tick's events. Events beyond the window (or with non-finite times)
-/// wait in an overflow heap and migrate into the ring as the cursor
-/// sweeps forward.
+/// tick's events. Events beyond the window wait in an overflow heap and
+/// migrate into the ring as the cursor sweeps forward.
 ///
 /// Ring buckets are unordered staging, chained through one slab
 /// (`slots`): a push takes a slot off the free list (or grows the slab
@@ -300,19 +295,18 @@ struct PathCounts {
 /// straight into `head` at O(log k) instead of forcing a per-pop
 /// re-scan of the bucket.
 ///
-/// The first head access *calibrates* the ring: bucket count and width
-/// are derived from the pending set (≈2 events per bucket over the
-/// dense bulk of the observed span) and the `with_capacity` hint. If
-/// the workload drifts until most pushes land in overflow, or the
-/// cursor keeps hitting buckets holding a large multiple of the
-/// average load, the wheel rebuilds itself with fresh parameters. All
-/// such decisions depend only on the push/pop sequence — never on wall
-/// clock — so runs stay deterministic, and the pop order is `(time,
-/// seq)` regardless of the parameters chosen.
+/// The first head access *fits* the ring: bucket count and width are
+/// derived from the pending set (≈2 events per bucket over the dense
+/// bulk of the observed span) and the `with_capacity` hint. One rule
+/// fits it again: the cursor reaching a bucket that holds a large
+/// multiple of the average load, which a refit splits by relinking
+/// the slab in place. That decision depends only on the push/pop
+/// sequence — never on wall clock — so runs stay deterministic, and
+/// the pop order is `(time, seq)` regardless of the parameters chosen.
 pub struct WheelCalendar<E> {
     buckets: Vec<Bucket>,
     /// The ring's only event store: every ring event, plus the slots
-    /// pops have vacated since the last rebuild.
+    /// pops have vacated.
     slots: Vec<Slot<E>>,
     /// Head of the free list threaded through vacated slots' `next`.
     free: u32,
@@ -322,7 +316,8 @@ pub struct WheelCalendar<E> {
     /// division on the hot path).
     width: f64,
     inv_width: f64,
-    /// The earliest tick any pending event may occupy; never decreases.
+    /// The earliest tick any pending event may occupy; never decreases
+    /// between refits.
     cursor: u64,
     /// Events currently in the ring (excludes `head` and overflow).
     wheel_len: usize,
@@ -331,17 +326,18 @@ pub struct WheelCalendar<E> {
     /// serving. Its top is the global minimum whenever it is non-empty.
     head: BinaryHeap<Scheduled<E>>,
     /// Events beyond the ring's window, plus everything before the
-    /// first calibration.
+    /// first fit.
     overflow: BinaryHeap<Scheduled<E>>,
-    calibrated: bool,
+    fitted: bool,
     hint: usize,
-    /// Pops since the last rebuild — a rebuild costs O(pending), so
+    /// Pops since the last refit — a refit costs O(pending), so
     /// triggering one only after at least `len()` pops keeps the
     /// amortized cost O(1) per event no matter how adversarial the
-    /// schedule is.
-    pops_since_rebuild: u64,
-    /// Largest finite time ever pushed — a cheap running estimate of
-    /// the pending set's span, used to predict whether a rebuild would
+    /// schedule is. Saturated until the first refit: the first fit
+    /// leaves the gate open.
+    pops_since_refit: u64,
+    /// Largest time ever pushed — a cheap running estimate of the
+    /// pending set's span, used to predict whether a refit would
     /// actually split a concentrated bucket.
     t_max_seen: f64,
     #[cfg(test)]
@@ -349,9 +345,8 @@ pub struct WheelCalendar<E> {
 }
 
 impl<E> WheelCalendar<E> {
-    /// Maps a time to its absolute tick, saturating at the ends: the
-    /// cast truncates — `floor`, for the non-negative — sends anything
-    /// below zero to 0 and anything past `u64::MAX` (`+inf` too) there.
+    /// Maps a time to its absolute tick, saturating at `u64::MAX`: the
+    /// cast truncates, which is `floor` for the non-negative.
     fn raw_tick(&self, time: f64) -> u64 {
         (time * self.inv_width) as u64
     }
@@ -409,9 +404,6 @@ impl<E> WheelCalendar<E> {
     fn migrate(&mut self) {
         let end = self.window_end();
         while let Some(head) = self.overflow.peek() {
-            if !head.time.is_finite() {
-                break;
-            }
             let tick = self.raw_tick(head.time).max(self.cursor);
             if tick >= end {
                 break;
@@ -421,25 +413,20 @@ impl<E> WheelCalendar<E> {
         }
     }
 
-    /// Derives ring parameters from the current pending set (all of it
-    /// sitting in `overflow`), then distributes the events.
-    fn calibrate(&mut self) {
-        self.calibrated = true;
-        let items = std::mem::take(&mut self.overflow).into_vec();
-        let len = items.len();
+    /// Fits bucket count and width to the pending set, wherever it
+    /// waits, then relinks the slab in place under the new window:
+    /// each event whose tick falls inside is chained into its bucket,
+    /// the rest move to `overflow`, and every vacant slot is threaded
+    /// onto a fresh free list; `head` and in-window overflow events
+    /// then migrate in. Called with at least one event pending.
+    fn refit(&mut self) {
+        let ring = self.slots.iter().filter(|s| s.event.is_some());
+        let mut times: Vec<f64> = ring.map(|s| s.time).collect();
+        times.extend(self.head.iter().chain(self.overflow.iter()).map(|s| s.time));
+        let t_min = times.iter().fold(f64::INFINITY, |m, &t| m.min(t));
+        let t_max = times.iter().fold(0.0, |m: f64, &t| m.max(t));
 
-        let mut t_min = f64::INFINITY;
-        let mut t_max = f64::NEG_INFINITY;
-        let mut times: Vec<f64> = Vec::with_capacity(len);
-        for it in &items {
-            if it.time.is_finite() {
-                t_min = t_min.min(it.time);
-                t_max = t_max.max(it.time);
-                times.push(it.time);
-            }
-        }
-
-        let n = (len * 2)
+        let n = (times.len() * 2)
             .max(self.hint / 16)
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
@@ -455,7 +442,7 @@ impl<E> WheelCalendar<E> {
         if times.len() >= 2 {
             let k = ((times.len() * 9) / 10).min(times.len() - 1);
             let (_, q, _) = times.select_nth_unstable_by(k, |a, b| a.total_cmp(b));
-            let span = (*q - t_min).max(0.0);
+            let span = *q - t_min;
             let full_span = t_max - t_min;
             // ≈2 events per bucket over the covered span; the window
             // then covers the bulk (n ≥ 2·len ⇒ n·width ≥ 4·span)
@@ -472,66 +459,52 @@ impl<E> WheelCalendar<E> {
             };
             width = fitted.max(width_floor(t_max));
         }
-        if width <= 0.0 || !width.is_finite() {
-            width = 1.0;
-        }
 
-        // The slab is empty here (fresh wheel, or drained by
-        // `rebuild`), so every bucket restarts as an empty chain.
         self.buckets.clear();
         self.buckets.resize(n, EMPTY);
         self.mask = n as u64 - 1;
         self.width = width;
         self.inv_width = width.recip();
-        self.cursor = if t_min.is_finite() {
-            self.raw_tick(t_min)
-        } else {
-            0
-        };
+        self.cursor = self.raw_tick(t_min);
         self.wheel_len = 0;
-
-        let end = self.window_end();
-        for item in items {
-            if item.time.is_finite() {
-                let tick = self.raw_tick(item.time).max(self.cursor);
-                if tick < end {
-                    self.insert_wheel(tick, item);
-                    continue;
-                }
-            }
-            self.overflow.push(item);
+        if self.fitted {
+            self.pops_since_refit = 0;
         }
-    }
+        self.fitted = true;
 
-    /// Tears the ring down and recalibrates from the full pending set —
-    /// the escape hatch when the workload has drifted so far off the
-    /// calibrated width that pushes mostly land in overflow.
-    fn rebuild(&mut self) {
-        // Every slot is chained (an event) or free (`None`): draining
-        // the slab empties the ring and leaves no free list to keep.
-        let ring = self.slots.drain(..).filter_map(|mut slot| slot.take());
-        self.overflow.extend(ring);
+        let (end, cursor, inv_width) = (self.window_end(), self.cursor, self.inv_width);
         self.free = NIL;
-        for item in std::mem::take(&mut self.head) {
-            self.overflow.push(item);
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let tick = ((slot.time * inv_width) as u64).max(cursor);
+            if slot.event.is_some() && tick < end {
+                let bucket = &mut self.buckets[(tick & self.mask) as usize];
+                slot.next = std::mem::replace(&mut bucket.head, i as u32);
+                bucket.len += 1;
+                self.wheel_len += 1;
+            } else {
+                self.overflow.extend(slot.take());
+                slot.next = std::mem::replace(&mut self.free, i as u32);
+            }
         }
-        self.wheel_len = 0;
-        self.pops_since_rebuild = 0;
-        self.calibrate();
+        self.overflow.extend(self.head.drain());
+        self.migrate();
+        // Only events past the window stay: hand back the rest of the
+        // buffer, which held every event before the first fit.
+        self.overflow.shrink_to_fit();
     }
 
     /// True when the cursor bucket holds several times the wheel's
     /// average occupancy with a nonzero time spread — the signature of
-    /// a width calibrated against an unrepresentative set (e.g. the
-    /// sparse staggered start timers of a sim whose steady state is
-    /// thousands of times denser), which packs the live workload into
-    /// giant buckets re-sorted on every pop. The pop-count gate
-    /// amortizes the O(pending) rebuild.
+    /// a width fitted against an unrepresentative set (e.g. the sparse
+    /// staggered start timers of a sim whose steady state is thousands
+    /// of times denser), which packs the live workload into giant
+    /// buckets re-sorted on every pop. The pop-count gate amortizes
+    /// the O(pending) refit.
     fn bucket_concentrated(&self, b: usize) -> bool {
         let blen = self.buckets[b].len as usize;
         let total = self.len();
         let avg = (total / self.buckets.len()).max(1);
-        if blen < CONCENTRATED_BUCKET || blen < avg * 8 || self.pops_since_rebuild < total as u64 {
+        if blen < CONCENTRATED_BUCKET || blen < avg * 8 || self.pops_since_refit < total as u64 {
             return false;
         }
         let mut lo = f64::INFINITY;
@@ -546,11 +519,11 @@ impl<E> WheelCalendar<E> {
         if hi <= lo {
             return false;
         }
-        // Only worth an O(pending) rebuild if the refitted width —
+        // Only worth an O(pending) refit if the refitted width —
         // ≈2·span/len over the pending set — would actually split this
         // bucket into several. An inherently tight burst (say a 64-way
         // fan-out within a microsecond) concentrates under *any* sane
-        // width; rebuilding for it would churn forever.
+        // width; refitting for it would churn forever.
         let span_est = (self.t_max_seen - lo).max(hi - lo);
         let refit_width = 2.0 * span_est / total as f64;
         hi - lo > 2.0 * refit_width
@@ -561,8 +534,8 @@ impl<E> WheelCalendar<E> {
     /// served in place from their bucket; large ones are heapified
     /// into `head` first.
     fn locate(&mut self) -> Location {
-        if !self.calibrated {
-            self.calibrate();
+        if !self.fitted {
+            self.refit();
         }
         loop {
             if !self.head.is_empty() {
@@ -573,20 +546,19 @@ impl<E> WheelCalendar<E> {
                 if self.buckets[b].len != 0 {
                     if self.bucket_concentrated(b) {
                         // Refit the width to the pending set as it
-                        // looks now. The minimum is finite and lands
-                        // back inside the fresh window, so the loop
-                        // always finds it.
+                        // looks now. The minimum lands back inside the
+                        // fresh window, so the loop always finds it.
                         #[cfg(test)]
                         {
-                            self.paths.concentration_rebuilds += 1;
+                            self.paths.refits += 1;
                         }
-                        self.rebuild();
+                        self.refit();
                         continue;
                     }
                     if self.buckets[b].len as usize <= SMALL_TICK {
-                        // The calibrated common case: a couple of
-                        // events in the tick. A linear min-scan beats
-                        // any sort or heap shuffle.
+                        // The fitted common case: a couple of events
+                        // in the tick. A linear min-scan beats any sort
+                        // or heap shuffle.
                         return Location::Bucket(b);
                     }
                     // A big tick — a same-time burst or a zero-delay
@@ -614,23 +586,20 @@ impl<E> WheelCalendar<E> {
                 self.cursor += 1;
                 self.migrate();
             } else {
-                match self.overflow.peek() {
-                    Some(h) if h.time.is_finite() => {
-                        // Jump the cursor straight to the overflow
-                        // head's tick — stepping bucket-by-bucket
-                        // across a long idle gap would cost
-                        // O(gap / width).
-                        self.cursor = self.raw_tick(h.time).max(self.cursor);
-                        self.migrate();
-                        if self.wheel_len == 0 {
-                            // The tick saturated past the window's end
-                            // (times near the u64 horizon); such
-                            // events can never enter the ring. The
-                            // overflow head is the global minimum.
-                            return Location::Overflow;
-                        }
-                    }
-                    _ => return Location::Overflow,
+                // Only overflow holds events. Jump the cursor straight
+                // to its head's tick — stepping bucket-by-bucket across
+                // a long idle gap would cost O(gap / width).
+                let Some(head) = self.overflow.peek() else {
+                    return Location::Overflow;
+                };
+                self.cursor = self.raw_tick(head.time).max(self.cursor);
+                self.migrate();
+                if self.wheel_len == 0 {
+                    // The tick saturated past the window's end (times
+                    // near the u64 horizon); such events can never
+                    // enter the ring. The overflow head is the global
+                    // minimum.
+                    return Location::Overflow;
                 }
             }
         }
@@ -675,7 +644,7 @@ enum Location {
     Head,
     /// Inside this small ring bucket (unordered; min-scan to serve).
     Bucket(usize),
-    /// Head of the overflow heap (non-finite or beyond-window times).
+    /// Head of the overflow heap (a tick past the ring's reach).
     Overflow,
 }
 
@@ -684,8 +653,8 @@ impl<E> Calendar<E> for WheelCalendar<E> {
         Self {
             buckets: vec![EMPTY; MIN_BUCKETS],
             // The hint sizes the slab, where pending events live —
-            // not `overflow`, which `calibrate` consumes. Reserved, not
-            // filled: a page no event reaches is never touched.
+            // not `overflow`, which the first fit empties. Reserved,
+            // not filled: a page no event reaches is never touched.
             slots: Vec::with_capacity(events.min(1 << 20)),
             free: NIL,
             mask: MIN_BUCKETS as u64 - 1,
@@ -695,20 +664,23 @@ impl<E> Calendar<E> for WheelCalendar<E> {
             wheel_len: 0,
             head: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
-            calibrated: false,
+            fitted: false,
             hint: events,
-            pops_since_rebuild: u64::MAX,
-            t_max_seen: f64::NEG_INFINITY,
+            pops_since_refit: u64::MAX,
+            t_max_seen: 0.0,
             #[cfg(test)]
             paths: PathCounts::default(),
         }
     }
 
     fn push(&mut self, item: Scheduled<E>) {
-        if item.time.is_finite() && item.time > self.t_max_seen {
-            self.t_max_seen = item.time;
-        }
-        if self.calibrated && item.time.is_finite() {
+        debug_assert!(
+            (0.0..f64::INFINITY).contains(&item.time),
+            "calendar time {} is not finite and non-negative",
+            item.time
+        );
+        self.t_max_seen = self.t_max_seen.max(item.time);
+        if self.fitted {
             let tick = self.raw_tick(item.time).max(self.cursor);
             if tick == self.cursor && !self.head.is_empty() {
                 // The tick being served right now — its bucket is
@@ -724,24 +696,10 @@ impl<E> Calendar<E> for WheelCalendar<E> {
             }
         }
         self.overflow.push(item);
-        // A drifted workload parks almost everything in overflow and
-        // degenerates to heap behavior plus migration churn — rebuild
-        // with parameters fitted to what is actually pending.
-        if self.calibrated
-            && self.overflow.len() > 1024
-            && self.overflow.len() > 4 * (self.wheel_len + self.head.len())
-        {
-            #[cfg(test)]
-            {
-                self.paths.drift_rebuilds += 1;
-            }
-            self.rebuild();
-        }
     }
 
     fn pop(&mut self) -> Option<Scheduled<E>> {
-        // `inf > inf` is false, so an infinite horizon holds nothing
-        // back — not even the `+inf` events the wheel tolerates.
+        // Every time is finite, so this horizon holds nothing back.
         self.pop_not_after(f64::INFINITY)
     }
 
@@ -764,12 +722,12 @@ impl<E> Calendar<E> for WheelCalendar<E> {
         // Nothing precedes `time`, so wherever an event at `time` waits
         // it is that store's minimum: the top of `head` while a tick is
         // being served, else somewhere in its tick's bucket or — past
-        // the window, before calibration — the top of `overflow`.
+        // the window, before the first fit — the top of `overflow`.
         if let Some(top) = self.head.peek() {
             return top.time == time;
         }
         let tick = self.raw_tick(time).max(self.cursor);
-        if !self.calibrated || tick >= self.window_end() {
+        if !self.fitted || tick >= self.window_end() {
             return self.overflow.peek().is_some_and(|top| top.time == time);
         }
         let mut i = self.buckets[(tick & self.mask) as usize].head;
@@ -817,7 +775,7 @@ impl<E> Calendar<E> for WheelCalendar<E> {
                 self.overflow.pop()
             }
         };
-        self.pops_since_rebuild = self.pops_since_rebuild.saturating_add(1);
+        self.pops_since_refit = self.pops_since_refit.saturating_add(1);
         item
     }
 
@@ -938,18 +896,6 @@ mod tests {
     }
 
     #[test]
-    fn wheel_handles_infinite_times() {
-        let mut cal: WheelCalendar<u32> = Calendar::with_capacity(0);
-        cal.push(ev(f64::INFINITY, 0));
-        cal.push(ev(1.0, 1));
-        cal.push(ev(f64::INFINITY, 2));
-        let order = drain(&mut cal);
-        assert_eq!(order[0], (1.0, 1));
-        assert_eq!(order[1], (f64::INFINITY, 0));
-        assert_eq!(order[2], (f64::INFINITY, 2));
-    }
-
-    #[test]
     fn wheel_same_timestamp_burst_pops_fifo() {
         let mut cal: WheelCalendar<u32> = Calendar::with_capacity(0);
         for i in 0..100 {
@@ -962,6 +908,30 @@ mod tests {
         );
     }
 
+    /// A refit must leave an event whose new tick is the window's end
+    /// in overflow: filed in the ring, it would share the cursor's
+    /// bucket and pop before the ticks between them.
+    #[test]
+    fn refit_leaves_the_tick_at_the_window_end_in_overflow() {
+        let mut cal: WheelCalendar<u32> = Calendar::with_capacity(0);
+        cal.push(ev(122.0, 0));
+        cal.push(ev(200.0, 1));
+        // Fit on those two: ticks 78 s wide, both in the ring.
+        assert_eq!(cal.next_time(), Some(122.0));
+        for i in 0..20 {
+            cal.push(ev(0.5 + i as f64, 2 + i));
+        }
+        assert_eq!(cal.wheel_len, 22);
+        // The refit: 1.9 s ticks from t = 0 over 64 buckets, so 122 s
+        // lands on tick 64, the first past the window.
+        cal.refit();
+        assert_eq!((cal.width, cal.buckets.len()), (1.9, 64));
+        assert_eq!(cal.raw_tick(122.0), cal.window_end());
+        let order = drain(&mut cal);
+        assert_eq!(order.len(), 22);
+        assert_sorted(&order);
+    }
+
     #[test]
     fn wheel_rebuild_keeps_order_when_workload_drifts() {
         let mut cal: WheelCalendar<u32> = Calendar::with_capacity(0);
@@ -970,8 +940,8 @@ mod tests {
             cal.push(ev(i as f64 * 1e-6, i));
         }
         assert!(cal.next_time().is_some());
-        // …then drift to second-scale spacing, forcing overflow churn
-        // and eventually a rebuild.
+        // …then drift to second-scale spacing: far outside the fitted
+        // window, served through overflow migration alone.
         for i in 0..4000u64 {
             cal.push(ev(10.0 + i as f64, 64 + i));
         }
@@ -1006,6 +976,8 @@ mod tests {
     enum Step {
         /// `k` events `gap` apart, the first `delay` after the clock.
         Push { delay: f64, gap: f64, k: usize },
+        /// Fit the ring again now, wherever the pending events wait.
+        Refit,
         /// Up to `n` removals, every other one through
         /// `pop_not_after` with a horizon `reach` past the clock.
         Pop { n: usize, reach: f64 },
@@ -1016,7 +988,8 @@ mod tests {
 
     /// Workloads for the paths `arb_calendar_op` (`tests/properties.rs`,
     /// ≤ 300 events, bursts of ≤ 5) never reaches: ticks too big to
-    /// serve in place, both rebuild triggers, and slot reuse after each.
+    /// serve in place, the concentration refit, refits forced at any
+    /// step, and slot reuse after each.
     fn arb_script() -> impl Strategy<Value = Vec<Step>> {
         const ALL: f64 = 1e9;
         let push = |delay, gap, k| Step::Push { delay, gap, k };
@@ -1024,9 +997,9 @@ mod tests {
             3 => (0.0f64..20.0).prop_map(move |d| vec![push(d, 0.0, 1)]),
             // One instant, more events than `SMALL_TICK`: drains to `head`.
             2 => (0.0f64..20.0, 17usize..201).prop_map(move |(d, k)| vec![push(d, 0.0, k)]),
-            // A µs-scale population, then second-scale spacing: once
-            // > 1024 events sit beyond the window, overflow outweighs
-            // the ring fourfold and the wheel rebuilds.
+            // A µs-scale population, then second-scale spacing: more
+            // than a thousand events beyond the fitted window, served
+            // through overflow migration.
             1 => (1100usize..1500).prop_map(move |k| {
                 vec![push(0.0, 1e-6, 64), Step::Pop { n: 1, reach: ALL }, push(10.0, 1.0, k)]
             }),
@@ -1045,8 +1018,14 @@ mod tests {
             }),
             3 => (0usize..40, 0.0f64..30.0).prop_map(|(n, reach)| vec![Step::Pop { n, reach }]),
             // Enough pops to re-arm the concentration trigger's
-            // amortization gate after a rebuild.
+            // amortization gate after a refit.
             1 => (100usize..600).prop_map(|n| vec![Step::Pop { n, reach: ALL }]),
+            // A refit between any two arms, and one while a big tick is
+            // served from `head`.
+            2 => Just(vec![Step::Refit]),
+            1 => (17usize..100).prop_map(move |k| {
+                vec![push(0.0, 0.0, k), Step::Pop { n: 1, reach: ALL }, Step::Refit]
+            }),
             2 => (20usize..200, 0.001f64..20.0)
                 .prop_map(|(n, spread)| vec![Step::Hold { n, spread }]),
         ];
@@ -1060,9 +1039,9 @@ mod tests {
         seq: u64,
         clock: f64,
         /// [`Calendar::next_is_at`] questions by where the wheel had to
-        /// look — `[before calibration, head, ring, overflow]` — then
+        /// look — `[before the first fit, head, ring, overflow]` — then
         /// how many were answered yes, and how many followed a drain
-        /// into `head` or a rebuild directly.
+        /// into `head` or a concentration refit directly.
         asked: [u64; 7],
     }
 
@@ -1106,7 +1085,7 @@ mod tests {
             let head = self.heap.next_time();
             for time in [Some(self.clock), head].into_iter().flatten() {
                 let w = &self.wheel;
-                let place = if !w.calibrated {
+                let place = if !w.fitted {
                     0
                 } else if !w.head.is_empty() {
                     1
@@ -1127,21 +1106,20 @@ mod tests {
                 self.asked[place] += 1;
                 self.asked[4] += u64::from(answer);
                 self.asked[5] += u64::from(w.paths.drains > was.drains);
-                self.asked[6] += u64::from(
-                    w.paths.drift_rebuilds + w.paths.concentration_rebuilds
-                        > was.drift_rebuilds + was.concentration_rebuilds,
-                );
+                self.asked[6] += u64::from(w.paths.refits > was.refits);
             }
             Ok(())
         }
     }
 
     thread_local! {
-        /// `[drains, drift rebuilds, concentration rebuilds, slot reuses,
-        /// steps that reused a slot after a drain or rebuild]`, then
-        /// `Pair::asked`, summed over the cases of `rewired_path_cases`
-        /// (which run on the calling test's thread).
-        static SEEN: std::cell::Cell<[u64; 12]> = const { std::cell::Cell::new([0; 12]) };
+        /// `[drains, concentration refits, slot reuses, steps that
+        /// reused a slot after a drain or refit]`, then forced refits
+        /// with events `[anywhere, in the ring, in head, in overflow]`
+        /// and with slots on the free list, then `Pair::asked`, summed
+        /// over the cases of `rewired_path_cases` (which run on the
+        /// calling test's thread).
+        static SEEN: std::cell::Cell<[u64; 16]> = const { std::cell::Cell::new([0; 16]) };
     }
 
     proptest! {
@@ -1158,9 +1136,27 @@ mod tests {
                 asked: [0; 7],
             };
             let mut reused_after_recycling = 0;
+            let mut forced = [0u64; 5];
             for step in &script {
                 let was = pair.wheel.paths;
+                let forced_before = forced[0];
                 match *step {
+                    Step::Refit if !pair.wheel.is_empty() => {
+                        let w = &pair.wheel;
+                        let reached = [
+                            true,
+                            w.wheel_len > 0,
+                            !w.head.is_empty(),
+                            !w.overflow.is_empty(),
+                            w.free != NIL,
+                        ];
+                        for (n, hit) in forced.iter_mut().zip(reached) {
+                            *n += u64::from(hit);
+                        }
+                        pair.wheel.refit();
+                        pair.ask_instant(was)?;
+                    }
+                    Step::Refit => {}
                     Step::Push { delay, gap, k } => {
                         for j in 0..k {
                             pair.push(pair.clock + delay + gap * j as f64)?;
@@ -1184,21 +1180,15 @@ mod tests {
                     }
                 }
                 let now = pair.wheel.paths;
-                let recycled = was.drains + was.drift_rebuilds + was.concentration_rebuilds > 0;
+                let recycled = was.drains + was.refits + forced_before > 0;
                 if recycled && now.slot_reuses > was.slot_reuses {
                     reused_after_recycling += 1;
                 }
             }
             let paths = pair.wheel.paths;
             prop_assert_eq!(drain(&mut pair.wheel), drain(&mut pair.heap));
-            let case = [
-                paths.drains,
-                paths.drift_rebuilds,
-                paths.concentration_rebuilds,
-                paths.slot_reuses,
-                reused_after_recycling,
-            ];
-            let case: Vec<u64> = case.into_iter().chain(pair.asked).collect();
+            let case = [paths.drains, paths.refits, paths.slot_reuses, reused_after_recycling];
+            let case: Vec<u64> = case.into_iter().chain(forced).chain(pair.asked).collect();
             SEEN.with(|seen| seen.set(std::array::from_fn(|i| seen.get()[i] + case[i])));
         }
     }
@@ -1209,10 +1199,11 @@ mod tests {
         let seen = SEEN.with(std::cell::Cell::get);
         assert!(
             seen.iter().all(|&n| n > 0),
-            "the generator went vacuous: [drains, drift rebuilds, concentration \
-             rebuilds, slot reuses, reuses after recycling, instants asked before \
-             calibration, of the head, of the ring, of overflow, answered yes, asked \
-             right after a drain, after a rebuild] = {seen:?}"
+            "the generator went vacuous: [drains, concentration refits, slot reuses, \
+             reuses after recycling, forced refits, with events in the ring, in head, \
+             in overflow, with free slots, instants asked before the first fit, of the \
+             head, of the ring, of overflow, answered yes, asked right after a drain, \
+             after a refit] = {seen:?}"
         );
     }
 
@@ -1265,7 +1256,7 @@ mod tests {
         }
         assert_eq!(cal.len(), POPULATION);
         assert!(touched.iter().all(|&t| t), "the workload skipped a bucket");
-        let overfills = cal.paths.drains + cal.paths.concentration_rebuilds;
+        let overfills = cal.paths.drains + cal.paths.refits;
         assert!(
             overfills >= 2,
             "the bursts fit a small tick: {:?}",

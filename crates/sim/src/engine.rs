@@ -6,13 +6,14 @@
 //! **same-instant lane**; any other whose delay some component declared
 //! as its [`Component::fixed_delay`] goes to that delay's **fixed-delay
 //! lane**; both are plain FIFOs. Everything else — timers, jittered
-//! delays, whatever [`Engine::schedule`] files — goes to the
-//! [`Calendar`]. About half of a packet simulation's events are
-//! zero-delay hops (endpoint → bottleneck, link → delay box, demux →
-//! endpoint) and a third to a half of the rest are packets crossing a
-//! propagation delay: the lanes serve both with a `VecDeque` push and
-//! pop instead of a round trip through the timer wheel, and at 10⁴
-//! flows keep four fifths of the pending set out of it.
+//! delays, whatever [`Engine::schedule`] files — goes to the calendar,
+//! the one [`WheelCalendar`] the engine owns and calls directly. About
+//! half of a packet simulation's events are zero-delay hops (endpoint →
+//! bottleneck, link → delay box, demux → endpoint) and a third to a
+//! half of the rest are packets crossing a propagation delay: the lanes
+//! serve both with a `VecDeque` push and pop instead of a round trip
+//! through the timer wheel, and at 10⁴ flows keep four fifths of the
+//! pending set out of it.
 //!
 //! **Lane invariant.** Every lane is sorted by `(time, seq)`, so its
 //! front is its minimum: `seq` only grows, and times never shrink. In
@@ -61,9 +62,10 @@ use std::collections::VecDeque;
 
 /// Panics unless `delay` is a finite, non-negative number of seconds.
 ///
-/// A NaN time would poison the `(time, seq)` total order every
-/// calendar sorts by, and an infinite time names an event that can
-/// never fire — both are scheduling bugs worth failing loudly on.
+/// A NaN time would poison the `(time, seq)` total order the calendar
+/// sorts by, and an infinite time names an event that can never fire —
+/// both are scheduling bugs worth failing loudly on. The calendar
+/// relies on this check: it orders finite times only.
 #[inline]
 fn check_delay(delay: f64) {
     assert!(
@@ -142,7 +144,7 @@ pub struct Context<'a, E> {
     seq: &'a mut u64,
     lane: &'a mut VecDeque<Scheduled<E>>,
     delay_lanes: &'a mut [(f64, VecDeque<Scheduled<E>>)],
-    calendar: &'a mut dyn Calendar<E>,
+    calendar: &'a mut WheelCalendar<E>,
     tracer: &'a mut Option<Box<dyn TraceSink<E>>>,
 }
 
@@ -286,16 +288,10 @@ const MAX_DELAY_LANES: usize = 4;
 ///
 /// The whole pending set — lanes included — is owned state, so a run
 /// paused by [`Engine::run_budgeted`] carries it along when the engine
-/// moves to another worker thread.
-///
-/// Generic over its [`Calendar`] implementation; the default
-/// [`WheelCalendar`] gives O(1) steady-state schedule/pop, and
-/// [`crate::calendar::HeapCalendar`] remains available (via
-/// [`Engine::with_calendar`]) as the reference the wheel is
-/// property-tested against. Every calendar serves events in the same
-/// `(time, seq)` total order, so swapping one for another changes no
-/// output bit.
-pub struct Engine<E: 'static, C: Calendar<E> = WheelCalendar<E>> {
+/// moves to another worker thread. The calendar is always the
+/// [`WheelCalendar`] (O(1) steady-state schedule/pop), called directly:
+/// a timed send from a handler reaches it without a virtual call.
+pub struct Engine<E: 'static> {
     clock: f64,
     seq: u64,
     /// Events due at exactly `clock`, in ascending `seq` (see the
@@ -305,7 +301,7 @@ pub struct Engine<E: 'static, C: Calendar<E> = WheelCalendar<E>> {
     /// [`MAX_DELAY_LANES`]): the events emitted with exactly that delay,
     /// in emission order.
     delay_lanes: Vec<(f64, VecDeque<Scheduled<E>>)>,
-    queue: C,
+    queue: WheelCalendar<E>,
     components: Vec<Box<dyn Component<E>>>,
     processed: u64,
     /// Opt-in dispatch observer, borrowed by the [`Context`] per
@@ -314,7 +310,7 @@ pub struct Engine<E: 'static, C: Calendar<E> = WheelCalendar<E>> {
     tracer: Option<Box<dyn TraceSink<E>>>,
 }
 
-impl<E: 'static, C: Calendar<E>> std::fmt::Debug for Engine<E, C> {
+impl<E: 'static> std::fmt::Debug for Engine<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("clock", &self.clock)
@@ -332,9 +328,9 @@ impl<E: 'static, C: Calendar<E>> std::fmt::Debug for Engine<E, C> {
     }
 }
 
-impl<E: 'static, C: Calendar<E>> Default for Engine<E, C> {
+impl<E: 'static> Default for Engine<E> {
     fn default() -> Self {
-        Self::with_calendar(C::with_capacity(0), 0)
+        Self::new()
     }
 }
 
@@ -351,22 +347,12 @@ impl<E: 'static> Engine<E> {
     /// the peak pending set means the calendar never reallocates
     /// mid-run.
     pub fn with_capacity(components: usize, calendar: usize) -> Self {
-        Self::with_calendar(WheelCalendar::with_capacity(calendar), components)
-    }
-}
-
-impl<E: 'static, C: Calendar<E>> Engine<E, C> {
-    /// Creates an engine around an explicit calendar implementation,
-    /// pre-sized for `components` registered actors. This is how the
-    /// property tests and probes run the same workload on the heap
-    /// and the wheel.
-    pub fn with_calendar(calendar: C, components: usize) -> Self {
         Self {
             clock: 0.0,
             seq: 0,
             lane: VecDeque::with_capacity(8),
             delay_lanes: Vec::new(),
-            queue: calendar,
+            queue: WheelCalendar::with_capacity(calendar),
             components: Vec::with_capacity(components),
             processed: 0,
             tracer: None,

@@ -14,13 +14,15 @@
 //!   in a propagation pipe) in that delay's FIFO lane, the rest — timers
 //!   — in the calendar; the dispatch loop merges them on
 //!   `(time, sequence)`.
-//!   The calendar is pluggable behind the [`Calendar`] trait — the
-//!   default [`WheelCalendar`] is a calendar queue with O(1)
-//!   steady-state schedule/pop (the many-flow scaling path), and
-//!   [`HeapCalendar`] keeps the original binary heap as the reference
-//!   implementation. Every calendar serves events in ascending
-//!   `(time, sequence)` order, so simultaneous events fire in
-//!   scheduling order — fully deterministic, whichever backend runs.
+//!   The calendar is one type, [`WheelCalendar`]: a calendar queue with
+//!   O(1) steady-state schedule/pop (the many-flow scaling path) that
+//!   fits its ring to the pending set and refits it by one rule. It
+//!   serves events in ascending `(time, sequence)` order, so
+//!   simultaneous events fire in scheduling order — fully
+//!   deterministic. Times are finite: the engine rejects any other
+//!   delay. The [`Calendar`] trait and the binary-heap
+//!   [`HeapCalendar`] remain only as the reference the wheel is tested
+//!   and benchmarked against; no engine runs on them.
 //! * [`Component`] is the behaviour trait: `handle(now, event, ctx)` —
 //!   and, for a pipe, the fixed delay it declares — nothing else, since
 //!   the `Any` supertrait provides the downcast upcast for free.

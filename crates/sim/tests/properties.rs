@@ -1,9 +1,7 @@
 //! Property tests: the engine delivers events in time order,
 //! deterministically, exactly once.
 
-use ebrc_sim::{
-    Calendar, Component, ComponentId, Context, Engine, HeapCalendar, RunLimit, WheelCalendar,
-};
+use ebrc_sim::{Component, ComponentId, Context, Engine, RunLimit};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -42,30 +40,37 @@ impl Component<u32> for Echo {
     }
 }
 
+/// What one event emits: `(delay, event)` pairs, in emission order.
+type React<T> = Box<dyn Fn(&T) -> Vec<(f64, T)>>;
+
 /// A naive reference engine: a flat `Vec` calendar scanned for the
-/// `(time, seq)` minimum on every dispatch. Quadratic and obviously
-/// correct — the oracle the real engine's run paths are compared
-/// against.
-struct NaiveEngine {
+/// `(time, seq)` minimum on every dispatch, no lanes, no wheel.
+/// Quadratic and obviously correct — the oracle the real engine's run
+/// paths are compared against. `react` is every component's handler
+/// at once: the `(delay, event)` pairs an event emits, in order.
+struct NaiveEngine<T> {
     clock: f64,
     seq: u64,
-    pending: Vec<(f64, u64, u32)>,
-    log: Vec<(f64, u32)>,
+    pending: Vec<(f64, u64, T)>,
+    /// `(time, seq, event)` per dispatch.
+    log: Vec<(f64, u64, T)>,
     processed: u64,
+    react: React<T>,
 }
 
-impl NaiveEngine {
-    fn new() -> Self {
+impl<T: Copy> NaiveEngine<T> {
+    fn new(react: impl Fn(&T) -> Vec<(f64, T)> + 'static) -> Self {
         Self {
             clock: 0.0,
             seq: 0,
             pending: Vec::new(),
             log: Vec::new(),
             processed: 0,
+            react: Box::new(react),
         }
     }
 
-    fn schedule(&mut self, delay: f64, ev: u32) {
+    fn schedule(&mut self, delay: f64, ev: T) {
         let time = self.clock + delay;
         let seq = self.seq;
         self.seq += 1;
@@ -86,11 +91,11 @@ impl NaiveEngine {
     }
 
     fn dispatch_head(&mut self, idx: usize) {
-        let (time, _, ev) = self.pending.remove(idx);
+        let (time, seq, ev) = self.pending.remove(idx);
         self.clock = time;
         self.processed += 1;
-        self.log.push((time, ev));
-        if let Some((delay, next)) = follow_up(ev) {
+        self.log.push((time, seq, ev));
+        for (delay, next) in (self.react)(&ev) {
             self.schedule(delay, next);
         }
     }
@@ -123,6 +128,11 @@ impl NaiveEngine {
     fn run_events(&mut self, n: u64) {
         self.run_budgeted(f64::INFINITY, n);
     }
+}
+
+/// The naive model of a world of [`Echo`]s.
+fn naive_echo() -> NaiveEngine<u32> {
+    NaiveEngine::new(|&ev| follow_up(ev).into_iter().collect())
 }
 
 /// An event of the random component graphs: `id` mirrors the engine's
@@ -237,12 +247,12 @@ fn arb_delay() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Runs `ops` on a graph of `edges.len()` nodes over calendar `C`, with
-/// each of `declare` declared to the engine as some component's fixed
-/// delay, drains it, and returns the dispatch log plus the road of
-/// every event ever scheduled. `start` pre-advances the clock (to 1e7
-/// for the fp-absorption cases).
-fn run_graph<C: Calendar<Hop>>(
+/// Runs `ops` on a graph of `edges.len()` nodes, with each of `declare`
+/// declared to the engine as some component's fixed delay, drains it,
+/// and returns the dispatch log plus the road of every event ever
+/// scheduled. `start` pre-advances the clock (to 1e7 for the
+/// fp-absorption cases).
+fn run_graph(
     edges: &[Vec<(f64, usize)>],
     declare: &[f64],
     ops: &[GraphOp],
@@ -255,7 +265,7 @@ fn run_graph<C: Calendar<Hop>>(
         }
     }
     let mirror = Arc::new(mirror);
-    let mut eng: Engine<Hop, C> = Engine::with_calendar(C::with_capacity(16), edges.len());
+    let mut eng: Engine<Hop> = Engine::with_capacity(edges.len(), 16);
     let ids: Vec<ComponentId> = edges
         .iter()
         .map(|_| {
@@ -291,6 +301,34 @@ fn run_graph<C: Calendar<Hop>>(
     (log, roads)
 }
 
+/// [`run_graph`]'s dispatch log from the naive reference engine: the
+/// same graph, ops and start, an event being a `(node, ttl)` pair and
+/// its `seq` the id [`Mirror`] gives it.
+fn naive_graph(edges: &[Vec<(f64, usize)>], ops: &[GraphOp], start: f64) -> Vec<(u64, u64)> {
+    let nodes = edges.len();
+    let out: Vec<Vec<(f64, usize)>> = edges
+        .iter()
+        .map(|out| out.iter().map(|&(d, t)| (d, t % nodes)).collect())
+        .collect();
+    let mut naive = NaiveEngine::new(move |&(node, ttl): &(usize, u8)| match ttl {
+        0 => Vec::new(),
+        _ => out[node].iter().map(|&(d, t)| (d, (t, ttl - 1))).collect(),
+    });
+    naive.run_until(start);
+    for op in ops {
+        match *op {
+            GraphOp::Schedule { delay, node, ttl } => naive.schedule(delay, (node % nodes, ttl)),
+            GraphOp::Slice(n) => naive.run_events(n),
+        }
+    }
+    naive.run_events(u64::MAX);
+    naive
+        .log
+        .iter()
+        .map(|&(t, seq, _)| (t.to_bits(), seq))
+        .collect()
+}
+
 /// One step of an interleaved workload.
 #[derive(Debug, Clone)]
 enum Op {
@@ -300,20 +338,11 @@ enum Op {
     RunBudgeted(f64, u64),
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0.0f64..20.0, 0u32..100).prop_map(|(d, e)| Op::Schedule(d, e)),
-        (0u64..12).prop_map(Op::RunEvents),
-        (0.0f64..30.0).prop_map(Op::RunUntil),
-        ((0.0f64..30.0), 0u64..8).prop_map(|(t, n)| Op::RunBudgeted(t, n)),
-    ]
-}
-
-/// Op strategy for the wheel-vs-heap equivalence property: besides the
-/// baseline mix it generates same-timestamp bursts (several events at an
-/// identical delay, so FIFO-within-timestamp is actually exercised) and
-/// far-future outliers that land outside any reasonable wheel window and
-/// wrap its levels through the overflow path.
+/// Interleaved schedule and run calls: besides single events it
+/// generates same-timestamp bursts (several events at an identical
+/// delay, so FIFO-within-timestamp is actually exercised) and
+/// far-future outliers that land outside any reasonable wheel window
+/// and reach the wheel's overflow path.
 fn arb_calendar_op() -> impl Strategy<Value = Vec<Op>> {
     let one = prop_oneof![
         4 => (0.0f64..20.0, 0u32..100).prop_map(|(d, e)| vec![Op::Schedule(d, e)]),
@@ -389,17 +418,17 @@ proptest! {
     }
 
     /// Property: under any interleaving of `schedule`, `run_until`,
-    /// and `run_budgeted` with either bound or both — including handler-emitted
-    /// follow-ups filed straight into the lanes and calendar — the real
-    /// engine's dispatch log, clock, and `events_processed` match the
-    /// naive reference engine after every single step.
+    /// and `run_budgeted` with either bound or both — including
+    /// handler-emitted follow-ups filed straight into the lanes and
+    /// calendar, same-timestamp bursts and far-future outliers — the
+    /// real engine's clock and `events_processed` match the naive
+    /// reference engine after every single step, and its dispatch log
+    /// (bitwise times) matches once both are drained.
     #[test]
-    fn any_run_interleaving_matches_the_naive_reference(
-        ops in proptest::collection::vec(arb_op(), 1..60),
-    ) {
+    fn any_run_interleaving_matches_the_naive_reference(ops in arb_calendar_op()) {
         let mut eng: Engine<u32> = Engine::new();
         let echo = eng.add(Box::new(Echo { log: vec![] }));
-        let mut reference = NaiveEngine::new();
+        let mut reference = naive_echo();
         for (step, op) in ops.iter().enumerate() {
             match *op {
                 Op::Schedule(delay, ev) => {
@@ -430,7 +459,16 @@ proptest! {
                 "events_processed diverged after step {} ({:?})", step, op
             );
         }
-        prop_assert_eq!(&eng.get::<Echo>(echo).log, &reference.log, "dispatch log diverged");
+        // Drain both to the end: every pending event (including the
+        // far-future overflow tail) must fire in the same order.
+        eng.run_until(f64::INFINITY);
+        reference.run_until(f64::INFINITY);
+        let log = &eng.get::<Echo>(echo).log;
+        prop_assert_eq!(log.len(), reference.log.len(), "drain lengths differ");
+        for (i, (a, b)) in log.iter().zip(&reference.log).enumerate() {
+            prop_assert_eq!(a.0.to_bits(), b.0.to_bits(), "time diverged at dispatch {}", i);
+            prop_assert_eq!(a.1, b.2, "event diverged at dispatch {}", i);
+        }
     }
 
     /// Property: chunking one `run_until(t)` into budgeted slices —
@@ -467,64 +505,6 @@ proptest! {
         prop_assert_eq!(mono.now().to_bits(), sliced.now().to_bits());
         prop_assert_eq!(mono.events_processed(), sliced.events_processed());
         prop_assert_eq!(&mono.get::<Echo>(em).log, &sliced.get::<Echo>(es).log);
-    }
-
-    /// Property: the wheel calendar is observationally identical to the
-    /// heap calendar — same dispatch log (bitwise times), same clock,
-    /// same lifetime event count — under arbitrary interleavings of
-    /// schedule and run calls, including same-timestamp bursts and
-    /// far-future events that wrap the wheel's levels into overflow.
-    #[test]
-    fn wheel_calendar_is_bit_identical_to_heap_calendar(
-        ops in arb_calendar_op(),
-    ) {
-        let mut wheel: Engine<u32, WheelCalendar<u32>> =
-            Engine::with_calendar(WheelCalendar::with_capacity(16), 0);
-        let mut heap: Engine<u32, HeapCalendar<u32>> =
-            Engine::with_calendar(HeapCalendar::with_capacity(16), 0);
-        let ew = wheel.add(Box::new(Echo { log: vec![] }));
-        let eh = heap.add(Box::new(Echo { log: vec![] }));
-        for (step, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Schedule(delay, ev) => {
-                    wheel.schedule(delay, ew, ev);
-                    heap.schedule(delay, eh, ev);
-                }
-                Op::RunEvents(n) => {
-                    let _ = wheel.run_budgeted(RunLimit::events(n));
-                    let _ = heap.run_budgeted(RunLimit::events(n));
-                }
-                Op::RunUntil(t) => {
-                    wheel.run_until(t);
-                    heap.run_until(t);
-                }
-                Op::RunBudgeted(t, n) => {
-                    let _ = wheel.run_budgeted(RunLimit::new(t, n));
-                    let _ = heap.run_budgeted(RunLimit::new(t, n));
-                }
-            }
-            prop_assert_eq!(
-                wheel.now().to_bits(),
-                heap.now().to_bits(),
-                "clock diverged after step {} ({:?})", step, op
-            );
-            prop_assert_eq!(
-                wheel.events_processed(),
-                heap.events_processed(),
-                "events_processed diverged after step {} ({:?})", step, op
-            );
-        }
-        // Drain both to the end: every pending event (including the
-        // far-future overflow tail) must pop in the same order.
-        wheel.run_until(f64::INFINITY);
-        heap.run_until(f64::INFINITY);
-        let lw = &wheel.get::<Echo>(ew).log;
-        let lh = &heap.get::<Echo>(eh).log;
-        prop_assert_eq!(lw.len(), lh.len(), "drain lengths differ");
-        for (i, (w, h)) in lw.iter().zip(lh.iter()).enumerate() {
-            prop_assert_eq!(w.0.to_bits(), h.0.to_bits(), "time diverged at dispatch {}", i);
-            prop_assert_eq!(w.1, h.1, "event diverged at dispatch {}", i);
-        }
     }
 }
 
@@ -572,14 +552,12 @@ proptest! {
             .iter()
             .map(|out| out.iter().map(|&(d, t, _)| (d, t)).collect())
             .collect();
-        // The reference: the heap, every timed event on it.
-        let (log, _) = run_graph::<HeapCalendar<Hop>>(&edges, &[], &ops, start);
-        let (wheel, _) = run_graph::<WheelCalendar<Hop>>(&edges, &[], &ops, start);
-        prop_assert_eq!(&wheel, &log, "wheel and heap engines diverged");
-        let (heap_lanes, _) = run_graph::<HeapCalendar<Hop>>(&edges, &declare, &ops, start);
-        prop_assert_eq!(&heap_lanes, &log, "declared delays moved the heap engine's order");
-        let (wheel_lanes, roads) = run_graph::<WheelCalendar<Hop>>(&edges, &declare, &ops, start);
-        prop_assert_eq!(&wheel_lanes, &log, "declared delays moved the wheel engine's order");
+        // The reference: the naive engine, every event on one flat list.
+        let log = naive_graph(&edges, &ops, start);
+        let (plain, _) = run_graph(&edges, &[], &ops, start);
+        prop_assert_eq!(&plain, &log, "the engine diverged from the naive reference");
+        let (lanes, roads) = run_graph(&edges, &declare, &ops, start);
+        prop_assert_eq!(&lanes, &log, "declared delays moved the engine's order");
         for w in log.windows(2) {
             prop_assert!(w[0] < w[1], "dispatch order broke (time, seq): {:?}", w);
         }
@@ -614,8 +592,8 @@ proptest! {
 /// delays (and more values than there are lanes) declared as some
 /// component's fixed delay: every scheduled event is dispatched exactly
 /// once, the dispatch log is strictly increasing in `(time, seq)`, and
-/// it is the same log on the wheel and the heap, with the declarations
-/// and without them.
+/// it is the naive reference engine's log, with the declarations and
+/// without them.
 #[test]
 fn lane_and_calendar_dispatch_in_time_seq_order_exactly_once() {
     lane_order_cases();

@@ -134,9 +134,7 @@ impl<E: 'static> TraceSink<E> for PerfettoSink<E> {
 /// Recovers a [`PerfettoSink`] previously installed on `engine` with
 /// `Engine::set_tracer`. Returns `None` when no tracer is installed
 /// or it is some other sink type.
-pub fn take_sink<E: 'static, C: ebrc_sim::Calendar<E>>(
-    engine: &mut ebrc_sim::Engine<E, C>,
-) -> Option<PerfettoSink<E>> {
+pub fn take_sink<E: 'static>(engine: &mut ebrc_sim::Engine<E>) -> Option<PerfettoSink<E>> {
     let tracer = engine.take_tracer()?;
     let any: Box<dyn std::any::Any> = tracer;
     any.downcast::<PerfettoSink<E>>().ok().map(|b| *b)
