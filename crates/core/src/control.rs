@@ -166,11 +166,6 @@ impl TraceStats {
         self.throughput() / f.rate(self.loss_event_rate())
     }
 
-    /// Moments of the loss-event intervals `θ_n`.
-    pub fn theta_moments(&self) -> Moments {
-        self.theta
-    }
-
     /// Moments of the estimator values `θ̂_n`.
     pub fn theta_hat_moments(&self) -> Moments {
         self.theta_hat
@@ -722,7 +717,7 @@ mod tests {
         ]
         .map(f64::to_bits)
         .to_vec();
-        bits.extend(moment_bits(s.theta_moments()));
+        bits.extend(moment_bits(s.theta));
         bits.extend(moment_bits(s.theta_hat_moments()));
         bits
     }

@@ -58,5 +58,5 @@ pub mod weights;
 
 pub use control::{BasicControl, ComprehensiveControl, ControlConfig, ControlTrace, StepRecord};
 pub use estimator::IntervalEstimator;
-pub use formula::{PftkSimplified, PftkStandard, Sqrt, ThroughputFormula};
+pub use formula::{Formula, PftkSimplified, PftkStandard, Sqrt, ThroughputFormula};
 pub use weights::WeightProfile;

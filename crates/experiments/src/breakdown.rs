@@ -64,16 +64,6 @@ impl Breakdown {
             friendliness: x / x_tcp,
         })
     }
-
-    /// Reconstructs the friendliness bound from the four factors:
-    /// `x̄/x̄' = conservativeness × 1/obedience × f(p,r)/f(p',r')`. The
-    /// identity is not exact when averaging across flows, but it should
-    /// hold within measurement noise — tests assert this consistency.
-    pub fn factor_product(&self, formula: ebrc_tfrc::FormulaKind, r: f64, r_tcp: f64) -> f64 {
-        let f_tfrc = formula.rate(self.p, r);
-        let f_tcp = formula.rate(self.p * self.loss_rate_ratio, r_tcp);
-        self.conservativeness / self.tcp_obedience * f_tfrc / f_tcp
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +93,12 @@ mod tests {
         let b = Breakdown::from_measurements(&m).unwrap();
         let r = m.tfrc_mean(|f| f.rtt_mean);
         let r_tcp = m.tcp_mean(|f| f.rtt_mean);
-        let product = b.factor_product(m.tfrc_formula, r, r_tcp);
+        // The friendliness bound from the four factors:
+        // `x̄/x̄' = conservativeness × 1/obedience × f(p,r)/f(p',r')`. Not
+        // exact when averaging across flows, but within measurement noise.
+        let f = |p, r| m.tfrc_formula.rate(p, r);
+        let product =
+            b.conservativeness / b.tcp_obedience * f(b.p, r) / f(b.p * b.loss_rate_ratio, r_tcp);
         let rel = (product - b.friendliness).abs() / b.friendliness;
         assert!(
             rel < 0.05,

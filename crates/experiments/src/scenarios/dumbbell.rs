@@ -21,8 +21,9 @@ use ebrc_net::{
     Demux, DropTailQueue, FlowId, NetEvent, PoissonSender, ProbeSink, RedConfig, RedQueue,
 };
 use ebrc_sim::{ComponentId, Engine};
-use ebrc_tcp::{TcpSender, TcpSenderConfig, TcpSink};
-use ebrc_tfrc::{FormulaKind, TfrcReceiver, TfrcReceiverConfig, TfrcSender, TfrcSenderConfig};
+use ebrc_tcp::{sender as tcp_sender, TcpSender, TcpSenderConfig, TcpSink};
+use ebrc_tfrc::{sender as tfrc_sender, FormulaKind, TfrcReceiver, TfrcReceiverConfig};
+use ebrc_tfrc::{TfrcSender, TfrcSenderConfig};
 
 /// Bottleneck queue discipline.
 #[derive(Debug, Clone)]
@@ -140,9 +141,16 @@ impl QueueSpec {
     pub fn content_key(&self) -> String {
         match self {
             QueueSpec::DropTail(n) => format!("droptail(limit={n})"),
+            // `max_p` and `gentle=false` are constants, kept in the key
+            // like the senders' (see `DumbbellConfig::content_key`).
             QueueSpec::Red(rc) => format!(
-                "red(limit={},min_th={},max_th={},max_p={},wq={},gentle={},mpt={})",
-                rc.limit, rc.min_th, rc.max_th, rc.max_p, rc.wq, rc.gentle, rc.mean_pkt_time
+                "red(limit={},min_th={},max_th={},max_p={},wq={},gentle=false,mpt={})",
+                rc.limit,
+                rc.min_th,
+                rc.max_th,
+                RedConfig::MAX_P,
+                rc.wq,
+                rc.mean_pkt_time
             ),
         }
     }
@@ -163,8 +171,10 @@ impl DumbbellConfig {
             Some(rate) => format!("poisson({rate})"),
             None => "none".to_string(),
         };
-        // `onoff=none` is constant but part of every existing key:
-        // dropping it would re-address every cache entry and shard.
+        // `onoff=none` and the senders' constants (`min`, `max`, and
+        // `icwnd` through `burst` bar `nominal`) are part of every
+        // existing key: dropping them would re-address every cache
+        // entry and shard.
         format!(
             "bps={}/queue={}/owd={}/ntfrc={}/ntcp={}/probe={}/onoff=none/\
              tfrc(pkt={},formula={},rtt={},nominal={},cap={},init={},min={},max={},L={},comp={})/\
@@ -182,18 +192,18 @@ impl DumbbellConfig {
             self.tfrc.sender.nominal_rtt,
             self.tfrc.sender.receive_rate_cap,
             self.tfrc.sender.initial_rate,
-            self.tfrc.sender.min_rate,
-            self.tfrc.sender.max_rate,
+            tfrc_sender::MIN_RATE,
+            tfrc_sender::MAX_RATE,
             self.tfrc.window,
             self.tfrc.comprehensive,
             self.tcp.packet_size,
-            self.tcp.initial_cwnd,
-            self.tcp.max_cwnd,
-            self.tcp.dupack_threshold,
-            self.tcp.min_rto,
-            self.tcp.max_rto,
+            tcp_sender::INITIAL_CWND,
+            tcp_sender::MAX_CWND,
+            tcp_sender::DUPACK_THRESHOLD,
+            tcp_sender::MIN_RTO,
+            tcp_sender::MAX_RTO,
             self.tcp.nominal_rtt,
-            self.tcp.max_burst,
+            tcp_sender::MAX_BURST,
             self.seed,
             self.start_stagger,
         )

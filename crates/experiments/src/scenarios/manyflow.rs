@@ -273,83 +273,79 @@ impl Component<NetEvent> for FlowClass {
     }
 }
 
-/// Full many-flow scenario description. Capacity scales with the
-/// population — each flow's fair share is `share_pps` — so sweeping `n`
-/// varies the *population*, not the per-flow operating point, which is
-/// exactly the weak-convergence setting.
+/// Full many-flow scenario description: the population and the seed.
+/// Capacity scales with the population — each flow's fair share is
+/// [`Self::SHARE_PPS`] — so sweeping `n` varies the *population*, not
+/// the per-flow operating point, which is exactly the weak-convergence
+/// setting. Every other parameter is a constant or derived from `n`.
 #[derive(Debug, Clone)]
 pub struct ManyFlowConfig {
     /// Equation-based flows.
     pub n_tfrc: usize,
-    /// Competing AIMD flows.
-    pub n_tcp: usize,
-    /// Fair share per flow, packets/second.
-    pub share_pps: f64,
-    /// Data packet size, bytes.
-    pub packet_size: u32,
-    /// One-way propagation delay per direction, seconds.
-    pub one_way_delay: f64,
-    /// Bottleneck DropTail buffer, packets.
-    pub buffer_pkts: usize,
-    /// TFRC throughput formula.
-    pub formula: FormulaKind,
-    /// Per-flow rate cap as a multiple of the fair share.
-    pub cap_share: f64,
-    /// Flow start stagger, seconds (spread over all flows).
-    pub start_stagger: f64,
     /// Scenario seed — folded into the stagger pattern so replicas
     /// decorrelate (the banks draw no randomness at runtime).
     pub seed: u64,
 }
 
 impl ManyFlowConfig {
-    /// The standard many-flow point: `n` TFRC + `n/10` AIMD flows at a
-    /// 16 pps fair share, 1000-byte packets, 400 ms base RTT, buffer at
-    /// one bandwidth-delay product.
+    /// Fair share per flow, packets/second.
+    pub const SHARE_PPS: f64 = 16.0;
+    /// Data packet size, bytes.
+    pub const PACKET_SIZE: u32 = 1000;
+    /// One-way propagation delay per direction, seconds (a 400 ms base
+    /// RTT).
+    pub const ONE_WAY_DELAY: f64 = 0.2;
+    /// TFRC throughput formula.
+    pub const FORMULA: FormulaKind = FormulaKind::Sqrt;
+    /// Per-flow rate cap as a multiple of the fair share.
+    pub const CAP_SHARE: f64 = 8.0;
+
+    /// The standard many-flow point: `n` TFRC + `n/10` AIMD flows at the
+    /// constants above, buffer at one bandwidth-delay product.
     pub fn standard(n: usize, seed: u64) -> Self {
-        let share_pps = 16.0;
-        let one_way_delay = 0.2;
-        let n_tcp = (n / 10).max(1);
-        let total_pps = share_pps * (n + n_tcp) as f64;
-        // One BDP of buffering.
-        let buffer_pkts = (total_pps * 2.0 * one_way_delay).ceil() as usize;
-        Self {
-            n_tfrc: n,
-            n_tcp,
-            share_pps,
-            packet_size: 1000,
-            one_way_delay,
-            buffer_pkts,
-            formula: FormulaKind::Sqrt,
-            cap_share: 8.0,
-            // Spread flow starts over a fixed 2 s horizon regardless of
-            // population: a fixed per-flow slot would push the last of
-            // 10⁴ starts past any reasonable warmup, leaving most of
-            // the population unmeasured.
-            start_stagger: 2.0 / (n + n_tcp) as f64,
-            seed,
-        }
+        Self { n_tfrc: n, seed }
+    }
+
+    /// Competing AIMD flows: a tenth of the TFRC population, at least
+    /// one.
+    pub fn n_tcp(&self) -> usize {
+        (self.n_tfrc / 10).max(1)
+    }
+
+    /// Bottleneck DropTail buffer, packets: one bandwidth-delay product.
+    pub fn buffer_pkts(&self) -> usize {
+        let total_pps = Self::SHARE_PPS * (self.n_tfrc + self.n_tcp()) as f64;
+        (total_pps * 2.0 * Self::ONE_WAY_DELAY).ceil() as usize
+    }
+
+    /// Flow start stagger, seconds. Flow starts spread over a fixed 2 s
+    /// horizon regardless of population: a fixed per-flow slot would
+    /// push the last of 10⁴ starts past any reasonable warmup, leaving
+    /// most of the population unmeasured.
+    pub fn start_stagger(&self) -> f64 {
+        2.0 / (self.n_tfrc + self.n_tcp()) as f64
     }
 
     /// Bottleneck rate implied by the population and fair share.
     pub fn bottleneck_bps(&self) -> f64 {
-        self.share_pps * (self.n_tfrc + self.n_tcp) as f64 * self.packet_size as f64 * 8.0
+        Self::SHARE_PPS * (self.n_tfrc + self.n_tcp()) as f64 * Self::PACKET_SIZE as f64 * 8.0
     }
 
-    /// Canonical content key: every field that influences the run, in
-    /// fixed order. Equal keys guarantee bit-identical runs.
+    /// Canonical content key: every parameter that influences the run,
+    /// in fixed order. Equal keys guarantee bit-identical runs. The
+    /// constants keep their places, so no existing key moves.
     pub fn content_key(&self) -> String {
         format!(
             "ntfrc={}/ntcp={}/share={}/pkt={}/owd={}/buf={}/formula={}/cap={}/stagger={}/seed={}",
             self.n_tfrc,
-            self.n_tcp,
-            self.share_pps,
-            self.packet_size,
-            self.one_way_delay,
-            self.buffer_pkts,
-            self.formula.key_name(),
-            self.cap_share,
-            self.start_stagger,
+            self.n_tcp(),
+            Self::SHARE_PPS,
+            Self::PACKET_SIZE,
+            Self::ONE_WAY_DELAY,
+            self.buffer_pkts(),
+            Self::FORMULA.key_name(),
+            Self::CAP_SHARE,
+            self.start_stagger(),
             self.seed,
         )
     }
@@ -366,18 +362,17 @@ pub struct ManyFlowRun {
     /// The bottleneck link.
     pub bottleneck: ComponentId,
     core: NetCore,
-    nominal_rtt: f64,
-    share_pps: f64,
-    formula: FormulaKind,
 }
 
 impl ManyFlowRun {
     /// Builds and wires the scenario; flow starts are staggered over
-    /// `start_stagger` steps with a seed-dependent phase so replicas
-    /// decorrelate without any runtime randomness.
+    /// [`ManyFlowConfig::start_stagger`] steps with a seed-dependent
+    /// phase so replicas decorrelate without any runtime randomness.
     pub fn build(cfg: &ManyFlowConfig) -> Self {
-        let nominal_rtt = 2.0 * cfg.one_way_delay;
-        let n_total = cfg.n_tfrc + cfg.n_tcp;
+        let (owd, share_pps) = (ManyFlowConfig::ONE_WAY_DELAY, ManyFlowConfig::SHARE_PPS);
+        let nominal_rtt = 2.0 * owd;
+        let n_tcp = cfg.n_tcp();
+        let n_total = cfg.n_tfrc + n_tcp;
         // 7 components. The calendar holds the timers: one pacing timer
         // per flow and the link's `TxDone`. What crosses the two delay
         // boxes — the data in flight through the forward one (rate ×
@@ -386,24 +381,24 @@ impl ManyFlowRun {
         // The bottleneck backlog is in neither: it waits in the DropTail
         // queue's own `VecDeque`. (10⁴ flows: 11 064 + 46 264 hinted,
         // 11 001 + 43 534 measured.)
-        let in_flight = (cfg.share_pps * n_total as f64 * cfg.one_way_delay).ceil() as usize;
+        let in_flight = (share_pps * n_total as f64 * owd).ceil() as usize;
         let mut eng: Engine<NetEvent> = Engine::with_capacity(7, n_total + 64);
 
         let core = NetCore::add(
             &mut eng,
-            Box::new(DropTailQueue::new(cfg.buffer_pkts)),
+            Box::new(DropTailQueue::new(cfg.buffer_pkts())),
             cfg.bottleneck_bps(),
-            cfg.one_way_delay,
+            owd,
             [cfg.seed, cfg.seed ^ 1, cfg.seed ^ 2].map(Rng::seed_from),
         );
-        eng.reserve_delay_lane(cfg.one_way_delay, in_flight + n_total + 64);
+        eng.reserve_delay_lane(owd, in_flight + n_total + 64);
 
-        let cap_pps = cfg.cap_share * cfg.share_pps;
+        let cap_pps = ManyFlowConfig::CAP_SHARE * share_pps;
         let tfrc_bank = eng.add(Box::new(FlowClass::new(
-            ClassKind::Tfrc(cfg.formula),
+            ClassKind::Tfrc(ManyFlowConfig::FORMULA),
             0,
             cfg.n_tfrc,
-            cfg.packet_size,
+            ManyFlowConfig::PACKET_SIZE,
             nominal_rtt,
             cap_pps,
         )));
@@ -411,8 +406,8 @@ impl ManyFlowRun {
         let tcp_bank = eng.add(Box::new(FlowClass::new(
             ClassKind::Aimd,
             tcp_base,
-            cfg.n_tcp,
-            cfg.packet_size,
+            n_tcp,
+            ManyFlowConfig::PACKET_SIZE,
             nominal_rtt,
             cap_pps,
         )));
@@ -425,16 +420,17 @@ impl ManyFlowRun {
         for demux in [core.fwd_demux, core.rev_demux] {
             let d = eng.get_mut::<Demux>(demux);
             d.default_route(tfrc_bank);
-            for i in 0..cfg.n_tcp {
+            for i in 0..n_tcp {
                 d.route(FlowId(tcp_base + i as u32), tcp_bank);
             }
         }
 
         // Staggered starts with a seed-dependent phase shift: flow k
         // starts at ((k + seed) mod n_total) · stagger.
+        let stagger = cfg.start_stagger();
         for k in 0..n_total {
             let slot = (k as u64 + cfg.seed) % n_total as u64;
-            let start = slot as f64 * cfg.start_stagger;
+            let start = slot as f64 * stagger;
             let (bank, token) = if k < cfg.n_tfrc {
                 (tfrc_bank, k as u64)
             } else {
@@ -449,9 +445,6 @@ impl ManyFlowRun {
             tcp_bank,
             bottleneck: core.bottleneck,
             core,
-            nominal_rtt,
-            share_pps: cfg.share_pps,
-            formula: cfg.formula,
         }
     }
 
@@ -498,9 +491,6 @@ impl ManyFlowRun {
         ManyFlowMeasurements {
             tfrc: per_flow(self.tfrc_bank, &snap.tfrc),
             tcp: per_flow(self.tcp_bank, &snap.tcp),
-            nominal_rtt: self.nominal_rtt,
-            share_pps: self.share_pps,
-            formula: self.formula,
         }
     }
 }
@@ -557,12 +547,6 @@ pub struct ManyFlowMeasurements {
     pub tfrc: Vec<ManyFlowMeasure>,
     /// One entry per AIMD flow.
     pub tcp: Vec<ManyFlowMeasure>,
-    /// Configured base RTT.
-    pub nominal_rtt: f64,
-    /// Configured fair share, packets/second.
-    pub share_pps: f64,
-    /// The TFRC formula in force.
-    pub formula: FormulaKind,
 }
 
 impl ManyFlowMeasurements {
@@ -573,7 +557,7 @@ impl ManyFlowMeasurements {
         let mut xs: Vec<f64> = self
             .tfrc
             .iter()
-            .map(|f| f.throughput / self.share_pps)
+            .map(|f| f.throughput / ManyFlowConfig::SHARE_PPS)
             .collect();
         xs.sort_by(f64::total_cmp);
         xs
@@ -594,7 +578,7 @@ impl ManyFlowMeasurements {
         let p_mean = self.tfrc.iter().map(|f| f.loss_event_rate).sum::<f64>() / n.max(1.0);
         let rtt_mean = self.tfrc.iter().map(|f| f.srtt).sum::<f64>() / n.max(1.0);
         let predicted = if p_mean > 0.0 && rtt_mean > 0.0 {
-            self.formula.rate(p_mean, rtt_mean) / self.share_pps
+            ManyFlowConfig::FORMULA.rate(p_mean, rtt_mean) / ManyFlowConfig::SHARE_PPS
         } else {
             0.0
         };
@@ -643,7 +627,7 @@ mod tests {
         assert_eq!(m.tfrc.len(), 20);
         assert_eq!(m.tcp.len(), 2);
         let total: f64 = m.tfrc.iter().chain(&m.tcp).map(|f| f.throughput).sum();
-        let capacity_pps = cfg.bottleneck_bps() / (cfg.packet_size as f64 * 8.0);
+        let capacity_pps = cfg.bottleneck_bps() / (ManyFlowConfig::PACKET_SIZE as f64 * 8.0);
         assert!(
             total > 0.5 * capacity_pps,
             "aggregate {total:.1} pps of {capacity_pps:.1}"
@@ -673,7 +657,7 @@ mod tests {
         let m = run.measure(5.0, 10.0);
         assert_eq!(m.tfrc.len(), 10_000);
         let total: f64 = m.tfrc.iter().chain(&m.tcp).map(|f| f.throughput).sum();
-        let capacity_pps = cfg.bottleneck_bps() / (cfg.packet_size as f64 * 8.0);
+        let capacity_pps = cfg.bottleneck_bps() / (ManyFlowConfig::PACKET_SIZE as f64 * 8.0);
         assert!(
             total > 0.5 * capacity_pps,
             "aggregate {total:.1} pps of {capacity_pps:.1}"
@@ -708,9 +692,6 @@ mod tests {
         assert_eq!(base.content_key(), base.clone().content_key());
         let mut other = base.clone();
         other.seed = 2;
-        assert_ne!(base.content_key(), other.content_key());
-        let mut other = base.clone();
-        other.share_pps = 32.0;
         assert_ne!(base.content_key(), other.content_key());
         assert_ne!(
             ManyFlowConfig::standard(100, 1).content_key(),

@@ -30,9 +30,9 @@ use crate::scenarios::{
 };
 use crate::series::Table;
 use ebrc_core::control::{BasicControl, ComprehensiveControl, ControlConfig, TraceStats};
-use ebrc_core::formula::{AimdFormula, PftkSimplified, PftkStandard, Sqrt, ThroughputFormula};
+use ebrc_core::formula::{AimdFormula, Sqrt};
 use ebrc_core::weights::WeightProfile;
-use ebrc_dist::{IidProcess, LossProcess, MarkovModulated, Rng, ShiftedExponential};
+use ebrc_dist::{IidProcess, MarkovModulated, Rng, ShiftedExponential};
 use ebrc_net::NetEvent;
 use ebrc_runner::{parse_hex16, Fields, JobCtx, SliceStep, SlicedRun};
 use ebrc_sim::{Engine, RunLimit};
@@ -415,7 +415,7 @@ impl SimSpec {
                 n, warmup, span, ..
             } => {
                 let cfg = manyflow_config(n, 0);
-                let pps = cfg.bottleneck_bps() / (cfg.packet_size as f64 * 8.0);
+                let pps = cfg.bottleneck_bps() / (ManyFlowConfig::PACKET_SIZE as f64 * 8.0);
                 saturating_f64_to_u64((warmup + span) * pps * DISPATCHES_PER_PACKET)
             }
             SimSpec::Audio { duration, .. } => {
@@ -761,8 +761,7 @@ impl SimSpec {
     }
 }
 
-/// The formula-dispatched Monte-Carlo body behind
-/// [`SimSpec::mc_normalized`].
+/// The Monte-Carlo body behind [`SimSpec::mc_normalized`].
 fn mc_body(
     control: ControlLaw,
     formula: FormulaKind,
@@ -771,54 +770,23 @@ fn mc_body(
     events: usize,
     seed: u64,
 ) -> f64 {
-    fn run_one<F: ThroughputFormula + Clone>(
-        f: &F,
-        control: ControlLaw,
-        weights: WeightProfile,
-        process: &mut impl LossProcess,
-        events: usize,
-        seed: u64,
-    ) -> f64 {
-        let mut rng = Rng::seed_from(seed);
-        let cfg = ControlConfig::new(weights);
-        let mut stats = TraceStats::new();
-        match control {
-            ControlLaw::Basic => {
-                BasicControl::new(f.clone(), cfg).run_into(process, &mut rng, events, &mut stats)
-            }
-            ControlLaw::Comprehensive => ComprehensiveControl::new(f.clone(), cfg)
-                .run_into(process, &mut rng, events, &mut stats),
-        }
-        stats.normalized_throughput(f)
-    }
+    let f = formula.instantiate(1.0);
     let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(1.0 / p, cv));
-    let profile = weights.profile(window);
-    match formula {
-        FormulaKind::Sqrt => run_one(
-            &Sqrt::with_rtt(1.0),
-            control,
-            profile,
+    let mut rng = Rng::seed_from(seed);
+    let cfg = ControlConfig::new(weights.profile(window));
+    let mut stats = TraceStats::new();
+    match control {
+        ControlLaw::Basic => {
+            BasicControl::new(f.clone(), cfg).run_into(&mut process, &mut rng, events, &mut stats)
+        }
+        ControlLaw::Comprehensive => ComprehensiveControl::new(f.clone(), cfg).run_into(
             &mut process,
+            &mut rng,
             events,
-            seed,
-        ),
-        FormulaKind::PftkStandard => run_one(
-            &PftkStandard::with_rtt(1.0),
-            control,
-            profile,
-            &mut process,
-            events,
-            seed,
-        ),
-        FormulaKind::PftkSimplified => run_one(
-            &PftkSimplified::with_rtt(1.0),
-            control,
-            profile,
-            &mut process,
-            events,
-            seed,
+            &mut stats,
         ),
     }
+    stats.normalized_throughput(&f)
 }
 
 /// The serializable result of one [`SimSpec`]. Reducers extract their

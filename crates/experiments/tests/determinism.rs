@@ -100,6 +100,26 @@ fn spec_keys_are_unique_and_collision_free_across_the_catalogue() {
     }
 }
 
+/// Pins every spec's content key through the plan fingerprint, which
+/// folds in each key's hash: a key that drifts would re-address every
+/// cache entry and shard artifact built from it. A deliberate refresh
+/// of the outputs updates these literals next to `UPDATE_GOLDEN` and
+/// says so.
+#[test]
+fn plan_fingerprints_are_pinned() {
+    let experiments = all_experiments();
+    let refs: Vec<&dyn Experiment> = experiments.iter().map(|e| e.as_ref()).collect();
+    for (scale, fingerprint, unique) in [
+        (Scale::tiny(), "1caa292c343b9d00", 162),
+        (Scale::quick(), "1a47b4dc51f5458c", 162),
+        (Scale::paper(), "5c5ba6399d5604d9", 1402),
+    ] {
+        let plan = global_plan(&refs, scale);
+        assert_eq!(format!("{:016x}", plan.fingerprint()), fingerprint);
+        assert_eq!(plan.unique_len(), unique);
+    }
+}
+
 /// Runs the catalogue split into `k` deterministic shards — each shard
 /// executed as a subset of the plan, exactly like `repro run --shard`
 /// — then merges the outputs and reduces every experiment. Returns

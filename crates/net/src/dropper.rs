@@ -50,15 +50,6 @@ impl BernoulliDropper {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Empirical drop rate.
-    pub fn drop_rate(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / self.offered as f64
-        }
-    }
 }
 
 impl Component<NetEvent> for BernoulliDropper {
@@ -97,7 +88,8 @@ mod tests {
         }
         eng.run_until(100.0);
         let dr: &BernoulliDropper = eng.get(d);
-        assert!((dr.drop_rate() - 0.1).abs() < 0.01, "{}", dr.drop_rate());
+        let drop_rate = dr.dropped() as f64 / dr.offered() as f64;
+        assert!((drop_rate - 0.1).abs() < 0.01, "{drop_rate}");
         let s: &Sink = eng.get(sink);
         assert_eq!(s.count() + dr.dropped(), dr.offered());
     }

@@ -112,49 +112,41 @@ pub struct RedConfig {
     pub min_th: f64,
     /// Upper average-queue threshold (packets).
     pub max_th: f64,
-    /// Drop probability as the average reaches `max_th` (the lab used
-    /// 1/10).
-    pub max_p: f64,
     /// EWMA weight of the average-queue filter (the lab targeted 0.002).
     pub wq: f64,
-    /// Gentle mode: ramp the drop probability from `max_p` to 1 between
-    /// `max_th` and `2·max_th` instead of dropping everything. The lab
-    /// could not enable it; ns-2 defaults had it off in 2002.
-    pub gentle: bool,
     /// Nominal packet transmission time on the outgoing link (seconds),
     /// used to age the average across idle periods.
     pub mean_pkt_time: f64,
 }
 
 impl RedConfig {
+    /// Drop probability as the average reaches `max_th`: 1/10 in both
+    /// the lab and the ns-2 settings. Past `max_th` every arrival
+    /// drops: the paper runs RED with gentle mode off.
+    pub const MAX_P: f64 = 0.1;
+
     /// The paper's ns-2 setting: buffer `5/2·bdp`, `min_th = bdp/4`,
-    /// `max_th = 5/4·bdp` (all in packets), ns-2 default `w_q` and
-    /// `max_p = 0.1`.
+    /// `max_th = 5/4·bdp` (all in packets), ns-2 default `w_q`.
     pub fn ns2_paper(bdp_packets: f64, mean_pkt_time: f64) -> Self {
         Self {
             limit: (2.5 * bdp_packets).round().max(1.0) as usize,
             min_th: bdp_packets / 4.0,
             max_th: 1.25 * bdp_packets,
-            max_p: 0.1,
             wq: 0.002,
-            gentle: false,
             mean_pkt_time,
         }
     }
 
     /// The paper's lab setting around `U = 62500 B` with `u` packets per
     /// `U` (1500-byte packets ⇒ `U ≈ 41.7` packets): buffer `5/2·U`,
-    /// `min_th = 3/20·U`, `max_th = 5/4·U`, `w_q = 0.002`,
-    /// `max_p = 0.1`, gentle off.
+    /// `min_th = 3/20·U`, `max_th = 5/4·U`, `w_q = 0.002`.
     pub fn lab_paper(mean_pkt_time: f64) -> Self {
         let u_packets: f64 = 62_500.0 / 1_500.0;
         Self {
             limit: (2.5 * u_packets).round() as usize,
             min_th: 0.15 * u_packets,
             max_th: 1.25 * u_packets,
-            max_p: 0.1,
             wq: 0.002,
-            gentle: false,
             mean_pkt_time,
         }
     }
@@ -184,7 +176,6 @@ impl RedQueue {
             0.0 < cfg.min_th && cfg.min_th < cfg.max_th,
             "need 0 < min_th < max_th"
         );
-        assert!(cfg.max_p > 0.0 && cfg.max_p <= 1.0, "max_p in (0, 1]");
         assert!(cfg.wq > 0.0 && cfg.wq < 1.0, "wq in (0, 1)");
         assert!(cfg.mean_pkt_time > 0.0, "mean_pkt_time must be positive");
         Self {
@@ -223,9 +214,7 @@ impl RedQueue {
         if self.avg < c.min_th {
             0.0
         } else if self.avg < c.max_th {
-            c.max_p * (self.avg - c.min_th) / (c.max_th - c.min_th)
-        } else if c.gentle && self.avg < 2.0 * c.max_th {
-            c.max_p + (1.0 - c.max_p) * (self.avg - c.max_th) / c.max_th
+            RedConfig::MAX_P * (self.avg - c.min_th) / (c.max_th - c.min_th)
         } else {
             1.0
         }
@@ -358,9 +347,7 @@ mod tests {
             limit: 100,
             min_th: 10.0,
             max_th: 50.0,
-            max_p: 0.1,
             wq: 0.2, // fast-moving average for compact tests
-            gentle: false,
             mean_pkt_time: 0.001,
         }
     }
@@ -431,30 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn red_gentle_mode_ramps_instead_of_cliff() {
-        let mut cfg = red_cfg();
-        cfg.gentle = true;
-        let mut q = RedQueue::new(cfg);
-        let mut rng = Rng::seed_from(7);
-        // Push the average to ~60 (between max_th and 2·max_th): gentle
-        // mode still accepts some packets.
-        let mut accepted_past_cliff = 0;
-        for i in 0..400 {
-            let was_past = q.average() > 51.0;
-            if q.enqueue(pkt(i), 0.0, &mut rng).is_ok() && was_past {
-                accepted_past_cliff += 1;
-            }
-            while q.len() > 60 {
-                q.dequeue(0.0);
-            }
-        }
-        assert!(
-            accepted_past_cliff > 0,
-            "gentle RED should admit some packets"
-        );
-    }
-
-    #[test]
     fn red_average_ages_during_idle() {
         let mut q = RedQueue::new(red_cfg());
         let mut rng = Rng::seed_from(8);
@@ -478,7 +441,6 @@ mod tests {
         assert_eq!(c.limit, 250);
         assert!((c.min_th - 25.0).abs() < 1e-9);
         assert!((c.max_th - 125.0).abs() < 1e-9);
-        assert!(!c.gentle);
     }
 
     #[test]

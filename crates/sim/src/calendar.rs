@@ -332,9 +332,9 @@ pub struct WheelCalendar<E> {
     hint: usize,
     /// Pops since the last refit — a refit costs O(pending), so
     /// triggering one only after at least `len()` pops keeps the
-    /// amortized cost O(1) per event no matter how adversarial the
-    /// schedule is. Saturated until the first refit: the first fit
-    /// leaves the gate open.
+    /// amortized cost O(1) per event however adversarial the schedule
+    /// (`concentration_refits_are_amortized`). Saturated until the
+    /// first refit: the first fit leaves the gate open.
     pops_since_refit: u64,
     /// Largest time ever pushed — a cheap running estimate of the
     /// pending set's span, used to predict whether a refit would
@@ -520,12 +520,12 @@ impl<E> WheelCalendar<E> {
             return false;
         }
         // Only worth an O(pending) refit if the refitted width —
-        // ≈2·span/len over the pending set — would actually split this
-        // bucket into several. An inherently tight burst (say a 64-way
-        // fan-out within a microsecond) concentrates under *any* sane
+        // ≈2·span/len over the pending set, no finer than the floor —
+        // would split this bucket into several. A tight burst (a 64-way
+        // fan-out within a microsecond) concentrates under any sane
         // width; refitting for it would churn forever.
         let span_est = (self.t_max_seen - lo).max(hi - lo);
-        let refit_width = 2.0 * span_est / total as f64;
+        let refit_width = (2.0 * span_est / total as f64).max(width_floor(self.t_max_seen));
         hi - lo > 2.0 * refit_width
     }
 
@@ -1268,6 +1268,69 @@ mod tests {
             "{} slots for a pending set that peaked at {peak}",
             cal.slots.len()
         );
+    }
+
+    /// The concentration refit costs O(pending), so it must stay
+    /// amortized: at most one per `pending` pops, plus the first. The
+    /// adversary is a dense cluster far ahead that pins the fitted span
+    /// and bursts of `CONCENTRATED_BUCKET` events in front of it, each
+    /// packed into one tick of the current width and closer to the
+    /// cluster than the last, so that every burst reads as concentrated
+    /// and a refit would split it.
+    #[test]
+    fn concentration_refits_are_amortized() {
+        const FAR: usize = 1000;
+        let mut cal: WheelCalendar<u32> = Calendar::with_capacity(0);
+        let mut seq = 0;
+        let mut push = |cal: &mut WheelCalendar<u32>, time: f64| {
+            cal.push(ev(time, seq));
+            seq += 1;
+        };
+        for j in 0..FAR {
+            push(&mut cal, 1000.0 + j as f64 * 1e-9);
+        }
+        push(&mut cal, 0.0);
+        let mut clock = cal.pop().expect("pending").time;
+        let mut pops = 1;
+        for _ in 0..12 {
+            let w = cal.width;
+            let target = (cal.t_max_seen - 0.2 * w * FAR as f64).max(clock);
+            let start = (cal.raw_tick(target) + 1) as f64 * w;
+            for j in 0..CONCENTRATED_BUCKET {
+                push(
+                    &mut cal,
+                    start + w * (0.05 + 0.9 * j as f64 / CONCENTRATED_BUCKET as f64),
+                );
+            }
+            while cal.len() > FAR {
+                clock = cal.pop().expect("pending").time;
+                pops += 1;
+            }
+        }
+        let refits = cal.paths.refits;
+        assert!(refits >= 1, "no burst read as concentrated");
+        assert!(
+            refits <= pops / FAR as u64 + 1,
+            "{refits} concentration refits for {pops} pops over {FAR} pending"
+        );
+        let order = drain(&mut cal);
+        assert_eq!(order.len(), FAR);
+        assert_sorted(&order);
+    }
+
+    /// A tick narrower than the width floor stays concentrated under
+    /// any refit, so the split prediction, clamped to the floor as the
+    /// refit is, never asks for one.
+    #[test]
+    fn a_refit_at_the_width_floor_is_not_repeated() {
+        let mut cal: WheelCalendar<u32> = Calendar::with_capacity(0);
+        for i in 0..1000 {
+            cal.push(ev(1.0 + i as f64 * 1e-15, i));
+        }
+        let order = drain(&mut cal);
+        assert_eq!(order.len(), 1000);
+        assert_sorted(&order);
+        assert_eq!(cal.paths.refits, 0, "{:?}", cal.paths);
     }
 
     /// A slot is a `Scheduled` event plus one link. A payload with a

@@ -54,12 +54,6 @@ impl SackScoreboard {
         self.sacked.len()
     }
 
-    /// Number of sequences currently marked lost and not yet
-    /// retransmitted.
-    pub fn pending_retransmits(&self) -> usize {
-        self.lost.len() - self.retx.len()
-    }
-
     /// Feeds an acknowledgment (cumulative + SACK ranges).
     ///
     /// Sequences below the new cumulative point are forgotten; the
@@ -162,6 +156,11 @@ impl SackScoreboard {
 mod tests {
     use super::*;
 
+    /// Sequences marked lost and not yet retransmitted.
+    fn pending_retransmits(sb: &SackScoreboard) -> usize {
+        sb.lost.len() - sb.retx.len()
+    }
+
     #[test]
     fn fresh_board_is_empty() {
         let sb = SackScoreboard::new();
@@ -206,7 +205,7 @@ mod tests {
         sb.on_ack(0, &[(3, 8)]);
         let marked = sb.mark_holes_lost();
         assert_eq!(marked, 3);
-        assert_eq!(sb.pending_retransmits(), 3);
+        assert_eq!(pending_retransmits(&sb), 3);
         // Pipe: 10 outstanding − 5 sacked − 3 lost = 2.
         assert_eq!(sb.pipe(), 2);
         let r = sb.next_retransmit().unwrap();
@@ -227,7 +226,7 @@ mod tests {
         sb.note_retransmitted(0);
         sb.on_ack(8, &[]);
         assert_eq!(sb.sacked_count(), 0);
-        assert_eq!(sb.pending_retransmits(), 0);
+        assert_eq!(pending_retransmits(&sb), 0);
         assert_eq!(sb.pipe(), 2); // seqs 8, 9 outstanding
     }
 
@@ -253,7 +252,7 @@ mod tests {
         sb.on_ack(0, &[(4, 6)]);
         sb.mark_all_lost();
         // 8 outstanding − 2 sacked = 6 lost; pipe = 0.
-        assert_eq!(sb.pending_retransmits(), 6);
+        assert_eq!(pending_retransmits(&sb), 6);
         assert_eq!(sb.pipe(), 0);
         assert_eq!(sb.next_retransmit(), Some(0));
     }

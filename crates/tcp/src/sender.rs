@@ -22,42 +22,38 @@ use ebrc_stats::Moments;
 /// flow's start time.
 pub const TIMER_START: u64 = 0;
 
-/// Static configuration of a sender.
+/// Initial congestion window (packets).
+pub const INITIAL_CWND: f64 = 2.0;
+/// Upper bound on the window (the tuned receiver buffer of the paper's
+/// experiments — large enough not to bind).
+pub const MAX_CWND: f64 = 10_000.0;
+/// Duplicate-ACK / SACK threshold for entering fast recovery.
+pub const DUPACK_THRESHOLD: u32 = 3;
+/// RTO floor (seconds).
+pub const MIN_RTO: f64 = 0.2;
+/// RTO ceiling (seconds).
+pub const MAX_RTO: f64 = 60.0;
+/// Maximum transmissions released by one ACK or timer event. Prevents
+/// line-rate bursts after recovery-entry window jumps (the burst
+/// moderation real stacks apply).
+pub const MAX_BURST: u32 = 6;
+
+/// Static configuration of a sender: what the paper's scenarios vary.
+/// The rest of the stack is the module's constants.
 #[derive(Debug, Clone)]
 pub struct TcpSenderConfig {
     /// Data packet size in bytes.
     pub packet_size: u32,
-    /// Initial congestion window (packets).
-    pub initial_cwnd: f64,
-    /// Upper bound on the window (the tuned receiver buffer of the
-    /// paper's experiments — large enough not to bind).
-    pub max_cwnd: f64,
-    /// Duplicate-ACK / SACK threshold for entering fast recovery.
-    pub dupack_threshold: u32,
-    /// RTO floor (seconds).
-    pub min_rto: f64,
-    /// RTO ceiling (seconds).
-    pub max_rto: f64,
     /// Nominal RTT used to coalesce loss events before the first RTT
     /// sample arrives.
     pub nominal_rtt: f64,
-    /// Maximum transmissions released by one ACK or timer event.
-    /// Prevents line-rate bursts after recovery-entry window jumps (the
-    /// burst moderation real stacks apply); `u32::MAX` disables it.
-    pub max_burst: u32,
 }
 
 impl Default for TcpSenderConfig {
     fn default() -> Self {
         Self {
             packet_size: 1500,
-            initial_cwnd: 2.0,
-            max_cwnd: 10_000.0,
-            dupack_threshold: 3,
-            min_rto: 0.2,
-            max_rto: 60.0,
             nominal_rtt: 0.05,
-            max_burst: 6,
         }
     }
 }
@@ -106,10 +102,10 @@ impl TcpSender {
     /// A sender for `flow` with the given configuration.
     pub fn new(flow: FlowId, cfg: TcpSenderConfig) -> Self {
         let recorder = LossEventRecorder::new(cfg.nominal_rtt);
-        let rto_est = RtoEstimator::new(cfg.min_rto, cfg.max_rto);
+        let rto_est = RtoEstimator::new(MIN_RTO, MAX_RTO);
         Self {
             flow,
-            cwnd: cfg.initial_cwnd,
+            cwnd: INITIAL_CWND,
             ssthresh: f64::INFINITY,
             cfg,
             next_hop: None,
@@ -208,7 +204,7 @@ impl TcpSender {
         let hop = self.next_hop.expect("tcp sender not wired");
         let window = self.cwnd.floor().max(1.0) as u64;
         let mut burst = 0;
-        while self.sb.pipe() < window && burst < self.cfg.max_burst {
+        while self.sb.pipe() < window && burst < MAX_BURST {
             burst += 1;
             let seq = match self.sb.next_retransmit() {
                 Some(seq) => {
@@ -257,9 +253,9 @@ impl TcpSender {
             if self.recovery_point.is_none() {
                 let n = out.newly_acked as f64;
                 if self.cwnd < self.ssthresh {
-                    self.cwnd = (self.cwnd + n).min(self.cfg.max_cwnd);
+                    self.cwnd = (self.cwnd + n).min(MAX_CWND);
                 } else {
-                    self.cwnd = (self.cwnd + n / self.cwnd).min(self.cfg.max_cwnd);
+                    self.cwnd = (self.cwnd + n / self.cwnd).min(MAX_CWND);
                 }
             }
         } else {
@@ -267,8 +263,8 @@ impl TcpSender {
         }
         if self.recovery_point.is_none()
             && self.sb.high_ack() >= self.no_fast_recovery_below
-            && (self.dupacks >= self.cfg.dupack_threshold
-                || self.sb.sacked_count() >= self.cfg.dupack_threshold as usize)
+            && (self.dupacks >= DUPACK_THRESHOLD
+                || self.sb.sacked_count() >= DUPACK_THRESHOLD as usize)
         {
             self.enter_recovery(now);
             ctx.trace_instant("recovery");

@@ -80,7 +80,7 @@ proptest! {
         sb.on_ack(sends, &[]);
         prop_assert_eq!(sb.pipe(), 0);
         prop_assert_eq!(sb.flight_size(), 0);
-        prop_assert_eq!(sb.pending_retransmits(), 0);
+        prop_assert_eq!(sb.next_retransmit(), None);
         prop_assert_eq!(sb.sacked_count(), 0);
     }
 

@@ -1,6 +1,6 @@
 //! Formula selection with fixed or measured round-trip time.
 
-use ebrc_core::formula::{c1, c2, PftkSimplified, PftkStandard, Sqrt, ThroughputFormula};
+use ebrc_core::formula::{Formula, PftkSimplified, PftkStandard, Sqrt, ThroughputFormula};
 
 /// Which round-trip time the sender plugs into the formula.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,15 +46,13 @@ impl FormulaKind {
         self.instantiate(rtt).rate(p)
     }
 
-    /// Builds the fixed-RTT formula instance (`q = 4·rtt`, `b = 2`).
-    pub fn instantiate(&self, rtt: f64) -> Box<dyn ThroughputFormula> {
-        let b = 2.0;
+    /// Builds the fixed-RTT formula instance (`q = 4·rtt`, `b = 2`):
+    /// a value, so a rate update allocates nothing.
+    pub fn instantiate(&self, rtt: f64) -> Formula {
         match self {
-            FormulaKind::Sqrt => Box::new(Sqrt::new(c1(b), rtt)),
-            FormulaKind::PftkStandard => Box::new(PftkStandard::new(c1(b), c2(b), rtt, 4.0 * rtt)),
-            FormulaKind::PftkSimplified => {
-                Box::new(PftkSimplified::new(c1(b), c2(b), rtt, 4.0 * rtt))
-            }
+            FormulaKind::Sqrt => Formula::Sqrt(Sqrt::with_rtt(rtt)),
+            FormulaKind::PftkStandard => Formula::PftkStandard(PftkStandard::with_rtt(rtt)),
+            FormulaKind::PftkSimplified => Formula::PftkSimplified(PftkSimplified::with_rtt(rtt)),
         }
     }
 
@@ -101,7 +99,7 @@ mod tests {
             ),
         ] {
             for &p in &[0.001, 0.01, 0.1] {
-                assert!((kind.rate(p, rtt) - direct.rate(p)).abs() < 1e-9);
+                assert_eq!(kind.rate(p, rtt).to_bits(), direct.rate(p).to_bits());
             }
         }
     }

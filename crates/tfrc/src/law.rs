@@ -84,7 +84,7 @@ impl RateLaw {
         let rate = if avg_interval.is_finite() {
             state.slow_start = false;
             assert!(rtt > 0.0, "rtt must be positive");
-            let eq = clamped_rate(&*self.formula.instantiate(rtt), avg_interval);
+            let eq = clamped_rate(&self.formula.instantiate(rtt), avg_interval);
             if self.cap_equation_rate {
                 eq.min(limit)
             } else {

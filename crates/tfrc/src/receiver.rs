@@ -2,6 +2,7 @@
 
 use crate::formula_kind::FormulaKind;
 use ebrc_core::estimator::IntervalEstimator;
+use ebrc_core::formula::ThroughputFormula;
 use ebrc_core::weights::WeightProfile;
 use ebrc_net::{FeedbackInfo, FlowId, NetEvent, Packet, PacketKind};
 use ebrc_sim::{Component, ComponentId, Context};
@@ -158,14 +159,15 @@ impl TfrcReceiver {
         // Find θ with f(1/θ, rtt) = x_recv by bisection (f(1/θ) is
         // increasing in θ).
         let target = x_recv.max(0.1);
+        let f = self.cfg.formula.instantiate(self.cfg.rtt);
         let mut lo = 1.0_f64;
         let mut hi = 2.0_f64;
-        while self.cfg.formula.rate(1.0 / hi, self.cfg.rtt) < target && hi < 1e9 {
+        while f.rate(1.0 / hi) < target && hi < 1e9 {
             hi *= 2.0;
         }
         for _ in 0..60 {
             let mid = 0.5 * (lo + hi);
-            if self.cfg.formula.rate(1.0 / mid, self.cfg.rtt) < target {
+            if f.rate(1.0 / mid) < target {
                 lo = mid;
             } else {
                 hi = mid;

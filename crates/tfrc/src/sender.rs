@@ -10,6 +10,11 @@ const TIMER_SEND: u64 = 1;
 /// The "start sending" kick; schedule this from the harness at the
 /// flow's start time.
 pub const TIMER_START: u64 = 0;
+/// Floor on the send rate (packets/second), so the feedback loop never
+/// starves.
+pub const MIN_RATE: f64 = 0.2;
+/// Ceiling on the send rate (packets/second).
+pub const MAX_RATE: f64 = 1e9;
 
 /// Sender configuration.
 #[derive(Debug, Clone)]
@@ -28,11 +33,6 @@ pub struct TfrcSenderConfig {
     /// Initial send rate in packets/second (RFC: roughly one packet per
     /// RTT; we default to two).
     pub initial_rate: f64,
-    /// Floor on the send rate (packets/second) so the feedback loop
-    /// never starves.
-    pub min_rate: f64,
-    /// Ceiling on the send rate (packets/second).
-    pub max_rate: f64,
 }
 
 impl TfrcSenderConfig {
@@ -46,8 +46,6 @@ impl TfrcSenderConfig {
             nominal_rtt,
             receive_rate_cap: true,
             initial_rate: 2.0 / nominal_rtt,
-            min_rate: 0.2,
-            max_rate: 1e9,
         }
     }
 
@@ -61,8 +59,6 @@ impl TfrcSenderConfig {
             nominal_rtt: fixed_rtt,
             receive_rate_cap: false,
             initial_rate: 2.0 / fixed_rtt,
-            min_rate: 0.2,
-            max_rate: 1e9,
         }
     }
 }
@@ -95,7 +91,6 @@ pub struct TfrcSender {
     rate_trajectory: PiecewiseConstant,
     last_rate_change: f64,
     rtt_moments: Moments,
-    last_avg_interval: f64,
     // cov[X0, S0] bookkeeping: rate at each loss event and the time to
     // the next one.
     last_event_time: Option<f64>,
@@ -106,7 +101,7 @@ pub struct TfrcSender {
 impl TfrcSender {
     /// A sender for `flow`.
     pub fn new(flow: FlowId, cfg: TfrcSenderConfig) -> Self {
-        let rate = cfg.initial_rate.clamp(cfg.min_rate, cfg.max_rate);
+        let rate = cfg.initial_rate.clamp(MIN_RATE, MAX_RATE);
         Self {
             flow,
             cfg,
@@ -122,7 +117,6 @@ impl TfrcSender {
             rate_trajectory: PiecewiseConstant::new(),
             last_rate_change: 0.0,
             rtt_moments: Moments::new(),
-            last_avg_interval: f64::INFINITY,
             last_event_time: None,
             rate_at_last_event: rate,
             cov_rate_duration: Covariance::new(),
@@ -175,15 +169,6 @@ impl TfrcSender {
         self.cov_rate_duration.covariance()
     }
 
-    /// The loss-event rate the protocol currently believes, `1/θ̂`.
-    pub fn perceived_loss_rate(&self) -> f64 {
-        if self.last_avg_interval.is_finite() && self.last_avg_interval > 0.0 {
-            1.0 / self.last_avg_interval
-        } else {
-            0.0
-        }
-    }
-
     /// Flushes the rate trajectory up to `now` (call before reading
     /// [`TfrcSender::rate_time_average`]).
     pub fn finish(&mut self, now: f64) {
@@ -215,13 +200,12 @@ impl TfrcSender {
             self.last_event_time = Some(now);
             self.rate_at_last_event = self.state.rate;
         }
-        self.last_avg_interval = fb.avg_interval;
 
         // Close the trajectory segment at the old rate, then apply the law.
         self.finish(now);
         let law = RateLaw {
             cap_equation_rate: self.cfg.receive_rate_cap,
-            ..RateLaw::new(self.cfg.formula, self.cfg.min_rate, self.cfg.max_rate)
+            ..RateLaw::new(self.cfg.formula, MIN_RATE, MAX_RATE)
         };
         let rtt = self.cfg.rtt_mode.rtt(self.srtt, self.cfg.nominal_rtt);
         law.apply(&mut self.state, fb.avg_interval, rtt, fb.x_recv);
@@ -422,11 +406,15 @@ mod tests {
 
     #[test]
     fn min_rate_floor_holds() {
-        let mut cfg = TfrcSenderConfig::analysis(FormulaKind::PftkSimplified, 0.05);
-        cfg.min_rate = 5.0;
+        // A 1 s RTT in the formula puts f(p̂) below the floor at the
+        // loss-event rates a 40 % dropper produces.
+        let cfg = TfrcSenderConfig::analysis(FormulaKind::PftkSimplified, 1.0);
         let (mut eng, snd, _) = one_flow(1e9, 0.4, 0.05, 7, cfg);
-        eng.run_until(100.0);
-        let s: &TfrcSender = eng.get(snd);
-        assert!(s.rate() >= 5.0 - 1e-9, "rate {}", s.rate());
+        let mut lowest = f64::INFINITY;
+        for k in 1..=1000 {
+            eng.run_until(k as f64 * 0.1);
+            lowest = lowest.min(eng.get::<TfrcSender>(snd).rate());
+        }
+        assert_eq!(lowest, MIN_RATE);
     }
 }

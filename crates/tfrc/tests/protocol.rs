@@ -74,13 +74,14 @@ fn comprehensive_outruns_basic_between_loss_events() {
 fn perceived_loss_rate_tracks_dropper() {
     let rtt = 0.04;
     let cfg = TfrcSenderConfig::analysis(FormulaKind::PftkSimplified, rtt);
-    let (mut eng, snd, rcv) = pipeline(0.03, rtt, cfg, true, 12);
+    let (mut eng, _, rcv) = pipeline(0.03, rtt, cfg, true, 12);
     eng.run_until(600.0);
-    let s: &TfrcSender = eng.get(snd);
     let r: &TfrcReceiver = eng.get(rcv);
     let measured = r.loss_event_rate();
-    let perceived = s.perceived_loss_rate();
+    let avg_interval = r.current_avg_interval();
     assert!(measured > 0.0);
+    assert!(avg_interval.is_finite(), "no loss event in 600 s");
+    let perceived = 1.0 / avg_interval;
     // Protocol estimate and measured event rate agree within 3× (the
     // weighted average responds to recent history, the measurement is a
     // long-run mean).
@@ -112,12 +113,14 @@ fn rtt_mode_fixed_vs_measured_rates_differ_when_srtt_differs() {
     // Fixed-RTT mode must ignore the measured RTT entirely.
     let rtt = 0.08;
     let fixed = TfrcSenderConfig::analysis(FormulaKind::PftkSimplified, 0.02);
-    let (mut eng, snd, _) = pipeline(0.02, rtt, fixed, true, 14);
+    let (mut eng, snd, rcv) = pipeline(0.02, rtt, fixed, true, 14);
     eng.run_until(300.0);
     let s: &TfrcSender = eng.get(snd);
     // The formula runs at the (much smaller) fixed RTT, so the rate is
     // far above what the measured path RTT would give.
-    let p = s.perceived_loss_rate().max(1e-4);
+    let avg_interval = eng.get::<TfrcReceiver>(rcv).current_avg_interval();
+    assert!(avg_interval.is_finite(), "no loss event in 300 s");
+    let p = (1.0 / avg_interval).max(1e-4);
     let at_fixed = FormulaKind::PftkSimplified.rate(p, 0.02);
     let at_measured = FormulaKind::PftkSimplified.rate(p, s.srtt().unwrap());
     assert!(at_fixed > at_measured * 2.0);

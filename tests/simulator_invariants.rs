@@ -90,9 +90,7 @@ proptest! {
             limit,
             min_th: 2.0,
             max_th: (limit as f64 * 0.8).max(3.0),
-            max_p: 0.1,
             wq: 0.02,
-            gentle: false,
             mean_pkt_time: 0.001,
         };
         let mut q = RedQueue::new(cfg);
