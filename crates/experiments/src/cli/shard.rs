@@ -563,7 +563,9 @@ mod tests {
 
     fn diagnostic_plan(id: &str, values: std::ops::Range<u64>) -> Plan {
         let specs = values.map(|value| SimSpec::Diagnostic { value, fail: false });
-        Plan::for_experiment(id, specs.collect())
+        let mut plan = Plan::new();
+        plan.subscribe(id, specs.collect());
+        plan
     }
 
     /// Floats whose bits a lossy codec would not survive.

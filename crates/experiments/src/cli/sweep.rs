@@ -146,7 +146,7 @@ pub fn run(
     let experiments = select_experiments(targets)?;
     let pool = Pool::new(backend.threads);
     // A plan that fails to build still runs — the runner isolates the
-    // panicking `plan()` per experiment and reports it in the summary.
+    // panicking `specs()` per experiment and reports it in the summary.
     let plan = try_global_plan(&experiments, scale).ok();
     match &plan {
         Some(plan) => eprintln!(

@@ -337,7 +337,7 @@ mod tests {
             2 * l_list(true).len() * n_list(true).len(),
             "one spec per (L, n, replica)"
         );
-        let plan = Fig05.plan(scale);
+        let plan = global_plan(&[&Fig05 as &dyn Experiment], scale);
         assert_eq!(plan.unique_len(), specs.len(), "replicas never collide");
     }
 

@@ -3,9 +3,8 @@
 //! Every experiment is declarative: [`Experiment::specs`] lists the
 //! [`SimSpec`]s its reducer consumes (scenario × parameter point ×
 //! replica, in reduce order) and [`Experiment::reduce`] turns their
-//! outputs into [`Table`]s. [`Experiment::plan`] wraps the
-//! subscription in a [`Plan`]; [`global_plan`] merges the whole
-//! catalogue into one plan whose unique, content-hashed specs feed
+//! outputs into [`Table`]s. [`global_plan`] subscribes the whole
+//! catalogue to one [`Plan`] whose unique, content-hashed specs feed
 //! every subscribed reducer — Figures 5, 8, and 9 (at `L = 8`) share
 //! one simulation per `(n, L, replica)` point instead of re-running
 //! it.
@@ -127,13 +126,6 @@ pub trait Experiment: Sync {
     /// the output out.
     fn specs(&self, scale: Scale) -> Vec<SimSpec>;
 
-    /// The experiment's declarative plan: its specs deduplicated by
-    /// content hash, plus one subscription mapping them — in reduce
-    /// order — to this experiment's reducer.
-    fn plan(&self, scale: Scale) -> Plan {
-        Plan::for_experiment(self.id(), self.specs(scale))
-    }
-
     /// Merges subscribed spec outputs — in [`Experiment::specs`] order
     /// — into the artifact's tables.
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table>;
@@ -142,7 +134,8 @@ pub trait Experiment: Sync {
     /// spec in plan order, then reduces. Byte-identical to
     /// [`plan_run_catalogue`] at any thread count.
     fn run(&self, scale: Scale) -> Vec<Table> {
-        let plan = self.plan(scale);
+        let mut plan = Plan::new();
+        subscribe(&mut plan, self, scale);
         let outputs = plan.run_sequential(MASTER_SEED);
         let refs = plan.subscription_outputs(0, &outputs);
         self.reduce(scale, &refs)
@@ -155,10 +148,10 @@ pub struct ExperimentFailure {
     /// Experiment id.
     pub id: String,
     /// `(spec key, panic message)` for every subscribed spec that
-    /// panicked; empty when the failure came from `plan()`/`reduce()`
+    /// panicked; empty when the failure came from `specs()`/`reduce()`
     /// itself.
     pub failed_specs: Vec<(String, String)>,
-    /// Panic message of `plan()` or `reduce()` when that is what
+    /// Panic message of `specs()` or `reduce()` when that is what
     /// failed.
     pub phase_error: Option<String>,
 }
@@ -188,45 +181,28 @@ pub struct ExperimentReport {
     pub outcome: Result<Vec<Table>, ExperimentFailure>,
 }
 
+/// Subscribes `exp` to `plan` under its id: its specs in reduce order,
+/// interned by content hash. Every catalogue plan is built through
+/// this one call, so each experiment owns exactly one subscription,
+/// under its own id, in the order it was subscribed.
+fn subscribe<E: Experiment + ?Sized>(plan: &mut Plan, exp: &E, scale: Scale) {
+    plan.subscribe(exp.id(), exp.specs(scale));
+}
+
 /// Builds the merged plan of a set of experiments: unique specs
 /// (content-hash deduplicated across experiments) plus one
 /// subscription per experiment — callers may therefore zip
 /// `experiments` with [`Plan::subscriptions`] index for index.
 ///
 /// # Panics
-/// Propagates a panicking `plan()` ([`plan_run_catalogue`] isolates
-/// those per experiment instead), and panics if any experiment's
-/// `plan()` breaks the one-subscription-per-experiment contract —
-/// silently misaligning subscriptions would hand reducers another
-/// experiment's outputs.
+/// Propagates a panicking `specs()` ([`plan_run_catalogue`] isolates
+/// those per experiment instead).
 pub fn global_plan(experiments: &[&dyn Experiment], scale: Scale) -> Plan {
     let mut plan = Plan::new();
     for exp in experiments {
-        merge_subscription(&mut plan, *exp, exp.plan(scale));
+        subscribe(&mut plan, *exp, scale);
     }
     plan
-}
-
-/// Merges `exp`'s own plan `sub` into `plan`.
-///
-/// # Panics
-/// Panics unless `sub` adds exactly one subscription, under `exp.id()`.
-fn merge_subscription(plan: &mut Plan, exp: &dyn Experiment, sub: Plan) {
-    let before = plan.subscriptions().len();
-    plan.merge(sub);
-    let added = &plan.subscriptions()[before..];
-    assert_eq!(
-        added.len(),
-        1,
-        "{}: plan() must contain exactly one subscription",
-        exp.id()
-    );
-    assert_eq!(
-        added[0].id,
-        exp.id(),
-        "{}: plan() subscribed under a different id",
-        exp.id()
-    );
 }
 
 /// Reduces one experiment from its subscription's outcome — the spec
@@ -324,28 +300,33 @@ pub fn plan_run_catalogue_cached(
     progress: impl Fn(usize, usize) + Sync,
     mut on_report: impl FnMut(&ExperimentReport) + Send,
 ) -> CatalogueRun {
-    // Phase 1: merge per-experiment plans. A panicking `plan()` fails
-    // its experiment but not the sweep.
+    // Phase 1: subscribe each experiment. A panicking `specs()` fails
+    // its experiment but not the sweep; it runs before anything is
+    // interned, so the plan is left as it was.
     let mut plan = Plan::new();
-    let mut plan_errors: Vec<Option<String>> = Vec::with_capacity(experiments.len());
+    let mut slots: Vec<Option<ExperimentReport>> = Vec::with_capacity(experiments.len());
     let mut exp_for_sub: Vec<usize> = Vec::new();
     for (ei, exp) in experiments.iter().enumerate() {
-        match catch_unwind(AssertUnwindSafe(|| exp.plan(scale))) {
-            Ok(p) => {
-                merge_subscription(&mut plan, *exp, p);
+        match catch_unwind(AssertUnwindSafe(|| subscribe(&mut plan, *exp, scale))) {
+            Ok(()) => {
                 exp_for_sub.push(ei);
-                plan_errors.push(None);
+                slots.push(None);
             }
-            Err(p) => plan_errors.push(Some(panic_message(p.as_ref()))),
+            Err(p) => slots.push(Some(ExperimentReport {
+                id: exp.id(),
+                title: exp.title(),
+                paper_ref: exp.paper_ref(),
+                outcome: Err(ExperimentFailure {
+                    id: exp.id().to_string(),
+                    failed_specs: Vec::new(),
+                    phase_error: Some(format!("specs() panicked: {}", panic_message(p.as_ref()))),
+                }),
+            })),
         }
     }
 
     // Phase 2: execute the unique specs; reduce on completion; stream
     // reports through the sink.
-    let mut slots: Vec<Option<ExperimentReport>> = Vec::new();
-    for _ in 0..experiments.len() {
-        slots.push(None);
-    }
     let mut stats = RunStats::default();
     std::thread::scope(|s| {
         let (ready_tx, ready_rx) = mpsc::channel::<SubscriptionResult<SimSpec>>();
@@ -384,27 +365,11 @@ pub fn plan_run_catalogue_cached(
         }
     });
 
-    // Phase 3: fold in plan-phase failures and restore catalogue order.
-    let reports = experiments
+    // Every subscription fires exactly once, so every slot is filled;
+    // the slots keep catalogue order.
+    let reports = slots
         .into_iter()
-        .zip(plan_errors)
-        .zip(slots)
-        .map(|((exp, plan_error), slot)| match slot {
-            Some(report) => report,
-            None => ExperimentReport {
-                id: exp.id(),
-                title: exp.title(),
-                paper_ref: exp.paper_ref(),
-                outcome: Err(ExperimentFailure {
-                    id: exp.id().to_string(),
-                    failed_specs: Vec::new(),
-                    phase_error: Some(format!(
-                        "plan() panicked: {}",
-                        plan_error.unwrap_or_else(|| "decomposition failed".into())
-                    )),
-                }),
-            },
-        })
+        .map(|slot| slot.expect("every experiment reported"))
         .collect();
     CatalogueRun {
         reports,
@@ -483,7 +448,7 @@ pub fn select_experiments(targets: &[String]) -> Result<Vec<Box<dyn Experiment>>
     Ok(out)
 }
 
-/// [`global_plan`] with a panicking `plan()` turned into an error.
+/// [`global_plan`] with a panicking `specs()` turned into an error.
 pub fn try_global_plan(experiments: &[Box<dyn Experiment>], scale: Scale) -> Result<Plan, String> {
     let refs: Vec<&dyn Experiment> = experiments.iter().map(|e| e.as_ref()).collect();
     catch_unwind(AssertUnwindSafe(|| global_plan(&refs, scale)))
@@ -617,6 +582,56 @@ mod tests {
             .1
             .contains("diagnostic spec failure"));
         assert!(failure.to_string().contains("diag/v2"));
+    }
+
+    /// A sweep member whose `specs()` panics, so it never reaches the
+    /// plan.
+    struct Unplannable;
+
+    impl Experiment for Unplannable {
+        fn id(&self) -> &'static str {
+            "unplannable"
+        }
+        fn title(&self) -> &'static str {
+            "test double"
+        }
+        fn paper_ref(&self) -> &'static str {
+            "none"
+        }
+        fn specs(&self, _scale: Scale) -> Vec<SimSpec> {
+            panic!("no specs to list")
+        }
+        fn reduce(&self, _scale: Scale, _outputs: &[&SpecOutput]) -> Vec<Table> {
+            unreachable!("an experiment without specs is never reduced")
+        }
+    }
+
+    #[test]
+    fn a_panicking_specs_fails_only_its_experiment() {
+        let bad = Unplannable;
+        let good = Fragile { broken_spec: false };
+        // The failing experiment comes first, so the healthy one's
+        // subscription index (0) differs from its catalogue index (1).
+        let reports = plan_run_catalogue(
+            vec![&bad as &dyn Experiment, &good as &dyn Experiment],
+            Scale::quick(),
+            &Pool::new(2),
+            |_, _| {},
+            |_| {},
+        );
+        let failure = reports[0].outcome.as_ref().unwrap_err();
+        assert!(failure.failed_specs.is_empty());
+        let msg = failure.phase_error.as_deref().expect("a phase error");
+        assert!(msg.starts_with("specs() panicked: "), "{msg}");
+        assert!(msg.contains("no specs to list"), "{msg}");
+        let solo: Vec<String> = good
+            .run(Scale::quick())
+            .iter()
+            .map(Table::to_json)
+            .collect();
+        let swept = reports[1].outcome.as_ref().expect("healthy experiment");
+        let swept: Vec<String> = swept.iter().map(Table::to_json).collect();
+        assert_eq!(swept, solo);
     }
 
     #[test]

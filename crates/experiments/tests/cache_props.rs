@@ -176,7 +176,8 @@ proptest! {
 fn corrupted_entries_re_run_instead_of_poisoning() {
     let cache = DirCache::new(scratch("rerun"));
     let pool = Pool::new(2);
-    let plan = Plan::for_experiment(
+    let mut plan = Plan::new();
+    plan.subscribe(
         "rerun",
         vec![
             SimSpec::Diagnostic {

@@ -321,19 +321,13 @@ impl<S: Spec> Plan<S> {
         }
     }
 
-    /// A plan holding one experiment's subscription: `specs` in reduce
-    /// order, deduplicated by content hash.
+    /// Appends a subscription: `specs` in reduce order, interned by
+    /// content hash, so a spec another subscription already lists is
+    /// not added twice.
     ///
     /// # Panics
     /// Panics if two *different* keys collide to one hash — a plan must
     /// never silently alias distinct work.
-    pub fn for_experiment(id: impl Into<String>, specs: Vec<S>) -> Self {
-        let mut plan = Self::new();
-        plan.subscribe(id, specs);
-        plan
-    }
-
-    /// Appends a subscription, interning its specs.
     pub fn subscribe(&mut self, id: impl Into<String>, specs: Vec<S>) {
         let spec_indices = specs.into_iter().map(|s| self.intern(s)).collect();
         self.subs.push(Subscription {
@@ -359,20 +353,6 @@ impl<S: Spec> Plan<S> {
         self.hashes.push(hash);
         self.index.insert(hash, idx);
         idx
-    }
-
-    /// Merges another plan into this one: specs are re-interned (so
-    /// cross-plan duplicates collapse) and subscriptions are appended.
-    pub fn merge(&mut self, other: Plan<S>) {
-        let Plan { specs, subs, .. } = other;
-        // Re-intern the other plan's specs and remap its subscriptions.
-        let remap: Vec<usize> = specs.into_iter().map(|s| self.intern(s)).collect();
-        for sub in subs {
-            self.subs.push(Subscription {
-                id: sub.id,
-                spec_indices: sub.spec_indices.into_iter().map(|i| remap[i]).collect(),
-            });
-        }
     }
 
     /// The unique specs, in first-subscription order.
@@ -858,8 +838,9 @@ mod tests {
 
     #[test]
     fn plans_dedup_by_content() {
-        let mut plan = Plan::for_experiment("e1", vec![toy("a", 1), toy("b", 2)]);
-        plan.merge(Plan::for_experiment("e2", vec![toy("a", 1), toy("c", 3)]));
+        let mut plan = Plan::new();
+        plan.subscribe("e1", vec![toy("a", 1), toy("b", 2)]);
+        plan.subscribe("e2", vec![toy("a", 1), toy("c", 3)]);
         assert_eq!(plan.unique_len(), 3);
         assert_eq!(plan.subscribed_len(), 4);
         assert!((plan.dedup_ratio() - 4.0 / 3.0).abs() < 1e-12);
@@ -869,7 +850,8 @@ mod tests {
 
     #[test]
     fn shards_partition_the_plan() {
-        let plan = Plan::for_experiment("e", (0..10).map(|i| toy("s", i)).collect());
+        let mut plan = Plan::new();
+        plan.subscribe("e", (0..10).map(|i| toy("s", i)).collect());
         let mut seen: Vec<usize> = Vec::new();
         for shard in 0..3 {
             seen.extend(plan.shard_indices(shard, 3));
@@ -881,19 +863,24 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_content() {
-        let a = Plan::for_experiment("e", vec![toy("a", 1), toy("b", 2)]);
-        let b = Plan::for_experiment("e", vec![toy("a", 1), toy("b", 2)]);
+        let mut a = Plan::new();
+        a.subscribe("e", vec![toy("a", 1), toy("b", 2)]);
+        let mut b = Plan::new();
+        b.subscribe("e", vec![toy("a", 1), toy("b", 2)]);
         assert_eq!(a.fingerprint(), b.fingerprint());
-        let c = Plan::for_experiment("e", vec![toy("a", 1), toy("b", 3)]);
+        let mut c = Plan::new();
+        c.subscribe("e", vec![toy("a", 1), toy("b", 3)]);
         assert_ne!(a.fingerprint(), c.fingerprint());
-        let d = Plan::for_experiment("other", vec![toy("a", 1), toy("b", 2)]);
+        let mut d = Plan::new();
+        d.subscribe("other", vec![toy("a", 1), toy("b", 2)]);
         assert_ne!(a.fingerprint(), d.fingerprint());
     }
 
     #[test]
     fn run_plan_fires_each_subscription_once_with_ordered_outputs() {
-        let mut plan = Plan::for_experiment("e1", vec![toy("a", 1), toy("b", 2)]);
-        plan.merge(Plan::for_experiment("e2", vec![toy("b", 2), toy("a", 1)]));
+        let mut plan = Plan::new();
+        plan.subscribe("e1", vec![toy("a", 1), toy("b", 2)]);
+        plan.subscribe("e2", vec![toy("b", 2), toy("a", 1)]);
         let fired = Mutex::new(vec![Vec::new(); 2]);
         let calls = AtomicUsize::new(0);
         run_plan(
@@ -918,7 +905,8 @@ mod tests {
 
     #[test]
     fn a_failing_spec_fails_every_subscriber() {
-        let mut plan = Plan::for_experiment(
+        let mut plan = Plan::new();
+        plan.subscribe(
             "bad",
             vec![
                 toy("ok", 1),
@@ -929,7 +917,7 @@ mod tests {
                 },
             ],
         );
-        plan.merge(Plan::for_experiment("good", vec![toy("ok", 1)]));
+        plan.subscribe("good", vec![toy("ok", 1)]);
         let outcomes: Mutex<Vec<(usize, bool)>> = Mutex::new(Vec::new());
         let (results, _) = run_plan(
             &Pool::new(2),
@@ -968,8 +956,9 @@ mod tests {
         // must re-raise that — not return normally with subscription 1
         // (which shares spec `a`'s slot and counters) fired and
         // subscription 0 silently lost.
-        let mut plan = Plan::for_experiment("e1", vec![toy("a", 1), toy("b", 2)]);
-        plan.merge(Plan::for_experiment("e2", vec![toy("a", 1)]));
+        let mut plan = Plan::new();
+        plan.subscribe("e1", vec![toy("a", 1), toy("b", 2)]);
+        plan.subscribe("e2", vec![toy("a", 1)]);
         run_plan(
             &Pool::new(2),
             0,
@@ -988,8 +977,9 @@ mod tests {
 
     #[test]
     fn subset_runs_skip_unready_subscriptions() {
-        let mut plan = Plan::for_experiment("wide", vec![toy("a", 1), toy("b", 2)]);
-        plan.merge(Plan::for_experiment("narrow", vec![toy("a", 1)]));
+        let mut plan = Plan::new();
+        plan.subscribe("wide", vec![toy("a", 1), toy("b", 2)]);
+        plan.subscribe("narrow", vec![toy("a", 1)]);
         let fired = Mutex::new(Vec::new());
         let (results, _) = run_plan(
             &Pool::new(2),
@@ -1008,7 +998,8 @@ mod tests {
 
     #[test]
     fn sequential_run_matches_pool_run() {
-        let plan = Plan::for_experiment("e", (0..7).map(|i| toy("s", i)).collect());
+        let mut plan = Plan::new();
+        plan.subscribe("e", (0..7).map(|i| toy("s", i)).collect());
         let seq = plan.run_sequential(0);
         let (par, _) = run_list(&Pool::new(3), &plan, None, ExecConfig::default(), |_, _| {});
         for (a, b) in seq.iter().zip(par) {
@@ -1019,7 +1010,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn shard_index_must_be_in_range() {
-        let plan = Plan::for_experiment("e", vec![toy("a", 1)]);
+        let mut plan = Plan::new();
+        plan.subscribe("e", vec![toy("a", 1)]);
         let _ = plan.shard_indices(2, 2);
     }
 
@@ -1088,8 +1080,9 @@ mod tests {
 
     #[test]
     fn warm_plan_runs_execute_nothing_and_match_cold_runs() {
-        let mut plan = Plan::for_experiment("e1", vec![toy("a", 1), toy("b", 2)]);
-        plan.merge(Plan::for_experiment("e2", vec![toy("b", 2), toy("c", 3)]));
+        let mut plan = Plan::new();
+        plan.subscribe("e1", vec![toy("a", 1), toy("b", 2)]);
+        plan.subscribe("e2", vec![toy("b", 2), toy("c", 3)]);
         let cache = cache_scratch("warm");
         let (cold, c0, fired_cold) = run_cached(&plan, &cache);
         assert_eq!(
@@ -1135,7 +1128,8 @@ mod tests {
 
     #[test]
     fn corrupted_entries_re_execute_instead_of_poisoning() {
-        let plan = Plan::for_experiment("e", vec![toy("a", 1), toy("b", 2)]);
+        let mut plan = Plan::new();
+        plan.subscribe("e", vec![toy("a", 1), toy("b", 2)]);
         let cache = cache_scratch("corrupt");
         let _ = run_cached(&plan, &cache);
         // Truncate one entry; flip the other's payload.
@@ -1158,7 +1152,8 @@ mod tests {
 
     #[test]
     fn shard_subsets_only_cache_their_own_specs() {
-        let plan = Plan::for_experiment("e", (0..6).map(|i| toy("s", i)).collect());
+        let mut plan = Plan::new();
+        plan.subscribe("e", (0..6).map(|i| toy("s", i)).collect());
         let cache = cache_scratch("subset");
         let shard0 = plan.shard_indices(0, 2);
         let (results, counters) = run_plan(
@@ -1207,7 +1202,8 @@ mod tests {
             value: 9,
             fail: true,
         };
-        let plan = Plan::for_experiment("e", vec![toy("ok", 1), boom]);
+        let mut plan = Plan::new();
+        plan.subscribe("e", vec![toy("ok", 1), boom]);
         let cache = cache_scratch("fail");
         let c0 = run_cached(&plan, &cache).1;
         assert_eq!(
@@ -1390,7 +1386,8 @@ mod tests {
     fn a_sliced_sweep_holds_at_most_one_live_run_per_worker() {
         for threads in [1, 2, 8] {
             let gauge = Arc::new(Gauge::default());
-            let plan = Plan::for_experiment("bound", gauged(3 * threads as u64 + 1, &gauge));
+            let mut plan = Plan::new();
+            plan.subscribe("bound", gauged(3 * threads as u64 + 1, &gauge));
             let (out, stats) = run_list(
                 &Pool::new(threads),
                 &plan,
@@ -1422,7 +1419,8 @@ mod tests {
             .collect();
         for budget in [None, Some(1), Some(2), Some(3), Some(1000)] {
             let gauge = Arc::new(Gauge::default());
-            let plan = Plan::for_experiment("order", gauged(11, &gauge));
+            let mut plan = Plan::new();
+            plan.subscribe("order", gauged(11, &gauge));
             let exec = ExecConfig {
                 slice_events: budget,
                 ..ExecConfig::default()
@@ -1445,8 +1443,9 @@ mod tests {
                 fail_on_slice: Some(3),
                 gauge: Arc::clone(&boom_gauge),
             };
-            let mut plan = Plan::for_experiment("bad", vec![specs[0].clone(), boom]);
-            plan.merge(Plan::for_experiment("good", specs));
+            let mut plan = Plan::new();
+            plan.subscribe("bad", vec![specs[0].clone(), boom]);
+            plan.subscribe("good", specs);
             let failed = Mutex::new(Vec::new());
             let progress_calls = AtomicUsize::new(0);
             let (results, stats) = run_plan(
@@ -1483,7 +1482,8 @@ mod tests {
     #[test]
     fn progress_fires_once_per_spec_not_per_slice() {
         let gauge = Arc::new(Gauge::default());
-        let plan = Plan::for_experiment("progress", gauged(6, &gauge));
+        let mut plan = Plan::new();
+        plan.subscribe("progress", gauged(6, &gauge));
         let (calls, max_seen) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let (_, stats) = run_list(
             &Pool::new(3),
@@ -1506,7 +1506,8 @@ mod tests {
     #[should_panic(expected = "progress exploded")]
     fn a_panicking_progress_callback_is_re_raised_with_its_message() {
         let gauge = Arc::new(Gauge::default());
-        let plan = Plan::for_experiment("progress", gauged(4, &gauge));
+        let mut plan = Plan::new();
+        plan.subscribe("progress", gauged(4, &gauge));
         run_list(
             &Pool::new(2),
             &plan,
@@ -1536,7 +1537,8 @@ mod tests {
 
     #[test]
     fn sliced_execution_is_bit_identical_at_any_budget_and_thread_count() {
-        let mut plan = Plan::for_experiment(
+        let mut plan = Plan::new();
+        plan.subscribe(
             "big",
             (0..9u64)
                 .map(|i| Sliceable {
@@ -1546,14 +1548,14 @@ mod tests {
                 })
                 .collect(),
         );
-        plan.merge(Plan::for_experiment(
+        plan.subscribe(
             "sub",
             vec![Sliceable {
                 name: "mix",
                 value: 4,
                 work: 1 + (4 * 13) % 40,
             }],
-        ));
+        );
         let sequential = plan.run_sequential(0);
         for threads in [1, 2, 8] {
             for budget in [None, Some(1), Some(7), Some(1000)] {
@@ -1678,7 +1680,8 @@ mod tests {
         // scheduler, not the host's core count.
         let mut specs = vec![Sleeper { id: 0, ms: 120 }];
         specs.extend((1..13).map(|id| Sleeper { id, ms: 12 }));
-        let plan = Plan::for_experiment("stragglers", specs);
+        let mut plan = Plan::new();
+        plan.subscribe("stragglers", specs);
         let exec = ExecConfig::sliced(6);
         let serial_start = Instant::now();
         let (serial_out, _) = run_list(&Pool::new(1), &plan, None, exec.clone(), |_, _| {});
@@ -1695,7 +1698,8 @@ mod tests {
 
     #[test]
     fn traced_runs_bypass_the_cache_and_stamp_trace_paths() {
-        let plan = Plan::for_experiment("traced", (0..3).map(|i| toy("tr", i)).collect());
+        let mut plan = Plan::new();
+        plan.subscribe("traced", (0..3).map(|i| toy("tr", i)).collect());
         let cache = cache_scratch("trace");
         let pool = Pool::new(2);
         // Warm the cache, then trace: every spec must re-execute (a
@@ -1729,7 +1733,8 @@ mod tests {
     fn a_cancelled_run_fails_fast_without_executing_or_caching() {
         // A pre-cancelled token: no spec may execute, nothing may be
         // written to the cache, and every slot reports CANCELLED.
-        let plan = Plan::for_experiment("cancelled", (0..4).map(|i| toy("cancel", i)).collect());
+        let mut plan = Plan::new();
+        plan.subscribe("cancelled", (0..4).map(|i| toy("cancel", i)).collect());
         let cache = cache_scratch("cancel");
         let token = CancelToken::new();
         token.cancel();
@@ -1757,7 +1762,8 @@ mod tests {
                 work: 4,
             })
             .collect();
-        let plan = Plan::for_experiment("live", specs);
+        let mut plan = Plan::new();
+        plan.subscribe("live", specs);
         let t = token.clone();
         let progress = move |_done: usize, _total: usize| t.cancel();
         let exec = ExecConfig::default().with_cancel(token);
