@@ -77,6 +77,106 @@ fn replicated_grids_identical_across_thread_counts() {
     }
 }
 
+/// Each catalogue table's name and the stable hash of its JSON, in
+/// catalogue order.
+fn table_hashes(scale: Scale, pool: &Pool) -> Vec<(String, u64)> {
+    let experiments = all_experiments();
+    let refs: Vec<&dyn Experiment> = experiments.iter().map(|e| e.as_ref()).collect();
+    plan_run_catalogue(refs, scale, pool, |_, _| {}, |_| {})
+        .iter()
+        .flat_map(|r| r.outcome.as_ref().unwrap_or_else(|e| panic!("{e}")))
+        .map(|t| (t.name.clone(), ebrc_runner::stable_hash(&t.to_json())))
+        .collect()
+}
+
+/// Pins every catalogue table at three replicas per point — the
+/// replica pooling the golden corpus (one replica) never reaches. A
+/// deliberate output change updates these literals next to
+/// `UPDATE_GOLDEN` and says so.
+#[test]
+fn replicated_tables_are_pinned() {
+    let pool = Pool::new(2);
+    let got = table_hashes(tiny(3), &pool);
+    let want: Vec<(String, u64)> = REPLICATED_TABLE_HASHES
+        .iter()
+        .map(|&(name, h)| (name.to_string(), h))
+        .collect();
+    assert_eq!(got, want, "a table at tiny(3) moved");
+    // The pin covers what the one-replica corpus cannot: these tables
+    // pool replicas and so differ from their tiny(1) bytes.
+    let single = table_hashes(tiny(1), &pool);
+    let differs: Vec<&str> = got
+        .iter()
+        .zip(&single)
+        .filter(|(three, one)| three != one)
+        .map(|((name, _), _)| name.as_str())
+        .collect();
+    assert_eq!(differs, REPLICA_SENSITIVE_TABLES);
+}
+
+const REPLICATED_TABLE_HASHES: &[(&str, u64)] = &[
+    ("fig01/left", 0x6f229cf5d84e4f39),
+    ("fig01/right", 0xce93a790c8fcf47f),
+    ("fig02/curves", 0x64391fbbecff0c99),
+    ("fig02/summary", 0x3709f0de3f0f7b43),
+    ("fig03/sqrt", 0x9cafb523b0287314),
+    ("fig03/pftk-simplified", 0x84a5b010545dda0d),
+    ("fig04/p0.01", 0xd7e8cd6278185f08),
+    ("fig04/p0.1", 0x28c1bd1da574df79),
+    ("fig05/top", 0xfe326140c2fdbcbf),
+    ("fig05/bottom", 0xbc867329409df643),
+    ("fig06/top", 0x85637127f28e078d),
+    ("fig06/bottom", 0xc604e5432bdfe7fd),
+    ("fig07", 0xb439bd2a1f49b00f),
+    ("fig08", 0x726baebe9b2eedd0),
+    ("fig09", 0x1680451f056c4bbe),
+    ("fig10", 0xa1f12b0a368306c6),
+    ("fig11/INRIA", 0xe97661e098e36f6b),
+    ("fig11/UMASS", 0x05c17b8b8ed37241),
+    ("fig11/KTH", 0x8d18ccf1fed8e181),
+    ("fig11/UMELB", 0xdafb39bcc8389c08),
+    ("fig12-15/INRIA", 0x95dbd7b45292acf5),
+    ("fig12-15/UMASS", 0x71237b4c59b7ff6a),
+    ("fig12-15/KTH", 0xc3a475c6c6fa5e35),
+    ("fig12-15/UMELB", 0x5a695334af753540),
+    ("fig16/droptail100", 0xb1b22d05acf78228),
+    ("fig16/red", 0x493c8e78b378452f),
+    ("fig17/isolation", 0xc959cd87ad88c86f),
+    ("fig17/sharing", 0xde433244e5469952),
+    ("fig18-19/droptail100", 0xa34a2730d6a6d0d4),
+    ("fig18-19/red", 0x66da738834eef7d8),
+    ("table1", 0x4f48451d5c26450e),
+    ("claim4/isolated", 0x57959d136406c0d8),
+    ("claim4/shared", 0xcf6975ec22d4ef57),
+    ("ablate-control", 0x9a1a24eea5a4f23f),
+    ("ablate-estimator", 0xcb8090e1194f8308),
+    ("ablate-formula", 0xb068410573ec19ff),
+    ("ablate-phase", 0xe510770ee88d0ce7),
+    ("fig-manyflow/distribution", 0x90fe7d97f2680400),
+];
+
+/// The 17 tables, from 11 experiments, whose tiny(3) bytes differ from
+/// tiny(1).
+const REPLICA_SENSITIVE_TABLES: &[&str] = &[
+    "fig05/top",
+    "fig05/bottom",
+    "fig07",
+    "fig08",
+    "fig09",
+    "fig10",
+    "fig11/INRIA",
+    "fig11/UMASS",
+    "fig11/KTH",
+    "fig12-15/INRIA",
+    "fig12-15/UMASS",
+    "fig12-15/KTH",
+    "fig16/red",
+    "fig17/sharing",
+    "fig18-19/droptail100",
+    "fig18-19/red",
+    "fig-manyflow/distribution",
+];
+
 #[test]
 fn spec_keys_are_unique_and_collision_free_across_the_catalogue() {
     for scale in [tiny(1), tiny(3), Scale::quick(), Scale::paper()] {
