@@ -13,7 +13,9 @@
 //! comparison down reveals *which* factor caused an observed deviation
 //! — the paper's central methodological point.
 
+use crate::figures::pooled_row;
 use crate::scenarios::RunMeasurements;
+use crate::spec::SpecOutput;
 
 /// The four sub-condition ratios plus the headline comparison.
 #[derive(Debug, Clone, Copy)]
@@ -64,6 +66,53 @@ impl Breakdown {
             friendliness: x / x_tcp,
         })
     }
+
+    /// The columns of a breakdown table: the sweep's pair count, then
+    /// [`Breakdown::row`].
+    pub(crate) const COLUMNS: [&'static str; 7] = [
+        "pairs",
+        "p",
+        "conservativeness",
+        "loss_rate_ratio",
+        "rtt_ratio",
+        "tcp_obedience",
+        "friendliness",
+    ];
+
+    /// `p` and the five ratios, in [`Breakdown::COLUMNS`] order.
+    pub(crate) fn row(&self) -> [f64; 6] {
+        [
+            self.p,
+            self.conservativeness,
+            self.loss_rate_ratio,
+            self.rtt_ratio,
+            self.tcp_obedience,
+            self.friendliness,
+        ]
+    }
+}
+
+/// A breakdown table's row for `n` pairs: the replica means over every
+/// replica whose breakdown is defined.
+pub(crate) fn breakdown_row(n: usize, outputs: &[&SpecOutput]) -> Option<Vec<f64>> {
+    let rows = outputs
+        .iter()
+        .filter_map(|o| Breakdown::from_measurements(o.as_run()))
+        .map(|b| b.row());
+    pooled_row(&[n as f64], rows)
+}
+
+/// A `pairs, p, throughput_ratio` row for `n` pairs: the replica means
+/// of `p` and `x̄/x̄'` over the replicas where TFRC saw losses and TCP
+/// got through.
+pub(crate) fn friendliness_row(n: usize, outputs: &[&SpecOutput]) -> Option<Vec<f64>> {
+    let rows = outputs.iter().filter_map(|o| {
+        let m = o.as_run();
+        let p = m.tfrc_valid_mean(|f| f.loss_event_rate);
+        let x_tcp = m.tcp_valid_mean(|f| f.throughput);
+        (x_tcp > 0.0 && p > 0.0).then(|| [p, m.tfrc_valid_mean(|f| f.throughput) / x_tcp])
+    });
+    pooled_row(&[n as f64], rows)
 }
 
 #[cfg(test)]

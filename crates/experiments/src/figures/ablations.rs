@@ -12,6 +12,7 @@
 //! Every Monte-Carlo point (one control law, one weight profile, one
 //! formula, one sojourn) is its own declarative spec.
 
+use crate::figures::{indexed, point_outputs, point_specs, scalar_row};
 use crate::registry::{Experiment, Scale};
 use crate::series::Table;
 use crate::spec::{ControlLaw, SimSpec, SpecOutput, WeightKind};
@@ -22,6 +23,7 @@ use ebrc_tfrc::FormulaKind;
 pub struct AblateControlLaw;
 
 const CONTROL_PS: [f64; 5] = [0.02, 0.05, 0.1, 0.2, 0.4];
+const CONTROLS: [ControlLaw; 2] = [ControlLaw::Basic, ControlLaw::Comprehensive];
 
 impl Experiment for AblateControlLaw {
     fn id(&self) -> &'static str {
@@ -37,23 +39,18 @@ impl Experiment for AblateControlLaw {
     }
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
-        let mut specs = Vec::new();
-        for (i, p) in CONTROL_PS.into_iter().enumerate() {
-            let seed = 400 + i as u64;
-            for control in [ControlLaw::Basic, ControlLaw::Comprehensive] {
-                specs.push(SimSpec::Mc {
-                    control,
-                    formula: FormulaKind::PftkSimplified,
-                    weights: WeightKind::Tfrc,
-                    window: 8,
-                    p,
-                    cv: 0.9,
-                    events: scale.mc_events,
-                    seed,
-                });
+        point_specs(&indexed(&CONTROL_PS), CONTROLS.len(), |(i, p), k| {
+            SimSpec::Mc {
+                control: CONTROLS[k],
+                formula: FormulaKind::PftkSimplified,
+                weights: WeightKind::Tfrc,
+                window: 8,
+                p,
+                cv: 0.9,
+                events: scale.mc_events,
+                seed: 400 + i as u64,
             }
-        }
-        specs
+        })
     }
 
     fn reduce(&self, _scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
@@ -62,11 +59,8 @@ impl Experiment for AblateControlLaw {
             "normalized throughput of both control laws vs p (PFTK-simplified, L = 8)",
             vec!["p", "basic", "comprehensive"],
         );
-        let mut values = outputs.iter().map(|o| o.scalar());
-        for p in CONTROL_PS {
-            let basic = values.next().expect("basic spec");
-            let comp = values.next().expect("comprehensive spec");
-            t.push_row(vec![p, basic, comp]);
+        for ((_, p), outs) in point_outputs(&indexed(&CONTROL_PS), CONTROLS.len(), outputs) {
+            t.push_row(scalar_row(p, outs));
         }
         vec![t]
     }
@@ -76,6 +70,7 @@ impl Experiment for AblateControlLaw {
 pub struct AblateEstimator;
 
 const ESTIMATOR_LS: [usize; 6] = [1, 2, 4, 8, 16, 32];
+const WEIGHTS: [WeightKind; 2] = [WeightKind::Tfrc, WeightKind::Uniform];
 
 impl Experiment for AblateEstimator {
     fn id(&self) -> &'static str {
@@ -91,25 +86,20 @@ impl Experiment for AblateEstimator {
     }
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
-        let mut specs = Vec::new();
-        for (i, l) in ESTIMATOR_LS.into_iter().enumerate() {
-            let seed = 500 + i as u64;
-            for weights in [WeightKind::Tfrc, WeightKind::Uniform] {
-                // p = 0.1 reproduces the historical mean-10 intervals
-                // exactly (1.0/0.1 rounds to 10.0).
-                specs.push(SimSpec::Mc {
-                    control: ControlLaw::Basic,
-                    formula: FormulaKind::PftkSimplified,
-                    weights,
-                    window: l,
-                    p: 0.1,
-                    cv: 0.999,
-                    events: scale.mc_events,
-                    seed,
-                });
+        // p = 0.1 reproduces the historical mean-10 intervals exactly
+        // (1.0/0.1 rounds to 10.0).
+        point_specs(&indexed(&ESTIMATOR_LS), WEIGHTS.len(), |(i, l), k| {
+            SimSpec::Mc {
+                control: ControlLaw::Basic,
+                formula: FormulaKind::PftkSimplified,
+                weights: WEIGHTS[k],
+                window: l,
+                p: 0.1,
+                cv: 0.999,
+                events: scale.mc_events,
+                seed: 500 + i as u64,
             }
-        }
-        specs
+        })
     }
 
     fn reduce(&self, _scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
@@ -118,16 +108,10 @@ impl Experiment for AblateEstimator {
             "normalized throughput vs L for TFRC and uniform weights (PFTK-simplified, p = 0.1, cv ≈ 1)",
             vec!["L", "tfrc_weights", "uniform_weights", "effective_window_tfrc"],
         );
-        let mut values = outputs.iter().map(|o| o.scalar());
-        for l in ESTIMATOR_LS {
-            let tfrc = values.next().expect("tfrc spec");
-            let unif = values.next().expect("uniform spec");
-            t.push_row(vec![
-                l as f64,
-                tfrc,
-                unif,
-                WeightProfile::tfrc(l).effective_window(),
-            ]);
+        for ((_, l), outs) in point_outputs(&indexed(&ESTIMATOR_LS), WEIGHTS.len(), outputs) {
+            let mut row = scalar_row(l as f64, outs);
+            row.push(WeightProfile::tfrc(l).effective_window());
+            t.push_row(row);
         }
         vec![t]
     }
@@ -153,23 +137,18 @@ impl Experiment for AblateFormula {
     }
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
-        let mut specs = Vec::new();
-        for (i, p) in FORMULA_PS.into_iter().enumerate() {
-            let seed = 600 + i as u64;
-            for name in FORMULA_NAMES {
-                specs.push(SimSpec::Mc {
-                    control: ControlLaw::Basic,
-                    formula: FormulaKind::from_key_name(name).expect("known formula"),
-                    weights: WeightKind::Tfrc,
-                    window: 8,
-                    p,
-                    cv: 0.999,
-                    events: scale.mc_events,
-                    seed,
-                });
+        point_specs(&indexed(&FORMULA_PS), FORMULA_NAMES.len(), |(i, p), k| {
+            SimSpec::Mc {
+                control: ControlLaw::Basic,
+                formula: FormulaKind::from_key_name(FORMULA_NAMES[k]).expect("known formula"),
+                weights: WeightKind::Tfrc,
+                window: 8,
+                p,
+                cv: 0.999,
+                events: scale.mc_events,
+                seed: 600 + i as u64,
             }
-        }
-        specs
+        })
     }
 
     fn reduce(&self, _scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
@@ -178,13 +157,8 @@ impl Experiment for AblateFormula {
             "normalized throughput vs p per formula (basic control, L = 8, cv ≈ 1)",
             vec!["p", "sqrt", "pftk_standard", "pftk_simplified"],
         );
-        let mut values = outputs.iter().map(|o| o.scalar());
-        for p in FORMULA_PS {
-            let mut row = vec![p];
-            for _ in FORMULA_NAMES {
-                row.push(values.next().expect("formula spec"));
-            }
-            t.push_row(row);
+        for ((_, p), outs) in point_outputs(&indexed(&FORMULA_PS), FORMULA_NAMES.len(), outputs) {
+            t.push_row(scalar_row(p, outs));
         }
         vec![t]
     }
@@ -209,15 +183,11 @@ impl Experiment for AblatePhaseLoss {
     }
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
-        SOJOURNS
-            .into_iter()
-            .enumerate()
-            .map(|(i, sojourn)| SimSpec::PhaseMc {
-                sojourn,
-                events: scale.mc_events,
-                seed: 700 + i as u64,
-            })
-            .collect()
+        point_specs(&indexed(&SOJOURNS), 1, |(i, sojourn), _| SimSpec::PhaseMc {
+            sojourn,
+            events: scale.mc_events,
+            seed: 700 + i as u64,
+        })
     }
 
     fn reduce(&self, _scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
@@ -230,13 +200,9 @@ impl Experiment for AblatePhaseLoss {
                 "normalized_covariance",
             ],
         );
-        let mut values = outputs.iter().map(|o| {
-            let s = o.scalars();
-            (s[0], s[1])
-        });
-        for sojourn in SOJOURNS {
-            let (tput, cov) = values.next().expect("sojourn spec");
-            t.push_row(vec![sojourn, tput, cov]);
+        for ((_, sojourn), outs) in point_outputs(&indexed(&SOJOURNS), 1, outputs) {
+            let s = outs[0].scalars();
+            t.push_row(vec![sojourn, s[0], s[1]]);
         }
         vec![t]
     }

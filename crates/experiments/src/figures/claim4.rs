@@ -4,6 +4,7 @@
 //! Each β point yields two specs: the isolated fixed-point measurement
 //! and the shared-link fluid simulation.
 
+use crate::figures::{cross, point_outputs, point_specs};
 use crate::registry::{Experiment, Scale};
 use crate::series::Table;
 use crate::spec::{SimSpec, SpecOutput};
@@ -19,6 +20,12 @@ fn beta_list(quick: bool) -> Vec<f64> {
     } else {
         vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     }
+}
+
+/// Claim 4's `(shared link, β)` points, in spec order: every β
+/// isolated, then every β shared.
+fn points(quick: bool) -> Vec<(bool, f64)> {
+    cross([false, true], &beta_list(quick))
 }
 
 /// Claim 4 reproduction.
@@ -40,20 +47,16 @@ impl Experiment for Claim4 {
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
         let events = if scale.quick { 3_000 } else { 30_000 };
         let t_end = if scale.quick { 1_500.0 } else { 10_000.0 };
-        let mut specs = Vec::new();
-        for beta in beta_list(scale.quick) {
-            specs.push(SimSpec::Claim4Iso { beta, events });
-        }
-        for beta in beta_list(scale.quick) {
-            specs.push(SimSpec::Claim4Shared { beta, t_end });
-        }
-        specs
+        point_specs(&points(scale.quick), 1, |(shared, beta), _| {
+            if shared {
+                SimSpec::Claim4Shared { beta, t_end }
+            } else {
+                SimSpec::Claim4Iso { beta, events }
+            }
+        })
     }
 
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
-        let betas = beta_list(scale.quick);
-        let mut results = outputs.iter();
-
         let mut iso = Table::new(
             "claim4/isolated",
             "analytic p' and p, measured fixed-point p, and the ratio 4/(1+β)²",
@@ -66,27 +69,26 @@ impl Experiment for Claim4 {
                 "ratio_measured",
             ],
         );
-        for &beta in &betas {
-            let measured = results.next().expect("iso spec").scalar();
-            let aimd = AimdFixedLink::new(ALPHA, beta, CAPACITY);
-            iso.push_row(vec![
-                beta,
-                aimd.loss_event_rate(),
-                claim4::ebrc_loss_event_rate(ALPHA, beta, CAPACITY),
-                measured,
-                claim4::loss_event_rate_ratio(beta),
-                aimd.loss_event_rate() / measured,
-            ]);
-        }
-
         let mut shared = Table::new(
             "claim4/shared",
             "one AIMD + one EBRC sharing the link (fluid simulation): the gap holds, less pronounced",
             vec!["beta", "ratio_shared", "aimd_tput", "ebrc_tput"],
         );
-        for &beta in &betas {
-            let s = results.next().expect("shared spec").scalars().to_vec();
-            shared.push_row(vec![beta, s[0], s[1], s[2]]);
+        for ((shared_link, beta), outs) in point_outputs(&points(scale.quick), 1, outputs) {
+            let s = outs[0].scalars();
+            if shared_link {
+                shared.push_row(vec![beta, s[0], s[1], s[2]]);
+            } else {
+                let aimd = AimdFixedLink::new(ALPHA, beta, CAPACITY);
+                iso.push_row(vec![
+                    beta,
+                    aimd.loss_event_rate(),
+                    claim4::ebrc_loss_event_rate(ALPHA, beta, CAPACITY),
+                    s[0],
+                    claim4::loss_event_rate_ratio(beta),
+                    aimd.loss_event_rate() / s[0],
+                ]);
+            }
         }
         vec![iso, shared]
     }

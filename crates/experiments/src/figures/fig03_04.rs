@@ -12,6 +12,7 @@
 //! * Figure 4: `p` fixed to 1/100 or 1/10, sweep `cv[θ0]`: the more
 //!   variable the estimator, the more conservative the control.
 
+use crate::figures::{cross, point_outputs, point_specs, scalar_row};
 use crate::registry::{Experiment, Scale};
 use crate::series::Table;
 use crate::spec::{ControlLaw, SimSpec, SpecOutput, WeightKind};
@@ -25,60 +26,53 @@ fn window_list(quick: bool) -> Vec<usize> {
     }
 }
 
-/// One Monte-Carlo point of either figure.
-#[derive(Debug, Clone, Copy)]
-struct McPoint {
-    formula: &'static str,
-    p: f64,
-    cv: f64,
-    l: usize,
-    seed: u64,
+/// A table with the x column `x` then one column per window.
+fn window_table(name: String, caption: String, x: &str, ls: &[usize]) -> Table {
+    let mut cols: Vec<String> = vec![x.into()];
+    cols.extend(ls.iter().map(|l| format!("L{l}")));
+    Table::new(name, caption, cols)
 }
 
-impl McPoint {
-    fn into_spec(self, events: usize) -> SimSpec {
-        SimSpec::Mc {
-            control: ControlLaw::Basic,
-            formula: if self.formula == "sqrt" {
-                FormulaKind::Sqrt
-            } else {
-                FormulaKind::PftkSimplified
-            },
-            weights: WeightKind::Tfrc,
-            window: self.l,
-            p: self.p,
-            cv: self.cv,
-            events,
-            seed: self.seed,
-        }
+/// The basic-control Monte-Carlo spec at window `ls[k]`, seeded
+/// `seed + k`.
+fn mc_spec(
+    scale: Scale,
+    formula: FormulaKind,
+    (p, cv): (f64, f64),
+    seed: u64,
+    k: usize,
+) -> SimSpec {
+    SimSpec::Mc {
+        control: ControlLaw::Basic,
+        formula,
+        weights: WeightKind::Tfrc,
+        window: window_list(scale.quick)[k],
+        p,
+        cv,
+        events: scale.mc_events,
+        seed: seed + k as u64,
     }
 }
 
-/// Figure 3's sweep points, in table order (formula → p → L).
-fn fig03_grid(scale: Scale) -> Vec<McPoint> {
-    let cv = 1.0 - 1.0 / 1000.0;
-    let ps: Vec<f64> = if scale.quick {
+/// Figure 3's formulae: table name, formula, and the seed of its first
+/// window.
+const FIG03_FORMULAE: [(&str, FormulaKind, u64); 2] = [
+    ("sqrt", FormulaKind::Sqrt, 1000),
+    ("pftk-simplified", FormulaKind::PftkSimplified, 2000),
+];
+
+/// Figure 3's fixed `cv[θ0]`.
+const FIG03_CV: f64 = 1.0 - 1.0 / 1000.0;
+
+/// Figure 3's rows, in table order: `(formula index, p)`, each row
+/// running every window.
+fn fig03_rows(quick: bool) -> Vec<(usize, f64)> {
+    let ps: Vec<f64> = if quick {
         vec![0.02, 0.1, 0.2, 0.4]
     } else {
         (1..=16).map(|i| 0.025 * i as f64).collect()
     };
-    let ls = window_list(scale.quick);
-    let mut grid = Vec::new();
-    for formula in ["sqrt", "pftk-simplified"] {
-        for &p in &ps {
-            for (k, &l) in ls.iter().enumerate() {
-                let seed = if formula == "sqrt" { 1000 } else { 2000 } + k as u64;
-                grid.push(McPoint {
-                    formula,
-                    p,
-                    cv,
-                    l,
-                    seed,
-                });
-            }
-        }
-    }
-    grid
+    cross(0..FIG03_FORMULAE.len(), &ps)
 }
 
 /// Figure 3 reproduction.
@@ -98,67 +92,41 @@ impl Experiment for Fig03 {
     }
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
-        fig03_grid(scale)
-            .into_iter()
-            .map(|pt| pt.into_spec(scale.mc_events))
-            .collect()
+        let ls = window_list(scale.quick).len();
+        point_specs(&fig03_rows(scale.quick), ls, |(fi, p), k| {
+            let (_, formula, seed) = FIG03_FORMULAE[fi];
+            mc_spec(scale, formula, (p, FIG03_CV), seed, k)
+        })
     }
 
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
-        let grid = fig03_grid(scale);
         let ls = window_list(scale.quick);
-        let cv = 1.0 - 1.0 / 1000.0;
-        let mut values = outputs.iter().map(|o| o.scalar());
-        let mut tables = Vec::new();
-        for formula in ["sqrt", "pftk-simplified"] {
-            let mut cols: Vec<String> = vec!["p".into()];
-            cols.extend(ls.iter().map(|l| format!("L{l}")));
-            let mut t = Table::new(
-                format!("fig03/{formula}"),
-                format!("x̄/f(p) vs p, {formula}, cv[θ0] = {cv}"),
-                cols,
-            );
-            let ps: Vec<f64> = grid
-                .iter()
-                .filter(|pt| pt.formula == formula && pt.l == ls[0])
-                .map(|pt| pt.p)
-                .collect();
-            for p in ps {
-                let mut row = vec![p];
-                for _ in &ls {
-                    row.push(values.next().expect("grid/result length mismatch"));
-                }
-                t.push_row(row);
-            }
-            tables.push(t);
+        let mut tables: Vec<Table> = FIG03_FORMULAE
+            .iter()
+            .map(|(formula, _, _)| {
+                let caption = format!("x̄/f(p) vs p, {formula}, cv[θ0] = {FIG03_CV}");
+                window_table(format!("fig03/{formula}"), caption, "p", &ls)
+            })
+            .collect();
+        for ((fi, p), outs) in point_outputs(&fig03_rows(scale.quick), ls.len(), outputs) {
+            tables[fi].push_row(scalar_row(p, outs));
         }
         tables
     }
 }
 
-/// Figure 4's sweep points, in table order (p → cv → L).
-fn fig04_grid(scale: Scale) -> Vec<McPoint> {
-    let cvs: Vec<f64> = if scale.quick {
+/// Figure 4's fixed loss-event rates, one table each.
+const FIG04_PS: [f64; 2] = [0.01, 0.1];
+
+/// Figure 4's rows, in table order: `(p index, cv)`, each row running
+/// every window.
+fn fig04_rows(quick: bool) -> Vec<(usize, f64)> {
+    let cvs: Vec<f64> = if quick {
         vec![0.2, 0.5, 0.8, 0.999]
     } else {
         (1..=10).map(|i| (0.1 * i as f64).min(0.999)).collect()
     };
-    let ls = window_list(scale.quick);
-    let mut grid = Vec::new();
-    for p in [0.01, 0.1] {
-        for &cv in &cvs {
-            for (k, &l) in ls.iter().enumerate() {
-                grid.push(McPoint {
-                    formula: "pftk-simplified",
-                    p,
-                    cv,
-                    l,
-                    seed: 3000 + k as u64,
-                });
-            }
-        }
-    }
-    grid
+    cross(0..FIG04_PS.len(), &cvs)
 }
 
 /// Figure 4 reproduction.
@@ -178,37 +146,29 @@ impl Experiment for Fig04 {
     }
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
-        fig04_grid(scale)
-            .into_iter()
-            .map(|pt| pt.into_spec(scale.mc_events))
-            .collect()
+        let ls = window_list(scale.quick).len();
+        point_specs(&fig04_rows(scale.quick), ls, |(pi, cv), k| {
+            mc_spec(
+                scale,
+                FormulaKind::PftkSimplified,
+                (FIG04_PS[pi], cv),
+                3000,
+                k,
+            )
+        })
     }
 
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
         let ls = window_list(scale.quick);
-        let cvs: Vec<f64> = fig04_grid(scale)
+        let mut tables: Vec<Table> = FIG04_PS
             .iter()
-            .filter(|pt| pt.p == 0.01 && pt.l == ls[0])
-            .map(|pt| pt.cv)
+            .map(|p| {
+                let caption = format!("x̄/f(p) vs cv[θ0], PFTK-simplified, p = {p}");
+                window_table(format!("fig04/p{}", p), caption, "cv", &ls)
+            })
             .collect();
-        let mut values = outputs.iter().map(|o| o.scalar());
-        let mut tables = Vec::new();
-        for p in [0.01, 0.1] {
-            let mut cols: Vec<String> = vec!["cv".into()];
-            cols.extend(ls.iter().map(|l| format!("L{l}")));
-            let mut t = Table::new(
-                format!("fig04/p{}", p),
-                format!("x̄/f(p) vs cv[θ0], PFTK-simplified, p = {p}"),
-                cols,
-            );
-            for &cv in &cvs {
-                let mut row = vec![cv];
-                for _ in &ls {
-                    row.push(values.next().expect("grid/result length mismatch"));
-                }
-                t.push_row(row);
-            }
-            tables.push(t);
+        for ((pi, cv), outs) in point_outputs(&fig04_rows(scale.quick), ls.len(), outputs) {
+            tables[pi].push_row(scalar_row(cv, outs));
         }
         tables
     }

@@ -16,7 +16,7 @@
 //! every reducer. Figure 7's runs carry the Poisson probe, a different
 //! simulation, so they stay separate specs.
 
-use crate::figures::mean;
+use crate::figures::{cross, point_outputs, point_specs, pooled_row};
 use crate::registry::{Experiment, Scale};
 use crate::series::Table;
 use crate::spec::{SimSpec, SpecOutput};
@@ -37,30 +37,24 @@ fn l_list(quick: bool) -> Vec<usize> {
     }
 }
 
-/// The shared `(L, N, replica)` spec for one grid point.
-fn ns2_spec(l: usize, n: usize, rep: usize, scale: Scale, probe: bool) -> SimSpec {
-    SimSpec::Ns2Dumbbell {
-        n,
-        l,
-        rep,
-        probe: probe.then_some(5.0),
-        warmup: scale.sim_warmup,
-        span: scale.sim_span,
-    }
+/// The `(L, N)` points shared by Figures 5, 7 and 8, in table order.
+fn points(quick: bool) -> Vec<(usize, usize)> {
+    cross(l_list(quick), &n_list(quick))
 }
 
-/// The `(L, N, replica)` grid shared by Figures 5, 7 and 8, in table
-/// order.
-fn grid(scale: Scale) -> Vec<(usize, usize, usize)> {
-    let mut points = Vec::new();
-    for &l in &l_list(scale.quick) {
-        for &n in &n_list(scale.quick) {
-            for rep in 0..scale.replica_count() {
-                points.push((l, n, rep));
-            }
+/// Every replica of every `(L, N)` point, each with the Poisson probe
+/// when `probe` is set.
+fn ns2_specs(scale: Scale, points: &[(usize, usize)], probe: bool) -> Vec<SimSpec> {
+    point_specs(points, scale.replica_count(), |(l, n), rep| {
+        SimSpec::Ns2Dumbbell {
+            n,
+            l,
+            rep,
+            probe: probe.then_some(5.0),
+            warmup: scale.sim_warmup,
+            span: scale.sim_span,
         }
-    }
-    points
+    })
 }
 
 /// Figure 5 reproduction.
@@ -80,10 +74,7 @@ impl Experiment for Fig05 {
     }
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
-        grid(scale)
-            .into_iter()
-            .map(|(l, n, rep)| ns2_spec(l, n, rep, scale, false))
-            .collect()
+        ns2_specs(scale, &points(scale.quick), false)
     }
 
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
@@ -97,30 +88,22 @@ impl Experiment for Fig05 {
             "normalized covariance cov[θ0, θ̂0]·p² vs p",
             vec!["L", "n_pairs", "p", "normalized_covariance"],
         );
-        let mut values = outputs.iter().map(|o| {
-            let m = o.as_run();
-            (
-                m.tfrc_valid_mean(|f| f.loss_event_rate),
-                m.tfrc_normalized_throughput(),
-                m.tfrc_valid_mean(|f| f.normalized_covariance),
-            )
-        });
-        for &l in &l_list(scale.quick) {
-            for &n in &n_list(scale.quick) {
-                // Pool replicas of this point; only replicas that saw
-                // losses contribute (matching the per-run validity rule).
-                let reps: Vec<(f64, f64, f64)> = (0..scale.replica_count())
-                    .map(|_| values.next().expect("grid/result length mismatch"))
-                    .filter(|(p, _, _)| *p > 0.0)
-                    .collect();
-                if reps.is_empty() {
-                    continue;
-                }
-                let p = mean(&reps.iter().map(|r| r.0).collect::<Vec<_>>());
-                let t = mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>());
-                let c = mean(&reps.iter().map(|r| r.2).collect::<Vec<_>>());
-                tput.push_row(vec![l as f64, n as f64, p, t]);
-                cov.push_row(vec![l as f64, n as f64, p, c]);
+        let points = points(scale.quick);
+        for ((l, n), outs) in point_outputs(&points, scale.replica_count(), outputs) {
+            // Only replicas that saw losses contribute (matching the
+            // per-run validity rule).
+            let reps = outs.iter().map(|o| {
+                let m = o.as_run();
+                [
+                    m.tfrc_valid_mean(|f| f.loss_event_rate),
+                    m.tfrc_normalized_throughput(),
+                    m.tfrc_valid_mean(|f| f.normalized_covariance),
+                ]
+            });
+            let row = pooled_row(&[l as f64, n as f64], reps.filter(|r| r[0] > 0.0));
+            if let Some(&[l, n, p, tp, c]) = row.as_deref() {
+                tput.push_row(vec![l, n, p, tp]);
+                cov.push_row(vec![l, n, p, c]);
             }
         }
         vec![tput, cov]
@@ -144,10 +127,7 @@ impl Experiment for Fig07 {
     }
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
-        grid(scale)
-            .into_iter()
-            .map(|(l, n, rep)| ns2_spec(l, n, rep, scale, true))
-            .collect()
+        ns2_specs(scale, &points(scale.quick), true)
     }
 
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
@@ -156,27 +136,17 @@ impl Experiment for Fig07 {
             "p' ≤ p ≤ p'' ordering in the many-sources regime",
             vec!["L", "connections", "p_tfrc", "p_tcp", "p_poisson"],
         );
-        let mut values = outputs.iter().map(|o| {
-            let m = o.as_run();
-            (
-                m.tfrc_valid_mean(|f| f.loss_event_rate),
-                m.tcp_valid_mean(|f| f.loss_event_rate),
-                m.probe_loss_rate.unwrap_or(0.0),
-            )
-        });
-        for &l in &l_list(scale.quick) {
-            for &n in &n_list(scale.quick) {
-                let reps: Vec<(f64, f64, f64)> = (0..scale.replica_count())
-                    .map(|_| values.next().expect("grid/result length mismatch"))
-                    .collect();
-                t.push_row(vec![
-                    l as f64,
-                    (2 * n) as f64,
-                    mean(&reps.iter().map(|r| r.0).collect::<Vec<_>>()),
-                    mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>()),
-                    mean(&reps.iter().map(|r| r.2).collect::<Vec<_>>()),
-                ]);
-            }
+        let points = points(scale.quick);
+        for ((l, n), outs) in point_outputs(&points, scale.replica_count(), outputs) {
+            let reps = outs.iter().map(|o| {
+                let m = o.as_run();
+                [
+                    m.tfrc_valid_mean(|f| f.loss_event_rate),
+                    m.tcp_valid_mean(|f| f.loss_event_rate),
+                    m.probe_loss_rate.unwrap_or(0.0),
+                ]
+            });
+            t.push_row(pooled_row(&[l as f64, (2 * n) as f64], reps).expect("replicas ≥ 1"));
         }
         vec![t]
     }
@@ -200,10 +170,7 @@ impl Experiment for Fig08 {
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
         // The exact grid Figure 5 subscribes to — zero extra sims.
-        grid(scale)
-            .into_iter()
-            .map(|(l, n, rep)| ns2_spec(l, n, rep, scale, false))
-            .collect()
+        ns2_specs(scale, &points(scale.quick), false)
     }
 
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
@@ -212,23 +179,15 @@ impl Experiment for Fig08 {
             "x̄(TFRC)/x̄'(TCP) vs connections, per estimator window L",
             vec!["L", "connections", "throughput_ratio"],
         );
-        let mut values = outputs.iter().map(|o| {
-            let m = o.as_run();
-            (
-                m.tfrc_valid_mean(|f| f.throughput),
-                m.tcp_valid_mean(|f| f.throughput),
-            )
-        });
-        for &l in &l_list(scale.quick) {
-            for &n in &n_list(scale.quick) {
-                let ratios: Vec<f64> = (0..scale.replica_count())
-                    .map(|_| values.next().expect("grid/result length mismatch"))
-                    .filter(|(_, x_tcp)| *x_tcp > 0.0)
-                    .map(|(x, x_tcp)| x / x_tcp)
-                    .collect();
-                if !ratios.is_empty() {
-                    t.push_row(vec![l as f64, (2 * n) as f64, mean(&ratios)]);
-                }
+        let points = points(scale.quick);
+        for ((l, n), outs) in point_outputs(&points, scale.replica_count(), outputs) {
+            let ratios = outs.iter().filter_map(|o| {
+                let m = o.as_run();
+                let x_tcp = m.tcp_valid_mean(|f| f.throughput);
+                (x_tcp > 0.0).then(|| [m.tfrc_valid_mean(|f| f.throughput) / x_tcp])
+            });
+            if let Some(r) = pooled_row(&[l as f64, (2 * n) as f64], ratios) {
+                t.push_row(r);
             }
         }
         vec![t]
@@ -254,13 +213,8 @@ impl Experiment for Fig09 {
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
         // The L = 8 column of the shared grid: at any scale whose
         // l_list contains 8 these specs dedup against Figures 5/8.
-        let mut specs = Vec::new();
-        for &n in &n_list(scale.quick) {
-            for rep in 0..scale.replica_count() {
-                specs.push(ns2_spec(8, n, rep, scale, false));
-            }
-        }
-        specs
+        let points: Vec<_> = n_list(scale.quick).into_iter().map(|n| (8, n)).collect();
+        ns2_specs(scale, &points, false)
     }
 
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
@@ -269,21 +223,14 @@ impl Experiment for Fig09 {
             "per-run mean TCP throughput against f(p', r') — below the diagonal means TCP underperforms its formula",
             vec!["connections", "f_predicted", "measured"],
         );
-        let mut values = outputs.iter().map(|o| {
-            let m = o.as_run();
-            let mut points: Vec<(f64, f64)> = Vec::new();
-            for f in &m.tcp {
-                if f.loss_event_rate > 0.0 && f.rtt_mean > 0.0 {
-                    let predicted = m.tfrc_formula.rate(f.loss_event_rate, f.rtt_mean);
-                    points.push((predicted, f.throughput));
-                }
-            }
-            points
-        });
-        for &n in &n_list(scale.quick) {
-            for _rep in 0..scale.replica_count() {
-                for (predicted, measured) in values.next().expect("grid/result length mismatch") {
-                    t.push_row(vec![(2 * n) as f64, predicted, measured]);
+        let ns = n_list(scale.quick);
+        for (n, outs) in point_outputs(&ns, scale.replica_count(), outputs) {
+            for m in outs.iter().map(|o| o.as_run()) {
+                for f in &m.tcp {
+                    if f.loss_event_rate > 0.0 && f.rtt_mean > 0.0 {
+                        let predicted = m.tfrc_formula.rate(f.loss_event_rate, f.rtt_mean);
+                        t.push_row(vec![(2 * n) as f64, predicted, f.throughput]);
+                    }
                 }
             }
         }

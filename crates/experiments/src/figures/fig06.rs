@@ -9,6 +9,7 @@
 //! * PFTK formulas: conservative at small `p`, **non-conservative** at
 //!   heavy loss (the convex region) — normalized throughput above 1.
 
+use crate::figures::{indexed, point_outputs, point_specs};
 use crate::registry::{Experiment, Scale};
 use crate::series::Table;
 use crate::spec::{SimSpec, SpecOutput};
@@ -107,19 +108,17 @@ impl Experiment for Fig06 {
         // Audio loss events arrive at ~p·50/s; size the run for enough
         // events.
         let duration = if scale.quick { 3_000.0 } else { 20_000.0 };
-        let mut specs = Vec::new();
-        for (i, &pd) in drop_list(scale.quick).iter().enumerate() {
-            for (_name, formula, seed_offset) in FORMULAE {
-                specs.push(SimSpec::Audio {
-                    p_drop: pd,
-                    formula,
-                    window: 4,
-                    duration,
-                    seed: 60 + i as u64 + seed_offset,
-                });
+        let points = indexed(&drop_list(scale.quick));
+        point_specs(&points, FORMULAE.len(), |(i, p_drop), k| {
+            let (_, formula, seed_offset) = FORMULAE[k];
+            SimSpec::Audio {
+                p_drop,
+                formula,
+                window: 4,
+                duration,
+                seed: 60 + i as u64 + seed_offset,
             }
-        }
-        specs
+        })
     }
 
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
@@ -133,17 +132,11 @@ impl Experiment for Fig06 {
             "squared CV of the estimator θ̂ vs p",
             vec!["p", "sqrt", "pftk_standard", "pftk_simplified"],
         );
-        let mut values = outputs.iter().map(|o| {
-            let s = o.scalars();
-            (s[0], s[1], s[2])
-        });
-        for _ in drop_list(scale.quick) {
+        for (_, outs) in point_outputs(&indexed(&drop_list(scale.quick)), FORMULAE.len(), outputs) {
+            let s: Vec<&[f64]> = outs.iter().map(|o| o.scalars()).collect();
             // The x coordinate is SQRT's measured p (first formula).
-            let (p1, n1, c1) = values.next().expect("grid/result length mismatch");
-            let (_, n2, c2) = values.next().expect("grid/result length mismatch");
-            let (_, n3, c3) = values.next().expect("grid/result length mismatch");
-            top.push_row(vec![p1, n1, n2, n3]);
-            bottom.push_row(vec![p1, c1, c2, c3]);
+            top.push_row(vec![s[0][0], s[0][1], s[1][1], s[2][1]]);
+            bottom.push_row(vec![s[0][0], s[0][2], s[1][2], s[2][2]]);
         }
         vec![top, bottom]
     }

@@ -13,20 +13,62 @@
 
 use crate::figures::internet::sites;
 use crate::figures::lab::lab_queues;
+use crate::figures::{point_outputs, point_specs};
 use crate::registry::{Experiment, Scale};
 use crate::series::Table;
 use crate::spec::{SimSpec, SpecOutput};
 use ebrc_stats::FiveNumber;
 
-/// The environment list, in figure order.
-fn environments() -> Vec<String> {
-    let mut names: Vec<String> = lab_queues()
-        .into_iter()
-        .map(|(name, _)| format!("lab/{name}"))
-        .collect();
-    names.extend(sites().iter().map(|s| format!("internet/{}", s.name)));
-    names.push("cable-modem".into());
-    names
+/// One Figure-10 environment: a lab queue or an Internet site (by
+/// index), or the 56 kb/s cable-modem receiver.
+#[derive(Clone, Copy)]
+enum Env {
+    Lab(usize),
+    Site(usize),
+    CableModem,
+}
+
+/// The environments, in figure order.
+fn environments() -> Vec<Env> {
+    let labs = (0..lab_queues().len()).map(Env::Lab);
+    let internet = (0..sites().len()).map(Env::Site);
+    labs.chain(internet).chain([Env::CableModem]).collect()
+}
+
+fn env_name(env: Env) -> String {
+    match env {
+        Env::Lab(qi) => format!("lab/{}", lab_queues()[qi].0),
+        Env::Site(si) => format!("internet/{}", sites()[si].name),
+        Env::CableModem => "cable-modem".into(),
+    }
+}
+
+/// Replica `rep` of one environment.
+fn env_spec(scale: Scale, env: Env, rep: usize) -> SimSpec {
+    let rep = rep as u64;
+    match env {
+        Env::Lab(queue) => SimSpec::LabDumbbell {
+            queue,
+            n: 4,
+            seed: 100 + rep * 7,
+            warmup: scale.sim_warmup,
+            span: scale.sim_span,
+        },
+        Env::Site(site) => SimSpec::SiteDumbbell {
+            site,
+            n: 2,
+            seed: 200 + rep * 13,
+            quick: scale.quick,
+            warmup: scale.sim_warmup,
+            span: scale.sim_span,
+        },
+        Env::CableModem => SimSpec::CableModem {
+            seed: 300 + rep * 17,
+            warmup: scale.sim_warmup,
+            // The slow link needs a longer span for enough loss events.
+            span: scale.sim_span * 4.0,
+        },
+    }
 }
 
 /// Figure 10 reproduction.
@@ -46,40 +88,9 @@ impl Experiment for Fig10 {
     }
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
-        let mut specs = Vec::new();
-        for (qi, _) in lab_queues().into_iter().enumerate() {
-            for rep in 0..scale.replica_count() {
-                specs.push(SimSpec::LabDumbbell {
-                    queue: qi,
-                    n: 4,
-                    seed: 100 + rep as u64 * 7,
-                    warmup: scale.sim_warmup,
-                    span: scale.sim_span,
-                });
-            }
-        }
-        for (si, _) in sites().iter().enumerate() {
-            for rep in 0..scale.replica_count() {
-                specs.push(SimSpec::SiteDumbbell {
-                    site: si,
-                    n: 2,
-                    seed: 200 + rep as u64 * 13,
-                    quick: scale.quick,
-                    warmup: scale.sim_warmup,
-                    span: scale.sim_span,
-                });
-            }
-        }
-        for rep in 0..scale.replica_count() {
-            specs.push(SimSpec::CableModem {
-                seed: 300 + rep as u64 * 17,
-                warmup: scale.sim_warmup,
-                // The slow link needs a longer span for enough loss
-                // events.
-                span: scale.sim_span * 4.0,
-            });
-        }
-        specs
+        point_specs(&environments(), scale.replica_count(), |env, rep| {
+            env_spec(scale, env, rep)
+        })
     }
 
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
@@ -88,28 +99,23 @@ impl Experiment for Fig10 {
             "box summaries (min, q1, median, q3, max) of cov[θ0, θ̂0]p² per environment",
             vec!["env_index", "min", "q1", "median", "q3", "max"],
         );
-        let names = environments();
-        // Lab and Internet environments pool every valid flow's
-        // covariance; the cable modem contributes its per-run mean.
-        let mut values = outputs.iter().enumerate().map(|(i, o)| {
-            let m = o.as_run();
-            if i < (names.len() - 1) * scale.replica_count() {
-                m.tfrc_valid()
-                    .map(|f| f.normalized_covariance)
-                    .collect::<Vec<f64>>()
-            } else {
-                vec![m.tfrc_valid_mean(|f| f.normalized_covariance)]
-            }
-        });
-        for (idx, _) in names.iter().enumerate() {
+        let envs = environments();
+        let points = point_outputs(&envs, scale.replica_count(), outputs);
+        for (idx, (env, outs)) in points.enumerate() {
+            // Lab and Internet environments pool every valid flow's
+            // covariance; the cable modem contributes its per-run mean.
             let mut samples = Vec::new();
-            for _ in 0..scale.replica_count() {
-                samples.extend(values.next().expect("grid/result length mismatch"));
+            for m in outs.iter().map(|o| o.as_run()) {
+                match env {
+                    Env::CableModem => samples.push(m.tfrc_valid_mean(|f| f.normalized_covariance)),
+                    _ => samples.extend(m.tfrc_valid().map(|f| f.normalized_covariance)),
+                }
             }
             if let Some(b) = FiveNumber::of(&samples) {
                 t.push_row(vec![idx as f64, b.min, b.q1, b.median, b.q3, b.max]);
             }
         }
+        let names: Vec<String> = envs.into_iter().map(env_name).collect();
         t.caption = format!("{} — envs: {}", t.caption, names.join(", "));
         vec![t]
     }
@@ -136,8 +142,9 @@ mod tests {
 
     #[test]
     fn eight_environments_enumerate() {
-        assert_eq!(environments().len(), 8);
-        assert_eq!(environments()[0], "lab/droptail64");
-        assert_eq!(environments()[7], "cable-modem");
+        let names: Vec<String> = environments().into_iter().map(env_name).collect();
+        assert_eq!(names.len(), 8);
+        assert_eq!(names[0], "lab/droptail64");
+        assert_eq!(names[7], "cable-modem");
     }
 }

@@ -9,7 +9,7 @@
 //! Each protocol-alone run and each sharing run is its own job (three
 //! jobs per `(buffer, replica)` point).
 
-use crate::figures::mean;
+use crate::figures::{indexed, point_outputs, point_specs, pooled_row};
 use crate::registry::{replica_seed, Experiment, Scale};
 use crate::series::Table;
 use crate::spec::{SimSpec, SpecOutput, SweepMode};
@@ -20,6 +20,22 @@ fn buffers(quick: bool) -> Vec<usize> {
     } else {
         vec![10, 25, 50, 100, 150, 200, 250]
     }
+}
+
+/// The three runs of each `(buffer, replica)`: mode, seed base, and
+/// seed offset (the two alone runs seed one apart from one base).
+const RUNS: [(SweepMode, u64, u64); 3] = [
+    (SweepMode::TcpAlone, 170, 0),
+    (SweepMode::TfrcAlone, 170, 1),
+    (SweepMode::Shared, 270, 0),
+];
+
+/// A `buffer, p_tcp, p_tfrc, ratio` row pooled over the replicas' `(p',
+/// p)` pairs where TFRC saw losses; the ratio is a mean of per-replica
+/// ratios.
+fn ratio_row(buffer: usize, pairs: impl Iterator<Item = (f64, f64)>) -> Option<Vec<f64>> {
+    let valid = pairs.filter(|&(_, pf)| pf > 0.0);
+    pooled_row(&[buffer as f64], valid.map(|(pt, pf)| [pt, pf, pt / pf]))
 }
 
 /// Figure 17 reproduction.
@@ -39,27 +55,18 @@ impl Experiment for Fig17 {
     }
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
-        let mut specs = Vec::new();
-        for (i, &b) in buffers(scale.quick).iter().enumerate() {
-            for rep in 0..scale.replica_count() {
-                let iso_seed = replica_seed(170 + i as u64 * 3, rep);
-                let shared_seed = replica_seed(270 + i as u64 * 3, rep);
-                for (mode, seed) in [
-                    (SweepMode::TcpAlone, iso_seed),
-                    (SweepMode::TfrcAlone, iso_seed + 1),
-                    (SweepMode::Shared, shared_seed),
-                ] {
-                    specs.push(SimSpec::BufferSweep {
-                        mode,
-                        buffer: b,
-                        seed,
-                        warmup: scale.sim_warmup,
-                        span: scale.sim_span,
-                    });
-                }
+        let per_point = RUNS.len() * scale.replica_count();
+        let points = indexed(&buffers(scale.quick));
+        point_specs(&points, per_point, |(i, buffer), k| {
+            let (mode, base, offset) = RUNS[k % RUNS.len()];
+            SimSpec::BufferSweep {
+                mode,
+                buffer,
+                seed: replica_seed(base + i as u64 * 3, k / RUNS.len()) + offset,
+                warmup: scale.sim_warmup,
+                span: scale.sim_span,
             }
-        }
-        specs
+        })
     }
 
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
@@ -73,30 +80,17 @@ impl Experiment for Fig17 {
             "one TCP and one TFRC sharing the bottleneck",
             vec!["buffer", "p_tcp", "p_tfrc", "ratio"],
         );
-        let mut results = outputs.iter();
-        let mut next = || *results.next().expect("grid/result length mismatch");
-        for &b in &buffers(scale.quick) {
-            let mut iso_pairs: Vec<(f64, f64)> = Vec::new();
-            let mut shared_pairs: Vec<(f64, f64)> = Vec::new();
-            for _ in 0..scale.replica_count() {
-                let pt = next().as_run().tcp_mean(|f| f.loss_event_rate);
-                let pf = next().as_run().tfrc_mean(|f| f.loss_event_rate);
-                iso_pairs.push((pt, pf));
-                let shared = next().as_run();
-                shared_pairs.push((
-                    shared.tcp_mean(|f| f.loss_event_rate),
-                    shared.tfrc_mean(|f| f.loss_event_rate),
-                ));
+        let p_tcp = |o: &SpecOutput| o.as_run().tcp_mean(|f| f.loss_event_rate);
+        let p_tfrc = |o: &SpecOutput| o.as_run().tfrc_mean(|f| f.loss_event_rate);
+        let per_point = RUNS.len() * scale.replica_count();
+        for ((_, b), outs) in point_outputs(&indexed(&buffers(scale.quick)), per_point, outputs) {
+            let reps = outs.chunks(RUNS.len());
+            let iso_reps = reps.clone().map(|r| (p_tcp(r[0]), p_tfrc(r[1])));
+            if let Some(row) = ratio_row(b, iso_reps) {
+                iso.push_row(row);
             }
-            for (pairs, table) in [(iso_pairs, &mut iso), (shared_pairs, &mut shared)] {
-                let valid: Vec<(f64, f64)> =
-                    pairs.into_iter().filter(|(_, pf)| *pf > 0.0).collect();
-                if !valid.is_empty() {
-                    let pt = mean(&valid.iter().map(|v| v.0).collect::<Vec<_>>());
-                    let pf = mean(&valid.iter().map(|v| v.1).collect::<Vec<_>>());
-                    let ratio = mean(&valid.iter().map(|v| v.0 / v.1).collect::<Vec<_>>());
-                    table.push_row(vec![b as f64, pt, pf, ratio]);
-                }
+            if let Some(row) = ratio_row(b, reps.map(|r| (p_tcp(r[2]), p_tfrc(r[2])))) {
+                shared.push_row(row);
             }
         }
         vec![iso, shared]

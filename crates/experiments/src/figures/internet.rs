@@ -11,8 +11,8 @@
 //! Each `(site, pair count, replica)` point is one runner job; reducers
 //! average the per-replica measurements.
 
-use crate::breakdown::Breakdown;
-use crate::figures::mean;
+use crate::breakdown::{breakdown_row, friendliness_row, Breakdown};
+use crate::figures::{cross, group_tables, point_specs};
 use crate::registry::{replica_seed, Experiment, Scale};
 use crate::scenarios::{DumbbellConfig, QueueSpec};
 use crate::series::Table;
@@ -128,18 +128,26 @@ pub(crate) fn site_table() -> Table {
     t
 }
 
-/// The `(site, pairs, replica)` grid shared by Figures 11 and 12–15, in
-/// table order.
-fn grid(scale: Scale) -> Vec<(usize, usize, usize)> {
-    let mut points = Vec::new();
-    for si in 0..sites().len() {
-        for &n in &pair_list(scale.quick) {
-            for rep in 0..scale.replica_count() {
-                points.push((si, n, rep));
-            }
+/// The `(site, pairs)` points shared by Figures 11 and 12–15, in table
+/// order.
+fn points(quick: bool) -> Vec<(usize, usize)> {
+    cross(0..sites().len(), &pair_list(quick))
+}
+
+/// Every replica of every point; replica `rep` of `(site, n)` seeds
+/// from `base + site·stride + n`.
+fn site_specs(scale: Scale, base: u64, stride: u64) -> Vec<SimSpec> {
+    let points = points(scale.quick);
+    point_specs(&points, scale.replica_count(), |(si, n), rep| {
+        SimSpec::SiteDumbbell {
+            site: si,
+            n,
+            seed: replica_seed(base + si as u64 * stride + n as u64, rep),
+            quick: scale.quick,
+            warmup: scale.sim_warmup,
+            span: scale.sim_span,
         }
-    }
-    points
+    })
 }
 
 /// Table I reproduction.
@@ -184,53 +192,19 @@ impl Experiment for Fig11 {
     }
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
-        grid(scale)
-            .into_iter()
-            .map(|(si, n, rep)| {
-                let base = 7_000 + si as u64 * 97 + n as u64;
-                SimSpec::SiteDumbbell {
-                    site: si,
-                    n,
-                    seed: replica_seed(base, rep),
-                    quick: scale.quick,
-                    warmup: scale.sim_warmup,
-                    span: scale.sim_span,
-                }
-            })
-            .collect()
+        site_specs(scale, 7_000, 97)
     }
 
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
-        let mut values = outputs.iter().map(|o| {
-            let m = o.as_run();
-            (
-                m.tfrc_valid_mean(|f| f.loss_event_rate),
-                m.tfrc_valid_mean(|f| f.throughput),
-                m.tcp_valid_mean(|f| f.throughput),
-            )
-        });
-        let mut tables = Vec::new();
-        for site in &sites() {
-            let mut t = Table::new(
+        let tables = sites().into_iter().map(|site| {
+            Table::new(
                 format!("fig11/{}", site.name),
                 format!("x̄/x̄' vs p at {}", site.name),
                 vec!["pairs", "p", "throughput_ratio"],
-            );
-            for &n in &pair_list(scale.quick) {
-                let reps: Vec<(f64, f64)> = (0..scale.replica_count())
-                    .map(|_| values.next().expect("grid/result length mismatch"))
-                    .filter(|(p, _, x_tcp)| *x_tcp > 0.0 && *p > 0.0)
-                    .map(|(p, x, x_tcp)| (p, x / x_tcp))
-                    .collect();
-                if !reps.is_empty() {
-                    let p = mean(&reps.iter().map(|r| r.0).collect::<Vec<_>>());
-                    let ratio = mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>());
-                    t.push_row(vec![n as f64, p, ratio]);
-                }
-            }
-            tables.push(t);
-        }
-        tables
+            )
+        });
+        let points = points(scale.quick);
+        group_tables(scale, tables, &points, outputs, friendliness_row)
     }
 }
 
@@ -251,69 +225,22 @@ impl Experiment for Fig12to15 {
     }
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
-        grid(scale)
-            .into_iter()
-            .map(|(si, n, rep)| {
-                let base = 8_000 + si as u64 * 131 + n as u64;
-                SimSpec::SiteDumbbell {
-                    site: si,
-                    n,
-                    seed: replica_seed(base, rep),
-                    quick: scale.quick,
-                    warmup: scale.sim_warmup,
-                    span: scale.sim_span,
-                }
-            })
-            .collect()
+        site_specs(scale, 8_000, 131)
     }
 
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
-        let mut values = outputs.iter().map(|o| {
-            Breakdown::from_measurements(o.as_run()).map(|b| {
-                [
-                    b.p,
-                    b.conservativeness,
-                    b.loss_rate_ratio,
-                    b.rtt_ratio,
-                    b.tcp_obedience,
-                    b.friendliness,
-                ]
-            })
-        });
-        let mut tables = Vec::new();
-        for site in &sites() {
-            let mut t = Table::new(
+        let tables = sites().into_iter().map(|site| {
+            Table::new(
                 format!("fig12-15/{}", site.name),
                 format!(
                     "breakdown at {}: x̄/f(p,r), p'/p, r'/r, x̄'/f(p',r') vs p",
                     site.name
                 ),
-                vec![
-                    "pairs",
-                    "p",
-                    "conservativeness",
-                    "loss_rate_ratio",
-                    "rtt_ratio",
-                    "tcp_obedience",
-                    "friendliness",
-                ],
-            );
-            for &n in &pair_list(scale.quick) {
-                let reps: Vec<[f64; 6]> = (0..scale.replica_count())
-                    .filter_map(|_| values.next().expect("grid/result length mismatch"))
-                    .collect();
-                if reps.is_empty() {
-                    continue;
-                }
-                let mut row = vec![n as f64];
-                for c in 0..6 {
-                    row.push(mean(&reps.iter().map(|r| r[c]).collect::<Vec<_>>()));
-                }
-                t.push_row(row);
-            }
-            tables.push(t);
-        }
-        tables
+                Breakdown::COLUMNS.to_vec(),
+            )
+        });
+        let points = points(scale.quick);
+        group_tables(scale, tables, &points, outputs, breakdown_row)
     }
 }
 

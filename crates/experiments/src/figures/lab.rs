@@ -8,8 +8,8 @@
 //! Each `(queue, N, replica)` point is one runner job; reducers average
 //! over `Scale::replicas`.
 
-use crate::breakdown::Breakdown;
-use crate::figures::mean;
+use crate::breakdown::{breakdown_row, friendliness_row, Breakdown};
+use crate::figures::{cross, group_tables, point_specs};
 use crate::registry::{replica_seed, Experiment, Scale};
 use crate::scenarios::QueueSpec;
 use crate::series::Table;
@@ -35,18 +35,31 @@ pub fn lab_queues() -> Vec<(&'static str, QueueSpec)> {
     ]
 }
 
-/// The `(queue index, N, replica)` grid of Figures 16 and 18–19 (the
-/// two Figure-16 queues: DropTail 100 and RED), in table order.
-fn grid(scale: Scale) -> Vec<(usize, usize, usize)> {
-    let mut points = Vec::new();
-    for qi in 1..lab_queues().len() {
-        for &n in &n_list(scale.quick) {
-            for rep in 0..scale.replica_count() {
-                points.push((qi, n, rep));
-            }
+/// The two queues of Figures 16 and 18–19 (DropTail 100 and RED), in
+/// table order: `lab_queues()` from index 1.
+fn figure_queues() -> impl Iterator<Item = &'static str> {
+    lab_queues().into_iter().skip(1).map(|(name, _)| name)
+}
+
+/// The `(table, N)` points of Figures 16 and 18–19, in table order;
+/// table `g` runs queue `g + 1` of [`lab_queues`].
+fn points(quick: bool) -> Vec<(usize, usize)> {
+    cross(0..figure_queues().count(), &n_list(quick))
+}
+
+/// Every replica of every point; replica `rep` of `(table, N)` seeds
+/// from `base + N`.
+fn lab_specs(scale: Scale, base: u64) -> Vec<SimSpec> {
+    let points = points(scale.quick);
+    point_specs(&points, scale.replica_count(), |(g, n), rep| {
+        SimSpec::LabDumbbell {
+            queue: g + 1,
+            n,
+            seed: replica_seed(base + n as u64, rep),
+            warmup: scale.sim_warmup,
+            span: scale.sim_span,
         }
-    }
-    points
+    })
 }
 
 /// Figure 16 reproduction.
@@ -66,49 +79,19 @@ impl Experiment for Fig16 {
     }
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
-        grid(scale)
-            .into_iter()
-            .map(|(qi, n, rep)| SimSpec::LabDumbbell {
-                queue: qi,
-                n,
-                seed: replica_seed(16_000 + n as u64, rep),
-                warmup: scale.sim_warmup,
-                span: scale.sim_span,
-            })
-            .collect()
+        lab_specs(scale, 16_000)
     }
 
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
-        let mut values = outputs.iter().map(|o| {
-            let m = o.as_run();
-            (
-                m.tfrc_valid_mean(|f| f.loss_event_rate),
-                m.tfrc_valid_mean(|f| f.throughput),
-                m.tcp_valid_mean(|f| f.throughput),
-            )
-        });
-        let mut tables = Vec::new();
-        for (name, _) in lab_queues().into_iter().skip(1) {
-            let mut t = Table::new(
+        let tables = figure_queues().map(|name| {
+            Table::new(
                 format!("fig16/{name}"),
                 format!("x̄/x̄' vs p over {name}"),
                 vec!["pairs", "p", "throughput_ratio"],
-            );
-            for &n in &n_list(scale.quick) {
-                let reps: Vec<(f64, f64)> = (0..scale.replica_count())
-                    .map(|_| values.next().expect("grid/result length mismatch"))
-                    .filter(|(p, _, x_tcp)| *x_tcp > 0.0 && *p > 0.0)
-                    .map(|(p, x, x_tcp)| (p, x / x_tcp))
-                    .collect();
-                if !reps.is_empty() {
-                    let p = mean(&reps.iter().map(|r| r.0).collect::<Vec<_>>());
-                    let ratio = mean(&reps.iter().map(|r| r.1).collect::<Vec<_>>());
-                    t.push_row(vec![n as f64, p, ratio]);
-                }
-            }
-            tables.push(t);
-        }
-        tables
+            )
+        });
+        let points = points(scale.quick);
+        group_tables(scale, tables, &points, outputs, friendliness_row)
     }
 }
 
@@ -129,62 +112,19 @@ impl Experiment for Fig18to19 {
     }
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
-        grid(scale)
-            .into_iter()
-            .map(|(qi, n, rep)| SimSpec::LabDumbbell {
-                queue: qi,
-                n,
-                seed: replica_seed(18_000 + n as u64, rep),
-                warmup: scale.sim_warmup,
-                span: scale.sim_span,
-            })
-            .collect()
+        lab_specs(scale, 18_000)
     }
 
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
-        let mut values = outputs.iter().map(|o| {
-            Breakdown::from_measurements(o.as_run()).map(|b| {
-                [
-                    b.p,
-                    b.conservativeness,
-                    b.loss_rate_ratio,
-                    b.rtt_ratio,
-                    b.tcp_obedience,
-                    b.friendliness,
-                ]
-            })
-        });
-        let mut tables = Vec::new();
-        for (name, _) in lab_queues().into_iter().skip(1) {
-            let mut t = Table::new(
+        let tables = figure_queues().map(|name| {
+            Table::new(
                 format!("fig18-19/{name}"),
                 format!("breakdown over {name}: x̄/f(p,r), p'/p, r'/r, x̄'/f(p',r')"),
-                vec![
-                    "pairs",
-                    "p",
-                    "conservativeness",
-                    "loss_rate_ratio",
-                    "rtt_ratio",
-                    "tcp_obedience",
-                    "friendliness",
-                ],
-            );
-            for &n in &n_list(scale.quick) {
-                let reps: Vec<[f64; 6]> = (0..scale.replica_count())
-                    .filter_map(|_| values.next().expect("grid/result length mismatch"))
-                    .collect();
-                if reps.is_empty() {
-                    continue;
-                }
-                let mut row = vec![n as f64];
-                for c in 0..6 {
-                    row.push(mean(&reps.iter().map(|r| r[c]).collect::<Vec<_>>()));
-                }
-                t.push_row(row);
-            }
-            tables.push(t);
-        }
-        tables
+                Breakdown::COLUMNS.to_vec(),
+            )
+        });
+        let points = points(scale.quick);
+        group_tables(scale, tables, &points, outputs, breakdown_row)
     }
 }
 

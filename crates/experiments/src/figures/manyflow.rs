@@ -13,6 +13,7 @@
 //! shows up as the CV shrinking with `n` and the quantile spread
 //! tightening around the prediction.
 
+use crate::figures::{point_outputs, point_specs, pooled_row};
 use crate::registry::{Experiment, Scale};
 use crate::series::Table;
 use crate::spec::{SimSpec, SpecOutput};
@@ -42,6 +43,11 @@ fn window(scale: Scale, n: usize) -> (f64, f64) {
     }
 }
 
+/// Replicas per population, capped at two.
+fn replicas(scale: Scale) -> usize {
+    scale.replica_count().min(2)
+}
+
 /// The many-flow weak-convergence experiment.
 pub struct FigManyFlow;
 
@@ -59,19 +65,15 @@ impl Experiment for FigManyFlow {
     }
 
     fn specs(&self, scale: Scale) -> Vec<SimSpec> {
-        let mut specs = Vec::new();
-        for &n in &populations(scale.quick) {
+        point_specs(&populations(scale.quick), replicas(scale), |n, rep| {
             let (warmup, span) = window(scale, n);
-            for rep in 0..scale.replica_count().min(2) {
-                specs.push(SimSpec::ManyFlowDumbbell {
-                    n,
-                    rep,
-                    warmup,
-                    span,
-                });
+            SimSpec::ManyFlowDumbbell {
+                n,
+                rep,
+                warmup,
+                span,
             }
-        }
-        specs
+        })
     }
 
     fn reduce(&self, scale: Scale, outputs: &[&SpecOutput]) -> Vec<Table> {
@@ -80,28 +82,12 @@ impl Experiment for FigManyFlow {
             "normalized per-flow TFRC throughput distribution vs population",
             crate::scenarios::manyflow::summary_columns(),
         );
-        let mut results = outputs.iter();
-        let mut next = || *results.next().expect("grid/result length mismatch");
-        for &n in &populations(scale.quick) {
-            let reps = scale.replica_count().min(2);
+        for (n, outs) in point_outputs(&populations(scale.quick), replicas(scale), outputs) {
             // Average the replica summaries column-wise; quantiles of
             // i.i.d. replicas average meaningfully at fixed n.
-            let mut acc: Vec<f64> = Vec::new();
-            for _ in 0..reps {
-                let s = next().scalars();
-                if acc.is_empty() {
-                    acc = s.to_vec();
-                } else {
-                    for (a, v) in acc.iter_mut().zip(s) {
-                        *a += v;
-                    }
-                }
-            }
-            for a in &mut acc {
-                *a /= reps as f64;
-            }
-            acc[0] = n as f64; // population is exact, not averaged
-            table.push_row(acc);
+            let mut row = pooled_row(&[], outs.iter().map(|o| o.scalars())).expect("replicas ≥ 1");
+            row[0] = n as f64; // population is exact, not averaged
+            table.push_row(row);
         }
         vec![table]
     }

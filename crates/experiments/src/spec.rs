@@ -397,9 +397,9 @@ impl SimSpec {
     ///
     /// All arithmetic saturates: the estimate feeds longest-first
     /// scheduling, and a 10⁴⁺-flow spec that wrapped to a small number
-    /// would poison the whole schedule. `saturating_f64_to_u64` clamps
-    /// the float products (NaN and negatives to 0, overflow to
-    /// `u64::MAX`), and any sum over hints must use `saturating_add`.
+    /// would poison the whole schedule. The float products convert with
+    /// `as`, which maps NaN and negatives to 0 and overflow to
+    /// `u64::MAX`, and any sum over hints must use `saturating_add`.
     pub fn events_hint(&self) -> u64 {
         /// Calendar dispatches per packet that crosses a dumbbell:
         /// sender timer, bottleneck queue, forward delay + demux,
@@ -408,7 +408,7 @@ impl SimSpec {
         if let (Some(cfg), Some((warmup, span))) = (self.dumbbell_config(), self.window()) {
             let pkt_bits = (cfg.tfrc.sender.packet_size.max(cfg.tcp.packet_size)) as f64 * 8.0;
             let pps = cfg.bottleneck_bps / pkt_bits;
-            return saturating_f64_to_u64((warmup + span) * pps * DISPATCHES_PER_PACKET);
+            return ((warmup + span) * pps * DISPATCHES_PER_PACKET) as u64;
         }
         match *self {
             SimSpec::ManyFlowDumbbell {
@@ -416,19 +416,17 @@ impl SimSpec {
             } => {
                 let cfg = manyflow_config(n, 0);
                 let pps = cfg.bottleneck_bps() / (ManyFlowConfig::PACKET_SIZE as f64 * 8.0);
-                saturating_f64_to_u64((warmup + span) * pps * DISPATCHES_PER_PACKET)
+                ((warmup + span) * pps * DISPATCHES_PER_PACKET) as u64
             }
             SimSpec::Audio { duration, .. } => {
                 // 20 ms packet clock; sender + dropper + receiver +
                 // periodic feedback per packet.
-                saturating_f64_to_u64(duration / 0.02 * 4.0)
+                (duration / 0.02 * 4.0) as u64
             }
             SimSpec::Mc { events, .. }
             | SimSpec::PhaseMc { events, .. }
             | SimSpec::Claim4Iso { events, .. } => events as u64,
-            SimSpec::Claim4Shared { t_end, .. } => {
-                saturating_f64_to_u64(t_end / FLUID_DT * FLUID_STEP_COST)
-            }
+            SimSpec::Claim4Shared { t_end, .. } => (t_end / FLUID_DT * FLUID_STEP_COST) as u64,
             _ => 0,
         }
     }
@@ -456,18 +454,6 @@ fn write_trace(engine: &mut Engine<NetEvent>, ctx: &JobCtx) {
     if let (Some(sink), Some(path)) = (ebrc_trace::take_sink(engine), ctx.trace_path()) {
         std::fs::write(path, sink.finish())
             .unwrap_or_else(|e| panic!("writing trace {}: {e}", path.display()));
-    }
-}
-
-/// Clamps a float work estimate into `u64`: NaN and negatives to 0,
-/// `u64`-overflowing values to `u64::MAX`. (Rust's float-to-int `as`
-/// casts saturate too — this spelling makes the planning contract
-/// explicit where hints are computed.)
-fn saturating_f64_to_u64(x: f64) -> u64 {
-    if x.is_nan() {
-        0
-    } else {
-        x.clamp(0.0, u64::MAX as f64) as u64
     }
 }
 
@@ -656,7 +642,33 @@ impl ebrc_runner::Spec for SimSpec {
                 ctx.record_events(events);
                 SpecOutput::Scalars(vec![p, norm, cv2])
             }
-            SimSpec::Mc { .. } => SpecOutput::Scalars(vec![self.mc_normalized()]),
+            SimSpec::Mc {
+                control,
+                formula,
+                weights,
+                window,
+                p,
+                cv,
+                events,
+                seed,
+            } => {
+                let f = formula.instantiate(1.0);
+                let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(1.0 / p, cv));
+                let mut rng = Rng::seed_from(seed);
+                let cfg = ControlConfig::new(weights.profile(window));
+                let mut stats = TraceStats::new();
+                match control {
+                    ControlLaw::Basic => BasicControl::new(f.clone(), cfg).run_into(
+                        &mut process,
+                        &mut rng,
+                        events,
+                        &mut stats,
+                    ),
+                    ControlLaw::Comprehensive => ComprehensiveControl::new(f.clone(), cfg)
+                        .run_into(&mut process, &mut rng, events, &mut stats),
+                }
+                SpecOutput::Scalars(vec![stats.normalized_throughput(&f)])
+            }
             SimSpec::PhaseMc {
                 sojourn,
                 events,
@@ -733,60 +745,6 @@ impl ebrc_runner::CacheableSpec for SimSpec {
         let value = serde_json::from_str(text).map_err(|e| e.to_string())?;
         SpecOutput::from_value(&value)
     }
-}
-
-impl SimSpec {
-    /// One Monte-Carlo normalized-throughput point — the body of every
-    /// [`SimSpec::Mc`] spec (the historical Figures 3–4 seeds live in
-    /// the spec fields, so the output is byte-compatible with the
-    /// pre-plan decomposition).
-    ///
-    /// # Panics
-    /// Panics if `self` is not a [`SimSpec::Mc`].
-    fn mc_normalized(&self) -> f64 {
-        let SimSpec::Mc {
-            control,
-            formula,
-            weights,
-            window,
-            p,
-            cv,
-            events,
-            seed,
-        } = *self
-        else {
-            unreachable!("mc_normalized is only called on Mc specs");
-        };
-        mc_body(control, formula, (weights, window), (p, cv), events, seed)
-    }
-}
-
-/// The Monte-Carlo body behind [`SimSpec::mc_normalized`].
-fn mc_body(
-    control: ControlLaw,
-    formula: FormulaKind,
-    (weights, window): (WeightKind, usize),
-    (p, cv): (f64, f64),
-    events: usize,
-    seed: u64,
-) -> f64 {
-    let f = formula.instantiate(1.0);
-    let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(1.0 / p, cv));
-    let mut rng = Rng::seed_from(seed);
-    let cfg = ControlConfig::new(weights.profile(window));
-    let mut stats = TraceStats::new();
-    match control {
-        ControlLaw::Basic => {
-            BasicControl::new(f.clone(), cfg).run_into(&mut process, &mut rng, events, &mut stats)
-        }
-        ControlLaw::Comprehensive => ComprehensiveControl::new(f.clone(), cfg).run_into(
-            &mut process,
-            &mut rng,
-            events,
-            &mut stats,
-        ),
-    }
-    stats.normalized_throughput(&f)
 }
 
 /// The serializable result of one [`SimSpec`]. Reducers extract their
