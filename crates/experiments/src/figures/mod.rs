@@ -23,16 +23,6 @@ use crate::registry::Scale;
 use crate::series::Table;
 use crate::spec::{SimSpec, SpecOutput};
 
-/// Arithmetic mean of the replica values of one sweep point (0 when no
-/// replica was valid) — the shared reducer primitive.
-pub(crate) fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
 /// A sweep's values, each with its index (which seeds its specs).
 pub(crate) fn indexed<T: Copy>(values: &[T]) -> Vec<(usize, T)> {
     values.iter().copied().enumerate().collect()
@@ -77,16 +67,16 @@ pub(crate) fn point_outputs<'a, P: Copy>(
     points.iter().copied().zip(outputs.chunks(per_point))
 }
 
-/// `lead` followed by the column [`mean`]s of the valid replica `rows`,
-/// in replica order; `None` when no row is valid.
+/// `lead` followed by the column means of the valid replica `rows`,
+/// each summed in replica order; `None` when no row is valid.
 pub(crate) fn pooled_row<R: AsRef<[f64]>>(
     lead: &[f64],
     rows: impl IntoIterator<Item = R>,
 ) -> Option<Vec<f64>> {
     let rows: Vec<R> = rows.into_iter().collect();
     let width = rows.first()?.as_ref().len();
-    let columns = (0..width).map(|c| mean(&rows.iter().map(|r| r.as_ref()[c]).collect::<Vec<_>>()));
-    Some(lead.iter().copied().chain(columns).collect())
+    let mean = |c: usize| rows.iter().map(|r| r.as_ref()[c]).sum::<f64>() / rows.len() as f64;
+    Some(lead.iter().copied().chain((0..width).map(mean)).collect())
 }
 
 /// `x` followed by each output's single scalar.
