@@ -55,20 +55,6 @@ pub fn clamped_g<F: ThroughputFormula + ?Sized>(f: &F, theta_hat: f64) -> f64 {
     f.g(theta_hat.max(FORMULA_INPUT_FLOOR))
 }
 
-/// Shared configuration of both controls.
-#[derive(Debug, Clone)]
-pub struct ControlConfig {
-    /// Weight profile of the loss-interval estimator.
-    pub weights: WeightProfile,
-}
-
-impl ControlConfig {
-    /// Configuration with the given weights.
-    pub fn new(weights: WeightProfile) -> Self {
-        Self { weights }
-    }
-}
-
 /// One loss-event interval of a control trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepRecord {
@@ -244,13 +230,14 @@ impl ControlTrace {
 #[derive(Debug, Clone)]
 pub struct BasicControl<F: ThroughputFormula> {
     formula: F,
-    config: ControlConfig,
+    /// Weight profile of the loss-interval estimator.
+    weights: WeightProfile,
 }
 
 impl<F: ThroughputFormula> BasicControl<F> {
     /// Creates the control.
-    pub fn new(formula: F, config: ControlConfig) -> Self {
-        Self { formula, config }
+    pub fn new(formula: F, weights: WeightProfile) -> Self {
+        Self { formula, weights }
     }
 
     /// Runs the recursion for `events` loss events, pre-seeding the
@@ -274,7 +261,7 @@ impl<F: ThroughputFormula> BasicControl<F> {
         events: usize,
         sink: &mut S,
     ) {
-        let mut estimator = warm_estimator(&self.config.weights, process, rng);
+        let mut estimator = warm_estimator(&self.weights, process, rng);
         let mut theta_hat = estimator.estimate().max(THETA_HAT_FLOOR);
         for _ in 0..events {
             let x = clamped_rate(&self.formula, theta_hat);
@@ -299,7 +286,8 @@ impl<F: ThroughputFormula> BasicControl<F> {
 #[derive(Debug, Clone)]
 pub struct ComprehensiveControl<F: ThroughputFormula> {
     formula: F,
-    config: ControlConfig,
+    /// Weight profile of the loss-interval estimator.
+    weights: WeightProfile,
     /// Number of Simpson sub-intervals for the numeric fallback when the
     /// formula has no closed-form `g` antiderivative.
     pub quadrature_points: usize,
@@ -307,10 +295,10 @@ pub struct ComprehensiveControl<F: ThroughputFormula> {
 
 impl<F: ThroughputFormula> ComprehensiveControl<F> {
     /// Creates the control.
-    pub fn new(formula: F, config: ControlConfig) -> Self {
+    pub fn new(formula: F, weights: WeightProfile) -> Self {
         Self {
             formula,
-            config,
+            weights,
             quadrature_points: 64,
         }
     }
@@ -336,8 +324,8 @@ impl<F: ThroughputFormula> ComprehensiveControl<F> {
         events: usize,
         sink: &mut S,
     ) {
-        let mut estimator = warm_estimator(&self.config.weights, process, rng);
-        let w1 = self.config.weights.w1();
+        let mut estimator = warm_estimator(&self.weights, process, rng);
+        let w1 = self.weights.w1();
         for _ in 0..events {
             let theta_hat = estimator.estimate().max(THETA_HAT_FLOOR);
             let x = clamped_rate(&self.formula, theta_hat);
@@ -437,10 +425,10 @@ mod tests {
         // Constant intervals: θ̂ = θ = m, rate f(1/m), throughput exactly
         // f(p): the converged case x̄ = f(p).
         let f = Sqrt::with_rtt(1.0);
-        let cfg = ControlConfig::new(WeightProfile::tfrc(8));
+        let weights = WeightProfile::tfrc(8);
         let mut process = IidProcess::new(Deterministic::new(100.0));
         let mut rng = Rng::seed_from(1);
-        let trace = BasicControl::new(f.clone(), cfg).run(&mut process, &mut rng, 500);
+        let trace = BasicControl::new(f.clone(), weights).run(&mut process, &mut rng, 500);
         assert_close(trace.normalized_throughput(&f), 1.0, 1e-9);
         assert_close(trace.loss_event_rate(), 0.01, 1e-12);
     }
@@ -449,10 +437,10 @@ mod tests {
     fn basic_control_duration_identity() {
         // S_n = θ_n / X_n must hold exactly for every step.
         let f = PftkSimplified::with_rtt(1.0);
-        let cfg = ControlConfig::new(WeightProfile::tfrc(4));
+        let weights = WeightProfile::tfrc(4);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(50.0, 0.8));
         let mut rng = Rng::seed_from(2);
-        let trace = BasicControl::new(f, cfg).run(&mut process, &mut rng, 200);
+        let trace = BasicControl::new(f, weights).run(&mut process, &mut rng, 200);
         for s in trace.steps() {
             assert_close(s.duration, s.theta / s.x_rate, 1e-12);
             assert_eq!(s.v_correction, 0.0);
@@ -464,13 +452,13 @@ mod tests {
         // Deterministic intervals keep θ̂ constant, so the comprehensive
         // control never activates its increase and matches the basic one.
         let f = PftkSimplified::with_rtt(1.0);
-        let cfg = ControlConfig::new(WeightProfile::tfrc(8));
+        let weights = WeightProfile::tfrc(8);
         let mut p1 = IidProcess::new(Deterministic::new(80.0));
         let mut p2 = IidProcess::new(Deterministic::new(80.0));
         let mut r1 = Rng::seed_from(3);
         let mut r2 = Rng::seed_from(3);
-        let basic = BasicControl::new(f.clone(), cfg.clone()).run(&mut p1, &mut r1, 300);
-        let comp = ComprehensiveControl::new(f, cfg).run(&mut p2, &mut r2, 300);
+        let basic = BasicControl::new(f.clone(), weights.clone()).run(&mut p1, &mut r1, 300);
+        let comp = ComprehensiveControl::new(f, weights).run(&mut p2, &mut r2, 300);
         assert_close(basic.throughput(), comp.throughput(), 1e-9);
     }
 
@@ -480,13 +468,13 @@ mod tests {
         // control's throughput is ≥ the basic control's.
         for seed in [4u64, 5, 6] {
             let f = PftkSimplified::with_rtt(1.0);
-            let cfg = ControlConfig::new(WeightProfile::tfrc(8));
+            let weights = WeightProfile::tfrc(8);
             let mut p1 = IidProcess::new(ShiftedExponential::from_mean_cv(100.0, 0.9));
             let mut p2 = IidProcess::new(ShiftedExponential::from_mean_cv(100.0, 0.9));
             let mut r1 = Rng::seed_from(seed);
             let mut r2 = Rng::seed_from(seed);
-            let basic = BasicControl::new(f.clone(), cfg.clone()).run(&mut p1, &mut r1, 5_000);
-            let comp = ComprehensiveControl::new(f, cfg).run(&mut p2, &mut r2, 5_000);
+            let basic = BasicControl::new(f.clone(), weights.clone()).run(&mut p1, &mut r1, 5_000);
+            let comp = ComprehensiveControl::new(f, weights).run(&mut p2, &mut r2, 5_000);
             assert!(
                 comp.throughput() >= basic.throughput() - 1e-9,
                 "seed {seed}: comp {} < basic {}",
@@ -499,10 +487,10 @@ mod tests {
     #[test]
     fn comprehensive_durations_shorter_when_increasing() {
         let f = Sqrt::with_rtt(1.0);
-        let cfg = ControlConfig::new(WeightProfile::tfrc(4));
+        let weights = WeightProfile::tfrc(4);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(60.0, 0.9));
         let mut rng = Rng::seed_from(7);
-        let trace = ComprehensiveControl::new(f, cfg).run(&mut process, &mut rng, 2_000);
+        let trace = ComprehensiveControl::new(f, weights).run(&mut process, &mut rng, 2_000);
         let mut increased = 0;
         for s in trace.steps() {
             if s.theta_hat_next > s.theta_hat {
@@ -529,13 +517,14 @@ mod tests {
             }
         }
         let f = PftkSimplified::with_rtt(1.0);
-        let cfg = ControlConfig::new(WeightProfile::tfrc(8));
+        let weights = WeightProfile::tfrc(8);
         let mut p1 = IidProcess::new(ShiftedExponential::from_mean_cv(40.0, 0.9));
         let mut p2 = IidProcess::new(ShiftedExponential::from_mean_cv(40.0, 0.9));
         let mut r1 = Rng::seed_from(8);
         let mut r2 = Rng::seed_from(8);
-        let exact = ComprehensiveControl::new(f.clone(), cfg.clone()).run(&mut p1, &mut r1, 1_000);
-        let mut numeric_ctl = ComprehensiveControl::new(NoClosedForm(f), cfg);
+        let exact =
+            ComprehensiveControl::new(f.clone(), weights.clone()).run(&mut p1, &mut r1, 1_000);
+        let mut numeric_ctl = ComprehensiveControl::new(NoClosedForm(f), weights);
         numeric_ctl.quadrature_points = 128;
         let numeric = numeric_ctl.run(&mut p2, &mut r2, 1_000);
         for (a, b) in exact.steps().iter().zip(numeric.steps()) {
@@ -546,10 +535,10 @@ mod tests {
     #[test]
     fn pftk_standard_runs_via_quadrature() {
         let f = PftkStandard::with_rtt(1.0);
-        let cfg = ControlConfig::new(WeightProfile::tfrc(8));
+        let weights = WeightProfile::tfrc(8);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(30.0, 0.9));
         let mut rng = Rng::seed_from(9);
-        let trace = ComprehensiveControl::new(f, cfg).run(&mut process, &mut rng, 500);
+        let trace = ComprehensiveControl::new(f, weights).run(&mut process, &mut rng, 500);
         assert!(trace.throughput().is_finite());
         assert!(trace.throughput() > 0.0);
     }
@@ -574,7 +563,7 @@ mod tests {
             rng: &mut Rng,
             events: usize,
         ) -> Vec<StepRecord> {
-            let mut estimator = warm_estimator(&ctl.config.weights, process, rng);
+            let mut estimator = warm_estimator(&ctl.weights, process, rng);
             let mut steps = Vec::with_capacity(events);
             for _ in 0..events {
                 let theta_hat = estimator.estimate().max(THETA_HAT_FLOOR);
@@ -600,8 +589,8 @@ mod tests {
             rng: &mut Rng,
             events: usize,
         ) -> Vec<StepRecord> {
-            let mut estimator = warm_estimator(&ctl.config.weights, process, rng);
-            let w1 = ctl.config.weights.w1();
+            let mut estimator = warm_estimator(&ctl.weights, process, rng);
+            let w1 = ctl.weights.w1();
             let mut steps = Vec::with_capacity(events);
             for _ in 0..events {
                 let theta_hat = estimator.estimate().max(THETA_HAT_FLOOR);
@@ -762,17 +751,17 @@ mod tests {
             let process = || IidProcess::new(ShiftedExponential::from_mean_cv(20.0, 0.9));
             for l in [1, 2, 8] {
                 for seed in 0..4 {
-                    let cfg = ControlConfig::new(WeightProfile::tfrc(l));
+                    let weights = WeightProfile::tfrc(l);
                     let rng = || Rng::seed_from(seed);
 
-                    let basic = BasicControl::new(f.clone(), cfg.clone());
+                    let basic = BasicControl::new(f.clone(), weights.clone());
                     let mut stats = TraceStats::new();
                     basic.run_into(&mut process(), &mut rng(), events, &mut stats);
                     let trace = basic.run(&mut process(), &mut rng(), events);
                     let logged = logged::basic(&basic, &mut process(), &mut rng(), events);
                     assert_same(&f, trace, stats, logged);
 
-                    let comp = ComprehensiveControl::new(f.clone(), cfg);
+                    let comp = ComprehensiveControl::new(f.clone(), weights);
                     let mut stats = TraceStats::new();
                     comp.run_into(&mut process(), &mut rng(), events, &mut stats);
                     let trace = comp.run(&mut process(), &mut rng(), events);
@@ -789,10 +778,10 @@ mod tests {
     #[test]
     fn trace_covariances_defined() {
         let f = PftkSimplified::with_rtt(1.0);
-        let cfg = ControlConfig::new(WeightProfile::tfrc(8));
+        let weights = WeightProfile::tfrc(8);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(100.0, 0.999));
         let mut rng = Rng::seed_from(11);
-        let trace = BasicControl::new(f, cfg).run(&mut process, &mut rng, 20_000);
+        let trace = BasicControl::new(f, weights).run(&mut process, &mut rng, 20_000);
         // I.i.d. intervals: cov[θ0, θ̂0] ≈ 0 (Corollary 1 hypothesis).
         let p = trace.loss_event_rate();
         let norm_cov = trace.cov_theta_theta_hat() * p * p;

@@ -27,17 +27,17 @@
 //!
 //! ```
 //! use ebrc_core::formula::{PftkSimplified, ThroughputFormula};
-//! use ebrc_core::control::{BasicControl, ControlConfig};
+//! use ebrc_core::control::BasicControl;
 //! use ebrc_core::weights::WeightProfile;
 //! use ebrc_dist::{IidProcess, Rng, ShiftedExponential};
 //!
 //! // Loss-event intervals: mean 100 packets (p = 0.01), cv 0.999.
 //! let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(100.0, 0.999));
 //! let formula = PftkSimplified::with_rtt(1.0);
-//! let cfg = ControlConfig::new(WeightProfile::tfrc(8));
+//! let weights = WeightProfile::tfrc(8);
 //! let mut rng = Rng::seed_from(7);
 //!
-//! let trace = BasicControl::new(formula.clone(), cfg)
+//! let trace = BasicControl::new(formula.clone(), weights)
 //!     .run(&mut process, &mut rng, 20_000);
 //! let p = trace.loss_event_rate();
 //! let normalized = trace.throughput() / formula.rate(p);
@@ -56,7 +56,7 @@ pub mod theory;
 pub mod throughput;
 pub mod weights;
 
-pub use control::{BasicControl, ComprehensiveControl, ControlConfig, ControlTrace, StepRecord};
+pub use control::{BasicControl, ComprehensiveControl, ControlTrace, StepRecord};
 pub use estimator::IntervalEstimator;
 pub use formula::{Formula, PftkSimplified, PftkStandard, Sqrt, ThroughputFormula};
 pub use weights::WeightProfile;

@@ -107,7 +107,7 @@ pub fn condition_v(trace: &ControlTrace) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{BasicControl, ControlConfig, StepRecord};
+    use crate::control::{BasicControl, StepRecord};
     use crate::formula::{PftkSimplified, PftkStandard, Sqrt};
     use crate::weights::WeightProfile;
     use ebrc_dist::{Deterministic, IidProcess, Rng, ShiftedExponential};
@@ -162,10 +162,10 @@ mod tests {
     #[test]
     fn c1_near_zero_for_iid_intervals() {
         let f = PftkSimplified::with_rtt(1.0);
-        let cfg = ControlConfig::new(WeightProfile::tfrc(8));
+        let weights = WeightProfile::tfrc(8);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(100.0, 0.9));
         let mut rng = Rng::seed_from(1);
-        let trace = BasicControl::new(f, cfg).run(&mut process, &mut rng, 50_000);
+        let trace = BasicControl::new(f, weights).run(&mut process, &mut rng, 50_000);
         let p = trace.loss_event_rate();
         assert!((condition_c1(&trace) * p * p).abs() < 0.02);
     }
@@ -178,10 +178,10 @@ mod tests {
         // the statistic is finite. The decisive uses of (C2) come from
         // protocol scenarios (see crates/tfrc).
         let f = Sqrt::with_rtt(1.0);
-        let cfg = ControlConfig::new(WeightProfile::tfrc(8));
+        let weights = WeightProfile::tfrc(8);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(100.0, 0.9));
         let mut rng = Rng::seed_from(2);
-        let trace = BasicControl::new(f, cfg).run(&mut process, &mut rng, 10_000);
+        let trace = BasicControl::new(f, weights).run(&mut process, &mut rng, 10_000);
         assert!(condition_c2(&trace).is_finite());
     }
 
@@ -230,10 +230,10 @@ mod tests {
     #[test]
     fn v_zero_for_deterministic_process() {
         let f = Sqrt::with_rtt(1.0);
-        let cfg = ControlConfig::new(WeightProfile::tfrc(4));
+        let weights = WeightProfile::tfrc(4);
         let mut process = IidProcess::new(Deterministic::new(100.0));
         let mut rng = Rng::seed_from(3);
-        let trace = BasicControl::new(f, cfg).run(&mut process, &mut rng, 500);
+        let trace = BasicControl::new(f, weights).run(&mut process, &mut rng, 500);
         assert_eq!(condition_v(&trace), 0.0);
     }
 }

@@ -156,7 +156,7 @@ pub fn analyze<F: ThroughputFormula + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{BasicControl, ControlConfig};
+    use crate::control::BasicControl;
     use crate::formula::{PftkSimplified, Sqrt};
     use crate::weights::WeightProfile;
     use ebrc_dist::{IidProcess, MarkovModulated, Rng, ShiftedExponential};
@@ -165,11 +165,7 @@ mod tests {
         let f = PftkSimplified::with_rtt(1.0);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(mean, cv));
         let mut rng = Rng::seed_from(seed);
-        BasicControl::new(f, ControlConfig::new(WeightProfile::tfrc(l))).run(
-            &mut process,
-            &mut rng,
-            30_000,
-        )
+        BasicControl::new(f, WeightProfile::tfrc(l)).run(&mut process, &mut rng, 30_000)
     }
 
     #[test]
@@ -189,7 +185,7 @@ mod tests {
         let f = Sqrt::with_rtt(1.0);
         let mut process = MarkovModulated::congestion_oscillation(80.0, 5.0, 40.0);
         let mut rng = Rng::seed_from(2);
-        let trace = BasicControl::new(f.clone(), ControlConfig::new(WeightProfile::tfrc(8))).run(
+        let trace = BasicControl::new(f.clone(), WeightProfile::tfrc(8)).run(
             &mut process,
             &mut rng,
             30_000,

@@ -104,16 +104,16 @@ pub fn prop4_overshoot_bound<F: ThroughputFormula + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{BasicControl, ControlConfig};
+    use crate::control::BasicControl;
     use crate::formula::{PftkSimplified, PftkStandard, Sqrt};
     use crate::weights::WeightProfile;
     use ebrc_dist::{IidProcess, Rng, ShiftedExponential};
 
     fn iid_trace(f: impl ThroughputFormula + Clone, mean: f64, cv: f64, seed: u64) -> ControlTrace {
-        let cfg = ControlConfig::new(WeightProfile::tfrc(8));
+        let weights = WeightProfile::tfrc(8);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(mean, cv));
         let mut rng = Rng::seed_from(seed);
-        BasicControl::new(f, cfg).run(&mut process, &mut rng, 40_000)
+        BasicControl::new(f, weights).run(&mut process, &mut rng, 40_000)
     }
 
     #[test]

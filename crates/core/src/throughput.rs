@@ -58,7 +58,7 @@ pub fn proposition3_throughput<F: ThroughputFormula + ?Sized>(trace: &ControlTra
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{BasicControl, ComprehensiveControl, ControlConfig};
+    use crate::control::{BasicControl, ComprehensiveControl};
     use crate::formula::{PftkSimplified, Sqrt};
     use crate::weights::WeightProfile;
     use ebrc_dist::{IidProcess, Rng, ShiftedExponential};
@@ -69,10 +69,10 @@ mod tests {
 
     fn sample_basic(seed: u64, events: usize) -> (ControlTrace, PftkSimplified) {
         let f = PftkSimplified::with_rtt(1.0);
-        let cfg = ControlConfig::new(WeightProfile::tfrc(8));
+        let weights = WeightProfile::tfrc(8);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(80.0, 0.9));
         let mut rng = Rng::seed_from(seed);
-        let trace = BasicControl::new(f.clone(), cfg).run(&mut process, &mut rng, events);
+        let trace = BasicControl::new(f.clone(), weights).run(&mut process, &mut rng, events);
         (trace, f)
     }
 
@@ -91,10 +91,11 @@ mod tests {
     #[test]
     fn proposition3_matches_comprehensive_trajectory() {
         let f = PftkSimplified::with_rtt(1.0);
-        let cfg = ControlConfig::new(WeightProfile::tfrc(8));
+        let weights = WeightProfile::tfrc(8);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(80.0, 0.9));
         let mut rng = Rng::seed_from(2);
-        let trace = ComprehensiveControl::new(f.clone(), cfg).run(&mut process, &mut rng, 5_000);
+        let trace =
+            ComprehensiveControl::new(f.clone(), weights).run(&mut process, &mut rng, 5_000);
         assert_rel(
             proposition3_throughput(&trace, &f),
             trace.throughput(),
@@ -105,10 +106,11 @@ mod tests {
     #[test]
     fn proposition2_bound_holds_on_comprehensive_trace() {
         let f = Sqrt::with_rtt(1.0);
-        let cfg = ControlConfig::new(WeightProfile::tfrc(8));
+        let weights = WeightProfile::tfrc(8);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(60.0, 0.95));
         let mut rng = Rng::seed_from(3);
-        let trace = ComprehensiveControl::new(f.clone(), cfg).run(&mut process, &mut rng, 5_000);
+        let trace =
+            ComprehensiveControl::new(f.clone(), weights).run(&mut process, &mut rng, 5_000);
         let bound = proposition1_throughput(&trace, &f);
         assert!(
             trace.throughput() >= bound - 1e-9,

@@ -1,6 +1,6 @@
 //! Property tests of the core theory on arbitrary parameters.
 
-use ebrc_core::control::{BasicControl, ControlConfig};
+use ebrc_core::control::BasicControl;
 use ebrc_core::formula::{PftkSimplified, PftkStandard, Sqrt, ThroughputFormula};
 use ebrc_core::theory::{equation10_bound, prop4_overshoot_bound};
 use ebrc_core::weights::WeightProfile;
@@ -60,7 +60,7 @@ proptest! {
         let f = Sqrt::with_rtt(1.0);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(mean, cv));
         let mut rng = Rng::seed_from(seed);
-        let trace = BasicControl::new(f, ControlConfig::new(WeightProfile::tfrc(l)))
+        let trace = BasicControl::new(f, WeightProfile::tfrc(l))
             .run(&mut process, &mut rng, 4_000);
         let mut ac = Autocovariance::new(l);
         for s in trace.steps() {
@@ -86,7 +86,7 @@ proptest! {
         let f = PftkStandard::with_rtt(1.0);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(mean, cv));
         let mut rng = Rng::seed_from(seed);
-        let trace = BasicControl::new(f.clone(), ControlConfig::new(WeightProfile::tfrc(8)))
+        let trace = BasicControl::new(f.clone(), WeightProfile::tfrc(8))
             .run(&mut process, &mut rng, 6_000);
         let hat = trace.theta_hat_moments();
         let bound = prop4_overshoot_bound(&f, hat.min().max(1.0), hat.max() + 1.0, 4_001);

@@ -222,7 +222,8 @@ pub fn run_shard(
     let started = std::time::Instant::now();
     let cache = backend.cache();
     let mut exec = backend.exec();
-    exec.trace = trace_config(trace, indices.len())?;
+    let engine_sims = indices.iter().filter(|&&i| plan.specs()[i].runs_engine());
+    exec.trace = trace_config(trace, engine_sims.count())?;
     let (results, stats) = run_plan(
         &pool,
         MASTER_SEED,

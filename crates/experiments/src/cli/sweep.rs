@@ -19,19 +19,23 @@ pub(crate) fn report_cache(counters: CacheCounters, dir: &Path) {
     );
 }
 
-/// Resolves `--trace PATH` against the number of sims the run will
-/// execute: one sim records straight into the file at PATH; more sims
-/// turn PATH into a directory of per-spec `.pftrace` files. Creates
-/// the needed directories; tracing forces every selected sim to
-/// execute (cache hits record nothing).
+/// Resolves `--trace PATH` against the number of engine-backed sims
+/// the run will execute — the only ones that record: one sim records
+/// straight into the file at PATH; more sims turn PATH into a directory
+/// of per-spec `.pftrace` files; none is an error, and creates nothing.
+/// Creates the needed directories; tracing forces every selected sim
+/// to execute (cache hits record nothing).
 pub(crate) fn trace_config(
     trace: Option<&Path>,
-    unique_sims: usize,
+    engine_sims: usize,
 ) -> Result<Option<TraceConfig>, String> {
     let Some(path) = trace else {
         return Ok(None);
     };
-    if unique_sims == 1 {
+    if engine_sims == 0 {
+        return Err("--trace: no selected sim runs an engine".into());
+    }
+    if engine_sims == 1 {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             ensure_dir(parent)?;
         }
@@ -40,7 +44,7 @@ pub(crate) fn trace_config(
     } else {
         ensure_dir(path)?;
         eprintln!(
-            "# trace: recording {unique_sims} sims under {}",
+            "# trace: recording {engine_sims} sims under {}",
             path.display()
         );
         Ok(Some(TraceConfig::per_spec(path)))
@@ -167,9 +171,11 @@ pub fn run(
     }
     // Without a plan, treat the run as many sims so --trace takes the
     // per-spec-directory shape.
-    let unique_sims = plan.as_ref().map_or(usize::MAX, Plan::unique_len);
+    let engine_sims = plan.as_ref().map_or(usize::MAX, |plan| {
+        plan.specs().iter().filter(|s| s.runs_engine()).count()
+    });
     let mut exec = backend.exec();
-    exec.trace = trace_config(trace, unique_sims)?;
+    exec.trace = trace_config(trace, engine_sims)?;
     let started = std::time::Instant::now();
     let refs: Vec<&dyn Experiment> = experiments.iter().map(|e| e.as_ref()).collect();
     let cache = backend.cache();

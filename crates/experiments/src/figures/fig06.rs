@@ -13,66 +13,7 @@ use crate::figures::{indexed, point_outputs, point_specs};
 use crate::registry::{Experiment, Scale};
 use crate::series::Table;
 use crate::spec::{SimSpec, SpecOutput};
-use ebrc_core::weights::WeightProfile;
-use ebrc_dist::Rng;
-use ebrc_net::{BernoulliDropper, FlowId, NetEvent};
-use ebrc_sim::Engine;
-use ebrc_tfrc::{AudioTfrcSender, FormulaKind, RttMode, TfrcReceiver, TfrcReceiverConfig};
-
-/// One audio-mode run; returns `(measured p, normalized throughput,
-/// cv²[θ̂])` plus the engine events the run dispatched (for sweep
-/// cost accounting).
-pub fn audio_point(
-    p_drop: f64,
-    formula: FormulaKind,
-    window: usize,
-    duration: f64,
-    seed: u64,
-) -> ((f64, f64, f64), u64) {
-    let mut eng: Engine<NetEvent> = Engine::new();
-    let flow = FlowId(1);
-    let tick = 0.02;
-    let snd = eng.add(Box::new(AudioTfrcSender::new(
-        flow,
-        tick,
-        500.0,
-        formula,
-        RttMode::Fixed(1.0),
-        30.0,
-    )));
-    let drop = eng.add(Box::new(BernoulliDropper::new(
-        p_drop,
-        Rng::seed_from(seed),
-    )));
-    let rcv = eng.add(Box::new(TfrcReceiver::new(
-        flow,
-        TfrcReceiverConfig {
-            weights: WeightProfile::tfrc(window),
-            rtt: tick / 2.0,
-            comprehensive: false,
-            feedback_period: 5.0 * tick,
-            formula,
-        },
-    )));
-    eng.get_mut::<AudioTfrcSender>(snd).set_next_hop(drop);
-    eng.get_mut::<BernoulliDropper>(drop).set_next_hop(rcv);
-    eng.get_mut::<TfrcReceiver>(rcv).set_reverse_hop(snd);
-    eng.schedule(0.0, snd, NetEvent::Timer(ebrc_tfrc::audio::TIMER_START));
-    eng.run_until(duration);
-    eng.get_mut::<AudioTfrcSender>(snd).finish(duration);
-    let s: &AudioTfrcSender = eng.get(snd);
-    let r: &TfrcReceiver = eng.get(rcv);
-    let p = r.loss_event_rate();
-    let normalized = if p > 0.0 {
-        s.rate_time_average() / formula.rate(p, 1.0)
-    } else {
-        0.0
-    };
-    (
-        (p, normalized, r.theta_hat_moments().cv_squared()),
-        eng.events_processed(),
-    )
-}
+use ebrc_tfrc::FormulaKind;
 
 fn drop_list(quick: bool) -> Vec<f64> {
     if quick {

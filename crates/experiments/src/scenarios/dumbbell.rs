@@ -245,12 +245,11 @@ impl DumbbellRun {
             QueueSpec::DropTail(n) => Box::new(DropTailQueue::new(*n)),
             QueueSpec::Red(rc) => Box::new(RedQueue::new(*rc)),
         };
-        let rngs = [
-            root_rng.fork("red"),
-            root_rng.fork("fwd"),
-            root_rng.fork("rev"),
-        ];
-        let core = NetCore::add(&mut eng, queue, cfg.bottleneck_bps, cfg.one_way_delay, rngs);
+        // The link's fork. The two after it are drawn only so that the
+        // probe's fork keeps its place in the stream, and fig07 its bytes.
+        let rng = root_rng.fork("red");
+        let _ = (root_rng.fork("fwd"), root_rng.fork("rev"));
+        let core = NetCore::add(&mut eng, queue, cfg.bottleneck_bps, cfg.one_way_delay, rng);
 
         let nominal_rtt = 2.0 * cfg.one_way_delay;
         let mut next_flow = 0u32;
@@ -285,7 +284,7 @@ impl DumbbellRun {
             let flow = FlowId(next_flow);
             next_flow += 1;
             let snd = eng.add(Box::new(TcpSender::new(flow, cfg.tcp.clone())));
-            let sink = eng.add(Box::new(TcpSink::new(flow, 0.1)));
+            let sink = eng.add(Box::new(TcpSink::new(flow)));
             eng.get_mut::<TcpSender>(snd).set_next_hop(core.bottleneck);
             eng.get_mut::<TcpSink>(sink).set_reverse_hop(core.rev);
             eng.get_mut::<Demux>(core.fwd_demux).route(flow, sink);
@@ -300,8 +299,6 @@ impl DumbbellRun {
             let snd = eng.add(Box::new(PoissonSender::new(
                 flow,
                 rate,
-                1500,
-                f64::INFINITY,
                 root_rng.fork("probe"),
             )));
             let sink = eng.add(Box::new(ProbeSink::new(nominal_rtt)));

@@ -389,7 +389,7 @@ impl ManyFlowRun {
             Box::new(DropTailQueue::new(cfg.buffer_pkts())),
             cfg.bottleneck_bps(),
             owd,
-            [cfg.seed, cfg.seed ^ 1, cfg.seed ^ 2].map(Rng::seed_from),
+            Rng::seed_from(cfg.seed),
         );
         eng.reserve_delay_lane(owd, in_flight + n_total + 64);
 

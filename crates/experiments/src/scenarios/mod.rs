@@ -1,9 +1,13 @@
-//! Scenario builders shared by the experiments, the network core both
-//! of them route through, and the [`Scenario`] seam the spec layer
-//! drives them through.
+//! The three scenario families — the dumbbell, the many-flow dumbbell
+//! and Figure 6's audio run — the network core the two dumbbells route
+//! through, and the [`Scenario`] seam the spec layer drives all three
+//! through.
 
+mod audio;
 pub mod dumbbell;
 pub mod manyflow;
+
+pub(crate) use audio::AudioRun;
 
 pub use dumbbell::{
     CounterSnapshot, DumbbellConfig, DumbbellRun, FlowMeasure, QueueSpec, RunMeasurements,
@@ -44,25 +48,23 @@ pub(crate) struct NetCore {
 impl NetCore {
     /// Adds the five hops to `eng` — bottleneck, forward delay, forward
     /// demux, reverse delay, reverse demux, in that id order — and wires
-    /// them. `rngs` seed the link and the forward and reverse delay
-    /// boxes, in that order.
+    /// them. `link_rng` seeds the link.
     pub(crate) fn add(
         eng: &mut Engine<NetEvent>,
         queue: Box<dyn AqmQueue>,
         bottleneck_bps: f64,
         one_way_delay: f64,
-        rngs: [Rng; 3],
+        link_rng: Rng,
     ) -> Self {
-        let [link_rng, fwd_rng, rev_rng] = rngs;
         let bottleneck = eng.add(Box::new(LinkQueue::new(
             queue,
             bottleneck_bps,
             0.0,
             link_rng,
         )));
-        let fwd = eng.add(Box::new(DelayBox::new(one_way_delay, fwd_rng)));
+        let fwd = eng.add(Box::new(DelayBox::new(one_way_delay)));
         let fwd_demux = eng.add(Box::new(Demux::new()));
-        let rev = eng.add(Box::new(DelayBox::new(one_way_delay, rev_rng)));
+        let rev = eng.add(Box::new(DelayBox::new(one_way_delay)));
         let rev_demux = eng.add(Box::new(Demux::new()));
         eng.get_mut::<LinkQueue>(bottleneck).set_next_hop(fwd);
         eng.get_mut::<DelayBox>(fwd).set_next_hop(fwd_demux);

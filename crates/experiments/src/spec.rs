@@ -20,16 +20,15 @@
 
 use crate::figures::fig01;
 use crate::figures::fig02;
-use crate::figures::fig06::audio_point;
 use crate::figures::internet::{site_config, site_table, sites};
 use crate::figures::lab::lab_queues;
 use crate::registry::replica_seed;
 use crate::scenarios::{
-    DumbbellConfig, DumbbellRun, FlowMeasure, ManyFlowConfig, ManyFlowMeasurements, ManyFlowRun,
-    QueueSpec, RunMeasurements, Scenario,
+    AudioRun, DumbbellConfig, DumbbellRun, FlowMeasure, ManyFlowConfig, ManyFlowMeasurements,
+    ManyFlowRun, QueueSpec, RunMeasurements, Scenario,
 };
 use crate::series::Table;
-use ebrc_core::control::{BasicControl, ComprehensiveControl, ControlConfig, TraceStats};
+use ebrc_core::control::{BasicControl, ComprehensiveControl, TraceStats};
 use ebrc_core::formula::{AimdFormula, Sqrt};
 use ebrc_core::weights::WeightProfile;
 use ebrc_dist::{IidProcess, MarkovModulated, Rng, ShiftedExponential};
@@ -356,7 +355,7 @@ impl SimSpec {
     }
 
     /// The `(warmup, span)` measurement window of an engine-backed spec
-    /// (the dumbbell families and the many-flow dumbbell).
+    /// (the dumbbell families, the many-flow dumbbell and the audio run).
     fn window(&self) -> Option<(f64, f64)> {
         match *self {
             SimSpec::Ns2Dumbbell { warmup, span, .. }
@@ -365,22 +364,42 @@ impl SimSpec {
             | SimSpec::CableModem { warmup, span, .. }
             | SimSpec::BufferSweep { warmup, span, .. }
             | SimSpec::ManyFlowDumbbell { warmup, span, .. } => Some((warmup, span)),
+            SimSpec::Audio { duration, .. } => Some((0.0, duration)),
             _ => None,
         }
     }
 
-    /// Builds the scenario of an engine-backed spec (the dumbbell
-    /// families and the many-flow dumbbell) and runs its first slice;
-    /// `None` for the families that run no packet-level scenario.
+    /// Whether this spec runs a packet-level engine — and so can record
+    /// a trace.
+    pub(crate) fn runs_engine(&self) -> bool {
+        self.window().is_some()
+    }
+
+    /// Builds the scenario of an engine-backed spec and runs its first
+    /// slice; `None` for the families that run no packet-level scenario.
     fn start_scenario(&self, ctx: &mut JobCtx, budget: u64) -> Option<SliceStep<SpecOutput>> {
         let (warmup, span) = self.window()?;
-        Some(match (self.dumbbell_config(), self) {
-            (Some(cfg), _) => Sliced::start(DumbbellRun::build(&cfg), warmup, span, ctx, budget),
-            (None, &SimSpec::ManyFlowDumbbell { n, rep, .. }) => {
+        Some(match *self {
+            SimSpec::ManyFlowDumbbell { n, rep, .. } => {
                 let run = ManyFlowRun::build(&manyflow_config(n, rep));
                 Sliced::start(run, warmup, span, ctx, budget)
             }
-            (None, _) => unreachable!("every windowed spec builds a scenario"),
+            SimSpec::Audio {
+                p_drop,
+                formula,
+                window,
+                seed,
+                ..
+            } => {
+                let run = AudioRun::build(p_drop, formula, window, seed);
+                Sliced::start(run, warmup, span, ctx, budget)
+            }
+            _ => {
+                let cfg = self
+                    .dumbbell_config()
+                    .expect("the other windowed specs are dumbbells");
+                Sliced::start(DumbbellRun::build(&cfg), warmup, span, ctx, budget)
+            }
         })
     }
 
@@ -631,17 +650,6 @@ impl ebrc_runner::Spec for SimSpec {
             }
         }
         match *self {
-            SimSpec::Audio {
-                p_drop,
-                formula,
-                window,
-                duration,
-                seed,
-            } => {
-                let ((p, norm, cv2), events) = audio_point(p_drop, formula, window, duration, seed);
-                ctx.record_events(events);
-                SpecOutput::Scalars(vec![p, norm, cv2])
-            }
             SimSpec::Mc {
                 control,
                 formula,
@@ -655,16 +663,16 @@ impl ebrc_runner::Spec for SimSpec {
                 let f = formula.instantiate(1.0);
                 let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(1.0 / p, cv));
                 let mut rng = Rng::seed_from(seed);
-                let cfg = ControlConfig::new(weights.profile(window));
+                let profile = weights.profile(window);
                 let mut stats = TraceStats::new();
                 match control {
-                    ControlLaw::Basic => BasicControl::new(f.clone(), cfg).run_into(
+                    ControlLaw::Basic => BasicControl::new(f.clone(), profile).run_into(
                         &mut process,
                         &mut rng,
                         events,
                         &mut stats,
                     ),
-                    ControlLaw::Comprehensive => ComprehensiveControl::new(f.clone(), cfg)
+                    ControlLaw::Comprehensive => ComprehensiveControl::new(f.clone(), profile)
                         .run_into(&mut process, &mut rng, events, &mut stats),
                 }
                 SpecOutput::Scalars(vec![stats.normalized_throughput(&f)])
@@ -678,7 +686,7 @@ impl ebrc_runner::Spec for SimSpec {
                 let mut process = MarkovModulated::congestion_oscillation(60.0, 4.0, sojourn);
                 let mut rng = Rng::seed_from(seed);
                 let mut stats = TraceStats::new();
-                BasicControl::new(f.clone(), ControlConfig::new(WeightProfile::tfrc(8))).run_into(
+                BasicControl::new(f.clone(), WeightProfile::tfrc(8)).run_into(
                     &mut process,
                     &mut rng,
                     events,
@@ -1132,6 +1140,16 @@ mod tests {
             (None, &SimSpec::ManyFlowDumbbell { n, rep, .. }) => {
                 measured(ManyFlowRun::build(&manyflow_config(n, rep)), window, traced)
             }
+            (
+                None,
+                &SimSpec::Audio {
+                    p_drop,
+                    formula,
+                    window: l,
+                    seed,
+                    ..
+                },
+            ) => measured(AudioRun::build(p_drop, formula, l, seed), window, traced),
             (None, _) => unreachable!("every windowed spec builds a scenario"),
         }
     }
@@ -1195,6 +1213,13 @@ mod tests {
                 warmup,
                 span,
             },
+            SimSpec::Audio {
+                p_drop: 0.2,
+                formula: FormulaKind::PftkSimplified,
+                window: 4,
+                duration: 20.0,
+                seed: 9,
+            },
         ];
         let dir = std::env::temp_dir().join(format!("ebrc-sliced-ref-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1228,6 +1253,30 @@ mod tests {
             assert_eq!(ctx.events_processed(), events);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_traced_audio_spec_records_its_three_named_tracks() {
+        let spec = SimSpec::Audio {
+            p_drop: 0.2,
+            formula: FormulaKind::Sqrt,
+            window: 4,
+            duration: 20.0,
+            seed: 9,
+        };
+        assert!(spec.runs_engine());
+        let path = std::env::temp_dir().join(format!("ebrc-audio-{}.pftrace", std::process::id()));
+        let _ = drive(&spec, u64::MAX, Some(&path));
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let summary = ebrc_trace::read_trace(&bytes).expect("the trace validates");
+        // The `sim` root plus one track per component, none of them lazy.
+        assert_eq!((summary.tracks, summary.counter_tracks), (4, 0));
+        assert!(summary.slice_begins > 1_000);
+        for name in ["audio-snd", "dropper", "tfrc-rcv"] {
+            let name = name.as_bytes();
+            assert!(bytes.windows(name.len()).any(|w| w == name));
+        }
     }
 
     #[test]

@@ -812,6 +812,22 @@ fn single_sim_trace_writes_the_named_file() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
+/// Analytic sims run no engine and so record nothing: a traced run of
+/// only those fails before it creates the trace directory.
+#[test]
+fn trace_of_engineless_sims_fails_and_creates_nothing() {
+    let base = scratch("trace-engineless");
+    let out = repro()
+        .args(["fig03", "--scale", "tiny", "--trace"])
+        .arg(&base)
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(err.contains("no selected sim runs an engine"), "{err}");
+    assert!(!base.exists(), "{} was created", base.display());
+}
+
 #[test]
 fn trace_without_a_path_is_a_usage_error() {
     let out = repro().args(["fig05", "--trace"]).output().unwrap();

@@ -13,36 +13,33 @@ use ebrc_sim::{Component, ComponentId, Context};
 
 const TIMER_SEND: u64 = 1;
 
-/// Sends fixed-size packets with exponential inter-departure times.
+/// Sends 1500-byte packets with exponential inter-departure times.
 ///
 /// Kick it off by scheduling `NetEvent::Timer(1)` at the start time.
 pub struct PoissonSender {
     flow: FlowId,
     rate_pps: f64,
-    packet_size: u32,
     next_hop: Option<ComponentId>,
     rng: Rng,
     seq: u64,
-    t_stop: f64,
 }
 
 impl PoissonSender {
-    /// A sender emitting `rate_pps` packets/second on average until
-    /// `t_stop`.
+    /// Wire size of every packet, bytes.
+    const PACKET_SIZE: u32 = 1500;
+
+    /// A sender emitting `rate_pps` packets/second on average.
     ///
     /// # Panics
-    /// Panics unless rate and size are positive.
-    pub fn new(flow: FlowId, rate_pps: f64, packet_size: u32, t_stop: f64, rng: Rng) -> Self {
+    /// Panics unless the rate is positive.
+    pub fn new(flow: FlowId, rate_pps: f64, rng: Rng) -> Self {
         assert!(rate_pps > 0.0, "rate must be positive");
-        assert!(packet_size > 0, "packet size must be positive");
         Self {
             flow,
             rate_pps,
-            packet_size,
             next_hop: None,
             rng,
             seq: 0,
-            t_stop,
         }
     }
 
@@ -50,24 +47,16 @@ impl PoissonSender {
     pub fn set_next_hop(&mut self, id: ComponentId) {
         self.next_hop = Some(id);
     }
-
-    /// Packets emitted so far.
-    pub fn sent(&self) -> u64 {
-        self.seq
-    }
 }
 
 impl Component<NetEvent> for PoissonSender {
     fn handle(&mut self, now: f64, event: NetEvent, ctx: &mut Context<NetEvent>) {
         if let NetEvent::Timer(TIMER_SEND) = event {
-            if now > self.t_stop {
-                return;
-            }
             let next = self.next_hop.expect("poisson sender not wired");
             ctx.send(
                 0.0,
                 next,
-                NetEvent::Packet(Packet::data(self.flow, self.seq, self.packet_size, now)),
+                NetEvent::Packet(Packet::data(self.flow, self.seq, Self::PACKET_SIZE, now)),
             );
             self.seq += 1;
             let gap = -self.rng.uniform_open().ln() / self.rate_pps;
@@ -205,8 +194,6 @@ mod tests {
         let mut eng: Engine<NetEvent> = Engine::new();
         let src = eng.add(Box::new(PoissonSender::new(
             FlowId(1),
-            100.0,
-            100,
             100.0,
             Rng::seed_from(1),
         )));

@@ -7,6 +7,9 @@ use std::collections::BTreeSet;
 const ACK_SIZE: u32 = 40;
 /// Token space for the delayed-ACK timer (generation-counted).
 const TIMER_DELACK_BASE: u64 = 1 << 32;
+/// How long a lone segment waits for a second one before it is
+/// acknowledged alone, seconds.
+const DELACK_TIMEOUT: f64 = 0.1;
 
 /// The receiving endpoint of a TCP flow: delivers cumulative +
 /// selective acknowledgments, delaying ACKs so that one ACK covers two
@@ -18,7 +21,6 @@ pub struct TcpSink {
     cum_ack: u64,
     out_of_order: BTreeSet<u64>,
     pending_acks: u32,
-    delack_timeout: f64,
     delack_gen: u64,
     delack_armed: bool,
     received: u64,
@@ -28,19 +30,14 @@ pub struct TcpSink {
 
 impl TcpSink {
     /// A receiver for `flow`, acknowledging every second segment or
-    /// after `delack_timeout` seconds (100 ms by default conventions).
-    ///
-    /// # Panics
-    /// Panics if the timeout is not positive.
-    pub fn new(flow: FlowId, delack_timeout: f64) -> Self {
-        assert!(delack_timeout > 0.0, "delack timeout must be positive");
+    /// after 100 ms.
+    pub fn new(flow: FlowId) -> Self {
         Self {
             flow,
             reverse_hop: None,
             cum_ack: 0,
             out_of_order: BTreeSet::new(),
             pending_acks: 0,
-            delack_timeout,
             delack_gen: 0,
             delack_armed: false,
             received: 0,
@@ -135,10 +132,7 @@ impl TcpSink {
             } else if !self.delack_armed {
                 self.delack_armed = true;
                 let gen = self.delack_gen;
-                ctx.send_self(
-                    self.delack_timeout,
-                    NetEvent::Timer(TIMER_DELACK_BASE + gen),
-                );
+                ctx.send_self(DELACK_TIMEOUT, NetEvent::Timer(TIMER_DELACK_BASE + gen));
             }
         }
     }
@@ -177,7 +171,7 @@ mod tests {
         ebrc_sim::ComponentId,
     ) {
         let mut eng: Engine<NetEvent> = Engine::new();
-        let sink = eng.add(Box::new(TcpSink::new(FlowId(1), 0.1)));
+        let sink = eng.add(Box::new(TcpSink::new(FlowId(1))));
         let ack_sink = eng.add(Box::new(Sink::new()));
         eng.get_mut::<TcpSink>(sink).set_reverse_hop(ack_sink);
         (eng, sink, ack_sink)

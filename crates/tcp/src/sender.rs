@@ -344,12 +344,9 @@ mod tests {
             p_drop,
             Rng::seed_from(seed + 1),
         )));
-        let fwd = eng.add(Box::new(DelayBox::new(
-            one_way / 2.0,
-            Rng::seed_from(seed + 2),
-        )));
-        let rcv = eng.add(Box::new(TcpSink::new(flow, 0.1)));
-        let rev = eng.add(Box::new(DelayBox::new(one_way, Rng::seed_from(seed + 3))));
+        let fwd = eng.add(Box::new(DelayBox::new(one_way / 2.0)));
+        let rcv = eng.add(Box::new(TcpSink::new(flow)));
+        let rev = eng.add(Box::new(DelayBox::new(one_way)));
         eng.get_mut::<TcpSender>(snd).set_next_hop(link);
         eng.get_mut::<LinkQueue>(link).set_next_hop(dropper);
         eng.get_mut::<BernoulliDropper>(dropper).set_next_hop(fwd);
@@ -453,15 +450,15 @@ mod tests {
             0.01,
             Rng::seed_from(7),
         )));
-        let fwd = eng.add(Box::new(DelayBox::new(0.01, Rng::seed_from(8))));
+        let fwd = eng.add(Box::new(DelayBox::new(0.01)));
         let demux = eng.add(Box::new(ebrc_net::Demux::new()));
         eng.get_mut::<LinkQueue>(link).set_next_hop(fwd);
         eng.get_mut::<DelayBox>(fwd).set_next_hop(demux);
         for i in 0..2u32 {
             let flow = FlowId(i);
             let snd = eng.add(Box::new(TcpSender::new(flow, TcpSenderConfig::default())));
-            let rcv = eng.add(Box::new(TcpSink::new(flow, 0.1)));
-            let rev = eng.add(Box::new(DelayBox::new(0.02, Rng::seed_from(9 + i as u64))));
+            let rcv = eng.add(Box::new(TcpSink::new(flow)));
+            let rev = eng.add(Box::new(DelayBox::new(0.02)));
             eng.get_mut::<TcpSender>(snd).set_next_hop(link);
             eng.get_mut::<TcpSink>(rcv).set_reverse_hop(rev);
             eng.get_mut::<DelayBox>(rev).set_next_hop(snd);

@@ -92,19 +92,20 @@ impl AudioTfrcSender {
         self.state.rate
     }
 
-    /// Flushes the rate trajectory up to `now`.
-    pub fn finish(&mut self, now: f64) {
+    /// The rate trajectory with its open segment closed at `now`.
+    fn trajectory_until(&self, now: f64) -> PiecewiseConstant {
+        let mut trajectory = self.rate_trajectory;
         if self.started {
-            self.rate_trajectory
-                .push(self.state.rate, (now - self.last_rate_change).max(0.0));
-            self.last_rate_change = now;
+            trajectory.push(self.state.rate, (now - self.last_rate_change).max(0.0));
         }
+        trajectory
     }
 
-    /// Time-average `E[X(0)]` of the control rate — the numerator of
-    /// Figure 6's normalized throughput.
-    pub fn rate_time_average(&self) -> f64 {
-        self.rate_trajectory.time_average()
+    /// Time-average `E[X(0)]` of the control rate over `[0, now]` — the
+    /// numerator of Figure 6's normalized throughput. Reads only: the
+    /// open segment is closed on a copy.
+    pub fn rate_time_average_until(&self, now: f64) -> f64 {
+        self.trajectory_until(now).time_average()
     }
 
     fn tick_send(&mut self, now: f64, ctx: &mut Context<NetEvent>) {
@@ -148,7 +149,8 @@ impl Component<NetEvent> for AudioTfrcSender {
                         });
                     }
                     // Close the trajectory segment at the old rate.
-                    self.finish(now);
+                    self.rate_trajectory = self.trajectory_until(now);
+                    self.last_rate_change = now;
                     let rtt = self.rtt_mode.rtt(self.srtt, self.tick);
                     // Byte-based: the wire packets have variable length.
                     let recv_rate = fb.x_recv_bytes / self.nominal_packet_bytes;
@@ -244,11 +246,10 @@ mod tests {
         // conservative: E[X]/f(p) ≤ 1 (within noise).
         let (mut eng, snd, rcv) = audio_scenario(0.15, FormulaKind::Sqrt, 4, 3);
         eng.run_until(4_000.0);
-        eng.get_mut::<AudioTfrcSender>(snd).finish(4_000.0);
         let s: &AudioTfrcSender = eng.get(snd);
         let r: &TfrcReceiver = eng.get(rcv);
         let p = r.loss_event_rate();
-        let normalized = s.rate_time_average() / FormulaKind::Sqrt.rate(p, 1.0);
+        let normalized = s.rate_time_average_until(4_000.0) / FormulaKind::Sqrt.rate(p, 1.0);
         assert!(normalized <= 1.02, "normalized {normalized}");
         assert!(normalized > 0.7, "unreasonably conservative: {normalized}");
     }
@@ -259,11 +260,11 @@ mod tests {
         // (heavy loss, PFTK) + cov[X,S] = 0 ⇒ non-conservative.
         let (mut eng, snd, rcv) = audio_scenario(0.22, FormulaKind::PftkSimplified, 4, 4);
         eng.run_until(4_000.0);
-        eng.get_mut::<AudioTfrcSender>(snd).finish(4_000.0);
         let s: &AudioTfrcSender = eng.get(snd);
         let r: &TfrcReceiver = eng.get(rcv);
         let p = r.loss_event_rate();
-        let normalized = s.rate_time_average() / FormulaKind::PftkSimplified.rate(p, 1.0);
+        let normalized =
+            s.rate_time_average_until(4_000.0) / FormulaKind::PftkSimplified.rate(p, 1.0);
         assert!(normalized > 1.0, "expected overshoot, got {normalized}");
         assert!(normalized < 1.5, "implausibly large overshoot {normalized}");
     }

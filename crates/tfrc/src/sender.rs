@@ -296,7 +296,7 @@ mod tests {
             p_drop,
             Rng::seed_from(seed + 1),
         )));
-        let fwd = eng.add(Box::new(DelayBox::new(rtt / 4.0, Rng::seed_from(seed + 2))));
+        let fwd = eng.add(Box::new(DelayBox::new(rtt / 4.0)));
         let rcv = eng.add(Box::new(TfrcReceiver::new(
             flow,
             TfrcReceiverConfig {
@@ -307,7 +307,7 @@ mod tests {
                 formula: FormulaKind::PftkSimplified,
             },
         )));
-        let rev = eng.add(Box::new(DelayBox::new(rtt / 2.0, Rng::seed_from(seed + 3))));
+        let rev = eng.add(Box::new(DelayBox::new(rtt / 2.0)));
         eng.get_mut::<TfrcSender>(snd).set_next_hop(link);
         eng.get_mut::<LinkQueue>(link).set_next_hop(dropper);
         eng.get_mut::<BernoulliDropper>(dropper).set_next_hop(fwd);

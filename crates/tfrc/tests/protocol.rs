@@ -26,7 +26,7 @@ fn pipeline(
         p_drop,
         Rng::seed_from(seed),
     )));
-    let fwd = eng.add(Box::new(DelayBox::new(rtt / 2.0, Rng::seed_from(seed + 1))));
+    let fwd = eng.add(Box::new(DelayBox::new(rtt / 2.0)));
     let rcv = eng.add(Box::new(TfrcReceiver::new(
         flow,
         TfrcReceiverConfig {
@@ -37,7 +37,7 @@ fn pipeline(
             formula: FormulaKind::PftkSimplified,
         },
     )));
-    let rev = eng.add(Box::new(DelayBox::new(rtt / 2.0, Rng::seed_from(seed + 2))));
+    let rev = eng.add(Box::new(DelayBox::new(rtt / 2.0)));
     eng.get_mut::<TfrcSender>(snd).set_next_hop(drop);
     eng.get_mut::<BernoulliDropper>(drop).set_next_hop(fwd);
     eng.get_mut::<DelayBox>(fwd).set_next_hop(rcv);

@@ -26,7 +26,7 @@
 //! # Quick start
 //!
 //! ```
-//! use ebrc::core::control::{BasicControl, ControlConfig};
+//! use ebrc::core::control::BasicControl;
 //! use ebrc::core::formula::{PftkSimplified, ThroughputFormula};
 //! use ebrc::core::weights::WeightProfile;
 //! use ebrc::dist::{IidProcess, Rng, ShiftedExponential};
@@ -35,7 +35,7 @@
 //! // 50 packets (p = 2 %) — Theorem 1 says it must be conservative.
 //! let formula = PftkSimplified::with_rtt(0.1);
 //! let mut losses = IidProcess::new(ShiftedExponential::from_mean_cv(50.0, 0.9));
-//! let trace = BasicControl::new(formula.clone(), ControlConfig::new(WeightProfile::tfrc(8)))
+//! let trace = BasicControl::new(formula.clone(), WeightProfile::tfrc(8))
 //!     .run(&mut losses, &mut Rng::seed_from(1), 10_000);
 //! assert!(trace.normalized_throughput(&formula) <= 1.0);
 //! ```
@@ -69,7 +69,7 @@ pub use ebrc_trace as trace;
 /// let _ = f.rate(0.01);
 /// ```
 pub mod prelude {
-    pub use ebrc_core::control::{BasicControl, ComprehensiveControl, ControlConfig, ControlTrace};
+    pub use ebrc_core::control::{BasicControl, ComprehensiveControl, ControlTrace};
     pub use ebrc_core::estimator::IntervalEstimator;
     pub use ebrc_core::formula::{PftkSimplified, PftkStandard, Sqrt, ThroughputFormula};
     pub use ebrc_core::theory::{analyze, Verdict};

@@ -1,16 +1,16 @@
 //! End-to-end integration tests: the paper's headline claims, asserted
 //! across crates at interactive scale.
 
-use ebrc::core::control::{BasicControl, ComprehensiveControl, ControlConfig};
+use ebrc::core::control::{BasicControl, ComprehensiveControl};
 use ebrc::core::formula::{c1, c2, AimdFormula, PftkSimplified, PftkStandard, Sqrt};
 use ebrc::core::theory::{claim4, prop4_overshoot_bound};
 use ebrc::core::weights::WeightProfile;
 use ebrc::dist::{IidProcess, Rng, ShiftedExponential};
 use ebrc::experiments::breakdown::Breakdown;
-use ebrc::experiments::figures::fig06::audio_point;
 use ebrc::experiments::scenarios::{DumbbellConfig, DumbbellRun, QueueSpec};
 use ebrc::experiments::spec::ns2_config;
-use ebrc::experiments::Scale;
+use ebrc::experiments::{Scale, SimSpec, MASTER_SEED};
+use ebrc::runner::{JobCtx, Spec};
 use ebrc::tcp::{AimdFixedLink, EbrcFixedLink, SharedFixedLink};
 use ebrc::tfrc::FormulaKind;
 
@@ -48,7 +48,7 @@ fn claim1_shapes() {
     let norm = |f: &PftkSimplified, l: usize, p: f64| {
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(1.0 / p, 0.999));
         let mut rng = Rng::seed_from(5);
-        BasicControl::new(f.clone(), ControlConfig::new(WeightProfile::tfrc(l)))
+        BasicControl::new(f.clone(), WeightProfile::tfrc(l))
             .run(&mut process, &mut rng, events)
             .normalized_throughput(f)
     };
@@ -69,13 +69,13 @@ fn proposition2_compare_controls() {
     let f = Sqrt::with_rtt(1.0);
     for seed in [1u64, 2, 3] {
         let mk = || IidProcess::new(ShiftedExponential::from_mean_cv(30.0, 0.95));
-        let cfg = ControlConfig::new(WeightProfile::tfrc(8));
-        let b = BasicControl::new(f.clone(), cfg.clone()).run(
+        let weights = WeightProfile::tfrc(8);
+        let b = BasicControl::new(f.clone(), weights.clone()).run(
             &mut mk(),
             &mut Rng::seed_from(seed),
             20_000,
         );
-        let c = ComprehensiveControl::new(f.clone(), cfg).run(
+        let c = ComprehensiveControl::new(f.clone(), weights).run(
             &mut mk(),
             &mut Rng::seed_from(seed),
             20_000,
@@ -88,8 +88,19 @@ fn proposition2_compare_controls() {
 /// non-conservative at heavy loss in the audio setting.
 #[test]
 fn claim2_audio_sign_flip() {
-    let ((_, sqrt_norm, _), _) = audio_point(0.2, FormulaKind::Sqrt, 4, 3_000.0, 9);
-    let ((_, pftk_norm, _), _) = audio_point(0.2, FormulaKind::PftkSimplified, 4, 3_000.0, 9);
+    let normalized = |formula| {
+        let spec = SimSpec::Audio {
+            p_drop: 0.2,
+            formula,
+            window: 4,
+            duration: 3_000.0,
+            seed: 9,
+        };
+        spec.run(&mut JobCtx::for_label(MASTER_SEED, spec.key()))
+            .scalars()[1]
+    };
+    let sqrt_norm = normalized(FormulaKind::Sqrt);
+    let pftk_norm = normalized(FormulaKind::PftkSimplified);
     assert!(sqrt_norm <= 1.05, "SQRT overshoot {sqrt_norm}");
     assert!(pftk_norm > 1.0, "PFTK should overshoot: {pftk_norm}");
 }

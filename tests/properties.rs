@@ -1,7 +1,7 @@
 //! Cross-crate property-based tests (proptest): the invariants that
 //! must hold for *any* parameters, not just the paper's.
 
-use ebrc::core::control::{BasicControl, ComprehensiveControl, ControlConfig};
+use ebrc::core::control::{BasicControl, ComprehensiveControl};
 use ebrc::core::formula::{PftkSimplified, Sqrt};
 use ebrc::core::throughput::{proposition1_throughput, proposition3_throughput};
 use ebrc::core::weights::WeightProfile;
@@ -23,7 +23,7 @@ proptest! {
         let f = PftkSimplified::with_rtt(1.0);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(mean, cv));
         let mut rng = Rng::seed_from(seed);
-        let trace = BasicControl::new(f.clone(), ControlConfig::new(WeightProfile::tfrc(l)))
+        let trace = BasicControl::new(f.clone(), WeightProfile::tfrc(l))
             .run(&mut process, &mut rng, 2_000);
         let lhs = proposition1_throughput(&trace, &f);
         let rhs = trace.throughput();
@@ -42,7 +42,7 @@ proptest! {
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(mean, cv));
         let mut rng = Rng::seed_from(seed);
         let trace =
-            ComprehensiveControl::new(f.clone(), ControlConfig::new(WeightProfile::tfrc(l)))
+            ComprehensiveControl::new(f.clone(), WeightProfile::tfrc(l))
                 .run(&mut process, &mut rng, 2_000);
         let lhs = proposition3_throughput(&trace, &f);
         let rhs = trace.throughput();
@@ -59,25 +59,25 @@ proptest! {
         seed in 0_u64..1000,
         use_sqrt in any::<bool>(),
     ) {
-        let cfg = ControlConfig::new(WeightProfile::tfrc(l));
+        let weights = WeightProfile::tfrc(l);
         let mk = || IidProcess::new(ShiftedExponential::from_mean_cv(mean, cv));
         let (b, c) = if use_sqrt {
             let f = Sqrt::with_rtt(1.0);
             (
-                BasicControl::new(f.clone(), cfg.clone())
+                BasicControl::new(f.clone(), weights.clone())
                     .run(&mut mk(), &mut Rng::seed_from(seed), 3_000)
                     .throughput(),
-                ComprehensiveControl::new(f, cfg)
+                ComprehensiveControl::new(f, weights)
                     .run(&mut mk(), &mut Rng::seed_from(seed), 3_000)
                     .throughput(),
             )
         } else {
             let f = PftkSimplified::with_rtt(1.0);
             (
-                BasicControl::new(f.clone(), cfg.clone())
+                BasicControl::new(f.clone(), weights.clone())
                     .run(&mut mk(), &mut Rng::seed_from(seed), 3_000)
                     .throughput(),
-                ComprehensiveControl::new(f, cfg)
+                ComprehensiveControl::new(f, weights)
                     .run(&mut mk(), &mut Rng::seed_from(seed), 3_000)
                     .throughput(),
             )
@@ -98,7 +98,7 @@ proptest! {
         let f = PftkSimplified::with_rtt(1.0);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(p_inv, cv));
         let mut rng = Rng::seed_from(seed);
-        let trace = BasicControl::new(f.clone(), ControlConfig::new(WeightProfile::tfrc(l)))
+        let trace = BasicControl::new(f.clone(), WeightProfile::tfrc(l))
             .run(&mut process, &mut rng, 8_000);
         let norm = trace.normalized_throughput(&f);
         prop_assert!(norm <= 1.0 + 0.08, "non-conservative: {norm}");
