@@ -21,9 +21,6 @@
 //! repro plan all --shards 3      # inspect the plan a sweep would run
 //! repro run all --shard 0/2 --shard-dir shards   # execute one shard
 //! repro merge all --shard-dir shards             # reduce merged shards
-//! repro dispatch all --workers 4 --cache-dir cache/
-//!                                # shard workers as supervised child
-//!                                # processes: timeouts, retries, auto-merge
 //! repro serve --listen 127.0.0.1:7077 --cache-dir cache/
 //!                                # resident sweep daemon (TCP or unix:PATH)
 //! repro submit all --connect 127.0.0.1:7077      # run a sweep on the daemon

@@ -14,7 +14,6 @@
 //! | `repro <ids>` (direct run)      | [`sweep::run`]              |
 //! | `repro run <ids> --shard I/K`   | [`shard::run_shard`]        |
 //! | `repro merge <ids>`             | [`shard::merge`]            |
-//! | `repro dispatch <ids>`          | [`shard::dispatch`]         |
 //! | `repro serve`                   | [`remote::serve`]           |
 //! | `repro submit <ids>`            | [`remote::submit`]          |
 //! | `repro submit --ping` (etc.)    | [`remote::control`]         |
@@ -55,18 +54,17 @@ pub use report::Reporter;
 
 use crate::registry::{scale_by_name, Scale};
 use crate::service::CatalogueBackend;
-use ebrc_serve::{DispatchConfig, FaultKill, Request};
+use ebrc_serve::Request;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::time::Duration;
 
 /// The flag summary printed with every usage error.
-pub const USAGE: &str = "usage: repro (list | plan | run | merge | dispatch | serve | submit | \
+pub const USAGE: &str = "usage: repro (list | plan | run | merge | serve | submit | \
      cache (stats|gc|clear) | <experiment-id>... | all) \
      [--scale quick|paper|tiny] [--json] [--out DIR] [--threads N] [--progress] \
      [--trace PATH] [--slice-events N] [--cache-dir DIR] [--keep-plan ID] [--dry-run] [--shard I/K] \
-     [--shards K] [--shard-dir DIR] [--workers K] [--timeout-s N] [--retries N] \
-     [--listen ADDR] [--connect ADDR] [--ping] [--server-stats] [--shutdown]";
+     [--shards K] [--shard-dir DIR] [--listen ADDR] [--connect ADDR] [--ping] [--server-stats] \
+     [--shutdown]";
 
 /// Why a command did not succeed. The binary prints the message once
 /// and maps the variant to its exit code.
@@ -96,7 +94,6 @@ enum Command {
     Plan,
     Run,
     Merge,
-    Dispatch,
     Serve,
     Submit,
     Cache,
@@ -109,7 +106,6 @@ impl Command {
             "plan" => Command::Plan,
             "run" => Command::Run,
             "merge" => Command::Merge,
-            "dispatch" => Command::Dispatch,
             "serve" => Command::Serve,
             "submit" => Command::Submit,
             "cache" => Command::Cache,
@@ -137,8 +133,6 @@ struct Invocation {
     shard_dir: PathBuf,
     keep_plan: Vec<String>,
     dry_run: bool,
-    /// `--workers`, `--timeout-s`, `--retries`, and the fault hook.
-    dispatch: DispatchConfig,
     listen: String,
     connect: String,
     /// `--ping`, `--server-stats` or `--shutdown` (the last one given).
@@ -177,11 +171,6 @@ fn value<T>(
     parse(raw).ok_or_else(|| CliError::Usage(format!("{flag}: bad value {raw:?}")))
 }
 
-/// An environment variable's value, parsed; unset or junk is nothing.
-fn env_parse<T: FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 /// A positive integer from the environment (`EBRC_THREADS`,
 /// `EBRC_SLICE`); the matching flag beats it. Junk is reported and
 /// ignored rather than failing every invocation in the shell.
@@ -192,17 +181,6 @@ fn env_positive<T: FromStr + PartialOrd + Default>(name: &str) -> Option<T> {
         eprintln!("ignoring {name}={raw:?} (want a positive integer)");
     }
     parsed
-}
-
-/// Fault-injection hook for `repro dispatch`, from the environment:
-/// `EBRC_FAULT_KILL_SHARD=i` kills shard `i`'s first attempt
-/// (`EBRC_FAULT_KILL_AFTER_MS` into the run, default immediately).
-/// CI uses this to prove the retry path re-merges byte-identically.
-fn env_fault_kill() -> Option<FaultKill> {
-    Some(FaultKill {
-        shard: env_parse("EBRC_FAULT_KILL_SHARD")?,
-        after: Duration::from_millis(env_parse("EBRC_FAULT_KILL_AFTER_MS").unwrap_or(0)),
-    })
 }
 
 /// Creates `dir` and any missing parents.
@@ -236,11 +214,6 @@ fn parse(args: &[String]) -> Result<Invocation, CliError> {
         shard_dir: PathBuf::from("shards"),
         keep_plan: Vec::new(),
         dry_run: false,
-        dispatch: DispatchConfig {
-            workers: 2,
-            fault_kill: env_fault_kill(),
-            ..DispatchConfig::default()
-        },
         listen: String::from("127.0.0.1:7077"),
         connect: String::from("127.0.0.1:7077"),
         control: None,
@@ -271,11 +244,6 @@ fn parse(args: &[String]) -> Result<Invocation, CliError> {
             "--keep-plan" => inv.keep_plan.push(value(arg, it.next(), |s| {
                 word(s).filter(|id| !id.starts_with('-'))
             })?),
-            "--workers" => inv.dispatch.workers = value(arg, it.next(), positive)?,
-            "--timeout-s" => {
-                inv.dispatch.timeout = Duration::from_secs(value(arg, it.next(), positive)?)
-            }
-            "--retries" => inv.dispatch.retries = value(arg, it.next(), |s| s.parse().ok())?,
             "--listen" => inv.listen = value(arg, it.next(), word)?,
             "--connect" => inv.connect = value(arg, it.next(), word)?,
             s if s.starts_with('-') => return Err(CliError::Usage(format!("unknown flag {s}"))),
@@ -329,9 +297,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             &f.shard_dir,
         ),
         Command::Merge => shard::merge(targets, scale, &f.shard_dir, reporter),
-        Command::Dispatch => {
-            shard::dispatch(targets, scale, backend, &f.dispatch, &f.shard_dir, reporter)
-        }
         Command::Serve => remote::serve(&f.listen, backend),
         Command::Submit => match &f.control {
             Some(request) => remote::control(&f.connect, request),
@@ -363,7 +328,7 @@ mod tests {
     #[test]
     fn every_value_flag_rejects_a_missing_or_junk_value() {
         // (flag, a value it accepts, values it must reject)
-        let table: [(&str, &str, &[&str]); 15] = [
+        let table: [(&str, &str, &[&str]); 12] = [
             ("--scale", "tiny", &["warp", ""]),
             ("--threads", "3", &["0", "many", "-1"]),
             ("--slice-events", "50000", &["0", "x"]),
@@ -374,9 +339,6 @@ mod tests {
             ("--shard-dir", "shards", &[""]),
             ("--cache-dir", "cache", &[""]),
             ("--keep-plan", "fig02", &["--dry-run", ""]),
-            ("--workers", "4", &["0", "x"]),
-            ("--timeout-s", "60", &["0", "soon"]),
-            ("--retries", "0", &["-1", "x"]),
             ("--listen", "unix:/tmp/s", &[""]),
             ("--connect", "127.0.0.1:1", &[""]),
         ];
@@ -388,7 +350,13 @@ mod tests {
             }
         }
         assert!(is_usage(&["fig01", "--frobnicate"]));
-        for gone in ["--baseline", "--bench-json"] {
+        for gone in [
+            "--baseline",
+            "--bench-json",
+            "--workers",
+            "--timeout-s",
+            "--retries",
+        ] {
             assert_eq!(
                 parse_words(&["fig01", gone, "x"]).err(),
                 Some(CliError::Usage(format!("unknown flag {gone}"))),
@@ -409,8 +377,6 @@ mod tests {
             "tiny",
             "--threads",
             "3",
-            "--retries",
-            "0",
         ])
         .unwrap();
         assert_eq!(inv.command, Command::Run);
@@ -418,7 +384,6 @@ mod tests {
         assert_eq!(inv.shard, (1, 3));
         assert_eq!(inv.scale.1, "tiny");
         assert_eq!(inv.backend.threads, 3);
-        assert_eq!(inv.dispatch.retries, 0);
         let inv = parse_words(&["submit", "--shutdown"]).unwrap();
         assert_eq!(inv.control, Some(Request::Shutdown));
     }
@@ -445,9 +410,7 @@ mod tests {
         ] {
             assert!(parse_words(words).is_ok(), "{words:?}");
         }
-        for command in [
-            "list", "plan", "merge", "dispatch", "serve", "submit", "cache",
-        ] {
+        for command in ["list", "plan", "merge", "serve", "submit", "cache"] {
             assert!(is_usage(&[command, "--trace", "t"]), "{command} --trace");
         }
         assert!(is_usage(&["fig05", "--list", "--trace", "t"]));

@@ -1,5 +1,5 @@
-//! Sharded sweeps: the shard artifact, `repro run --shard`, `repro
-//! merge` and `repro dispatch`.
+//! Sharded sweeps: the shard artifact, `repro run --shard` and `repro
+//! merge`.
 
 use super::sweep::{report_cache, trace_config};
 use super::{ensure_dir, write_file, CliError, NamedScale, Reporter};
@@ -8,7 +8,6 @@ use crate::service::{chunk_of, CatalogueBackend};
 use crate::spec::{SimSpec, SpecOutput};
 use ebrc_runner::{parse_hex16, Fields};
 use ebrc_runner::{run_plan, stable_hash, OutputCache, Pool, Spec as _, SpecResult, SpecTiming};
-use ebrc_serve::{supervise, DispatchConfig, DispatchEvent};
 use serde::Value;
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -21,9 +20,8 @@ pub struct ShardOutput {
     /// The spec's content key.
     pub key: String,
     /// Engine events and wall seconds this sim cost (both 0 when it
-    /// was served from the cache) — the measured sweep cost a
-    /// dispatcher can read back per experiment to balance the next
-    /// shard assignment.
+    /// was served from the cache); `merge` sums the events per
+    /// experiment.
     pub events: u64,
     /// See [`ShardOutput::events`].
     pub wall_s: f64,
@@ -33,8 +31,8 @@ pub struct ShardOutput {
 
 /// What `repro run --shard i/k` leaves behind for `repro merge`: the
 /// raw outputs of one deterministic shard of a plan. This type is the
-/// file format — written by `run`, validated by `dispatch`, folded by
-/// `merge` — and its field names are spelled nowhere else.
+/// file format — written by `run`, validated and folded by `merge` —
+/// and its field names are spelled nowhere else.
 #[derive(Debug, Clone)]
 pub struct ShardArtifact {
     /// Fingerprint of the plan the shard was cut from.
@@ -153,20 +151,15 @@ impl ShardArtifact {
     }
 
     /// Reads the artifact at `path` and verifies it against `plan`:
-    /// same fingerprint, every spec key a member of the plan, and —
-    /// when the caller knows which shard it expects — the right
-    /// `shard_of`. Errors name the file.
-    pub fn load(
-        path: &Path,
-        plan: &Plan,
-        shard_of: Option<(usize, usize)>,
-    ) -> Result<Self, String> {
+    /// same fingerprint, and every spec key a member of the plan that
+    /// the artifact's own shard owns. Errors name the file.
+    pub fn load(path: &Path, plan: &Plan) -> Result<Self, String> {
         let bytes =
             std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::decode(&bytes, plan, shard_of).map_err(|e| format!("{}: {e}", path.display()))
+        Self::decode(&bytes, plan).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    fn decode(bytes: &[u8], plan: &Plan, shard_of: Option<(usize, usize)>) -> Result<Self, String> {
+    fn decode(bytes: &[u8], plan: &Plan) -> Result<Self, String> {
         let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
         let value = serde_json::from_str(text).map_err(|e| e.to_string())?;
         let artifact = Self::from_value(&value)?;
@@ -179,9 +172,6 @@ impl ShardArtifact {
             ));
         }
         let (shard, of) = (artifact.shard, artifact.of);
-        if shard_of.is_some_and(|split| split != (shard, of)) {
-            return Err(format!("a different shard split ({shard}/{of})"));
-        }
         let keys = artifact.outputs.iter().map(|o| &o.key);
         for key in keys.chain(artifact.failures.iter().map(|(key, _)| key)) {
             let owner = spec_index(plan, key)? % of;
@@ -313,7 +303,7 @@ pub fn merge(
     for entry in listing.flatten() {
         let path = entry.path();
         if path.extension().is_some_and(|e| e == "json") {
-            artifacts.push(ShardArtifact::load(&path, &plan, None)?);
+            artifacts.push(ShardArtifact::load(&path, &plan)?);
         }
     }
     if artifacts.is_empty() {
@@ -407,146 +397,6 @@ fn merge_artifacts(
     })
 }
 
-fn log_dispatch(event: &DispatchEvent) {
-    match event {
-        DispatchEvent::Launched { shard, attempt } => {
-            eprintln!("# dispatch: shard {shard} attempt {attempt} launched");
-        }
-        DispatchEvent::Completed { shard, attempt } => {
-            eprintln!("# dispatch: shard {shard} completed (attempt {attempt})");
-        }
-        DispatchEvent::Retrying {
-            shard,
-            attempt,
-            error,
-            backoff,
-        } => {
-            eprintln!(
-                "# dispatch: shard {shard} attempt {attempt} failed ({error}); \
-                 retrying in {backoff:.0?}"
-            );
-        }
-        DispatchEvent::GaveUp {
-            shard,
-            attempts,
-            error,
-        } => {
-            eprintln!(
-                "# dispatch: shard {shard} failed permanently after {attempts} attempt(s): {error}"
-            );
-        }
-        DispatchEvent::FaultInjected { shard } => {
-            eprintln!("# dispatch: FAULT INJECTED — killed shard {shard} (test hook)");
-        }
-    }
-}
-
-/// `repro dispatch`: run a sweep as `cfg.workers` shard worker
-/// *processes* (this executable, as `repro run --shard i/k`),
-/// supervised with per-shard timeouts and bounded exponential-backoff
-/// retries, then merge the artifacts — byte-identical to a
-/// single-process `repro all`. A worker that crashes or hangs costs
-/// one shard retry; per-spec failures inside a valid artifact ride
-/// through to the merge report instead of aborting the sweep.
-/// `backend.threads` is split across the workers.
-pub fn dispatch(
-    targets: &[String],
-    scale: NamedScale,
-    backend: &CatalogueBackend,
-    cfg: &DispatchConfig,
-    shard_dir: &Path,
-    reporter: Reporter,
-) -> Result<(), CliError> {
-    let (experiments, plan) = resolve(targets, scale.0)?;
-    let (_, scale_name) = scale;
-    let k = cfg.workers.max(1);
-    let exe =
-        std::env::current_exe().map_err(|e| format!("cannot locate the repro binary: {e}"))?;
-    ensure_dir(shard_dir)?;
-    // Stale artifacts and logs from an earlier dispatch would mislead
-    // whoever inspects the directory afterwards; clear them first.
-    if let Ok(listing) = std::fs::read_dir(shard_dir) {
-        for entry in listing.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("shard-") && (name.ends_with(".json") || name.ends_with(".log")) {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
-    }
-
-    let worker_threads = (backend.threads / k).max(1);
-    eprintln!(
-        "# dispatch: {} unique sims across {k} shard worker(s) ({} thread(s) each), \
-         plan {:016x}, scale {}, timeout {}s, {} retries",
-        plan.unique_len(),
-        worker_threads,
-        plan.fingerprint(),
-        scale_name,
-        cfg.timeout.as_secs(),
-        cfg.retries,
-    );
-
-    let spawn = |shard: usize, attempt: u32| -> std::io::Result<std::process::Child> {
-        let log_path = shard_dir.join(format!("shard-{shard}-attempt-{attempt}.log"));
-        let log = std::fs::File::create(&log_path)?;
-        let log_err = log.try_clone()?;
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("run");
-        if targets.is_empty() {
-            cmd.arg("all");
-        } else {
-            cmd.args(targets);
-        }
-        cmd.arg("--scale")
-            .arg(scale_name)
-            .arg("--shard")
-            .arg(format!("{shard}/{k}"))
-            .arg("--shard-dir")
-            .arg(shard_dir)
-            .arg("--threads")
-            .arg(worker_threads.to_string())
-            .stdout(log)
-            .stderr(log_err);
-        if let Some(dir) = &backend.cache_dir {
-            cmd.arg("--cache-dir").arg(dir);
-        }
-        if let Some(n) = backend.slice_events {
-            cmd.arg("--slice-events").arg(n.to_string());
-        }
-        cmd.spawn()
-    };
-    // An accepted artifact is kept: the merge below folds exactly the
-    // files the supervisor validated, without reading them again.
-    let mut accepted: Vec<Option<ShardArtifact>> = vec![None; k];
-    let accept = |shard: usize| -> Result<(), String> {
-        let path = shard_path(shard_dir, shard, k);
-        accepted[shard] = Some(ShardArtifact::load(&path, &plan, Some((shard, k)))?);
-        Ok(())
-    };
-    let reports = supervise(cfg, k, spawn, accept, log_dispatch);
-    let failed: Vec<_> = reports.iter().filter(|r| r.error.is_some()).collect();
-    let retried: u32 = reports.iter().map(|r| r.attempts.saturating_sub(1)).sum();
-    eprintln!(
-        "# dispatch: {} of {k} shard(s) ok, {} retried attempt(s)",
-        k - failed.len(),
-        retried,
-    );
-    if !failed.is_empty() {
-        for r in &failed {
-            eprintln!(
-                "#   shard {} gave up after {} attempt(s): {}",
-                r.shard,
-                r.attempts,
-                r.error.as_deref().unwrap_or("unknown"),
-            );
-        }
-        return Err("# dispatch: not merging an incomplete shard set".into());
-    }
-    let artifacts = accepted.into_iter().flatten().collect();
-    merge_artifacts(&experiments, &plan, scale, artifacts, reporter)
-}
-
 #[cfg(test)]
 #[path = "../../../runner/tests/support/arb_value.rs"]
 mod arb_value;
@@ -636,7 +486,7 @@ mod tests {
         let written = artifact_of(&plan);
         assert_eq!((written.outputs.len(), written.failures.len()), (4, 1));
         let bytes = file_bytes(&written);
-        let read = ShardArtifact::decode(&bytes, &plan, Some((0, 1))).unwrap();
+        let read = ShardArtifact::decode(&bytes, &plan).unwrap();
         // `SpecOutput` has no `PartialEq` (NaN payloads); its hex-float
         // rendering is the bit-exact comparison.
         assert_eq!(read.to_value(), written.to_value());
@@ -650,34 +500,28 @@ mod tests {
         let plan = diagnostic_plan("t", 0..5);
         let artifact = artifact_of(&plan);
         let bytes = file_bytes(&artifact);
-        let rejected = |bytes: &[u8], plan: &Plan, shard_of| {
-            ShardArtifact::decode(bytes, plan, shard_of).unwrap_err()
-        };
+        let rejected = |bytes: &[u8], plan: &Plan| ShardArtifact::decode(bytes, plan).unwrap_err();
 
-        assert!(ShardArtifact::decode(&bytes, &plan, None).is_ok());
+        assert!(ShardArtifact::decode(&bytes, &plan).is_ok());
         let foreign = diagnostic_plan("t", 0..6);
-        assert!(rejected(&bytes, &foreign, None).contains("different plan"));
-        for split in [(1, 1), (0, 2)] {
-            let err = rejected(&bytes, &plan, Some(split));
-            assert!(err.contains("different shard split"), "{split:?}: {err}");
-        }
+        assert!(rejected(&bytes, &foreign).contains("different plan"));
         // Right fingerprint, but an entry the plan never listed — as an
         // output and as a failure.
         let mut stray = artifact.clone();
         stray.outputs[0].key = "diag/v99/fail=false".into();
-        assert!(rejected(&file_bytes(&stray), &plan, None).contains("not in this plan"));
+        assert!(rejected(&file_bytes(&stray), &plan).contains("not in this plan"));
         let mut stray = artifact;
         stray.failures[0].0 = "diag/v99/fail=false".into();
-        assert!(rejected(&file_bytes(&stray), &plan, None).contains("not in this plan"));
+        assert!(rejected(&file_bytes(&stray), &plan).contains("not in this plan"));
 
         // And through the file: errors name it.
         let path = std::env::temp_dir().join(format!("repro-shard-{}.json", std::process::id()));
         std::fs::write(&path, &bytes).unwrap();
-        assert!(ShardArtifact::load(&path, &plan, Some((0, 1))).is_ok());
-        let err = ShardArtifact::load(&path, &foreign, None).unwrap_err();
+        assert!(ShardArtifact::load(&path, &plan).is_ok());
+        let err = ShardArtifact::load(&path, &foreign).unwrap_err();
         assert!(err.contains(&path.display().to_string()), "{err}");
         std::fs::remove_file(&path).unwrap();
-        assert!(ShardArtifact::load(&path, &plan, None).is_err());
+        assert!(ShardArtifact::load(&path, &plan).is_err());
     }
 
     /// The member or element at `path` (keys, or indices spelled as
@@ -701,7 +545,7 @@ mod tests {
     fn a_malformed_table_is_an_error_not_a_panic() {
         let plan = diagnostic_plan("t", 0..5);
         let artifact = artifact_of(&plan);
-        let rejected = |bytes: Vec<u8>| ShardArtifact::decode(&bytes, &plan, None).unwrap_err();
+        let rejected = |bytes: Vec<u8>| ShardArtifact::decode(&bytes, &plan).unwrap_err();
         // A hand-built table output in place of the artifact's own.
         let hand_built = |columns: Vec<&str>, row: Vec<f64>| {
             let string = |s: &str| Value::String(s.into());
@@ -749,7 +593,7 @@ mod tests {
         let bytes = String::from_utf8(file_bytes(&artifact_of(&plan))).unwrap();
         let doubled = bytes.replacen("\"shard\": 0,", "\"shard\": 0, \"shard\": 0,", 1);
         assert_ne!(doubled, bytes);
-        let err = ShardArtifact::decode(doubled.as_bytes(), &plan, None).unwrap_err();
+        let err = ShardArtifact::decode(doubled.as_bytes(), &plan).unwrap_err();
         assert!(err.contains("\"shard\" appears twice"), "{err}");
     }
 
@@ -760,7 +604,7 @@ mod tests {
         let bytes = edited(&artifact_of(&plan), |v| {
             *at(v, &["outputs", "1", "hash"]) = other
         });
-        let err = ShardArtifact::decode(&bytes, &plan, None).unwrap_err();
+        let err = ShardArtifact::decode(&bytes, &plan).unwrap_err();
         assert!(err.contains("hash is not its key's"), "{err}");
     }
 
@@ -768,9 +612,7 @@ mod tests {
     fn entries_from_another_shard_are_rejected() {
         let plan = diagnostic_plan("t", 0..5);
         let keys: Vec<String> = plan.specs().iter().map(|s| s.key()).collect();
-        let decode = |artifact: &ShardArtifact| {
-            ShardArtifact::decode(&file_bytes(artifact), &plan, Some((0, 2)))
-        };
+        let decode = |artifact: &ShardArtifact| ShardArtifact::decode(&file_bytes(artifact), &plan);
         // Shard 0 of 2 owns the even spec indices only.
         let mut split = artifact_of(&plan);
         split.of = 2;
@@ -791,7 +633,7 @@ mod tests {
         split.failures = vec![(keys[4].clone(), "boom".into())];
         assert!(decode(&split).is_ok());
         split.shard = 2;
-        let err = ShardArtifact::decode(&file_bytes(&split), &plan, None).unwrap_err();
+        let err = ShardArtifact::decode(&file_bytes(&split), &plan).unwrap_err();
         assert!(err.contains("no shard 2 of 2"), "{err}");
     }
 
@@ -828,7 +670,7 @@ mod tests {
         ];
         for (path, n, want) in cases {
             let bytes = edited(&artifact, |v| *at(v, path) = Value::Number(n));
-            let err = ShardArtifact::decode(&bytes, &plan, None).unwrap_err();
+            let err = ShardArtifact::decode(&bytes, &plan).unwrap_err();
             assert!(err.contains(want), "{path:?} = {n}: {err}");
         }
     }
@@ -851,13 +693,13 @@ mod tests {
             let plan = diagnostic_plan("t", 0..5);
             let _ = ShardArtifact::from_value(&value);
             let text = serde_json::to_string(&value).unwrap();
-            prop_assert!(ShardArtifact::decode(text.as_bytes(), &plan, None).is_err());
+            prop_assert!(ShardArtifact::decode(text.as_bytes(), &plan).is_err());
         }
 
         #[test]
         fn arbitrary_bytes_never_load(bytes in vec(any::<u8>(), 0..256)) {
             let plan = diagnostic_plan("t", 0..5);
-            prop_assert!(ShardArtifact::decode(&bytes, &plan, None).is_err());
+            prop_assert!(ShardArtifact::decode(&bytes, &plan).is_err());
         }
 
         /// A torn write — any strict prefix of a valid file — is an
@@ -867,7 +709,7 @@ mod tests {
             let plan = diagnostic_plan("t", 0..5);
             let bytes = file_bytes(&artifact_of(&plan));
             let cut = cut % bytes.len();
-            prop_assert!(ShardArtifact::decode(&bytes[..cut], &plan, None).is_err());
+            prop_assert!(ShardArtifact::decode(&bytes[..cut], &plan).is_err());
         }
     }
 }

@@ -16,7 +16,7 @@
 //! The `repro` command line is this library's [`cli`] module — one
 //! `Result`-returning entry point per subcommand ([`cli::sweep`]:
 //! `list`, `plan`, the direct run; [`cli::shard`]: `run --shard`,
-//! `merge`, `dispatch`; [`cli::remote`]: `serve`, `submit`;
+//! `merge`; [`cli::remote`]: `serve`, `submit`;
 //! [`cli::cache`]), all over one plan resolver
 //! ([`resolve`]), one shard-artifact type and one report
 //! printer/spooler — and the `repro` binary is only its `main`:

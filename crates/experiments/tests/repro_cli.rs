@@ -87,7 +87,6 @@ fn bad_flags_exit_with_usage() {
         vec!["list", "--trace", "t"],
         vec!["plan", "fig05", "--trace", "t"],
         vec!["merge", "fig05", "--trace", "t"],
-        vec!["dispatch", "fig05", "--trace", "t"],
         vec!["serve", "--trace", "t"],
         vec!["submit", "fig05", "--trace", "t"],
         vec!["cache", "stats", "--cache-dir", "nowhere", "--trace", "t"],
@@ -540,68 +539,129 @@ fn cache_gc_dry_run_prints_the_removals_without_deleting() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// The dispatcher end to end through the real binary: shard worker
-/// processes, a fault-injected mid-run kill, retry, and an auto-merge
-/// byte-identical to the single-process run.
-#[test]
-fn dispatch_retries_a_killed_worker_and_merges_byte_identically() {
-    // The whole catalogue, so a shard worker is reliably still
-    // mid-run when the fault hook kills it (a too-small sweep could
-    // finish before the supervisor's first poll).
-    let ids = ["all"];
-    let scale = ["--scale", "tiny"];
-    let dir = scratch("dispatch");
-
-    let direct = repro().args(ids).args(scale).output().unwrap();
-    assert!(direct.status.success());
-
-    let dispatched = repro()
-        .arg("dispatch")
-        .args(ids)
-        .args(scale)
-        .args(["--workers", "2", "--shard-dir"])
-        .arg(&dir)
-        .env("EBRC_FAULT_KILL_SHARD", "1")
-        .env("EBRC_FAULT_KILL_AFTER_MS", "0")
-        .output()
-        .unwrap();
-    let err = String::from_utf8_lossy(&dispatched.stderr);
-    assert!(dispatched.status.success(), "stderr: {err}");
-    assert!(err.contains("FAULT INJECTED"), "hook never fired: {err}");
-    assert!(
-        err.contains("shard 1 attempt 0 failed"),
-        "kill not observed: {err}"
-    );
-    assert!(
-        err.contains("shard 1 completed (attempt 1)"),
-        "retry never completed: {err}"
-    );
-    assert_eq!(
-        dispatched.stdout, direct.stdout,
-        "retried dispatch diverged from the direct run"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+/// How many files in `dir` have a name ending in `suffix` (none when
+/// the directory does not exist yet).
+fn files_ending(dir: &std::path::Path, suffix: &str) -> usize {
+    std::fs::read_dir(dir).map_or(0, |listing| {
+        listing
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().ends_with(suffix))
+            .count()
+    })
 }
 
+/// A cached run killed mid-sweep leaves only complete entries behind,
+/// so the same command run again resumes from them: it executes only
+/// the sims the killed run had not banked and prints the uncached
+/// run's bytes.
 #[test]
-fn dispatch_gives_up_after_the_retry_budget_and_does_not_merge() {
-    // The fault hook only fires once, so guaranteed permanent failure
-    // needs a zero retry budget: kill attempt 0, no attempt 1. The
-    // full catalogue keeps the worker alive long enough to be killed.
-    let dir = scratch("dispatch-fail");
-    let out = repro()
-        .args(["dispatch", "all", "--scale", "tiny"])
-        .args(["--workers", "1", "--retries", "0", "--shard-dir"])
-        .arg(&dir)
-        .env("EBRC_FAULT_KILL_SHARD", "0")
-        .env("EBRC_FAULT_KILL_AFTER_MS", "0")
+fn a_killed_cached_run_resumes_from_its_cache() {
+    // The whole catalogue on one thread runs for about a second and
+    // banks its first 8 sims in well under half of it, so the kill
+    // lands with most of the sweep still to go.
+    let ids = ["all", "--scale", "tiny"];
+    let base = scratch("resume");
+    let cdir = base.join("cache");
+    let cached = || {
+        let mut cmd = repro();
+        cmd.args(ids)
+            .args(["--threads", "1", "--cache-dir"])
+            .arg(&cdir);
+        cmd
+    };
+
+    let plan = repro().arg("plan").args(ids).output().unwrap();
+    let unique: usize = String::from_utf8_lossy(&plan.stdout)
+        .lines()
+        .find_map(|l| l.strip_prefix("sims: ")?.split(' ').next()?.parse().ok())
+        .expect("`plan` names its unique sim count");
+    let direct = repro().args(ids).output().unwrap();
+    assert!(direct.status.success());
+
+    let mut child = cached()
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    // Several entries, not one: on one thread the sims finish in the
+    // same order every run, so a single banked entry would be one
+    // fixed sim, and a cache that served only some entries could pass.
+    while files_ending(&cdir, ".json") < 8 {
+        if let Some(status) = child.try_wait().unwrap() {
+            panic!("the run exited ({status}) before it banked 8 cache entries");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    child.kill().unwrap();
+    let status = child.wait().unwrap();
+    assert_eq!(
+        status.code(),
+        None,
+        "the run finished ({status}) before the kill landed: nothing was resumed"
+    );
+    let banked = files_ending(&cdir, ".json");
+    assert!(banked < unique, "the killed run banked the whole plan");
+
+    let rerun = cached().output().unwrap();
+    let err = String::from_utf8_lossy(&rerun.stderr);
+    assert!(rerun.status.success(), "stderr: {err}");
+    let (hits, misses): (usize, usize) = err
+        .lines()
+        .find_map(|l| {
+            let rest = l.strip_prefix("# cache: ")?;
+            let (hits, rest) = rest.split_once(" hit(s), ")?;
+            let (misses, _) = rest.split_once(" miss(es)")?;
+            Some((hits.parse().ok()?, misses.parse().ok()?))
+        })
+        .unwrap_or_else(|| panic!("no cache line: {err}"));
+    assert_eq!(hits + misses, unique, "stderr: {err}");
+    assert!(hits >= 1, "stderr: {err}");
+    assert_eq!(hits, banked, "every entry the kill left behind is a hit");
+    assert_eq!(rerun.stdout, direct.stdout, "the resumed run diverged");
+
+    // A writer killed mid-store leaves only its temp file behind,
+    // which gc sweeps.
+    let gc = repro()
+        .args(["cache", "gc", "--keep-plan", "all", "--scale", "tiny"])
+        .arg("--cache-dir")
+        .arg(&cdir)
         .output()
         .unwrap();
-    assert!(!out.status.success(), "a dead shard must fail the dispatch");
+    assert!(
+        gc.status.success(),
+        "{}",
+        String::from_utf8_lossy(&gc.stderr)
+    );
+    let temps = std::fs::read_dir(&cdir)
+        .unwrap()
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().contains(".tmp."));
+    assert_eq!(temps.count(), 0, "gc left a temp file");
+    assert_eq!(files_ending(&cdir, ".json"), unique);
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// `dispatch` is no subcommand: `repro dispatch all` is a direct run
+/// of an unknown experiment id, which fails before anything is
+/// written.
+#[test]
+fn dispatch_is_an_unknown_experiment_id() {
+    let dir = scratch("dispatch");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = repro()
+        .args(["dispatch", "all", "--scale", "tiny"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("failed permanently"), "stderr: {err}");
-    assert!(err.contains("not merging"), "stderr: {err}");
-    assert!(out.stdout.is_empty(), "no tables from an incomplete sweep");
+    assert!(
+        err.contains("unknown experiment 'dispatch'; try `repro list`"),
+        "stderr: {err}"
+    );
+    assert!(out.stdout.is_empty());
+    let created = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(created, 0, "no shard directory or anything else");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -689,51 +749,6 @@ fn submit_against_nothing_fails_cleanly() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("127.0.0.1:1"), "stderr: {err}");
-}
-
-/// More shard workers than threads must never spawn a 0-thread worker:
-/// the per-worker allocation is `(threads / k).max(1)`, and the banner
-/// pins it so a refactor cannot silently reintroduce `threads / k == 0`
-/// (which `Pool::new(0)` would reject in every child at once).
-#[test]
-fn dispatch_floors_per_worker_threads_at_one() {
-    // 4 workers sharing 2 threads: floor(2/4) = 0 must become 1.
-    let dir = scratch("dispatch-floor");
-    let out = repro()
-        .args(["dispatch", "claim4", "--scale", "tiny"])
-        .args(["--workers", "4", "--threads", "2", "--shard-dir"])
-        .arg(&dir)
-        .output()
-        .unwrap();
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "stderr: {err}");
-    assert!(
-        err.contains("4 shard worker(s) (1 thread(s) each)"),
-        "banner: {err}"
-    );
-    for shard in 0..4 {
-        assert!(
-            err.contains(&format!("shard {shard} completed")),
-            "shard {shard} never completed: {err}"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // The even case still divides: 2 workers over 8 threads get 4 each.
-    let dir = scratch("dispatch-even");
-    let out = repro()
-        .args(["dispatch", "claim4", "--scale", "tiny"])
-        .args(["--workers", "2", "--threads", "8", "--shard-dir"])
-        .arg(&dir)
-        .output()
-        .unwrap();
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "stderr: {err}");
-    assert!(
-        err.contains("2 shard worker(s) (4 thread(s) each)"),
-        "banner: {err}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `--trace` end to end through the real binary: per-spec traces in a
