@@ -391,7 +391,7 @@ impl ManyFlowRun {
             owd,
             Rng::seed_from(cfg.seed),
         );
-        eng.reserve_delay_lane(owd, in_flight + n_total + 64);
+        eng.reserve_delay_lane(in_flight + n_total + 64);
 
         let cap_pps = ManyFlowConfig::CAP_SHARE * share_pps;
         let tfrc_bank = eng.add(Box::new(FlowClass::new(

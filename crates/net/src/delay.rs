@@ -72,20 +72,25 @@ mod tests {
         assert!((s.arrivals[0].0 - 1.025).abs() < 1e-12);
     }
 
-    /// How many events `eng` holds in its calendar, as its `Debug`
-    /// form reports.
-    fn calendar_len(eng: &Engine<NetEvent>) -> usize {
+    /// How many events `eng` holds in its calendar and in its
+    /// fixed-delay lane, as its `Debug` form reports.
+    fn calendar_and_lane_lens(eng: &Engine<NetEvent>) -> (usize, usize) {
         let debug = format!("{eng:?}");
-        let (_, rest) = debug.split_once("calendar_len: ").expect("reported");
-        let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
-        digits.and_then(|d| d.parse().ok()).expect("a count")
+        let len = |field: &str| {
+            let (_, rest) = debug.split_once(field).expect("reported");
+            let digits = rest.split(|c: char| !c.is_ascii_digit()).next();
+            digits.and_then(|d| d.parse().ok()).expect("a count")
+        };
+        (len("calendar_len: "), len("delay_lane_len: "))
     }
 
-    /// `packets` packets, all sent at t = 0, through two boxes in a row
-    /// (5 ms, then 7 ms) into a sink. Returns the most events the
-    /// calendar held once the first box had taken them all — what the
-    /// boxes filed there themselves.
-    fn calendar_peak_of_a_two_box_pipeline(packets: usize) -> usize {
+    #[test]
+    fn the_first_boxs_deliveries_never_reach_the_calendar() {
+        // 50 packets, all sent at t = 0, through two boxes in a row
+        // (5 ms, then 7 ms) into a sink. The first box declares the
+        // engine's one fixed delay; the second's deliveries wait in the
+        // calendar.
+        let packets = 50;
         let mut eng: Engine<NetEvent> = Engine::with_capacity(3, 0);
         let a = eng.add(Box::new(DelayBox::new(0.005)));
         let b = eng.add(Box::new(DelayBox::new(0.007)));
@@ -96,23 +101,22 @@ mod tests {
             let pkt = Packet::data(FlowId(0), i as u64, 100, 0.0);
             eng.schedule(0.0, a, NetEvent::Packet(pkt));
         }
+        // Once the first box has taken them all, every packet it holds
+        // waits in the lane.
         let _ = eng.run_budgeted(RunLimit::events(packets as u64));
-        let mut peak = calendar_len(&eng);
+        assert_eq!(calendar_and_lane_lens(&eng), (0, packets));
+        let mut peak = (0, 0);
         while eng.run_budgeted(RunLimit::events(1)).events == 1 {
-            peak = peak.max(calendar_len(&eng));
+            let (calendar, lane) = calendar_and_lane_lens(&eng);
+            peak = (peak.0.max(calendar), peak.1.max(lane));
         }
+        assert_eq!(peak, (packets, packets - 1));
         let s: &Sink = eng.get(sink);
         assert_eq!(s.arrivals.len(), packets);
         for (i, (t, p)) in s.arrivals.iter().enumerate() {
             assert_eq!(p.seq, i as u64, "a pipe delivers in order");
             assert!((t - p.sent_at - 0.012).abs() < 1e-12);
         }
-        peak
-    }
-
-    #[test]
-    fn deliveries_never_reach_the_calendar() {
-        assert_eq!(calendar_peak_of_a_two_box_pipeline(50), 0);
     }
 
     #[test]

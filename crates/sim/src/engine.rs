@@ -3,31 +3,34 @@
 //! Pending events live in one of three places. An emission whose
 //! delivery time equals the clock (`clock + delay == clock`: a zero
 //! delay, or one so small the clock's `f64` absorbs it) goes to the
-//! **same-instant lane**; any other whose delay some component declared
-//! as its [`Component::fixed_delay`] goes to that delay's **fixed-delay
-//! lane**; both are plain FIFOs. Everything else — timers, jittered
-//! delays, whatever [`Engine::schedule`] files — goes to the calendar,
-//! the one [`WheelCalendar`] the engine owns and calls directly. About
-//! half of a packet simulation's events are zero-delay hops (endpoint →
+//! **same-instant lane**; any other sent with exactly the engine's one
+//! declared delay — the first positive [`Component::fixed_delay`] any
+//! registered component answers — goes to the **fixed-delay lane**;
+//! both are plain FIFOs. Everything else — timers, other delays,
+//! whatever [`Engine::schedule`] files — goes to the calendar, the one
+//! [`WheelCalendar`] the engine owns and calls directly. About half of
+//! a packet simulation's events are zero-delay hops (endpoint →
 //! bottleneck, link → delay box, demux → endpoint) and a third to a
-//! half of the rest are packets crossing a propagation delay: the lanes
-//! serve both with a `VecDeque` push and pop instead of a round trip
-//! through the timer wheel, and at 10⁴ flows keep four fifths of the
-//! pending set out of it.
+//! half of the rest are packets crossing the propagation delay: the
+//! lanes serve both with a `VecDeque` push and pop instead of a round
+//! trip through the timer wheel, and at 10⁴ flows keep four fifths of
+//! the pending set out of it. Each topology here declares one delay (a
+//! dumbbell's two boxes share it); a second declared one rides the
+//! calendar.
 //!
-//! **Lane invariant.** Every lane is sorted by `(time, seq)`, so its
+//! **Lane invariant.** Each lane is sorted by `(time, seq)`, so its
 //! front is its minimum: `seq` only grows, and times never shrink. In
 //! the same-instant lane every time equals the clock, which never
-//! moves while that lane is non-empty. In a fixed-delay lane every time
-//! is `fl(clock + d)` for the lane's one `d`, whoever sent it: the
-//! clock never runs backwards and `f64` addition rounds monotonically.
-//! The same-instant test comes first, so a declared delay the clock
-//! absorbs is a same-instant hop like any other.
+//! moves while that lane is non-empty. In the fixed-delay lane every
+//! time is `fl(clock + d)` for its one `d`, whoever sent it: the clock
+//! never runs backwards and `f64` addition rounds monotonically. The
+//! same-instant test comes first, so a declared delay the clock absorbs
+//! is a same-instant hop like any other.
 //!
 //! **Dispatch order.** The next event is the `(time, seq)` minimum of
-//! the lane fronts and the calendar head, found with at most one probe
-//! of the calendar: a [`Calendar::pop_not_after`] bounded by the
-//! earliest lane front (or the horizon) answers "does the calendar come
+//! the two lane fronts and the calendar head, found with at most one
+//! probe of the calendar: a [`Calendar::pop_not_after`] bounded by the
+//! earlier lane front (or the horizon) answers "does the calendar come
 //! first?" and "with which event?" together. Only a tie on the instant
 //! needs `seq` compared, and a calendar event that loses one is pushed
 //! back. (On `manyflow_10k` about 5 % of timed instants are ties — the
@@ -50,7 +53,7 @@
 //! event touches the heap only when the calendar or a lane has to grow
 //! past its high-water mark. [`Engine::with_capacity`] reserves the
 //! wheel's event slab and the component slab up front and
-//! [`Engine::reserve_delay_lane`] a fixed-delay lane, so with hints
+//! [`Engine::reserve_delay_lane`] the fixed-delay lane, so with hints
 //! that cover the peak of each neither reallocates once events fire;
 //! the same-instant lane starts small and grows (once) to the widest
 //! fan-out any handler produces.
@@ -74,16 +77,6 @@ fn check_delay(delay: f64) {
          (time, seq) dispatch order breaks"
     );
     assert!(delay >= 0.0, "negative delay {delay}");
-}
-
-/// The lane for events emitted with exactly `delay`, if declared.
-#[inline]
-fn delay_lane<E>(
-    lanes: &mut [(f64, VecDeque<Scheduled<E>>)],
-    delay: f64,
-) -> Option<&mut VecDeque<Scheduled<E>>> {
-    let lane = lanes.iter_mut().find(|l| l.0 == delay)?;
-    Some(&mut lane.1)
 }
 
 /// Identifies a component registered with an [`Engine`].
@@ -119,10 +112,11 @@ pub trait Component<E: 'static>: Any + Send {
 
     /// The one constant delay this component forwards with, if it has
     /// one — a propagation pipe does, a pacing timer does not.
-    /// [`Engine::add`] reads it once: from then on an event emitted (by
-    /// anyone) with exactly this delay waits in a FIFO lane, not the
-    /// calendar — one delay delivers in emission order. A routing hint
-    /// only: the dispatch order is the same whatever a component answers.
+    /// [`Engine::add`] reads it once, and the first positive answer
+    /// opens the fixed-delay lane: from then on an event emitted (by
+    /// anyone) with exactly this delay waits in a FIFO, not the calendar
+    /// — one delay delivers in emission order. A routing hint only: the
+    /// dispatch order is the same whatever a component answers.
     fn fixed_delay(&self) -> Option<f64> {
         None
     }
@@ -143,7 +137,9 @@ pub struct Context<'a, E> {
     components: usize,
     seq: &'a mut u64,
     lane: &'a mut VecDeque<Scheduled<E>>,
-    delay_lanes: &'a mut [(f64, VecDeque<Scheduled<E>>)],
+    /// The declared delay and its lane (see [`Engine`]'s fields).
+    delay: f64,
+    delay_lane: &'a mut VecDeque<Scheduled<E>>,
     calendar: &'a mut WheelCalendar<E>,
     tracer: &'a mut Option<Box<dyn TraceSink<E>>>,
 }
@@ -161,7 +157,8 @@ impl<E> std::fmt::Debug for Context<'_, E> {
 impl<E: 'static> Context<'_, E> {
     /// Schedules `event` for `target` after `delay ≥ 0` seconds: into
     /// the same-instant lane if the clock absorbs `delay`, else into the
-    /// lane of a declared fixed delay, else into the calendar.
+    /// fixed-delay lane if `delay` is the declared one, else into the
+    /// calendar.
     ///
     /// # Panics
     /// Panics on negative or non-finite delays — an event in the past
@@ -179,9 +176,9 @@ impl<E: 'static> Context<'_, E> {
         *self.seq += 1;
         if item.time == self.now {
             self.lane.push_back(item);
-        } else if let Some(lane) = delay_lane(self.delay_lanes, delay) {
-            debug_assert!(lane.back().is_none_or(|b| b.time <= item.time));
-            lane.push_back(item);
+        } else if delay == self.delay {
+            debug_assert!(self.delay_lane.back().is_none_or(|b| b.time <= item.time));
+            self.delay_lane.push_back(item);
         } else {
             self.calendar.push(item);
         }
@@ -279,12 +276,8 @@ impl RunOutcome {
     }
 }
 
-/// How many distinct declared delays get a FIFO lane (first come); a
-/// later declaration leaves that delay's events on the calendar.
-const MAX_DELAY_LANES: usize = 4;
-
 /// The discrete-event engine: clock + same-instant lane + fixed-delay
-/// lanes + calendar + components.
+/// lane + calendar + components.
 ///
 /// The whole pending set — lanes included — is owned state, so a run
 /// paused by [`Engine::run_budgeted`] carries it along when the engine
@@ -297,10 +290,12 @@ pub struct Engine<E: 'static> {
     /// Events due at exactly `clock`, in ascending `seq` (see the
     /// module docs for the invariant).
     lane: VecDeque<Scheduled<E>>,
-    /// Per declared [`Component::fixed_delay`] (at most
-    /// [`MAX_DELAY_LANES`]): the events emitted with exactly that delay,
-    /// in emission order.
-    delay_lanes: Vec<(f64, VecDeque<Scheduled<E>>)>,
+    /// The first positive [`Component::fixed_delay`] declared, `0.0`
+    /// until then: a zero delay lands on the clock's own instant, so it
+    /// never reaches the test that routes to `delay_lane`.
+    delay: f64,
+    /// The events emitted with exactly `delay`, in emission order.
+    delay_lane: VecDeque<Scheduled<E>>,
     queue: WheelCalendar<E>,
     components: Vec<Box<dyn Component<E>>>,
     processed: u64,
@@ -317,10 +312,7 @@ impl<E: 'static> std::fmt::Debug for Engine<E> {
             .field("seq", &self.seq)
             .field("processed", &self.processed)
             .field("lane_len", &self.lane.len())
-            .field(
-                "delay_lanes_len",
-                &self.delay_lanes.iter().map(|l| l.1.len()).sum::<usize>(),
-            )
+            .field("delay_lane_len", &self.delay_lane.len())
             .field("calendar_len", &self.queue.len())
             .field("components", &self.components.len())
             .field("traced", &self.tracer.is_some())
@@ -351,7 +343,8 @@ impl<E: 'static> Engine<E> {
             clock: 0.0,
             seq: 0,
             lane: VecDeque::with_capacity(8),
-            delay_lanes: Vec::new(),
+            delay: 0.0,
+            delay_lane: VecDeque::new(),
             queue: WheelCalendar::with_capacity(calendar),
             components: Vec::with_capacity(components),
             processed: 0,
@@ -372,28 +365,22 @@ impl<E: 'static> Engine<E> {
         self.tracer.take()
     }
 
-    /// Registers a component, returning its id, and opens the FIFO lane
-    /// of its [`Component::fixed_delay`], if it declares a new one.
+    /// Registers a component, returning its id. Its
+    /// [`Component::fixed_delay`] opens the fixed-delay lane if it is
+    /// the first positive one declared.
     pub fn add(&mut self, component: Box<dyn Component<E>>) -> ComponentId {
-        if let Some(delay) = component.fixed_delay() {
-            // A zero delay always lands on the clock's own instant.
-            let new = delay > 0.0 && delay_lane(&mut self.delay_lanes, delay).is_none();
-            if new && self.delay_lanes.len() < MAX_DELAY_LANES {
-                self.delay_lanes.push((delay, VecDeque::new()));
-            }
+        if self.delay == 0.0 {
+            self.delay = component.fixed_delay().filter(|&d| d > 0.0).unwrap_or(0.0);
         }
         self.components.push(component);
         ComponentId(self.components.len() - 1)
     }
 
-    /// Reserves exactly `events` slots in the FIFO lane of the declared
-    /// delay `delay` (rate × delay for a pipe) — what
-    /// [`Engine::with_capacity`] does for the calendar; unreserved, the
-    /// lane doubles its way up. A no-op if nobody declared `delay`.
-    pub fn reserve_delay_lane(&mut self, delay: f64, events: usize) {
-        if let Some(lane) = delay_lane(&mut self.delay_lanes, delay) {
-            lane.reserve_exact(events);
-        }
+    /// Reserves exactly `events` slots in the fixed-delay lane (rate ×
+    /// delay for a pipe) — what [`Engine::with_capacity`] does for the
+    /// calendar; unreserved, the lane doubles its way up.
+    pub fn reserve_delay_lane(&mut self, events: usize) {
+        self.delay_lane.reserve_exact(events);
     }
 
     /// Current simulation time in seconds.
@@ -438,28 +425,28 @@ impl<E: 'static> Engine<E> {
         s
     }
 
-    /// The `(time, seq)` minimum over the FIFO lanes — each front is
-    /// its own lane's — and the delay lane it waits in (`None`: the
-    /// same-instant lane).
+    /// The `(time, seq)` minimum of the two lane fronts — each is its
+    /// own lane's minimum — and whether it waits in the fixed-delay
+    /// lane.
     #[inline]
-    fn fifo_front(&self) -> Option<(f64, u64, Option<usize>)> {
-        let mut best = self.lane.front().map(|f| (f.time, f.seq, None));
-        for (i, lane) in self.delay_lanes.iter().enumerate() {
-            if let Some(f) = lane.1.front() {
-                if best.is_none_or(|(time, seq, _)| (f.time, f.seq) < (time, seq)) {
-                    best = Some((f.time, f.seq, Some(i)));
-                }
+    fn fifo_front(&self) -> Option<(f64, u64, bool)> {
+        let front = |f: &Scheduled<E>, fixed| (f.time, f.seq, fixed);
+        match (self.lane.front(), self.delay_lane.front()) {
+            (Some(now), Some(later)) if (later.time, later.seq) < (now.time, now.seq) => {
+                Some(front(later, true))
             }
+            (Some(now), _) => Some(front(now, false)),
+            (None, later) => later.map(|f| front(f, true)),
         }
-        best
     }
 
     /// Takes the front [`Engine::fifo_front`] just reported.
     #[inline]
-    fn pop_fifo(&mut self, lane: Option<usize>) -> Scheduled<E> {
-        let queue = match lane {
-            Some(i) => &mut self.delay_lanes[i].1,
-            None => &mut self.lane,
+    fn pop_fifo(&mut self, fixed: bool) -> Scheduled<E> {
+        let queue = if fixed {
+            &mut self.delay_lane
+        } else {
+            &mut self.lane
         };
         queue.pop_front().expect("peeked")
     }
@@ -508,7 +495,7 @@ impl<E: 'static> Engine<E> {
             let item = match fifo {
                 // A front at the clock's own instant, and nothing in
                 // the calendar there to order it against: no probe.
-                Some((time, _, lane))
+                Some((time, _, fixed))
                     if time == self.clock
                         && (calendar_is_later || !self.queue.next_is_at(time)) =>
                 {
@@ -516,7 +503,7 @@ impl<E: 'static> Engine<E> {
                         break StopReason::Horizon;
                     }
                     calendar_is_later = true;
-                    self.pop_fifo(lane)
+                    self.pop_fifo(fixed)
                 }
                 // Else one probe, bounded by what its head has to beat.
                 _ => {
@@ -527,9 +514,9 @@ impl<E: 'static> Engine<E> {
                             match fifo {
                                 // A tie on the instant, lost on scheduling
                                 // order: the calendar keeps its event.
-                                Some((time, seq, lane)) if head.time == time && head.seq > seq => {
+                                Some((time, seq, fixed)) if head.time == time && head.seq > seq => {
                                     self.queue.push(head);
-                                    self.pop_fifo(lane)
+                                    self.pop_fifo(fixed)
                                 }
                                 _ => head,
                             }
@@ -537,9 +524,9 @@ impl<E: 'static> Engine<E> {
                         None => match fifo {
                             // The calendar holds nothing up to `time`,
                             // about to be the clock.
-                            Some((time, _, lane)) if time <= t_end => {
+                            Some((time, _, fixed)) if time <= t_end => {
                                 calendar_is_later = true;
-                                self.pop_fifo(lane)
+                                self.pop_fifo(fixed)
                             }
                             None if self.queue.is_empty() => break StopReason::Idle,
                             _ => break StopReason::Horizon,
@@ -586,7 +573,8 @@ impl<E: 'static> Engine<E> {
             components: self.components.len(),
             seq: &mut self.seq,
             lane: &mut self.lane,
-            delay_lanes: &mut self.delay_lanes,
+            delay: self.delay,
+            delay_lane: &mut self.delay_lane,
             calendar: &mut self.queue,
             tracer: &mut self.tracer,
         };
@@ -980,11 +968,10 @@ mod tests {
         }
     }
 
-    /// How many events wait in the same-instant lane, in each delay
-    /// lane and in the calendar.
-    fn lens(eng: &Engine<Ev>) -> (usize, Vec<usize>, usize) {
-        let delay_lanes = eng.delay_lanes.iter().map(|l| l.1.len()).collect();
-        (eng.lane.len(), delay_lanes, eng.queue.len())
+    /// How many events wait in the same-instant lane, in the
+    /// fixed-delay lane and in the calendar.
+    fn lens(eng: &Engine<Ev>) -> (usize, usize, usize) {
+        (eng.lane.len(), eng.delay_lane.len(), eng.queue.len())
     }
 
     #[test]
@@ -1000,7 +987,7 @@ mod tests {
         eng.schedule(2.0, rec, Ev::Ping(1));
         eng.schedule(1.0, pipe, Ev::Ping(2));
         eng.run_until(1.5);
-        assert_eq!(lens(&eng), (0, vec![1], 1));
+        assert_eq!(lens(&eng), (0, 1, 1));
         eng.schedule(0.5, rec, Ev::Ping(3));
         eng.run_until(5.0);
         assert_eq!(pings(&eng, rec), vec![1, 2, 3]);
@@ -1017,12 +1004,13 @@ mod tests {
     }
 
     #[test]
-    fn two_delay_lanes_and_the_calendar_merge_at_one_instant() {
+    fn a_second_declared_delay_merges_with_the_lane_through_the_calendar() {
         let mut eng = Engine::new();
         let rec = eng.add(Box::new(Recorder { log: vec![] }));
         let [slow, fast] = [1.0, 0.25].map(|delay| eng.add(Box::new(Pipe { delay, peer: rec })));
         // Everything below is due at t = 2, filed in the order of the
-        // ids: calendar, slow lane, calendar, fast lane twice, calendar.
+        // ids: calendar, the slow pipe's lane, then calendar four times
+        // — the fast pipe declared second, so its deliveries wait there.
         eng.schedule(2.0, rec, Ev::Ping(0));
         eng.schedule(1.0, slow, Ev::Ping(1));
         eng.run_until(1.0);
@@ -1031,7 +1019,8 @@ mod tests {
         eng.schedule(0.75, fast, Ev::Ping(4));
         eng.run_until(1.75);
         eng.schedule(0.25, rec, Ev::Ping(5));
-        assert_eq!(lens(&eng), (0, vec![1, 2], 3));
+        assert_eq!(eng.delay, 1.0);
+        assert_eq!(lens(&eng), (0, 1, 5));
         eng.run_until(2.0);
         assert_eq!(pings(&eng, rec), (0..6).collect::<Vec<_>>());
         assert!(eng.get::<Recorder>(rec).log.iter().all(|(t, _)| *t == 2.0));
@@ -1047,7 +1036,7 @@ mod tests {
         }));
         eng.schedule(1.0, pipe, Ev::Ping(1));
         assert_eq!(eng.run_budgeted(RunLimit::events(1)).events, 1);
-        assert_eq!(lens(&eng), (0, vec![1], 0));
+        assert_eq!(lens(&eng), (0, 1, 0));
         assert!(!eng.is_idle());
         // Short of the delivery: not due, and the clock takes the horizon.
         let out = eng.run_budgeted(RunLimit::until(1.5));
@@ -1079,18 +1068,20 @@ mod tests {
     }
 
     #[test]
-    fn declarations_past_the_lane_cap_stay_on_the_calendar() {
+    fn only_the_first_positive_declaration_opens_the_lane() {
         let mut eng = Engine::new();
         let rec = eng.add(Box::new(Recorder { log: vec![] }));
-        // A zero delay needs no lane, a repeated one no second lane.
+        // A zero delay opens nothing; the first positive one is shared
+        // by every pipe that repeats it, and the rest stay on the
+        // calendar.
         let delays = [0.0, 0.5, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0];
         let pipes = delays.map(|delay| eng.add(Box::new(Pipe { delay, peer: rec })));
         for (i, pipe) in pipes.into_iter().enumerate() {
             eng.schedule(1.0, pipe, Ev::Ping(i as u32));
         }
         eng.run_until(1.0);
-        assert_eq!(MAX_DELAY_LANES, 4);
-        assert_eq!(lens(&eng), (0, vec![2, 1, 1, 1], 2));
+        assert_eq!(eng.delay, 0.5);
+        assert_eq!(lens(&eng), (0, 2, 5));
         eng.run_until(5.0);
         assert_eq!(pings(&eng, rec), (0..8).collect::<Vec<_>>());
     }
@@ -1110,7 +1101,7 @@ mod tests {
         eng.schedule(1e7, rec, Ev::Ping(2));
         assert_eq!(eng.run_budgeted(RunLimit::events(1)).events, 1);
         // Declared or not, an absorbed delay is a same-instant hop.
-        assert_eq!(lens(&eng), (1, vec![0], 1));
+        assert_eq!(lens(&eng), (1, 0, 1));
         eng.run_until(2e7);
         assert_eq!(pings(&eng, rec), vec![2, 1]);
         assert_eq!(eng.get::<Recorder>(rec).log[1].0, 1e7);
@@ -1134,7 +1125,7 @@ mod tests {
         let out = eng.run_budgeted(RunLimit::events(2));
         assert_eq!((out.events, out.reason), (2, StopReason::Budget));
         // Paused with one event in each lane and none in the calendar.
-        assert_eq!(lens(&eng), (1, vec![1], 0));
+        assert_eq!(lens(&eng), (1, 1, 0));
         let eng = std::thread::spawn(move || {
             eng.run_until(10.0);
             eng
@@ -1241,7 +1232,7 @@ mod tests {
         eng.schedule(2.0, rec, Ev::Ping(2));
         eng.schedule(1.0, script, Ev::Tick);
         assert_eq!(eng.run_budgeted(RunLimit::events(1)).events, 1);
-        assert_eq!(lens(&eng), (2, vec![2], 3));
+        assert_eq!(lens(&eng), (2, 2, 3));
         eng.run_until(5.0);
         assert_eq!(pings(&eng, rec), (0..7).collect::<Vec<_>>());
         let times: Vec<f64> = eng.get::<Recorder>(rec).log.iter().map(|e| e.0).collect();

@@ -143,19 +143,15 @@ struct Hop {
     ttl: u8,
 }
 
-/// `ebrc_sim::engine::MAX_DELAY_LANES`, which is private: how many
-/// distinct declared delays get a lane.
-const LANE_CAP: usize = 4;
-
 /// How an event came to be pending, as far as its sender can tell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Road {
     /// Filed from outside, or sent with a delay nobody declared.
     Undeclared,
-    /// Sent with one of the first [`LANE_CAP`] declared delays.
+    /// Sent with the first declared delay, the one that has the lane.
     Lane,
-    /// Sent with a declared delay that came too late for a lane.
-    PastCap,
+    /// Sent with a delay declared after the first, so on the calendar.
+    Later,
     /// Sent with a declared delay the clock absorbed (`1e-12` at `1e7`).
     Absorbed,
 }
@@ -205,8 +201,8 @@ impl Component<Hop> for Node {
                 let road = match self.mirror.declared.iter().position(|d| *d == delay) {
                     None => Road::Undeclared,
                     Some(_) if now + delay == now => Road::Absorbed,
-                    Some(rank) if rank < LANE_CAP => Road::Lane,
-                    Some(_) => Road::PastCap,
+                    Some(0) => Road::Lane,
+                    Some(_) => Road::Later,
                 };
                 ctx.send(delay, target, self.mirror.hop(ev.ttl - 1, road));
             }
@@ -510,10 +506,10 @@ proptest! {
 
 thread_local! {
     /// What the cases of `lane_order_cases` (which run on the calling
-    /// test's thread) reached: `[events sent down a lane, sent with a
-    /// declared delay past the lane cap, sent with a declared delay the
+    /// test's thread) reached: `[events sent down the fixed-delay lane,
+    /// sent with a later declared delay, sent with a declared delay the
     /// clock absorbed, neighbours in the log at one instant of which
-    /// only the older rode a lane, of which only the younger did]`.
+    /// only the older rode the lane, of which only the younger did]`.
     static REACHED: std::cell::Cell<[u64; 5]> = const { std::cell::Cell::new([0; 5]) };
 }
 
@@ -530,8 +526,8 @@ proptest! {
             proptest::collection::vec((arb_delay(), 0usize..6, any::<bool>()), 0..3),
             1..6,
         ),
-        // Declared by components nobody sends through: they take lanes
-        // the edges' own declarations then find gone.
+        // Declared by components nobody sends through: they take the
+        // lane before the edges' own declarations can.
         decoys in proptest::collection::vec(arb_delay(), 0..6),
         ops in proptest::collection::vec(
             prop_oneof![
@@ -575,7 +571,7 @@ proptest! {
         };
         let case = [
             sent(Road::Lane),
-            sent(Road::PastCap),
+            sent(Road::Later),
             sent(Road::Absorbed),
             tie(true, false),
             tie(false, true),
@@ -589,18 +585,18 @@ proptest! {
 /// same-instant ties between lanes and calendar, events filed from
 /// outside at the current instant between 1–3 event slices, and
 /// picosecond delays at `t = 1e7`, with a random subset of the edge
-/// delays (and more values than there are lanes) declared as some
-/// component's fixed delay: every scheduled event is dispatched exactly
-/// once, the dispatch log is strictly increasing in `(time, seq)`, and
-/// it is the naive reference engine's log, with the declarations and
-/// without them.
+/// delays (often several, so all but the first ride the calendar)
+/// declared as some component's fixed delay: every scheduled event is
+/// dispatched exactly once, the dispatch log is strictly increasing in
+/// `(time, seq)`, and it is the naive reference engine's log, with the
+/// declarations and without them.
 #[test]
 fn lane_and_calendar_dispatch_in_time_seq_order_exactly_once() {
     lane_order_cases();
     let reached = REACHED.with(std::cell::Cell::get);
     assert!(
         reached.iter().all(|&n| n > 0),
-        "the generator went vacuous: [sent down a lane, past the lane cap, absorbed, \
-         ties only the older rode a lane into, ties only the younger did] = {reached:?}"
+        "the generator went vacuous: [sent down the lane, later declared, absorbed, \
+         ties only the older rode the lane into, ties only the younger did] = {reached:?}"
     );
 }

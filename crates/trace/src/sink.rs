@@ -37,8 +37,6 @@ pub struct PerfettoSink<E> {
     writer: TraceWriter,
     namer: fn(&E) -> &'static str,
     root: u64,
-    /// Component slab index → display name, set by `register`.
-    names: HashMap<usize, String>,
     /// Component slab index → event track uuid, created on first use.
     tracks: HashMap<usize, u64>,
     /// `(component, counter name)` → counter track uuid.
@@ -55,7 +53,6 @@ impl<E> PerfettoSink<E> {
             writer,
             namer,
             root,
-            names: HashMap::new(),
             tracks: HashMap::new(),
             counters: HashMap::new(),
         }
@@ -65,10 +62,8 @@ impl<E> PerfettoSink<E> {
     /// registration order (the scenario builder's wiring order) fixes
     /// the descriptor order in the file.
     pub fn register(&mut self, component: ComponentId, name: &str) {
-        let idx = component.index();
-        self.names.insert(idx, name.to_string());
         let uuid = self.writer.add_track(name, Some(self.root));
-        self.tracks.insert(idx, uuid);
+        self.tracks.insert(component.index(), uuid);
     }
 
     fn track_for(&mut self, component: ComponentId) -> u64 {

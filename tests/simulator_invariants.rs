@@ -141,3 +141,108 @@ proptest! {
         prop_assert_eq!(seqs, sorted);
     }
 }
+
+/// The Lindley recursion for one FIFO server with `cap` waiting places
+/// — the reference the engine-driven [`LinkQueue`] +
+/// [`DropTailQueue`] pair is checked against. Arrivals are offered in
+/// scheduling order; a departure at an arrival's own instant is still
+/// in the system then, because the link files its `TxDone` after every
+/// arrival was scheduled.
+struct Lindley {
+    cap: usize,
+    bps: f64,
+    /// Departure times of the accepted packets, increasing.
+    departures: Vec<f64>,
+}
+
+impl Lindley {
+    /// `D_n = max(A_n, D_{n−1}) + size·8/bps` in the link's float
+    /// order, or `None` when `cap` packets wait behind the one in
+    /// service.
+    fn offer(&mut self, arrival: f64, size: u32) -> Option<f64> {
+        let in_system = self
+            .departures
+            .iter()
+            .rev()
+            .take_while(|&&d| d >= arrival)
+            .count();
+        if in_system > self.cap {
+            return None;
+        }
+        let start = self.departures.last().map_or(arrival, |&d| d.max(arrival));
+        let departure = start + f64::from(size) * 8.0 / self.bps;
+        self.departures.push(departure);
+        Some(departure)
+    }
+}
+
+/// When the next packet arrives: a gap after the previous arrival (zero
+/// for an equal-time arrival), or exactly at the latest departure.
+#[derive(Debug, Clone, Copy)]
+enum Arrive {
+    After(f64),
+    AtLastDeparture,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Link + DropTail ≡ Lindley: over random arrival scripts with
+    /// equal-time arrivals, arrivals at a departure's own instant, idle
+    /// gaps and mixed sizes, the link's departure times match the
+    /// recursion bit for bit, and it drops exactly the packets that
+    /// found `cap` waiting.
+    #[test]
+    fn link_droptail_matches_the_lindley_recursion(
+        script in proptest::collection::vec(
+            (
+                prop_oneof![
+                    3 => Just(Arrive::After(0.0)),
+                    4 => (0.0f64..0.004).prop_map(Arrive::After),
+                    1 => (0.01f64..0.1).prop_map(Arrive::After),
+                    2 => Just(Arrive::AtLastDeparture),
+                ],
+                40u32..1500,
+            ),
+            1..200,
+        ),
+        cap in 1usize..6,
+        bps in prop_oneof![Just(1e6), Just(1.5e6), Just(3.3e6), 1e5f64..1e7],
+    ) {
+        let mut reference = Lindley { cap, bps, departures: Vec::new() };
+        let mut arrivals = Vec::with_capacity(script.len());
+        let mut expected = Vec::new();
+        let mut t = 0.0;
+        for (seq, &(arrive, size)) in script.iter().enumerate() {
+            t = match arrive {
+                Arrive::After(gap) => t + gap,
+                Arrive::AtLastDeparture => reference.departures.last().map_or(t, |&d| d.max(t)),
+            };
+            arrivals.push((t, size));
+            if let Some(departure) = reference.offer(t, size) {
+                expected.push((seq as u64, departure.to_bits()));
+            }
+        }
+
+        let mut eng: Engine<NetEvent> = Engine::new();
+        let link = eng.add(Box::new(LinkQueue::new(
+            Box::new(DropTailQueue::new(cap)),
+            bps,
+            0.0,
+            Rng::seed_from(4),
+        )));
+        let sink = eng.add(Box::new(Sink::new()));
+        eng.get_mut::<LinkQueue>(link).set_next_hop(sink);
+        for (seq, &(time, size)) in arrivals.iter().enumerate() {
+            let pkt = Packet::data(FlowId(0), seq as u64, size, time);
+            eng.schedule(time, link, NetEvent::Packet(pkt));
+        }
+        eng.run_to_completion(u64::MAX);
+        let s: &Sink = eng.get(sink);
+        let departed: Vec<(u64, u64)> =
+            s.arrivals.iter().map(|(t, p)| (p.seq, t.to_bits())).collect();
+        prop_assert_eq!(departed, expected);
+        let l: &LinkQueue = eng.get(link);
+        prop_assert_eq!(l.total_drops() as usize, arrivals.len() - s.arrivals.len());
+    }
+}
