@@ -19,12 +19,9 @@ use std::sync::Arc;
 pub struct ShardOutput {
     /// The spec's content key.
     pub key: String,
-    /// Engine events and wall seconds this sim cost (both 0 when it
-    /// was served from the cache); `merge` sums the events per
-    /// experiment.
+    /// Engine events this sim cost (0 when it was served from the
+    /// cache); `merge` sums them per experiment.
     pub events: u64,
-    /// See [`ShardOutput::events`].
-    pub wall_s: f64,
     /// What the sim produced.
     pub output: Arc<SpecOutput>,
 }
@@ -35,17 +32,13 @@ pub struct ShardOutput {
 /// and its field names are spelled nowhere else.
 #[derive(Debug, Clone)]
 pub struct ShardArtifact {
-    /// Fingerprint of the plan the shard was cut from.
+    /// Fingerprint of the plan the shard was cut from (it covers the
+    /// scale).
     pub plan: u64,
-    /// Name of the scale the plan was built at (informational — the
-    /// fingerprint already covers it).
-    pub scale: String,
     /// Shard index.
     pub shard: usize,
     /// Shard count.
     pub of: usize,
-    /// Engine events the shard's executed sims dispatched.
-    pub events_processed: u64,
     /// The sims that completed.
     pub outputs: Vec<ShardOutput>,
     /// `(spec key, error)` of the sims that failed.
@@ -75,7 +68,6 @@ impl ShardArtifact {
                     Value::String(format!("{:016x}", stable_hash(&o.key))),
                 ),
                 ("events".into(), Value::Number(o.events as f64)),
-                ("wall_s".into(), Value::Number(o.wall_s)),
                 ("output".into(), o.output.to_value()),
             ])
         });
@@ -87,13 +79,8 @@ impl ShardArtifact {
         });
         Value::Object(vec![
             ("plan".into(), Value::String(format!("{:016x}", self.plan))),
-            ("scale".into(), string(&self.scale)),
             ("shard".into(), Value::Number(self.shard as f64)),
             ("of".into(), Value::Number(self.of as f64)),
-            (
-                "events_processed".into(),
-                Value::Number(self.events_processed as f64),
-            ),
             ("outputs".into(), Value::Array(outputs.collect())),
             ("failures".into(), Value::Array(failures.collect())),
         ])
@@ -101,18 +88,15 @@ impl ShardArtifact {
 
     /// Parses [`ShardArtifact::to_value`]'s rendering. Every member
     /// is required, and an unknown or duplicated member, a count that
-    /// is not a whole number, a negative wall time, a split with
-    /// `shard >= of`, or an output whose `hash` is not its key's are
-    /// errors.
+    /// is not a whole number, a split with `shard >= of`, or an output
+    /// whose `hash` is not its key's are errors.
     pub fn from_value(v: &Value) -> Result<Self, String> {
         let mut f = Fields::of(v, "shard artifact")?;
         let plan = parse_hex16(f.string("plan")?).ok_or("shard artifact: bad plan fingerprint")?;
-        let scale = f.string("scale")?.to_string();
         let (shard, of) = (f.count("shard")?, f.count("of")?);
         if shard >= of {
             return Err(format!("shard artifact: no shard {shard} of {of}"));
         }
-        let events_processed = f.count("events_processed")?;
         let outputs = f.array("outputs")?.iter().map(|entry| {
             let mut o = Fields::of(entry, "output")?;
             let key = o.string("key")?.to_string();
@@ -120,15 +104,10 @@ impl ShardArtifact {
                 return Err(format!("output {key:?}: hash is not its key's"));
             }
             let events = o.count("events")?;
-            let wall_s = o.number("wall_s")?;
-            if !wall_s.is_finite() || wall_s.is_sign_negative() {
-                return Err(format!("output {key:?}: wall_s {wall_s} is not a duration"));
-            }
             let output = Arc::new(SpecOutput::from_value(o.value("output")?)?);
             o.done(ShardOutput {
                 key,
                 events,
-                wall_s,
                 output,
             })
         });
@@ -141,10 +120,8 @@ impl ShardArtifact {
         let failures = failures.collect::<Result<_, String>>()?;
         f.done(Self {
             plan,
-            scale,
             shard,
             of,
-            events_processed,
             outputs,
             failures,
         })
@@ -241,10 +218,8 @@ pub fn run_shard(
         stats.timings.iter().map(|t| (t.key.as_str(), t)).collect();
     let mut artifact = ShardArtifact {
         plan: plan.fingerprint(),
-        scale: scale_name.to_string(),
         shard,
         of,
-        events_processed: stats.events,
         outputs: Vec::new(),
         failures: Vec::new(),
     };
@@ -253,13 +228,10 @@ pub fn run_shard(
         // `run_plan` fills the slot of every index in `only`.
         match results[idx].as_ref().expect("shard spec has a result") {
             Ok(output) => {
-                let (events, wall_s) = cost
-                    .get(key.as_str())
-                    .map_or((0, 0.0), |t| (t.events, t.wall_s));
+                let events = cost.get(key.as_str()).map_or(0, |t| t.events);
                 artifact.outputs.push(ShardOutput {
                     key,
                     events,
-                    wall_s,
                     output: Arc::clone(output),
                 });
             }
@@ -459,16 +431,13 @@ mod tests {
             .map(|(i, (output, key))| ShardOutput {
                 key,
                 events: 1_000_003 * i as u64,
-                wall_s: 0.1 * i as f64,
                 output: Arc::new(output),
             })
             .collect();
         ShardArtifact {
             plan: plan.fingerprint(),
-            scale: "tiny".into(),
             shard: 0,
             of: 1,
-            events_processed: 3_000_009,
             outputs,
             failures: keys.map(|key| (key, "boom \"quoted\"".into())).collect(),
         }
@@ -638,10 +607,10 @@ mod tests {
     }
 
     #[test]
-    fn costs_that_are_not_counts_or_durations_are_rejected() {
+    fn event_costs_that_are_not_counts_are_rejected() {
         let plan = diagnostic_plan("t", 0..5);
         let artifact = artifact_of(&plan);
-        let cases: [(&[&str], f64, &str); 5] = [
+        let cases: [(&[&str], f64, &str); 2] = [
             (
                 &["outputs", "1", "events"],
                 -1.0,
@@ -651,21 +620,6 @@ mod tests {
                 &["outputs", "1", "events"],
                 1.5,
                 "\"events\" is not a count",
-            ),
-            (
-                &["events_processed"],
-                -3.0,
-                "\"events_processed\" is not a count",
-            ),
-            (
-                &["events_processed"],
-                0.5,
-                "\"events_processed\" is not a count",
-            ),
-            (
-                &["outputs", "1", "wall_s"],
-                -0.1,
-                "wall_s -0.1 is not a duration",
             ),
         ];
         for (path, n, want) in cases {
@@ -677,9 +631,9 @@ mod tests {
 
     /// The artifact's own vocabulary, so a generated value gets past
     /// the first field lookup and into the nested parsers.
-    const KEYS: [&str; 12] = [
-        "plan", "scale", "shard", "of", "outputs", "failures", "key", "output", "events", "error",
-        "kind", "values",
+    const KEYS: [&str; 11] = [
+        "plan", "shard", "of", "outputs", "failures", "key", "output", "events", "error", "kind",
+        "values",
     ];
     const STRINGS: [&str; 6] = ["", "run", "table", "00000000000000ff", "zz", "diag/v0"];
 

@@ -37,7 +37,7 @@
 use super::{loss_event_rate, NetCore, Scenario};
 use crate::series::quantile;
 use ebrc_dist::Rng;
-use ebrc_net::{Demux, DropTailQueue, FeedbackInfo, FlowId, NetEvent, Packet, PacketKind};
+use ebrc_net::{Demux, DropTailQueue, FeedbackInfo, FlowId, NetEvent, Packet, Report};
 use ebrc_sim::{Component, ComponentId, Context, Engine};
 use ebrc_tcp::batch::{round_update, AimdFlowState};
 use ebrc_tfrc::{FormulaKind, RateLaw, RateState};
@@ -222,13 +222,7 @@ impl FlowClass {
             ctx.send(
                 0.0,
                 self.reverse_hop.expect("bank reverse hop not wired"),
-                NetEvent::Packet(Packet {
-                    flow: pkt.flow,
-                    seq: 0,
-                    size: 40,
-                    kind: PacketKind::Feedback(Box::new(fb)),
-                    sent_at: now,
-                }),
+                NetEvent::Packet(Packet::report(pkt.flow, 0, 40, Report::Feedback(fb), now)),
             );
         }
     }
@@ -263,12 +257,11 @@ impl Component<NetEvent> for FlowClass {
     fn handle(&mut self, now: f64, event: NetEvent, ctx: &mut Context<NetEvent>) {
         match event {
             NetEvent::Timer(token) => self.send_data(token as usize, now, ctx),
-            NetEvent::Packet(pkt) => match pkt.kind {
-                PacketKind::Data => self.receive_data(&pkt, now, ctx),
-                PacketKind::Feedback(fb) => self.apply_feedback(pkt.flow, &fb, now),
-                PacketKind::Ack(_) => {}
+            NetEvent::Packet(pkt) => match pkt.report.as_deref() {
+                None => self.receive_data(&pkt, now, ctx),
+                Some(Report::Feedback(fb)) => self.apply_feedback(pkt.flow, fb, now),
+                Some(Report::Ack(_)) => {}
             },
-            NetEvent::TxDone => {}
         }
     }
 }
@@ -374,7 +367,7 @@ impl ManyFlowRun {
         let n_tcp = cfg.n_tcp();
         let n_total = cfg.n_tfrc + n_tcp;
         // 7 components. The calendar holds the timers: one pacing timer
-        // per flow and the link's `TxDone`. What crosses the two delay
+        // per flow and the link's `TX_DONE`. What crosses the two delay
         // boxes — the data in flight through the forward one (rate ×
         // delay) and at most one feedback per flow in the reverse one —
         // waits in the engine's lane for that delay, reserved below.
@@ -758,13 +751,7 @@ mod tests {
                     events: k as u64,
                 };
                 for (id, flow) in [(boxed, 0), (audio, 1), (bank, 2)] {
-                    let pkt = Packet {
-                        flow: FlowId(flow),
-                        seq: 0,
-                        size: 40,
-                        kind: PacketKind::Feedback(Box::new(fb)),
-                        sent_at: t,
-                    };
+                    let pkt = Packet::report(FlowId(flow), 0, 40, Report::Feedback(fb), t);
                     eng.schedule(t, id, NetEvent::Packet(pkt));
                 }
             }

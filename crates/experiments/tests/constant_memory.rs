@@ -4,24 +4,42 @@
 //! fixed point), fluid steps (Claim 4's shared link) or simulated
 //! seconds (the audio sender and every engine-backed dumbbell).
 //!
-//! A counting global allocator tracks live and peak heap bytes. The file
-//! holds a single `#[test]` so no other test allocates while one runs.
+//! A counting global allocator tracks live and peak heap bytes, but
+//! only those a run allocates and frees on the thread measuring it:
+//! the test harness's own threads allocate while a test runs, and a
+//! zero-slack bound must not see them.
 
 use ebrc_experiments::spec::{ControlLaw, SweepMode, WeightKind};
 use ebrc_experiments::{SimSpec, MASTER_SEED};
 use ebrc_runner::{JobCtx, Spec as _};
 use ebrc_tfrc::FormulaKind;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct Counting;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+// `const`-initialised cells of `Copy` types: touching them allocates
+// nothing and registers no destructor, so the allocator may use them.
+thread_local! {
+    /// Whether this thread is inside [`peak_heap_bytes`].
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Bytes this thread allocated minus bytes it freed since the
+    /// measurement began (negative when it frees older memory).
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The largest `LIVE` seen since the measurement began.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
 
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
+/// Adds `bytes` (negative: frees) to this thread's live count while it
+/// is being measured.
+fn count(bytes: isize) {
+    if COUNTING.with(Cell::get) {
+        let live = LIVE.with(|l| {
+            l.set(l.get() + bytes);
+            l.get()
+        });
+        PEAK.with(|p| p.set(p.get().max(live)));
+    }
 }
 
 // SAFETY: every call forwards to `System` unchanged; the counters only
@@ -30,21 +48,21 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
-            grow(layout.size());
+            count(layout.size() as isize);
         }
         ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        count(-(layout.size() as isize));
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new = System.realloc(ptr, layout, new_size);
         if !new.is_null() {
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-            grow(new_size);
+            count(-(layout.size() as isize));
+            count(new_size as isize);
         }
         new
     }
@@ -53,13 +71,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Peak live heap bytes a spec's run adds above what was live before it.
+/// Peak live heap bytes a spec's run adds, on this thread, above what
+/// was live before it.
 fn peak_heap_bytes(spec: &SimSpec) -> usize {
     let mut ctx = JobCtx::for_label(MASTER_SEED, spec.key());
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
+    LIVE.with(|l| l.set(0));
+    PEAK.with(|p| p.set(0));
+    COUNTING.with(|c| c.set(true));
     std::hint::black_box(spec.run(&mut ctx));
-    PEAK.load(Ordering::Relaxed) - before
+    COUNTING.with(|c| c.set(false));
+    PEAK.with(Cell::get) as usize
 }
 
 /// Slack an engine-backed run may add at the larger length: the

@@ -39,7 +39,9 @@ pub use demux::Demux;
 pub use dropper::BernoulliDropper;
 pub use link::{LinkQueue, LinkStats};
 pub use lossrec::LossEventRecorder;
-pub use packet::{net_event_name, AckInfo, FeedbackInfo, FlowId, NetEvent, Packet, PacketKind};
+pub use packet::{
+    net_event_name, AckInfo, FeedbackInfo, FlowId, NetEvent, Packet, Report, TX_DONE,
+};
 pub use probe::{CbrSender, PoissonSender, ProbeSink};
 pub use queue::{AqmQueue, DropTailQueue, QueueStats, RedConfig, RedQueue};
 pub use sink::Sink;

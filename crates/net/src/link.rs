@@ -1,7 +1,7 @@
 //! An output-queued link: queue discipline + serializing transmitter +
 //! propagation delay.
 
-use crate::packet::{NetEvent, Packet};
+use crate::packet::{NetEvent, Packet, TX_DONE};
 use crate::queue::{AqmQueue, QueueStats};
 use ebrc_dist::Rng;
 use ebrc_sim::{Component, ComponentId, Context};
@@ -99,7 +99,7 @@ impl LinkQueue {
             let t = self.tx_time(&pkt);
             self.tx_started = now;
             self.in_flight = Some(pkt);
-            ctx.send_self(t, NetEvent::TxDone);
+            ctx.send_self(t, NetEvent::Timer(TX_DONE));
         }
     }
 }
@@ -117,13 +117,13 @@ impl Component<NetEvent> for LinkQueue {
                     ctx.trace_counter("drops", self.total_drops as f64);
                 }
             },
-            NetEvent::TxDone => {
+            NetEvent::Timer(TX_DONE) => {
                 let pkt = self
                     .in_flight
                     .take()
-                    .expect("TxDone without a packet in flight");
+                    .expect("TX_DONE without a packet in flight");
                 self.stats.transmitted += 1;
-                self.stats.bytes += pkt.size as u64;
+                self.stats.bytes += pkt.size.get() as u64;
                 self.stats.busy_time += now - self.tx_started;
                 let next = self.next_hop.expect("link next hop not wired");
                 ctx.send(self.prop_delay, next, NetEvent::Packet(pkt));
@@ -138,19 +138,13 @@ impl Component<NetEvent> for LinkQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{FlowId, PacketKind};
+    use crate::packet::FlowId;
     use crate::queue::DropTailQueue;
     use crate::sink::Sink;
     use ebrc_sim::Engine;
 
     fn pkt(seq: u64, size: u32) -> Packet {
-        Packet {
-            flow: FlowId(1),
-            seq,
-            size,
-            kind: PacketKind::Data,
-            sent_at: 0.0,
-        }
+        Packet::data(FlowId(1), seq, size, 0.0)
     }
 
     #[test]
@@ -244,5 +238,35 @@ mod tests {
         let l: &LinkQueue = eng.get(link);
         assert!((l.link_stats().busy_time - 0.080).abs() < 1e-9);
         assert_eq!(l.link_stats().bytes, 8 * 1250);
+    }
+
+    /// A timer token other than [`TX_DONE`] is not the link's: it
+    /// neither ends the transmission in progress early nor starts one
+    /// on an idle link.
+    #[test]
+    fn a_foreign_timer_token_is_ignored() {
+        let mut eng: Engine<NetEvent> = Engine::new();
+        let link = eng.add(Box::new(LinkQueue::new(
+            Box::new(DropTailQueue::new(10)),
+            1e6,
+            0.0,
+            Rng::seed_from(5),
+        )));
+        let sink = eng.add(Box::new(Sink::new()));
+        eng.get_mut::<LinkQueue>(link).set_next_hop(sink);
+        eng.schedule(0.0, link, NetEvent::Timer(7));
+        eng.schedule(0.001, link, NetEvent::Packet(pkt(0, 1250)));
+        eng.schedule(0.005, link, NetEvent::Timer(0));
+        eng.schedule(0.020, link, NetEvent::Timer(TX_DONE - 1));
+        eng.run_until(0.0105);
+        assert_eq!(eng.get::<LinkQueue>(link).link_stats().transmitted, 0);
+        eng.run_until(1.0);
+        let l: &LinkQueue = eng.get(link);
+        assert_eq!(l.link_stats().transmitted, 1);
+        assert!((l.link_stats().busy_time - 0.010).abs() < 1e-12);
+        assert!(eng.is_idle());
+        let s: &Sink = eng.get(sink);
+        assert_eq!(s.arrivals.len(), 1);
+        assert!((s.arrivals[0].0 - 0.011).abs() < 1e-12);
     }
 }

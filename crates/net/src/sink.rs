@@ -45,7 +45,7 @@ impl Component<NetEvent> for Sink {
     fn handle(&mut self, now: f64, event: NetEvent, _ctx: &mut Context<NetEvent>) {
         if let NetEvent::Packet(pkt) = event {
             self.count += 1;
-            self.bytes += pkt.size as u64;
+            self.bytes += pkt.size.get() as u64;
             if !self.counting_only {
                 self.arrivals.push((now, pkt));
             }

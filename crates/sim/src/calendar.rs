@@ -1334,14 +1334,14 @@ mod tests {
     }
 
     /// A slot is a `Scheduled` event plus one link. A payload with a
-    /// niche (here a 40-byte stand-in shaped like `ebrc_net::NetEvent`)
+    /// spare niche value (here a 40-byte stand-in whose `u8` has plenty)
     /// hides the free-slot tag in it; one without pays a word for it.
     #[test]
     fn slot_adds_one_link_to_a_scheduled_event() {
         #[allow(dead_code)]
         enum NetLike {
             Packet([u64; 4], u8),
-            TxDone,
+            Unit,
             Timer(u64),
         }
         use std::mem::size_of;

@@ -34,7 +34,7 @@
 //! first?" and "with which event?" together. Only a tie on the instant
 //! needs `seq` compared, and a calendar event that loses one is pushed
 //! back. (On `manyflow_10k` about 5 % of timed instants are ties — the
-//! delay is 35 200 serialization times exactly, so a `TxDone` keeps
+//! delay is 35 200 serialization times exactly, so a `TX_DONE` keeps
 //! meeting the delivery of the packet sent that many slots earlier —
 //! and the calendar loses a ninth of them.) A front at the clock's own
 //! instant usually needs no probe: nothing pending lies before the

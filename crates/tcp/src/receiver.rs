@@ -1,6 +1,6 @@
 //! Delayed-ACK TCP receiver with SACK generation.
 
-use ebrc_net::{AckInfo, FlowId, NetEvent, Packet, PacketKind};
+use ebrc_net::{AckInfo, FlowId, NetEvent, Packet, Report};
 use ebrc_sim::{Component, ComponentId, Context};
 use std::collections::BTreeSet;
 
@@ -93,13 +93,13 @@ impl TcpSink {
         ctx.send(
             0.0,
             hop,
-            NetEvent::Packet(Packet {
-                flow: self.flow,
-                seq: self.acks_sent,
-                size: ACK_SIZE,
-                kind: PacketKind::Ack(Box::new(info)),
-                sent_at: now,
-            }),
+            NetEvent::Packet(Packet::report(
+                self.flow,
+                self.acks_sent,
+                ACK_SIZE,
+                Report::Ack(info),
+                now,
+            )),
         );
     }
 
@@ -185,8 +185,8 @@ mod tests {
         eng.get::<Sink>(id)
             .arrivals
             .iter()
-            .filter_map(|(_, p)| match &p.kind {
-                PacketKind::Ack(a) => Some(AckInfo::clone(a)),
+            .filter_map(|(_, p)| match p.report.as_deref() {
+                Some(Report::Ack(a)) => Some(a.clone()),
                 _ => None,
             })
             .collect()

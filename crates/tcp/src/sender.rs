@@ -14,7 +14,7 @@
 
 use crate::rto::RtoEstimator;
 use crate::scoreboard::SackScoreboard;
-use ebrc_net::{FlowId, LossEventRecorder, NetEvent, Packet, PacketKind};
+use ebrc_net::{FlowId, LossEventRecorder, NetEvent, Packet, Report};
 use ebrc_sim::{Component, ComponentId, Context};
 use ebrc_stats::Moments;
 
@@ -298,13 +298,12 @@ impl Component<NetEvent> for TcpSender {
                 }
             }
             NetEvent::Packet(pkt) => {
-                if let PacketKind::Ack(info) = &pkt.kind {
+                if let Some(Report::Ack(info)) = pkt.report.as_deref() {
                     if self.started {
                         self.on_ack(now, info, ctx);
                     }
                 }
             }
-            NetEvent::TxDone => {}
         }
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::formula_kind::{FormulaKind, RttMode};
 use crate::law::{RateLaw, RateState};
-use ebrc_net::{FlowId, NetEvent, Packet, PacketKind};
+use ebrc_net::{FlowId, NetEvent, Packet, Report};
 use ebrc_sim::{Component, ComponentId, Context};
 use ebrc_stats::PiecewiseConstant;
 
@@ -137,7 +137,7 @@ impl Component<NetEvent> for AudioTfrcSender {
                 self.tick_send(now, ctx);
             }
             NetEvent::Packet(pkt) => {
-                if let PacketKind::Feedback(fb) = &pkt.kind {
+                if let Some(Report::Feedback(fb)) = pkt.report.as_deref() {
                     if !self.started {
                         return;
                     }

@@ -4,7 +4,7 @@ use crate::formula_kind::FormulaKind;
 use ebrc_core::estimator::IntervalEstimator;
 use ebrc_core::formula::ThroughputFormula;
 use ebrc_core::weights::WeightProfile;
-use ebrc_net::{FeedbackInfo, FlowId, NetEvent, Packet, PacketKind};
+use ebrc_net::{FeedbackInfo, FlowId, NetEvent, Packet, Report};
 use ebrc_sim::{Component, ComponentId, Context};
 use ebrc_stats::{Covariance, Moments};
 
@@ -227,13 +227,13 @@ impl TfrcReceiver {
         ctx.send(
             0.0,
             hop,
-            NetEvent::Packet(Packet {
-                flow: self.flow,
-                seq: 0,
-                size: FEEDBACK_SIZE,
-                kind: PacketKind::Feedback(Box::new(info)),
-                sent_at: now,
-            }),
+            NetEvent::Packet(Packet::report(
+                self.flow,
+                0,
+                FEEDBACK_SIZE,
+                Report::Feedback(info),
+                now,
+            )),
         );
     }
 }
@@ -255,7 +255,7 @@ impl Component<NetEvent> for TfrcReceiver {
                 }
                 self.received += 1;
                 self.received_since_fb += 1;
-                self.bytes_since_fb += pkt.size as u64;
+                self.bytes_since_fb += pkt.size.get() as u64;
                 self.last_echo_ts = pkt.sent_at;
                 if pkt.seq >= self.expected_seq {
                     self.expected_seq = pkt.seq + 1;
@@ -284,8 +284,8 @@ mod tests {
         eng.get::<Sink>(id)
             .arrivals
             .iter()
-            .filter_map(|(t, p)| match &p.kind {
-                PacketKind::Feedback(f) => Some((*t, **f)),
+            .filter_map(|(t, p)| match p.report.as_deref() {
+                Some(Report::Feedback(f)) => Some((*t, *f)),
                 _ => None,
             })
             .collect()

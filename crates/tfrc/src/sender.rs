@@ -2,7 +2,7 @@
 
 use crate::formula_kind::{FormulaKind, RttMode};
 use crate::law::{RateLaw, RateState};
-use ebrc_net::{FeedbackInfo, FlowId, NetEvent, Packet, PacketKind};
+use ebrc_net::{FeedbackInfo, FlowId, NetEvent, Packet, Report};
 use ebrc_sim::{Component, ComponentId, Context};
 use ebrc_stats::{Covariance, Moments, PiecewiseConstant};
 
@@ -243,7 +243,7 @@ impl Component<NetEvent> for TfrcSender {
                 self.send_packet(now, ctx);
             }
             NetEvent::Packet(pkt) => {
-                if let PacketKind::Feedback(fb) = &pkt.kind {
+                if let Some(Report::Feedback(fb)) = pkt.report.as_deref() {
                     if self.started {
                         let events_before = self.stats.loss_events;
                         let rate_before = self.state.rate;

@@ -146,7 +146,7 @@ proptest! {
 /// — the reference the engine-driven [`LinkQueue`] +
 /// [`DropTailQueue`] pair is checked against. Arrivals are offered in
 /// scheduling order; a departure at an arrival's own instant is still
-/// in the system then, because the link files its `TxDone` after every
+/// in the system then, because the link files its `TX_DONE` after every
 /// arrival was scheduled.
 struct Lindley {
     cap: usize,
