@@ -19,8 +19,8 @@
 //! repro cache gc --keep-plan all --cache-dir cache/  # drop orphaned hashes
 //! repro cache clear --cache-dir cache/           # empty the cache
 //! repro plan all --shards 3      # inspect the plan a sweep would run
-//! repro run all --shard 0/2 --shard-dir shards   # execute one shard
-//! repro merge all --shard-dir shards             # reduce merged shards
+//! repro run all --shard 0/2 --cache-dir c0      # execute one shard into c0
+//! repro merge all --cache-dir cu                 # reduce from copied shard caches
 //! repro serve --listen 127.0.0.1:7077 --cache-dir cache/
 //!                                # resident sweep daemon (TCP or unix:PATH)
 //! repro submit all --connect 127.0.0.1:7077      # run a sweep on the daemon

@@ -19,10 +19,11 @@
 //! | `repro submit --ping` (etc.)    | [`remote::control`]         |
 //! | `repro cache (stats\|gc\|clear)` | [`cache::command`]          |
 //!
-//! Three pieces are shared by all of them: the plan resolver
-//! ([`crate::resolve`], which the sweep service uses too), the shard
-//! artifact codec ([`shard::ShardArtifact`]) and the report
-//! printer/spooler ([`Reporter`]).
+//! Two pieces are shared by all of them: the plan resolver
+//! ([`crate::resolve`], which the sweep service uses too) and the
+//! report printer/spooler ([`Reporter`]). A shard is a cache
+//! directory: `run --shard` writes its outputs into `--cache-dir`, and
+//! `merge` reads them back from there.
 //!
 //! Experiments are *plan subscriptions*: the CLI merges the requested
 //! experiments into one deduplicated plan of content-hashed sims and
@@ -63,7 +64,7 @@ pub const USAGE: &str = "usage: repro (list | plan | run | merge | serve | submi
      cache (stats|gc|clear) | <experiment-id>... | all) \
      [--scale quick|paper|tiny] [--json] [--out DIR] [--threads N] [--progress] \
      [--trace PATH] [--slice-events N] [--cache-dir DIR] [--keep-plan ID] [--dry-run] [--shard I/K] \
-     [--shards K] [--shard-dir DIR] [--listen ADDR] [--connect ADDR] [--ping] [--server-stats] \
+     [--shards K] [--listen ADDR] [--connect ADDR] [--ping] [--server-stats] \
      [--shutdown]";
 
 /// Why a command did not succeed. The binary prints the message once
@@ -130,7 +131,6 @@ struct Invocation {
     trace: Option<PathBuf>,
     shard: (usize, usize),
     shards: usize,
-    shard_dir: PathBuf,
     keep_plan: Vec<String>,
     dry_run: bool,
     listen: String,
@@ -188,11 +188,6 @@ pub(crate) fn ensure_dir(dir: &Path) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))
 }
 
-/// Writes `contents` to `path`.
-pub(crate) fn write_file(path: &Path, contents: &str) -> Result<(), String> {
-    std::fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
-}
-
 fn parse(args: &[String]) -> Result<Invocation, CliError> {
     let mut inv = Invocation {
         command: Command::Direct,
@@ -211,7 +206,6 @@ fn parse(args: &[String]) -> Result<Invocation, CliError> {
         trace: None,
         shard: (0, 1),
         shards: 1,
-        shard_dir: PathBuf::from("shards"),
         keep_plan: Vec::new(),
         dry_run: false,
         listen: String::from("127.0.0.1:7077"),
@@ -239,7 +233,6 @@ fn parse(args: &[String]) -> Result<Invocation, CliError> {
             "--out" => inv.out = Some(value(arg, it.next(), path)?),
             "--shard" => inv.shard = value(arg, it.next(), shard_of)?,
             "--shards" => inv.shards = value(arg, it.next(), positive)?,
-            "--shard-dir" => inv.shard_dir = value(arg, it.next(), path)?,
             "--cache-dir" => inv.backend.cache_dir = Some(value(arg, it.next(), path)?),
             "--keep-plan" => inv.keep_plan.push(value(arg, it.next(), |s| {
                 word(s).filter(|id| !id.starts_with('-'))
@@ -287,16 +280,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         Command::List => sweep::list(scale),
         Command::Plan => sweep::plan(targets, scale, f.shards),
         Command::Direct => sweep::run(targets, scale, backend, trace, f.progress, reporter),
-        Command::Run => shard::run_shard(
-            targets,
-            scale,
-            backend,
-            trace,
-            f.progress,
-            f.shard,
-            &f.shard_dir,
-        ),
-        Command::Merge => shard::merge(targets, scale, &f.shard_dir, reporter),
+        Command::Run => shard::run_shard(targets, scale, backend, trace, f.progress, f.shard),
+        Command::Merge => shard::merge(targets, scale, backend.cache_dir.as_deref(), reporter),
         Command::Serve => remote::serve(&f.listen, backend),
         Command::Submit => match &f.control {
             Some(request) => remote::control(&f.connect, request),
@@ -328,7 +313,7 @@ mod tests {
     #[test]
     fn every_value_flag_rejects_a_missing_or_junk_value() {
         // (flag, a value it accepts, values it must reject)
-        let table: [(&str, &str, &[&str]); 12] = [
+        let table: [(&str, &str, &[&str]); 11] = [
             ("--scale", "tiny", &["warp", ""]),
             ("--threads", "3", &["0", "many", "-1"]),
             ("--slice-events", "50000", &["0", "x"]),
@@ -336,7 +321,6 @@ mod tests {
             ("--out", "tables", &[""]),
             ("--shard", "1/3", &["2/2", "1/0", "0/0", "x/2", "nope"]),
             ("--shards", "2", &["0", "two"]),
-            ("--shard-dir", "shards", &[""]),
             ("--cache-dir", "cache", &[""]),
             ("--keep-plan", "fig02", &["--dry-run", ""]),
             ("--listen", "unix:/tmp/s", &[""]),

@@ -18,8 +18,9 @@
 //! `list`, `plan`, the direct run; [`cli::shard`]: `run --shard`,
 //! `merge`; [`cli::remote`]: `serve`, `submit`;
 //! [`cli::cache`]), all over one plan resolver
-//! ([`resolve`]), one shard-artifact type and one report
-//! printer/spooler — and the `repro` binary is only its `main`:
+//! ([`resolve`]) and one report printer/spooler — and the `repro`
+//! binary is only its `main`. A shard is a cache directory: `run
+//! --shard` fills one, and `merge` reduces from their copied union:
 //!
 //! ```text
 //! cargo run -p ebrc-experiments --release --bin repro -- list

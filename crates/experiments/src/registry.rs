@@ -210,8 +210,8 @@ pub fn global_plan(experiments: &[&dyn Experiment], scale: Scale) -> Plan {
 /// subscription — into its report. A panicking reducer fails the
 /// report, not the caller. Shared by the in-process consumer thread
 /// ([`plan_run_catalogue_cached`]) and `repro merge`, so a sweep
-/// reduced from shard artifacts reports exactly what a direct run
-/// does.
+/// reduced from shard cache directories reports exactly what a direct
+/// run does.
 pub fn reduce_subscription(
     exp: &dyn Experiment,
     scale: Scale,

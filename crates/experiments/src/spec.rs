@@ -13,10 +13,10 @@
 //! return the full measurement bundle ([`RunMeasurements`]) and each
 //! subscribed reducer extracts its own statistics at reduce time — that
 //! is what makes the fan-out lossless. Outputs round-trip through the
-//! shard interchange format ([`SpecOutput::to_value`] /
+//! payload encoding cache entries carry ([`SpecOutput::to_value`] /
 //! [`SpecOutput::from_value`]) with `f64`s encoded as exact bit
-//! patterns, so a sweep merged from `k` shard files is byte-identical
-//! to a single-host run.
+//! patterns, so a sweep merged from `k` shards' cache directories is
+//! byte-identical to a single-host run.
 
 use crate::figures::fig01;
 use crate::figures::fig02;
@@ -406,7 +406,7 @@ impl SimSpec {
     /// Order-of-magnitude estimate of the work this spec dispatches —
     /// the planning hint behind `repro list` and `repro plan`, so a
     /// sweep's cost is visible *before* any shard is dispatched (the
-    /// measured `events_processed` totals land in the shard artifact
+    /// measured engine events land on each run's summary line
     /// afterwards). Dumbbell specs estimate engine events from a busy
     /// bottleneck (packets/sec × ≈8 dispatches per delivered packet
     /// across the topology); the audio spec from its packet clock;
@@ -742,8 +742,7 @@ impl ebrc_runner::Spec for SimSpec {
 }
 
 impl ebrc_runner::CacheableSpec for SimSpec {
-    /// Serializes through the shard interchange encoding
-    /// ([`SpecOutput::to_value`]) — floats as exact bit patterns, so a
+    /// Serializes through [`SpecOutput::to_value`] — floats as exact bit patterns, so a
     /// cached output is bit-identical to a fresh one.
     fn encode_output(out: &SpecOutput) -> String {
         serde_json::to_string(&out.to_value()).expect("outputs are serializable")
@@ -783,7 +782,7 @@ impl From<ManyFlowMeasurements> for SpecOutput {
 }
 
 impl SpecOutput {
-    /// Variant name, for error messages and the shard format.
+    /// Variant name, for error messages and the payload encoding.
     pub fn kind(&self) -> &'static str {
         match self {
             SpecOutput::Run(_) => "run",
@@ -851,7 +850,7 @@ impl SpecOutput {
         }
     }
 
-    /// Renders the output for the shard interchange format. Floats are
+    /// Renders the output as a cache entry's payload. Floats are
     /// encoded as 16-digit hex bit patterns — exact for every value
     /// including negative zero, infinities, and NaN — so a merge
     /// reduces over bit-identical inputs.
@@ -890,7 +889,7 @@ impl SpecOutput {
         }
     }
 
-    /// Parses the shard interchange rendering back into an output.
+    /// Parses [`SpecOutput::to_value`]'s rendering back into an output.
     pub fn from_value(v: &Value) -> Result<Self, String> {
         let mut f = Fields::of(v, "spec output")?;
         let output = match f.string("kind")? {
@@ -1018,7 +1017,7 @@ fn table_from_value(mut f: Fields) -> Result<Table, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebrc_runner::Spec as _;
+    use ebrc_runner::{CacheableSpec as _, Spec as _};
 
     #[test]
     fn fig05_fig08_and_fig09_share_the_same_instance() {
@@ -1055,65 +1054,6 @@ mod tests {
         for other in [ns2(6, 8, 1, 60.0), ns2(6, 2, 0, 60.0), ns2(6, 8, 0, 61.0)] {
             assert_ne!(a.key(), other.key());
         }
-    }
-
-    #[test]
-    fn scalar_outputs_round_trip_exactly() {
-        let out = SpecOutput::Scalars(vec![1.5, -0.0, f64::NAN, f64::INFINITY, 1e-300]);
-        let back = SpecOutput::from_value(&out.to_value()).unwrap();
-        let (a, b) = (out.scalars(), back.scalars());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn run_outputs_round_trip_exactly() {
-        let m = RunMeasurements {
-            tfrc: vec![FlowMeasure {
-                throughput: 123.456,
-                loss_event_rate: 0.031,
-                rtt_mean: 0.052,
-                normalized_covariance: -0.007,
-                cov_rate_duration: 0.1,
-                theta_hat_cv2: 0.2,
-            }],
-            tcp: vec![],
-            probe_loss_rate: Some(0.05),
-            nominal_rtt: 0.05,
-            tfrc_formula: FormulaKind::PftkStandard,
-        };
-        let out = SpecOutput::Run(m);
-        let back = SpecOutput::from_value(&out.to_value()).unwrap();
-        let (a, b) = (out.as_run(), back.as_run());
-        assert_eq!(a.tfrc.len(), b.tfrc.len());
-        assert_eq!(
-            a.tfrc[0].throughput.to_bits(),
-            b.tfrc[0].throughput.to_bits()
-        );
-        assert_eq!(a.probe_loss_rate, b.probe_loss_rate);
-        assert_eq!(a.tfrc_formula, b.tfrc_formula);
-        // And through an actual JSON print/parse cycle.
-        let text = serde_json::to_string(&out.to_value()).unwrap();
-        let reparsed = SpecOutput::from_value(&serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(
-            out.as_run().tfrc[0].rtt_mean.to_bits(),
-            reparsed.as_run().tfrc[0].rtt_mean.to_bits()
-        );
-    }
-
-    #[test]
-    fn table_outputs_round_trip() {
-        let mut t = Table::new("x/y", "cap", vec!["a", "b"]);
-        t.push_row(vec![1.0, 2.5]);
-        let out = SpecOutput::TableAndScalars(t, vec![1.0026]);
-        let text = serde_json::to_string(&out.to_value()).unwrap();
-        let back = SpecOutput::from_value(&serde_json::from_str(&text).unwrap()).unwrap();
-        let (bt, bs) = back.as_table_and_scalars();
-        assert_eq!(bt.name, "x/y");
-        assert_eq!(bt.rows, vec![vec![1.0, 2.5]]);
-        assert_eq!(bs, &[1.0026]);
     }
 
     /// What [`Scenario::measure`] — the `run_until`–snapshot–`run_until`
@@ -1299,4 +1239,158 @@ mod tests {
     fn output_accessors_reject_the_wrong_kind() {
         let _ = SpecOutput::Scalars(vec![1.0]).as_run();
     }
+
+    // The payload codec: what a cache entry carries, and so what
+    // crosses hosts when shards are merged.
+
+    /// Floats whose bits a lossy codec would not survive.
+    const AWKWARD: [f64; 5] = [-0.0, f64::NAN, f64::INFINITY, 5e-324, 0.1];
+
+    /// One output of every [`SpecOutput`] kind, built from [`AWKWARD`].
+    fn one_of_each_kind() -> Vec<SpecOutput> {
+        let flow = FlowMeasure {
+            throughput: AWKWARD[0],
+            loss_event_rate: AWKWARD[1],
+            rtt_mean: AWKWARD[2],
+            normalized_covariance: AWKWARD[3],
+            cov_rate_duration: AWKWARD[4],
+            theta_hat_cv2: 1.0,
+        };
+        let mut table = Table::new("fig/x \"q\"", "θ-hat", vec!["a", "b"]);
+        table.push_row(vec![AWKWARD[0], AWKWARD[1]]);
+        vec![
+            SpecOutput::Run(RunMeasurements {
+                tfrc: vec![flow],
+                tcp: vec![flow],
+                probe_loss_rate: Some(AWKWARD[3]),
+                nominal_rtt: 0.05,
+                tfrc_formula: FormulaKind::PftkStandard,
+            }),
+            SpecOutput::Scalars(AWKWARD.to_vec()),
+            SpecOutput::Table(table.clone()),
+            SpecOutput::TableAndScalars(table, AWKWARD.to_vec()),
+        ]
+    }
+
+    /// `text` decodes to `Err`, or to an output that renders back to
+    /// exactly the JSON `text` holds (up to member order) — never a
+    /// panic, never a guess.
+    fn rejected_or_exact(text: &str) -> bool {
+        match SimSpec::decode_output(text) {
+            Err(_) => true,
+            Ok(out) => arb_value::same(&out.to_value(), &serde_json::from_str(text).unwrap()),
+        }
+    }
+
+    #[test]
+    fn every_output_kind_round_trips_bit_exactly_through_the_payload_codec() {
+        for out in one_of_each_kind() {
+            let text = SimSpec::encode_output(&out);
+            let back = SimSpec::decode_output(&text).unwrap();
+            // `{:?}` prints each float as the shortest decimal that reads
+            // back to it (`-0.0`, `NaN` and `inf` included), so this is
+            // a check of the values that does not trust the encoder.
+            assert_eq!(format!("{back:?}"), format!("{out:?}"));
+            assert_eq!(SimSpec::encode_output(&back), text);
+        }
+    }
+
+    #[test]
+    fn a_malformed_table_is_an_error_not_a_panic() {
+        let table = |columns: &str, row: &str| {
+            format!(
+                r#"{{"kind":"table","table":{{"name":"fig/x","caption":"c","columns":[{columns}],"rows":[[{row}]]}}}}"#
+            )
+        };
+        let one = r#""3ff0000000000000""#;
+        let err = SimSpec::decode_output(&table(r#""a","b","c","d""#, &[one; 3].join(",")));
+        let err = err.unwrap_err();
+        assert!(
+            err.contains("table \"fig/x\": row width 3 vs 4 columns"),
+            "{err}"
+        );
+        let err = SimSpec::decode_output(&table("", "")).unwrap_err();
+        assert!(err.contains("table \"fig/x\" has no columns"), "{err}");
+        // The encoder's own table with one float cut from its row.
+        let text = SimSpec::encode_output(&one_of_each_kind()[2]);
+        let short = text.replacen(&format!(",\"{:016x}\"", AWKWARD[1].to_bits()), "", 1);
+        assert_ne!(short, text);
+        let err = SimSpec::decode_output(&short).unwrap_err();
+        assert!(err.contains("row width 1 vs 2 columns"), "{err}");
+    }
+
+    /// A torn payload — any strict prefix of a valid one — is an
+    /// error, never a panic.
+    #[test]
+    fn every_truncation_of_a_payload_is_rejected() {
+        for out in one_of_each_kind() {
+            let text = SimSpec::encode_output(&out);
+            for cut in (0..text.len()).filter(|&cut| text.is_char_boundary(cut)) {
+                let torn = &text[..cut];
+                assert!(SimSpec::decode_output(torn).is_err(), "{torn}");
+            }
+        }
+    }
+
+    /// The payload's own vocabulary, so a generated value gets past the
+    /// first field lookup and into the nested readers.
+    const KEYS: [&str; 13] = [
+        "kind",
+        "values",
+        "table",
+        "name",
+        "caption",
+        "columns",
+        "rows",
+        "tfrc",
+        "tcp",
+        "probe",
+        "nominal_rtt",
+        "formula",
+        "other",
+    ];
+    const STRINGS: [&str; 9] = [
+        "run",
+        "scalars",
+        "table",
+        "table+scalars",
+        "3ff0000000000000",
+        "7ff8000000000000",
+        "zz",
+        "sqrt",
+        "",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary JSON, and near-valid payloads (every member of a
+        /// valid one kept, dropped, doubled or replaced), so some
+        /// decode and must then round-trip exactly.
+        #[test]
+        fn the_payload_reader_rejects_or_round_trips_exactly(
+            arbitrary in arb_value::arb_value(3, &KEYS, &STRINGS),
+            near in arb_value::around(
+                one_of_each_kind().iter().map(SpecOutput::to_value).collect(),
+                &KEYS,
+                &STRINGS,
+            ),
+        ) {
+            for v in [arbitrary, near] {
+                let text = serde_json::to_string(&v).unwrap();
+                proptest::prop_assert!(rejected_or_exact(&text), "{}", text);
+            }
+        }
+
+        #[test]
+        fn arbitrary_bytes_are_rejected_or_round_trip_exactly(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256),
+        ) {
+            proptest::prop_assert!(rejected_or_exact(&String::from_utf8_lossy(&bytes)));
+        }
+    }
 }
+
+#[cfg(test)]
+#[path = "../../runner/tests/support/arb_value.rs"]
+mod arb_value;

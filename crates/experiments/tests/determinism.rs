@@ -18,10 +18,14 @@ use ebrc_experiments::{
     all_experiments, global_plan, plan_run_catalogue, plan_run_catalogue_cached, table_file_name,
     Experiment, ExperimentReport, Scale, SimSpec, SpecOutput, MASTER_SEED,
 };
-use ebrc_runner::{run_plan, CacheCounters, DirCache, ExecConfig, Pool, Spec as _};
+use ebrc_runner::{
+    run_plan, CacheCounters, CacheableSpec as _, DirCache, ExecConfig, OutputCache as _, Pool,
+    Spec as _,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A scale small enough to run the whole catalogue several times over.
 fn tiny(replicas: usize) -> Scale {
@@ -202,7 +206,7 @@ fn spec_keys_are_unique_and_collision_free_across_the_catalogue() {
 
 /// Pins every spec's content key through the plan fingerprint, which
 /// folds in each key's hash: a key that drifts would re-address every
-/// cache entry and shard artifact built from it. A deliberate refresh
+/// cache entry built from it, a shard's included. A deliberate refresh
 /// of the outputs updates these literals next to `UPDATE_GOLDEN` and
 /// says so.
 #[test]
@@ -221,35 +225,48 @@ fn plan_fingerprints_are_pinned() {
 }
 
 /// Runs the catalogue split into `k` deterministic shards — each shard
-/// executed as a subset of the plan, exactly like `repro run --shard`
-/// — then merges the outputs and reduces every experiment. Returns
-/// each experiment's tables, in catalogue order.
+/// executed as a subset of the plan into its own cache directory,
+/// exactly like `repro run --shard i/k --cache-dir` — then loads every
+/// output back from those directories, as `repro merge` does, and
+/// reduces every experiment. Returns each experiment's tables, in
+/// catalogue order.
 fn tables_via_shards(scale: Scale, k: usize, pool: &Pool) -> Vec<Vec<ebrc_experiments::Table>> {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let root = std::env::temp_dir().join(format!("ebrc-shards-{}-{run}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
     let experiments = all_experiments();
     let refs: Vec<&dyn Experiment> = experiments.iter().map(|e| e.as_ref()).collect();
     let plan = global_plan(&refs, scale);
     let mut outputs: Vec<Option<SpecOutput>> = (0..plan.unique_len()).map(|_| None).collect();
     for shard in 0..k {
         let indices = plan.shard_indices(shard, k);
-        let (results, _) = run_plan(
+        let cache = DirCache::new(root.join(format!("shard{shard}")));
+        let (results, stats) = run_plan(
             pool,
             MASTER_SEED,
             &plan,
             Some(&indices),
-            None,
+            Some(&cache),
             ExecConfig::default(),
             |_, _| {},
             |_| {},
         );
+        assert_eq!(stats.cache.misses, indices.len(), "a fresh shard cache");
         for (idx, result) in results.into_iter().enumerate() {
             assert_eq!(result.is_some(), indices.contains(&idx), "shard membership");
             let Some(result) = result else { continue };
-            // Round-trip through the shard interchange encoding, so the
-            // test covers exactly what crosses host boundaries.
-            let encoded = result.expect("spec panicked").to_value();
-            outputs[idx] = Some(SpecOutput::from_value(&encoded).expect("output round-trips"));
+            result.expect("spec panicked");
+            // Read back what the shard's cache entry holds: these are
+            // the bytes that cross host boundaries.
+            let spec = &plan.specs()[idx];
+            let payload = cache
+                .load(plan.spec_hashes()[idx], &spec.key())
+                .expect("a completed sim is cached");
+            outputs[idx] = Some(SimSpec::decode_output(&payload).expect("output decodes"));
         }
     }
+    let _ = std::fs::remove_dir_all(&root);
     let outputs: Vec<SpecOutput> = outputs.into_iter().map(Option::unwrap).collect();
     refs.iter()
         .zip(plan.subscriptions())
@@ -420,7 +437,7 @@ fn golden_corpus_gates_fresh_warm_cache_and_sharded_runs() {
     assert_corpus_eq(&golden, &warm, "warm-cache run");
     let _ = std::fs::remove_dir_all(&cache_root);
 
-    // 2-shard-merged: through the interchange encoding, same bytes.
+    // 2-shard-merged: through one cache directory per shard, same bytes.
     let sharded: BTreeMap<String, String> = tables_via_shards(scale, 2, &pool)
         .iter()
         .flatten()

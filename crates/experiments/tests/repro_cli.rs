@@ -1,6 +1,6 @@
 //! End-to-end checks of the `repro` binary: flag parsing, the
-//! plan/run/merge sharding workflow, output spooling (directory
-//! creation included), and exit codes.
+//! plan/run/merge sharding workflow over cache directories, output
+//! spooling (directory creation included), and exit codes.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -79,6 +79,7 @@ fn bad_flags_exit_with_usage() {
         vec!["--threads", "0"],
         vec!["--threads", "many"],
         vec!["--frobnicate"],
+        vec!["run", "fig01", "--shard", "0/1", "--shard-dir", "shards"],
         vec!["run", "--shard", "2/2"],
         vec!["run", "--shard", "nope"],
         vec!["plan", "--shards", "0"],
@@ -186,7 +187,8 @@ fn progress_line_reports_sim_completion() {
 }
 
 /// The whole sharding workflow through the real binary: a subset
-/// catalogue split 1, 2, and 3 ways merges to byte-identical tables.
+/// catalogue split 1, 2, and 3 ways, each shard into its own cache
+/// directory, merges from the copied union to byte-identical tables.
 #[test]
 fn shard_runs_merge_byte_identically() {
     let ids = ["fig02", "fig05", "fig08", "fig09", "claim4"];
@@ -197,13 +199,15 @@ fn shard_runs_merge_byte_identically() {
     assert!(direct.status.success());
 
     for k in [1usize, 2, 3] {
-        let dir = base.join(format!("k{k}"));
+        let union = base.join(format!("k{k}"));
+        std::fs::create_dir_all(&union).unwrap();
         for shard in 0..k {
+            let dir = base.join(format!("k{k}-shard{shard}"));
             let out = repro()
                 .arg("run")
                 .args(ids)
                 .args(scale)
-                .args(["--shard", &format!("{shard}/{k}"), "--shard-dir"])
+                .args(["--shard", &format!("{shard}/{k}"), "--cache-dir"])
                 .arg(&dir)
                 .output()
                 .unwrap();
@@ -212,14 +216,18 @@ fn shard_runs_merge_byte_identically() {
                 "shard {shard}/{k}: {}",
                 String::from_utf8_lossy(&out.stderr)
             );
-            assert!(dir.join(format!("shard-{shard}-of-{k}.json")).exists());
+            // Combining hosts is copying entry files into one directory.
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let entry = entry.unwrap();
+                std::fs::copy(entry.path(), union.join(entry.file_name())).unwrap();
+            }
         }
         let merged = repro()
             .arg("merge")
             .args(ids)
             .args(scale)
-            .arg("--shard-dir")
-            .arg(&dir)
+            .arg("--cache-dir")
+            .arg(&union)
             .output()
             .unwrap();
         assert!(
@@ -235,80 +243,102 @@ fn shard_runs_merge_byte_identically() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-#[test]
-fn merge_rejects_foreign_or_missing_shards() {
-    let dir = scratch("mismatch");
+/// Runs `repro merge ID --scale tiny --cache-dir CACHE --out …`;
+/// returns its exit code, its stderr, and whether it wrote any table.
+fn merge_from(id: &str, cache: &std::path::Path) -> (Option<i32>, String, bool) {
+    let tables = scratch(&format!("merged-{id}"));
     let out = repro()
-        .args([
-            "run",
-            "fig01",
-            "--scale",
-            "tiny",
-            "--shard",
-            "0/2",
-            "--shard-dir",
-        ])
-        .arg(&dir)
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-
-    // Different experiment set → different plan fingerprint — and a
-    // fingerprint mismatch must not leave partial tables behind.
-    let tables = scratch("mismatch-tables");
-    let foreign = repro()
-        .args(["merge", "fig02", "--scale", "tiny", "--shard-dir"])
-        .arg(&dir)
+        .args(["merge", id, "--scale", "tiny", "--cache-dir"])
+        .arg(cache)
         .arg("--out")
         .arg(&tables)
         .output()
         .unwrap();
-    assert!(!foreign.status.success());
-    let err = String::from_utf8_lossy(&foreign.stderr);
-    assert!(err.contains("different plan"), "stderr: {err}");
-    let written: Vec<_> = std::fs::read_dir(&tables)
-        .map(|d| d.flatten().collect())
-        .unwrap_or_default();
-    assert!(written.is_empty(), "mismatched merge wrote tables");
+    let wrote = std::fs::read_dir(&tables).map_or(0, |d| d.count()) > 0;
+    let _ = std::fs::remove_dir_all(&tables);
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), err, wrote)
+}
+
+#[test]
+fn merge_rejects_foreign_or_missing_shards() {
+    let dir = scratch("mismatch");
+    let run_shard = |shard: &str| {
+        let out = repro()
+            .args(["run", "fig01", "--scale", "tiny", "--shard", shard])
+            .arg("--cache-dir")
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "shard {shard}");
+    };
+    run_shard("0/2");
+
+    // A different experiment set finds none of its sims — and must not
+    // leave partial tables behind.
+    let (code, err, wrote) = merge_from("fig02", &dir);
+    assert_eq!(code, Some(1));
+    assert!(err.contains("incomplete"), "stderr: {err}");
+    assert!(!wrote, "mismatched merge wrote tables");
 
     // Same plan but shard 1/2 never ran → incomplete. The exit code
     // is pinned: scripts piping `repro merge` must be able to trust
     // that missing sims fail the command, not just print a complaint.
-    let partial = repro()
-        .args(["merge", "fig01", "--scale", "tiny", "--shard-dir"])
-        .arg(&dir)
-        .output()
-        .unwrap();
-    assert_eq!(partial.status.code(), Some(1), "missing sims must exit 1");
-    let err = String::from_utf8_lossy(&partial.stderr);
-    assert!(err.contains("incomplete shard set"), "stderr: {err}");
+    let (code, err, wrote) = merge_from("fig01", &dir);
+    assert_eq!(code, Some(1), "missing sims must exit 1");
+    assert!(err.contains("incomplete: 1 of 2 sims"), "stderr: {err}");
+    assert!(!wrote, "an incomplete merge wrote tables");
+
+    // Complete, it merges; one truncated entry fails it, naming the
+    // entry's spec key.
+    run_shard("1/2");
+    assert_eq!(merge_from("fig01", &dir).0, Some(0));
+    let entry = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap();
+    let text = std::fs::read_to_string(entry.path()).unwrap();
+    let key = text.split("\"key\":\"").nth(1).unwrap();
+    let key = &key[..key.find('"').unwrap()];
+    std::fs::write(entry.path(), &text[..text.len() / 2]).unwrap();
+    let (code, err, wrote) = merge_from("fig01", &dir);
+    assert_eq!(code, Some(1), "a torn entry must exit 1");
+    assert!(err.contains(key), "stderr names {key:?}: {err}");
+    assert!(!wrote, "a merge with a torn entry wrote tables");
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&tables);
 }
 
 #[test]
-fn out_of_range_shard_fails_without_writing_an_artifact() {
+fn out_of_range_shard_fails_without_writing_a_cache_entry() {
     let dir = scratch("oor-shard");
     for shard in ["3/2", "2/2", "1/0"] {
         let out = repro()
-            .args([
-                "run",
-                "fig01",
-                "--scale",
-                "tiny",
-                "--shard",
-                shard,
-                "--shard-dir",
-            ])
+            .args(["run", "fig01", "--scale", "tiny", "--shard", shard])
+            .arg("--cache-dir")
             .arg(&dir)
             .output()
             .unwrap();
         assert!(!out.status.success(), "--shard {shard} must fail");
-        assert!(
-            !dir.exists() || std::fs::read_dir(&dir).unwrap().next().is_none(),
-            "--shard {shard} wrote an artifact"
-        );
+        assert!(!dir.exists(), "--shard {shard} wrote a cache entry");
     }
+}
+
+/// A shard is a cache directory: without one, `run --shard` and
+/// `merge` have nowhere to write or read, so they fail naming the flag
+/// and create nothing.
+#[test]
+fn shard_and_merge_without_a_cache_dir_fail_and_create_nothing() {
+    let dir = scratch("no-cache-dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    for args in [
+        &["run", "fig01", "--scale", "tiny", "--shard", "0/1"][..],
+        &["merge", "fig01", "--scale", "tiny"],
+    ] {
+        let out = repro().args(args).current_dir(&dir).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--cache-dir"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+    let created = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(created, 0, "nothing is created");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -813,8 +843,8 @@ fn single_sim_trace_writes_the_named_file() {
     let path = base.join("deep/one.pftrace");
     let out = repro()
         .args(["run", "fig05", "--scale", "tiny", "--shard", "0/6"])
-        .args(["--shard-dir"])
-        .arg(base.join("shards"))
+        .arg("--cache-dir")
+        .arg(base.join("cache"))
         .arg("--trace")
         .arg(&path)
         .output()

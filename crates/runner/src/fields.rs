@@ -1,5 +1,6 @@
 //! The one strict reader for the JSON that crosses a process boundary:
-//! shard artifacts, daemon frames, spec outputs and cache entries.
+//! daemon frames, spec outputs and cache entries (which are also how
+//! a shard's outputs cross hosts).
 
 use serde::Value;
 

@@ -11,8 +11,8 @@
 //!
 //! A plan is also the unit of distribution: [`Plan::shard_indices`]
 //! partitions the unique specs deterministically into `k` shards that
-//! can run on separate hosts, and [`Plan::fingerprint`] lets a merge
-//! step verify that every shard was cut from the same plan. Because a
+//! can run on separate hosts, and [`Plan::fingerprint`] names the
+//! whole plan, so two hosts can check they built the same one. Because a
 //! spec's randomness is a pure function of its content (its key seeds
 //! the [`JobCtx`] stream, and scenario specs carry their own
 //! parameter-derived seeds), results are bit-identical at any thread
@@ -416,8 +416,8 @@ impl<S: Spec> Plan<S> {
 
     /// A stable fingerprint of the whole plan — every spec hash in
     /// order plus the subscription structure. Two hosts that build the
-    /// same plan (same experiments, same scale) agree on it; a merge
-    /// step rejects shards carrying any other fingerprint.
+    /// same plan (same experiments, same scale) agree on it, so a
+    /// client and a daemon can check they mean the same sweep.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |v: u64| {

@@ -1,7 +1,7 @@
 //! Arbitrary JSON trees for the property tests of every JSON reader in
 //! the workspace: the strict field reader and the cache-entry header
-//! (`ebrc-runner`), the daemon protocol (`ebrc-serve`) and the shard
-//! artifact (`ebrc-experiments`). Each test includes this file with
+//! (`ebrc-runner`), the daemon protocol (`ebrc-serve`) and the spec
+//! output payload (`ebrc-experiments`). Each test includes this file with
 //! `#[path]`, so the generator exists once without becoming library
 //! API.
 

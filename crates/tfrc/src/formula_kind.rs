@@ -57,7 +57,7 @@ impl FormulaKind {
     }
 
     /// Stable lowercase identifier — the spelling used in spec content
-    /// keys and shard interchange files, so it must never change.
+    /// keys and cached spec outputs, so it must never change.
     pub fn key_name(&self) -> &'static str {
         match self {
             FormulaKind::Sqrt => "sqrt",
