@@ -3,7 +3,8 @@
 
 use super::{CliError, NamedScale};
 use crate::registry::resolve;
-use ebrc_runner::{CacheEntry, DirCache};
+use crate::SimSpec;
+use ebrc_runner::{CacheEntry, CacheableSpec, DirCache, OutputCache, TempFile};
 use std::collections::HashSet;
 use std::path::Path;
 
@@ -22,10 +23,7 @@ pub fn command(
     };
     let cache = DirCache::new(dir);
     match action {
-        [word] if word == "stats" => {
-            stats(&cache);
-            Ok(())
-        }
+        [word] if word == "stats" => stats(&cache),
         [word] if word == "clear" => clear(&cache),
         [word] if word == "gc" => gc(&cache, keep_plan, scale, dry_run),
         _ => Err(CliError::Usage(
@@ -34,29 +32,34 @@ pub fn command(
     }
 }
 
-fn stats(cache: &DirCache) {
-    let entries = cache.entries();
+/// The cache's entries, each `valid` only if a run could use it: its
+/// header and `check` hold and its payload decodes, as `run_plan` and
+/// `merge` require.
+fn entries(cache: &DirCache) -> Vec<CacheEntry> {
+    let mut entries = cache.entries();
+    for e in &mut entries {
+        let payload = e.key.as_deref().and_then(|key| cache.load(e.hash, key));
+        e.valid = payload.is_some_and(|p| SimSpec::decode_output(&p).is_ok());
+    }
+    entries
+}
+
+fn stats(cache: &DirCache) -> Result<(), CliError> {
+    let entries = entries(cache);
     let valid = entries.iter().filter(|e| e.valid).count();
     let bytes: u64 = entries.iter().map(|e| e.bytes).sum();
-    println!(
-        "cache {}: {} entries ({} valid, {} invalid), {} bytes",
-        cache.dir().display(),
-        entries.len(),
-        valid,
-        entries.len() - valid,
-        bytes,
-    );
+    let (dir, n, invalid) = (cache.dir().display(), entries.len(), entries.len() - valid);
+    println!("cache {dir}: {n} entries ({valid} valid, {invalid} invalid), {bytes} bytes");
     // Writer residue (a killed `repro` leaves its .tmp behind) and the
     // true on-disk footprint, entries + residue.
     let temps = cache.temp_files();
     let temp_bytes: u64 = temps.iter().map(|t| t.bytes).sum();
+    let total = bytes + temp_bytes;
     println!(
-        "cache {}: {} temp file(s) ({} bytes), {} bytes total on disk",
-        cache.dir().display(),
-        temps.len(),
-        temp_bytes,
-        bytes + temp_bytes,
+        "cache {dir}: {} temp file(s) ({temp_bytes} bytes), {total} bytes total on disk",
+        temps.len()
     );
+    Ok(())
 }
 
 fn clear(cache: &DirCache) -> Result<(), CliError> {
@@ -77,10 +80,10 @@ fn clear(cache: &DirCache) -> Result<(), CliError> {
 
 /// Splits the cache's entries into those a gc keeping `keep` removes
 /// and the number it keeps: every entry whose content hash the plan
-/// does not reference goes, invalid entries included.
+/// does not reference goes, and so does every invalid one, whatever
+/// its hash.
 fn gc_selection(cache: &DirCache, keep: &HashSet<u64>) -> (Vec<CacheEntry>, usize) {
-    let (kept, doomed): (Vec<_>, Vec<_>) = cache
-        .entries()
+    let (kept, doomed): (Vec<_>, Vec<_>) = entries(cache)
         .into_iter()
         .partition(|e| e.valid && keep.contains(&e.hash));
     (doomed, kept.len())
@@ -113,12 +116,8 @@ fn gc(
             );
         }
         let temps = cache.temp_files();
-        for temp in &temps {
-            println!(
-                "would remove temp {} ({} bytes)",
-                temp.path.display(),
-                temp.bytes
-            );
+        for TempFile { path, bytes } in &temps {
+            println!("would remove temp {} ({bytes} bytes)", path.display());
         }
         let bytes: u64 = doomed.iter().map(|e| e.bytes).sum::<u64>()
             + temps.iter().map(|t| t.bytes).sum::<u64>();
@@ -147,7 +146,8 @@ fn gc(
 mod tests {
     use super::*;
     use crate::registry::Scale;
-    use ebrc_runner::{stable_hash, OutputCache as _, Spec as _};
+    use crate::SpecOutput;
+    use ebrc_runner::{stable_hash, Spec as _};
 
     #[test]
     fn gc_dry_run_selects_exactly_what_the_real_pass_removes() {
@@ -157,22 +157,32 @@ mod tests {
         let scale = (Scale::tiny(), "tiny");
         let keep_plan = vec!["fig01".to_string()];
         let (_, plan) = resolve(&keep_plan, scale.0).unwrap();
-        // One live entry, two orphans, one entry that fails validation.
-        let live = plan.specs()[0].key();
-        cache.store(stable_hash(&live), &live, "payload");
+        // One live entry, one live entry whose payload does not decode,
+        // two orphans, one entry that fails the cache's own validation.
+        let payload = SimSpec::encode_output(&SpecOutput::Scalars(vec![1.0]));
+        let [live, undecodable] = [0, 1].map(|i| plan.specs()[i].key());
+        cache.store(stable_hash(&live), &live, &payload);
+        cache.store(stable_hash(&undecodable), &undecodable, "payload");
         for key in ["orphan/a", "orphan/b"] {
-            cache.store(stable_hash(key), key, "payload");
+            cache.store(stable_hash(key), key, &payload);
         }
         std::fs::write(dir.join(format!("{:016x}.json", 7)), "torn").unwrap();
         let hashes = |entries: Vec<CacheEntry>| -> HashSet<u64> {
             entries.into_iter().map(|e| e.hash).collect()
         };
         let before = hashes(cache.entries());
-        assert_eq!(before.len(), 4);
+        assert_eq!(before.len(), 5);
+        let valid = entries(&cache).iter().filter(|e| e.valid).count();
+        assert_eq!(valid, 3, "the live entry and the orphans decode");
 
         let keep: HashSet<u64> = plan.spec_hashes().iter().copied().collect();
         let selected = hashes(gc_selection(&cache, &keep).0);
-        assert_eq!(selected.len(), 3, "two orphans and the torn entry");
+        assert_eq!(
+            selected.len(),
+            4,
+            "two orphans, the undecodable and the torn entry"
+        );
+        assert!(selected.contains(&stable_hash(&undecodable)));
 
         gc(&cache, &keep_plan, scale, true).unwrap();
         assert_eq!(hashes(cache.entries()), before, "--dry-run deleted");

@@ -372,8 +372,10 @@ impl ManyFlowRun {
         // delay) and at most one feedback per flow in the reverse one —
         // waits in the engine's lane for that delay, reserved below.
         // The bottleneck backlog is in neither: it waits in the DropTail
-        // queue's own `VecDeque`. (10⁴ flows: 11 064 + 46 264 hinted,
-        // 11 001 + 43 534 measured.)
+        // queue's own FIFO, reserved there at the buffer size. (10⁴
+        // flows: 11 064 + 46 264 hinted, 11 001 + 43 534 measured; a
+        // pending event takes a 64-byte slot in the calendar and 48
+        // bytes in the lane, a queued packet 24 of the buffer's 70 400.)
         let in_flight = (share_pps * n_total as f64 * owd).ceil() as usize;
         let mut eng: Engine<NetEvent> = Engine::with_capacity(7, n_total + 64);
 

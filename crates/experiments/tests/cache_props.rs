@@ -171,7 +171,10 @@ proptest! {
 }
 
 /// A damaged entry does not poison the reduce: the runner treats it as
-/// a miss, re-executes the spec, and repairs the cache in passing.
+/// a miss, re-executes the spec, and repairs the cache in passing. Two
+/// damages: a flipped payload byte, which the cache's own `check`
+/// catches, and a payload with a short table row under a valid header
+/// and `check`, which only the decoder refuses.
 #[test]
 fn corrupted_entries_re_run_instead_of_poisoning() {
     let cache = DirCache::new(scratch("rerun"));
@@ -196,29 +199,42 @@ fn corrupted_entries_re_run_instead_of_poisoning() {
     };
     let (cold, c0) = run();
     assert_eq!(c0.cache, CacheCounters { hits: 0, misses: 2 });
-    // Flip one byte inside the first spec's payload.
-    let hash = stable_hash("diag/v7/fail=false");
-    let text = std::fs::read_to_string(cache.entry_path(hash)).unwrap();
-    let pos = text.find("\"payload\"").unwrap() + 12;
-    let mut bytes = text.into_bytes();
-    bytes[pos] ^= 0x20;
-    std::fs::write(cache.entry_path(hash), &bytes).unwrap();
-
-    let (warm, c1) = run();
-    assert_eq!(
-        c1.cache,
-        CacheCounters { hits: 1, misses: 1 },
-        "damaged entry must re-run, intact one must hit"
-    );
-    for (a, b) in cold.iter().zip(&warm) {
-        let a = a.as_ref().unwrap().as_ref().unwrap();
-        let b = b.as_ref().unwrap().as_ref().unwrap();
-        assert_eq!(encode(a), encode(b), "reduce inputs diverged");
+    let key = "diag/v7/fail=false";
+    let hash = stable_hash(key);
+    let flip_a_payload_byte = || {
+        let text = std::fs::read_to_string(cache.entry_path(hash)).unwrap();
+        let pos = text.find("\"payload\"").unwrap() + 12;
+        let mut bytes = text.into_bytes();
+        bytes[pos] ^= 0x20;
+        std::fs::write(cache.entry_path(hash), &bytes).unwrap();
+        assert_eq!(cache.load(hash, key), None, "the check refuses it");
+    };
+    let store_a_short_row = || {
+        let short = r#"{"kind":"table","table":{"name":"fig/x","caption":"c","columns":["a","b"],"rows":[["3ff0000000000000"]]}}"#;
+        cache.store(hash, key, short);
+        assert_eq!(cache.load(hash, key).as_deref(), Some(short));
+        let err = <SimSpec as CacheableSpec>::decode_output(short).unwrap_err();
+        assert!(err.contains("row width 1 vs 2 columns"), "{err}");
+    };
+    let damages: [&dyn Fn(); 2] = [&flip_a_payload_byte, &store_a_short_row];
+    for damage in damages {
+        damage();
+        let (warm, c1) = run();
+        assert_eq!(
+            c1.cache,
+            CacheCounters { hits: 1, misses: 1 },
+            "damaged entry must re-run, intact one must hit"
+        );
+        for (a, b) in cold.iter().zip(&warm) {
+            let a = a.as_ref().unwrap().as_ref().unwrap();
+            let b = b.as_ref().unwrap().as_ref().unwrap();
+            assert_eq!(encode(a), encode(b), "reduce inputs diverged");
+        }
+        // The re-run repaired the entry.
+        let (_, c2) = run();
+        assert_eq!(c2.cache, CacheCounters { hits: 2, misses: 0 });
+        assert_eq!(c2.events, 0);
+        assert!(c2.timings.is_empty(), "hits must not report timings");
     }
-    // The re-run repaired the entry.
-    let (_, c2) = run();
-    assert_eq!(c2.cache, CacheCounters { hits: 2, misses: 0 });
-    assert_eq!(c2.events, 0);
-    assert!(c2.timings.is_empty(), "hits must not report timings");
     let _ = std::fs::remove_dir_all(cache.dir());
 }

@@ -455,6 +455,52 @@ fn cache_gc_removes_exactly_the_orphaned_hashes() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
+/// An entry whose header and `check` hold but whose payload does not
+/// decode is no use to a run, so `cache stats` counts it invalid and
+/// `cache gc` deletes it, even though the plan it keeps references it.
+#[test]
+fn an_entry_that_does_not_decode_is_invalid_to_stats_and_gc() {
+    use ebrc_experiments::SimSpec;
+    use ebrc_runner::{CacheableSpec, DirCache, OutputCache};
+    let base = scratch("cache-undecodable");
+    let cdir = base.join("cache");
+    let cache_cmd = |args: &[&str]| {
+        let out = repro().args(args).arg("--cache-dir").arg(&cdir).output();
+        let out = out.unwrap();
+        assert!(out.status.success(), "{args:?}");
+        let text = [out.stdout, out.stderr].concat();
+        String::from_utf8_lossy(&text).into_owned()
+    };
+    cache_cmd(&["fig01", "--scale", "tiny"]);
+    let cache = DirCache::new(&cdir);
+    let entries = cache.entries();
+    assert_eq!(entries.len(), 2);
+    // Cut one cell from the first row of a table; `store` recomputes
+    // the `check`, as a careless writer would.
+    let (hash, key) = (entries[0].hash, entries[0].key.clone().unwrap());
+    let payload = cache.load(hash, &key).unwrap();
+    let row = payload.find("\"rows\":[[").unwrap() + 9;
+    let cell = row + payload[row..].find("\",\"").unwrap() + 1;
+    let end = cell + 2 + payload[cell + 2..].find('"').unwrap() + 1;
+    let short = format!("{}{}", &payload[..cell], &payload[end..]);
+    let err = SimSpec::decode_output(&short).unwrap_err();
+    assert!(err.contains("row width"), "{err}");
+    cache.store(hash, &key, &short);
+    assert!(cache.entries().iter().all(|e| e.valid), "the header holds");
+
+    let stats = cache_cmd(&["cache", "stats"]);
+    assert!(stats.contains("2 entries (1 valid, 1 invalid)"), "{stats}");
+    let gc = cache_cmd(&["cache", "gc", "--keep-plan", "fig01", "--scale", "tiny"]);
+    assert!(gc.contains("kept 1, removed 1"), "{gc}");
+    let left: Vec<u64> = cache.entries().iter().map(|e| e.hash).collect();
+    assert_eq!(
+        left,
+        vec![entries[1].hash],
+        "gc deleted the undecodable entry"
+    );
+    let _ = std::fs::remove_dir_all(&base);
+}
+
 #[test]
 fn env_var_sets_the_cache_dir() {
     let base = scratch("cache-env");

@@ -52,10 +52,11 @@ pub enum Report {
 
 /// A simulated packet: 32 bytes, pinned by the size test below.
 ///
-/// Every packet in flight is one of these, queued in a discipline or
-/// wrapped in a pending `Scheduled<NetEvent>` in a lane or a calendar
-/// slot; at 10⁴ flows the bottleneck buffer alone holds ~70 000 of
-/// them. A report rides in one 48-byte box behind a nullable pointer
+/// Every packet in flight is one of these: queued in a RED buffer, or
+/// the payload of a pending [`NetEvent`], which the engine keeps in 48
+/// bytes in a lane and in a 64-byte calendar slot. A DropTail buffer
+/// keeps all but its report in 24 bytes, and at 10⁴ flows holds ~70 000
+/// of them. A report rides in one 48-byte box behind a nullable pointer
 /// (`None` is data), so a packet pays 8 bytes for its payload where a
 /// tagged `Data | Ack(Box) | Feedback(Box)` paid 16, and inline the
 /// 48-byte [`AckInfo`] would make every pending event 96 bytes. The
@@ -189,10 +190,12 @@ mod tests {
         }
     }
 
-    /// Every packet in flight is a `Packet` in a queue or a
-    /// `Scheduled<NetEvent>` in a lane or a calendar slot; growing a
+    /// Every packet in flight is a `Packet` in a queue or the payload
+    /// of a pending `NetEvent` in a lane or a calendar slot, and the
+    /// calendar's trait moves it as a `Scheduled<NetEvent>`; growing a
     /// packet payload grows them all. Shrink or box the new field
-    /// instead of raising these bounds.
+    /// instead of raising these bounds. (`ebrc-sim` pins the engine's
+    /// own records for a 32-byte payload, `queue.rs` DropTail's.)
     #[test]
     fn packets_in_flight_stay_compact() {
         let packet = std::mem::size_of::<Packet>();

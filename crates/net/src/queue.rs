@@ -5,10 +5,19 @@
 //! lab runs DropTail with 64 and 100 packets, and RED with
 //! `w_q ≈ 0.002`, `max_p = 1/10`, **gentle mode off** ("this was not
 //! possible with the traffic control module of the Linux kernel").
+//!
+//! A DropTail buffer is where a many-flow bottleneck keeps its backlog
+//! (~70 000 packets at 10⁴ flows), so it stores each packet in 24
+//! bytes, not the 32 of a [`Packet`]: flow, size, seq and send time in
+//! the FIFO, and the 8-byte report pointer, which is `None` for every
+//! data packet, only for the packets that carry one, in a second FIFO
+//! keyed by queue position. RED keeps plain `Packet`s: its buffers
+//! hold a few hundred at most.
 
-use crate::packet::Packet;
+use crate::packet::{FlowId, Packet, Report};
 use ebrc_dist::Rng;
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 
 /// Aggregate counters every discipline maintains.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -45,11 +54,67 @@ pub trait AqmQueue: Send {
     fn stats(&self) -> QueueStats;
 }
 
+/// A queued packet less its report, in 24 bytes: seq, the bits of
+/// the send time, and `flow << 32 | size`.
+type Queued = [u64; 3];
+
+/// [`DropTailQueue`]'s FIFO of [`Queued`] packets, with the reports of
+/// those that carry one beside it.
+#[derive(Debug)]
+struct PacketFifo {
+    packets: VecDeque<Queued>,
+    /// `(position, report)` in queue order, a position counting every
+    /// packet ever pushed.
+    reports: VecDeque<(u64, Box<Report>)>,
+    /// The position of the front packet: how many have been popped.
+    popped: u64,
+}
+
+impl PacketFifo {
+    fn with_capacity(capacity: usize) -> Self {
+        Self {
+            packets: VecDeque::with_capacity(capacity),
+            reports: VecDeque::new(),
+            popped: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.packets.len()
+    }
+
+    fn push(&mut self, pkt: Packet) {
+        if let Some(report) = pkt.report {
+            let position = self.popped + self.packets.len() as u64;
+            self.reports.push_back((position, report));
+        }
+        let flow_size = u64::from(pkt.flow.0) << 32 | u64::from(pkt.size.get());
+        self.packets
+            .push_back([pkt.seq, pkt.sent_at.to_bits(), flow_size]);
+    }
+
+    fn pop(&mut self) -> Option<Packet> {
+        let [seq, sent_at, flow_size] = self.packets.pop_front()?;
+        let report = match self.reports.front() {
+            Some(&(position, _)) if position == self.popped => self.reports.pop_front(),
+            _ => None,
+        };
+        self.popped += 1;
+        Some(Packet {
+            flow: FlowId((flow_size >> 32) as u32),
+            seq,
+            size: NonZeroU32::new(flow_size as u32).expect("a queued packet has a size"),
+            report: report.map(|(_, report)| report),
+            sent_at: f64::from_bits(sent_at),
+        })
+    }
+}
+
 /// Plain FIFO with a fixed capacity in packets.
 #[derive(Debug)]
 pub struct DropTailQueue {
     capacity: usize,
-    q: VecDeque<Packet>,
+    q: PacketFifo,
     stats: QueueStats,
 }
 
@@ -62,7 +127,7 @@ impl DropTailQueue {
         assert!(capacity > 0, "queue capacity must be positive");
         Self {
             capacity,
-            q: VecDeque::with_capacity(capacity),
+            q: PacketFifo::with_capacity(capacity),
             stats: QueueStats::default(),
         }
     }
@@ -81,13 +146,13 @@ impl AqmQueue for DropTailQueue {
             Err(pkt)
         } else {
             self.stats.enqueued += 1;
-            self.q.push_back(pkt);
+            self.q.push(pkt);
             Ok(())
         }
     }
 
     fn dequeue(&mut self, _now: f64) -> Option<Packet> {
-        let p = self.q.pop_front();
+        let p = self.q.pop();
         if p.is_some() {
             self.stats.dequeued += 1;
         }
@@ -288,7 +353,7 @@ impl AqmQueue for RedQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::FlowId;
+    use crate::packet::{AckInfo, FeedbackInfo};
 
     fn pkt(seq: u64) -> Packet {
         Packet::data(FlowId(0), seq, 1500, 0.0)
@@ -340,6 +405,73 @@ mod tests {
         assert_eq!(s.enqueued, 1000 - dropped);
         assert_eq!(s.dequeued, dequeued);
         assert_eq!(s.enqueued, s.dequeued + q.len() as u64);
+    }
+
+    /// The bottleneck backlog is the largest store of packets in a
+    /// many-flow run: keep a queued one at 24 bytes.
+    #[test]
+    fn a_queued_packet_stays_compact() {
+        let size = std::mem::size_of::<Queued>();
+        assert!(size <= 24, "a queued packet grew to {size} bytes");
+    }
+
+    /// Data and report packets interleaved, one report dropped at the
+    /// full buffer: every accepted packet comes back unchanged and in
+    /// order, reports on the packets that carried them and nowhere
+    /// else.
+    #[test]
+    fn droptail_returns_every_accepted_packet_unchanged() {
+        let ack = |n: u64| {
+            Report::Ack(AckInfo {
+                cum_ack: n,
+                sack: vec![(n + 2, n + 5)],
+                echo_seq: n + 1,
+                echo_ts: -0.0,
+            })
+        };
+        let feedback = Report::Feedback(FeedbackInfo {
+            avg_interval: f64::INFINITY,
+            x_recv: 12.5,
+            x_recv_bytes: 18_750.0,
+            echo_ts: 3.25,
+            events: 4,
+        });
+        let offered = [
+            Packet::data(FlowId(7), 0, 1500, 0.5),
+            Packet::report(FlowId(u32::MAX), u64::MAX, 40, ack(1), 0.75),
+            Packet::report(FlowId(3), 9, 1, feedback, f64::MIN_POSITIVE),
+            Packet::data(FlowId(0), 1 << 40, u32::MAX, -0.0),
+            // The buffer is full: refused whole, report and all.
+            Packet::report(FlowId(5), 2, 40, ack(2), 1.0),
+            Packet::data(FlowId(8), 3, 576, 1.0),
+            Packet::report(FlowId(9), 4, 40, ack(3), 1.5),
+        ];
+        let mut q = DropTailQueue::new(4);
+        let mut rng = Rng::seed_from(9);
+        let mut accepted = Vec::new();
+        let mut returned = Vec::new();
+        for (i, pkt) in offered.iter().enumerate() {
+            match q.enqueue(pkt.clone(), 0.0, &mut rng) {
+                Ok(()) => accepted.push(pkt.clone()),
+                Err(back) => {
+                    assert_eq!(i, 4, "only the fifth packet meets a full buffer");
+                    assert_eq!(back, *pkt, "a refused packet comes back as offered");
+                }
+            }
+            if i == 4 {
+                returned.extend(q.dequeue(0.0));
+                returned.extend(q.dequeue(0.0));
+            }
+        }
+        while let Some(pkt) = q.dequeue(0.0) {
+            returned.push(pkt);
+        }
+        assert_eq!(accepted.len(), 6);
+        assert_eq!(returned, accepted);
+        for (out, sent) in returned.iter().zip(&accepted) {
+            assert_eq!(out.sent_at.to_bits(), sent.sent_at.to_bits());
+        }
+        assert_eq!(q.stats().dropped, 1);
     }
 
     fn red_cfg() -> RedConfig {

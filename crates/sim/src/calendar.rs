@@ -36,8 +36,13 @@
 //! against the heap through the trait, and the property tests, which
 //! check the wheel's pop order against the heap's.
 //!
-//! The ring owns one allocation for its events: a *slab* of slots, each
-//! a pending event plus the index of the next slot in the same bucket.
+//! Every store holds the engine's packed record — time, payload and one
+//! key, `seq << 16 | target`, ordered as `(time, seq)` since seqs are
+//! unique — and the trait's [`Scheduled`] is packed on the way in and
+//! unpacked on the way out, so [`WheelCalendar::push`] refuses a `seq`
+//! or `target` the key cannot hold. The ring owns one allocation for
+//! its events: a *slab* of slots, each a pending record plus the index
+//! of the next slot in the same bucket (64 bytes for a 32-byte payload).
 //! A bucket is the head of such a chain and its length — eight bytes,
 //! `Copy`, owning nothing — and slots a pop vacates are threaded onto a
 //! free list through the same link and handed to the next push. Ring
@@ -51,50 +56,12 @@
 //! the heap's total order, so bucket count and width are pure
 //! performance knobs — the golden corpus cannot move when they change.
 //! The same argument covers where a bucket keeps its events: keys are
-//! unique (`seq` is), so the minimum of a chain is the same event in
+//! unique (seqs are), so the minimum of a chain is the same event in
 //! whatever order pushes, pops, refits and slot reuse left the chain.
 
-use std::cmp::Ordering;
+pub use crate::pending::Scheduled;
+use crate::pending::{seq_of, Pending};
 use std::collections::BinaryHeap;
-
-/// One pending event: delivery time, scheduling sequence number (the
-/// deterministic tie-breaker), target component index, and payload.
-pub struct Scheduled<E> {
-    /// Absolute delivery time in seconds.
-    pub time: f64,
-    /// Global scheduling sequence number — unique per engine, assigned
-    /// in `schedule`/emission order. Ties on `time` resolve by `seq`,
-    /// which is what makes simultaneous events fire FIFO.
-    pub seq: u64,
-    /// Index of the component the event is addressed to.
-    pub target: usize,
-    /// The event payload.
-    pub event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: `BinaryHeap` is a max-heap, we want earliest first;
-        // ties broken by scheduling order for determinism. The same
-        // reversal makes the natural minimum the `Ord`-maximal
-        // element, which is what the wheel's bucket min-scan selects.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// The pending-event set contract the engine's dispatch loop runs on.
 ///
@@ -236,27 +203,25 @@ struct Bucket {
 
 const EMPTY: Bucket = Bucket { head: NIL, len: 0 };
 
-/// One slab slot: a [`Scheduled`] event and the link to the next slot
+/// One slab slot: a [`Pending`] event and the link to the next slot
 /// of its chain. The key sits outside the `Option`, so a min-scan reads
-/// `(time, seq)` without testing a tag; only the payload is optional,
+/// `(time, key)` without testing a tag; only the payload is optional,
 /// `None` marking a slot on the free list (where `next` is the free
 /// link and the key is stale).
 struct Slot<E> {
     time: f64,
-    seq: u64,
-    target: usize,
+    key: u64,
     next: u32,
     event: Option<E>,
 }
 
 impl<E> Slot<E> {
     /// The slot's event, leaving the slot vacant; `None` if it was.
-    fn take(&mut self) -> Option<Scheduled<E>> {
+    fn take(&mut self) -> Option<Pending<E>> {
         let event = self.event.take()?;
-        Some(Scheduled {
+        Some(Pending {
             time: self.time,
-            seq: self.seq,
-            target: self.target,
+            key: self.key,
             event,
         })
     }
@@ -324,10 +289,10 @@ pub struct WheelCalendar<E> {
     /// The tick currently being served: the cursor bucket's events,
     /// heapified, plus any later push that clamps to the cursor while
     /// serving. Its top is the global minimum whenever it is non-empty.
-    head: BinaryHeap<Scheduled<E>>,
+    head: BinaryHeap<Pending<E>>,
     /// Events beyond the ring's window, plus everything before the
     /// first fit.
-    overflow: BinaryHeap<Scheduled<E>>,
+    overflow: BinaryHeap<Pending<E>>,
     fitted: bool,
     hint: usize,
     /// Pops since the last refit — a refit costs O(pending), so
@@ -359,12 +324,11 @@ impl<E> WheelCalendar<E> {
     /// Files `item` under `tick`: a free slot if a pop left one,
     /// otherwise one more slab entry, linked at the bucket's head.
     #[inline]
-    fn insert_wheel(&mut self, tick: u64, item: Scheduled<E>) {
+    fn insert_wheel(&mut self, tick: u64, item: Pending<E>) {
         let bucket = &mut self.buckets[(tick & self.mask) as usize];
         let slot = Slot {
             time: item.time,
-            seq: item.seq,
-            target: item.target,
+            key: item.key,
             next: bucket.head,
             event: Some(item.event),
         };
@@ -391,7 +355,7 @@ impl<E> WheelCalendar<E> {
     /// Moves chained slot `i` to the free list; returns its event and
     /// its chain successor (mending the chain is the caller's job).
     #[inline]
-    fn release(&mut self, i: u32) -> (Scheduled<E>, u32) {
+    fn release(&mut self, i: u32) -> (Pending<E>, u32) {
         let slot = &mut self.slots[i as usize];
         let item = slot.take().expect("a chained slot holds an event");
         let next = std::mem::replace(&mut slot.next, self.free);
@@ -627,14 +591,80 @@ impl<E> WheelCalendar<E> {
         let (mut prev, mut i) = (head, min.next);
         while i != NIL {
             let slot = &self.slots[i as usize];
-            // Pop order: `Scheduled`'s `Ord`, un-reversed.
+            // Pop order: `Pending`'s `Ord`, un-reversed.
             let order = slot.time.total_cmp(&min.time);
-            if order.then_with(|| slot.seq.cmp(&min.seq)).is_lt() {
+            if order.then_with(|| slot.key.cmp(&min.key)).is_lt() {
                 (min_prev, min_i, min) = (prev, i, slot);
             }
             (prev, i) = (i, slot.next);
         }
         (min_prev, min_i)
+    }
+
+    /// [`Calendar::push`] for an event already packed: the engine's
+    /// way in.
+    pub(crate) fn file(&mut self, item: Pending<E>) {
+        debug_assert!(
+            (0.0..f64::INFINITY).contains(&item.time),
+            "calendar time {} is not finite and non-negative",
+            item.time
+        );
+        self.t_max_seen = self.t_max_seen.max(item.time);
+        if self.fitted {
+            let tick = self.raw_tick(item.time).max(self.cursor);
+            if tick == self.cursor && !self.head.is_empty() {
+                // The tick being served right now — its bucket is
+                // already drained, so the event joins the head heap
+                // directly. This is the zero/sub-width-delay chain
+                // fast path.
+                self.head.push(item);
+                return;
+            }
+            if tick < self.window_end() {
+                self.insert_wheel(tick, item);
+                return;
+            }
+        }
+        self.overflow.push(item);
+    }
+
+    /// [`Calendar::pop_not_after`], packed: the engine's way out.
+    pub(crate) fn take_not_after(&mut self, horizon: f64) -> Option<Pending<E>> {
+        if self.len() == 0 {
+            return None;
+        }
+        // One `locate()` and (for a small tick) one min-scan answer
+        // both "is the head due?" and "which event is it?".
+        let item = match self.locate() {
+            Location::Head => {
+                if self.head.peek()?.time > horizon {
+                    return None;
+                }
+                self.head.pop()
+            }
+            Location::Bucket(b) => {
+                let (prev, i) = self.bucket_min(b);
+                if self.slots[i as usize].time > horizon {
+                    return None;
+                }
+                let (item, next) = self.release(i);
+                match prev {
+                    NIL => self.buckets[b].head = next,
+                    _ => self.slots[prev as usize].next = next,
+                }
+                self.buckets[b].len -= 1;
+                self.wheel_len -= 1;
+                Some(item)
+            }
+            Location::Overflow => {
+                if self.overflow.peek()?.time > horizon {
+                    return None;
+                }
+                self.overflow.pop()
+            }
+        };
+        self.pops_since_refit = self.pops_since_refit.saturating_add(1);
+        item
     }
 }
 
@@ -673,29 +703,13 @@ impl<E> Calendar<E> for WheelCalendar<E> {
         }
     }
 
+    /// Packs `item` and files it.
+    ///
+    /// # Panics
+    /// Panics if its `seq` or `target` does not fit the packed key
+    /// (2⁴⁸ and 2¹⁶).
     fn push(&mut self, item: Scheduled<E>) {
-        debug_assert!(
-            (0.0..f64::INFINITY).contains(&item.time),
-            "calendar time {} is not finite and non-negative",
-            item.time
-        );
-        self.t_max_seen = self.t_max_seen.max(item.time);
-        if self.fitted {
-            let tick = self.raw_tick(item.time).max(self.cursor);
-            if tick == self.cursor && !self.head.is_empty() {
-                // The tick being served right now — its bucket is
-                // already drained, so the event joins the head heap
-                // directly. This is the zero/sub-width-delay chain
-                // fast path.
-                self.head.push(item);
-                return;
-            }
-            if tick < self.window_end() {
-                self.insert_wheel(tick, item);
-                return;
-            }
-        }
-        self.overflow.push(item);
+        self.file(Pending::pack(item));
     }
 
     fn pop(&mut self) -> Option<Scheduled<E>> {
@@ -707,12 +721,12 @@ impl<E> Calendar<E> for WheelCalendar<E> {
         if self.len() == 0 {
             return None;
         }
-        let key = |s: &Scheduled<E>| (s.time, s.seq);
+        let key = |s: &Pending<E>| (s.time, seq_of(s.key));
         match self.locate() {
             Location::Head => self.head.peek().map(key),
             Location::Bucket(b) => {
                 let slot = &self.slots[self.bucket_min(b).1 as usize];
-                Some((slot.time, slot.seq))
+                Some((slot.time, seq_of(slot.key)))
             }
             Location::Overflow => self.overflow.peek().map(key),
         }
@@ -742,41 +756,7 @@ impl<E> Calendar<E> for WheelCalendar<E> {
     }
 
     fn pop_not_after(&mut self, horizon: f64) -> Option<Scheduled<E>> {
-        if self.len() == 0 {
-            return None;
-        }
-        // One `locate()` and (for a small tick) one min-scan answer
-        // both "is the head due?" and "which event is it?".
-        let item = match self.locate() {
-            Location::Head => {
-                if self.head.peek()?.time > horizon {
-                    return None;
-                }
-                self.head.pop()
-            }
-            Location::Bucket(b) => {
-                let (prev, i) = self.bucket_min(b);
-                if self.slots[i as usize].time > horizon {
-                    return None;
-                }
-                let (item, next) = self.release(i);
-                match prev {
-                    NIL => self.buckets[b].head = next,
-                    _ => self.slots[prev as usize].next = next,
-                }
-                self.buckets[b].len -= 1;
-                self.wheel_len -= 1;
-                Some(item)
-            }
-            Location::Overflow => {
-                if self.overflow.peek()?.time > horizon {
-                    return None;
-                }
-                self.overflow.pop()
-            }
-        };
-        self.pops_since_refit = self.pops_since_refit.saturating_add(1);
-        item
+        self.take_not_after(horizon).map(Pending::unpack)
     }
 
     fn len(&self) -> usize {
@@ -1333,20 +1313,44 @@ mod tests {
         assert_eq!(cal.paths.refits, 0, "{:?}", cal.paths);
     }
 
-    /// A slot is a `Scheduled` event plus one link. A payload with a
-    /// spare niche value (here a 40-byte stand-in whose `u8` has plenty)
-    /// hides the free-slot tag in it; one without pays a word for it.
+    /// A 32-byte stand-in for `ebrc-net`'s `NetEvent`: a packet whose
+    /// `NonZeroU32` size holds the tag, and a timer token.
+    #[allow(dead_code)]
+    enum NetLike {
+        Packet(u32, u64, std::num::NonZeroU32, Option<Box<u8>>, f64),
+        Timer(u64),
+    }
+
+    /// Every pending event waits as a `Pending` in a lane or as a slot
+    /// in the wheel. The packed key keeps a `NetEvent`'s record at 48
+    /// bytes and its slot at 64 (a slot adds the link, and the
+    /// `Option` around an event with no spare niche its tag): growing
+    /// either grows every event in flight.
     #[test]
-    fn slot_adds_one_link_to_a_scheduled_event() {
-        #[allow(dead_code)]
-        enum NetLike {
-            Packet([u64; 4], u8),
-            Unit,
-            Timer(u64),
-        }
+    fn pending_records_and_slots_stay_compact() {
         use std::mem::size_of;
-        assert_eq!(size_of::<Scheduled<NetLike>>(), 64);
-        assert!(size_of::<Slot<NetLike>>() <= size_of::<Scheduled<NetLike>>() + 8);
-        assert!(size_of::<Slot<u64>>() <= size_of::<Scheduled<u64>>() + 16);
+        assert_eq!(size_of::<NetLike>(), 32);
+        let record = size_of::<Pending<NetLike>>();
+        assert!(record <= 48, "a pending NetEvent grew to {record} bytes");
+        let slot = size_of::<Slot<NetLike>>();
+        assert!(slot <= 64, "a wheel slot grew to {slot} bytes");
+        assert!(size_of::<Slot<u64>>() <= size_of::<Pending<u64>>() + 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit")]
+    fn push_refuses_a_target_past_the_key() {
+        let mut cal: WheelCalendar<u32> = Calendar::with_capacity(0);
+        cal.push(Scheduled {
+            target: 1 << 16,
+            ..ev(1.0, 0)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit")]
+    fn push_refuses_a_seq_past_the_key() {
+        let mut cal: WheelCalendar<u32> = Calendar::with_capacity(0);
+        cal.push(ev(1.0, 1 << 48));
     }
 }

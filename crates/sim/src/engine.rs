@@ -18,6 +18,11 @@
 //! dumbbell's two boxes share it); a second declared one rides the
 //! calendar.
 //!
+//! **Records.** An event waits as its time, its payload and one key,
+//! `seq << 16 | target` (48 bytes for a 32-byte payload); seqs are
+//! unique, so `(time, key)` order is the `(time, seq)` order below.
+//! [`Engine::add`] and the numbering panic past 2¹⁶ components and 2⁴⁸ events.
+//!
 //! **Lane invariant.** Each lane is sorted by `(time, seq)`, so its
 //! front is its minimum: `seq` only grows, and times never shrink. In
 //! the same-instant lane every time equals the clock, which never
@@ -58,7 +63,8 @@
 //! the same-instant lane starts small and grows (once) to the widest
 //! fan-out any handler produces.
 
-use crate::calendar::{Calendar, Scheduled, WheelCalendar};
+use crate::calendar::{Calendar, WheelCalendar};
+use crate::pending::{Pending, MAX_COMPONENTS};
 use crate::trace::TraceSink;
 use std::any::Any;
 use std::collections::VecDeque;
@@ -136,10 +142,10 @@ pub struct Context<'a, E> {
     /// Registered components: a target's index must lie below.
     components: usize,
     seq: &'a mut u64,
-    lane: &'a mut VecDeque<Scheduled<E>>,
+    lane: &'a mut VecDeque<Pending<E>>,
     /// The declared delay and its lane (see [`Engine`]'s fields).
     delay: f64,
-    delay_lane: &'a mut VecDeque<Scheduled<E>>,
+    delay_lane: &'a mut VecDeque<Pending<E>>,
     calendar: &'a mut WheelCalendar<E>,
     tracer: &'a mut Option<Box<dyn TraceSink<E>>>,
 }
@@ -163,24 +169,19 @@ impl<E: 'static> Context<'_, E> {
     /// # Panics
     /// Panics on negative or non-finite delays — an event in the past
     /// would corrupt the clock, and a NaN or infinite time would break
-    /// the `(time, seq)` dispatch order — and on an unknown target.
+    /// the `(time, seq)` dispatch order — on an unknown target, and once
+    /// the engine has numbered 2⁴⁸ events.
     pub fn send(&mut self, delay: f64, target: ComponentId, event: E) {
         check_delay(delay);
         assert!(target.0 < self.components, "unknown component");
-        let item = Scheduled {
-            time: self.now + delay,
-            seq: *self.seq,
-            target: target.0,
-            event,
-        };
-        *self.seq += 1;
+        let item = Pending::number(self.now + delay, self.seq, target.0, event);
         if item.time == self.now {
             self.lane.push_back(item);
         } else if delay == self.delay {
             debug_assert!(self.delay_lane.back().is_none_or(|b| b.time <= item.time));
             self.delay_lane.push_back(item);
         } else {
-            self.calendar.push(item);
+            self.calendar.file(item);
         }
     }
 
@@ -289,13 +290,13 @@ pub struct Engine<E: 'static> {
     seq: u64,
     /// Events due at exactly `clock`, in ascending `seq` (see the
     /// module docs for the invariant).
-    lane: VecDeque<Scheduled<E>>,
+    lane: VecDeque<Pending<E>>,
     /// The first positive [`Component::fixed_delay`] declared, `0.0`
     /// until then: a zero delay lands on the clock's own instant, so it
     /// never reaches the test that routes to `delay_lane`.
     delay: f64,
     /// The events emitted with exactly `delay`, in emission order.
-    delay_lane: VecDeque<Scheduled<E>>,
+    delay_lane: VecDeque<Pending<E>>,
     queue: WheelCalendar<E>,
     components: Vec<Box<dyn Component<E>>>,
     processed: u64,
@@ -368,7 +369,15 @@ impl<E: 'static> Engine<E> {
     /// Registers a component, returning its id. Its
     /// [`Component::fixed_delay`] opens the fixed-delay lane if it is
     /// the first positive one declared.
+    ///
+    /// # Panics
+    /// Panics on the 65 537th component: a pending event names its
+    /// target in 16 bits.
     pub fn add(&mut self, component: Box<dyn Component<E>>) -> ComponentId {
+        assert!(
+            self.components.len() < MAX_COMPONENTS,
+            "an engine holds at most {MAX_COMPONENTS} components"
+        );
         if self.delay == 0.0 {
             self.delay = component.fixed_delay().filter(|&d| d > 0.0).unwrap_or(0.0);
         }
@@ -406,33 +415,23 @@ impl<E: 'static> Engine<E> {
     /// the event fires after every same-instant event already pending.
     ///
     /// # Panics
-    /// Panics on a negative or non-finite delay, or an unknown target.
+    /// Panics on a negative or non-finite delay, an unknown target, or
+    /// once the engine has numbered 2⁴⁸ events.
     pub fn schedule(&mut self, delay: f64, target: ComponentId, event: E) {
         check_delay(delay);
         assert!(target.0 < self.components.len(), "unknown component");
-        let seq = self.next_seq();
-        self.queue.push(Scheduled {
-            time: self.clock + delay,
-            seq,
-            target: target.0,
-            event,
-        });
+        let item = Pending::number(self.clock + delay, &mut self.seq, target.0, event);
+        self.queue.file(item);
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
-    /// The `(time, seq)` minimum of the two lane fronts — each is its
+    /// The `(time, key)` minimum of the two lane fronts — each is its
     /// own lane's minimum — and whether it waits in the fixed-delay
     /// lane.
     #[inline]
     fn fifo_front(&self) -> Option<(f64, u64, bool)> {
-        let front = |f: &Scheduled<E>, fixed| (f.time, f.seq, fixed);
+        let front = |f: &Pending<E>, fixed| (f.time, f.key, fixed);
         match (self.lane.front(), self.delay_lane.front()) {
-            (Some(now), Some(later)) if (later.time, later.seq) < (now.time, now.seq) => {
+            (Some(now), Some(later)) if (later.time, later.key) < (now.time, now.key) => {
                 Some(front(later, true))
             }
             (Some(now), _) => Some(front(now, false)),
@@ -442,7 +441,7 @@ impl<E: 'static> Engine<E> {
 
     /// Takes the front [`Engine::fifo_front`] just reported.
     #[inline]
-    fn pop_fifo(&mut self, fixed: bool) -> Scheduled<E> {
+    fn pop_fifo(&mut self, fixed: bool) -> Pending<E> {
         let queue = if fixed {
             &mut self.delay_lane
         } else {
@@ -508,14 +507,14 @@ impl<E: 'static> Engine<E> {
                 // Else one probe, bounded by what its head has to beat.
                 _ => {
                     let bound = fifo.map_or(t_end, |(time, ..)| time.min(t_end));
-                    match self.queue.pop_not_after(bound) {
+                    match self.queue.take_not_after(bound) {
                         Some(head) => {
                             calendar_is_later = false;
                             match fifo {
                                 // A tie on the instant, lost on scheduling
                                 // order: the calendar keeps its event.
-                                Some((time, seq, fixed)) if head.time == time && head.seq > seq => {
-                                    self.queue.push(head);
+                                Some((time, key, fixed)) if head.time == time && head.key > key => {
+                                    self.queue.file(head);
                                     self.pop_fifo(fixed)
                                 }
                                 _ => head,
@@ -562,14 +561,15 @@ impl<E: 'static> Engine<E> {
         self.run_budgeted(RunLimit::events(max_events)).events
     }
 
-    fn dispatch(&mut self, item: Scheduled<E>) {
+    fn dispatch(&mut self, item: Pending<E>) {
         self.processed += 1;
+        let target = item.target();
         if let Some(t) = self.tracer.as_deref_mut() {
-            t.on_event(self.clock, ComponentId(item.target), &item.event);
+            t.on_event(self.clock, ComponentId(target), &item.event);
         }
         let mut ctx = Context {
             now: self.clock,
-            self_id: ComponentId(item.target),
+            self_id: ComponentId(target),
             components: self.components.len(),
             seq: &mut self.seq,
             lane: &mut self.lane,
@@ -578,7 +578,7 @@ impl<E: 'static> Engine<E> {
             calendar: &mut self.queue,
             tracer: &mut self.tracer,
         };
-        self.components[item.target].handle(self.clock, item.event, &mut ctx);
+        self.components[target].handle(self.clock, item.event, &mut ctx);
     }
 
     /// Immutable downcast access to a component's concrete type.
@@ -1237,6 +1237,41 @@ mod tests {
         assert_eq!(pings(&eng, rec), (0..7).collect::<Vec<_>>());
         let times: Vec<f64> = eng.get::<Recorder>(rec).log.iter().map(|e| e.0).collect();
         assert_eq!(times, [1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0]);
+    }
+
+    /// A component that ignores its events and, being zero-sized, owns
+    /// no allocation.
+    struct Idle;
+
+    impl Component<Ev> for Idle {
+        fn handle(&mut self, _now: f64, _event: Ev, _ctx: &mut Context<Ev>) {}
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 components")]
+    fn the_65537th_component_is_refused() {
+        let mut eng = Engine::new();
+        for _ in 0..MAX_COMPONENTS {
+            eng.add(Box::new(Idle));
+        }
+        assert_eq!(eng.components.len(), 1 << 16);
+        eng.add(Box::new(Idle));
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence numbers exhausted")]
+    fn a_send_past_the_last_sequence_number_panics() {
+        let mut eng = Engine::new();
+        let rec = eng.add(Box::new(Recorder { log: vec![] }));
+        let hop = eng.add(Box::new(Hop {
+            delay: 0.0,
+            peer: rec,
+        }));
+        // The schedule takes the last number; the hop's send finds none.
+        eng.seq = crate::pending::MAX_SEQ - 1;
+        eng.schedule(1.0, hop, Ev::Ping(1));
+        assert_eq!(eng.seq, 1 << 48);
+        eng.run_until(2.0);
     }
 
     #[test]

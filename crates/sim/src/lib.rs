@@ -47,6 +47,7 @@
 
 pub mod calendar;
 pub mod engine;
+mod pending;
 pub mod trace;
 
 pub use calendar::{Calendar, HeapCalendar, Scheduled, WheelCalendar};

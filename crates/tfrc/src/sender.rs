@@ -4,7 +4,7 @@ use crate::formula_kind::{FormulaKind, RttMode};
 use crate::law::{RateLaw, RateState};
 use ebrc_net::{FeedbackInfo, FlowId, NetEvent, Packet, Report};
 use ebrc_sim::{Component, ComponentId, Context};
-use ebrc_stats::{Covariance, Moments, PiecewiseConstant};
+use ebrc_stats::{Covariance, Moments};
 
 const TIMER_SEND: u64 = 1;
 /// The "start sending" kick; schedule this from the harness at the
@@ -88,8 +88,6 @@ pub struct TfrcSender {
     seq: u64,
     started: bool,
     stats: TfrcSenderStats,
-    rate_trajectory: PiecewiseConstant,
-    last_rate_change: f64,
     rtt_moments: Moments,
     // cov[X0, S0] bookkeeping: rate at each loss event and the time to
     // the next one.
@@ -114,8 +112,6 @@ impl TfrcSender {
                 start_time: f64::NAN,
                 ..Default::default()
             },
-            rate_trajectory: PiecewiseConstant::new(),
-            last_rate_change: 0.0,
             rtt_moments: Moments::new(),
             last_event_time: None,
             rate_at_last_event: rate,
@@ -157,26 +153,10 @@ impl TfrcSender {
         }
     }
 
-    /// Time-average of the *rate process* `X(t)` (equals throughput up
-    /// to pacing granularity; this is the `E[X(0)]` of the analysis).
-    pub fn rate_time_average(&self) -> f64 {
-        self.rate_trajectory.time_average()
-    }
-
     /// Empirical `cov[X0, S0]`: the rate at each loss event against the
     /// time to the next one (condition (C2)/(C2c)).
     pub fn cov_rate_duration(&self) -> f64 {
         self.cov_rate_duration.covariance()
-    }
-
-    /// Flushes the rate trajectory up to `now` (call before reading
-    /// [`TfrcSender::rate_time_average`]).
-    pub fn finish(&mut self, now: f64) {
-        if self.started {
-            self.rate_trajectory
-                .push(self.state.rate, (now - self.last_rate_change).max(0.0));
-            self.last_rate_change = now;
-        }
     }
 
     fn on_feedback(&mut self, now: f64, fb: &FeedbackInfo) {
@@ -201,8 +181,6 @@ impl TfrcSender {
             self.rate_at_last_event = self.state.rate;
         }
 
-        // Close the trajectory segment at the old rate, then apply the law.
-        self.finish(now);
         let law = RateLaw {
             cap_equation_rate: self.cfg.receive_rate_cap,
             ..RateLaw::new(self.cfg.formula, MIN_RATE, MAX_RATE)
@@ -236,7 +214,6 @@ impl Component<NetEvent> for TfrcSender {
             NetEvent::Timer(TIMER_START) if !self.started => {
                 self.started = true;
                 self.stats.start_time = now;
-                self.last_rate_change = now;
                 self.send_packet(now, ctx);
             }
             NetEvent::Timer(TIMER_SEND) if self.started => {
@@ -389,19 +366,6 @@ mod tests {
         let s: &TfrcSender = eng.get(snd);
         let srtt = s.srtt().expect("srtt measured");
         assert!((srtt - rtt).abs() < 0.05, "srtt {srtt} vs path {rtt}");
-    }
-
-    #[test]
-    fn rate_time_average_close_to_throughput() {
-        let cfg = TfrcSenderConfig::analysis(FormulaKind::Sqrt, 0.05);
-        let (mut eng, snd, _) = one_flow(1e9, 0.03, 0.05, 6, cfg);
-        eng.run_until(200.0);
-        let s: &TfrcSender = eng.get_mut(snd);
-        let tput = s.throughput(200.0);
-        eng.get_mut::<TfrcSender>(snd).finish(200.0);
-        let avg = eng.get::<TfrcSender>(snd).rate_time_average();
-        let rel = (avg - tput).abs() / tput;
-        assert!(rel < 0.15, "rate avg {avg} vs throughput {tput}");
     }
 
     #[test]
