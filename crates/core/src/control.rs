@@ -16,13 +16,14 @@
 //!   numeric quadrature otherwise (PFTK-standard).
 //!
 //! Each loss event yields one [`StepRecord`] — `θ_n`, `θ̂_n`, `X_n`,
-//! `S_n`, `V_n` — which the recursion hands to a [`StepSink`]. Two sinks
-//! exist: a [`ControlTrace`] keeps every step for the theory checks that
-//! read them back (`run`), and a [`TraceStats`] keeps only the running
-//! sums and co-moments the long-run statistics need (`run_into`), so a
-//! Monte-Carlo run holds O(1) state however many events it simulates.
-//! Every trace statistic is implemented once, on [`TraceStats`]; a
-//! [`ControlTrace`] folds its steps through one as they arrive.
+//! `S_n`, `V_n` — which `run_into` hands to a [`StepSink`]. One
+//! accumulator exists: a [`TraceStats`] keeps only the running sums and
+//! co-moments the long-run statistics and the theory
+//! ([`crate::theory::analyze`]) read, so a run holds O(1) state however
+//! many events it simulates. A `Vec<StepRecord>` is a sink too, for the
+//! tests and checks that read single steps (Propositions 1 and 3,
+//! condition (C3)); [`TraceStats::from_steps`] folds such a log into
+//! the same statistics.
 
 use crate::estimator::IntervalEstimator;
 use crate::formula::ThroughputFormula;
@@ -81,6 +82,12 @@ pub trait StepSink {
     fn record(&mut self, step: StepRecord);
 }
 
+impl StepSink for Vec<StepRecord> {
+    fn record(&mut self, step: StepRecord) {
+        self.push(step);
+    }
+}
+
 /// The long-run statistics of a control trajectory, accumulated step by
 /// step in O(1) space: the Palm ratios of Propositions 1 and 3 need
 /// running sums over loss-event cycles, not the cycles themselves.
@@ -124,6 +131,15 @@ impl TraceStats {
             theta_theta_hat: Covariance::new(),
             rate_duration: Covariance::new(),
         }
+    }
+
+    /// Folds recorded steps, in order, into a fresh accumulator.
+    pub fn from_steps(steps: &[StepRecord]) -> Self {
+        let mut stats = Self::new();
+        for &step in steps {
+            stats.record(step);
+        }
+        stats
     }
 
     /// Long-run throughput `x̄ = Σθ / ΣS` in packets per second — the
@@ -175,57 +191,6 @@ impl TraceStats {
     }
 }
 
-/// A recorded control trajectory: every step, for the theory checks
-/// that read them back, plus the [`TraceStats`] folded from them. It
-/// derefs to those statistics, so `trace.throughput()` and friends are
-/// the accumulator's.
-#[derive(Debug, Clone, Default)]
-pub struct ControlTrace {
-    steps: Vec<StepRecord>,
-    stats: TraceStats,
-}
-
-impl StepSink for ControlTrace {
-    fn record(&mut self, step: StepRecord) {
-        self.stats.record(step);
-        self.steps.push(step);
-    }
-}
-
-impl std::ops::Deref for ControlTrace {
-    type Target = TraceStats;
-
-    fn deref(&self) -> &TraceStats {
-        &self.stats
-    }
-}
-
-impl ControlTrace {
-    /// Wraps recorded steps.
-    pub fn from_steps(steps: Vec<StepRecord>) -> Self {
-        let mut stats = TraceStats::new();
-        for &step in &steps {
-            stats.record(step);
-        }
-        Self { steps, stats }
-    }
-
-    /// The recorded steps.
-    pub fn steps(&self) -> &[StepRecord] {
-        &self.steps
-    }
-
-    /// Number of recorded loss events.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-}
-
 /// The basic control (Eq. 3): rate piecewise constant at `f(1/θ̂_n)`.
 #[derive(Debug, Clone)]
 pub struct BasicControl<F: ThroughputFormula> {
@@ -241,19 +206,8 @@ impl<F: ThroughputFormula> BasicControl<F> {
     }
 
     /// Runs the recursion for `events` loss events, pre-seeding the
-    /// estimator with `L` draws from the process, and records every step.
-    pub fn run<P: LossProcess>(
-        &self,
-        process: &mut P,
-        rng: &mut Rng,
-        events: usize,
-    ) -> ControlTrace {
-        let mut trace = ControlTrace::from_steps(Vec::with_capacity(events));
-        self.run_into(process, rng, events, &mut trace);
-        trace
-    }
-
-    /// [`BasicControl::run`], handing each step to `sink` instead.
+    /// estimator with `L` draws from the process, and hands each step
+    /// to `sink`.
     pub fn run_into<P: LossProcess, S: StepSink>(
         &self,
         process: &mut P,
@@ -303,20 +257,9 @@ impl<F: ThroughputFormula> ComprehensiveControl<F> {
         }
     }
 
-    /// Runs the recursion for `events` loss events and records every
-    /// step.
-    pub fn run<P: LossProcess>(
-        &self,
-        process: &mut P,
-        rng: &mut Rng,
-        events: usize,
-    ) -> ControlTrace {
-        let mut trace = ControlTrace::from_steps(Vec::with_capacity(events));
-        self.run_into(process, rng, events, &mut trace);
-        trace
-    }
-
-    /// [`ComprehensiveControl::run`], handing each step to `sink` instead.
+    /// Runs the recursion for `events` loss events, pre-seeding the
+    /// estimator as [`BasicControl::run_into`] does, and hands each step
+    /// to `sink`.
     pub fn run_into<P: LossProcess, S: StepSink>(
         &self,
         process: &mut P,
@@ -420,6 +363,13 @@ mod tests {
         assert!((a - b).abs() < tol, "{a} vs {b}");
     }
 
+    /// The steps `run` hands its sink, logged in order.
+    fn steps_of(run: impl FnOnce(&mut Vec<StepRecord>)) -> Vec<StepRecord> {
+        let mut steps = Vec::new();
+        run(&mut steps);
+        steps
+    }
+
     #[test]
     fn basic_control_deterministic_fixed_point() {
         // Constant intervals: θ̂ = θ = m, rate f(1/m), throughput exactly
@@ -428,7 +378,8 @@ mod tests {
         let weights = WeightProfile::tfrc(8);
         let mut process = IidProcess::new(Deterministic::new(100.0));
         let mut rng = Rng::seed_from(1);
-        let trace = BasicControl::new(f.clone(), weights).run(&mut process, &mut rng, 500);
+        let mut trace = TraceStats::new();
+        BasicControl::new(f.clone(), weights).run_into(&mut process, &mut rng, 500, &mut trace);
         assert_close(trace.normalized_throughput(&f), 1.0, 1e-9);
         assert_close(trace.loss_event_rate(), 0.01, 1e-12);
     }
@@ -439,9 +390,10 @@ mod tests {
         let f = PftkSimplified::with_rtt(1.0);
         let weights = WeightProfile::tfrc(4);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(50.0, 0.8));
-        let mut rng = Rng::seed_from(2);
-        let trace = BasicControl::new(f, weights).run(&mut process, &mut rng, 200);
-        for s in trace.steps() {
+        let steps = steps_of(|s| {
+            BasicControl::new(f, weights).run_into(&mut process, &mut Rng::seed_from(2), 200, s)
+        });
+        for s in &steps {
             assert_close(s.duration, s.theta / s.x_rate, 1e-12);
             assert_eq!(s.v_correction, 0.0);
         }
@@ -455,11 +407,22 @@ mod tests {
         let weights = WeightProfile::tfrc(8);
         let mut p1 = IidProcess::new(Deterministic::new(80.0));
         let mut p2 = IidProcess::new(Deterministic::new(80.0));
-        let mut r1 = Rng::seed_from(3);
-        let mut r2 = Rng::seed_from(3);
-        let basic = BasicControl::new(f.clone(), weights.clone()).run(&mut p1, &mut r1, 300);
-        let comp = ComprehensiveControl::new(f, weights).run(&mut p2, &mut r2, 300);
-        assert_close(basic.throughput(), comp.throughput(), 1e-9);
+        let basic = steps_of(|s| {
+            BasicControl::new(f.clone(), weights.clone()).run_into(
+                &mut p1,
+                &mut Rng::seed_from(3),
+                300,
+                s,
+            )
+        });
+        let comp = steps_of(|s| {
+            ComprehensiveControl::new(f, weights).run_into(&mut p2, &mut Rng::seed_from(3), 300, s)
+        });
+        assert_close(
+            TraceStats::from_steps(&basic).throughput(),
+            TraceStats::from_steps(&comp).throughput(),
+            1e-9,
+        );
     }
 
     #[test]
@@ -471,10 +434,20 @@ mod tests {
             let weights = WeightProfile::tfrc(8);
             let mut p1 = IidProcess::new(ShiftedExponential::from_mean_cv(100.0, 0.9));
             let mut p2 = IidProcess::new(ShiftedExponential::from_mean_cv(100.0, 0.9));
-            let mut r1 = Rng::seed_from(seed);
-            let mut r2 = Rng::seed_from(seed);
-            let basic = BasicControl::new(f.clone(), weights.clone()).run(&mut p1, &mut r1, 5_000);
-            let comp = ComprehensiveControl::new(f, weights).run(&mut p2, &mut r2, 5_000);
+            let mut basic = TraceStats::new();
+            BasicControl::new(f.clone(), weights.clone()).run_into(
+                &mut p1,
+                &mut Rng::seed_from(seed),
+                5_000,
+                &mut basic,
+            );
+            let mut comp = TraceStats::new();
+            ComprehensiveControl::new(f, weights).run_into(
+                &mut p2,
+                &mut Rng::seed_from(seed),
+                5_000,
+                &mut comp,
+            );
             assert!(
                 comp.throughput() >= basic.throughput() - 1e-9,
                 "seed {seed}: comp {} < basic {}",
@@ -489,10 +462,16 @@ mod tests {
         let f = Sqrt::with_rtt(1.0);
         let weights = WeightProfile::tfrc(4);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(60.0, 0.9));
-        let mut rng = Rng::seed_from(7);
-        let trace = ComprehensiveControl::new(f, weights).run(&mut process, &mut rng, 2_000);
+        let steps = steps_of(|s| {
+            ComprehensiveControl::new(f, weights).run_into(
+                &mut process,
+                &mut Rng::seed_from(7),
+                2_000,
+                s,
+            )
+        });
         let mut increased = 0;
-        for s in trace.steps() {
+        for s in &steps {
             if s.theta_hat_next > s.theta_hat {
                 assert!(s.duration <= s.theta / s.x_rate + 1e-12);
                 assert!(s.v_correction >= -1e-12, "V_n = {}", s.v_correction);
@@ -520,14 +499,18 @@ mod tests {
         let weights = WeightProfile::tfrc(8);
         let mut p1 = IidProcess::new(ShiftedExponential::from_mean_cv(40.0, 0.9));
         let mut p2 = IidProcess::new(ShiftedExponential::from_mean_cv(40.0, 0.9));
-        let mut r1 = Rng::seed_from(8);
-        let mut r2 = Rng::seed_from(8);
-        let exact =
-            ComprehensiveControl::new(f.clone(), weights.clone()).run(&mut p1, &mut r1, 1_000);
+        let exact = steps_of(|s| {
+            ComprehensiveControl::new(f.clone(), weights.clone()).run_into(
+                &mut p1,
+                &mut Rng::seed_from(8),
+                1_000,
+                s,
+            )
+        });
         let mut numeric_ctl = ComprehensiveControl::new(NoClosedForm(f), weights);
         numeric_ctl.quadrature_points = 128;
-        let numeric = numeric_ctl.run(&mut p2, &mut r2, 1_000);
-        for (a, b) in exact.steps().iter().zip(numeric.steps()) {
+        let numeric = steps_of(|s| numeric_ctl.run_into(&mut p2, &mut Rng::seed_from(8), 1_000, s));
+        for (a, b) in exact.iter().zip(&numeric) {
             assert_close(a.duration, b.duration, 1e-6);
         }
     }
@@ -538,7 +521,8 @@ mod tests {
         let weights = WeightProfile::tfrc(8);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(30.0, 0.9));
         let mut rng = Rng::seed_from(9);
-        let trace = ComprehensiveControl::new(f, weights).run(&mut process, &mut rng, 500);
+        let mut trace = TraceStats::new();
+        ComprehensiveControl::new(f, weights).run_into(&mut process, &mut rng, 500, &mut trace);
         assert!(trace.throughput().is_finite());
         assert!(trace.throughput() > 0.0);
     }
@@ -733,15 +717,14 @@ mod tests {
     /// statistic.
     fn assert_same<F: ThroughputFormula>(
         f: &F,
-        trace: ControlTrace,
+        steps: Vec<StepRecord>,
         stats: TraceStats,
         logged: Vec<StepRecord>,
     ) {
-        assert_eq!(step_bits(trace.steps()), step_bits(&logged));
+        assert_eq!(step_bits(&steps), step_bits(&logged));
         let expected = logged_stat_bits(&logged, f);
-        assert_eq!(stat_bits(&trace, f), expected);
         assert_eq!(stat_bits(&stats, f), expected);
-        assert_eq!(stat_bits(&ControlTrace::from_steps(logged), f), expected);
+        assert_eq!(stat_bits(&TraceStats::from_steps(&steps), f), expected);
     }
 
     #[test]
@@ -757,16 +740,16 @@ mod tests {
                     let basic = BasicControl::new(f.clone(), weights.clone());
                     let mut stats = TraceStats::new();
                     basic.run_into(&mut process(), &mut rng(), events, &mut stats);
-                    let trace = basic.run(&mut process(), &mut rng(), events);
+                    let steps = steps_of(|s| basic.run_into(&mut process(), &mut rng(), events, s));
                     let logged = logged::basic(&basic, &mut process(), &mut rng(), events);
-                    assert_same(&f, trace, stats, logged);
+                    assert_same(&f, steps, stats, logged);
 
                     let comp = ComprehensiveControl::new(f.clone(), weights);
                     let mut stats = TraceStats::new();
                     comp.run_into(&mut process(), &mut rng(), events, &mut stats);
-                    let trace = comp.run(&mut process(), &mut rng(), events);
+                    let steps = steps_of(|s| comp.run_into(&mut process(), &mut rng(), events, s));
                     let logged = logged::comprehensive(&comp, &mut process(), &mut rng(), events);
-                    assert_same(&f, trace, stats, logged);
+                    assert_same(&f, steps, stats, logged);
                 }
             }
         }
@@ -781,7 +764,8 @@ mod tests {
         let weights = WeightProfile::tfrc(8);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(100.0, 0.999));
         let mut rng = Rng::seed_from(11);
-        let trace = BasicControl::new(f, weights).run(&mut process, &mut rng, 20_000);
+        let mut trace = TraceStats::new();
+        BasicControl::new(f, weights).run_into(&mut process, &mut rng, 20_000, &mut trace);
         // I.i.d. intervals: cov[θ0, θ̂0] ≈ 0 (Corollary 1 hypothesis).
         let p = trace.loss_event_rate();
         let norm_cov = trace.cov_theta_theta_hat() * p * p;

@@ -16,18 +16,20 @@
 //!   `A_t` of Section II-B;
 //! * [`control`] — exact event-driven recursions of the **basic** control
 //!   (Eq. 3) and the **comprehensive** control (Eq. 4), including the
-//!   closed-form inter-loss durations of Proposition 3;
+//!   closed-form inter-loss durations of Proposition 3, and the O(1)
+//!   accumulator [`TraceStats`] their runs feed;
 //! * [`throughput`] — the Palm throughput expressions (Propositions 1–3);
 //! * [`theory`] — executable statements of the conditions (F1), (F2),
-//!   (F2c), (C1), (C2), (C3), (V), Theorems 1–2, the Equation (10)
-//!   bound, Proposition 4's overshoot bound, and the Claim 4
-//!   fixed-capacity analysis (`p'/p = 4/(1−β)²`).
+//!   (F2c), (C1), (C2), (C3), (V), Theorems 1–2 (run on a
+//!   [`TraceStats`] by [`theory::analyze`]), the Equation (10) bound,
+//!   Proposition 4's overshoot bound, and the Claim 4 fixed-capacity
+//!   analysis (`p'/p = 4/(1+β)²`).
 //!
 //! # Quick start
 //!
 //! ```
 //! use ebrc_core::formula::{PftkSimplified, ThroughputFormula};
-//! use ebrc_core::control::BasicControl;
+//! use ebrc_core::control::{BasicControl, TraceStats};
 //! use ebrc_core::weights::WeightProfile;
 //! use ebrc_dist::{IidProcess, Rng, ShiftedExponential};
 //!
@@ -37,10 +39,10 @@
 //! let weights = WeightProfile::tfrc(8);
 //! let mut rng = Rng::seed_from(7);
 //!
-//! let trace = BasicControl::new(formula.clone(), weights)
-//!     .run(&mut process, &mut rng, 20_000);
-//! let p = trace.loss_event_rate();
-//! let normalized = trace.throughput() / formula.rate(p);
+//! let mut stats = TraceStats::new();
+//! BasicControl::new(formula.clone(), weights).run_into(&mut process, &mut rng, 20_000, &mut stats);
+//! let p = stats.loss_event_rate();
+//! let normalized = stats.throughput() / formula.rate(p);
 //! // Theorem 1: (F1) holds for PFTK-simplified and the intervals are
 //! // i.i.d. (so (C1) holds) — the control must be conservative.
 //! assert!(normalized <= 1.0);
@@ -56,7 +58,7 @@ pub mod theory;
 pub mod throughput;
 pub mod weights;
 
-pub use control::{BasicControl, ComprehensiveControl, ControlTrace, StepRecord};
+pub use control::{BasicControl, ComprehensiveControl, StepRecord, TraceStats};
 pub use estimator::IntervalEstimator;
 pub use formula::{Formula, PftkSimplified, PftkStandard, Sqrt, ThroughputFormula};
 pub use weights::WeightProfile;

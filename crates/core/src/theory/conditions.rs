@@ -7,15 +7,20 @@
 //! * **(F2)** `x → f(1/x)` is concave;
 //! * **(F2c)** `x → f(1/x)` is strictly convex.
 //!
-//! Statistical conditions (checked on a recorded [`ControlTrace`]):
+//! Statistical conditions, read off a run's
+//! [`TraceStats`](crate::control::TraceStats):
 //!
-//! * **(C1)** `cov[θ0, θ̂0] ≤ 0`;
-//! * **(C2)** `cov[X0, S0] ≤ 0` (and **(C2c)** the reverse);
-//! * **(C3)** `E[S0 | X0 = x]` non-increasing in `x` (implies (C2) by
-//!   Harris' inequality);
-//! * **(V)** the estimator `θ̂_n` has non-zero variance.
+//! * **(C1)** `cov[θ0, θ̂0] ≤ 0` (`cov_theta_theta_hat`);
+//! * **(C2)** `cov[X0, S0] ≤ 0`, and **(C2c)** the reverse
+//!   (`cov_rate_duration`);
+//! * **(V)** the estimator `θ̂_n` has non-zero variance
+//!   (`theta_hat_moments().variance()`).
+//!
+//! **(C3)**, `E[S0 | X0 = x]` non-increasing in `x` (it implies (C2) by
+//! Harris' inequality), bins the logged steps into equal-count bins, so
+//! [`condition_c3`] reads a slice of them.
 
-use crate::control::ControlTrace;
+use crate::control::StepRecord;
 use crate::formula::ThroughputFormula;
 use ebrc_convex::{is_concave_on, is_convex_on};
 
@@ -57,32 +62,15 @@ pub fn condition_f2c<F: ThroughputFormula + ?Sized>(f: &F, lo: f64, hi: f64) -> 
     true
 }
 
-/// (C1): the empirical `cov[θ0, θ̂0]` of the trace; the condition holds
-/// when the returned value is `≤ 0` (or negligibly positive — Theorem 1's
-/// Equation (10) quantifies how much positivity is tolerable).
-pub fn condition_c1(trace: &ControlTrace) -> f64 {
-    trace.cov_theta_theta_hat()
-}
-
-/// (C2)/(C2c): the empirical `cov[X0, S0]` of the trace; `≤ 0` is (C2),
-/// `≥ 0` is (C2c).
-pub fn condition_c2(trace: &ControlTrace) -> f64 {
-    trace.cov_rate_duration()
-}
-
 /// (C3): tests whether the binned conditional mean `E[S0 | X0 ∈ bin]` is
 /// non-increasing across `bins` equal-count bins of `X0`.
 ///
-/// Returns `None` when the trace is too small to form the bins.
-pub fn condition_c3(trace: &ControlTrace, bins: usize) -> Option<bool> {
-    if bins < 2 || trace.len() < bins * 4 {
+/// Returns `None` when there are too few steps to form the bins.
+pub fn condition_c3(steps: &[StepRecord], bins: usize) -> Option<bool> {
+    if bins < 2 || steps.len() < bins * 4 {
         return None;
     }
-    let mut pairs: Vec<(f64, f64)> = trace
-        .steps()
-        .iter()
-        .map(|s| (s.x_rate, s.duration))
-        .collect();
+    let mut pairs: Vec<(f64, f64)> = steps.iter().map(|s| (s.x_rate, s.duration)).collect();
     pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("rates must not be NaN"));
     let per = pairs.len() / bins;
     let mut means = Vec::with_capacity(bins);
@@ -99,18 +87,31 @@ pub fn condition_c3(trace: &ControlTrace, bins: usize) -> Option<bool> {
     Some(means.windows(2).all(|w| w[1] <= w[0] * (1.0 + 1e-9)))
 }
 
-/// (V): the empirical variance of the estimator `θ̂_n`.
-pub fn condition_v(trace: &ControlTrace) -> f64 {
-    trace.theta_hat_moments().variance()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::{BasicControl, StepRecord};
+    use crate::control::{BasicControl, TraceStats};
     use crate::formula::{PftkSimplified, PftkStandard, Sqrt};
     use crate::weights::WeightProfile;
-    use ebrc_dist::{Deterministic, IidProcess, Rng, ShiftedExponential};
+    use ebrc_dist::{Deterministic, IidProcess, LossProcess, Rng, ShiftedExponential};
+
+    /// The statistics of `events` basic-control steps on `process`.
+    fn basic_stats<F: ThroughputFormula>(
+        f: F,
+        l: usize,
+        process: &mut impl LossProcess,
+        seed: u64,
+        events: usize,
+    ) -> TraceStats {
+        let mut stats = TraceStats::new();
+        BasicControl::new(f, WeightProfile::tfrc(l)).run_into(
+            process,
+            &mut Rng::seed_from(seed),
+            events,
+            &mut stats,
+        );
+        stats
+    }
 
     #[test]
     fn f1_holds_for_sqrt_and_pftk_simplified() {
@@ -161,13 +162,10 @@ mod tests {
 
     #[test]
     fn c1_near_zero_for_iid_intervals() {
-        let f = PftkSimplified::with_rtt(1.0);
-        let weights = WeightProfile::tfrc(8);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(100.0, 0.9));
-        let mut rng = Rng::seed_from(1);
-        let trace = BasicControl::new(f, weights).run(&mut process, &mut rng, 50_000);
-        let p = trace.loss_event_rate();
-        assert!((condition_c1(&trace) * p * p).abs() < 0.02);
+        let stats = basic_stats(PftkSimplified::with_rtt(1.0), 8, &mut process, 1, 50_000);
+        let p = stats.loss_event_rate();
+        assert!((stats.cov_theta_theta_hat() * p * p).abs() < 0.02);
     }
 
     #[test]
@@ -177,12 +175,9 @@ mod tests {
         // depending on the X spread; just check the estimator runs and
         // the statistic is finite. The decisive uses of (C2) come from
         // protocol scenarios (see crates/tfrc).
-        let f = Sqrt::with_rtt(1.0);
-        let weights = WeightProfile::tfrc(8);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(100.0, 0.9));
-        let mut rng = Rng::seed_from(2);
-        let trace = BasicControl::new(f, weights).run(&mut process, &mut rng, 10_000);
-        assert!(condition_c2(&trace).is_finite());
+        let stats = basic_stats(Sqrt::with_rtt(1.0), 8, &mut process, 2, 10_000);
+        assert!(stats.cov_rate_duration().is_finite());
     }
 
     #[test]
@@ -201,8 +196,7 @@ mod tests {
                 }
             })
             .collect();
-        let trace = ControlTrace::from_steps(steps);
-        assert_eq!(condition_c3(&trace, 5), Some(true));
+        assert_eq!(condition_c3(&steps, 5), Some(true));
         // And one where S grows with X.
         let steps: Vec<StepRecord> = (1..=200)
             .map(|i| {
@@ -217,23 +211,18 @@ mod tests {
                 }
             })
             .collect();
-        let trace = ControlTrace::from_steps(steps);
-        assert_eq!(condition_c3(&trace, 5), Some(false));
+        assert_eq!(condition_c3(&steps, 5), Some(false));
     }
 
     #[test]
     fn c3_needs_enough_data() {
-        let trace = ControlTrace::from_steps(vec![]);
-        assert_eq!(condition_c3(&trace, 4), None);
+        assert_eq!(condition_c3(&[], 4), None);
     }
 
     #[test]
     fn v_zero_for_deterministic_process() {
-        let f = Sqrt::with_rtt(1.0);
-        let weights = WeightProfile::tfrc(4);
         let mut process = IidProcess::new(Deterministic::new(100.0));
-        let mut rng = Rng::seed_from(3);
-        let trace = BasicControl::new(f, weights).run(&mut process, &mut rng, 500);
-        assert_eq!(condition_v(&trace), 0.0);
+        let stats = basic_stats(Sqrt::with_rtt(1.0), 4, &mut process, 3, 500);
+        assert_eq!(stats.theta_hat_moments().variance(), 0.0);
     }
 }

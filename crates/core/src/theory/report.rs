@@ -1,22 +1,20 @@
-//! One-call conservativeness analysis of a recorded trace.
+//! One-call conservativeness analysis of a run's statistics.
 //!
 //! [`analyze`] evaluates every condition and theorem of the paper
-//! against a formula and a control trace, returning a structured
+//! against a formula and the [`TraceStats`] a control run fed, in O(1)
+//! space however long the run, returning a structured
 //! [`ConservativenessReport`] — the programmatic form of the checklist a
 //! protocol designer should run before "fixing" an observed throughput
 //! deviation (Section I-A's cautionary tale).
 
-use crate::control::ControlTrace;
+use crate::control::TraceStats;
 use crate::formula::ThroughputFormula;
-use crate::theory::conditions::{
-    condition_c1, condition_c2, condition_c3, condition_f1, condition_f2, condition_f2c,
-    condition_v,
-};
+use crate::theory::conditions::{condition_f1, condition_f2, condition_f2c};
 use crate::theory::theorems::{
     equation10_bound, prop4_overshoot_bound, theorem1, theorem2, Verdict,
 };
 
-/// Everything the theory can say about one trace.
+/// Everything the theory can say about one run.
 #[derive(Debug, Clone)]
 pub struct ConservativenessReport {
     /// Measured loss-event rate `p = 1/E0[θ0]`.
@@ -39,9 +37,6 @@ pub struct ConservativenessReport {
     pub c1_normalized: f64,
     /// (C2): empirical `cov[X0, S0]`.
     pub c2_covariance: f64,
-    /// (C3): binned conditional mean `E[S|X]` non-increasing, when
-    /// computable.
-    pub c3_decreasing: Option<bool>,
     /// (V): estimator variance.
     pub estimator_variance: f64,
     /// Theorem 1 verdict on this data.
@@ -93,8 +88,8 @@ impl ConservativenessReport {
             self.f1_convex, self.f2_concave, self.f2c_strictly_convex
         ));
         s.push_str(&format!(
-            "(C1) cov[θ,θ̂]p² = {:+.4}   (C2) cov[X,S] = {:+.4}   (C3) E[S|X] decreasing: {:?}   (V) var[θ̂] = {:.3}\n",
-            self.c1_normalized, self.c2_covariance, self.c3_decreasing, self.estimator_variance
+            "(C1) cov[θ,θ̂]p² = {:+.4}   (C2) cov[X,S] = {:+.4}   (V) var[θ̂] = {:.3}\n",
+            self.c1_normalized, self.c2_covariance, self.estimator_variance
         ));
         s.push_str(&format!(
             "Theorem 1: {:?}   Theorem 2: {:?}   Eq.(10) bound: {:?}   Prop.4 cap: {:.4}\n",
@@ -112,41 +107,37 @@ impl ConservativenessReport {
 /// Expressed as a bound on the *normalized* covariance.
 const NORMALIZED_COV_TOLERANCE: f64 = 0.03;
 
-/// Evaluates every condition and theorem against a trace.
+/// Evaluates every condition and theorem against a run's statistics.
 ///
 /// # Panics
-/// Panics on an empty trace.
-pub fn analyze<F: ThroughputFormula + ?Sized>(
-    f: &F,
-    trace: &ControlTrace,
-) -> ConservativenessReport {
-    assert!(!trace.is_empty(), "empty trace");
-    let p = trace.loss_event_rate();
-    let hat = trace.theta_hat_moments();
+/// Panics when the run recorded no step.
+pub fn analyze<F: ThroughputFormula + ?Sized>(f: &F, stats: &TraceStats) -> ConservativenessReport {
+    let hat = stats.theta_hat_moments();
+    assert!(hat.count() > 0, "empty trace");
+    let p = stats.loss_event_rate();
     let lo = hat.min().max(1.0);
     let hi = (hat.max()).max(lo * (1.0 + 1e-9)) + 1e-6;
-    let c1_cov = condition_c1(trace);
+    let c1_cov = stats.cov_theta_theta_hat();
     let cov_tol = NORMALIZED_COV_TOLERANCE / (p * p).max(1e-12);
     let eq10 = equation10_bound(f, p, c1_cov).map(|b| b / f.rate(p));
     ConservativenessReport {
         p,
-        normalized_throughput: trace.normalized_throughput(f),
+        normalized_throughput: stats.normalized_throughput(f),
         theta_hat_range: (lo, hi),
         f1_convex: condition_f1(f, lo, hi),
         f2_concave: condition_f2(f, lo, hi),
         f2c_strictly_convex: condition_f2c(f, lo, hi),
         c1_covariance: c1_cov,
         c1_normalized: c1_cov * p * p,
-        c2_covariance: condition_c2(trace),
-        c3_decreasing: condition_c3(trace, 8),
-        estimator_variance: condition_v(trace),
-        theorem1: theorem1(f, trace, lo, hi, cov_tol),
+        c2_covariance: stats.cov_rate_duration(),
+        estimator_variance: hat.variance(),
+        theorem1: theorem1(f, stats, lo, hi, cov_tol),
         theorem2: theorem2(
             f,
-            trace,
+            stats,
             lo,
             hi,
-            trace.cov_rate_duration().abs() * 0.1 + 1e-12,
+            stats.cov_rate_duration().abs() * 0.1 + 1e-12,
         ),
         equation10_normalized_bound: eq10,
         prop4_overshoot_cap: prop4_overshoot_bound(f, lo, hi, 4001),
@@ -159,13 +150,24 @@ mod tests {
     use crate::control::BasicControl;
     use crate::formula::{PftkSimplified, Sqrt};
     use crate::weights::WeightProfile;
-    use ebrc_dist::{IidProcess, MarkovModulated, Rng, ShiftedExponential};
+    use ebrc_dist::{IidProcess, LossProcess, MarkovModulated, Rng, ShiftedExponential};
 
-    fn iid_trace(mean: f64, cv: f64, l: usize, seed: u64) -> ControlTrace {
-        let f = PftkSimplified::with_rtt(1.0);
-        let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(mean, cv));
+    fn basic_stats<F: ThroughputFormula>(
+        f: F,
+        l: usize,
+        process: &mut impl LossProcess,
+        seed: u64,
+    ) -> TraceStats {
+        let mut stats = TraceStats::new();
         let mut rng = Rng::seed_from(seed);
-        BasicControl::new(f, WeightProfile::tfrc(l)).run(&mut process, &mut rng, 30_000)
+        BasicControl::new(f, WeightProfile::tfrc(l))
+            .run_into(process, &mut rng, 30_000, &mut stats);
+        stats
+    }
+
+    fn iid_trace(mean: f64, cv: f64, l: usize, seed: u64) -> TraceStats {
+        let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(mean, cv));
+        basic_stats(PftkSimplified::with_rtt(1.0), l, &mut process, seed)
     }
 
     #[test]
@@ -184,12 +186,7 @@ mod tests {
     fn phase_process_report_flags_positive_covariance() {
         let f = Sqrt::with_rtt(1.0);
         let mut process = MarkovModulated::congestion_oscillation(80.0, 5.0, 40.0);
-        let mut rng = Rng::seed_from(2);
-        let trace = BasicControl::new(f.clone(), WeightProfile::tfrc(8)).run(
-            &mut process,
-            &mut rng,
-            30_000,
-        );
+        let trace = basic_stats(f.clone(), 8, &mut process, 2);
         let r = analyze(&f, &trace);
         assert!(
             r.c1_covariance > 0.0,
@@ -215,6 +212,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty trace")]
     fn empty_trace_rejected() {
-        analyze(&Sqrt::with_rtt(1.0), &ControlTrace::default());
+        analyze(&Sqrt::with_rtt(1.0), &TraceStats::new());
     }
 }

@@ -1,13 +1,11 @@
 //! Theorems 1 and 2, the Equation (10) bound, and Proposition 4.
 
-use crate::control::ControlTrace;
+use crate::control::TraceStats;
 use crate::formula::ThroughputFormula;
-use crate::theory::conditions::{
-    condition_c1, condition_c2, condition_f1, condition_f2, condition_f2c, condition_v,
-};
+use crate::theory::conditions::{condition_f1, condition_f2, condition_f2c};
 use ebrc_convex::deviation_ratio;
 
-/// Outcome of applying a theorem's hypotheses to a trace.
+/// Outcome of applying a theorem's hypotheses to a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// The theorem's sufficient conditions for conservativeness hold.
@@ -19,7 +17,7 @@ pub enum Verdict {
     Inconclusive,
 }
 
-/// Applies Theorem 1 to a formula and a recorded trace: if (F1) holds on
+/// Applies Theorem 1 to a formula and a run's statistics: if (F1) holds on
 /// the region `[lo, hi]` where the estimator takes its values and
 /// `cov[θ0, θ̂0] ≤ tol`, the basic control is conservative.
 ///
@@ -27,12 +25,12 @@ pub enum Verdict {
 /// exact zero is unobservable); pass `0.0` for the strict statement.
 pub fn theorem1<F: ThroughputFormula + ?Sized>(
     f: &F,
-    trace: &ControlTrace,
+    stats: &TraceStats,
     lo: f64,
     hi: f64,
     cov_tolerance: f64,
 ) -> Verdict {
-    if condition_f1(f, lo, hi) && condition_c1(trace) <= cov_tolerance {
+    if condition_f1(f, lo, hi) && stats.cov_theta_theta_hat() <= cov_tolerance {
         Verdict::Conservative
     } else {
         Verdict::Inconclusive
@@ -47,13 +45,13 @@ pub fn theorem1<F: ThroughputFormula + ?Sized>(
 /// both signs at zero correlation).
 pub fn theorem2<F: ThroughputFormula + ?Sized>(
     f: &F,
-    trace: &ControlTrace,
+    stats: &TraceStats,
     lo: f64,
     hi: f64,
     cov_tolerance: f64,
 ) -> Verdict {
-    let c2 = condition_c2(trace);
-    let v = condition_v(trace);
+    let c2 = stats.cov_rate_duration();
+    let v = stats.theta_hat_moments().variance();
     if condition_f2(f, lo, hi) && c2 <= cov_tolerance {
         Verdict::Conservative
     } else if condition_f2c(f, lo, hi) && c2 >= -cov_tolerance && v > 0.0 {
@@ -109,11 +107,13 @@ mod tests {
     use crate::weights::WeightProfile;
     use ebrc_dist::{IidProcess, Rng, ShiftedExponential};
 
-    fn iid_trace(f: impl ThroughputFormula + Clone, mean: f64, cv: f64, seed: u64) -> ControlTrace {
+    fn iid_trace(f: impl ThroughputFormula + Clone, mean: f64, cv: f64, seed: u64) -> TraceStats {
         let weights = WeightProfile::tfrc(8);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(mean, cv));
         let mut rng = Rng::seed_from(seed);
-        BasicControl::new(f, weights).run(&mut process, &mut rng, 40_000)
+        let mut stats = TraceStats::new();
+        BasicControl::new(f, weights).run_into(&mut process, &mut rng, 40_000, &mut stats);
+        stats
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests of the core theory on arbitrary parameters.
 
-use ebrc_core::control::BasicControl;
+use ebrc_core::control::{BasicControl, StepRecord, TraceStats};
 use ebrc_core::formula::{PftkSimplified, PftkStandard, Sqrt, ThroughputFormula};
 use ebrc_core::theory::{equation10_bound, prop4_overshoot_bound};
 use ebrc_core::weights::WeightProfile;
@@ -60,14 +60,14 @@ proptest! {
         let f = Sqrt::with_rtt(1.0);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(mean, cv));
         let mut rng = Rng::seed_from(seed);
-        let trace = BasicControl::new(f, WeightProfile::tfrc(l))
-            .run(&mut process, &mut rng, 4_000);
+        let mut steps: Vec<StepRecord> = Vec::new();
+        BasicControl::new(f, WeightProfile::tfrc(l)).run_into(&mut process, &mut rng, 4_000, &mut steps);
         let mut ac = Autocovariance::new(l);
-        for s in trace.steps() {
+        for s in &steps {
             ac.push(s.theta);
         }
         let via_lags = ac.estimator_covariance(WeightProfile::tfrc(l).as_slice());
-        let direct = trace.cov_theta_theta_hat();
+        let direct = TraceStats::from_steps(&steps).cov_theta_theta_hat();
         // Finite-sample edge effects keep this approximate.
         let scale = (mean * mean * cv * cv).max(1.0);
         prop_assert!((via_lags - direct).abs() / scale < 0.15,
@@ -86,8 +86,8 @@ proptest! {
         let f = PftkStandard::with_rtt(1.0);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(mean, cv));
         let mut rng = Rng::seed_from(seed);
-        let trace = BasicControl::new(f.clone(), WeightProfile::tfrc(8))
-            .run(&mut process, &mut rng, 6_000);
+        let mut trace = TraceStats::new();
+        BasicControl::new(f.clone(), WeightProfile::tfrc(8)).run_into(&mut process, &mut rng, 6_000, &mut trace);
         let hat = trace.theta_hat_moments();
         let bound = prop4_overshoot_bound(&f, hat.min().max(1.0), hat.max() + 1.0, 4_001);
         prop_assert!(

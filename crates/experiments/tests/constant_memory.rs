@@ -2,13 +2,20 @@
 //! stream through running sums, so peak live heap does not grow with
 //! the number of loss events (Monte-Carlo controls, Claim 4's isolated
 //! fixed point), fluid steps (Claim 4's shared link) or simulated
-//! seconds (the audio sender and every engine-backed dumbbell).
+//! seconds (the audio sender and every engine-backed dumbbell). The
+//! theory reads the same running sums: `analyze` on a basic-control
+//! run's `TraceStats` holds O(1) heap too.
 //!
 //! A counting global allocator tracks live and peak heap bytes, but
 //! only those a run allocates and frees on the thread measuring it:
 //! the test harness's own threads allocate while a test runs, and a
 //! zero-slack bound must not see them.
 
+use ebrc_core::control::{BasicControl, TraceStats};
+use ebrc_core::formula::PftkSimplified;
+use ebrc_core::theory::analyze;
+use ebrc_core::weights::WeightProfile;
+use ebrc_dist::{IidProcess, Rng, ShiftedExponential};
 use ebrc_experiments::spec::{ControlLaw, SweepMode, WeightKind};
 use ebrc_experiments::{SimSpec, MASTER_SEED};
 use ebrc_runner::{JobCtx, Spec as _};
@@ -71,14 +78,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Peak live heap bytes a spec's run adds, on this thread, above what
-/// was live before it.
-fn peak_heap_bytes(spec: &SimSpec) -> usize {
-    let mut ctx = JobCtx::for_label(MASTER_SEED, spec.key());
+/// Peak live heap bytes `run` adds, on this thread, above what was
+/// live before it.
+fn peak_heap_bytes<T>(run: impl FnOnce() -> T) -> usize {
     LIVE.with(|l| l.set(0));
     PEAK.with(|p| p.set(0));
     COUNTING.with(|c| c.set(true));
-    std::hint::black_box(spec.run(&mut ctx));
+    std::hint::black_box(run());
     COUNTING.with(|c| c.set(false));
     PEAK.with(Cell::get) as usize
 }
@@ -90,8 +96,27 @@ fn peak_heap_bytes(spec: &SimSpec) -> usize {
 /// hundred events.
 const PENDING_SET_JITTER: usize = 4096;
 
-/// Runs `spec` at a small and a large size and requires the large run's
-/// peak live heap to exceed the small one's by at most `slack` bytes.
+/// Measures `peak` at a small and a large size and requires the large
+/// peak to exceed the small one by at most `slack` bytes.
+fn assert_flat_peaks(
+    family: &str,
+    peak: impl Fn(usize) -> usize,
+    small: usize,
+    large: usize,
+    slack: usize,
+) {
+    assert!(large >= 10 * small, "{family}: lengths must be 10x apart");
+    let small_peak = peak(small);
+    let large_peak = peak(large);
+    assert!(
+        large_peak <= small_peak + slack,
+        "{family}: peak live heap grows with the run, \
+         {small_peak} B at {small} vs {large_peak} B at {large}"
+    );
+}
+
+/// [`assert_flat_peaks`] on a spec's run; the spec and its context are
+/// built before the measurement starts.
 fn assert_flat(
     family: &str,
     spec: impl Fn(usize) -> SimSpec,
@@ -99,14 +124,12 @@ fn assert_flat(
     large: usize,
     slack: usize,
 ) {
-    assert!(large >= 10 * small, "{family}: lengths must be 10x apart");
-    let small_peak = peak_heap_bytes(&spec(small));
-    let large_peak = peak_heap_bytes(&spec(large));
-    assert!(
-        large_peak <= small_peak + slack,
-        "{family}: peak live heap grows with the run, \
-         {small_peak} B at {small} vs {large_peak} B at {large}"
-    );
+    let peak = |size| {
+        let spec = spec(size);
+        let mut ctx = JobCtx::for_label(MASTER_SEED, spec.key());
+        peak_heap_bytes(|| spec.run(&mut ctx))
+    };
+    assert_flat_peaks(family, peak, small, large, slack);
 }
 
 #[test]
@@ -137,6 +160,23 @@ fn long_run_statistics_hold_constant_heap() {
         seed: 2,
     };
     assert_flat("mc-phase", phase, 2_000, 200_000, 0);
+    // The theory on the accumulator: the basic control fed into a
+    // `TraceStats`, then every condition and theorem through `analyze`.
+    let theory = |events| {
+        peak_heap_bytes(|| {
+            let f = PftkSimplified::with_rtt(1.0);
+            let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(1.0 / 0.05, 0.9));
+            let mut stats = TraceStats::new();
+            BasicControl::new(f.clone(), WeightProfile::tfrc(8)).run_into(
+                &mut process,
+                &mut Rng::seed_from(1),
+                events,
+                &mut stats,
+            );
+            analyze(&f, &stats)
+        })
+    };
+    assert_flat_peaks("theory/analyze", theory, 2_000, 200_000, 0);
     let iso = |events| SimSpec::Claim4Iso { beta: 0.5, events };
     assert_flat("claim4/iso", iso, 2_000, 200_000, 0);
     let shared = |t_end: usize| SimSpec::Claim4Shared {

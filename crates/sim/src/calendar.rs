@@ -321,22 +321,17 @@ impl<E> WheelCalendar<E> {
         self.cursor.saturating_add(self.buckets.len() as u64)
     }
 
-    /// Files `item` under `tick`: a free slot if a pop left one,
-    /// otherwise one more slab entry, linked at the bucket's head.
+    /// Files `item` at its bucket's head: field by field into a free
+    /// slot (no stack copy, no drop of its `None`), else a new slab entry.
     #[inline]
     fn insert_wheel(&mut self, tick: u64, item: Pending<E>) {
         let bucket = &mut self.buckets[(tick & self.mask) as usize];
-        let slot = Slot {
-            time: item.time,
-            key: item.key,
-            next: bucket.head,
-            event: Some(item.event),
-        };
         let i = self.free;
         if i != NIL {
             let vacant = &mut self.slots[i as usize];
             self.free = vacant.next;
-            *vacant = slot;
+            (vacant.time, vacant.key, vacant.next) = (item.time, item.key, bucket.head);
+            std::mem::forget(vacant.event.replace(item.event));
             bucket.head = i;
             #[cfg(test)]
             {
@@ -345,8 +340,13 @@ impl<E> WheelCalendar<E> {
         } else {
             // `NIL` itself must never name a slot.
             assert!(self.slots.len() < NIL as usize, "calendar slab is full");
-            bucket.head = self.slots.len() as u32;
-            self.slots.push(slot);
+            let next = std::mem::replace(&mut bucket.head, self.slots.len() as u32);
+            self.slots.push(Slot {
+                time: item.time,
+                key: item.key,
+                next,
+                event: Some(item.event),
+            });
         }
         bucket.len += 1;
         self.wheel_len += 1;

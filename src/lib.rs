@@ -26,7 +26,7 @@
 //! # Quick start
 //!
 //! ```
-//! use ebrc::core::control::BasicControl;
+//! use ebrc::core::control::{BasicControl, TraceStats};
 //! use ebrc::core::formula::{PftkSimplified, ThroughputFormula};
 //! use ebrc::core::weights::WeightProfile;
 //! use ebrc::dist::{IidProcess, Rng, ShiftedExponential};
@@ -35,9 +35,10 @@
 //! // 50 packets (p = 2 %) — Theorem 1 says it must be conservative.
 //! let formula = PftkSimplified::with_rtt(0.1);
 //! let mut losses = IidProcess::new(ShiftedExponential::from_mean_cv(50.0, 0.9));
-//! let trace = BasicControl::new(formula.clone(), WeightProfile::tfrc(8))
-//!     .run(&mut losses, &mut Rng::seed_from(1), 10_000);
-//! assert!(trace.normalized_throughput(&formula) <= 1.0);
+//! let mut stats = TraceStats::new();
+//! BasicControl::new(formula.clone(), WeightProfile::tfrc(8))
+//!     .run_into(&mut losses, &mut Rng::seed_from(1), 10_000, &mut stats);
+//! assert!(stats.normalized_throughput(&formula) <= 1.0);
 //! ```
 //!
 //! To regenerate the paper's artifacts:
@@ -69,7 +70,7 @@ pub use ebrc_trace as trace;
 /// let _ = f.rate(0.01);
 /// ```
 pub mod prelude {
-    pub use ebrc_core::control::{BasicControl, ComprehensiveControl, ControlTrace};
+    pub use ebrc_core::control::{BasicControl, ComprehensiveControl, TraceStats};
     pub use ebrc_core::estimator::IntervalEstimator;
     pub use ebrc_core::formula::{PftkSimplified, PftkStandard, Sqrt, ThroughputFormula};
     pub use ebrc_core::theory::{analyze, Verdict};

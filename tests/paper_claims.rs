@@ -1,7 +1,7 @@
 //! End-to-end integration tests: the paper's headline claims, asserted
 //! across crates at interactive scale.
 
-use ebrc::core::control::{BasicControl, ComprehensiveControl};
+use ebrc::core::control::{BasicControl, ComprehensiveControl, TraceStats};
 use ebrc::core::formula::{c1, c2, AimdFormula, PftkSimplified, PftkStandard, Sqrt};
 use ebrc::core::theory::{claim4, prop4_overshoot_bound};
 use ebrc::core::weights::WeightProfile;
@@ -48,9 +48,14 @@ fn claim1_shapes() {
     let norm = |f: &PftkSimplified, l: usize, p: f64| {
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(1.0 / p, 0.999));
         let mut rng = Rng::seed_from(5);
-        BasicControl::new(f.clone(), WeightProfile::tfrc(l))
-            .run(&mut process, &mut rng, events)
-            .normalized_throughput(f)
+        let mut stats = TraceStats::new();
+        BasicControl::new(f.clone(), WeightProfile::tfrc(l)).run_into(
+            &mut process,
+            &mut rng,
+            events,
+            &mut stats,
+        );
+        stats.normalized_throughput(f)
     };
     let f = PftkSimplified::with_rtt(1.0);
     let light_l4 = norm(&f, 4, 0.02);
@@ -70,15 +75,18 @@ fn proposition2_compare_controls() {
     for seed in [1u64, 2, 3] {
         let mk = || IidProcess::new(ShiftedExponential::from_mean_cv(30.0, 0.95));
         let weights = WeightProfile::tfrc(8);
-        let b = BasicControl::new(f.clone(), weights.clone()).run(
+        let (mut b, mut c) = (TraceStats::new(), TraceStats::new());
+        BasicControl::new(f.clone(), weights.clone()).run_into(
             &mut mk(),
             &mut Rng::seed_from(seed),
             20_000,
+            &mut b,
         );
-        let c = ComprehensiveControl::new(f.clone(), weights).run(
+        ComprehensiveControl::new(f.clone(), weights).run_into(
             &mut mk(),
             &mut Rng::seed_from(seed),
             20_000,
+            &mut c,
         );
         assert!(c.throughput() >= b.throughput() - 1e-9);
     }

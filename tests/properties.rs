@@ -1,8 +1,8 @@
 //! Cross-crate property-based tests (proptest): the invariants that
 //! must hold for *any* parameters, not just the paper's.
 
-use ebrc::core::control::{BasicControl, ComprehensiveControl};
-use ebrc::core::formula::{PftkSimplified, Sqrt};
+use ebrc::core::control::{BasicControl, ComprehensiveControl, StepRecord, TraceStats};
+use ebrc::core::formula::{Formula, PftkSimplified, Sqrt};
 use ebrc::core::throughput::{proposition1_throughput, proposition3_throughput};
 use ebrc::core::weights::WeightProfile;
 use ebrc::dist::{Distribution, IidProcess, Rng, ShiftedExponential};
@@ -23,10 +23,10 @@ proptest! {
         let f = PftkSimplified::with_rtt(1.0);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(mean, cv));
         let mut rng = Rng::seed_from(seed);
-        let trace = BasicControl::new(f.clone(), WeightProfile::tfrc(l))
-            .run(&mut process, &mut rng, 2_000);
-        let lhs = proposition1_throughput(&trace, &f);
-        let rhs = trace.throughput();
+        let mut steps: Vec<StepRecord> = Vec::new();
+        BasicControl::new(f.clone(), WeightProfile::tfrc(l)).run_into(&mut process, &mut rng, 2_000, &mut steps);
+        let lhs = proposition1_throughput(&steps, &f);
+        let rhs = TraceStats::from_steps(&steps).throughput();
         prop_assert!((lhs - rhs).abs() / rhs < 1e-9, "{lhs} vs {rhs}");
     }
 
@@ -41,11 +41,10 @@ proptest! {
         let f = PftkSimplified::with_rtt(1.0);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(mean, cv));
         let mut rng = Rng::seed_from(seed);
-        let trace =
-            ComprehensiveControl::new(f.clone(), WeightProfile::tfrc(l))
-                .run(&mut process, &mut rng, 2_000);
-        let lhs = proposition3_throughput(&trace, &f);
-        let rhs = trace.throughput();
+        let mut steps: Vec<StepRecord> = Vec::new();
+        ComprehensiveControl::new(f.clone(), WeightProfile::tfrc(l)).run_into(&mut process, &mut rng, 2_000, &mut steps);
+        let lhs = proposition3_throughput(&steps, &f);
+        let rhs = TraceStats::from_steps(&steps).throughput();
         prop_assert!((lhs - rhs).abs() / rhs < 1e-6, "{lhs} vs {rhs}");
     }
 
@@ -61,26 +60,17 @@ proptest! {
     ) {
         let weights = WeightProfile::tfrc(l);
         let mk = || IidProcess::new(ShiftedExponential::from_mean_cv(mean, cv));
+        // Both controls' throughput on the same loss sequence.
+        let both = |f: Formula| {
+            let (mut b, mut c) = (TraceStats::new(), TraceStats::new());
+            BasicControl::new(f.clone(), weights.clone()).run_into(&mut mk(), &mut Rng::seed_from(seed), 3_000, &mut b);
+            ComprehensiveControl::new(f, weights.clone()).run_into(&mut mk(), &mut Rng::seed_from(seed), 3_000, &mut c);
+            (b.throughput(), c.throughput())
+        };
         let (b, c) = if use_sqrt {
-            let f = Sqrt::with_rtt(1.0);
-            (
-                BasicControl::new(f.clone(), weights.clone())
-                    .run(&mut mk(), &mut Rng::seed_from(seed), 3_000)
-                    .throughput(),
-                ComprehensiveControl::new(f, weights)
-                    .run(&mut mk(), &mut Rng::seed_from(seed), 3_000)
-                    .throughput(),
-            )
+            both(Formula::Sqrt(Sqrt::with_rtt(1.0)))
         } else {
-            let f = PftkSimplified::with_rtt(1.0);
-            (
-                BasicControl::new(f.clone(), weights.clone())
-                    .run(&mut mk(), &mut Rng::seed_from(seed), 3_000)
-                    .throughput(),
-                ComprehensiveControl::new(f, weights)
-                    .run(&mut mk(), &mut Rng::seed_from(seed), 3_000)
-                    .throughput(),
-            )
+            both(Formula::PftkSimplified(PftkSimplified::with_rtt(1.0)))
         };
         prop_assert!(c >= b - 1e-9, "comprehensive {c} < basic {b}");
     }
@@ -98,8 +88,8 @@ proptest! {
         let f = PftkSimplified::with_rtt(1.0);
         let mut process = IidProcess::new(ShiftedExponential::from_mean_cv(p_inv, cv));
         let mut rng = Rng::seed_from(seed);
-        let trace = BasicControl::new(f.clone(), WeightProfile::tfrc(l))
-            .run(&mut process, &mut rng, 8_000);
+        let mut trace = TraceStats::new();
+        BasicControl::new(f.clone(), WeightProfile::tfrc(l)).run_into(&mut process, &mut rng, 8_000, &mut trace);
         let norm = trace.normalized_throughput(&f);
         prop_assert!(norm <= 1.0 + 0.08, "non-conservative: {norm}");
     }

@@ -11,7 +11,7 @@
 //! which makes it an independent oracle for the receiver's loss
 //! accounting.
 
-use ebrc::core::control::BasicControl;
+use ebrc::core::control::{BasicControl, TraceStats};
 use ebrc::core::formula::PftkStandard;
 use ebrc::core::theory::{analyze, Verdict};
 use ebrc::core::weights::WeightProfile;
@@ -108,9 +108,14 @@ fn measured_trace_drives_the_analytic_control() {
     let f = PftkStandard::with_rtt(0.05);
     let mut process = TraceProcess::new(intervals, Replay::Loop);
     let mut rng = Rng::seed_from(1);
-    let trace =
-        BasicControl::new(f.clone(), WeightProfile::tfrc(8)).run(&mut process, &mut rng, 5_000);
-    let report = analyze(&f, &trace);
+    let mut stats = TraceStats::new();
+    BasicControl::new(f.clone(), WeightProfile::tfrc(8)).run_into(
+        &mut process,
+        &mut rng,
+        5_000,
+        &mut stats,
+    );
+    let report = analyze(&f, &stats);
     // The report must be internally consistent on real network data.
     assert!(report.consistent(0.1), "{}", report.render());
     assert!(report.p > 0.0);
@@ -125,9 +130,14 @@ fn bootstrap_replay_restores_condition_c1() {
     let f = PftkStandard::with_rtt(0.05);
     let mut process = TraceProcess::new(intervals, Replay::Bootstrap);
     let mut rng = Rng::seed_from(2);
-    let trace =
-        BasicControl::new(f.clone(), WeightProfile::tfrc(8)).run(&mut process, &mut rng, 20_000);
-    let report = analyze(&f, &trace);
+    let mut stats = TraceStats::new();
+    BasicControl::new(f.clone(), WeightProfile::tfrc(8)).run_into(
+        &mut process,
+        &mut rng,
+        20_000,
+        &mut stats,
+    );
+    let report = analyze(&f, &stats);
     assert!(
         report.c1_normalized.abs() < 0.05,
         "bootstrap should decorrelate: {}",
